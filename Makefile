@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-short bench-check experiments fuzz campaign-smoke campaign-dist-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
+.PHONY: build test race vet fmt-check bench bench-short bench-check bench-smoke experiments fuzz campaign-smoke campaign-dist-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,12 @@ bench-short:
 bench-check:
 	$(GO) run ./cmd/mfc-bench -short -out /tmp/bench-fresh.json \
 		-against BENCH_results.json -tolerance 0.25
+
+# The benchmark is a nested module (benchmark/go.mod), so `./...` above
+# never compiles it: vet it and run its own tests against this tree, so an
+# API change that breaks the benchmark's build is caught here (~3s).
+bench-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test ./...
 
 experiments:
 	$(GO) run ./cmd/mfc-experiments
@@ -236,4 +242,4 @@ analyze-smoke: serve-smoke
 	diff /tmp/camp-serve-base.analyze.json /tmp/camp-serve.analyze.json
 	@echo "kill -9 store analytics document is byte-identical"
 
-ci: build vet fmt-check apicheck test race chaos-smoke campaign-dist-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke
+ci: build vet fmt-check apicheck test bench-smoke race chaos-smoke campaign-dist-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke

@@ -33,13 +33,14 @@
 // one thread track per shard, so stragglers and fenced takeovers are
 // visible as wall-clock geometry.
 //
-// `resume` is `run` with a guard that the campaign already has stored
-// results; both skip every job that already holds a record, and both hold
-// the campaign directory's exclusive store lease so two uncoordinated
-// runs fail fast. `work` is the distributed flavor: any number of work
-// processes (on one host, or on many over a shared filesystem) claim
-// disjoint result shards via crash-safe leases, survive kill -9 of any
-// worker through stale-lease takeover, and append to the same store.
+// `run`, `resume` and `work -dir` are one worker engine: each skips every
+// job that already holds a record and claims the remaining result shards
+// via crash-safe leases, so any number of them (on one host, or on many
+// over a shared filesystem) cooperate on disjoint shards, survive kill -9
+// of any peer through stale-lease takeover, and append to the same store.
+// `resume` is `run` under the name that says what it is for; `work` adds
+// the fleet flags (-owner, -ttl, -poll, -join) and reports its own shards
+// where run/resume report the whole campaign.
 // `serve` lifts the same protocol onto HTTP: one control plane owns the
 // plan and the store, and workers on any host join it with `work -join
 // ADDR` — no shared filesystem — receiving work grants that carry a
@@ -92,12 +93,8 @@ func main() {
 	switch os.Args[1] {
 	case "plan":
 		err = cmdPlan(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:], false)
-	case "resume":
-		err = cmdRun(os.Args[2:], true)
-	case "work":
-		err = cmdWork(os.Args[2:])
+	case "run", "resume", "work":
+		err = cmdWorker(os.Args[1], os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "report":
@@ -138,9 +135,9 @@ func usage() {
 and an HTML dashboard on ADDR while the campaign runs; -metrics-hold
 keeps it up that long afterwards (POST /quit releases early).
 
-work runs one distributed worker: start any number of them on the same
-campaign dir (shared filesystem included); they lease disjoint result
-shards, take over shards of crashed peers, and checkpoint independently.
+run, resume and work each run one worker of the same engine: start any
+number of them on the same campaign dir (shared filesystem included);
+they lease disjoint result shards and take over shards of crashed peers.
 work -join ADDR joins a control plane over HTTP instead — no shared
 filesystem — receiving fenced work grants and uploading records.
 serve runs that control plane: it owns the plan and the store, grants
@@ -284,84 +281,39 @@ func parseStages(s string) ([]core.Stage, error) {
 	return out, nil
 }
 
-func cmdRun(args []string, resume bool) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+// cmdWorker is run, resume and work: one worker of the shared engine. With
+// -dir it claims free result shards by lease over the (possibly shared)
+// filesystem; with -join (work only) it receives fenced work grants from
+// a control plane over HTTP and uploads records, sharing no filesystem
+// with the plan. The verbs differ in the flags they offer and in the
+// summary line: run/resume account for the whole campaign, work for this
+// worker's shards.
+func cmdWorker(verb string, args []string) error {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
 	var (
 		dir         = fs.String("dir", "", "campaign directory (must hold plan.json)")
-		workers     = fs.Int("workers", 0, "worker bound (0 = GOMAXPROCS)")
-		haltAfter   = fs.Int("halt-after", 0, "stop cleanly after N new completions (testing/CI)")
-		quiet       = fs.Bool("quiet", false, "suppress the live progress line")
-		metrics     = fs.String("metrics", "", "serve /metrics, /progress, /debug/pprof and the HTML dashboard on this address (e.g. :9090 or :0)")
-		metricsHold = fs.Duration("metrics-hold", 0, "keep the -metrics server up this long after the campaign ends (POST /quit releases early)")
-	)
-	fs.Parse(args)
-	if *dir == "" {
-		return fmt.Errorf("run: -dir is required")
-	}
-	if resume {
-		// A killed campaign may die before its first checkpoint manifest,
-		// so the only thing resume can insist on is the plan itself.
-		if _, err := campaign.LoadPlan(*dir); err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-	}
-
-	mon, err := startMonitor(*dir, *metrics, *metricsHold, *quiet)
-	if err != nil {
-		return err
-	}
-	opts := campaign.Options{Workers: *workers, HaltAfter: *haltAfter}
-	if !*quiet || *metrics != "" {
-		opts.OnStart = mon.start
-		opts.OnEvent = mon.onEvent
-	}
-	// SIGINT/SIGTERM cancel the context instead of killing the process, so
-	// the span spiller gets to close open spans as partial and flush them —
-	// an interrupted campaign still yields a loadable trace.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	opts.Spans = obs.NewSpanRecorder("run", 0)
-	opts.SpanTee = mon.spanTee()
-	st, err := campaign.Run(ctx, *dir, opts)
-	if !*quiet {
-		fmt.Fprintln(os.Stderr)
-	}
-	mon.close()
-	if err != nil {
-		return err
-	}
-	verb := "completed"
-	if st.Halted {
-		verb = "halted"
-	}
-	fmt.Printf("%s: %d/%d jobs done (%d skipped as already complete, %d new, %d errored)\n",
-		verb, st.Done(), st.Total, st.AlreadyDone, st.NewlyDone, st.Errored)
-	return nil
-}
-
-// cmdWork runs one distributed worker against the campaign: with -dir it
-// claims free result shards by lease over the shared filesystem; with
-// -join it receives fenced work grants from a control plane over HTTP and
-// uploads records, sharing no filesystem with the plan.
-func cmdWork(args []string) error {
-	fs := flag.NewFlagSet("work", flag.ExitOnError)
-	var (
-		dir         = fs.String("dir", "", "campaign directory (must hold plan.json)")
-		join        = fs.String("join", "", "control plane address (host:port or URL) to join over HTTP instead of -dir")
 		workers     = fs.Int("workers", 0, "per-shard measurement pool bound (0 = GOMAXPROCS)")
-		owner       = fs.String("owner", "", "worker id in lease files (default: host-pid-seq; must be unique per worker)")
-		ttl         = fs.Duration("ttl", 0, "lease staleness bound (default 15s; -join workers inherit the server's)")
-		poll        = fs.Duration("poll", 0, "base wait when peers hold all pending work; idle waits back off with jitter (default 2s)")
 		haltAfter   = fs.Int("halt-after", 0, "stop cleanly after N new completions (testing/CI)")
 		quiet       = fs.Bool("quiet", false, "suppress the live progress line")
 		metrics     = fs.String("metrics", "", "serve /metrics, /progress, /debug/pprof and the HTML dashboard on this address (e.g. :9090 or :0)")
 		metricsHold = fs.Duration("metrics-hold", 0, "keep the -metrics server up this long after this worker ends (POST /quit releases early)")
+		// work only; run and resume keep the defaults.
+		join, owner string
+		ttl, poll   time.Duration
 	)
-	fs.Parse(args)
-	if (*dir == "") == (*join == "") {
-		return fmt.Errorf("work: exactly one of -dir or -join is required")
+	if verb == "work" {
+		fs.StringVar(&join, "join", "", "control plane address (host:port or URL) to join over HTTP instead of -dir")
+		fs.StringVar(&owner, "owner", "", "worker id in lease files (default: host-pid-seq; must be unique per worker)")
+		fs.DurationVar(&ttl, "ttl", 0, "lease staleness bound (default 15s; -join workers inherit the server's)")
+		fs.DurationVar(&poll, "poll", 0, "base wait when peers hold all pending work; idle waits back off with jitter (default 2s)")
 	}
-	if *join != "" && *metrics != "" {
+	fs.Parse(args)
+	switch {
+	case verb == "work" && (*dir == "") == (join == ""):
+		return fmt.Errorf("work: exactly one of -dir or -join is required")
+	case *dir == "" && join == "":
+		return fmt.Errorf("%s: -dir is required", verb)
+	case join != "" && *metrics != "":
 		return fmt.Errorf("work: -metrics needs the result store; with -join, scrape the control plane's listener instead")
 	}
 
@@ -369,29 +321,39 @@ func cmdWork(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *owner == "" {
+	if owner == "" {
 		// Resolve the default here so the span recorder and the lease files
 		// agree on the worker's name.
-		*owner = lease.DefaultOwner()
+		owner = lease.DefaultOwner()
 	}
 	opts := dist.WorkOptions{
-		Owner: *owner, Workers: *workers, TTL: *ttl, Poll: *poll, HaltAfter: *haltAfter,
+		Owner: owner, Workers: *workers, TTL: ttl, Poll: poll, HaltAfter: *haltAfter,
 	}
-	if !*quiet || *metrics != "" {
-		opts.OnStart = mon.start
+	watched := !*quiet || *metrics != ""
+	if watched {
 		opts.OnEvent = mon.onEvent
-		opts.OnClaim = mon.onClaim
-		opts.OnShardDone = mon.onShardDone
+		opts.OnClaim = mon.tr.OnClaim
+		opts.OnShardDone = mon.tr.OnShardDone
 	}
-	// As in run: SIGINT/SIGTERM cancel cleanly so open spans are closed as
-	// partial and flushed (to the spill file, or to the control plane).
+	// run/resume report the jobs skipped as already complete, so they
+	// survey the store even when nothing displays progress.
+	var start campaign.StartInfo
+	if watched || verb != "work" {
+		opts.OnStart = func(info campaign.StartInfo) { start = info; mon.tr.Start(info) }
+	}
+	// SIGINT/SIGTERM cancel the context instead of killing the process, so
+	// the span spiller gets to close open spans as partial and flush them
+	// (to the spill file, or to the control plane) — an interrupted worker
+	// still yields a loadable trace.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	opts.Spans = obs.NewSpanRecorder(*owner, 0)
-	opts.SpanTee = mon.spanTee()
+	opts.Spans = obs.NewSpanRecorder(owner, 0)
+	if mon.fleet != nil { // the -metrics dashboard's fleet view
+		opts.SpanTee = mon.fleet.Ingest
+	}
 	var st *dist.WorkStatus
-	if *join != "" {
-		st, err = dist.WorkRemote(ctx, *join, opts)
+	if join != "" {
+		st, err = dist.WorkRemote(ctx, join, opts)
 	} else {
 		st, err = dist.Work(ctx, *dir, opts)
 	}
@@ -402,12 +364,23 @@ func cmdWork(args []string) error {
 	if err != nil {
 		return err
 	}
-	verb := "worker done"
-	if st.Halted {
-		verb = "worker halted"
+	if verb == "work" {
+		state := "worker done"
+		if st.Halted {
+			state = "worker halted"
+		}
+		fmt.Printf("%s (%s): %d jobs measured (%d errored) over %d shards claimed (%d takeovers, %d sealed, %d fenced)\n",
+			state, st.Owner, st.NewlyDone, st.Errored, st.ShardsClaimed, st.Takeovers, st.ShardsFinished, st.Fenced)
+		return nil
 	}
-	fmt.Printf("%s (%s): %d jobs measured (%d errored) over %d shards claimed (%d takeovers, %d sealed, %d fenced)\n",
-		verb, st.Owner, st.NewlyDone, st.Errored, st.ShardsClaimed, st.Takeovers, st.ShardsFinished, st.Fenced)
+	// An unhalted worker returns only once every job holds a record; what
+	// it neither skipped nor measured itself, concurrent peers did.
+	state, done := "completed", st.Total
+	if st.Halted {
+		state, done = "halted", start.AlreadyDone+st.NewlyDone
+	}
+	fmt.Printf("%s: %d/%d jobs done (%d skipped as already complete, %d new, %d errored)\n",
+		state, done, st.Total, start.AlreadyDone, st.NewlyDone, st.Errored)
 	return nil
 }
 
@@ -543,21 +516,6 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 	}
 	return m, nil
 }
-
-func (m *liveMonitor) start(info campaign.StartInfo) { m.tr.Start(info) }
-
-// spanTee feeds spilled span batches into the -metrics dashboard's fleet
-// view (nil when no dashboard is up — the spiller skips a nil tee).
-func (m *liveMonitor) spanTee() func([]obs.Span) {
-	if m.fleet == nil {
-		return nil
-	}
-	return m.fleet.Ingest
-}
-
-func (m *liveMonitor) onClaim(shard int) { m.tr.OnClaim(shard) }
-
-func (m *liveMonitor) onShardDone(shard, n int) { m.tr.OnShardDone(shard, n) }
 
 func (m *liveMonitor) onEvent(ev campaign.SiteEvent) {
 	m.tr.OnEvent(ev)

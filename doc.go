@@ -51,10 +51,11 @@
 // migration table.
 //
 // Population-scale §5 studies run through cmd/mfc-campaign: plan a band ×
-// stage × sites matrix once, then run it with a single process (`run` /
-// `resume`) or many (`work`, one per process or host — workers claim
-// disjoint result shards via crash-safe leases and survive kill -9 of any
-// peer), and aggregate with `report` over one or many result stores or
+// stage × sites matrix once, then run it with one process or many (`run`,
+// `resume` and `work` are the same worker engine, one per process or host
+// — workers claim disjoint result shards via crash-safe leases and
+// survive kill -9 of any peer), and aggregate with `report` over one or
+// many result stores or
 // `merge` into a consolidated one; the report is byte-identical however
 // the jobs were split, killed or resumed. Fleets without a shared
 // filesystem run `serve`, an HTTP control plane owning the plan and the
@@ -69,8 +70,8 @@
 // baseline-vs-scenario verdict confusion matrices, as text with figures,
 // canonical JSON (`-json`, byte-identical however the store was
 // produced), and a live /analyze view on every dashboard listener. See
-// DESIGN.md "Distributed campaigns", "Networked campaigns" and
-// "Campaign analytics".
+// DESIGN.md "The campaign engine", "Distributed campaigns", "Networked
+// campaigns" and "Campaign analytics".
 //
 // # Observability
 //

@@ -1,4 +1,4 @@
-package dist
+package campaign
 
 import (
 	"hash/fnv"
@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// backoff paces an idle poller: a worker whose every pending shard is
+// Backoff paces an idle poller: a worker whose every pending shard is
 // leased by live peers, or whose control plane has no range to grant,
 // must wait for churn. A fixed interval makes a fleet of waiting workers
 // beat on the store directory (or the control plane) in lockstep — they
@@ -16,23 +16,23 @@ import (
 // decorrelates even when all its members went idle together. Any
 // successful claim resets the delay to base: churn observed means more
 // churn is likely soon.
-type backoff struct {
+type Backoff struct {
 	base, max, cur time.Duration
 	rng            *rand.Rand
 }
 
-// newBackoff builds a backoff with the given base delay, capped at
+// NewBackoff builds a Backoff with the given base delay, capped at
 // 16×base. The seed string (the worker's owner id) decorrelates jitter
 // across a fleet whose processes may share a clock-derived PRNG seed.
-func newBackoff(base time.Duration, seed string) *backoff {
+func NewBackoff(base time.Duration, seed string) *Backoff {
 	h := fnv.New64a()
 	h.Write([]byte(seed))
-	return &backoff{base: base, max: 16 * base, rng: rand.New(rand.NewSource(int64(h.Sum64())))}
+	return &Backoff{base: base, max: 16 * base, rng: rand.New(rand.NewSource(int64(h.Sum64())))}
 }
 
-// next returns the next idle sleep: ~base on the first call after a
+// Next returns the next idle sleep: ~base on the first call after a
 // reset, doubling per call up to the cap, jittered over [d/2, d).
-func (b *backoff) next() time.Duration {
+func (b *Backoff) Next() time.Duration {
 	if b.cur == 0 {
 		b.cur = b.base
 	} else if b.cur < b.max {
@@ -48,5 +48,5 @@ func (b *backoff) next() time.Duration {
 	return half + time.Duration(b.rng.Int63n(int64(half)))
 }
 
-// reset drops the delay back to base after productive work.
-func (b *backoff) reset() { b.cur = 0 }
+// Reset drops the delay back to base after productive work.
+func (b *Backoff) Reset() { b.cur = 0 }

@@ -2,66 +2,38 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mfc"
-	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 	"mfc/internal/population"
-	"mfc/internal/runner"
 	"mfc/internal/scenario"
 )
 
 // Options tunes one Run invocation (never the campaign's results — those
-// are fixed by the plan).
+// are fixed by the plan). The fields are the WorkOptions of the same name;
+// only Progress differs.
 type Options struct {
-	// Workers bounds this call's pool; 0 means GOMAXPROCS. Workers draw
-	// from the process-wide runner budget (runner.Shared), so a campaign
-	// can run alongside experiment sweeps without over-subscribing.
-	Workers int
-	// CheckpointEvery writes the manifest after this many new completions
-	// (default 64; the final manifest is always written).
-	CheckpointEvery int
-	// HaltAfter stops claiming new jobs once this many sites have finished
-	// measuring (0 = run to completion). The count is driven by the
-	// per-site ExperimentFinished events. In-flight jobs finish and are
-	// stored. This is how tests and CI simulate a killed campaign
-	// deterministically; a real kill -9 is also safe, it just loses the
-	// in-flight jobs.
+	Workers   int
 	HaltAfter int
 	// Progress, when non-nil, observes (done, total) after every site's
-	// terminal event. Called from pool workers; must be cheap and
-	// concurrency-safe.
+	// terminal event, where done is the campaign's overall completion as
+	// this run sees it: the jobs that held a record when it started plus
+	// the jobs it has measured since.
 	Progress func(done, total int)
-	// OnStart, when non-nil, observes the campaign's shape before any job
-	// runs — the state a progress display needs to compute per-band ETAs.
-	OnStart func(info StartInfo)
-	// OnEvent, when non-nil, receives every site's coordinator events
-	// (StageStarted, EpochCompleted, ..., terminal ExperimentFinished),
-	// tagged with the job's identity. Jobs that fail before a coordinator
-	// runs still deliver exactly one terminal event. Called from pool
-	// workers; must be cheap and concurrency-safe.
-	OnEvent func(ev SiteEvent)
-	// Spans, when non-nil, records wall-clock spans for this run — a root
-	// "run" span plus one span per job — spilled to dir/spans/ every few
-	// hundred ms and flushed (open spans closed as partial) on return,
-	// including a SIGINT-canceled return.
-	Spans *obs.SpanRecorder
-	// SpanTee, when non-nil, also receives every spilled span batch; the
-	// live dashboard feeds its Fleet view through it.
-	SpanTee func([]obs.Span)
+	OnStart  func(info StartInfo)
+	OnEvent  func(ev SiteEvent)
+	Spans    *obs.SpanRecorder
 }
 
-// StartInfo describes a Run invocation before its first job.
+// StartInfo describes a campaign before a worker's first job.
 type StartInfo struct {
 	Total       int // jobs in the plan
-	AlreadyDone int // jobs completed before this run
-	// PendingByBand counts this run's remaining jobs per band name.
+	AlreadyDone int // jobs completed before this invocation
+	// PendingByBand counts the remaining jobs per band name (nil for
+	// networked workers, which never scan the store).
 	PendingByBand map[string]int
 }
 
@@ -84,201 +56,42 @@ func (ev SiteEvent) Terminal() bool {
 	return ok
 }
 
-// Status summarizes one Run invocation.
+// Status summarizes one Run invocation: the worker's own status plus the
+// resume accounting.
 type Status struct {
-	Total       int  // jobs in the plan
-	AlreadyDone int  // completed before this run (resume skip)
-	NewlyDone   int  // completed by this run
-	Errored     int  // of NewlyDone, jobs whose measurement failed
-	Halted      bool // stopped early by HaltAfter
+	WorkStatus
+	AlreadyDone int // completed before this run (resume skip)
 }
 
-// Done is the campaign's overall completion count after this run.
+// Done is the campaign's completion count as this run accounts for it:
+// jobs a concurrent peer measured meanwhile are in neither term.
 func (st *Status) Done() int { return st.AlreadyDone + st.NewlyDone }
 
-// Run executes (or resumes) the campaign in dir: it scans the result store
-// for jobs that already hold a record, runs every remaining job on the
-// shared pool, and streams each completed site's result to the store. A
-// measurement error is recorded and counted, never fatal to the campaign.
-// Run returns early with ctx's error if the context is canceled.
+// Run executes (or resumes) the campaign in dir to completion: it is
+// WorkDir under a process-unique owner, reported with resume accounting.
+// Jobs that already hold a record are skipped; shards a live peer holds —
+// another Run, a `work` process — are left to it and picked up only if
+// that peer halts or goes stale, so concurrent runs cooperate on disjoint
+// shards. Run returns early with ctx's error if the context is canceled.
 func Run(ctx context.Context, dir string, opts Options) (*Status, error) {
-	plan, err := LoadPlan(dir)
-	if err != nil {
-		return nil, err
-	}
-	// The exclusive store lease makes two uncoordinated single-process
-	// runs on one directory fail fast instead of interleaving shard
-	// appends; a stale lease (previous run killed) is taken over, so
-	// resume keeps working. Losing the lease mid-run (this process wedged
-	// past the TTL and someone else took over) cancels the run.
-	runCtx, cancelRun := context.WithCancelCause(ctx)
-	defer cancelRun(nil)
-	store, err := OpenStoreLocked(dir, plan.ShardJobs, lease.DefaultOwner(), lease.DefaultTTL, func() {
-		cancelRun(fmt.Errorf("campaign: store lease on %s lost mid-run", dir))
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-	ctx = runCtx
-
-	// Wall-clock tracing: the whole run is one "run" span; each job adds a
-	// child on its shard's track. The spiller's Close (deferred, so it runs
-	// on SIGINT-canceled returns too) force-closes open spans as partial
-	// and writes the final batch, keeping the spill file loadable.
-	opts.Spans.SetTrace(PlanTraceID(plan))
-	spiller, err := StartSpanSpill(opts.Spans, dir, opts.SpanTee)
-	if err != nil {
-		return nil, err
-	}
-	defer spiller.Close()
-	runSpan := opts.Spans.Start("run", "work", -1, 0)
-	defer runSpan.End()
-
-	total := plan.Jobs()
-	completed, err := store.Completed(total)
-	if err != nil {
-		return nil, err
-	}
-	pending := make([]int, 0, total-len(completed))
-	for j := 0; j < total; j++ {
-		if !completed[j] {
-			pending = append(pending, j)
-		}
-	}
-	// The checkpoint counts are maintained incrementally from the initial
-	// scan — checkpointing must not rescan (and re-decode) the whole store
-	// every 64 completions. ckpt.mu also serializes manifest writes: two
-	// workers crossing checkpoints concurrently would race on the
-	// manifest's temp file.
-	ckpt := checkpointState{
-		dir: dir, plan: plan,
-		perShard: make([]int, plan.Shards()),
-		done:     len(completed),
-	}
-	for j := range completed {
-		ckpt.perShard[plan.ShardOf(j)]++
-	}
-
-	st := &Status{Total: total, AlreadyDone: len(completed)}
-	if opts.OnStart != nil {
-		byBand := make(map[string]int)
-		for _, j := range pending {
-			byBand[plan.Cells[plan.CellOf(j)].Band]++
-		}
-		opts.OnStart(StartInfo{Total: total, AlreadyDone: st.AlreadyDone, PendingByBand: byBand})
-	}
-	if len(pending) == 0 {
-		return st, ckpt.write()
-	}
-
-	checkpointEvery := opts.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = 64
-	}
-
-	// HaltAfter cancels the job context once enough sites have finished;
-	// the pool then stops claiming indexes and drains. The count keys off
-	// each site's terminal ExperimentFinished event (exactly one per job).
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		newly   atomic.Int64
-		errored atomic.Int64
-	)
-	onSite := func(ev SiteEvent) {
-		if opts.OnEvent != nil {
-			opts.OnEvent(ev)
-		}
-		if !ev.Terminal() {
-			return
-		}
-		n := newly.Add(1)
-		if opts.Progress != nil {
-			opts.Progress(st.AlreadyDone+int(n), total)
-		}
-		if opts.HaltAfter > 0 && int(n) >= opts.HaltAfter {
-			cancel()
-		}
-	}
-	runErr := runner.ForEach(jobCtx, len(pending), func(_ context.Context, i int) error {
-		job := pending[i]
-		jobSpan := opts.Spans.Start(fmt.Sprintf("job %d", job), "job", plan.ShardOf(job), runSpan.ID())
-		rec := Measure(plan, job, onSite)
-		jobSpan.End(obs.A("site", rec.Site), obs.A("verdict", rec.Verdict))
-		if err := store.Append(rec); err != nil {
-			return err // a dead store is fatal: nothing can be recorded
-		}
-		if rec.Err != "" {
-			errored.Add(1)
-		}
-		return ckpt.jobDone(job, checkpointEvery)
-	}, runner.Workers(opts.Workers), runner.Shared())
-
-	st.NewlyDone = int(newly.Load())
-	st.Errored = int(errored.Load())
-	if runErr != nil {
-		// A clean HaltAfter stop surfaces as exactly the cancellation our
-		// own cancel() caused; anything else — a store failure, a parent
-		// cancellation — is a real error and must not be swallowed.
-		if errors.Is(runErr, context.Canceled) && ctx.Err() == nil &&
-			opts.HaltAfter > 0 && int(newly.Load()) >= opts.HaltAfter {
-			st.Halted = true
-		} else {
-			// A lost store lease cancels runCtx with its own cause; report
-			// that instead of the bare context.Canceled it decays into.
-			if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
-				return st, cause
+	var start StartInfo
+	wopts := WorkOptions{
+		Workers: opts.Workers, HaltAfter: opts.HaltAfter, OnEvent: opts.OnEvent, Spans: opts.Spans,
+		OnStart: func(info StartInfo) {
+			start = info
+			if opts.OnStart != nil {
+				opts.OnStart(info)
 			}
-			return st, runErr
-		}
+		},
 	}
-	return st, ckpt.write()
-}
-
-// checkpointState tracks completion counts incrementally and owns the
-// manifest: all mutation and every write happens under mu, so checkpoints
-// are O(1) in campaign size and never race on the manifest file.
-type checkpointState struct {
-	mu       sync.Mutex
-	dir      string
-	plan     *Plan
-	perShard []int
-	done     int
-	sinceCkp int
-}
-
-// jobDone folds one completion in and writes the manifest every
-// checkpointEvery completions.
-func (c *checkpointState) jobDone(job, checkpointEvery int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.perShard[c.plan.ShardOf(job)]++
-	c.done++
-	c.sinceCkp++
-	if c.sinceCkp < checkpointEvery {
-		return nil
+	if opts.Progress != nil {
+		wopts.Progress = func(done, total int) { opts.Progress(start.AlreadyDone+done, total) }
 	}
-	c.sinceCkp = 0
-	return c.writeLocked()
-}
-
-// write atomically replaces the manifest with the current counts.
-func (c *checkpointState) write() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeLocked()
-}
-
-func (c *checkpointState) writeLocked() error {
-	m := &Manifest{
-		Plan:     c.plan.Name,
-		Total:    c.plan.Jobs(),
-		Done:     c.done,
-		PerShard: append([]int(nil), c.perShard...),
+	ws, err := WorkDir(ctx, dir, wopts)
+	if ws == nil {
+		return nil, err
 	}
-	return WriteManifest(c.dir, m)
+	return &Status{WorkStatus: *ws, AlreadyDone: start.AlreadyDone}, err
 }
 
 // Measure runs job j of the plan: generate the site in O(1) from its

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,11 +137,11 @@ func TestTornWriteIsRepairedOnResume(t *testing.T) {
 	}
 }
 
-// The checkpoint manifest must exist after a run and agree with the store.
+// The manifest must exist after a finished run and agree with the store.
 func TestManifestCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	plan := testPlan(t, dir)
-	runToCompletion(t, dir, Options{CheckpointEvery: 3})
+	runToCompletion(t, dir, Options{})
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -170,66 +173,106 @@ func TestPlanSaveRefusesReplacement(t *testing.T) {
 	}
 }
 
-// Two uncoordinated single-process runs on one campaign directory must
-// fail fast: the second Run cannot acquire the exclusive store lease.
-func TestSecondRunFailsFastWhileStoreLocked(t *testing.T) {
+// Two concurrent runs on one campaign directory cooperate like any two
+// workers: they lease disjoint shards, so every job is measured exactly
+// once between them, and the report is the single run's bytes.
+func TestConcurrentRunsShareShards(t *testing.T) {
+	clean := t.TempDir()
+	testPlan(t, clean)
+	runToCompletion(t, clean, Options{})
+	want := reportOf(t, clean)
+
 	dir := t.TempDir()
 	plan := testPlan(t, dir)
-	store, err := OpenStoreLocked(dir, plan.ShardJobs, "first-run", time.Minute, nil)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		mu      sync.Mutex
+		shardBy = map[int]int{} // shard -> the run that measured its jobs
+		wg      sync.WaitGroup
+		sts     [2]*Status
+	)
+	for r := range sts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := Run(context.Background(), dir, Options{Workers: 2, OnEvent: func(ev SiteEvent) {
+				if !ev.Terminal() {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if by, ok := shardBy[plan.ShardOf(ev.Job)]; ok && by != r {
+					t.Errorf("shard %d measured by both runs", plan.ShardOf(ev.Job))
+				}
+				shardBy[plan.ShardOf(ev.Job)] = r
+			}})
+			if err != nil {
+				t.Errorf("run %d: %v", r, err)
+			}
+			sts[r] = st
+		}()
 	}
-	defer store.Close()
-	if _, err := Run(context.Background(), dir, Options{}); err == nil {
-		t.Fatal("second run on a locked campaign dir did not fail fast")
-	} else if !strings.Contains(err.Error(), "in use") {
-		t.Fatalf("unexpected error: %v", err)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n := sts[0].NewlyDone + sts[1].NewlyDone; n != plan.Jobs() {
+		t.Errorf("the two runs measured %d jobs between them, want exactly %d", n, plan.Jobs())
+	}
+	if got := reportOf(t, dir); got != want {
+		t.Errorf("report of two concurrent runs differs from a single run:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if live, _ := lease.Live(LeasesDir(dir), time.Minute); len(live) != 0 {
+		t.Errorf("leases left behind: %+v", live)
 	}
 }
 
-// A legacy single-process run must also fail fast while dist workers hold
-// live shard leases on the directory.
-func TestRunFailsFastWithLiveShardLease(t *testing.T) {
-	dir := t.TempDir()
-	testPlan(t, dir)
-	h, err := lease.Acquire(LeasesDir(dir), ShardLeaseName(1), "worker-elsewhere", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Release()
-	if _, err := Run(context.Background(), dir, Options{}); err == nil {
-		t.Fatal("run with a live worker shard lease did not fail fast")
-	} else if !strings.Contains(err.Error(), "worker lease") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// The failed run must not have left its own store lease behind.
-	if _, ok := lease.Holder(LeasesDir(dir), "store", time.Minute); ok {
-		t.Fatal("failed run leaked the store lease")
-	}
-}
+// A run leaves a shard whose lease a live peer holds alone, and finishes
+// it once that lease has gone stale (the peer was killed): the takeover
+// that used to need `work` is what resume does.
+func TestRunSkipsLiveLeasedShardThenTakesItOver(t *testing.T) {
+	clean := t.TempDir()
+	testPlan(t, clean)
+	runToCompletion(t, clean, Options{})
+	want := reportOf(t, clean)
 
-// A stale store lease (previous run killed) must be taken over, not block
-// resume forever.
-func TestRunTakesOverStaleStoreLease(t *testing.T) {
 	dir := t.TempDir()
-	testPlan(t, dir)
-	h, err := lease.Acquire(LeasesDir(dir), "store", "killed-run", time.Minute)
-	if err != nil {
+	plan := testPlan(t, dir)
+	if _, err := lease.Acquire(LeasesDir(dir), ShardLeaseName(1), "worker-elsewhere", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Fake the kill: age the heartbeat past the TTL with a dead pid.
-	info, err := lease.Read(LeasesDir(dir), "store")
+	// The run can finish shards 0 and 2 (7 jobs), then only wait for the
+	// peer; cancel it there instead of sitting out the idle backoff.
+	free := plan.Jobs() - plan.ShardJobs
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var finished atomic.Int64
+	st, err := Run(ctx, dir, Options{OnEvent: func(ev SiteEvent) {
+		if plan.ShardOf(ev.Job) == 1 {
+			t.Errorf("job %d of the live-leased shard was measured", ev.Job)
+		}
+		if ev.Terminal() && int(finished.Add(1)) == free {
+			cancel()
+		}
+	}})
+	if !errors.Is(err, context.Canceled) || st.NewlyDone != free {
+		t.Fatalf("run beside a live shard lease: %+v, %v; want %d jobs then cancellation", st, err, free)
+	}
+
+	// The peer dies: age its heartbeat past the TTL with no pid to probe.
+	info, err := lease.Read(LeasesDir(dir), ShardLeaseName(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	info.HeartbeatUnixNano = time.Now().Add(-time.Hour).UnixNano()
 	info.PID = 0
-	writeLease(t, dir, "store", info)
-	_ = h
+	writeLease(t, dir, ShardLeaseName(1), info)
 
-	st := runToCompletion(t, dir, Options{})
-	if st.Done() != st.Total {
-		t.Fatalf("run after stale-lease takeover incomplete: %+v", st)
+	st = runToCompletion(t, dir, Options{})
+	if st.AlreadyDone != free || st.Done() != st.Total {
+		t.Fatalf("run after the lease went stale: %+v", st)
+	}
+	if got := reportOf(t, dir); got != want {
+		t.Errorf("report after takeover differs from a single run:\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }
 

@@ -3,17 +3,19 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"mfc/internal/campaign"
 )
 
 // The idle backoff doubles from base to the 16x cap, jitters every sleep
 // over [d/2, d), and drops back to base on reset.
 func TestBackoffDoublesJittersCapsResets(t *testing.T) {
 	base := 100 * time.Millisecond
-	b := newBackoff(base, "worker-a")
+	b := campaign.NewBackoff(base, "worker-a")
 
 	expect := base
 	for i := 0; i < 8; i++ {
-		d := b.next()
+		d := b.Next()
 		if d < expect/2 || d >= expect {
 			t.Errorf("call %d: sleep %v outside [%v, %v)", i, d, expect/2, expect)
 		}
@@ -25,12 +27,12 @@ func TestBackoffDoublesJittersCapsResets(t *testing.T) {
 		}
 	}
 	// After enough doublings the delay is pinned at the cap.
-	if d := b.next(); d < 8*base || d >= 16*base {
+	if d := b.Next(); d < 8*base || d >= 16*base {
 		t.Errorf("capped sleep %v outside [%v, %v)", d, 8*base, 16*base)
 	}
 
-	b.reset()
-	if d := b.next(); d < base/2 || d >= base {
+	b.Reset()
+	if d := b.Next(); d < base/2 || d >= base {
 		t.Errorf("post-reset sleep %v outside [%v, %v)", d, base/2, base)
 	}
 }
@@ -39,11 +41,11 @@ func TestBackoffDoublesJittersCapsResets(t *testing.T) {
 // decorrelated across owners (no thundering herd).
 func TestBackoffJitterSeededByOwner(t *testing.T) {
 	base := time.Second
-	a1, a2 := newBackoff(base, "owner-a"), newBackoff(base, "owner-a")
-	bOther := newBackoff(base, "owner-b")
+	a1, a2 := campaign.NewBackoff(base, "owner-a"), campaign.NewBackoff(base, "owner-a")
+	bOther := campaign.NewBackoff(base, "owner-b")
 	same, differ := true, false
 	for i := 0; i < 16; i++ {
-		d1, d2, d3 := a1.next(), a2.next(), bOther.next()
+		d1, d2, d3 := a1.Next(), a2.Next(), bOther.Next()
 		if d1 != d2 {
 			same = false
 		}

@@ -1,7 +1,7 @@
 // Package lease is the campaign store's crash-safe file-lease protocol:
 // one JSON lease file per claimable resource (a result shard, or the whole
-// store for an exclusive single-process run), created atomically, renewed
-// by heartbeat, and taken over when its owner goes stale.
+// store for a control plane), created atomically, renewed by heartbeat,
+// and taken over when its owner goes stale.
 //
 // The protocol assumes only a filesystem with atomic create-by-link and
 // rename (any local filesystem; NFS with close-to-open consistency is
@@ -49,8 +49,8 @@ type Info struct {
 	// TTLNanos is the staleness bound the OWNER committed to heartbeat
 	// under. Staleness is judged against this, not against whatever TTL a
 	// reader happens to use — otherwise a reader with a shorter TTL would
-	// "expire" a perfectly live lease (and e.g. bypass the store's
-	// exclusive-run guard).
+	// "expire" a perfectly live lease (and e.g. bypass a control plane's
+	// store lock).
 	TTLNanos int64 `json:"ttl_nano,omitempty"`
 
 	AcquiredUnixNano  int64 `json:"acquired_unix_nano"`
@@ -117,10 +117,20 @@ func DefaultOwner() string {
 // Handle is a held lease. It is not safe for concurrent use; the typical
 // shape is one goroutine heartbeating while the owner works.
 type Handle struct {
-	dir   string
-	info  Info
-	ttl   time.Duration
-	nonce atomic.Int64 // unique temp/tombstone suffixes
+	dir  string
+	info Info
+}
+
+// pathNonce numbers every temp and tombstone file this process creates.
+// It is process-wide, not per handle: contenders in one process share a
+// pid, and two of them writing the same temp path would let the loser
+// truncate the inode the winner has just linked in as the live lease.
+var pathNonce atomic.Int64
+
+// scratchPath returns a path next to name's lease file that no other
+// handle, in this process or another, will ever use.
+func (h *Handle) scratchPath(name, kind string) string {
+	return fmt.Sprintf("%s.%s.%d.%d", Path(h.dir, name), kind, os.Getpid(), pathNonce.Add(1))
 }
 
 // Owner returns the handle's owner id.
@@ -217,7 +227,7 @@ func Acquire(dir, name, owner string, ttl time.Duration) (*Handle, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	h := &Handle{dir: dir, ttl: ttl}
+	h := &Handle{dir: dir}
 
 	// The loop races other contenders: each iteration either observes a
 	// live owner (and stops), or wins/loses one atomic step (tombstone
@@ -285,7 +295,7 @@ func hostname() string {
 // it. Rename is the arbitration point: it succeeds for exactly one
 // contender; everyone else sees ENOENT and reports false.
 func (h *Handle) tombstone(name string) (bool, error) {
-	dst := Path(h.dir, name) + fmt.Sprintf(".stale.%d.%d", os.Getpid(), h.nonce.Add(1))
+	dst := h.scratchPath(name, "stale")
 	err := os.Rename(Path(h.dir, name), dst)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
@@ -307,7 +317,7 @@ func (h *Handle) create() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	tmp := Path(h.dir, h.info.Name) + fmt.Sprintf(".tmp.%d.%d", os.Getpid(), h.nonce.Add(1))
+	tmp := h.scratchPath(h.info.Name, "tmp")
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return false, err
 	}
@@ -348,7 +358,7 @@ func (h *Handle) Heartbeat() error {
 	if err != nil {
 		return err
 	}
-	tmp := Path(h.dir, h.info.Name) + fmt.Sprintf(".tmp.%d.%d", os.Getpid(), h.nonce.Add(1))
+	tmp := h.scratchPath(h.info.Name, "tmp")
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}

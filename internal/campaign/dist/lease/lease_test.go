@@ -144,6 +144,26 @@ func TestAcquireRaceSingleWinner(t *testing.T) {
 	}
 }
 
+// Contenders in one process share a pid, so the temp and tombstone paths
+// must be numbered process-wide: with a per-handle counter every handle's
+// first temp file was <name>.lease.tmp.<pid>.1, and a loser rewriting it
+// truncated the inode the winner had just linked in as the live lease.
+func TestHandlesNeverShareScratchPaths(t *testing.T) {
+	a, b := &Handle{dir: "d"}, &Handle{dir: "d"}
+	seen := make(map[string]bool)
+	for i := 0; i < 4; i++ {
+		for _, h := range []*Handle{a, b} {
+			for _, kind := range []string{"tmp", "stale"} {
+				p := h.scratchPath("shard-0000", kind)
+				if seen[p] {
+					t.Fatalf("scratch path %s handed out twice", p)
+				}
+				seen[p] = true
+			}
+		}
+	}
+}
+
 // Staleness is judged by the TTL the owner declared in the lease, not by
 // whatever (shorter) TTL a reader supplies — otherwise a contender with
 // `-ttl 1ms` could "expire" any live lease and bypass every guard.

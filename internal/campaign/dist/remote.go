@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,26 +16,20 @@ import (
 	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/campaign/serve"
 	"mfc/internal/obs"
-	"mfc/internal/runner"
 )
 
 // WorkRemote runs one networked worker against a control plane started
-// with `mfc-campaign serve`: it fetches the plan over HTTP, asks for work
-// grants, measures each granted job through the same deterministic
-// campaign.Measure path every other mode uses, and uploads records as
-// they complete — no filesystem is shared with the plan. The grant's
-// fence token (the server-side lease generation) travels with every
-// heartbeat and upload; a 410 from the server means the shard was
-// re-granted to a successor and this worker abandons it, exactly like a
-// filesystem worker losing its lease. Status semantics match Work:
-// WorkRemote returns when the server reports the campaign complete, ctx
-// is canceled, or HaltAfter trips.
+// with `mfc-campaign serve`: it fetches the plan over HTTP and runs the
+// shared engine (campaign.Work) over grants instead of file leases — no
+// filesystem is shared with the plan. The grant's fence token (the
+// server-side lease generation) travels with every heartbeat and upload;
+// a 410 from the server means the shard was re-granted to a successor and
+// this worker abandons it, exactly like a filesystem worker losing its
+// lease. WorkRemote returns when the server reports the campaign
+// complete, ctx is canceled, or HaltAfter trips.
 func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus, error) {
 	if opts.Owner == "" {
 		opts.Owner = lease.DefaultOwner()
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 2 * time.Second
 	}
 	rc := &remoteClient{
 		base: normalizeAddr(addr),
@@ -56,9 +49,6 @@ func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus
 		return nil, fmt.Errorf("dist: control plane sent an invalid plan: %w", err)
 	}
 
-	st := &WorkStatus{Owner: opts.Owner, Total: plan.Jobs()}
-	w := &remoteWorker{plan: &plan, rc: rc, opts: opts, st: st}
-
 	// Wall-clock tracing, networked flavor: the trace id comes from the
 	// server's X-Mfc-Trace header (adopted during the plan fetch above;
 	// the plan-derived id is the same value, but the header stays
@@ -66,52 +56,21 @@ func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus
 	// to POST /api/spans instead of a spill file. Each shipment uses its
 	// own short deadline off context.Background() so the final flush —
 	// after SIGINT has killed ctx — still reaches the server.
+	var spill *campaign.SpanSpiller
 	if opts.Spans != nil {
-		trace := rc.Trace()
-		if trace == "" {
-			trace = campaign.PlanTraceID(&plan)
+		trace := campaign.PlanTraceID(&plan)
+		if id := rc.trace.Load(); id != nil {
+			trace = *id
 		}
 		opts.Spans.SetTrace(trace)
-		w.spill = campaign.NewSpanSpiller(opts.Spans, 0, func(spans []obs.Span) {
+		spill = campaign.NewSpanSpiller(opts.Spans, 0, func(spans []obs.Span) {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			rc.post(sctx, "/api/spans", serve.SpanBatch{Owner: opts.Owner, Spans: spans}, nil)
 		})
-		defer w.spill.Close()
+		defer spill.Close()
 	}
-	w.root = opts.Spans.Start("work", "work", -1, 0)
-	defer func() {
-		w.root.End(obs.AInt("jobs", w.newly.Load()),
-			obs.AInt("shards_claimed", int64(st.ShardsClaimed)),
-			obs.AInt("fenced", int64(st.Fenced)))
-	}()
-
-	if opts.OnStart != nil {
-		var status serve.StatusDoc
-		if err := rc.get(ctx, "/api/status", &status); err != nil {
-			return nil, err
-		}
-		// Band-level pending is unknown to a remote worker (it never scans
-		// the store); the totals still anchor progress and ETA.
-		opts.OnStart(campaign.StartInfo{Total: plan.Jobs(), AlreadyDone: status.Done})
-	}
-
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	w.cancelAll = cancel
-
-	err := w.loop(jobCtx)
-	st.NewlyDone = int(w.newly.Load())
-	st.Errored = int(w.errored.Load())
-	if err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() == nil &&
-			opts.HaltAfter > 0 && st.NewlyDone >= opts.HaltAfter {
-			st.Halted = true
-			return st, nil
-		}
-		return st, err
-	}
-	return st, nil
+	return campaign.Work(ctx, &plan, &grantSource{rc: rc, owner: opts.Owner}, spill, opts)
 }
 
 // normalizeAddr turns "host:port" into a base URL.
@@ -127,83 +86,54 @@ func normalizeAddr(addr string) string {
 // header the server stamps on everything) and echoes it on requests, so
 // every worker of one served campaign lands in the same trace.
 type remoteClient struct {
-	base string
-	hc   *http.Client
-
-	traceMu sync.Mutex
-	trace   string
+	base  string
+	hc    *http.Client
+	trace atomic.Pointer[string] // adopted from the server; nil before first contact
 }
-
-// Trace returns the trace id adopted from the server ("" before first
-// contact).
-func (rc *remoteClient) Trace() string {
-	rc.traceMu.Lock()
-	defer rc.traceMu.Unlock()
-	return rc.trace
-}
-
-// stampTrace echoes the adopted trace id on an outgoing request.
-func (rc *remoteClient) stampTrace(req *http.Request) {
-	if id := rc.Trace(); id != "" {
-		req.Header.Set(serve.TraceHeader, id)
-	}
-}
-
-// adoptTrace captures the server's trace id from a response.
-func (rc *remoteClient) adoptTrace(resp *http.Response) {
-	if id := resp.Header.Get(serve.TraceHeader); id != "" {
-		rc.traceMu.Lock()
-		rc.trace = id
-		rc.traceMu.Unlock()
-	}
-}
-
-// errRemoteFenced reports a 410 from the control plane: the fence token
-// is stale and the bearer must abandon its shard.
-var errRemoteFenced = errors.New("dist: fenced by control plane (shard was re-granted)")
 
 func (rc *remoteClient) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rc.base+path, nil)
-	if err != nil {
-		return err
-	}
-	rc.stampTrace(req)
-	resp, err := rc.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	rc.adoptTrace(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: GET %s: %s", path, readError(resp))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return rc.do(ctx, http.MethodGet, path, nil, out)
 }
 
-// post sends body as JSON. A 410 maps to errRemoteFenced; other non-2xx
+// post sends body as JSON. A 410 — the fence token is stale and the bearer
+// must abandon its shard — maps to campaign.ErrFenced; other non-2xx
 // statuses are errors. out may be nil for 204 endpoints.
 func (rc *remoteClient) post(ctx context.Context, path string, body, out any) error {
-	data, err := json.Marshal(body)
+	return rc.do(ctx, http.MethodPost, path, body, out)
+}
+
+func (rc *remoteClient) do(ctx context.Context, method, path string, body, out any) error {
+	var payload io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		payload = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rc.base+path, payload)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.base+path, bytes.NewReader(data))
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
-	rc.stampTrace(req)
+	if id := rc.trace.Load(); id != nil {
+		req.Header.Set(serve.TraceHeader, *id)
+	}
 	resp, err := rc.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	rc.adoptTrace(resp)
+	if id := resp.Header.Get(serve.TraceHeader); id != "" {
+		rc.trace.Store(&id)
+	}
 	switch {
 	case resp.StatusCode == http.StatusGone:
-		return errRemoteFenced
+		return campaign.ErrFenced
 	case resp.StatusCode >= 300:
-		return fmt.Errorf("dist: POST %s: %s", path, readError(resp))
+		return fmt.Errorf("dist: %s %s: %s", method, path, readError(resp))
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -216,184 +146,67 @@ func readError(resp *http.Response) string {
 	return fmt.Sprintf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))
 }
 
-// remoteWorker drives grant -> measure -> upload -> seal until complete.
-type remoteWorker struct {
-	plan *campaign.Plan
-	rc   *remoteClient
-	opts WorkOptions
-	st   *WorkStatus
-
-	cancelAll context.CancelFunc
-	newly     atomic.Int64
-	errored   atomic.Int64
-
-	spill *campaign.SpanSpiller
-	root  obs.SpanRef
+// grantSource is the campaign.ShardSource over the serve protocol: a claim
+// is a grant, and the server — which owns the store and the shard leases —
+// decides wait and complete.
+type grantSource struct {
+	rc    *remoteClient
+	owner string
 }
 
-func (w *remoteWorker) loop(ctx context.Context) error {
-	idle := newBackoff(w.opts.Poll, w.opts.Owner)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var g serve.GrantDoc
-		if err := w.rc.post(ctx, "/api/grant", serve.GrantRequest{Owner: w.opts.Owner}, &g); err != nil {
-			return err
-		}
-		switch {
-		case g.Complete:
-			return nil
-		case g.Wait:
-			// Every pending shard is granted to a live peer: back off with
-			// jitter so a waiting fleet doesn't hammer the control plane.
-			idleSpan := w.opts.Spans.Start("idle", "idle", -1, w.root.ID())
-			select {
-			case <-ctx.Done():
-				idleSpan.End(obs.A("reason", "canceled"))
-				return ctx.Err()
-			case <-time.After(idle.next()):
-			}
-			idleSpan.End()
-			continue
-		}
-		idle.reset()
-		if err := w.runGrant(ctx, g); err != nil {
-			return err
-		}
+// Survey reads the server's totals. Band-level pending is unknown to a
+// remote worker (it never scans the store); the totals still anchor
+// progress and ETA.
+func (s *grantSource) Survey(ctx context.Context) (campaign.StartInfo, error) {
+	var status serve.StatusDoc
+	if err := s.rc.get(ctx, "/api/status", &status); err != nil {
+		return campaign.StartInfo{}, err
 	}
+	return campaign.StartInfo{Total: status.Total, AlreadyDone: status.Done}, nil
 }
 
-// runGrant measures and uploads one grant's jobs, heartbeating under the
-// fence token; a 410 anywhere abandons the shard (the successor owns it).
-func (w *remoteWorker) runGrant(ctx context.Context, g serve.GrantDoc) error {
-	w.st.ShardsClaimed++
-	if g.Gen > 1 {
-		w.st.Takeovers++
+func (s *grantSource) Claim(ctx context.Context) (*campaign.Claim, error) {
+	var g serve.GrantDoc
+	if err := s.rc.post(ctx, "/api/grant", serve.GrantRequest{Owner: s.owner}, &g); err != nil {
+		return nil, err
 	}
-	if w.opts.OnClaim != nil {
-		w.opts.OnClaim(g.Shard)
+	switch {
+	case g.Complete:
+		return nil, campaign.ErrComplete
+	case g.Wait:
+		return nil, campaign.ErrWait
 	}
-	// Ship the claim immediately (see the filesystem worker): it keeps a
-	// soon-to-die worker visible in the trace and arms the server-side
-	// straggler clock while the shard is still running.
-	w.opts.Spans.Event("claim", "claim", g.Shard, w.root.ID(), obs.ABool("takeover", g.Gen > 1))
-	shardSpan := w.opts.Spans.Start(fmt.Sprintf("shard %d", g.Shard), "shard", g.Shard, w.root.ID())
-	w.spill.Kick()
-	ref := serve.ShardRef{Owner: w.opts.Owner, Shard: g.Shard, Gen: g.Gen}
-
-	shardCtx, cancelShard := context.WithCancelCause(ctx)
 	ttl := g.TTL()
 	if ttl <= 0 {
 		ttl = lease.DefaultTTL
 	}
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				// Only a definitive 410 fences the shard; a transport error
-				// or server hiccup skips a beat and retries next tick. If
-				// the outage outlasts the TTL the server reaps the grant,
-				// and the next beat's 410 lands here anyway.
-				hb := w.opts.Spans.Start("heartbeat", "heartbeat", g.Shard, shardSpan.ID())
-				err := w.rc.post(shardCtx, "/api/heartbeat", ref, nil)
-				hb.End(obs.ABool("ok", err == nil))
-				if errors.Is(err, errRemoteFenced) {
-					w.opts.Spans.Event("fence", "fence", g.Shard, shardSpan.ID())
-					cancelShard(errRemoteFenced)
-					return
-				}
-			}
-		}
-	}()
-
-	before := w.newly.Load()
-	runErr := w.runJobs(shardCtx, ref, shardSpan.ID(), g.Jobs)
-	close(hbStop)
-	hbWG.Wait()
-	cause := context.Cause(shardCtx)
-	cancelShard(nil)
-
-	fenced := errors.Is(cause, errRemoteFenced) || errors.Is(runErr, errRemoteFenced)
-	if fenced {
-		w.st.Fenced++
-		runErr = nil
-	}
-	sealed := false
-	if runErr == nil && !fenced && ctx.Err() == nil {
-		// Seal: a 410 means a successor raced us past the finish line; the
-		// records are all uploaded, so the outcome is identical.
-		err := w.rc.post(ctx, "/api/done", ref, nil)
-		switch {
-		case errors.Is(err, errRemoteFenced):
-			w.st.Fenced++
-		case err != nil:
-			runErr = err
-		default:
-			w.st.ShardsFinished++
-			sealed = true
-		}
-	}
-	if w.opts.OnShardDone != nil {
-		w.opts.OnShardDone(g.Shard, int(w.newly.Load()-before))
-	}
-	shardSpan.End(obs.ABool("sealed", sealed), obs.ABool("fenced", fenced),
-		obs.ABool("takeover", g.Gen > 1), obs.AInt("jobs", w.newly.Load()-before))
-	if runErr != nil {
-		return runErr
-	}
-	return nil
+	return &campaign.Claim{Shard: g.Shard, Takeover: g.Gen > 1, TTL: ttl, Jobs: g.Jobs,
+		Hold: &grantHold{rc: s.rc, ref: serve.ShardRef{Owner: s.owner, Shard: g.Shard, Gen: g.Gen}}}, nil
 }
 
-// runJobs measures the granted jobs on the shared pool, uploading each
-// record as it completes — the loss window on a kill -9 is one in-flight
-// job per pool worker, the same as the filesystem path's append window.
-// parent is the shard span the per-job spans hang off.
-func (w *remoteWorker) runJobs(ctx context.Context, ref serve.ShardRef, parent uint64, jobs []int) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	onSite := func(ev campaign.SiteEvent) {
-		if w.opts.OnEvent != nil {
-			w.opts.OnEvent(ev)
-		}
-		if !ev.Terminal() {
-			return
-		}
-		n := w.newly.Add(1)
-		if w.opts.Progress != nil {
-			w.opts.Progress(int(n), w.st.Total)
-		}
-		if w.opts.HaltAfter > 0 && int(n) >= w.opts.HaltAfter {
-			w.cancelAll()
-		}
-	}
-	return runner.ForEach(ctx, len(jobs), func(jctx context.Context, i int) error {
-		jobSpan := w.opts.Spans.Start(fmt.Sprintf("job %d", jobs[i]), "job", ref.Shard, parent)
-		rec := campaign.Measure(w.plan, jobs[i], onSite)
-		jobSpan.End(obs.A("site", rec.Site), obs.A("verdict", rec.Verdict))
-		if err := w.upload(jctx, ref, rec); err != nil {
-			return err
-		}
-		if rec.Err != "" {
-			w.errored.Add(1)
-		}
-		return nil
-	}, runner.Workers(w.opts.Workers), runner.Shared())
+// grantHold is one grant's fence token; every request bearing it gets a
+// 410 (campaign.ErrFenced) once the shard has been re-granted.
+type grantHold struct {
+	rc  *remoteClient
+	ref serve.ShardRef
 }
 
-// upload posts one record, retrying transient failures briefly; a 410 is
+func (h *grantHold) Heartbeat(ctx context.Context) error {
+	return h.rc.post(ctx, "/api/heartbeat", h.ref, nil)
+}
+
+func (h *grantHold) Seal(ctx context.Context) error {
+	return h.rc.post(ctx, "/api/done", h.ref, nil)
+}
+
+// Release is a no-op: the protocol has no give-back, the server reaps a
+// grant that stops heartbeating after its TTL.
+func (h *grantHold) Release() error { return nil }
+
+// Persist posts one record, retrying transient failures briefly; a 410 is
 // terminal (fenced), as is persistent transport failure.
-func (w *remoteWorker) upload(ctx context.Context, ref serve.ShardRef, rec *campaign.Record) error {
-	req := serve.IngestRequest{Owner: ref.Owner, Shard: ref.Shard, Gen: ref.Gen,
+func (h *grantHold) Persist(ctx context.Context, rec *campaign.Record) error {
+	req := serve.IngestRequest{Owner: h.ref.Owner, Shard: h.ref.Shard, Gen: h.ref.Gen,
 		Records: []campaign.Record{*rec}}
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -404,8 +217,8 @@ func (w *remoteWorker) upload(ctx context.Context, ref serve.ShardRef, rec *camp
 			case <-time.After(time.Duration(attempt) * 500 * time.Millisecond):
 			}
 		}
-		err = w.rc.post(ctx, "/api/records", req, nil)
-		if err == nil || errors.Is(err, errRemoteFenced) || ctx.Err() != nil {
+		err = h.rc.post(ctx, "/api/records", req, nil)
+		if err == nil || errors.Is(err, campaign.ErrFenced) || ctx.Err() != nil {
 			return err
 		}
 	}

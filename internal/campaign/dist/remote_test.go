@@ -148,14 +148,14 @@ func TestRemoteStaleFenceRefused(t *testing.T) {
 
 	// Every request with the stale token is 410 Gone.
 	old := serve.ShardRef{Owner: "doomed", Shard: g.Shard, Gen: g.Gen}
-	if err := rc.post(ctx, "/api/heartbeat", old, nil); err != errRemoteFenced {
-		t.Errorf("stale heartbeat: %v, want errRemoteFenced", err)
+	if err := rc.post(ctx, "/api/heartbeat", old, nil); err != campaign.ErrFenced {
+		t.Errorf("stale heartbeat: %v, want campaign.ErrFenced", err)
 	}
-	if err := rc.post(ctx, "/api/records", live, nil); err != errRemoteFenced {
-		t.Errorf("stale upload: %v, want errRemoteFenced", err)
+	if err := rc.post(ctx, "/api/records", live, nil); err != campaign.ErrFenced {
+		t.Errorf("stale upload: %v, want campaign.ErrFenced", err)
 	}
-	if err := rc.post(ctx, "/api/done", old, nil); err != errRemoteFenced {
-		t.Errorf("stale seal: %v, want errRemoteFenced", err)
+	if err := rc.post(ctx, "/api/done", old, nil); err != campaign.ErrFenced {
+		t.Errorf("stale seal: %v, want campaign.ErrFenced", err)
 	}
 
 	// The heir finishes its shard; a plain joined worker sweeps the rest.

@@ -1,463 +1,31 @@
-// Package dist turns a campaign directory into a multi-process (or, over
-// a shared filesystem, multi-host) work queue. The unit of claiming is
-// the result shard: a worker takes the shard's lease (see the lease
-// subpackage), runs the shard's pending jobs through the same
-// deterministic measurement path the single-process engine uses, appends
-// the records to the shared store, and releases the lease. A worker that
-// dies mid-shard goes stale and any peer takes the lease over, rescans
-// the shard (the scan, not the lease, is the authority on which jobs are
-// done) and finishes the remainder.
+// Package dist holds the distributed edges of the campaign engine: the
+// networked worker that joins a control plane over HTTP (WorkRemote) and
+// the cross-store merge. The worker loop itself — claim a shard, measure
+// its pending jobs, persist, seal — is campaign.Work, shared by every
+// execution mode; Work here is its file-lease flavor under the name the
+// distributed tooling has always used.
 //
-// Correctness never rests on the lease. Every record is a pure function
-// of (plan, job index), and the report layer dedupes by job — so even a
-// split-brain worker pair double-measuring a shard can only waste work,
-// never change a byte of the merged report. The lease exists to make
-// duplicated work rare, takeover prompt, and legacy single-process runs
-// fail fast (they hold the exclusive "store" lease, which workers check).
+// Correctness never rests on a lease or a grant. Every record is a pure
+// function of (plan, job index), and the report layer dedupes by job — so
+// even a split-brain worker pair double-measuring a shard can only waste
+// work, never change a byte of the merged report. Leases and grants exist
+// to make duplicated work rare and takeover prompt.
 package dist
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"mfc/internal/campaign"
-	"mfc/internal/campaign/dist/lease"
-	"mfc/internal/obs"
-	"mfc/internal/runner"
 )
 
-// WorkOptions tunes one Work invocation.
-type WorkOptions struct {
-	// Owner identifies this worker in lease files; empty means a
-	// process-unique id (host-pid-seq). Two workers must never share an
-	// owner string.
-	Owner string
-	// Workers bounds the in-process measurement pool per shard (0 =
-	// GOMAXPROCS), drawing from the shared runner budget like the
-	// single-process engine.
-	Workers int
-	// TTL is the lease staleness bound (default lease.DefaultTTL). A
-	// worker heartbeats every TTL/3; a peer whose heartbeat is older than
-	// TTL — or whose pid is dead on this host — is taken over.
-	TTL time.Duration
-	// Poll is the base wait between passes when every pending shard is
-	// leased by a live peer (default 2s). Idle waits back off
-	// exponentially from Poll to 16×Poll with jitter, so a waiting fleet
-	// does not poll the store — or the control plane, in networked mode —
-	// in lockstep.
-	Poll time.Duration
-	// HaltAfter stops claiming new jobs once this many sites finished in
-	// this session (0 = run to completion); the in-flight shard is
-	// released part-done. Tests and CI use it to simulate interruption.
-	HaltAfter int
+// WorkOptions and WorkStatus are the shared engine's (see campaign.Work).
+type (
+	WorkOptions = campaign.WorkOptions
+	WorkStatus  = campaign.WorkStatus
+)
 
-	// OnClaim, OnShardDone observe shard lifecycle (claimed; sealed with
-	// that many jobs newly completed). Called from the worker loop.
-	OnClaim     func(shard int)
-	OnShardDone func(shard int, newly int)
-	// OnStart / OnEvent / Progress are the single-process engine's
-	// observer hooks, identically shaped (see campaign.Options).
-	OnStart  func(info campaign.StartInfo)
-	OnEvent  func(ev campaign.SiteEvent)
-	Progress func(done, total int)
-
-	// Spans, when non-nil, records this worker's wall-clock spans: a root
-	// "work" span, a claim event plus a "shard" span per lease, a "job"
-	// span per measurement, a "heartbeat" span per lease renewal, a
-	// "fence" event on lease loss, and an "idle" span per backoff wait.
-	// Work spills them to dir/spans/<owner>.jsonl (WorkRemote ships them
-	// to the control plane instead) and flushes on return — including a
-	// SIGINT-canceled return, so an interrupted worker still yields a
-	// loadable trace.
-	Spans *obs.SpanRecorder
-	// SpanTee, when non-nil, also receives every spilled span batch; the
-	// -metrics dashboard feeds its local Fleet view through it.
-	SpanTee func([]obs.Span)
-}
-
-// WorkStatus summarizes one Work invocation.
-type WorkStatus struct {
-	Owner          string
-	Total          int  // jobs in the plan
-	NewlyDone      int  // jobs completed by this worker
-	Errored        int  // of NewlyDone, measurement failures
-	ShardsClaimed  int  // leases this worker acquired
-	ShardsFinished int  // shards this worker sealed (all jobs present)
-	Takeovers      int  // of ShardsClaimed, leases taken from stale owners
-	Fenced         int  // shards abandoned after losing the lease mid-run
-	Halted         bool // stopped early by HaltAfter
-}
-
-// Work claims and runs shards of the campaign in dir until the campaign
-// is complete (every job holds a record), ctx is canceled, or HaltAfter
-// trips. Any number of Work processes may target the same directory; they
-// claim disjoint shards via leases and poll for takeover opportunities
-// while peers hold the remainder. Work returns ctx's error on
-// cancellation and a wrapped lease error if the directory is locked by a
-// single-process run.
+// Work runs one file-lease worker over the campaign directory dir; see
+// campaign.WorkDir.
 func Work(ctx context.Context, dir string, opts WorkOptions) (*WorkStatus, error) {
-	plan, err := campaign.LoadPlan(dir)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Owner == "" {
-		opts.Owner = lease.DefaultOwner()
-	}
-	if opts.TTL <= 0 {
-		opts.TTL = lease.DefaultTTL
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 2 * time.Second
-	}
-
-	leaseDir := campaign.LeasesDir(dir)
-	if owner, held := lease.Holder(leaseDir, "store", opts.TTL); held {
-		return nil, fmt.Errorf("dist: %s is locked by single-process run %q; use run/resume to completion or let its lease expire", dir, owner)
-	}
-
-	store, err := campaign.OpenStore(dir, plan.ShardJobs)
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-
-	st := &WorkStatus{Owner: opts.Owner, Total: plan.Jobs()}
-	w := &worker{plan: plan, store: store, leaseDir: leaseDir, opts: opts, st: st}
-
-	// Wall-clock tracing: the whole invocation is one "work" span; shards,
-	// jobs, heartbeats and idle waits hang off it. The spiller's Close is
-	// deferred so a canceled worker still force-closes open spans (partial)
-	// and flushes its spill file before returning.
-	opts.Spans.SetTrace(campaign.PlanTraceID(plan))
-	spill, err := campaign.StartSpanSpill(opts.Spans, dir, opts.SpanTee)
-	if err != nil {
-		return nil, err
-	}
-	defer spill.Close()
-	w.spill = spill
-	w.root = opts.Spans.Start("work", "work", -1, 0)
-	defer func() {
-		w.root.End(obs.AInt("jobs", w.newly.Load()),
-			obs.AInt("shards_claimed", int64(st.ShardsClaimed)),
-			obs.AInt("fenced", int64(st.Fenced)))
-	}()
-
-	if opts.OnStart != nil {
-		done, err := store.Completed(plan.Jobs())
-		if err != nil {
-			return nil, err
-		}
-		byBand := make(map[string]int)
-		for j := 0; j < plan.Jobs(); j++ {
-			if !done[j] {
-				byBand[plan.Cells[plan.CellOf(j)].Band]++
-			}
-		}
-		opts.OnStart(campaign.StartInfo{Total: plan.Jobs(), AlreadyDone: len(done), PendingByBand: byBand})
-	}
-
-	// HaltAfter cancels this context once enough sites finished; the
-	// in-flight shard drains and is released part-done.
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	w.cancelAll = cancel
-	w.jobCtx = jobCtx
-
-	err = w.loop(jobCtx)
-	st.NewlyDone = int(w.newly.Load())
-	st.Errored = int(w.errored.Load())
-	if err != nil {
-		if errors.Is(err, context.Canceled) && ctx.Err() == nil &&
-			opts.HaltAfter > 0 && st.NewlyDone >= opts.HaltAfter {
-			st.Halted = true
-			return st, nil
-		}
-		return st, err
-	}
-	// The campaign is complete as far as this worker can see; refresh the
-	// checkpoint manifest so dashboards agree. Every worker that finishes
-	// last writes the same bytes (counts are a function of the store), so
-	// concurrent finishers cannot disagree.
-	if counts, done, cerr := w.scanCounts(); cerr == nil && done == plan.Jobs() {
-		_ = campaign.WriteManifest(dir, &campaign.Manifest{
-			Plan: plan.Name, Total: plan.Jobs(), Done: done, PerShard: counts,
-		})
-	}
-	return st, nil
-}
-
-// worker is the state shared by one Work invocation's loop.
-type worker struct {
-	plan     *campaign.Plan
-	store    *campaign.Store
-	leaseDir string
-	opts     WorkOptions
-	st       *WorkStatus
-
-	jobCtx    context.Context
-	cancelAll context.CancelFunc
-	newly     atomic.Int64
-	errored   atomic.Int64
-
-	spill *campaign.SpanSpiller
-	root  obs.SpanRef
-}
-
-// loop makes passes over the shards until nothing is pending, claiming
-// every free pending shard it meets. When a pass finds pending shards but
-// every one is leased by a live peer, it waits and tries again — a peer
-// may finish, halt, or die and go stale. The wait starts at Poll and
-// backs off exponentially with jitter (see backoff) so an idle fleet
-// doesn't rescan the store directory in lockstep.
-func (w *worker) loop(ctx context.Context) error {
-	shards := w.plan.Shards()
-	// Start each worker's scan at a different shard (hashed from the
-	// owner id) so K workers racing a fresh campaign spread across the
-	// shard space instead of all queueing on shard 0's lease.
-	h := fnv.New32a()
-	h.Write([]byte(w.opts.Owner))
-	start := int(h.Sum32()) % shards
-	if start < 0 {
-		start += shards
-	}
-	idle := newBackoff(w.opts.Poll, w.opts.Owner)
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pending, claimed := 0, 0
-		for i := 0; i < shards; i++ {
-			k := (start + i) % shards
-			jobs, err := w.pendingJobs(k)
-			if err != nil {
-				return err
-			}
-			if len(jobs) == 0 {
-				continue
-			}
-			pending++
-			ok, err := w.runShard(ctx, k)
-			if err != nil {
-				return err
-			}
-			if ok {
-				claimed++
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if pending == 0 {
-			return nil
-		}
-		if claimed == 0 {
-			// Everything pending is held by live peers: wait for churn.
-			idleSpan := w.opts.Spans.Start("idle", "idle", -1, w.root.ID())
-			select {
-			case <-ctx.Done():
-				idleSpan.End(obs.A("reason", "canceled"))
-				return ctx.Err()
-			case <-time.After(idle.next()):
-			}
-			idleSpan.End()
-		} else {
-			idle.reset()
-		}
-	}
-}
-
-// pendingJobs scans shard k and returns, in job order, the jobs without a
-// stored record.
-func (w *worker) pendingJobs(k int) ([]int, error) {
-	lo, hi := w.shardRange(k)
-	recs, err := w.store.ReadShard(k, w.plan.Jobs())
-	if err != nil {
-		return nil, err
-	}
-	done := make(map[int]bool, len(recs))
-	for i := range recs {
-		done[recs[i].Job] = true
-	}
-	pending := make([]int, 0, hi-lo-len(done))
-	for j := lo; j < hi; j++ {
-		if !done[j] {
-			pending = append(pending, j)
-		}
-	}
-	return pending, nil
-}
-
-// shardRange returns shard k's half-open job range [lo, hi).
-func (w *worker) shardRange(k int) (lo, hi int) {
-	lo = k * w.plan.ShardJobs
-	hi = lo + w.plan.ShardJobs
-	if hi > w.plan.Jobs() {
-		hi = w.plan.Jobs()
-	}
-	return lo, hi
-}
-
-// runShard tries to lease shard k and run its pending jobs. It returns
-// (false, nil) when the lease is held by a live peer, and (true, nil)
-// when the shard was claimed — whether it was sealed, abandoned to a
-// fence, or interrupted by halt. Store failures are fatal.
-func (w *worker) runShard(ctx context.Context, k int) (bool, error) {
-	name := campaign.ShardLeaseName(k)
-	lk, err := lease.Acquire(w.leaseDir, name, w.opts.Owner, w.opts.TTL)
-	if err != nil {
-		if lease.IsHeld(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	w.st.ShardsClaimed++
-	if lk.TookOver() {
-		w.st.Takeovers++
-	}
-	if w.opts.OnClaim != nil {
-		w.opts.OnClaim(k)
-	}
-	// The claim event must reach the spill file (or control plane) right
-	// away, not a flush interval later: it is what keeps a worker killed
-	// seconds into its first shard visible in the merged trace, and what
-	// arms the straggler clock while the shard is still running.
-	w.opts.Spans.Event("claim", "claim", k, w.root.ID(), obs.ABool("takeover", lk.TookOver()))
-	shardSpan := w.opts.Spans.Start(fmt.Sprintf("shard %d", k), "shard", k, w.root.ID())
-	w.spill.Kick()
-
-	// Fencing: heartbeat until the shard is done; losing the lease (we
-	// wedged past the TTL and a peer took over) cancels this shard's jobs
-	// so two workers don't grind the same range longer than a heartbeat.
-	shardCtx, cancelShard := context.WithCancelCause(ctx)
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	fenced := false
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(w.opts.TTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				// Only a provably lost lease fences the shard; a transient
-				// write failure (ENOSPC, NFS hiccup) just skips a beat and
-				// retries next tick. If the failures persist past the TTL
-				// the lease goes stale, a peer takes over, and the next
-				// heartbeat's ownership check returns ErrLost anyway.
-				hb := w.opts.Spans.Start("heartbeat", "heartbeat", k, shardSpan.ID())
-				err := lk.Heartbeat()
-				hb.End(obs.ABool("ok", err == nil))
-				if errors.Is(err, lease.ErrLost) {
-					w.opts.Spans.Event("fence", "fence", k, shardSpan.ID())
-					cancelShard(lease.ErrLost)
-					return
-				}
-			}
-		}
-	}()
-
-	// Rescan after acquiring: the scan under the lease — not the pass's
-	// earlier peek — is the authority on which jobs still need running.
-	before := w.newly.Load()
-	pending, runErr := w.pendingJobs(k)
-	if runErr == nil {
-		runErr = w.runPending(shardCtx, k, shardSpan.ID(), pending)
-	}
-	close(hbStop)
-	hbWG.Wait()
-	cause := context.Cause(shardCtx)
-	cancelShard(nil)
-
-	if errors.Is(cause, lease.ErrLost) {
-		// Fenced: the successor owns the shard now. Nothing to release.
-		w.st.Fenced++
-		fenced = true
-		runErr = nil
-	}
-	if !fenced {
-		// Release even after halt/cancel so peers can pick the shard up;
-		// ErrLost here (raced a takeover in the release window) is fine.
-		if err := lk.Release(); err != nil && !errors.Is(err, lease.ErrLost) {
-			return true, err
-		}
-	}
-	if w.opts.OnShardDone != nil {
-		w.opts.OnShardDone(k, int(w.newly.Load()-before))
-	}
-	sealed := runErr == nil && !fenced
-	shardSpan.End(obs.ABool("sealed", sealed), obs.ABool("fenced", fenced),
-		obs.ABool("takeover", lk.TookOver()), obs.AInt("jobs", w.newly.Load()-before))
-	if runErr != nil {
-		return true, runErr
-	}
-	// runPending returning nil means every pending job was measured and
-	// stored — the shard is sealed (no rescan needed: we held the lease).
-	if !fenced {
-		w.st.ShardsFinished++
-	}
-	return true, nil
-}
-
-// runPending measures the given jobs of shard k, appending each result
-// to the store. The per-job path is byte-for-byte the single-process
-// engine's: campaign.Measure from (plan, index) alone. parent is the
-// shard span each job span hangs off.
-func (w *worker) runPending(ctx context.Context, k int, parent uint64, pending []int) error {
-	if len(pending) == 0 {
-		return nil
-	}
-
-	onSite := func(ev campaign.SiteEvent) {
-		if w.opts.OnEvent != nil {
-			w.opts.OnEvent(ev)
-		}
-		if !ev.Terminal() {
-			return
-		}
-		n := w.newly.Add(1)
-		if w.opts.Progress != nil {
-			w.opts.Progress(int(n), w.st.Total)
-		}
-		if w.opts.HaltAfter > 0 && int(n) >= w.opts.HaltAfter {
-			w.cancelAll()
-		}
-	}
-	return runner.ForEach(ctx, len(pending), func(_ context.Context, i int) error {
-		jobSpan := w.opts.Spans.Start(fmt.Sprintf("job %d", pending[i]), "job", k, parent)
-		rec := campaign.Measure(w.plan, pending[i], onSite)
-		jobSpan.End(obs.A("site", rec.Site), obs.A("verdict", rec.Verdict))
-		if err := w.store.Append(rec); err != nil {
-			return err // a dead store is fatal: nothing can be recorded
-		}
-		if rec.Err != "" {
-			w.errored.Add(1)
-		}
-		return nil
-	}, runner.Workers(w.opts.Workers), runner.Shared())
-}
-
-// scanCounts rescans every shard, returning per-shard completion counts
-// and their total — the manifest a finished campaign should carry.
-func (w *worker) scanCounts() ([]int, int, error) {
-	counts := make([]int, w.plan.Shards())
-	total := 0
-	for k := range counts {
-		lo, hi := w.shardRange(k)
-		pending, err := w.pendingJobs(k)
-		if err != nil {
-			return nil, 0, err
-		}
-		counts[k] = (hi - lo) - len(pending)
-		total += counts[k]
-	}
-	return counts, total, nil
+	return campaign.WorkDir(ctx, dir, opts)
 }

@@ -36,9 +36,9 @@ func distPlan(t *testing.T, dir string) *campaign.Plan {
 	return plan
 }
 
-// singleProcessReport runs the same plan uninterrupted through the legacy
-// single-process engine and returns its report — the bytes every
-// distributed configuration must reproduce exactly.
+// singleProcessReport runs the same plan uninterrupted in one process
+// (campaign.Run) and returns its report — the bytes every distributed
+// configuration must reproduce exactly.
 func singleProcessReport(t *testing.T, mkPlan func(*testing.T, string) *campaign.Plan) string {
 	t.Helper()
 	dir := t.TempDir()

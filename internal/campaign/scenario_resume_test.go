@@ -77,8 +77,9 @@ func TestChaosScenarioResumeByteIdentical(t *testing.T) {
 	}
 	defer store.Close()
 	elapsed := map[string]map[int]int64{} // scenario -> site -> sim ns
+	scan := NewShardScanner()
 	for k := 0; k < plan.Shards(); k++ {
-		recs, err := store.ReadShard(k, plan.Jobs())
+		recs, err := scan.Scan(store, k, plan.Jobs(), true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,9 +194,9 @@ type Server struct {
 }
 
 // New opens the campaign in dir as a control plane. It takes the
-// directory's exclusive store lease — a legacy run/resume, filesystem
-// workers, or a second control plane on the same dir fail fast instead of
-// interleaving — and scans the store so a restarted server resumes where
+// directory's exclusive store lease — filesystem workers (run, resume,
+// work -dir) or a second control plane on the same dir fail fast instead
+// of interleaving — and scans the store so a restarted server resumes where
 // the last one stopped (grants die with the process; the scan, as always,
 // is the authority).
 func New(dir string, opts Options) (*Server, error) {
@@ -452,7 +452,7 @@ func (s *Server) grantLocked(owner string, shard int, gen int64) (*grant, error)
 }
 
 // heartbeat refreshes a grant's liveness, both in memory and on the lease
-// file (so a legacy run probing the directory still sees a live worker).
+// file (so a process probing the directory still sees a live worker).
 func (s *Server) heartbeat(ref ShardRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -38,7 +38,8 @@ type Record struct {
 //
 //	dir/plan.json             immutable campaign identity
 //	dir/shards/shard-NNNN.jsonl  one Record per line, jobs [N·ShardJobs, (N+1)·ShardJobs)
-//	dir/manifest.json         periodic checkpoint (progress only, never authority)
+//	dir/manifest.json         per-shard record counts of a finished campaign
+//	                          (progress for dashboards, never authority)
 //
 // Records land in completion order within their shard; the reader restores
 // job order per shard, which is all the report needs for determinism.
@@ -58,7 +59,7 @@ type Store struct {
 
 // OpenStore opens (creating if needed) the result store under dir. This
 // opener takes no lock: it is for readers (report, merge) and for writers
-// whose shard ownership is coordinated externally — dist workers hold a
+// whose shard ownership is coordinated externally — every worker holds a
 // lease per shard instead of locking the whole store.
 func OpenStore(dir string, shardJobs int) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "shards"), 0o755); err != nil {
@@ -68,17 +69,19 @@ func OpenStore(dir string, shardJobs int) (*Store, error) {
 }
 
 // LeasesDir is where a campaign directory keeps its lease files: the
-// exclusive "store" lease and the per-shard "shard-NNNN" leases.
+// per-shard "shard-NNNN" leases and a control plane's exclusive "store"
+// lease.
 func LeasesDir(dir string) string { return filepath.Join(dir, "leases") }
 
 // ShardLeaseName is the lease resource name for result shard k.
 func ShardLeaseName(k int) string { return fmt.Sprintf("shard-%04d", k) }
 
-// OpenStoreLocked opens the store for an uncoordinated single-process
-// writer: it acquires the exclusive "store" lease (taking over a stale
-// one, so resume after a kill works) and refuses to proceed while any
-// live shard lease exists — two legacy runs, or a legacy run racing dist
-// workers, fail fast instead of interleaving shard appends. The lease is
+// OpenStoreLocked opens the store for a writer that owns the whole
+// directory — the `serve` control plane, which grants shards itself: it
+// acquires the exclusive "store" lease (taking over a stale one, so a
+// restart after a kill works) and refuses to proceed while any live shard
+// lease exists, so a control plane and filesystem workers never mix on one
+// directory (workers check the "store" lease in turn). The lease is
 // heartbeated until Close; if it is ever lost (this process wedged past
 // the TTL and someone took over), onLost is called once so the caller can
 // abort instead of split-braining. onLost may be nil.
@@ -97,7 +100,7 @@ func OpenStoreLocked(dir string, shardJobs int, owner string, ttl time.Duration,
 		for _, info := range live {
 			if info.Name != "store" {
 				lk.Release()
-				return nil, fmt.Errorf("campaign: %s has live worker lease %q held by %q; run `mfc-campaign work` instead of run/resume, or wait for the workers",
+				return nil, fmt.Errorf("campaign: %s has live worker lease %q held by %q; wait for the run/work processes on it to finish",
 					dir, info.Name, info.Owner)
 			}
 		}
@@ -213,24 +216,6 @@ func (s *Store) Close() error {
 	return first
 }
 
-// ReadShard decodes shard k's records, skipping unparseable (torn) lines
-// and out-of-range job indexes. Order is file order (completion order).
-// The returned slice is owned by the caller; full-store scans that visit
-// many shards should use a ShardScanner instead, which reuses its decode
-// scratch across calls.
-func (s *Store) ReadShard(k int, totalJobs int) ([]Record, error) {
-	recs, err := NewShardScanner().Scan(s, k, totalJobs, true)
-	if err != nil {
-		return nil, err
-	}
-	if recs == nil {
-		return nil, nil
-	}
-	out := make([]Record, len(recs))
-	copy(out, recs)
-	return out, nil
-}
-
 // ShardScanner decodes shard files with reusable scratch: the line buffer
 // and the record slice survive across Scan calls, so a full-store scan
 // (Summarize, analyze, resume's Completed) costs one buffer however many
@@ -338,9 +323,10 @@ func (s *Store) Completed(totalJobs int) (map[int]bool, error) {
 	return done, nil
 }
 
-// Manifest is the periodic checkpoint: a cheap, atomically-replaced
-// progress snapshot for dashboards and sanity checks. Resume never trusts
-// it over the shard scan — it may lag arbitrarily behind a kill.
+// Manifest is a cheap, atomically-replaced progress snapshot for
+// dashboards and sanity checks: filesystem workers write it when the
+// campaign completes, the control plane every few dozen ingests. Resume
+// never trusts it over the shard scan — it may lag arbitrarily behind.
 type Manifest struct {
 	Plan     string `json:"plan"`
 	Total    int    `json:"total_jobs"`
@@ -350,7 +336,7 @@ type Manifest struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
-// WriteManifest atomically replaces the checkpoint manifest.
+// WriteManifest atomically replaces the manifest.
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -359,7 +345,7 @@ func WriteManifest(dir string, m *Manifest) error {
 	return writeFileAtomic(manifestPath(dir), append(data, '\n'))
 }
 
-// LoadManifest reads the checkpoint manifest, if one has been written.
+// LoadManifest reads the manifest, if one has been written.
 func LoadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
