@@ -9,6 +9,7 @@ package mfc
 // §4 presets, and sites sampled from several §5 population bands.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -28,12 +29,17 @@ type runFingerprint struct {
 	elapsed    string
 }
 
-func fingerprint(t *testing.T, target SimTarget, cfg Config) runFingerprint {
+func fingerprint(t *testing.T, target SimTarget, cfg Config, opts ...RunOption) runFingerprint {
 	t.Helper()
-	run, err := RunSimulatedDetailed(target, cfg)
+	run, err := Run(context.Background(), target, cfg, opts...)
 	if err != nil {
 		t.Fatalf("experiment failed: %v", err)
 	}
+	return fingerprintOf(t, run)
+}
+
+func fingerprintOf(t *testing.T, run *Session) runFingerprint {
+	t.Helper()
 	res, err := json.Marshal(run.Result)
 	if err != nil {
 		t.Fatalf("encoding result: %v", err)
