@@ -9,10 +9,14 @@ test:
 	$(GO) test ./...
 
 # Race coverage on the packages that own concurrency: the worker pool, the
-# DES kernel it drives, the coordinator (event stream + cancellation), and
-# the experiments/campaign layers that fan out on it.
+# DES kernel it drives, the server model (whose blocking Serve adapter is
+# where driver-context steps and a process goroutine touch the same call),
+# the coordinator (event stream + cancellation), the experiments/campaign
+# layers that fan out on it, and the root package's whole-experiment
+# oracles (golden, kernel differential, shim equivalence).
 race:
-	$(GO) test -race ./internal/runner ./internal/netsim ./internal/core ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
+	$(GO) test -race ./internal/runner ./internal/netsim ./internal/websim ./internal/core ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
+	$(GO) test -race -run 'Golden|Kernel|ShimEquivalence' .
 
 # API-surface lock: api.txt is the checked-in `go doc -all` of the public
 # package. `make api` regenerates it after an intentional API change;

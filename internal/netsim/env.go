@@ -3,19 +3,71 @@
 // processes with a virtual clock, one-shot events, FIFO resources, and a
 // fluid-flow shared link with max-min fair bandwidth allocation.
 //
-// Execution model (SimPy-style, lock-step): every simulated process is a
-// goroutine, but at most one goroutine — the driver inside Env.Run or exactly
-// one process — executes at any instant. The driver pops the earliest
-// scheduled entry, hands control to the corresponding process, and waits for
-// that process to block (Sleep, Wait, resource queue) or terminate before
-// advancing the clock. Identical seeds therefore produce identical runs.
+// Execution model (lock-step): at most one thread of control — the driver
+// inside Env.Run or exactly one simulated process — executes at any
+// instant. The driver pops the earliest calendar entry, gives the matching
+// process the execution token, and gets it back when that process blocks
+// (sleep, wait, resource queue, link transfer) or ends, before advancing
+// the clock. Identical seeds therefore produce identical runs.
 //
-// The calendar is tuned for the Sleep→Run dispatch cycle that dominates
-// simulated experiments: entries are recycled through a free list instead of
-// being reallocated per event, the binary heap is maintained in place on an
+// Who runs where. A process comes in two kinds that share one bookkeeping
+// (Proc: a monotonic block-generation counter, a blocked flag, a pool):
+//
+//   - A goroutine process (Env.Go) runs ordinary sequential code on its own
+//     goroutine; every block is a two-way channel handoff with the driver —
+//     two scheduler switches, and worse across OS threads. It is for the
+//     cold, genuinely sequential actors: the MFC coordinator, the Poisson
+//     and flash-crowd generator loops, tests.
+//   - A stackless process (Env.Spawn) has no goroutine. Its body is a Task,
+//     a state machine whose Step the driver calls in its own context when
+//     the process starts and whenever its pending block resolves. Step runs
+//     until it suspends the process through a Begin primitive (BeginSleep,
+//     BeginWait, BeginWaitTimeout, Link.BeginTransfer[Timeout],
+//     Resource.BeginAcquire[Timeout]) or finishes. Everything per request —
+//     websim's Call pipeline, the sim clients' bursts, baselines and MFC-mr
+//     connections, background/flash-crowd/cross-traffic visitors, the
+//     resource monitor — is a task: a simulated HTTP request costs no
+//     goroutine and no handoff.
+//
+// There is one implementation of each primitive, the Begin form; the
+// blocking form (Sleep, Wait, Transfer, Acquire…) is the Begin form plus
+// parking the caller's goroutine. Likewise a goroutine process runs a whole
+// task with Proc.Do: the task's blocks count on the caller's own generation
+// counter, the goroutine parks once, and the driver hands the token back in
+// the dispatch that finishes the task (one handoff per call instead of one
+// per block, none if the task never blocks). websim.Server.Serve is that
+// adapter over the one request pipeline. There is deliberately no switch
+// that selects a goroutine-per-request path: a second implementation kept
+// "for reference" is exactly what would drift. The oracle is bytes — the
+// root package's golden fingerprints, pinned at the commit before the
+// stackless path landed — and the invariants that make the conversion
+// byte-identical by construction:
+//
+//  1. Calendar pushes are unchanged: every former process start or wake
+//     entry is a start or wake entry pushed at the same point of the same
+//     dispatch (SpawnAfter is GoAfter's timer-then-start pair; a timed wait
+//     still pushes its timeout entry and cancels it), so times and seq
+//     tie-breaks are identical. Nothing is "run inline now" to save an
+//     entry.
+//  2. Every Env.Rand draw happens at the same point of the same dispatch.
+//  3. Release order is what the blocking code's defers produced (a release
+//     pushes wake entries, so it is observable): see websim.Call.
+//  4. A panic in a step surfaces from Run as `netsim: process %q panicked`
+//     after the goroutine pool is drained, like a panic in a goroutine body.
+//
+// When a block resolves, what used to follow it inside the blocking
+// primitive — cancel the losing timeout entry, abort a flow that ran out of
+// time, recycle the event, flow or queue node — runs in driver context
+// first (Proc.resolve), then the process sees the token.
+//
+// The calendar is tuned for the dispatch cycle that dominates simulated
+// experiments: entries are recycled through a free list instead of being
+// reallocated per event, the binary heap is maintained in place on an
 // index-addressed slice (no container/heap interface boxing), and the
-// wake/yield token exchange uses 1-buffered channels so each handoff costs a
-// single blocking rendezvous rather than two.
+// wake/yield token exchange of goroutine processes uses 1-buffered channels
+// so each handoff costs a single blocking rendezvous rather than two.
+// Env.Stats counts entries dispatched, goroutine handoffs, inline task
+// steps, link waterfills and the calendar's high-water mark.
 //
 // Two further optimizations exploit the lock-step model:
 //
@@ -40,16 +92,16 @@
 //     tests verify end-to-end result equality across seeds, presets, and
 //     population bands.
 //
-//   - Pooled processes. A dead Proc, its wake channel, and its goroutine are
-//     parked on a free list and resurrected by the next Go instead of being
-//     reallocated. A recycled Proc keeps its monotonic block counter, so
+//   - Pooled processes. A dead goroutine Proc, its wake channel, and its
+//     goroutine are parked on a free list and resurrected by the next Go
+//     instead of being reallocated; dead stackless Procs are recycled by
+//     the next Spawn. A recycled Proc keeps its monotonic block counter, so
 //     wakeups aimed at a previous incarnation can never pass the generation
 //     guard. Run terminates the parked goroutines when the calendar is
 //     exhausted, so environments do not leak goroutines across experiments.
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"time"
@@ -66,13 +118,15 @@ type Env struct {
 	evfree []*Event     // recycled events (see FreeEvent)
 	wfree  [][]evWaiter // recycled waiter slices (capacity only)
 	dirty  []*Link      // links awaiting the end-of-instant waterfill flush
-	pfree  []*Proc      // dead procs with parked goroutines, LIFO
+	pfree  []*Proc      // dead goroutine procs with parked goroutines, LIFO
+	tfree  []*Proc      // dead stackless procs, LIFO
 	flfree []*Flow      // recycled link flows (see freeFlow)
 	wtfree []*waiter    // recycled resource waiters
 	seq    uint64
 	yield  chan struct{}
 	rng    *rand.Rand
 	err    any // panic value recovered from a process
+	stats  Stats
 
 	// immediate selects the reference kernel: every Link flow change
 	// recomputes the waterfill eagerly instead of once per instant. The
@@ -106,6 +160,7 @@ func (e *Env) SetImmediateReallocate(on bool) {
 // links became dirty within the instant. reallocate changes no flow set, so
 // a flush cannot re-dirty a link.
 func (e *Env) flushDirty() {
+	e.stats.Flushes += uint64(len(e.dirty))
 	for i, l := range e.dirty {
 		e.dirty[i] = nil
 		l.dirty = false
@@ -121,17 +176,27 @@ func (e *Env) Now() time.Duration { return e.now }
 // processes and callbacks may use it.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// entry is one calendar item: a process wakeup, a process start, or a
-// driver callback. Entries are pooled: once popped and dispatched they
-// return to Env.free and are reused by later pushes. A Timer therefore
-// validates its saved seq before acting on the entry it points to.
+// entryKind says what dispatching a calendar entry does.
+type entryKind uint8
+
+const (
+	entFn    entryKind = iota // run fn in driver context
+	entWake                   // resume proc, if it is still blocked in block #target
+	entStart                  // give proc the token for the first time
+	entSpawn                  // SpawnAfter's timer: push proc's start entry now
+)
+
+// entry is one calendar item. Entries are pooled: once popped and
+// dispatched they return to Env.free and are reused by later pushes. A
+// Timer therefore validates its saved seq before acting on the entry it
+// points to.
 type entry struct {
 	at       time.Duration
 	seq      uint64
-	proc     *Proc  // non-nil: wake this process…
-	target   uint64 // …if it is blocked in block #target
-	start    bool   // this entry starts proc rather than waking it
-	fn       func() // non-nil: run this callback in driver context
+	proc     *Proc
+	target   uint64 // entWake: the block generation this wakeup is for
+	fn       func() // entFn
+	kind     entryKind
 	canceled bool
 }
 
@@ -165,6 +230,9 @@ func (e *Env) recycle(en *entry) {
 func (e *Env) calPush(en *entry) {
 	e.cal = append(e.cal, en)
 	i := len(e.cal) - 1
+	if i >= e.stats.CalendarPeak {
+		e.stats.CalendarPeak = i + 1
+	}
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !entryLess(e.cal[i], e.cal[parent]) {
@@ -211,17 +279,45 @@ func (e *Env) push(en *entry) *entry {
 	return en
 }
 
-// wakeEntry schedules a wakeup for p at time `at`, valid only for block
+// pushWake schedules a wakeup for p at time `at`, valid only for block
 // generation `target`. The wakeup is delivered only if, when popped, p is
-// still blocked in that same block() call; otherwise it is dropped. This
-// makes racing wakeup sources (event trigger vs. timeout) harmless.
-func (e *Env) wakeEntry(at time.Duration, p *Proc, target uint64) *entry {
+// still suspended in that same block; otherwise it is dropped. This makes
+// racing wakeup sources (event trigger vs. timeout) harmless.
+func (e *Env) pushWake(at time.Duration, p *Proc, target uint64) *entry {
+	en := e.pushProc(entWake, at, p)
+	en.target = target
+	return en
+}
+
+// pushProc schedules a start, spawn or wake entry for p.
+func (e *Env) pushProc(kind entryKind, at time.Duration, p *Proc) *entry {
 	en := e.newEntry()
 	en.at = at
+	en.kind = kind
 	en.proc = p
-	en.target = target
 	return e.push(en)
 }
+
+// Stats are the kernel's own counters since NewEnv: plain fields bumped on
+// the dispatch path, cheap enough to be always on.
+type Stats struct {
+	// Dispatched counts calendar entries popped and acted on (canceled
+	// timers excluded, dropped stale wakeups included).
+	Dispatched uint64
+	// Handoffs counts times the driver gave the execution token to a
+	// process goroutine and waited for it back: two channel operations and
+	// two scheduler switches each — the cost stackless processes avoid.
+	Handoffs uint64
+	// Inline counts task steps the driver ran in its own context.
+	Inline uint64
+	// Flushes counts end-of-instant link waterfills.
+	Flushes uint64
+	// CalendarPeak is the largest number of entries the calendar held.
+	CalendarPeak int
+}
+
+// Stats returns the kernel counters.
+func (e *Env) Stats() Stats { return e.stats }
 
 // Timer is a handle to a scheduled callback; Cancel prevents a pending
 // callback from running. The zero Timer is valid and cancels nothing.
@@ -259,131 +355,6 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 // time. Like After, the callback must not block.
 func (e *Env) At(at time.Duration, fn func()) Timer {
 	return e.After(at-e.now, fn)
-}
-
-// Proc is a simulated process. Its methods may only be called from within
-// the process's own function.
-//
-// Procs are pooled: when a process function returns, the Proc, its wake
-// channel, and its goroutine park on the environment's free list and the
-// next Go resurrects them. blocks is deliberately NOT reset on reuse — it
-// increases monotonically across incarnations, so a stale wakeup scheduled
-// for a previous life (its target is at most the previous life's final
-// block count) can never match a block of the current one.
-type Proc struct {
-	env        *Env
-	name       string
-	wake       chan struct{}
-	fn         func(p *Proc) // body of the current incarnation
-	dead       bool
-	kill       bool   // tells the parked goroutine to exit (pool drain)
-	blocks     uint64 // number of block() calls entered so far, ever
-	blockedNow bool
-}
-
-// Name returns the label the process was started with.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.env.now }
-
-// Go starts fn as a new simulated process at the current time.
-// It can be called before Run, from another process, or from a callback.
-// The Proc comes from the free list when one is parked there (LIFO, so
-// reuse order is deterministic); otherwise a fresh Proc and goroutine are
-// created.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(e.pfree); n > 0 {
-		p = e.pfree[n-1]
-		e.pfree[n-1] = nil
-		e.pfree = e.pfree[:n-1]
-		p.name = name
-		p.dead = false
-		p.blockedNow = false
-	} else {
-		p = &Proc{env: e, name: name, wake: make(chan struct{}, 1)}
-		go e.procLoop(p)
-	}
-	p.fn = fn
-	en := e.newEntry()
-	en.at = e.now
-	en.proc = p
-	en.start = true
-	e.push(en)
-	return p
-}
-
-// procLoop is the body of every process goroutine: run one incarnation per
-// start dispatch, then park in the free list until resurrected or killed.
-// Appending to pfree here is safe: the driver is blocked in <-e.yield and
-// observes the append only after the send (channel happens-before).
-func (e *Env) procLoop(p *Proc) {
-	for {
-		<-p.wake // wait for the driver to dispatch a start entry
-		if p.kill {
-			e.yield <- struct{}{}
-			return
-		}
-		e.runIncarnation(p)
-		p.dead = true
-		p.fn = nil
-		e.pfree = append(e.pfree, p)
-		e.yield <- struct{}{}
-	}
-}
-
-// runIncarnation executes the current process body, converting a panic into
-// the environment error that Run re-raises.
-func (e *Env) runIncarnation(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Sprintf("netsim: process %q panicked: %v", p.name, r)
-		}
-	}()
-	p.fn(p)
-}
-
-// drainProcPool terminates every parked goroutine. Run calls it when the
-// calendar is exhausted so a finished simulation holds no goroutines; the
-// next Go after a drain simply allocates fresh.
-func (e *Env) drainProcPool() {
-	for i, p := range e.pfree {
-		p.kill = true
-		p.wake <- struct{}{}
-		<-e.yield // the goroutine acknowledges and exits
-		p.kill = false
-		e.pfree[i] = nil
-	}
-	e.pfree = e.pfree[:0]
-}
-
-// GoAfter starts fn as a new process after delay d.
-func (e *Env) GoAfter(name string, d time.Duration, fn func(p *Proc)) {
-	e.After(d, func() { e.Go(name, fn) })
-}
-
-// Sleep suspends the process for d of virtual time (d <= 0 yields the
-// execution token and resumes at the same instant, after other work
-// scheduled for this instant).
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.env.wakeEntry(p.env.now+d, p, p.blocks+1)
-	p.block()
-}
-
-// block yields to the driver and waits to be woken.
-func (p *Proc) block() {
-	p.blocks++
-	p.blockedNow = true
-	p.env.yield <- struct{}{}
-	<-p.wake
-	p.blockedNow = false
 }
 
 // Run drives the simulation until the calendar is exhausted or the virtual
@@ -431,23 +402,29 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		e.now = en.at
 		// Copy the dispatch fields and recycle before dispatching: the
 		// process or callback may push new entries that reuse this one.
-		proc, target, start, fn := en.proc, en.target, en.start, en.fn
+		kind, proc, target, fn := en.kind, en.proc, en.target, en.fn
 		e.recycle(en)
-		switch {
-		case start:
+		e.stats.Dispatched++
+		switch kind {
+		case entFn:
+			fn()
+		case entSpawn:
+			e.pushProc(entStart, e.now, proc)
+		case entStart:
 			if proc.dead {
 				continue
 			}
-			proc.wake <- struct{}{}
-			<-e.yield
-		case proc != nil:
+			e.resume(proc)
+		case entWake:
 			if proc.dead || !proc.blockedNow || proc.blocks != target {
 				continue // stale wakeup; drop
 			}
-			proc.wake <- struct{}{}
-			<-e.yield
-		case fn != nil:
-			fn()
+			proc.blockedNow = false
+			proc.ok = true
+			if proc.pend != pendNone {
+				proc.resolve()
+			}
+			e.resume(proc)
 		}
 		if e.err != nil {
 			// Drain before re-raising so a recovered simulation failure
@@ -570,37 +547,10 @@ func (ev *Event) Trigger() {
 	}
 	ev.triggered = true
 	for _, w := range ev.waiters {
-		ev.env.wakeEntry(ev.env.now, w.proc, w.target)
+		ev.env.pushWake(ev.env.now, w.proc, w.target)
 	}
 	if cap(ev.waiters) > 0 {
 		ev.env.wfree = append(ev.env.wfree, ev.waiters[:0])
 	}
 	ev.waiters = nil
-}
-
-// Wait suspends p until the event triggers. If the event has already
-// triggered, Wait returns immediately without yielding.
-func (p *Proc) Wait(ev *Event) {
-	if ev.triggered {
-		return
-	}
-	ev.addWaiter(p, p.blocks+1)
-	p.block()
-}
-
-// WaitTimeout waits for ev for at most d. It reports true if the event
-// triggered while waiting (or had already triggered), false if the timeout
-// elapsed first.
-func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
-	if ev.triggered {
-		return true
-	}
-	// Two racing wakeup sources aim at the same block; the stale one is
-	// dropped by the generation guard in Run.
-	en := p.env.wakeEntry(p.env.now+d, p, p.blocks+1)
-	timer := Timer{en: en, seq: en.seq}
-	ev.addWaiter(p, p.blocks+1)
-	p.block()
-	timer.Cancel()
-	return ev.triggered
 }

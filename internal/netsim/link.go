@@ -203,31 +203,40 @@ func (l *Link) EnableSampling() { l.sampling = true }
 // Samples returns the recorded rate series (nil unless EnableSampling).
 func (l *Link) Samples() []RateSample { return l.rateSeries }
 
-// Transfer moves `bytes` across the link on behalf of p, blocking until the
-// transfer completes. cap limits this flow's rate (<= 0 means uncapped).
-func (l *Link) Transfer(p *Proc, bytes float64, cap float64) {
+// BeginTransfer starts moving `bytes` across the link on behalf of p and
+// suspends p until the transfer completes (it always suspends). cap limits
+// this flow's rate (<= 0 means uncapped).
+func (l *Link) BeginTransfer(p *Proc, bytes, cap float64) bool {
 	fl := l.start(bytes, cap)
-	p.Wait(fl.done)
-	// Completed and waited: no one else saw this flow's event, and complete
-	// already removed the flow from the link, so both recycle.
-	l.env.FreeEvent(fl.done)
-	l.env.freeFlow(fl)
+	fl.done.addWaiter(p, p.blocks+1)
+	p.suspend(pendTransfer)
+	p.link, p.fl = l, fl
+	return true
 }
 
-// TransferTimeout is Transfer with a deadline. If the deadline passes first
-// the flow is aborted (its partial bytes stay counted) and false is returned.
-func (l *Link) TransferTimeout(p *Proc, bytes, cap float64, d time.Duration) bool {
+// BeginTransferTimeout is BeginTransfer with a deadline d from now. If the
+// deadline passes first the flow is aborted (its partial bytes stay
+// counted) and OK reports false.
+func (l *Link) BeginTransferTimeout(p *Proc, bytes, cap float64, d time.Duration) bool {
 	fl := l.start(bytes, cap)
-	ok := p.WaitTimeout(fl.done, d)
-	if !ok {
-		l.abort(fl)
-	}
-	// Either way the event is dead (triggered-and-waited, or aborted with
-	// only our now-stale waiter registered) and the flow is off the link
-	// (retired by complete, or removed by abort), so both recycle.
-	l.env.FreeEvent(fl.done)
-	l.env.freeFlow(fl)
-	return ok
+	p.waitTimeout(fl.done, d, pendTransfer)
+	p.link, p.fl = l, fl
+	return true
+}
+
+// Transfer moves `bytes` across the link on behalf of p, blocking until the
+// transfer completes.
+func (l *Link) Transfer(p *Proc, bytes float64, cap float64) {
+	l.BeginTransfer(p, bytes, cap)
+	p.park()
+}
+
+// TransferTimeout is Transfer with a deadline; it reports false if the
+// deadline passed first.
+func (l *Link) TransferTimeout(p *Proc, bytes, cap float64, d time.Duration) bool {
+	l.BeginTransferTimeout(p, bytes, cap, d)
+	p.park()
+	return p.ok
 }
 
 // StartFlow begins a transfer without blocking; the returned event triggers

@@ -264,7 +264,7 @@ func TestRecycledProcIgnoresPredecessorTimerWake(t *testing.T) {
 		})
 	})
 	env.After(3*time.Millisecond, func() {
-		env.wakeEntry(env.now+time.Millisecond, dead, staleTarget)
+		env.pushWake(env.now+time.Millisecond, dead, staleTarget)
 	})
 	env.Run(0)
 	if heir != dead {

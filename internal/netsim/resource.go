@@ -13,7 +13,9 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*waiter // FIFO
+	queue    []*waiter // FIFO from head; canceled waiters linger until a release skips them
+	head     int
+	live     int // queued waiters not canceled
 
 	// metrics
 	acquired   uint64
@@ -23,8 +25,15 @@ type Resource struct {
 }
 
 type waiter struct {
+	res      *Resource
 	ev       *Event
 	canceled bool
+}
+
+// cancel abandons a queued waiter whose process timed out.
+func (w *waiter) cancel() {
+	w.canceled = true
+	w.res.live--
 }
 
 // NewResource returns a resource with the given concurrency capacity.
@@ -46,15 +55,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting.
-func (r *Resource) QueueLen() int {
-	n := 0
-	for _, w := range r.queue {
-		if !w.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (r *Resource) QueueLen() int { return r.live }
 
 // MaxQueueLen returns the largest wait-queue length observed.
 func (r *Resource) MaxQueueLen() int { return r.maxQueue }
@@ -86,30 +87,69 @@ func (r *Resource) accrue() {
 	r.lastChange = r.env.now
 }
 
-// Acquire blocks p until a unit is available, then takes it.
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
-		r.take()
-		return
+// free reports whether a unit can be taken right now without queueing:
+// one is idle and nobody (not even an abandoned waiter) is ahead.
+func (r *Resource) free() bool { return r.inUse < r.capacity && len(r.queue) == r.head }
+
+// enqueue appends a fresh waiter for the calling process.
+func (r *Resource) enqueue() *waiter {
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		// Slide the live tail down instead of growing past a dead prefix.
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
 	}
 	w := r.env.newWaiter()
+	w.res = r
 	w.ev = r.env.NewEvent()
 	r.queue = append(r.queue, w)
-	if q := r.QueueLen(); q > r.maxQueue {
-		r.maxQueue = q
+	r.live++
+	if r.live > r.maxQueue {
+		r.maxQueue = r.live
 	}
-	p.Wait(w.ev)
-	// The releaser transferred the unit to us (take() already ran) and
-	// popped w off the queue; the trigger event and the waiter node are
-	// ours alone, so both go back to the pool.
-	ev := w.ev
-	r.env.freeWaiter(w)
-	r.env.FreeEvent(ev)
+	return w
+}
+
+// BeginAcquire takes a unit for p, suspending p in the FIFO queue until
+// one is available; it reports false when the unit was free and p was not
+// suspended.
+func (r *Resource) BeginAcquire(p *Proc) bool {
+	p.ok = true
+	if r.free() {
+		r.take()
+		return false
+	}
+	w := r.enqueue()
+	w.ev.addWaiter(p, p.blocks+1)
+	p.suspend(pendAcquire)
+	p.w = w
+	return true
+}
+
+// BeginAcquireTimeout is BeginAcquire with a deadline d from now; once
+// resolved, OK reports whether the unit was acquired.
+func (r *Resource) BeginAcquireTimeout(p *Proc, d time.Duration) bool {
+	p.ok = true
+	if r.free() {
+		r.take()
+		return false
+	}
+	w := r.enqueue()
+	p.waitTimeout(w.ev, d, pendAcquire)
+	p.w = w
+	return true
+}
+
+// Acquire blocks p until a unit is available, then takes it.
+func (r *Resource) Acquire(p *Proc) {
+	if r.BeginAcquire(p) {
+		p.park()
+	}
 }
 
 // TryAcquire takes a unit if one is free right now, reporting success.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.free() {
 		r.take()
 		return true
 	}
@@ -119,28 +159,10 @@ func (r *Resource) TryAcquire() bool {
 // AcquireTimeout blocks p until a unit is available or d elapses. It reports
 // whether the unit was acquired.
 func (r *Resource) AcquireTimeout(p *Proc, d time.Duration) bool {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
-		r.take()
-		return true
+	if r.BeginAcquireTimeout(p, d) {
+		p.park()
 	}
-	w := r.env.newWaiter()
-	w.ev = r.env.NewEvent()
-	r.queue = append(r.queue, w)
-	if q := r.QueueLen(); q > r.maxQueue {
-		r.maxQueue = q
-	}
-	if p.WaitTimeout(w.ev, d) {
-		// Success implies a releaser popped w and triggered its event, so
-		// the node and event are ours to recycle, as in Acquire.
-		ev := w.ev
-		r.env.freeWaiter(w)
-		r.env.FreeEvent(ev)
-		return true
-	}
-	// Timed out: mark the waiter canceled so a future release skips it.
-	// The event stays with the queued waiter until that skip frees it.
-	w.canceled = true
-	return false
+	return p.ok
 }
 
 func (r *Resource) take() {
@@ -157,9 +179,12 @@ func (r *Resource) Release() {
 	}
 	r.accrue()
 	r.inUse--
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.head < len(r.queue) {
+		w := r.queue[r.head]
+		r.queue[r.head] = nil
+		if r.head++; r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		if w.canceled {
 			// The timed-out waiter abandoned this never-triggered event
 			// and its queue node; recycle both.
@@ -170,6 +195,7 @@ func (r *Resource) Release() {
 		}
 		// Hand the unit straight to the waiter: counts as taken now so
 		// a racing TryAcquire cannot steal it.
+		r.live--
 		r.take()
 		w.ev.Trigger()
 		return

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -128,4 +129,61 @@ func TestReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	r.Release()
+}
+
+// QueueLen is a live count, not a walk: it must track enqueues, hand-overs
+// and timeouts exactly, with abandoned waiters skipped on release.
+func TestQueueLenTracksTimeoutsAndHandovers(t *testing.T) {
+	env := NewEnv(1)
+	r := env.NewResource("r", 1)
+	var lens []int
+	var served []string
+	env.Go("holder", func(p *Proc) {
+		r.Acquire(p)
+		p.Sleep(10 * time.Millisecond)
+		lens = append(lens, r.QueueLen()) // the impatient waiter gave up at 5ms
+		r.Release()
+	})
+	env.Go("impatient", func(p *Proc) {
+		if r.AcquireTimeout(p, 5*time.Millisecond) {
+			t.Error("impatient waiter acquired")
+		}
+		lens = append(lens, r.QueueLen())
+	})
+	for _, name := range []string{"x", "y"} {
+		name := name
+		env.Go(name, func(p *Proc) {
+			r.Acquire(p)
+			served = append(served, name)
+			lens = append(lens, r.QueueLen())
+			r.Release()
+		})
+	}
+	env.Run(0)
+	if got, want := fmt.Sprint(lens), "[2 2 1 0]"; got != want {
+		t.Errorf("QueueLen over time = %s, want %s", got, want)
+	}
+	if fmt.Sprint(served) != "[x y]" || r.MaxQueueLen() != 3 || r.QueueLen() != 0 {
+		t.Errorf("served %v, max queue %d, final queue %d", served, r.MaxQueueLen(), r.QueueLen())
+	}
+}
+
+// A queue that never empties must not strand its head: popping advances an
+// index and the backing array is reused, not regrown forever.
+func TestQueueBackingStaysBounded(t *testing.T) {
+	env := NewEnv(1)
+	r := env.NewResource("r", 1)
+	for w := 0; w < 4; w++ {
+		env.Go("worker", func(p *Proc) {
+			for i := 0; i < 5000; i++ {
+				r.Acquire(p)
+				p.Sleep(time.Microsecond)
+				r.Release()
+			}
+		})
+	}
+	env.Run(0)
+	if c := cap(r.queue); c > 16 {
+		t.Errorf("queue backing grew to %d slots for a 3-deep steady queue", c)
+	}
 }

@@ -265,9 +265,7 @@ func (ctl *Controller) startCrossTraffic(env *netsim.Env, srv *websim.Server, ct
 				ClientRTT: rtt, ClientBW: bw,
 				Deadline: env.Now() + 10*time.Second,
 			}
-			env.Go("xt-visitor", func(q *netsim.Proc) {
-				srv.Serve(q, "xt", req)
-			})
+			env.Spawn("xt-visitor", srv.NewVisit("xt", req, nil, nil))
 		}
 	})
 }

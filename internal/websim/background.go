@@ -59,12 +59,24 @@ type BackgroundTraffic struct {
 	sent      uint64
 	completed uint64
 	errored   uint64
+
+	// visitor hooks, bound once
+	countSent func()
+	countDone func(*Visit, Response)
 }
 
 // StartBackground launches the generator as a simulated process. With a
 // non-positive rate it is inert (returns immediately on start).
 func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *BackgroundTraffic {
 	bt := &BackgroundTraffic{cfg: cfg.withDefaults(), srv: srv}
+	bt.countSent = func() { bt.sent++ }
+	bt.countDone = func(_ *Visit, resp Response) {
+		if resp.Err != nil {
+			bt.errored++
+		} else {
+			bt.completed++
+		}
+	}
 	if cfg.Rate > 0 {
 		env.Go("bg/"+srv.cfg.Name, bt.run)
 	}
@@ -100,15 +112,7 @@ func (bt *BackgroundTraffic) runBursts(p *netsim.Proc) {
 				ClientBW:  bt.cfg.ClientBW,
 				Deadline:  env.Now() + offset + bt.cfg.Timeout,
 			}
-			env.GoAfter("bg-burst-req", offset, func(q *netsim.Proc) {
-				bt.sent++
-				resp := bt.srv.Serve(q, "bg", req)
-				if resp.Err != nil {
-					bt.errored++
-				} else {
-					bt.completed++
-				}
-			})
+			env.SpawnAfter("bg-burst-req", offset, bt.srv.NewVisit("bg", req, bt.countSent, bt.countDone))
 		}
 	}
 }
@@ -186,14 +190,7 @@ func (bt *BackgroundTraffic) run(p *netsim.Proc) {
 			ClientBW:  bt.cfg.ClientBW * (0.5 + env.Rand().Float64()),
 			Deadline:  env.Now() + bt.cfg.Timeout,
 		}
-		env.Go("bg-req", func(q *netsim.Proc) {
-			resp := bt.srv.Serve(q, "bg", req)
-			if resp.Err != nil {
-				bt.errored++
-			} else {
-				bt.completed++
-			}
-		})
+		env.Spawn("bg-req", bt.srv.NewVisit("bg", req, nil, bt.countDone))
 	}
 }
 

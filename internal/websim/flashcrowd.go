@@ -69,6 +69,14 @@ type FlashCrowdResult struct {
 func RunFlashCrowd(env *netsim.Env, srv *Server, cfg FlashCrowdConfig) *FlashCrowdResult {
 	cfg = cfg.withDefaults()
 	res := &FlashCrowdResult{}
+	record := func(v *Visit, resp Response) {
+		res.Samples = append(res.Samples, FlashSample{
+			At:         v.At,
+			Concurrent: v.Concurrent,
+			Resp:       env.Now() - v.At,
+			Err:        resp.Err != nil,
+		})
+	}
 
 	env.Go("flashcrowd", func(p *netsim.Proc) {
 		// Unloaded baseline first.
@@ -101,21 +109,11 @@ func RunFlashCrowd(env *netsim.Env, srv *Server, cfg FlashCrowdConfig) *FlashCro
 			}
 			p.Sleep(gap)
 
-			env.Go("fc-visitor", func(q *netsim.Proc) {
-				conc := srv.Pending()
-				tq := q.Now()
-				resp := srv.Serve(q, "fc", Request{
-					Method: cfg.Method, URL: cfg.URL,
-					ClientRTT: cfg.ClientRTT, ClientBW: cfg.ClientBW,
-					Deadline: q.Now() + cfg.Timeout,
-				})
-				res.Samples = append(res.Samples, FlashSample{
-					At:         tq,
-					Concurrent: conc,
-					Resp:       q.Now() - tq,
-					Err:        resp.Err != nil,
-				})
-			})
+			env.Spawn("fc-visitor", srv.NewVisit("fc", Request{
+				Method: cfg.Method, URL: cfg.URL,
+				ClientRTT: cfg.ClientRTT, ClientBW: cfg.ClientBW,
+				Deadline: p.Now() + cfg.Timeout,
+			}, nil, record))
 		}
 	})
 	return res

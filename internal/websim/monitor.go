@@ -15,6 +15,7 @@ type Monitor struct {
 	interval time.Duration
 	samples  []Sample
 	stopped  bool
+	sleeping bool // an interval has been slept: the next step samples
 
 	lastCPU  float64 // core-seconds consumed at last sample
 	lastNet  float64 // bytes sent at last sample
@@ -45,15 +46,22 @@ func NewMonitor(env *netsim.Env, srv *Server, interval time.Duration) *Monitor {
 		interval = time.Second
 	}
 	m := &Monitor{server: srv, interval: interval}
-	env.Go("monitor/"+srv.cfg.Name, m.run)
+	env.Spawn("monitor/"+srv.cfg.Name, m)
 	return m
 }
 
-func (m *Monitor) run(p *netsim.Proc) {
-	for !m.stopped {
-		p.Sleep(m.interval)
+// Step implements netsim.Task: sleep an interval, sample, until stopped. A
+// one-second sampler on a goroutine would be the largest source of handoffs
+// left in an experiment, more than the coordinator itself.
+func (m *Monitor) Step(p *netsim.Proc) bool {
+	if m.sleeping {
 		m.sample(p.Now())
 	}
+	if m.stopped {
+		return false
+	}
+	m.sleeping = true
+	return p.BeginSleep(m.interval)
 }
 
 // Stop ends sampling after at most one more interval. Without a Stop, the

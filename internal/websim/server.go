@@ -343,6 +343,9 @@ type Server struct {
 	edgeHits    uint64
 	arrivals    []Arrival
 	logging     bool
+
+	free          []*Call // recycled calls
+	releaseWorker func()  // workers.Release, bound once for the WorkerHold timer
 }
 
 // Arrival is one request-arrival log record (server access log, used by the
@@ -374,6 +377,7 @@ func NewServer(env *netsim.Env, cfg Config, site *content.Site) *Server {
 		lossRTO:    cfg.LossRTO,
 	}
 	s.peakResident = s.resident
+	s.releaseWorker = s.workers.Release
 	return s
 }
 
@@ -482,273 +486,485 @@ func (s *Server) remaining(deadline time.Duration) (time.Duration, bool) {
 	return rem, true
 }
 
-// Serve handles one request on behalf of the calling simulated process and
-// blocks until the response is fully transmitted (or failed). Tag labels the
-// request in the access log.
+// Call is one request in flight: the server's request pipeline as a
+// run-to-completion state machine (a netsim sub-task). Start hands one
+// out; the owner forwards its process's steps to Step until it reports
+// false, then collects the Response with Finish. Every blocking point of
+// the pipeline — limiter delay, accept queue, CPU bursts, disk, DB pool,
+// the access link — is one resume state; nothing in between yields, so a
+// request costs no goroutine and no handoff. Calls are pooled per server.
+type Call struct {
+	s     *Server
+	tag   string
+	req   Request
+	obj   content.Object
+	state callState
+	start time.Duration // arrival instant
+	body  int64         // response body bytes once known
+
+	accepted bool // holds a worker slot and counts in pending
+	forked   bool // FastCGI: holds a parent-image copy in resident
+	pooled   bool // holds a DB pool connection
+
+	resp Response
+}
+
+// callState is where a Call resumes: each value names the block that just
+// resolved (or, for the immediate ones, the stage about to run).
+type callState uint8
+
+const (
+	callArrive    callState = iota // not started: log, lookup, edge tier, limiter
+	callEdge                       // edge-tier transfer time elapsed
+	callAdmit                      // past the limiter (immediately or after its delay)
+	callQueued                     // accept-queue wait resolved
+	callAccepted                   // worker slot held
+	callSettled                    // synthetic gathering window elapsed
+	callParsed                     // parse CPU resolved
+	callDiskHeld                   // static: disk arm wait resolved
+	callDiskRead                   // static: seek+read elapsed
+	callForked                     // dynamic: fork CPU resolved
+	callPool                       // dynamic: about to take a DB connection
+	callPoolHeld                   // dynamic: DB pool wait resolved
+	callCacheHit                   // dynamic: query-cache hit CPU resolved
+	callQDiskHeld                  // dynamic: disk arm wait resolved
+	callQDiskRead                  // dynamic: buffer-miss read elapsed
+	callBackend                    // dynamic: about to visit the DB machine
+	callQuery                      // dynamic: about to burn query CPU
+	callQueried                    // dynamic: query CPU resolved
+	callRender                     // about to burn render CPU
+	callRendered                   // render CPU resolved
+	callTransmit                   // about to transmit body+headers
+	callSlowStart                  // slow-start ramp elapsed (or skipped)
+	callStalled                    // retransmission stall elapsed (or skipped)
+	callSent                       // access-link transfer resolved
+)
+
+// Start begins serving req and returns the call to step. Nothing happens —
+// no arrival is logged, no state is touched — until the first Step, so a
+// call may be started now and spawned for later.
+func (s *Server) Start(tag string, req Request) *Call {
+	var c *Call
+	if n := len(s.free); n > 0 {
+		c = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		c = &Call{s: s}
+	}
+	c.tag, c.req = tag, req
+	return c
+}
+
+// Finish returns the finished call's response and recycles the call.
+func (c *Call) Finish() Response {
+	resp := c.resp
+	*c = Call{s: c.s}
+	c.s.free = append(c.s.free, c)
+	return resp
+}
+
+// Serve handles one request on behalf of the calling goroutine process and
+// blocks until the response is fully transmitted (or failed). Tag labels
+// the request in the access log. It is the blocking adapter over the one
+// pipeline: the call runs on p via Proc.Do.
 func (s *Server) Serve(p *netsim.Proc, tag string, req Request) Response {
-	start := s.env.Now()
-	if s.logging {
-		s.arrivals = append(s.arrivals, Arrival{At: start, URL: req.URL, Method: req.Method, Tag: tag})
-	}
+	c := s.Start(tag, req)
+	p.Do(c)
+	return c.Finish()
+}
 
-	obj, ok := s.site.Lookup(req.URL)
-	if !ok {
-		// 404s still cost parse CPU, but we keep them cheap and exact.
-		return Response{Status: 404, Err: ErrNotFound, ServerTime: s.env.Now() - start}
-	}
-
-	// CDN/cache front tier: a hit is served entirely at the edge — the
-	// origin's workers, CPU, disk, limiter and access link never see the
-	// request. The base page stays origin-served (personalized HTML), so a
-	// fronted site's Base stage still measures the origin while its Large
-	// Object stage is masked by the cache.
-	if s.cfg.EdgeHitRatio > 0 && !obj.Dynamic && req.URL != s.site.Base &&
-		s.env.Rand().Float64() < s.cfg.EdgeHitRatio {
-		s.edgeHits++
-		body := obj.Size
-		if req.Method == "HEAD" {
-			body = 0
-		}
-		bw := s.cfg.EdgeBandwidth
-		if req.ClientBW > 0 && req.ClientBW < bw {
-			bw = req.ClientBW
-		}
-		p.Sleep(time.Duration(float64(body+s.cfg.HeaderBytes) / bw * float64(time.Second)))
-		s.served++
-		return Response{Status: 200, Bytes: body, ServerTime: s.env.Now() - start}
-	}
-
-	// WAF / reverse-proxy rate limiter: a deterministic leaky bucket in
-	// front of the worker pool. Over-limit requests are either shaped
-	// (held until their token instant) or refused with 429.
-	if s.cfg.LimitRate > 0 {
-		gap := time.Duration(float64(time.Second) / s.cfg.LimitRate)
-		now := s.env.Now()
-		if floor := now - time.Duration(s.cfg.LimitBurst-1)*gap; s.limVT < floor {
-			s.limVT = floor
-		}
-		admitAt := s.limVT
-		s.limVT += gap
-		if admitAt > now {
-			if s.cfg.LimitJunk {
-				s.limVT = admitAt // the junked request's token goes back
-				s.junkServed++
-				return Response{Status: 200, Bytes: junkBytes, ServerTime: s.env.Now() - start}
+// Step advances the request until it suspends p or completes. ok carries
+// the outcome of the block that just resolved; stages that complete
+// without suspending overwrite it and fall into the same resume state.
+func (c *Call) Step(p *netsim.Proc) (suspended bool) {
+	s, req := c.s, &c.req
+	ok := p.OK()
+	for {
+		switch c.state {
+		case callArrive:
+			c.start = s.env.Now()
+			if s.logging {
+				s.arrivals = append(s.arrivals, Arrival{At: c.start, URL: req.URL, Method: req.Method, Tag: c.tag})
 			}
-			if s.cfg.LimitReject {
-				s.limVT = admitAt // the refused request's token goes back
-				s.rateLimited++
-				return Response{Status: 429, Err: ErrRateLimited, ServerTime: s.env.Now() - start}
+			obj, found := s.site.Lookup(req.URL)
+			if !found {
+				// 404s still cost parse CPU, but we keep them cheap and exact.
+				return c.done(Response{Status: 404, Err: ErrNotFound})
 			}
-			rem, ok := s.remaining(req.Deadline)
-			if !ok || admitAt-now > rem {
-				s.timedOut++
-				return Response{Err: ErrTimeout, ServerTime: s.env.Now() - start}
-			}
-			p.Sleep(admitAt - now)
-		}
-	}
+			c.obj = obj
 
-	// Admission: worker slot or bounded backlog.
-	if !s.workers.TryAcquire() {
-		if s.workers.QueueLen() >= s.cfg.Backlog*s.cfg.Replicas {
-			s.refused++
-			return Response{Status: 503, Err: ErrRefused, ServerTime: s.env.Now() - start}
-		}
-		rem, ok := s.remaining(req.Deadline)
-		if !ok || !s.workers.AcquireTimeout(p, rem) {
-			s.timedOut++
-			return Response{Err: ErrTimeout, ServerTime: s.env.Now() - start}
+			// CDN/cache front tier: a hit is served entirely at the edge — the
+			// origin's workers, CPU, disk, limiter and access link never see the
+			// request. The base page stays origin-served (personalized HTML), so a
+			// fronted site's Base stage still measures the origin while its Large
+			// Object stage is masked by the cache.
+			if s.cfg.EdgeHitRatio > 0 && !obj.Dynamic && req.URL != s.site.Base &&
+				s.env.Rand().Float64() < s.cfg.EdgeHitRatio {
+				s.edgeHits++
+				if req.Method != "HEAD" {
+					c.body = obj.Size
+				}
+				bw := s.cfg.EdgeBandwidth
+				if req.ClientBW > 0 && req.ClientBW < bw {
+					bw = req.ClientBW
+				}
+				c.state = callEdge
+				return p.BeginSleep(time.Duration(float64(c.body+s.cfg.HeaderBytes) / bw * float64(time.Second)))
+			}
+
+			// WAF / reverse-proxy rate limiter: a deterministic leaky bucket in
+			// front of the worker pool. Over-limit requests are either shaped
+			// (held until their token instant) or refused with 429.
+			c.state = callAdmit
+			if s.cfg.LimitRate > 0 {
+				gap := time.Duration(float64(time.Second) / s.cfg.LimitRate)
+				now := s.env.Now()
+				if floor := now - time.Duration(s.cfg.LimitBurst-1)*gap; s.limVT < floor {
+					s.limVT = floor
+				}
+				admitAt := s.limVT
+				s.limVT += gap
+				if admitAt > now {
+					if s.cfg.LimitJunk {
+						s.limVT = admitAt // the junked request's token goes back
+						s.junkServed++
+						return c.done(Response{Status: 200, Bytes: junkBytes})
+					}
+					if s.cfg.LimitReject {
+						s.limVT = admitAt // the refused request's token goes back
+						s.rateLimited++
+						return c.done(Response{Status: 429, Err: ErrRateLimited})
+					}
+					rem, live := s.remaining(req.Deadline)
+					if !live || admitAt-now > rem {
+						return c.timeout()
+					}
+					return p.BeginSleep(admitAt - now)
+				}
+			}
+
+		case callEdge:
+			s.served++
+			return c.done(Response{Status: 200, Bytes: c.body})
+
+		case callAdmit:
+			// Admission: worker slot or bounded backlog.
+			c.state = callAccepted
+			if !s.workers.TryAcquire() {
+				if s.workers.QueueLen() >= s.cfg.Backlog*s.cfg.Replicas {
+					s.refused++
+					return c.done(Response{Status: 503, Err: ErrRefused})
+				}
+				rem, live := s.remaining(req.Deadline)
+				if !live {
+					return c.timeout()
+				}
+				c.state = callQueued
+				if s.workers.BeginAcquireTimeout(p, rem) {
+					return true
+				}
+				ok = true
+			}
+
+		case callQueued:
+			if !ok {
+				return c.timeout()
+			}
+			c.state = callAccepted
+
+		case callAccepted:
+			// From here done releases the slot (after WorkerHold) and the
+			// pending count, in the order the pipeline took them.
+			c.accepted = true
+			s.pending++
+			if s.cfg.Synthetic != nil {
+				// Gathering window: let the synchronized crowd assemble before
+				// sampling the pending count (see Config.SyntheticSettle).
+				c.state = callSettled
+				return p.BeginSleep(s.cfg.SyntheticSettle)
+			}
+			// Parse (plus the base page's heavier handling when applicable).
+			parse := s.cfg.ParseCPU
+			if req.URL == s.site.Base {
+				parse += s.cfg.BaseExtraCPU
+			}
+			c.state = callParsed
+			if suspended, ok = s.burnCPU(p, parse, req.Deadline); suspended {
+				return true
+			}
+
+		case callSettled:
+			// The synthetic model replaces the whole resource pipeline: the
+			// configured delay, then only the transfer cost.
+			d := s.cfg.Synthetic.Delay(s.pending)
+			rem, live := s.remaining(req.Deadline)
+			if !live || d > rem {
+				return c.timeout()
+			}
+			if req.Method != "HEAD" {
+				c.body = c.obj.Size
+			}
+			c.state = callTransmit
+			return p.BeginSleep(d)
+
+		case callParsed:
+			if !ok {
+				return c.timeout()
+			}
+			switch {
+			case req.Method == "HEAD":
+				c.state = callRender
+			case c.obj.Dynamic:
+				c.body = c.obj.Size
+				c.state = callPool
+				// FastCGI: fork — the request holds a parent-image copy for its
+				// entire dynamic phase (including pool queueing) and pays the
+				// fork CPU.
+				if s.cfg.Backend == BackendFastCGI {
+					s.resident += s.cfg.PerRequestMem
+					if s.resident > s.peakResident {
+						s.peakResident = s.resident
+					}
+					if s.resident > s.peakWindow {
+						s.peakWindow = s.resident
+					}
+					c.forked = true
+					c.state = callForked
+					if suspended, ok = s.burnCPU(p, s.cfg.ForkCPU, req.Deadline); suspended {
+						return true
+					}
+				}
+			default:
+				// Static: read the object from cache or disk.
+				c.body = c.obj.Size
+				c.state = callRender
+				if !s.fileCache.get(c.obj.URL) {
+					rem, live := s.remaining(req.Deadline)
+					if !live {
+						return c.timeout()
+					}
+					c.state = callDiskHeld
+					if s.disk.BeginAcquireTimeout(p, rem) {
+						return true
+					}
+					ok = true
+				}
+			}
+
+		case callDiskHeld:
+			if !ok {
+				return c.timeout()
+			}
+			seek := time.Duration(float64(s.cfg.DiskSeek) * s.thrash())
+			xfer := time.Duration(float64(c.obj.Size) / s.cfg.DiskBandwidth * s.thrash() * float64(time.Second))
+			c.state = callDiskRead
+			return p.BeginSleep(seek + xfer)
+
+		case callDiskRead:
+			s.disk.Release()
+			s.fileCache.put(c.obj.URL, c.obj.Size)
+			c.state = callRender
+
+		case callForked:
+			if !ok {
+				return c.timeout()
+			}
+			c.state = callPool
+
+		case callPool:
+			rem, live := s.remaining(req.Deadline)
+			if !live {
+				return c.timeout()
+			}
+			c.state = callPoolHeld
+			if s.dbPool.BeginAcquireTimeout(p, rem) {
+				return true
+			}
+			ok = true
+
+		case callPoolHeld:
+			if !ok {
+				return c.timeout()
+			}
+			c.pooled = true
+			switch {
+			case s.queryCache.enabled() && s.queryCache.get(req.URL):
+				// Cache hit: negligible CPU (MySQL's query cache returns the
+				// stored result without re-executing).
+				c.state = callCacheHit
+				if suspended, ok = s.burnCPU(p, 200*time.Microsecond, req.Deadline); suspended {
+					return true
+				}
+			case s.cfg.QueryDisk > 0:
+				rem, live := s.remaining(req.Deadline)
+				if !live {
+					return c.timeout()
+				}
+				c.state = callQDiskHeld
+				if s.disk.BeginAcquireTimeout(p, rem) {
+					return true
+				}
+				ok = true
+			default:
+				c.state = callBackend
+			}
+
+		case callCacheHit:
+			if !ok {
+				return c.timeout()
+			}
+			c.endDynamic()
+			c.state = callRender
+
+		case callQDiskHeld:
+			if !ok {
+				return c.timeout()
+			}
+			d := time.Duration((s.cfg.DiskSeek.Seconds() + float64(s.cfg.QueryDisk)/s.cfg.DiskBandwidth) * s.thrash() * float64(time.Second))
+			c.state = callQDiskRead
+			return p.BeginSleep(d)
+
+		case callQDiskRead:
+			s.disk.Release()
+			c.state = callBackend
+
+		case callBackend:
+			c.state = callQuery
+			if s.cfg.QueryBackendTime > 0 {
+				// Executed on the separate DB machine; the pool connection is the
+				// contended resource, not this server's CPU.
+				return p.BeginSleep(time.Duration(float64(s.cfg.QueryBackendTime) * s.thrash()))
+			}
+
+		case callQuery:
+			c.state = callQueried
+			if suspended, ok = s.burnCPU(p, s.cfg.QueryCPU, req.Deadline); suspended {
+				return true
+			}
+
+		case callQueried:
+			if !ok {
+				return c.timeout()
+			}
+			if s.queryCache.enabled() {
+				s.queryCache.put(req.URL, c.obj.Size)
+			}
+			c.endDynamic()
+			c.state = callRender
+
+		case callRender:
+			c.state = callRendered
+			if suspended, ok = s.burnCPU(p, s.cfg.RenderCPU, req.Deadline); suspended {
+				return true
+			}
+
+		case callRendered:
+			if !ok {
+				return c.timeout()
+			}
+			c.state = callTransmit
+
+		case callTransmit:
+			// Push the response through the shared access link, charging the
+			// TCP slow-start ramp for transfers that span multiple windows.
+			c.state = callSlowStart
+			if penalty := slowStartPenalty(c.body+s.cfg.HeaderBytes, req.ClientRTT); penalty > 0 {
+				return p.BeginSleep(penalty)
+			}
+
+		case callSlowStart:
+			c.state = callStalled
+			if s.pathLoss > 0 {
+				// Retransmission stall: a response of n packets suffers one RTO
+				// with probability 1-(1-p)^min(n,64) — at least one drop within the
+				// window-limited early rounds. Larger responses are likelier to
+				// stall, which is why sustained loss hurts the Large Object stage
+				// first. No draw happens when pathLoss is 0 (determinism guard).
+				pkts := float64((c.body + s.cfg.HeaderBytes + 1459) / 1460)
+				if pkts > 64 {
+					pkts = 64
+				}
+				if s.env.Rand().Float64() < 1-math.Pow(1-s.pathLoss, pkts) {
+					return p.BeginSleep(s.lossRTO)
+				}
+			}
+
+		case callStalled:
+			rem, live := s.remaining(req.Deadline)
+			if !live {
+				return c.timeout()
+			}
+			c.state = callSent
+			return s.access.BeginTransferTimeout(p, float64(c.body+s.cfg.HeaderBytes), req.ClientBW, rem)
+
+		case callSent:
+			if !ok {
+				return c.timeout()
+			}
+			s.served++
+			return c.done(Response{Status: 200, Bytes: c.body})
 		}
 	}
-	// The worker slot is held beyond the response by WorkerHold (lingering
-	// close): the response returns now, the slot frees later.
-	defer func() {
+}
+
+// timeout completes the call with the deadline error from wherever in the
+// pipeline it ran out of time.
+func (c *Call) timeout() bool { return c.done(Response{Err: ErrTimeout}) }
+
+// endDynamic unwinds what the dynamic phase holds, most recent first: the
+// DB connection, then the FastCGI image. It runs when the phase ends,
+// before render and transmit, and from done when the phase fails.
+func (c *Call) endDynamic() {
+	if c.pooled {
+		c.pooled = false
+		c.s.dbPool.Release()
+	}
+	if c.forked {
+		c.forked = false
+		c.s.resident -= c.s.cfg.PerRequestMem
+	}
+}
+
+// done is the pipeline's single completion path: it unwinds whatever the
+// call still holds in reverse order of taking (each release pushes wake
+// entries, so the order is observable), counts the outcome and records the
+// response. It always reports false, for Step to return.
+func (c *Call) done(resp Response) bool {
+	s := c.s
+	resp.ServerTime = s.env.Now() - c.start
+	if resp.Err == ErrTimeout {
+		s.timedOut++
+	}
+	c.endDynamic()
+	if c.accepted {
+		s.pending--
+		// The worker slot is held beyond the response by WorkerHold
+		// (lingering close): the response returns now, the slot frees later.
 		if s.cfg.WorkerHold > 0 {
-			s.env.After(s.cfg.WorkerHold, s.workers.Release)
+			s.env.After(s.cfg.WorkerHold, s.releaseWorker)
 		} else {
 			s.workers.Release()
 		}
-	}()
-
-	s.pending++
-	defer func() { s.pending-- }()
-
-	if s.cfg.Synthetic != nil {
-		return s.serveSynthetic(p, start, req, obj)
 	}
-
-	// Parse (plus the base page's heavier handling when applicable).
-	parse := s.cfg.ParseCPU
-	if req.URL == s.site.Base {
-		parse += s.cfg.BaseExtraCPU
-	}
-	if !s.burnCPU(p, parse, req.Deadline) {
-		s.timedOut++
-		return Response{Err: ErrTimeout, ServerTime: s.env.Now() - start}
-	}
-
-	var body int64
-	switch {
-	case req.Method == "HEAD":
-		body = 0
-	case obj.Dynamic:
-		resp := s.serveDynamic(p, req, obj)
-		if resp.Err != nil {
-			resp.ServerTime = s.env.Now() - start
-			return resp
-		}
-		body = obj.Size
-	default:
-		if err := s.serveStatic(p, req, obj); err != nil {
-			s.timedOut++
-			return Response{Err: err, ServerTime: s.env.Now() - start}
-		}
-		body = obj.Size
-	}
-
-	// Render + transmit.
-	if !s.burnCPU(p, s.cfg.RenderCPU, req.Deadline) {
-		s.timedOut++
-		return Response{Err: ErrTimeout, ServerTime: s.env.Now() - start}
-	}
-	if err := s.transmit(p, body+s.cfg.HeaderBytes, req); err != nil {
-		s.timedOut++
-		return Response{Err: err, ServerTime: s.env.Now() - start}
-	}
-
-	s.served++
-	return Response{Status: 200, Bytes: body, ServerTime: s.env.Now() - start}
+	c.resp = resp
+	return false
 }
 
-// burnCPU consumes d of CPU demand (scaled by thrashing) under processor
-// sharing, respecting the request deadline. Reports false on timeout.
-func (s *Server) burnCPU(p *netsim.Proc, d time.Duration, deadline time.Duration) bool {
+// burnCPU starts d of CPU demand (scaled by thrashing) under processor
+// sharing, bounded by the request deadline. It reports whether p was
+// suspended; if not, ok is the outcome already (no demand: true; deadline
+// already passed: false).
+func (s *Server) burnCPU(p *netsim.Proc, d time.Duration, deadline time.Duration) (suspended, ok bool) {
 	if d <= 0 {
-		return true
+		return false, true
 	}
 	work := d.Seconds() * s.thrash() // core-seconds
-	rem, ok := s.remaining(deadline)
-	if !ok {
-		return false
+	rem, live := s.remaining(deadline)
+	if !live {
+		return false, false
 	}
-	return s.cpu.TransferTimeout(p, work, 1 /* one core max per request */, rem)
-}
-
-// serveStatic reads the object from cache or disk.
-func (s *Server) serveStatic(p *netsim.Proc, req Request, obj content.Object) error {
-	if s.fileCache.get(obj.URL) {
-		return nil
-	}
-	rem, ok := s.remaining(req.Deadline)
-	if !ok {
-		return ErrTimeout
-	}
-	if !s.disk.AcquireTimeout(p, rem) {
-		return ErrTimeout
-	}
-	seek := time.Duration(float64(s.cfg.DiskSeek) * s.thrash())
-	xfer := time.Duration(float64(obj.Size) / s.cfg.DiskBandwidth * s.thrash() * float64(time.Second))
-	p.Sleep(seek + xfer)
-	s.disk.Release()
-	s.fileCache.put(obj.URL, obj.Size)
-	return nil
-}
-
-// serveDynamic executes a query through the backend interface.
-func (s *Server) serveDynamic(p *netsim.Proc, req Request, obj content.Object) Response {
-	// FastCGI: fork — the request holds a parent-image copy for its
-	// entire lifetime (including pool queueing) and pays the fork CPU.
-	if s.cfg.Backend == BackendFastCGI {
-		s.resident += s.cfg.PerRequestMem
-		if s.resident > s.peakResident {
-			s.peakResident = s.resident
-		}
-		if s.resident > s.peakWindow {
-			s.peakWindow = s.resident
-		}
-		defer func() { s.resident -= s.cfg.PerRequestMem }()
-		if !s.burnCPU(p, s.cfg.ForkCPU, req.Deadline) {
-			return Response{Err: ErrTimeout}
-		}
-	}
-
-	rem, ok := s.remaining(req.Deadline)
-	if !ok {
-		return Response{Err: ErrTimeout}
-	}
-	if !s.dbPool.AcquireTimeout(p, rem) {
-		s.timedOut++
-		return Response{Err: ErrTimeout}
-	}
-	defer s.dbPool.Release()
-
-	if s.queryCache.enabled() && s.queryCache.get(req.URL) {
-		// Cache hit: negligible CPU (MySQL's query cache returns the
-		// stored result without re-executing).
-		if !s.burnCPU(p, 200*time.Microsecond, req.Deadline) {
-			return Response{Err: ErrTimeout}
-		}
-		return Response{Status: 200}
-	}
-
-	if s.cfg.QueryDisk > 0 {
-		rem, ok := s.remaining(req.Deadline)
-		if !ok {
-			return Response{Err: ErrTimeout}
-		}
-		if !s.disk.AcquireTimeout(p, rem) {
-			return Response{Err: ErrTimeout}
-		}
-		d := time.Duration((s.cfg.DiskSeek.Seconds() + float64(s.cfg.QueryDisk)/s.cfg.DiskBandwidth) * s.thrash() * float64(time.Second))
-		p.Sleep(d)
-		s.disk.Release()
-	}
-	if s.cfg.QueryBackendTime > 0 {
-		// Executed on the separate DB machine; the pool connection is the
-		// contended resource, not this server's CPU.
-		p.Sleep(time.Duration(float64(s.cfg.QueryBackendTime) * s.thrash()))
-	}
-	if !s.burnCPU(p, s.cfg.QueryCPU, req.Deadline) {
-		return Response{Err: ErrTimeout}
-	}
-	if s.queryCache.enabled() {
-		s.queryCache.put(req.URL, obj.Size)
-	}
-	return Response{Status: 200}
-}
-
-// transmit pushes the response through the shared access link, charging the
-// TCP slow-start ramp for transfers that span multiple windows.
-func (s *Server) transmit(p *netsim.Proc, bytes int64, req Request) error {
-	if bytes <= 0 {
-		return nil
-	}
-	if penalty := slowStartPenalty(bytes, req.ClientRTT); penalty > 0 {
-		p.Sleep(penalty)
-	}
-	if s.pathLoss > 0 {
-		// Retransmission stall: a response of n packets suffers one RTO
-		// with probability 1-(1-p)^min(n,64) — at least one drop within the
-		// window-limited early rounds. Larger responses are likelier to
-		// stall, which is why sustained loss hurts the Large Object stage
-		// first. No draw happens when pathLoss is 0 (determinism guard).
-		pkts := float64((bytes + 1459) / 1460)
-		if pkts > 64 {
-			pkts = 64
-		}
-		if s.env.Rand().Float64() < 1-math.Pow(1-s.pathLoss, pkts) {
-			p.Sleep(s.lossRTO)
-		}
-	}
-	rem, ok := s.remaining(req.Deadline)
-	if !ok {
-		return ErrTimeout
-	}
-	if !s.access.TransferTimeout(p, float64(bytes), req.ClientBW, rem) {
-		return ErrTimeout
-	}
-	return nil
+	return s.cpu.BeginTransferTimeout(p, work, 1 /* one core max per request */, rem), true
 }
 
 // slowStartPenalty approximates TCP slow start as the extra round trips

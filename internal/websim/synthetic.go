@@ -1,11 +1,6 @@
 package websim
 
-import (
-	"time"
-
-	"mfc/internal/content"
-	"mfc/internal/netsim"
-)
+import "time"
 
 // SyntheticModel defines the validation server of §3.1: the average increase
 // in response time per incoming request as a function of the number of
@@ -80,29 +75,3 @@ func (m StepModel) Delay(pending int) time.Duration {
 
 // Name implements SyntheticModel.
 func (m StepModel) Name() string { return "step" }
-
-// serveSynthetic handles a request under the synthetic response-time model:
-// the configured delay replaces the whole resource pipeline, and only a
-// minimal transfer cost applies.
-func (s *Server) serveSynthetic(p *netsim.Proc, start time.Duration, req Request, obj content.Object) Response {
-	// Gathering window: let the synchronized crowd assemble before sampling
-	// the pending count (see Config.SyntheticSettle).
-	p.Sleep(s.cfg.SyntheticSettle)
-	d := s.cfg.Synthetic.Delay(s.pending)
-	rem, ok := s.remaining(req.Deadline)
-	if !ok || d > rem {
-		s.timedOut++
-		return Response{Err: ErrTimeout, ServerTime: s.env.Now() - start}
-	}
-	p.Sleep(d)
-	var body int64
-	if req.Method != "HEAD" {
-		body = obj.Size
-	}
-	if err := s.transmit(p, body+s.cfg.HeaderBytes, req); err != nil {
-		s.timedOut++
-		return Response{Err: err, ServerTime: s.env.Now() - start}
-	}
-	s.served++
-	return Response{Status: 200, Bytes: body, ServerTime: s.env.Now() - start}
-}

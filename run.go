@@ -109,6 +109,10 @@ type Session struct {
 	// VirtualElapsed is how much simulated time the experiment spanned
 	// (SimTarget only).
 	VirtualElapsed time.Duration
+	// Kernel is the simulation kernel's own counters for the run
+	// (SimTarget only): calendar entries dispatched, goroutine handoffs,
+	// task steps run in driver context, link waterfills, calendar peak.
+	Kernel KernelStats
 
 	// Lab is the in-process instrumented server (LabTarget only).
 	Lab *labtarget.Server

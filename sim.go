@@ -15,6 +15,9 @@ import (
 // SimClientSpec describes one simulated wide-area client.
 type SimClientSpec = core.SimClientSpec
 
+// KernelStats are the discrete-event kernel's counters (Session.Kernel).
+type KernelStats = netsim.Stats
+
 // SimTarget describes a simulated experiment: the server model, its
 // content, background traffic, and the client population. It implements
 // Target; a SimTarget run is deterministic in (SimTarget, Config).
@@ -156,6 +159,7 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 			r.Server = server
 			r.Monitor = mon
 			r.VirtualElapsed = env.Now()
+			r.Kernel = env.Stats()
 			if scen != nil && r.Result != nil {
 				r.Result.Scenario = scen.Label()
 			}
