@@ -79,13 +79,13 @@ func TestExponentialStagger(t *testing.T) {
 	cfg.MaxCrowd = 30
 	cfg.Stagger = 150 * time.Millisecond
 	cfg.StaggerDist = StaggerExponential
-	sr, _, err := RunSimulatedStage(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: PresetUniv1(), Site: PresetUniv1Site(5), Clients: 60, Seed: 3,
-	}, cfg, StageBase)
+	}, cfg, WithStage(StageBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Verdict != VerdictNoStop {
+	if sr := run.Result.Stages[0]; sr.Verdict != VerdictNoStop {
 		t.Errorf("verdict = %v, want NoStop under Poisson arrivals", sr.Verdict)
 	}
 	if StaggerExponential.String() != "exponential" || StaggerUniform.String() != "uniform" {

@@ -344,7 +344,7 @@ func BenchmarkSimulatedExperiment(b *testing.B) {
 	cfg := mfc.DefaultConfig()
 	cfg.MaxCrowd = 50
 	for i := 0; i < b.N; i++ {
-		_, err := mfc.RunSimulated(mfc.SimTarget{
+		_, err := mfc.Run(context.Background(), mfc.SimTarget{
 			Server: mfc.PresetQTNP(), Site: mfc.PresetQTSite(7), Clients: 65, Seed: int64(i + 1),
 		}, cfg)
 		if err != nil {

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,7 +46,7 @@ func catalog() []bench {
 			cfg := mfc.DefaultConfig()
 			cfg.MaxCrowd = 50
 			for i := 0; i < b.N; i++ {
-				if _, err := mfc.RunSimulated(mfc.SimTarget{
+				if _, err := mfc.Run(context.Background(), mfc.SimTarget{
 					Server: mfc.PresetQTNP(), Site: mfc.PresetQTSite(7), Clients: 65, Seed: int64(i + 1),
 				}, cfg); err != nil {
 					b.Fatal(err)

@@ -51,7 +51,10 @@
 // `report` merges one or many stores of the same plan; `merge` writes the
 // consolidated store to a fresh directory. However the jobs were split,
 // killed or resumed, the report is byte-identical to an uninterrupted
-// single-process run.
+// single-process run. When a read passes over shard-file lines — torn by a
+// kill, carrying a job index foreign to their shard, or repeating a job —
+// `report`, `analyze` and `merge` say so in one "skipped: torn=N foreign=N
+// duplicate=N" line on stderr; stdout is unaffected.
 // `analyze` is the deep read side: it streams the stores' full Result
 // payloads into per-cell latency-quantile curves, response-time knees,
 // verdict confusion matrices against each group's clean baseline, and
@@ -145,7 +148,9 @@ shards to joining workers, re-grants the shards of workers that stop
 heartbeating, and serves the dashboard on the same listener; -until-done
 exits once every job has a record.
 report over several -dir flags merges stores of one plan; merge writes
-the consolidated store to -out.
+the consolidated store to -out. report, analyze and merge print one
+"skipped: torn=N foreign=N duplicate=N" line on stderr when the scan
+passed over torn, foreign-index or repeated shard-file lines.
 analyze streams the stores' full results into latency curves, knees,
 confusion matrices and error rollups; -json emits deterministic bytes
 (byte-identical across kills, resumes and worker splits), -no-figures
@@ -459,15 +464,25 @@ func cmdMerge(args []string) error {
 	if len(dirs) == 0 {
 		return fmt.Errorf("merge: at least one -dir is required")
 	}
-	if err := dist.Merge(dirs, *out); err != nil {
-		return err
-	}
-	m, err := campaign.LoadManifest(*out)
+	r, err := campaign.OpenReader(dirs...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("merged %d store(s) into %s: %d/%d jobs\n", len(dirs), *out, m.Done, m.Total)
+	done, err := dist.MergeReader(r, *out)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("merged %d store(s) into %s: %d/%d jobs\n", len(dirs), *out, done, r.Plan().Jobs())
+	printSkipped(r.Skipped())
 	return nil
+}
+
+// printSkipped accounts, on stderr so stdout stays a pure function of the
+// records, for the shard-file lines a read passed over.
+func printSkipped(s campaign.Skipped) {
+	if s != (campaign.Skipped{}) {
+		fmt.Fprintf(os.Stderr, "skipped: torn=%d foreign=%d duplicate=%d\n", s.Torn, s.Foreign, s.Duplicate)
+	}
 }
 
 // liveMonitor couples the shared campaign.Tracker — the single source of
@@ -558,10 +573,12 @@ func cmdReport(args []string) error {
 	if len(dirs) == 0 {
 		return fmt.Errorf("report: at least one -dir is required")
 	}
-	if len(dirs) == 1 {
-		return campaign.Report(dirs[0], os.Stdout)
+	plan, sum, err := campaign.Summarize(dirs...)
+	if err != nil {
+		return err
 	}
-	return dist.Report(dirs, os.Stdout)
+	printSkipped(sum.Skipped)
+	return campaign.RenderReport(os.Stdout, plan, sum)
 }
 
 // cmdTrace merges the span spills of one or many campaign directories
@@ -631,6 +648,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
+	printSkipped(a.Skipped)
 	doc := a.Doc()
 	if *asJSON {
 		b, err := doc.JSON()

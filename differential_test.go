@@ -14,9 +14,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
+	"mfc/internal/netsim"
 	"mfc/internal/population"
 )
 
@@ -59,10 +59,12 @@ func fingerprintOf(t *testing.T, run *Session) runFingerprint {
 // environment created inside, restoring the default afterwards.
 func underImmediateKernel(t *testing.T, fn func()) {
 	t.Helper()
-	if err := os.Setenv("MFC_NETSIM_IMMEDIATE", "1"); err != nil {
-		t.Fatal(err)
+	newSimEnv = func(seed int64) *netsim.Env {
+		env := netsim.NewEnv(seed)
+		env.SetImmediateReallocate(true)
+		return env
 	}
-	defer os.Unsetenv("MFC_NETSIM_IMMEDIATE")
+	defer func() { newSimEnv = netsim.NewEnv }()
 	fn()
 }
 

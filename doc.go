@@ -45,11 +45,6 @@
 //	}, cfg)
 //	fmt.Print(mfc.Assess(run.Result))
 //
-// The pre-redesign entry points — RunSimulated, RunSimulatedDetailed,
-// RunSimulatedStage and NewCoordinator — remain as thin deprecated shims
-// over Run; facade_test.go proves them equivalent. See DESIGN.md for the
-// migration table.
-//
 // Population-scale §5 studies run through cmd/mfc-campaign: plan a band ×
 // stage × sites matrix once, then run it with one process or many (`run`,
 // `resume` and `work` are the same worker engine, one per process or host

@@ -1,15 +1,8 @@
 package mfc
 
 import (
-	"context"
-	"reflect"
 	"testing"
 	"time"
-
-	"mfc/internal/content"
-	"mfc/internal/core"
-	"mfc/internal/netsim"
-	"mfc/internal/websim"
 )
 
 // The facade must expose a usable public API: presets return valid
@@ -111,98 +104,5 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 func TestStagesOrder(t *testing.T) {
 	if len(Stages) != 3 || Stages[0] != StageBase || Stages[2] != StageLargeObject {
 		t.Errorf("Stages = %v", Stages)
-	}
-}
-
-// TestShimEquivalence proves the deprecated entry points are thin shims:
-// RunSimulated, RunSimulatedDetailed and RunSimulatedStage must produce
-// results identical to the Run calls they wrap.
-func TestShimEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCrowd = 30
-
-	run, err := Run(context.Background(), qtnpTarget(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSimulated(qtnpTarget(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(run.Result, res) {
-		t.Error("RunSimulated result differs from Run")
-	}
-	det, err := RunSimulatedDetailed(qtnpTarget(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(det.Result, run.Result) {
-		t.Error("RunSimulatedDetailed result differs from Run")
-	}
-	if det.VirtualElapsed != run.VirtualElapsed {
-		t.Errorf("VirtualElapsed: shim %v vs Run %v", det.VirtualElapsed, run.VirtualElapsed)
-	}
-
-	single, err := Run(context.Background(), qtnpTarget(), cfg, WithStage(StageBase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, _, err := RunSimulatedStage(qtnpTarget(), cfg, StageBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single.Result.Stages[0], sr) {
-		t.Error("RunSimulatedStage result differs from Run(WithStage)")
-	}
-}
-
-// TestShimCoordinatorEquivalence proves the deprecated NewCoordinator shim
-// drives the same measurement as Run: a hand-wired simulation using
-// NewCoordinator (the pre-redesign calling convention) must produce a
-// Result deeply equal to mfc.Run over an equivalently configured
-// SimTarget, and the legacy Logf hook must still see progress lines
-// rendered from the event stream.
-func TestShimCoordinatorEquivalence(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCrowd = 30
-
-	// Hand-wired legacy path, mirroring SimTarget.open's construction
-	// order (env, server+access log, 65 PlanetLab specs, platform, crawl).
-	var lines int
-	env := netsim.NewEnv(42)
-	server := websim.NewServer(env, PresetQTNP(), PresetQTSite(7))
-	server.EnableAccessLog()
-	plat := core.NewSimPlatform(env, server, core.PlanetLabSpecs(env, 65))
-	site := PresetQTSite(7)
-	prof, err := content.Crawl(context.Background(), content.SiteFetcher{Site: site},
-		site.Host, site.Base, content.CrawlConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy *Result
-	var legacyErr error
-	env.Go("coordinator", func(p *netsim.Proc) {
-		plat.Bind(p)
-		coord := NewCoordinator(plat, cfg, func(string, ...any) { lines++ })
-		legacy, legacyErr = coord.RunExperiment(context.Background(), site.Host, prof)
-	})
-	env.Run(0)
-	if legacyErr != nil {
-		t.Fatal(legacyErr)
-	}
-	if lines == 0 {
-		t.Error("deprecated logf saw no progress lines")
-	}
-
-	// The new API over the same target (monitor off: the hand-wired path
-	// has none; the monitor draws no randomness either way).
-	target := qtnpTarget()
-	target.MonitorPeriod = -1
-	run, err := Run(context.Background(), target, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, run.Result) {
-		t.Errorf("NewCoordinator measurement differs from Run:\nlegacy: %v\nrun: %v", legacy, run.Result)
 	}
 }

@@ -100,21 +100,23 @@ func TestLabTargetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunSimulatedStage exercises the single-stage helper.
+// TestRunSimulatedStage exercises a single simulated stage and the
+// simulation handles its Session carries.
 func TestRunSimulatedStage(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCrowd = 30
-	sr, run, err := RunSimulatedStage(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: PresetQTNP(), Site: PresetQTSite(7), Clients: 60, Seed: 5,
-	}, cfg, StageBase)
+	}, cfg, WithStage(StageBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr == nil || len(sr.Epochs) == 0 {
+	sr := run.Result.Stages[0]
+	if len(sr.Epochs) == 0 {
 		t.Fatal("no epochs")
 	}
 	if run.Profile == nil || run.Server == nil || run.Monitor == nil {
-		t.Error("SimRun handles missing")
+		t.Error("Session handles missing")
 	}
 	if run.VirtualElapsed <= 0 {
 		t.Error("no virtual time elapsed")
@@ -126,11 +128,11 @@ func TestRunSimulatedStage(t *testing.T) {
 
 // TestSimTargetRequiresSite checks input validation.
 func TestSimTargetRequiresSite(t *testing.T) {
-	if _, err := RunSimulated(SimTarget{Server: PresetQTNP()}, DefaultConfig()); err == nil {
+	if _, err := Run(context.Background(), SimTarget{Server: PresetQTNP()}, DefaultConfig()); err == nil {
 		t.Error("nil site accepted")
 	}
-	if _, _, err := RunSimulatedStage(SimTarget{}, DefaultConfig(), StageBase); err == nil {
-		t.Error("nil site accepted by stage runner")
+	if _, err := Run(context.Background(), SimTarget{}, DefaultConfig(), WithStage(StageBase)); err == nil {
+		t.Error("nil site accepted by a single-stage run")
 	}
 }
 
@@ -140,15 +142,15 @@ func TestCommandLossShrinksCrowd(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Threshold = time.Hour
 	cfg.MaxCrowd = 40
-	sr, _, err := RunSimulatedStage(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: PresetQTP(), Site: PresetQTSite(7), Clients: 60, Seed: 5,
 		CommandLoss: 0.25,
-	}, cfg, StageBase)
+	}, cfg, WithStage(StageBase))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lost := 0
-	for _, e := range sr.Epochs {
+	for _, e := range run.Result.Stages[0].Epochs {
 		if e.Received < e.Scheduled {
 			lost++
 		}
@@ -167,12 +169,13 @@ func TestMeasurersThroughFacade(t *testing.T) {
 	cfg.MaxCrowd = 30
 	cfg.Measurers = []core.Request{{Method: "HEAD", URL: "/index.html"}}
 	cfg.MeasurerReplicas = 2
-	sr, _, err := RunSimulatedStage(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: srvCfg, Site: site, Clients: 60, LAN: true, Seed: 9,
-	}, cfg, StageLargeObject)
+	}, cfg, WithStage(StageLargeObject))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr := run.Result.Stages[0]
 	withMeasurers := 0
 	for _, e := range sr.Epochs {
 		if len(e.MeasurerMedians) > 0 {
@@ -188,13 +191,13 @@ func TestMeasurersThroughFacade(t *testing.T) {
 func TestAssessOnSimResult(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCrowd = 50
-	res, err := RunSimulated(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: PresetUniv3(), Site: PresetUniv3Site(5), Clients: 65, Seed: 99,
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Assess(res)
+	a := Assess(run.Result)
 	if a.DDoS.String() != "highly-vulnerable" {
 		t.Errorf("univ3 DDoS grade = %v, want highly-vulnerable (weak query path, strong link)", a.DDoS)
 	}
@@ -205,13 +208,13 @@ func TestStaggerViaFacade(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCrowd = 30
 	cfg.Stagger = 200 * time.Millisecond
-	sr, run, err := RunSimulatedStage(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server: PresetUniv1(), Site: PresetUniv1Site(5), Clients: 60, Seed: 3,
-	}, cfg, StageBase)
+	}, cfg, WithStage(StageBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Verdict != VerdictNoStop {
+	if sr := run.Result.Stages[0]; sr.Verdict != VerdictNoStop {
 		t.Errorf("staggered verdict = %v, want NoStop on the weak server", sr.Verdict)
 	}
 	// Staggered arrivals must actually be spread out at the target.

@@ -10,7 +10,6 @@
 package analyze
 
 import (
-	"fmt"
 	"sort"
 
 	"mfc/internal/campaign"
@@ -63,10 +62,10 @@ func (p *CurvePoint) merge(o *CurvePoint) {
 // folds record by record and merges associatively — per-shard partials
 // merged in shard order yield the same floats as one uninterrupted fold.
 type CellAnalysis struct {
-	N        int     // records folded in
-	Verdicts []int64 // indexed like campaign.VerdictNames()
-	Errored  int64   // records with Err set (measurement failures)
-	Stops    stats.IntHist
+	// The report fold's partial — N, Verdicts, Stops and the rest — so the
+	// report is literally a view over the analytics partial.
+	campaign.CellSummary
+	Errored int64 // records with Err set (measurement failures)
 	// BySite records each site's verdict code (campaign.VerdictIndex) so
 	// cross-cell joins — the confusion matrix — survive merging. One byte
 	// per site: O(Jobs) bytes total for a whole campaign, tiny next to a
@@ -85,25 +84,20 @@ func newCellAnalysis(sites int) *CellAnalysis {
 		by[i] = SiteMissing
 	}
 	return &CellAnalysis{
-		Verdicts: make([]int64, len(campaign.VerdictNames())),
-		BySite:   by,
-		Curve:    make(map[int]*CurvePoint),
+		CellSummary: *campaign.NewCellSummary(),
+		BySite:      by,
+		Curve:       make(map[int]*CurvePoint),
 	}
 }
 
 // add folds one record in; site is the record's within-cell site index.
 func (c *CellAnalysis) add(rec *campaign.Record, site int) {
-	c.N++
-	code := campaign.VerdictIndex(rec.Verdict)
-	c.Verdicts[code]++
+	c.CellSummary.Add(rec)
 	if site >= 0 && site < len(c.BySite) {
-		c.BySite[site] = uint8(code)
+		c.BySite[site] = uint8(campaign.VerdictIndex(rec.Verdict))
 	}
 	if rec.Err != "" {
 		c.Errored++
-	}
-	if rec.Verdict == "Stopped" {
-		c.Stops.Add(rec.Stop)
 	}
 	if rec.Result == nil {
 		return
@@ -131,12 +125,8 @@ func (c *CellAnalysis) add(rec *campaign.Record, site int) {
 
 // Merge folds another cell partial (same cell, same plan) in.
 func (c *CellAnalysis) Merge(o *CellAnalysis) {
-	c.N += o.N
-	for i := range c.Verdicts {
-		c.Verdicts[i] += o.Verdicts[i]
-	}
+	c.CellSummary.Merge(&o.CellSummary)
 	c.Errored += o.Errored
-	c.Stops.Merge(&o.Stops)
 	for i, code := range o.BySite {
 		if code != SiteMissing {
 			c.BySite[i] = code
@@ -173,6 +163,8 @@ type Analysis struct {
 	Plan  *campaign.Plan
 	Cells []*CellAnalysis
 	Done  int
+	// Skipped is what the scan behind a Compute passed over.
+	Skipped campaign.Skipped
 }
 
 // NewAnalysis returns an all-empty analysis shaped for plan's cells.
@@ -192,22 +184,16 @@ func (a *Analysis) Merge(o *Analysis) {
 	a.Done += o.Done
 }
 
-// AnalyzeShard folds one shard's records into a fresh analysis. Like
-// campaign.SummarizeShard, records are visited in job order with
-// duplicates dropped, so the fold depends only on WHICH jobs are done.
+// AnalyzeShard folds one shard's records — in job order, repeats dropped
+// (campaign.UniqueByJob) — into a fresh analysis.
 func AnalyzeShard(plan *campaign.Plan, recs []campaign.Record) *Analysis {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Job < recs[j].Job })
+	recs, _ = campaign.UniqueByJob(recs)
 	a := NewAnalysis(plan)
-	lastJob := -1
 	for i := range recs {
-		if recs[i].Job == lastJob {
-			continue
-		}
-		lastJob = recs[i].Job
 		j := recs[i].Job
 		a.Cells[plan.CellOf(j)].add(&recs[i], plan.SiteOf(j))
-		a.Done++
 	}
+	a.Done = len(recs)
 	return a
 }
 
@@ -217,52 +203,19 @@ func AnalyzeShard(plan *campaign.Plan, recs []campaign.Record) *Analysis {
 // function of (plan, union of completed jobs): byte-identical JSON for a
 // single-process store and any distributed split holding the same records.
 func Compute(dirs []string) (*Analysis, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("analyze: no store directories given")
-	}
-	plan, err := campaign.LoadPlan(dirs[0])
+	r, err := campaign.OpenReader(dirs...)
 	if err != nil {
 		return nil, err
 	}
-	stores := make([]*campaign.Store, 0, len(dirs))
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
-	for i, dir := range dirs {
-		if i > 0 {
-			p, err := campaign.LoadPlan(dir)
-			if err != nil {
-				return nil, err
-			}
-			if !plan.Same(p) {
-				return nil, fmt.Errorf("analyze: %s holds plan %q which differs from %s's plan %q; only stores of one plan can merge",
-					dir, p.Name, dirs[0], plan.Name)
-			}
-		}
-		s, err := campaign.OpenStore(dir, plan.ShardJobs)
+	total := NewAnalysis(r.Plan())
+	for k := 0; k < r.Plan().Shards(); k++ {
+		// Full scan: analytics needs the Result payloads.
+		recs, err := r.Shard(k, true)
 		if err != nil {
 			return nil, err
 		}
-		stores = append(stores, s)
+		total.Merge(AnalyzeShard(r.Plan(), recs))
 	}
-
-	total := NewAnalysis(plan)
-	sc := campaign.NewShardScanner()
-	for k := 0; k < plan.Shards(); k++ {
-		// Full scan: analytics needs the Result payloads. The append
-		// copies each record out before the next store's scan recycles
-		// the scanner's slice.
-		var union []campaign.Record
-		for _, s := range stores {
-			recs, err := sc.Scan(s, k, plan.Jobs(), true)
-			if err != nil {
-				return nil, err
-			}
-			union = append(union, recs...)
-		}
-		total.Merge(AnalyzeShard(plan, union))
-	}
+	total.Skipped = r.Skipped()
 	return total, nil
 }

@@ -162,7 +162,7 @@ func (a *Analysis) Doc() *Doc {
 			Stage:    cell.Stage,
 			Scenario: cell.Scenario,
 			N:        c.N,
-			Measured: c.Verdicts[0] + c.Verdicts[1],
+			Measured: c.Measured(),
 			Errored:  c.Errored,
 			Verdicts: make(map[string]int64, len(names)),
 		}

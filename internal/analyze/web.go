@@ -2,24 +2,19 @@ package analyze
 
 import (
 	"net/http"
-	"sync"
 	"time"
+
+	"mfc/internal/campaign"
 )
 
 // Web is the live analytics surface: /analyze.json serves the current
 // Doc, /analyze the self-refreshing HTML view over it. Scans are
-// debounced like the Dash's — a full analytics scan decodes every Result
-// payload, so it is noticeably heavier than the report fold — and the
-// last good snapshot survives racing shard renames. Mount both routes on
-// a campaign.Dash (or any mux) via Handler.
+// debounced like the Dash's (campaign.Snapshot) — a full analytics scan
+// decodes every Result payload, so it is noticeably heavier than the
+// report fold. Mount both routes on a campaign.Dash (or any mux) via
+// Handler.
 type Web struct {
-	dirs     []string
-	debounce time.Duration
-
-	mu       sync.Mutex
-	lastScan time.Time
-	doc      []byte // canonical Doc.JSON bytes
-	scanErr  error
+	doc campaign.Snapshot[[]byte] // canonical Doc.JSON bytes
 }
 
 // NewWeb builds the surface over one or many store dirs of the same
@@ -28,39 +23,23 @@ func NewWeb(dirs []string, debounce time.Duration) *Web {
 	if debounce <= 0 {
 		debounce = 5 * time.Second
 	}
-	return &Web{dirs: dirs, debounce: debounce}
-}
-
-// scan returns the debounced canonical JSON, rescanning at most once per
-// debounce interval.
-func (wb *Web) scan() ([]byte, error) {
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	if wb.doc != nil && time.Since(wb.lastScan) < wb.debounce {
-		return wb.doc, wb.scanErr
-	}
-	a, err := Compute(wb.dirs)
-	wb.lastScan = time.Now()
-	if err == nil {
-		var b []byte
-		if b, err = a.Doc().JSON(); err == nil {
-			wb.doc, wb.scanErr = b, nil
-			return b, nil
+	wb := &Web{}
+	wb.doc.Debounce = debounce
+	wb.doc.Scan = func() ([]byte, error) {
+		a, err := Compute(dirs)
+		if err != nil {
+			return nil, err
 		}
+		return a.Doc().JSON()
 	}
-	// Keep the last good snapshot (a reader can race a shard rename);
-	// report the error only if there never was one.
-	if wb.doc == nil {
-		wb.scanErr = err
-	}
-	return wb.doc, wb.scanErr
+	return wb
 }
 
 // ServeHTTP routes /analyze.json and /analyze.
 func (wb *Web) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/analyze.json":
-		doc, err := wb.scan()
+		doc, err := wb.doc.Get()
 		if doc == nil {
 			http.Error(w, "analyze: "+err.Error(), http.StatusServiceUnavailable)
 			return

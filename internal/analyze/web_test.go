@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -52,14 +53,23 @@ func TestWebKeepsLastGoodSnapshot(t *testing.T) {
 		t.Errorf("scan of empty dir: %d, want 503", rr.Code)
 	}
 
-	store := filepath.Join("testdata", "ministore")
+	plan, err := os.ReadFile(filepath.Join("testdata", "ministore", "plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := t.TempDir()
+	if err := os.WriteFile(filepath.Join(store, "plan.json"), plan, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	wb = NewWeb([]string{store}, time.Nanosecond)
 	good := httptest.NewRecorder()
 	wb.ServeHTTP(good, httptest.NewRequest("GET", "/analyze.json", nil))
 	if good.Code != http.StatusOK {
 		t.Fatalf("first scan: %d", good.Code)
 	}
-	wb.dirs = []string{t.TempDir()} // store "disappears"; debounce long expired
+	if err := os.Remove(filepath.Join(store, "plan.json")); err != nil { // store "disappears"; debounce long expired
+		t.Fatal(err)
+	}
 	rr = httptest.NewRecorder()
 	wb.ServeHTTP(rr, httptest.NewRequest("GET", "/analyze.json", nil))
 	if rr.Code != http.StatusOK || !bytes.Equal(rr.Body.Bytes(), good.Body.Bytes()) {

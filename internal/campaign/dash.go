@@ -27,7 +27,6 @@ import (
 // Scans stream shard by shard through Summarize's mergeable aggregates —
 // memory stays bounded however many sites the campaign holds.
 type Dash struct {
-	dir string
 	reg *obs.Registry
 	tr  *Tracker
 
@@ -39,13 +38,13 @@ type Dash struct {
 	// cannot be wired here directly).
 	extra []mountedHandler
 
-	// debounced store scan
-	scanMu   sync.Mutex
-	debounce time.Duration
-	lastScan time.Time
-	plan     *Plan
-	sum      *Summary
-	scanErr  error
+	store Snapshot[*storeScan] // debounced store scan
+}
+
+// storeScan is one Summarize of the store.
+type storeScan struct {
+	plan *Plan
+	sum  *Summary
 }
 
 // NewDash builds the surface for the campaign in dir. The store-wide
@@ -53,7 +52,15 @@ type Dash struct {
 // on reg as scrape-time functions over the same debounced scan the JSON
 // endpoints read.
 func NewDash(dir string, reg *obs.Registry, tr *Tracker) *Dash {
-	d := &Dash{dir: dir, reg: reg, tr: tr, quit: make(chan struct{}), debounce: time.Second}
+	d := &Dash{reg: reg, tr: tr, quit: make(chan struct{})}
+	d.store.Debounce = time.Second
+	d.store.Scan = func() (*storeScan, error) {
+		plan, sum, err := Summarize(dir)
+		if err != nil {
+			return nil, err
+		}
+		return &storeScan{plan, sum}, nil
+	}
 	reg.GaugeFunc("mfc_campaign_store_jobs_done",
 		"Jobs with a record in the result store, across all workers (debounced scan).",
 		func() float64 {
@@ -74,26 +81,13 @@ func NewDash(dir string, reg *obs.Registry, tr *Tracker) *Dash {
 	return d
 }
 
-// scan returns the debounced store summary, rescanning at most once per
-// debounce interval.
+// scan returns the debounced store summary (nil, nil until a scan succeeds).
 func (d *Dash) scan() (*Plan, *Summary, error) {
-	d.scanMu.Lock()
-	defer d.scanMu.Unlock()
-	if d.plan != nil && time.Since(d.lastScan) < d.debounce {
-		return d.plan, d.sum, d.scanErr
+	sc, err := d.store.Get()
+	if sc == nil {
+		return nil, nil, err
 	}
-	plan, sum, err := Summarize(d.dir)
-	d.lastScan = time.Now()
-	if err != nil {
-		// Keep the last good snapshot (a reader can race a shard rename);
-		// report the error only if there never was one.
-		if d.plan == nil {
-			d.scanErr = err
-		}
-		return d.plan, d.sum, d.scanErr
-	}
-	d.plan, d.sum, d.scanErr = plan, sum, nil
-	return plan, sum, nil
+	return sc.plan, sc.sum, nil
 }
 
 // WaitQuit blocks until a POST /quit arrives or ctx-free callers close it.

@@ -23,7 +23,7 @@ func dashFixture(t *testing.T) (*Dash, *Tracker) {
 	tr := NewTracker(reg)
 	runToCompletion(t, dir, Options{Workers: 2, OnStart: tr.Start, OnEvent: tr.OnEvent})
 	d := NewDash(dir, reg, tr)
-	d.debounce = 0
+	d.store.Debounce = 0
 	return d, tr
 }
 

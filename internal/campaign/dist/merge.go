@@ -2,9 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"sort"
+	"path/filepath"
 
 	"mfc/internal/campaign"
 )
@@ -13,164 +12,68 @@ import (
 // against their own campaign directory (same plan, disjoint or even
 // overlapping job subsets) and the stores are merged afterwards — the
 // "mergeable distributed summaries" pattern. Determinism carries over
-// unchanged: records are pure functions of (plan, job), the fold visits
-// jobs in (shard, job) order with duplicates dropped, so the merged
-// report over any collection of stores whose records union to the full
-// plan is byte-identical to the single-process run's report.
-
-// openStores loads and cross-checks the plans of every dir, returning the
-// shared plan and one read-only store per dir. Plans must be identical in
-// every field: records from different plans are not comparable.
-func openStores(dirs []string) (*campaign.Plan, []*campaign.Store, func(), error) {
-	if len(dirs) == 0 {
-		return nil, nil, nil, fmt.Errorf("dist: no store directories given")
-	}
-	plan, err := campaign.LoadPlan(dirs[0])
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stores := make([]*campaign.Store, 0, len(dirs))
-	closeAll := func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}
-	for i, dir := range dirs {
-		if i > 0 {
-			p, err := campaign.LoadPlan(dir)
-			if err != nil {
-				closeAll()
-				return nil, nil, nil, err
-			}
-			if !plan.Same(p) {
-				closeAll()
-				return nil, nil, nil, fmt.Errorf("dist: %s holds plan %q which differs from %s's plan %q; only stores of one plan can merge",
-					dir, p.Name, dirs[0], plan.Name)
-			}
-		}
-		s, err := campaign.OpenStore(dir, plan.ShardJobs)
-		if err != nil {
-			closeAll()
-			return nil, nil, nil, err
-		}
-		stores = append(stores, s)
-	}
-	return plan, stores, closeAll, nil
-}
-
-// shardUnion reads shard k from every store and returns the records
-// sorted by job with duplicates dropped (the same job measured by two
-// workers yields identical records, so which copy survives is
-// irrelevant). Memory stays O(len(dirs) · ShardJobs). The scanner's
-// scratch is reused across stores — appending into all copies each
-// record out before the next store's scan recycles the slice.
-func shardUnion(plan *campaign.Plan, stores []*campaign.Store, sc *campaign.ShardScanner, k int, full bool) ([]campaign.Record, error) {
-	var all []campaign.Record
-	for _, s := range stores {
-		recs, err := sc.Scan(s, k, plan.Jobs(), full)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, recs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Job < all[j].Job })
-	out := all[:0]
-	lastJob := -1
-	for i := range all {
-		if all[i].Job == lastJob {
-			continue
-		}
-		lastJob = all[i].Job
-		out = append(out, all[i])
-	}
-	return out, nil
-}
-
-// Summarize folds every store's records into one campaign summary,
-// streaming shard by shard. A single dir is exactly campaign.Summarize.
-func Summarize(dirs []string) (*campaign.Plan, *campaign.Summary, error) {
-	plan, stores, closeAll, err := openStores(dirs)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer closeAll()
-
-	total := campaign.NewSummary(plan)
-	sc := campaign.NewShardScanner()
-	for k := 0; k < plan.Shards(); k++ {
-		// Compact: the report fold never reads Result payloads.
-		recs, err := shardUnion(plan, stores, sc, k, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		total.Merge(campaign.SummarizeShard(plan, recs))
-	}
-	return plan, total, nil
-}
-
-// Report renders the merged aggregate report over one or many store dirs.
-// The bytes are a pure function of (plan, union of completed jobs) — for
-// stores that together cover the whole plan, byte-identical to the
-// single-process run's report.
-func Report(dirs []string, w io.Writer) error {
-	plan, sum, err := Summarize(dirs)
-	if err != nil {
-		return err
-	}
-	return campaign.RenderReport(w, plan, sum)
-}
+// unchanged: records are pure functions of (plan, job) and every reader
+// folds campaign.Reader's (shard, job)-ordered, deduplicated stream, so
+// the report over any collection of stores whose records union to the
+// full plan (campaign.Summarize over all of them) is byte-identical to
+// the single-process run's report.
 
 // Merge consolidates one or many store dirs into a fresh campaign
 // directory at out: the shared plan, every unique record rewritten in
-// (shard, job) order, and a checkpoint manifest that matches the store.
+// (shard, job) order, and a manifest that matches the store.
 // The output is itself a valid campaign dir — reportable, resumable, and
 // deterministic: any collection of stores holding the same record union
 // merges to byte-identical shard files. out must not already contain
 // records (merging into a live store would duplicate lines pointlessly).
 func Merge(dirs []string, out string) error {
-	plan, stores, closeAll, err := openStores(dirs)
+	r, err := campaign.OpenReader(dirs...)
 	if err != nil {
 		return err
 	}
-	defer closeAll()
+	_, err = MergeReader(r, out)
+	return err
+}
 
+// MergeReader is Merge over an opened reader, for callers that want what
+// it counted: it returns the number of records written, and r.Skipped
+// afterwards tells what the sources held besides.
+func MergeReader(r *campaign.Reader, out string) (done int, err error) {
+	plan := r.Plan()
 	if ents, err := os.ReadDir(out); err == nil && len(ents) > 0 {
 		// An existing plan.json is fine only if it is the same plan and
 		// the shards directory is empty.
 		if p, err := campaign.LoadPlan(out); err != nil || !plan.Same(p) {
-			return fmt.Errorf("dist: merge target %s is not empty", out)
+			return 0, fmt.Errorf("dist: merge target %s is not empty", out)
 		}
-		if shards, err := os.ReadDir(out + "/shards"); err == nil && len(shards) > 0 {
-			return fmt.Errorf("dist: merge target %s already holds records", out)
+		if shards, err := os.ReadDir(filepath.Join(out, "shards")); err == nil && len(shards) > 0 {
+			return 0, fmt.Errorf("dist: merge target %s already holds records", out)
 		}
 	}
 	if err := plan.Save(out); err != nil {
-		return err
+		return 0, err
 	}
 	dst, err := campaign.OpenStore(out, plan.ShardJobs)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer dst.Close()
 
 	counts := make([]int, plan.Shards())
-	done := 0
-	sc := campaign.NewShardScanner()
-	for k := 0; k < plan.Shards(); k++ {
+	for k := range counts {
 		// Full: merged shards are rewritten with their Result payloads.
-		recs, err := shardUnion(plan, stores, sc, k, true)
+		recs, err := r.Shard(k, true)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		for i := range recs {
 			if err := dst.Append(&recs[i]); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		counts[k] = len(recs)
 		done += len(recs)
 	}
-	return campaign.WriteManifest(out, &campaign.Manifest{
+	return done, campaign.WriteManifest(out, &campaign.Manifest{
 		Plan: plan.Name, Total: plan.Jobs(), Done: done, PerShard: counts,
 	})
 }

@@ -55,8 +55,12 @@ func singleProcessReport(t *testing.T, mkPlan func(*testing.T, string) *campaign
 
 func reportOf(t *testing.T, dirs ...string) string {
 	t.Helper()
+	plan, sum, err := campaign.Summarize(dirs...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := Report(dirs, &buf); err != nil {
+	if err := campaign.RenderReport(&buf, plan, sum); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -268,7 +272,8 @@ func shardBytes(t *testing.T, dir string) int64 {
 
 // Cross-store merge determinism: two stores of the same plan — one
 // partial, one complete, overlapping — must merge (both virtually via
-// Report and physically via Merge) to the single-process run's bytes.
+// campaign.Summarize and physically via Merge) to the single-process
+// run's bytes.
 func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 	want := singleProcessReport(t, distPlan)
 
@@ -294,13 +299,13 @@ func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 		t.Fatalf("store B should be complete: %+v", stB)
 	}
 
-	// Single-dir dist report == campaign report (same fold).
+	// The single-dir Report is the same fold as the variadic Summarize.
 	var buf bytes.Buffer
 	if err := campaign.Report(dirB, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := reportOf(t, dirB); got != buf.String() {
-		t.Errorf("dist single-dir report differs from campaign report:\n--- campaign\n%s\n--- dist\n%s", buf.String(), got)
+		t.Errorf("Summarize(dir) report differs from Report(dir):\n--- Report\n%s\n--- Summarize\n%s", buf.String(), got)
 	}
 
 	// Merged report over overlapping stores == uninterrupted bytes, in
@@ -350,7 +355,7 @@ func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 	if err := planC.Save(dirC); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Summarize([]string{dirA, dirC}); err == nil {
+	if _, _, err := campaign.Summarize(dirA, dirC); err == nil {
 		t.Error("merging stores of different plans was allowed")
 	}
 }

@@ -51,7 +51,7 @@ func FuzzShardTail(f *testing.F) {
 
 		// Simulate the kill: raw bytes land after the last record with no
 		// terminating newline.
-		fh, err := os.OpenFile(st.shardPath(0), os.O_WRONLY|os.O_APPEND, 0o644)
+		fh, err := os.OpenFile(shardPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}

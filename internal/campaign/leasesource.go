@@ -61,8 +61,7 @@ type LeaseSource struct {
 	owner string
 	ttl   time.Duration
 
-	scan *ShardScanner // compact: pending scans never decode Result payloads
-	seen []bool        // scratch, one slot per job of a shard
+	reader *Reader // compact: pending scans never decode Result payloads
 
 	start            int   // first shard of every pass
 	next             int   // shards visited so far in this pass
@@ -97,8 +96,7 @@ func OpenLeaseSource(dir, owner string, ttl time.Duration) (*LeaseSource, error)
 		// live that a resident megabyte shortens every GC cycle (+60%
 		// collections on the run-clean benchmark). Longer lines grow a
 		// per-scan buffer instead.
-		scan:   &ShardScanner{buf: make([]byte, 0, 64<<10)},
-		seen:   make([]bool, plan.ShardJobs),
+		reader: &Reader{plan: plan, dirs: []string{dir}, sc: &ShardScanner{buf: make([]byte, 0, 64<<10)}},
 		counts: make([]int, plan.Shards()),
 		start:  int(h.Sum32() % uint32(plan.Shards())),
 	}, nil
@@ -110,27 +108,20 @@ func (s *LeaseSource) Close() error { return s.store.Close() }
 // pendingJobs scans shard k and returns, in job order, the jobs without a
 // stored record (nil when the shard is full).
 func (s *LeaseSource) pendingJobs(k int) ([]int, error) {
-	lo := k * s.plan.ShardJobs
-	hi := min(lo+s.plan.ShardJobs, s.plan.Jobs())
-	recs, err := s.scan.Scan(s.store, k, s.plan.Jobs(), false)
+	recs, err := s.reader.Shard(k, false)
 	if err != nil {
 		return nil, err
 	}
-	seen := s.seen[:hi-lo]
-	clear(seen)
-	s.counts[k] = 0
-	for i := range recs {
-		if !seen[recs[i].Job-lo] {
-			seen[recs[i].Job-lo] = true
-			s.counts[k]++
-		}
-	}
-	if s.counts[k] == hi-lo {
+	s.counts[k] = len(recs)
+	lo, hi := s.plan.ShardRange(k)
+	if len(recs) == hi-lo {
 		return nil, nil
 	}
-	pending := make([]int, 0, hi-lo-s.counts[k])
+	pending := make([]int, 0, hi-lo-len(recs))
 	for j := lo; j < hi; j++ {
-		if !seen[j-lo] {
+		if len(recs) > 0 && recs[0].Job == j {
+			recs = recs[1:]
+		} else {
 			pending = append(pending, j)
 		}
 	}
@@ -194,18 +185,11 @@ func (s *LeaseSource) Claim(ctx context.Context) (*Claim, error) {
 
 // Survey scans every shard once (compact) for the resume accounting.
 func (s *LeaseSource) Survey(context.Context) (StartInfo, error) {
-	info := StartInfo{Total: s.plan.Jobs(), PendingByBand: make(map[string]int)}
-	for k := range s.counts {
-		jobs, err := s.pendingJobs(k)
-		if err != nil {
-			return StartInfo{}, err
-		}
-		info.AlreadyDone += s.counts[k]
-		for _, j := range jobs {
-			info.PendingByBand[s.plan.Cells[s.plan.CellOf(j)].Band]++
-		}
+	done, err := s.reader.Done()
+	if err != nil {
+		return StartInfo{}, err
 	}
-	return info, nil
+	return s.plan.StartInfo(done), nil
 }
 
 // leaseHold is a held shard lease plus the store its records append to.

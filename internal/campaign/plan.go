@@ -164,6 +164,12 @@ func (p *Plan) SiteOf(j int) int { return j % p.Sites }
 // ShardOf returns the result shard job j is stored in.
 func (p *Plan) ShardOf(j int) int { return j / p.ShardJobs }
 
+// ShardRange returns shard k's half-open job range [lo, hi).
+func (p *Plan) ShardRange(k int) (lo, hi int) {
+	lo = k * p.ShardJobs
+	return lo, min(lo+p.ShardJobs, p.Jobs())
+}
+
 // Threshold returns θ as a duration.
 func (p *Plan) Threshold() time.Duration { return time.Duration(p.ThresholdNs) }
 

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mfc/internal/stats"
@@ -59,12 +58,13 @@ type CellSummary struct {
 	SimTime  stats.Running `json:"sim_time_s"`
 }
 
-func newCellSummary() *CellSummary {
+// NewCellSummary returns an empty cell partial.
+func NewCellSummary() *CellSummary {
 	return &CellSummary{Verdicts: make([]int64, len(verdictNames)), Buckets: make([]int64, len(bucketLabels))}
 }
 
-// add folds one record in.
-func (c *CellSummary) add(rec *Record) {
+// Add folds one record in.
+func (c *CellSummary) Add(rec *Record) {
 	c.N++
 	c.Verdicts[VerdictIndex(rec.Verdict)]++
 	switch rec.Verdict {
@@ -110,13 +110,15 @@ func (c *CellSummary) StoppedFraction() float64 {
 type Summary struct {
 	Cells []*CellSummary
 	Done  int
+	// Skipped is what the scan behind a Summarize passed over.
+	Skipped Skipped
 }
 
 // NewSummary returns an all-empty summary shaped for plan's cells.
 func NewSummary(plan *Plan) *Summary {
 	s := &Summary{Cells: make([]*CellSummary, len(plan.Cells))}
 	for i := range s.Cells {
-		s.Cells[i] = newCellSummary()
+		s.Cells[i] = NewCellSummary()
 	}
 	return s
 }
@@ -129,51 +131,39 @@ func (s *Summary) Merge(o *Summary) {
 	s.Done += o.Done
 }
 
-// SummarizeShard folds one shard's records into a fresh summary. Records
-// are visited in job order with duplicates dropped (a job's record is
-// unique by construction, and deterministic even if written twice), so the
-// fold's result depends only on WHICH jobs are done — never on completion
-// order or interruption history.
+// SummarizeShard folds one shard's records — in job order, repeats
+// dropped (UniqueByJob) — into a fresh summary.
 func SummarizeShard(plan *Plan, recs []Record) *Summary {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Job < recs[j].Job })
+	recs, _ = UniqueByJob(recs)
 	s := NewSummary(plan)
-	lastJob := -1
 	for i := range recs {
-		if recs[i].Job == lastJob {
-			continue
-		}
-		lastJob = recs[i].Job
-		s.Cells[plan.CellOf(recs[i].Job)].add(&recs[i])
-		s.Done++
+		s.Cells[plan.CellOf(recs[i].Job)].Add(&recs[i])
 	}
+	s.Done = len(recs)
 	return s
 }
 
-// Summarize streams the whole store shard by shard — memory stays
-// O(ShardJobs) — merging per-shard summaries in shard order.
-func Summarize(dir string) (*Plan, *Summary, error) {
-	plan, err := LoadPlan(dir)
+// Summarize streams one or many stores of the same plan shard by shard —
+// memory stays O(len(dirs) · ShardJobs) — merging per-shard summaries in
+// shard order. The result is a pure function of (plan, union of completed
+// jobs), whichever stores hold them.
+func Summarize(dirs ...string) (*Plan, *Summary, error) {
+	r, err := OpenReader(dirs...)
 	if err != nil {
 		return nil, nil, err
 	}
-	store, err := OpenStore(dir, plan.ShardJobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer store.Close()
-
-	total := NewSummary(plan)
-	sc := NewShardScanner()
-	for k := 0; k < plan.Shards(); k++ {
+	total := NewSummary(r.Plan())
+	for k := 0; k < r.Plan().Shards(); k++ {
 		// Compact scan: the report fold never looks inside Result, so the
 		// payload — most of each line — is skipped, not decoded.
-		recs, err := sc.Scan(store, k, plan.Jobs(), false)
+		recs, err := r.Shard(k, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		total.Merge(SummarizeShard(plan, recs))
+		total.Merge(SummarizeShard(r.Plan(), recs))
 	}
-	return plan, total, nil
+	total.Skipped = r.Skipped()
+	return r.Plan(), total, nil
 }
 
 // Report renders the campaign's aggregate report to w. The bytes are a

@@ -200,10 +200,11 @@ type Server struct {
 // the last one stopped (grants die with the process; the scan, as always,
 // is the authority).
 func New(dir string, opts Options) (*Server, error) {
-	plan, err := campaign.LoadPlan(dir)
+	r, err := campaign.OpenReader(dir)
 	if err != nil {
 		return nil, err
 	}
+	plan := r.Plan()
 	if opts.Owner == "" {
 		opts.Owner = lease.DefaultOwner()
 	}
@@ -238,25 +239,16 @@ func New(dir string, opts Options) (*Server, error) {
 	}
 	s.store = store
 
-	completed, err := store.Completed(plan.Jobs())
-	if err != nil {
+	if s.done, err = r.Done(); err != nil {
 		store.Close()
 		return nil, err
 	}
-	s.done = make([]bool, plan.Jobs())
-	byBand := make(map[string]int)
-	for j := 0; j < plan.Jobs(); j++ {
-		if completed[j] {
-			s.done[j] = true
-			s.doneCount++
-		} else {
-			byBand[plan.Cells[plan.CellOf(j)].Band]++
-		}
-	}
+	start := plan.StartInfo(s.done)
+	s.doneCount = start.AlreadyDone
 
 	s.reg = obs.NewRegistry()
 	s.tr = campaign.NewTracker(s.reg)
-	s.tr.Start(campaign.StartInfo{Total: plan.Jobs(), AlreadyDone: s.doneCount, PendingByBand: byBand})
+	s.tr.Start(start)
 	s.dash = campaign.NewDash(dir, s.reg, s.tr)
 	analyze.NewWeb([]string{dir}, 0).MountOn(s.dash)
 	s.grantsTotal = s.reg.Counter("mfc_serve_grants_total",
@@ -373,16 +365,6 @@ func (s *Server) touchOwnerLocked(owner string) {
 	s.lastSeen[owner] = s.now()
 }
 
-// shardRange returns shard k's half-open job range [lo, hi).
-func (s *Server) shardRange(k int) (lo, hi int) {
-	lo = k * s.plan.ShardJobs
-	hi = lo + s.plan.ShardJobs
-	if hi > s.plan.Jobs() {
-		hi = s.plan.Jobs()
-	}
-	return lo, hi
-}
-
 // grantFor issues (or re-issues) a grant for the worker named owner.
 func (s *Server) grantFor(owner string) (GrantDoc, error) {
 	s.mu.Lock()
@@ -407,7 +389,7 @@ func (s *Server) grantFor(owner string) (GrantDoc, error) {
 		if _, taken := s.grants[k]; taken {
 			continue
 		}
-		lo, hi := s.shardRange(k)
+		lo, hi := s.plan.ShardRange(k)
 		var jobs []int
 		for j := lo; j < hi; j++ {
 			if !s.done[j] {
@@ -488,7 +470,7 @@ func (s *Server) ingest(req IngestRequest) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := s.shardRange(req.Shard)
+	lo, hi := s.plan.ShardRange(req.Shard)
 	for i := range req.Records {
 		rec := &req.Records[i]
 		if rec.Job < lo || rec.Job >= hi {

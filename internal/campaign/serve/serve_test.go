@@ -134,7 +134,7 @@ func TestGrantFenceLifecycle(t *testing.T) {
 		t.Fatalf("replayed upload: %v", err)
 	}
 	// A record outside the granted shard is a caller bug, not a fence.
-	lo, hi := srv.shardRange(g3.Shard)
+	lo, hi := srv.plan.ShardRange(g3.Shard)
 	var outside int
 	for j := 0; j < plan.Jobs(); j++ {
 		if j < lo || j >= hi {

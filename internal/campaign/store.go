@@ -38,13 +38,17 @@ type Record struct {
 //
 //	dir/plan.json             immutable campaign identity
 //	dir/shards/shard-NNNN.jsonl  one Record per line, jobs [N·ShardJobs, (N+1)·ShardJobs)
-//	dir/manifest.json         per-shard record counts of a finished campaign
-//	                          (progress for dashboards, never authority)
+//	dir/manifest.json         per-shard record counts, written when a
+//	                          campaign completes, a merge ends or a control
+//	                          plane checkpoints. Write-only progress
+//	                          metadata for people and outside tools: no
+//	                          code path reads it back, the shard scan is
+//	                          the only authority.
 //
-// Records land in completion order within their shard; the reader restores
-// job order per shard, which is all the report needs for determinism.
-// Lines that fail to parse (a torn write from a kill) are skipped — the
-// job simply counts as not done and reruns on resume.
+// Records land in completion order within their shard; the Reader restores
+// job order per shard and drops duplicates, which is all any fold needs
+// for determinism. Lines that fail to parse (a torn write from a kill) are
+// skipped — the job simply counts as not done and reruns on resume.
 type Store struct {
 	dir       string
 	shardJobs int
@@ -57,10 +61,11 @@ type Store struct {
 	hbDone chan struct{}
 }
 
-// OpenStore opens (creating if needed) the result store under dir. This
-// opener takes no lock: it is for readers (report, merge) and for writers
-// whose shard ownership is coordinated externally — every worker holds a
-// lease per shard instead of locking the whole store.
+// OpenStore opens (creating if needed) the result store under dir for
+// appending. This opener takes no lock: it is for writers whose shard
+// ownership is coordinated externally — every worker holds a lease per
+// shard instead of locking the whole store. Readers use OpenReader, which
+// creates nothing.
 func OpenStore(dir string, shardJobs int) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "shards"), 0o755); err != nil {
 		return nil, err
@@ -133,9 +138,9 @@ func OpenStoreLocked(dir string, shardJobs int, owner string, ttl time.Duration,
 	return s, nil
 }
 
-// shardPath returns shard k's file path.
-func (s *Store) shardPath(k int) string {
-	return filepath.Join(s.dir, "shards", fmt.Sprintf("shard-%04d.jsonl", k))
+// shardPath returns the path of shard k's file under campaign dir.
+func shardPath(dir string, k int) string {
+	return filepath.Join(dir, "shards", fmt.Sprintf("shard-%04d.jsonl", k))
 }
 
 // Append streams one completed job's record to its shard file. Safe for
@@ -169,7 +174,7 @@ func (s *Store) Append(rec *Record) error {
 // record onto the garbage, losing both. Sealing the tear with a newline
 // turns it into one skippable bad line.
 func (s *Store) openShardAppender(k int) (*os.File, error) {
-	f, err := os.OpenFile(s.shardPath(k), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(shardPath(s.dir, k), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -225,6 +230,10 @@ func (s *Store) Close() error {
 //
 // Not safe for concurrent use; give each goroutine its own scanner.
 type ShardScanner struct {
+	// Skipped accumulates, over every scan, the lines that were passed
+	// over; the Reader adds the duplicates it drops.
+	Skipped Skipped
+
 	buf  []byte   // bufio.Scanner backing buffer, grown once
 	recs []Record // returned slice, reused across Scan calls
 }
@@ -241,20 +250,11 @@ type resultSkip struct{}
 
 func (*resultSkip) UnmarshalJSON([]byte) error { return nil }
 
-// compactRecord mirrors Record with the Result payload skipped.
+// compactRecord decodes a Record with the Result payload skipped: its own
+// "result" field, being shallower, takes the key from the embedded one.
 type compactRecord struct {
-	Job          int        `json:"job"`
-	Site         string     `json:"site"`
-	Band         string     `json:"band"`
-	Stage        string     `json:"stage"`
-	Scenario     string     `json:"scenario"`
-	Verdict      string     `json:"verdict"`
-	Stop         int        `json:"stop"`
-	FirstExceed  int        `json:"first_exceed"`
-	Requests     int        `json:"requests"`
-	SimElapsedNs int64      `json:"sim_elapsed_ns"`
-	Err          string     `json:"err"`
-	Result       resultSkip `json:"result"`
+	Record
+	Result resultSkip `json:"result"`
 }
 
 // Scan decodes shard k's records in file order (completion order),
@@ -264,63 +264,66 @@ type compactRecord struct {
 // valid only until the next Scan call (the Result pointers inside it stay
 // valid — only the slice itself is recycled).
 func (sc *ShardScanner) Scan(s *Store, k, totalJobs int, full bool) ([]Record, error) {
-	f, err := os.Open(s.shardPath(k))
+	sc.recs = sc.recs[:0]
+	err := sc.scan(shardPath(s.dir, k), s.shardJobs, k, totalJobs, full)
+	return sc.recs, err
+}
+
+// scan appends the records of one shard file to sc.recs; a missing file
+// holds none.
+func (sc *ShardScanner) scan(path string, shardJobs, k, totalJobs int, full bool) error {
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, err
+		return err
 	}
 	defer f.Close()
 
-	sc.recs = sc.recs[:0]
 	br := bufio.NewScanner(f)
 	br.Buffer(sc.buf, 16<<20) // full Results can be long lines
 	var compact compactRecord
 	for br.Scan() {
 		var rec Record
 		if full {
-			if err := json.Unmarshal(br.Bytes(), &rec); err != nil {
-				continue // torn write: the job reruns
-			}
+			err = json.Unmarshal(br.Bytes(), &rec)
 		} else {
 			compact = compactRecord{}
-			if err := json.Unmarshal(br.Bytes(), &compact); err != nil {
-				continue // torn write: the job reruns
-			}
-			rec = Record{
-				Job: compact.Job, Site: compact.Site, Band: compact.Band,
-				Stage: compact.Stage, Scenario: compact.Scenario,
-				Verdict: compact.Verdict, Stop: compact.Stop,
-				FirstExceed: compact.FirstExceed, Requests: compact.Requests,
-				SimElapsedNs: compact.SimElapsedNs, Err: compact.Err,
-			}
+			err = json.Unmarshal(br.Bytes(), &compact)
+			rec = compact.Record
 		}
-		if rec.Job < 0 || rec.Job >= totalJobs || rec.Job/s.shardJobs != k {
-			continue // foreign or corrupt index: ignore
+		switch {
+		case err != nil:
+			sc.Skipped.Torn++ // torn write: the job reruns
+		case rec.Job < 0 || rec.Job >= totalJobs || rec.Job/shardJobs != k:
+			sc.Skipped.Foreign++ // foreign or corrupt index: ignore
+		default:
+			sc.recs = append(sc.recs, rec)
 		}
-		sc.recs = append(sc.recs, rec)
 	}
-	return sc.recs, br.Err()
+	return br.Err()
 }
 
 // Completed scans every shard and reports which jobs already hold a valid
-// record. This scan — not the manifest — is the authority resume trusts.
-// It runs compact: the Result payloads are skipped, not decoded.
+// record. The scan needs only the store's shape, so a one-cell plan of
+// that shape stands in for plan.json.
 func (s *Store) Completed(totalJobs int) (map[int]bool, error) {
-	done := make(map[int]bool)
-	sc := NewShardScanner()
-	shards := (totalJobs + s.shardJobs - 1) / s.shardJobs
-	for k := 0; k < shards; k++ {
-		recs, err := sc.Scan(s, k, totalJobs, false)
-		if err != nil {
-			return nil, err
-		}
-		for i := range recs {
-			done[recs[i].Job] = true
+	r := &Reader{
+		plan: &Plan{Cells: make([]Cell, 1), Sites: totalJobs, ShardJobs: s.shardJobs},
+		dirs: []string{s.dir}, sc: NewShardScanner(),
+	}
+	done, err := r.Done()
+	if err != nil {
+		return nil, err
+	}
+	set := make(map[int]bool)
+	for j, d := range done {
+		if d {
+			set[j] = true
 		}
 	}
-	return done, nil
+	return set, nil
 }
 
 // Manifest is a cheap, atomically-replaced progress snapshot for

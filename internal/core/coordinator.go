@@ -51,14 +51,6 @@ func New(p Platform, cfg Config, opts ...Option) *Coordinator {
 	return c
 }
 
-// NewCoordinator builds a coordinator that renders its event stream as the
-// legacy log lines. logf may be nil for silence.
-//
-// Deprecated: use New with WithObserver for the typed event stream.
-func NewCoordinator(p Platform, cfg Config, logf func(string, ...any)) *Coordinator {
-	return New(p, cfg, WithObserver(LogObserver(logf)))
-}
-
 // Config returns the effective (defaulted) configuration.
 func (c *Coordinator) Config() Config { return c.cfg }
 

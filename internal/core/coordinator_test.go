@@ -123,7 +123,7 @@ func TestStageStopsAtThresholdCrossing(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStageStopsAtThresholdCrossing(t *testing.T) {
 
 func TestStageNoStopWhenFlat(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 2 * time.Millisecond })
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestMinSignificantSuppressesEarlyStops(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return 500 * time.Millisecond
 	})
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCheckPhaseRejectsTransient(t *testing.T) {
 		}
 		return time.Millisecond
 	})
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCheckPhaseDisabledAcceptsTransient(t *testing.T) {
 	})
 	cfg := testCfg()
 	cfg.CheckPhase = false
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTooFewClientsAborts(t *testing.T) {
 	plat := newFakePlatform(10, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
 	cfg.MinClients = 50
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err == nil {
 		t.Fatal("Register accepted 10 clients with MinClients=50")
 	}
@@ -246,7 +246,7 @@ func TestTooFewClientsAborts(t *testing.T) {
 
 func TestStageUnavailableWithoutContent(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 0 })
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestStageUnavailableWithoutContent(t *testing.T) {
 func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 
 func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 
 func TestBaseStageUsesHEAD(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestMultiRequestSchedulesMRequestsPerClient(t *testing.T) {
 	cfg := testCfg()
 	cfg.MultiRequest = 3
 	cfg.MaxCrowd = 10
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestStoppingCrowdBracketsCrossingProperty(t *testing.T) {
 		})
 		cfg := testCfg()
 		cfg.MaxCrowd = 70
-		coord := NewCoordinator(plat, cfg, nil)
+		coord := New(plat, cfg)
 		if err := coord.Register(); err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestStaggerUniformSpacesArrivals(t *testing.T) {
 	cfg := testCfg()
 	cfg.Stagger = 50 * time.Millisecond
 	cfg.MaxCrowd = 10
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestMeasurerReservationPreservesMinClients(t *testing.T) {
 	cfg.MaxCrowd = 20
 	cfg.Measurers = []Request{{Method: "HEAD", URL: "/index.html"}}
 	cfg.MeasurerReplicas = 10 // would eat past the minimum if unchecked
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestMeasurerMediansRecorded(t *testing.T) {
 	cfg.MaxCrowd = 15
 	cfg.Measurers = []Request{{Method: "GET", URL: "/q?a"}}
 	cfg.MeasurerReplicas = 3
-	coord := NewCoordinator(plat, cfg, nil)
+	coord := New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestResultStringMentionsVerdicts(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 10 * time.Millisecond
 	})
-	coord := NewCoordinator(plat, testCfg(), nil)
+	coord := New(plat, testCfg())
 	res, err := coord.RunExperiment(context.Background(), "fake-host", testProfile())
 	if err != nil {
 		t.Fatal(err)

@@ -178,11 +178,9 @@ func verdictLine(r *Result) string {
 }
 
 // LogObserver adapts RenderEvent to a logf sink: every event with a line
-// is printed. It remains the observer behind the deprecated
-// NewCoordinator(p, cfg, logf) constructor. Two informational lines of the
-// pre-event API ("registered N active clients" and "check phase failed at
-// crowd N; progressing") have no corresponding event and are no longer
-// printed.
+// is printed. Two informational lines of the pre-event API ("registered N
+// active clients" and "check phase failed at crowd N; progressing") have
+// no corresponding event and are not printed.
 func LogObserver(logf func(string, ...any)) Observer {
 	if logf == nil {
 		return nil

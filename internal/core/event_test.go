@@ -251,7 +251,7 @@ func TestLogObserverRendersLegacyLines(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
-	coord := NewCoordinator(plat, testCfg(), logf)
+	coord := New(plat, testCfg(), WithObserver(LogObserver(logf)))
 	if _, err := coord.RunExperiment(context.Background(), "fake", testProfile()); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func simStage(t *testing.T, mutate func(*SimPlatform, []SimClientSpec), cfg Conf
 	var sr *StageResult
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
-		coord := NewCoordinator(plat, cfg, nil)
+		coord := New(plat, cfg)
 		if err := coord.Register(); err != nil {
 			panic(err)
 		}
@@ -148,7 +148,7 @@ func TestSimBaselineFailureDropsClient(t *testing.T) {
 	var nClients int
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
-		coord := NewCoordinator(plat, cfg, nil)
+		coord := New(plat, cfg)
 		if err := coord.Register(); err != nil {
 			panic(err)
 		}

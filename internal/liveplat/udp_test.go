@@ -126,7 +126,7 @@ func TestUDPCoordinatorRunsStage(t *testing.T) {
 	cfg.ScheduleGuard = 200 * time.Millisecond
 	cfg.Threshold = time.Hour // no stop: we only exercise the machinery
 
-	coord := core.NewCoordinator(plat, cfg, nil)
+	coord := core.New(plat, cfg)
 	if err := coord.Register(); err != nil {
 		t.Fatal(err)
 	}

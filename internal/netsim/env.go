@@ -87,10 +87,9 @@
 //     EnableSampling records one RateSample per instant rather than one
 //     per flow change. The reference "immediate" kernel — reallocate on
 //     every change — remains selectable per environment
-//     (SetImmediateReallocate) or process-wide via the
-//     MFC_NETSIM_IMMEDIATE environment variable, and the differential
-//     tests verify end-to-end result equality across seeds, presets, and
-//     population bands.
+//     (SetImmediateReallocate), and the differential tests verify
+//     end-to-end result equality across seeds, presets, and population
+//     bands.
 //
 //   - Pooled processes. A dead goroutine Proc, its wake channel, and its
 //     goroutine are parked on a free list and resurrected by the next Go
@@ -103,7 +102,6 @@ package netsim
 
 import (
 	"math/rand"
-	"os"
 	"time"
 )
 
@@ -135,13 +133,10 @@ type Env struct {
 }
 
 // NewEnv returns an environment whose random source is seeded with seed.
-// Setting MFC_NETSIM_IMMEDIATE in the process environment selects the
-// reference immediate-reallocate kernel for every new environment.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield:     make(chan struct{}, 1),
-		rng:       rand.New(rand.NewSource(seed)),
-		immediate: os.Getenv("MFC_NETSIM_IMMEDIATE") != "",
+		yield: make(chan struct{}, 1),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 

@@ -111,16 +111,6 @@ var Stages = core.Stages
 // DefaultConfig returns the paper's standard parameters.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewCoordinator builds a coordinator over a custom platform, rendering
-// its event stream as legacy log lines.
-//
-// Deprecated: use Run with a Target, or core's New with WithObserver for
-// custom platforms; NewCoordinator is a thin shim kept for migration
-// (proven equivalent by facade_test.go).
-func NewCoordinator(p Platform, cfg Config, logf func(string, ...any)) *Coordinator {
-	return core.NewCoordinator(p, cfg, logf)
-}
-
 // Assess converts raw stage results into sub-system findings, including the
 // DDoS-vulnerability reading.
 func Assess(r *Result) *Assessment { return core.Assess(r) }

@@ -22,7 +22,7 @@ import (
 // clean run bit for bit when the scenario is zero-intensity.
 func fingerprintScenario(t *testing.T, target SimTarget, cfg Config) runFingerprint {
 	t.Helper()
-	run, err := RunSimulatedDetailed(target, cfg)
+	run, err := Run(context.Background(), target, cfg)
 	if err != nil {
 		t.Fatalf("experiment failed: %v", err)
 	}
@@ -93,12 +93,12 @@ func TestZeroIntensityScenarioByteIdentical(t *testing.T) {
 // runVerdicts runs a full experiment and indexes verdicts by stage.
 func runVerdicts(t *testing.T, target SimTarget, cfg Config) map[Stage]*StageResult {
 	t.Helper()
-	res, err := RunSimulated(target, cfg)
+	run, err := Run(context.Background(), target, cfg)
 	if err != nil {
 		t.Fatalf("experiment failed: %v", err)
 	}
-	out := make(map[Stage]*StageResult, len(res.Stages))
-	for _, sr := range res.Stages {
+	out := make(map[Stage]*StageResult, len(run.Result.Stages))
+	for _, sr := range run.Result.Stages {
 		out[sr.Stage] = sr
 	}
 	return out
@@ -217,7 +217,7 @@ func TestRejectLimiterIsDetected(t *testing.T) {
 	base := SimTarget{Server: PresetQTP(), Site: PresetQTSite(7), Clients: 65, Seed: 1}
 	waf := base
 	waf.Scenario = &Scenario{Name: "waf", RateLimit: &ScenarioRateLimit{Rate: 20, Burst: 5, Reject: true}}
-	run, err := RunSimulatedDetailed(waf, cfg)
+	run, err := Run(context.Background(), waf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestJunkLimiterEvades(t *testing.T) {
 	base := SimTarget{Server: PresetQTP(), Site: PresetQTSite(7), Clients: 65, Seed: 1}
 	junk := base
 	junk.Scenario = &Scenario{Name: "junk", RateLimit: &ScenarioRateLimit{Rate: 20, Burst: 5, Junk: true}}
-	run, err := RunSimulatedDetailed(junk, cfg)
+	run, err := Run(context.Background(), junk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,13 +65,12 @@ type SimTarget struct {
 	// period: 0 means the 1s default, negative disables the monitor
 	// (campaign-scale runs).
 	MonitorPeriod time.Duration
-
-	// Logf receives coordinator progress lines.
-	//
-	// Deprecated: use WithObserver on Run for the typed event stream; Logf
-	// is rendered from the same events.
-	Logf func(string, ...any)
 }
+
+// newSimEnv builds every simulated run's environment. It is a variable so
+// that the differential tests can run whole experiments on the reference
+// immediate-reallocate kernel; nothing else assigns it.
+var newSimEnv = netsim.NewEnv
 
 // open implements Target.
 func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding, error) {
@@ -87,7 +86,7 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 		return nil, fmt.Errorf("mfc: SimTarget.Scenario: %w", err)
 	}
 	serverCfg := scen.WrapServer(t.Server)
-	env := netsim.NewEnv(seed)
+	env := newSimEnv(seed)
 	server := websim.NewServer(env, serverCfg, t.Site)
 	if !t.NoAccessLog {
 		server.EnableAccessLog()
@@ -119,7 +118,6 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 	if t.MonitorPeriod >= 0 {
 		mon = websim.NewMonitor(env, server, t.MonitorPeriod)
 	}
-	ro.addObserver(core.LogObserver(t.Logf))
 
 	var ctl *scenario.Controller
 	if scen != nil {
@@ -165,69 +163,5 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 			}
 		},
 		close: func() {},
-	}, nil
-}
-
-// SimRun is the outcome of RunSimulatedDetailed: the result plus handles
-// into the simulation for resource attribution (the lab-validation
-// experiments read the monitor the way the paper reads atop).
-//
-// Deprecated: Run returns the same handles on *Session.
-type SimRun struct {
-	Result  *Result
-	Profile *Profile
-	Monitor *websim.Monitor
-	Server  *websim.Server
-	// VirtualElapsed is how much simulated time the experiment spanned.
-	VirtualElapsed time.Duration
-}
-
-// RunSimulated executes a full three-stage MFC experiment in simulation.
-//
-// Deprecated: use Run with a SimTarget; RunSimulated is a thin shim over
-// it (proven equivalent by facade_test.go).
-func RunSimulated(t SimTarget, cfg Config) (*Result, error) {
-	run, err := Run(context.Background(), t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return run.Result, nil
-}
-
-// RunSimulatedDetailed is RunSimulated returning the simulation handles.
-//
-// Deprecated: use Run with a SimTarget, which exposes the same handles
-// on *Session.
-func RunSimulatedDetailed(t SimTarget, cfg Config) (*SimRun, error) {
-	run, err := Run(context.Background(), t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SimRun{
-		Result:         run.Result,
-		Profile:        run.Profile,
-		Monitor:        run.Monitor,
-		Server:         run.Server,
-		VirtualElapsed: run.VirtualElapsed,
-	}, nil
-}
-
-// RunSimulatedStage runs a single stage (used by experiments that only need
-// one request category, e.g. the §5 population studies run Base only for
-// Figure 7).
-//
-// Deprecated: use Run with WithStage.
-func RunSimulatedStage(t SimTarget, cfg Config, stage Stage) (*StageResult, *SimRun, error) {
-	run, err := Run(context.Background(), t, cfg, WithStage(stage))
-	if err != nil {
-		return nil, nil, err
-	}
-	sr := run.Result.Stages[0]
-	return sr, &SimRun{
-		Result:         run.Result,
-		Profile:        run.Profile,
-		Monitor:        run.Monitor,
-		Server:         run.Server,
-		VirtualElapsed: run.VirtualElapsed,
 	}, nil
 }

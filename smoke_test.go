@@ -1,6 +1,7 @@
 package mfc
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -12,15 +13,16 @@ func TestSmokeSimulatedExperiment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCrowd = 55
 	cfg.MinClients = 50
-	res, err := RunSimulated(SimTarget{
+	run, err := Run(context.Background(), SimTarget{
 		Server:  PresetQTNP(),
 		Site:    PresetQTSite(7),
 		Clients: 65,
 		Seed:    42,
 	}, cfg)
 	if err != nil {
-		t.Fatalf("RunSimulated: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
+	res := run.Result
 	t.Log("\n" + res.String())
 
 	base := res.Stage(StageBase)
@@ -52,14 +54,14 @@ func TestSmokeDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MaxCrowd = 30
 		cfg.MinClients = 50
-		res, err := RunSimulated(SimTarget{
+		run, err := Run(context.Background(), SimTarget{
 			Server: PresetQTNP(), Site: PresetQTSite(7), Clients: 60, Seed: 9,
 		}, cfg)
 		if err != nil {
-			t.Fatalf("RunSimulated: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
 		var stops []int
-		for _, sr := range res.Stages {
+		for _, sr := range run.Result.Stages {
 			stops = append(stops, sr.StoppingCrowd, int(sr.Verdict), sr.TotalRequests)
 		}
 		return stops
@@ -82,11 +84,11 @@ func TestSmokeSyntheticLinearTracking(t *testing.T) {
 	cfg.MinClients = 50
 	cfg.Threshold = time.Hour // never stop: we want the full curve
 	cfg.KeepSamples = true
-	res, err := RunSimulated(SimTarget{Server: srv, Site: site, Clients: 65, Seed: 3}, cfg)
+	run, err := Run(context.Background(), SimTarget{Server: srv, Site: site, Clients: 65, Seed: 3}, cfg)
 	if err != nil {
-		t.Fatalf("RunSimulated: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	base := res.Stage(StageBase)
+	base := run.Result.Stage(StageBase)
 	crowds, medians := base.CurveMedians()
 	if len(crowds) < 5 {
 		t.Fatalf("too few ramp epochs: %d", len(crowds))
