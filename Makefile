@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-short bench-check bench-once bench-smoke experiments fuzz campaign-smoke campaign-dist-smoke campaign-scale-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
+.PHONY: build test race vet fmt-check bench-once bench-smoke experiments fuzz campaign-smoke campaign-dist-smoke campaign-scale-smoke chaos-smoke metrics-smoke serve-smoke analyze-smoke trace-smoke api apicheck ci
 
 build:
 	$(GO) build ./...
@@ -37,22 +37,6 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Full figure/table benchmark sweep -> BENCH_results.json (tracked across
-# PRs; see EXPERIMENTS.md for expected values).
-bench:
-	$(GO) run ./cmd/mfc-bench -out BENCH_results.json
-
-bench-short:
-	$(GO) run ./cmd/mfc-bench -short -out BENCH_results.json
-
-# Trend check: rerun the fast benchmarks and fail on >25% regression in
-# ns/op or allocs/op against the committed baseline. The workflow passes
-# BENCH_FLAGS='-check allocs': the committed ns/op baseline is from
-# different hardware than its runner.
-bench-check:
-	$(GO) run ./cmd/mfc-bench -short -out /tmp/bench-fresh.json \
-		-against BENCH_results.json -tolerance 0.25 $(BENCH_FLAGS)
-
 # One iteration of the whole-experiment benchmark at both GOMAXPROCS: it
 # must still run, nothing is compared.
 bench-once:
@@ -83,36 +67,30 @@ fuzz:
 # The smokes below are what CI runs: every workflow step is a make target,
 # so the sequences exist once.
 
-# Kill + resume determinism check.
+# Kill + resume determinism check: a run halted after SMOKE_HALT sites and
+# resumed must report byte-identically to the uninterrupted run.
+SMOKE_TAG ?= camp
+SMOKE_PLAN ?= -bands rank-1K-10K -stages base,query -sites 40 -seed 7
+SMOKE_HALT ?= 15
 campaign-smoke:
 	$(GO) build -o /tmp/mfc-campaign ./cmd/mfc-campaign
-	rm -rf /tmp/camp-clean /tmp/camp-killed
-	/tmp/mfc-campaign plan -dir /tmp/camp-clean -bands rank-1K-10K -stages base,query -sites 40 -seed 7
-	/tmp/mfc-campaign run -dir /tmp/camp-clean -quiet
-	/tmp/mfc-campaign report -dir /tmp/camp-clean > /tmp/report-clean.txt
-	/tmp/mfc-campaign plan -dir /tmp/camp-killed -bands rank-1K-10K -stages base,query -sites 40 -seed 7
-	/tmp/mfc-campaign run -dir /tmp/camp-killed -halt-after 15 -quiet
-	/tmp/mfc-campaign resume -dir /tmp/camp-killed -quiet
-	/tmp/mfc-campaign report -dir /tmp/camp-killed > /tmp/report-killed.txt
-	diff /tmp/report-clean.txt /tmp/report-killed.txt
+	rm -rf /tmp/$(SMOKE_TAG)-clean /tmp/$(SMOKE_TAG)-killed
+	/tmp/mfc-campaign plan -dir /tmp/$(SMOKE_TAG)-clean $(SMOKE_PLAN)
+	/tmp/mfc-campaign run -dir /tmp/$(SMOKE_TAG)-clean -quiet
+	/tmp/mfc-campaign report -dir /tmp/$(SMOKE_TAG)-clean > /tmp/$(SMOKE_TAG)-clean.txt
+	/tmp/mfc-campaign plan -dir /tmp/$(SMOKE_TAG)-killed $(SMOKE_PLAN)
+	/tmp/mfc-campaign run -dir /tmp/$(SMOKE_TAG)-killed -halt-after $(SMOKE_HALT) -quiet
+	/tmp/mfc-campaign resume -dir /tmp/$(SMOKE_TAG)-killed -quiet
+	/tmp/mfc-campaign report -dir /tmp/$(SMOKE_TAG)-killed > /tmp/$(SMOKE_TAG)-killed.txt
+	diff /tmp/$(SMOKE_TAG)-clean.txt /tmp/$(SMOKE_TAG)-killed.txt
 	@echo "kill+resume report is byte-identical"
 
-# Chaos smoke: a scenario-swept campaign (clean vs sustained loss vs
-# mid-measurement link flaps) is killed mid-run — inside the scenario
-# cells, where fault timers are armed — resumed, and its report must be
-# byte-identical to the uninterrupted run's.
+# Chaos smoke: the same sequence over a scenario-swept campaign (clean vs
+# sustained loss vs mid-measurement link flaps), killed inside the scenario
+# cells, where fault timers are armed.
 chaos-smoke:
-	$(GO) build -o /tmp/mfc-campaign ./cmd/mfc-campaign
-	rm -rf /tmp/camp-chaos-clean /tmp/camp-chaos-killed
-	/tmp/mfc-campaign plan -dir /tmp/camp-chaos-clean -bands rank-1K-10K -stages base -scenarios clean,lossy,flaky-link -sites 15 -seed 7
-	/tmp/mfc-campaign run -dir /tmp/camp-chaos-clean -quiet
-	/tmp/mfc-campaign report -dir /tmp/camp-chaos-clean > /tmp/report-chaos-clean.txt
-	/tmp/mfc-campaign plan -dir /tmp/camp-chaos-killed -bands rank-1K-10K -stages base -scenarios clean,lossy,flaky-link -sites 15 -seed 7
-	/tmp/mfc-campaign run -dir /tmp/camp-chaos-killed -halt-after 20 -quiet
-	/tmp/mfc-campaign resume -dir /tmp/camp-chaos-killed -quiet
-	/tmp/mfc-campaign report -dir /tmp/camp-chaos-killed > /tmp/report-chaos-killed.txt
-	diff /tmp/report-chaos-clean.txt /tmp/report-chaos-killed.txt
-	@echo "chaos kill+resume report is byte-identical"
+	$(MAKE) campaign-smoke SMOKE_TAG=camp-chaos SMOKE_HALT=20 \
+		SMOKE_PLAN='-bands rank-1K-10K -stages base -scenarios clean,lossy,flaky-link -sites 15 -seed 7'
 
 # Distributed smoke: 3 `work` processes share one plan over a shared dir,
 # one is killed -9 DIST_KILL_AFTER seconds after records exist (mid-shard,

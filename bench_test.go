@@ -341,15 +341,35 @@ func BenchmarkUseCaseCompareDeployments(b *testing.B) {
 // three-stage experiment on the simulator — the unit everything above is
 // built from.
 func BenchmarkSimulatedExperiment(b *testing.B) {
-	cfg := mfc.DefaultConfig()
-	cfg.MaxCrowd = 50
 	for i := 0; i < b.N; i++ {
-		_, err := mfc.Run(context.Background(), mfc.SimTarget{
-			Server: mfc.PresetQTNP(), Site: mfc.PresetQTSite(7), Clients: 65, Seed: int64(i + 1),
-		}, cfg)
-		if err != nil {
+		if err := simulatedExperiment(int64(i + 1)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func simulatedExperiment(seed int64, opts ...mfc.RunOption) error {
+	cfg := mfc.DefaultConfig()
+	cfg.MaxCrowd = 50
+	_, err := mfc.Run(context.Background(), mfc.SimTarget{
+		Server: mfc.PresetQTNP(), Site: mfc.PresetQTSite(7), Clients: 65, Seed: seed,
+	}, cfg, opts...)
+	return err
+}
+
+// TestAllocBudgetSimulatedExperiment is the hardware-independent half of
+// BenchmarkSimulatedExperiment: allocations per experiment (5 353 over
+// these seeds when the budget was set) must not creep past 6 000.
+func TestAllocBudgetSimulatedExperiment(t *testing.T) {
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		seed++
+		if err := simulatedExperiment(seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6000 {
+		t.Errorf("%.0f allocs per simulated experiment, budget 6000", allocs)
 	}
 }
 
@@ -359,14 +379,9 @@ func BenchmarkSimulatedExperiment(b *testing.B) {
 // bridge is a handful of atomic adds per epoch and should stay within a
 // few percent.
 func BenchmarkObserverOverhead(b *testing.B) {
-	cfg := mfc.DefaultConfig()
-	cfg.MaxCrowd = 50
-	observer := obs.NewRunMetrics(obs.NewRegistry()).Observer()
+	observer := mfc.WithObserver(obs.NewRunMetrics(obs.NewRegistry()).Observer())
 	for i := 0; i < b.N; i++ {
-		_, err := mfc.Run(context.Background(), mfc.SimTarget{
-			Server: mfc.PresetQTNP(), Site: mfc.PresetQTSite(7), Clients: 65, Seed: int64(i + 1),
-		}, cfg, mfc.WithObserver(observer))
-		if err != nil {
+		if err := simulatedExperiment(int64(i+1), observer); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,12 +8,10 @@
 //	mfc-experiments              # run everything
 //	mfc-experiments -run f3,t1   # a comma-separated subset
 //	mfc-experiments -list
-//	mfc-experiments -sites 10000 # scaling mode: §5 across all six bands at N sites/band
 //	mfc-experiments -run f3 -trace f3.json  # Perfetto trace of every run, in virtual time
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,11 +20,8 @@ import (
 	"time"
 
 	"mfc"
-	"mfc/internal/campaign"
-	"mfc/internal/core"
 	"mfc/internal/experiments"
 	"mfc/internal/obs"
-	"mfc/internal/population"
 	"mfc/internal/websim"
 )
 
@@ -226,61 +221,17 @@ func catalog() []experiment {
 	}
 }
 
-// runScaled is the §5 scaling mode: instead of the paper's few hundred
-// sites, measure the Base stage across all six population bands at `sites`
-// sites per band, through the durable campaign engine (resumable, bounded
-// memory), and print its aggregate report.
-func runScaled(sites int, seed int64, dir string) error {
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "mfc-campaign-"); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "campaign directory: %s (pass -campaign-dir to keep/resume across runs)\n", dir)
-	}
-	plan, err := campaign.NewPlan(
-		fmt.Sprintf("s5-scaled-%dsites", sites),
-		population.Bands, []core.Stage{core.StageBase}, nil, sites, seed)
-	if err != nil {
-		return err
-	}
-	if err := plan.Save(dir); err != nil {
-		return err
-	}
-	t0 := time.Now()
-	st, err := campaign.Run(context.Background(), dir, campaign.Options{
-		Progress: func(done, total int) {
-			if done%500 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\r%d/%d sites (%.0fs) ", done, total, time.Since(t0).Seconds())
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "\n%d sites measured (%d resumed) in %.1fs\n",
-		st.NewlyDone, st.AlreadyDone, time.Since(t0).Seconds())
-	return campaign.Report(dir, os.Stdout)
-}
-
 func main() {
 	var (
 		run      = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
-		sites    = flag.Int("sites", 0, "scaling mode: run §5 across all six bands at N sites per band")
-		campDir  = flag.String("campaign-dir", "", "campaign directory for -sites (default: a temp dir); rerunning resumes it")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of every MFC run (virtual time) to this file; not supported with -sites")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of every MFC run (virtual time) to this file")
 	)
 	flag.Parse()
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
-		if *sites > 0 {
-			// Campaign jobs run in worker subprocesses; their events never
-			// reach this process, so a trace would be silently empty.
-			log.Fatal("-trace is not supported with -sites (campaign jobs run out of process)")
-		}
 		tracer = obs.NewTracer()
 		experiments.EnableTrace(func(label string) mfc.Observer {
 			return tracer.RunObserver(label)
@@ -301,16 +252,6 @@ func main() {
 			log.Fatalf("trace: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "trace of %d events written to %s (load in Perfetto)\n", tracer.Len(), *traceOut)
-	}
-
-	if *sites > 0 {
-		if err := runScaled(*sites, *seed, *campDir); err != nil {
-			log.Fatalf("scaled population study: %v", err)
-		}
-		return
-	}
-	if *campDir != "" && *sites <= 0 {
-		log.Fatal("-campaign-dir requires -sites N")
 	}
 
 	cat := catalog()

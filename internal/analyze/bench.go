@@ -12,9 +12,8 @@ import (
 // BenchStore writes the canonical analytics benchmark fixture into dir: a
 // synthetic single-band store of sites jobs (ShardJobs 128) whose records
 // carry realistic Result payloads — a ramp curve bending at a per-site
-// knee plus a check phase — without paying for real measurements. Shared
-// by BenchmarkAnalyzeStore and the mfc-bench catalog so BENCH_results.json
-// tracks the same workload the in-package benchmark does.
+// knee plus a check phase — without paying for real measurements. It is
+// BenchmarkAnalyzeStore's input.
 func BenchStore(dir string, sites int) (*campaign.Plan, error) {
 	plan, err := campaign.NewPlan("analyze-bench",
 		[]population.Band{population.Rank1M}, []core.Stage{core.StageBase}, nil, sites, 7)

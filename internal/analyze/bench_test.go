@@ -6,8 +6,8 @@ import "testing"
 // canonical synthetic fixture (512 jobs, 4 shards, realistic Result
 // payloads): decode, fold, merge, render to canonical JSON. The store
 // scanner's scratch reuse keeps per-record allocations to the decoded
-// Result trees themselves; the committed baseline lives in
-// BENCH_results.json (AnalyzeStore row) via mfc-bench.
+// Result trees themselves; the tracked twin is the benchmark ladder's
+// analyze.compute_ms.
 func BenchmarkAnalyzeStore(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := BenchStore(dir, 512); err != nil {

@@ -13,19 +13,13 @@ import (
 )
 
 // Options tunes one Run invocation (never the campaign's results — those
-// are fixed by the plan). The fields are the WorkOptions of the same name;
-// only Progress differs.
+// are fixed by the plan). The fields are the WorkOptions of the same name.
 type Options struct {
 	Workers   int
 	HaltAfter int
-	// Progress, when non-nil, observes (done, total) after every site's
-	// terminal event, where done is the campaign's overall completion as
-	// this run sees it: the jobs that held a record when it started plus
-	// the jobs it has measured since.
-	Progress func(done, total int)
-	OnStart  func(info StartInfo)
-	OnEvent  func(ev SiteEvent)
-	Spans    *obs.SpanRecorder
+	OnStart   func(info StartInfo)
+	OnEvent   func(ev SiteEvent)
+	Spans     *obs.SpanRecorder
 }
 
 // StartInfo describes a campaign before a worker's first job.
@@ -83,9 +77,6 @@ func Run(ctx context.Context, dir string, opts Options) (*Status, error) {
 				opts.OnStart(info)
 			}
 		},
-	}
-	if opts.Progress != nil {
-		wopts.Progress = func(done, total int) { opts.Progress(start.AlreadyDone+done, total) }
 	}
 	ws, err := WorkDir(ctx, dir, wopts)
 	if ws == nil {

@@ -113,11 +113,6 @@ type WorkOptions struct {
 	// runs still deliver exactly one terminal event. Called from pool
 	// workers; must be cheap and concurrency-safe.
 	OnEvent func(ev SiteEvent)
-	// Progress, when non-nil, observes (done, total) after every site's
-	// terminal event, where done counts the jobs this invocation has
-	// measured — never jobs that held a record before it started. Called
-	// from pool workers; must be cheap and concurrency-safe.
-	Progress func(done, total int)
 
 	// Spans, when non-nil, records this worker's wall-clock spans: a root
 	// "work" span, a claim event plus a "shard" span per claim, a "job"
@@ -349,7 +344,7 @@ func (w *shardWorker) measure(ctx context.Context, c *Claim, parent uint64) erro
 }
 
 // onSite fans a job's events out to the observers and counts terminal
-// events (exactly one per job), which drive Progress and HaltAfter.
+// events (exactly one per job), which drive HaltAfter.
 func (w *shardWorker) onSite(ev SiteEvent) {
 	if w.opts.OnEvent != nil {
 		w.opts.OnEvent(ev)
@@ -357,11 +352,7 @@ func (w *shardWorker) onSite(ev SiteEvent) {
 	if !ev.Terminal() {
 		return
 	}
-	n := int(w.newly.Add(1))
-	if w.opts.Progress != nil {
-		w.opts.Progress(n, w.st.Total)
-	}
-	if w.opts.HaltAfter > 0 && n >= w.opts.HaltAfter {
+	if n := int(w.newly.Add(1)); w.opts.HaltAfter > 0 && n >= w.opts.HaltAfter {
 		w.halt()
 	}
 }

@@ -114,9 +114,13 @@ func shardSpan(t *testing.T, rec *obs.SpanRecorder) obs.Span {
 
 func TestEngineSealsACleanShard(t *testing.T) {
 	f := newFakeSource(0, 1, 2)
-	var progress []int
+	var terminal []int
 	st, err := Work(context.Background(), enginePlan(t), f, nil, WorkOptions{Workers: 1,
-		Progress: func(done, total int) { progress = append(progress, done) }})
+		OnEvent: func(ev SiteEvent) {
+			if ev.Terminal() {
+				terminal = append(terminal, ev.Job)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +131,9 @@ func TestEngineSealsACleanShard(t *testing.T) {
 	if f.persisted != 3 || f.seals != 1 || f.release != 0 {
 		t.Errorf("persisted/sealed/released = %d/%d/%d, want 3/1/0", f.persisted, f.seals, f.release)
 	}
-	// Progress counts this invocation's jobs, from one.
-	if len(progress) != 3 || progress[0] != 1 || progress[2] != 3 {
-		t.Errorf("progress = %v, want [1 2 3]", progress)
+	// Exactly one terminal event per job.
+	if len(terminal) != 3 || terminal[0] != 0 || terminal[2] != 2 {
+		t.Errorf("terminal events for jobs %v, want [0 1 2]", terminal)
 	}
 }
 

@@ -177,8 +177,8 @@ func TestCancelSingleStage(t *testing.T) {
 }
 
 // TestCancelSimulatedNoLeaks cancels a simulated run mid-stage and checks
-// that the simulation drains: the kernel's parked-goroutine pool empties at
-// calendar exhaustion even when the coordinator returns early. Run under
+// that the simulation drains: every process goroutine runs to its end
+// even when the coordinator returns early. Run under
 // -race by `make race`.
 func TestCancelSimulatedNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -230,9 +230,9 @@ func TestCancelSimulatedNoLeaks(t *testing.T) {
 	if len(sr.Epochs) != 3 {
 		t.Errorf("epochs = %d, want 3", len(sr.Epochs))
 	}
-	// Run drains the kernel's parked-goroutine pool at calendar exhaustion,
-	// so the goroutine count must return to the pre-simulation baseline
-	// even though the coordinator bailed out mid-stage.
+	// Every process goroutine ends with its function, so the goroutine
+	// count must return to the pre-simulation baseline even though the
+	// coordinator bailed out mid-stage.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()

@@ -11,13 +11,14 @@
 // the clock. Identical seeds therefore produce identical runs.
 //
 // Who runs where. A process comes in two kinds that share one bookkeeping
-// (Proc: a monotonic block-generation counter, a blocked flag, a pool):
+// (Proc: a monotonic block-generation counter and a blocked flag):
 //
 //   - A goroutine process (Env.Go) runs ordinary sequential code on its own
 //     goroutine; every block is a two-way channel handoff with the driver —
 //     two scheduler switches, and worse across OS threads. It is for the
 //     cold, genuinely sequential actors: the MFC coordinator, the Poisson
-//     and flash-crowd generator loops, tests.
+//     and flash-crowd generator loops, tests — at most six per simulated
+//     run, so each Go simply allocates a Proc and a goroutine.
 //   - A stackless process (Env.Spawn) has no goroutine. Its body is a Task,
 //     a state machine whose Step the driver calls in its own context when
 //     the process starts and whenever its pending block resolves. Step runs
@@ -53,7 +54,8 @@
 //  3. Release order is what the blocking code's defers produced (a release
 //     pushes wake entries, so it is observable): see websim.Call.
 //  4. A panic in a step surfaces from Run as `netsim: process %q panicked`
-//     after the goroutine pool is drained, like a panic in a goroutine body.
+//     after every unfinished goroutine process has been ended, like a panic
+//     in a goroutine body.
 //
 // When a block resolves, what used to follow it inside the blocking
 // primitive — cancel the losing timeout entry, abort a flow that ran out of
@@ -79,25 +81,19 @@
 //     instead of N. Flush order is registration order, never map iteration,
 //     so runs stay byte-deterministic. No virtual time passes between a
 //     flow change and its flush, so rates, byte accounting, and completion
-//     instants are exactly those of eager recomputation. Two narrower
-//     behaviors do differ from the pre-batching kernel: the completion
+//     instants are exactly those of eager recomputation. One narrower
+//     behavior does differ from the pre-batching kernel: the completion
 //     callback's calendar entry is pushed at the flush rather than
 //     mid-instant, so its tie-break order against an entry independently
-//     scheduled for the very same future nanosecond can change, and
-//     EnableSampling records one RateSample per instant rather than one
-//     per flow change. The reference "immediate" kernel — reallocate on
-//     every change — remains selectable per environment
-//     (SetImmediateReallocate), and the differential tests verify
-//     end-to-end result equality across seeds, presets, and population
-//     bands.
+//     scheduled for the very same future nanosecond can change. The
+//     reference "immediate" kernel — reallocate on every change — remains
+//     selectable per environment (SetImmediateReallocate), and the
+//     differential tests verify end-to-end result equality across seeds,
+//     presets, and population bands.
 //
-//   - Pooled processes. A dead goroutine Proc, its wake channel, and its
-//     goroutine are parked on a free list and resurrected by the next Go
-//     instead of being reallocated; dead stackless Procs are recycled by
-//     the next Spawn. A recycled Proc keeps its monotonic block counter, so
-//     wakeups aimed at a previous incarnation can never pass the generation
-//     guard. Run terminates the parked goroutines when the calendar is
-//     exhausted, so environments do not leak goroutines across experiments.
+//   - Recycled stackless processes. A dead stackless Proc is reused by the
+//     next Spawn and keeps its monotonic block counter, so wakeups aimed at
+//     a previous incarnation can never pass the generation guard.
 package netsim
 
 import (
@@ -116,7 +112,7 @@ type Env struct {
 	evfree []*Event     // recycled events (see FreeEvent)
 	wfree  [][]evWaiter // recycled waiter slices (capacity only)
 	dirty  []*Link      // links awaiting the end-of-instant waterfill flush
-	pfree  []*Proc      // dead goroutine procs with parked goroutines, LIFO
+	live   []*Proc      // goroutine procs whose goroutine has not finished
 	tfree  []*Proc      // dead stackless procs, LIFO
 	flfree []*Flow      // recycled link flows (see freeFlow)
 	wtfree []*waiter    // recycled resource waiters
@@ -355,7 +351,8 @@ func (e *Env) At(at time.Duration, fn func()) Timer {
 // Run drives the simulation until the calendar is exhausted or the virtual
 // clock would pass `until` (use a non-positive until to run to exhaustion).
 // It panics if a simulated process panicked, re-raising the value with
-// context. Run returns the virtual time at which it stopped.
+// context after ending every goroutine process that is still parked. Run
+// returns the virtual time at which it stopped.
 //
 // Run owns the end-of-instant flush: whenever the clock is about to leave
 // the current instant — the next entry is later than now, the calendar is
@@ -363,10 +360,6 @@ func (e *Env) At(at time.Duration, fn func()) Timer {
 // waterfill once, at the instant all of its flow changes happened. A flush
 // may schedule new completion entries at or after now; the loop re-examines
 // the calendar afterwards, so those dispatch in their proper place.
-//
-// When the calendar is exhausted Run also drains the process pool,
-// terminating the parked goroutines, so a completed simulation leaves
-// nothing running.
 func (e *Env) Run(until time.Duration) time.Duration {
 	for {
 		if len(e.cal) == 0 {
@@ -388,10 +381,6 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		if until > 0 && en.at > until {
 			e.calPush(en) // keep it for a later Run
 			e.now = until
-			// Drain here too: a caller may abandon the environment after a
-			// horizon-bounded Run, and parked goroutines are never garbage
-			// collected. The next Go after a drain simply allocates fresh.
-			e.drainProcPool()
 			return e.now
 		}
 		e.now = en.at
@@ -422,14 +411,13 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			e.resume(proc)
 		}
 		if e.err != nil {
-			// Drain before re-raising so a recovered simulation failure
-			// (campaign jobs recover per-site panics) leaks no goroutines.
-			err := e.err
-			e.drainProcPool()
-			panic(err)
+			// End every unfinished goroutine process before re-raising, so a
+			// recovered simulation failure (campaign jobs recover per-site
+			// panics) leaks neither goroutines nor the Env they reference.
+			e.endLive()
+			panic(e.err)
 		}
 	}
-	e.drainProcPool()
 	return e.now
 }
 

@@ -18,8 +18,8 @@ import (
 // deferred rates, byte accounting, and completion instants equal the eager
 // kernel's — the differential tests verify it end to end against the
 // reference immediate-reallocate kernel (see env.go's package comment for
-// the two narrow divergences: same-nanosecond tie-break order of the
-// completion callback, and sampling density).
+// the one narrow divergence: same-nanosecond tie-break order of the
+// completion callback).
 //
 // This is the standard flow-level abstraction of TCP bandwidth sharing: with
 // N long-lived flows on a C-bit/s link, each receives ≈ C/N. It captures the
@@ -46,21 +46,11 @@ type Link struct {
 	down      bool    // link flap: all flows stall at rate 0
 
 	// metrics
-	bytesSent  float64
-	busyTime   time.Duration // time with >= 1 active flow
-	lastBusy   time.Duration
-	flowsDone  uint64
-	maxActive  int
-	rateSeries []RateSample
-	sampling   bool
-}
-
-// RateSample is one point of the link's sampled utilization time series.
-type RateSample struct {
-	At     time.Duration
-	Flows  int
-	InUse  float64 // aggregate allocated rate, bytes/sec
-	Demand float64 // sum of flow caps (∞ caps excluded)
+	bytesSent float64
+	busyTime  time.Duration // time with >= 1 active flow
+	lastBusy  time.Duration
+	flowsDone uint64
+	maxActive int
 }
 
 // Flow is one in-flight transfer on a Link.
@@ -193,15 +183,6 @@ func (l *Link) Utilization() float64 {
 	}
 	return float64(l.busyTime) / float64(l.env.now)
 }
-
-// EnableSampling records a RateSample on every reallocation, for the
-// atop-style monitor. Sampling is off by default to keep memory flat.
-// Under the batched kernel reallocation runs once per instant, so N flow
-// changes at one timestamp yield one sample (the settled rates), not N.
-func (l *Link) EnableSampling() { l.sampling = true }
-
-// Samples returns the recorded rate series (nil unless EnableSampling).
-func (l *Link) Samples() []RateSample { return l.rateSeries }
 
 // BeginTransfer starts moving `bytes` across the link on behalf of p and
 // suspends p until the transfer completes (it always suspends). cap limits
@@ -345,19 +326,6 @@ func (l *Link) reallocate() {
 		share := remainingCap / float64(n-i)
 		fl.rate = math.Min(fl.cap, share)
 		remainingCap -= fl.rate
-	}
-
-	if l.sampling {
-		agg, demand := 0.0, 0.0
-		for _, fl := range flows {
-			agg += fl.rate
-			if !math.IsInf(fl.cap, 1) {
-				demand += fl.cap
-			}
-		}
-		l.rateSeries = append(l.rateSeries, RateSample{
-			At: l.env.now, Flows: n, InUse: agg, Demand: demand,
-		})
 	}
 
 	// Earliest completion. Round UP to the nanosecond tick: rounding down

@@ -42,32 +42,6 @@ func TestLinkMaxActiveTracksPeak(t *testing.T) {
 	}
 }
 
-func TestLinkSampling(t *testing.T) {
-	env := NewEnv(1)
-	l := env.NewLink("up", 1000)
-	l.EnableSampling()
-	env.Go("a", func(p *Proc) { l.Transfer(p, 100, 0) })
-	env.GoAfter("b", 20*time.Millisecond, func(p *Proc) { l.Transfer(p, 100, 0) })
-	env.Run(0)
-	samples := l.Samples()
-	if len(samples) < 2 {
-		t.Fatalf("samples = %d, want several reallocation points", len(samples))
-	}
-	// At some point both flows were active.
-	saw2 := false
-	for _, s := range samples {
-		if s.Flows == 2 {
-			saw2 = true
-			if s.InUse < 999 || s.InUse > 1001 {
-				t.Errorf("aggregate rate with 2 flows = %v, want 1000", s.InUse)
-			}
-		}
-	}
-	if !saw2 {
-		t.Error("sampling never saw two concurrent flows")
-	}
-}
-
 func TestStartFlowNonBlocking(t *testing.T) {
 	env := NewEnv(1)
 	l := env.NewLink("up", 1000)

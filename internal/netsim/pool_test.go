@@ -187,93 +187,8 @@ func TestFreedEventWithStaleWaiterIsInert(t *testing.T) {
 	}
 }
 
-// A dead Proc (its struct, wake channel, and goroutine) is recycled by the
-// next Go. Sequential lifetimes must keep cycling one incarnation.
-func TestProcPoolReusesDeadProc(t *testing.T) {
-	env := NewEnv(1)
-	seen := make(map[*Proc]int)
-	var names []string
-	for i := 0; i < 50; i++ {
-		i := i
-		env.GoAfter("spawn", time.Duration(i)*time.Millisecond, func(p *Proc) {
-			seen[p]++
-			names = append(names, p.Name())
-		})
-	}
-	env.Run(0)
-	if len(names) != 50 {
-		t.Fatalf("ran %d procs, want 50", len(names))
-	}
-	if len(seen) > 2 {
-		t.Errorf("%d distinct Proc allocations for 50 sequential lifetimes; pool not reusing", len(seen))
-	}
-	for _, n := range names {
-		if n != "spawn" {
-			t.Errorf("recycled proc kept stale name %q", n)
-		}
-	}
-}
-
-// A recycled proc must not observe its predecessor's wake signal: an event
-// still holding the dead incarnation's waiter fires after reuse, and the
-// successor sleeping in its own block must not be disturbed.
-func TestRecycledProcIgnoresPredecessorEventWake(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	dead := env.Go("victim", func(p *Proc) {
-		if p.WaitTimeout(ev, time.Millisecond) {
-			t.Error("event fired during victim's wait")
-		}
-		// Dies at 1ms leaving its stale waiter registered on ev.
-	})
-	var heir *Proc
-	var wokeAt time.Duration
-	env.After(2*time.Millisecond, func() {
-		heir = env.Go("heir", func(p *Proc) {
-			p.Sleep(10 * time.Millisecond)
-			wokeAt = p.Now()
-		})
-	})
-	env.After(3*time.Millisecond, ev.Trigger) // aims a wake at the dead incarnation
-	env.Run(0)
-	if heir != dead {
-		t.Fatal("heir did not reuse the dead proc; stale-wake scenario not exercised")
-	}
-	if wokeAt != 12*time.Millisecond {
-		t.Errorf("heir woke at %v, want 12ms; predecessor's wake leaked through", wokeAt)
-	}
-}
-
-// Same via a raw stale calendar wakeup: a wake entry aimed at a previous
-// incarnation's block generation (as a racing timer would leave behind)
-// must be dropped by the generation guard, never delivered to the heir.
-func TestRecycledProcIgnoresPredecessorTimerWake(t *testing.T) {
-	env := NewEnv(1)
-	var staleTarget uint64
-	dead := env.Go("victim", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		staleTarget = p.blocks // generation of the block just exited
-	})
-	var heir *Proc
-	env.After(2*time.Millisecond, func() {
-		heir = env.Go("heir", func(p *Proc) {
-			p.Sleep(10 * time.Millisecond)
-			if p.Now() != 12*time.Millisecond {
-				t.Errorf("heir resumed at %v, want 12ms", p.Now())
-			}
-		})
-	})
-	env.After(3*time.Millisecond, func() {
-		env.pushWake(env.now+time.Millisecond, dead, staleTarget)
-	})
-	env.Run(0)
-	if heir != dead {
-		t.Fatal("heir did not reuse the dead proc")
-	}
-}
-
-// Run terminates the parked pool goroutines at calendar exhaustion: no
-// goroutines accumulate across sequential simulations in one process.
+// A process goroutine ends with its function: no goroutines accumulate
+// across sequential simulations in one process.
 func TestProcPoolDrainedAtExhaustion(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
@@ -282,8 +197,8 @@ func TestProcPoolDrainedAtExhaustion(t *testing.T) {
 			env.Go("worker", func(p *Proc) { p.Sleep(time.Millisecond) })
 		}
 		env.Run(0)
-		if got := len(env.pfree); got != 0 {
-			t.Fatalf("round %d: %d procs still pooled after exhaustion", round, got)
+		if got := len(env.live); got != 0 {
+			t.Fatalf("round %d: %d procs still live after exhaustion", round, got)
 		}
 	}
 	// The last acknowledged goroutine may still be between its yield and
@@ -294,32 +209,12 @@ func TestProcPoolDrainedAtExhaustion(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Errorf("goroutines grew from %d to %d across 20 drained simulations",
+	t.Errorf("goroutines grew from %d to %d across 20 finished simulations",
 		base, runtime.NumGoroutine())
 }
 
-// Run must also drain the pool when it returns at an until-cutoff: a
-// caller may abandon the environment there, and parked goroutines are
-// never garbage collected.
-func TestProcPoolDrainedAtCutoff(t *testing.T) {
-	env := NewEnv(1)
-	env.Go("ticker", func(p *Proc) { // keeps the calendar non-empty
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Millisecond)
-		}
-	})
-	for i := 0; i < 10; i++ {
-		i := i
-		env.GoAfter("short", time.Duration(i)*time.Millisecond, func(p *Proc) {})
-	}
-	env.Run(20 * time.Millisecond) // cutoff, calendar still holds the ticker
-	if got := len(env.pfree); got != 0 {
-		t.Errorf("%d procs still pooled after cutoff Run", got)
-	}
-}
-
-// A panicking process must still recycle cleanly and re-raise through Run,
-// and the environment must remain usable for inspection afterwards.
+// A panicking process must re-raise through Run with its name attached, and
+// leave the live list empty.
 func TestPooledProcPanicStillPropagates(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("bomb", func(p *Proc) { panic("boom") })
@@ -331,17 +226,15 @@ func TestPooledProcPanicStillPropagates(t *testing.T) {
 		if s, ok := r.(string); !ok || !strings.Contains(s, "bomb") || !strings.Contains(s, "boom") {
 			t.Errorf("panic value %v lacks process context", r)
 		}
-		if got := len(env.pfree); got != 0 {
-			t.Errorf("%d procs still pooled after panic exit", got)
+		if got := len(env.live); got != 0 {
+			t.Errorf("%d procs still live after panic exit", got)
 		}
 	}()
 	env.Run(0)
 }
 
-// BenchmarkEnvGoSpawn measures sequential spawn→run→die cycles — the
-// dominant allocator before proc pooling (a Proc, a wake channel, and a
-// goroutine per simulated process). With the pool this is allocation-free
-// at steady state.
+// BenchmarkEnvGoSpawn measures sequential spawn→run→die cycles of a
+// goroutine process: a Proc, a wake channel and a goroutine each.
 func BenchmarkEnvGoSpawn(b *testing.B) {
 	env := NewEnv(1)
 	b.ReportAllocs()

@@ -44,16 +44,16 @@ const (
 // its race, an event triggered after the waiter moved on, a predecessor's
 // wake after the Proc was recycled — never matches and is dropped.
 //
-// Procs are pooled, goroutine-backed and stackless ones on separate free
-// lists. blocks is deliberately NOT reset on reuse.
+// Dead stackless Procs are recycled by the next Spawn; blocks is
+// deliberately NOT reset on reuse. A goroutine-backed Proc is never reused.
 type Proc struct {
 	env        *Env
 	name       string
 	wake       chan struct{} // nil: stackless
-	fn         func(p *Proc) // goroutine body of the current incarnation
+	slot       int           // goroutine process: index in Env.live until fn returns
 	task       Task          // stepped by the driver while non-nil (see Do for goroutine procs)
 	dead       bool
-	kill       bool   // tells the parked goroutine to exit
+	kill       bool   // tells the parked goroutine to exit (see endLive)
 	blocks     uint64 // number of blocks entered so far, ever
 	blockedNow bool
 
@@ -85,23 +85,13 @@ func (p *Proc) OK() bool { return p.ok }
 
 // Go starts fn as a new goroutine-backed process at the current time.
 // It can be called before Run, from another process, or from a callback.
-// The Proc comes from the free list when one is parked there (LIFO, so
-// reuse order is deterministic); otherwise a fresh Proc and goroutine are
-// created.
+// Every call allocates a Proc, a wake channel and a goroutine: a simulated
+// run starts a handful of these (the coordinator and the generator loops),
+// so there is nothing to pool.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(e.pfree); n > 0 {
-		p = e.pfree[n-1]
-		e.pfree[n-1] = nil
-		e.pfree = e.pfree[:n-1]
-		p.name = name
-		p.dead = false
-		p.blockedNow = false
-	} else {
-		p = &Proc{env: e, name: name, wake: make(chan struct{}, 1)}
-		go e.procLoop(p)
-	}
-	p.fn = fn
+	p := &Proc{env: e, name: name, wake: make(chan struct{}, 1), slot: len(e.live)}
+	e.live = append(e.live, p)
+	go e.runProc(p, fn)
 	e.pushProc(entStart, e.now, p)
 	return p
 }
@@ -145,33 +135,34 @@ func (e *Env) newStackless(name string, t Task) *Proc {
 	return p
 }
 
-// procLoop is the body of every process goroutine: run one incarnation per
-// start dispatch, then park in the free list until resurrected or killed.
-// Appending to pfree here is safe: the driver is blocked in <-e.yield and
-// observes the append only after the send (channel happens-before).
-func (e *Env) procLoop(p *Proc) {
-	// A killed goroutine acknowledges on its way out, whether it was parked
-	// in the pool (return below) or inside Do (Goexit in yieldToken).
+// runProc is the body of a process goroutine: wait for the start dispatch,
+// run fn, leave the live list and hand the token back. Touching e.live here
+// is safe: the driver is blocked in <-e.yield and observes the change only
+// after the send (channel happens-before).
+func (e *Env) runProc(p *Proc, fn func(p *Proc)) {
+	// Acknowledge on the way out however the goroutine ends. When endLive
+	// kills it — before its start (return below) or parked in a block
+	// (Goexit in yieldToken) — the swap-delete is skipped: endLive is
+	// walking e.live.
 	defer func() { e.yield <- struct{}{} }()
-	for {
-		<-p.wake // wait for the driver to dispatch a start entry
-		if p.kill {
-			return
-		}
-		e.runIncarnation(p)
-		p.dead = true
-		p.fn = nil
-		p.task = nil
-		e.pfree = append(e.pfree, p)
-		e.yield <- struct{}{}
+	<-p.wake
+	if p.kill {
+		return
 	}
+	e.runBody(p, fn)
+	p.dead = true
+	last := len(e.live) - 1
+	e.live[p.slot] = e.live[last]
+	e.live[p.slot].slot = p.slot
+	e.live[last] = nil
+	e.live = e.live[:last]
 }
 
-// runIncarnation executes the current process body, converting a panic into
-// the environment error that Run re-raises.
-func (e *Env) runIncarnation(p *Proc) {
+// runBody executes the process function, converting a panic into the
+// environment error that Run re-raises.
+func (e *Env) runBody(p *Proc, fn func(p *Proc)) {
 	defer e.recoverProc(p)
-	p.fn(p)
+	fn(p)
 }
 
 // recoverProc is deferred around every piece of process code, goroutine
@@ -182,21 +173,18 @@ func (e *Env) recoverProc(p *Proc) {
 	}
 }
 
-// drainProcPool terminates every parked goroutine. Run calls it when the
-// calendar is exhausted so a finished simulation holds no goroutines; the
-// next Go after a drain simply allocates fresh.
-func (e *Env) drainProcPool() {
-	for i, p := range e.pfree {
-		e.killGoroutine(p)
-		e.pfree[i] = nil
+// endLive ends every goroutine process that has not finished — parked in a
+// block, in Do, or still waiting for its start. Run calls it before
+// re-raising a process panic: the environment is abandoned there, and a
+// parked goroutine is never garbage collected.
+func (e *Env) endLive() {
+	for i, p := range e.live {
+		p.kill, p.dead = true, true
+		p.wake <- struct{}{}
+		<-e.yield // the goroutine acknowledges and exits
+		e.live[i] = nil
 	}
-	e.pfree = e.pfree[:0]
-}
-
-func (e *Env) killGoroutine(p *Proc) {
-	p.kill = true
-	p.wake <- struct{}{}
-	<-e.yield // the goroutine acknowledges and exits
+	e.live = e.live[:0]
 }
 
 // resume gives p the execution token after a start entry or a resolved
@@ -216,10 +204,7 @@ func (e *Env) resume(p *Proc) {
 			return
 		}
 		if e.err != nil {
-			// The step panicked under a goroutine parked in Do. Run is about
-			// to re-raise; that goroutine is in no pool, so end it here.
-			e.killGoroutine(p)
-			return
+			return // the step panicked under a goroutine parked in Do; Run ends it
 		}
 	}
 	e.stats.Handoffs++

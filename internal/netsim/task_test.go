@@ -219,7 +219,7 @@ func TestTaskPanicPropagatesAndLeaksNothing(t *testing.T) {
 		} else {
 			env.Spawn("bomb", bomb())
 		}
-		env.Go("bystander", func(p *Proc) {}) // parks in the pool; must be drained
+		env.Go("bystander", func(p *Proc) {}) // finished by then; its goroutine is gone
 		func() {
 			defer func() {
 				r := recover()
@@ -230,10 +230,40 @@ func TestTaskPanicPropagatesAndLeaksNothing(t *testing.T) {
 			}()
 			env.Run(0)
 		}()
-		if got := len(env.pfree); got != 0 {
-			t.Errorf("viaDo=%v: %d procs still pooled after the panic", viaDo, got)
+		if got := len(env.live); got != 0 {
+			t.Errorf("viaDo=%v: %d procs still live after the panic", viaDo, got)
 		}
 	}
+	expectGoroutines(t, base)
+}
+
+// Run ends goroutine processes parked in a block before it re-raises a
+// panic: a recovered failure (campaign jobs recover per-site panics) must not
+// leave the coordinator's goroutine, and the Env it references, behind.
+func TestRunEndsParkedGoroutinesOnPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		env := NewEnv(int64(i + 1))
+		env.Go("coordinator", func(p *Proc) { p.Sleep(time.Hour) })
+		env.Spawn("bomb", steps(
+			func(p *Proc) bool { return p.BeginSleep(time.Millisecond) },
+			func(p *Proc) bool { panic("boom") },
+		))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Run did not re-raise the task panic")
+				}
+			}()
+			env.Run(0)
+		}()
+	}
+	expectGoroutines(t, base)
+}
+
+// expectGoroutines fails unless the goroutine count settles back to base.
+func expectGoroutines(t *testing.T, base int) {
+	t.Helper()
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
 		time.Sleep(time.Millisecond) // the last acknowledged goroutine may still be returning
 	}
@@ -387,7 +417,7 @@ func TestBlockingCallInsideStepPanics(t *testing.T) {
 }
 
 // The hot paths stay allocation-free at steady state: a goroutine process's
-// sleep cycle, a stackless sleep cycle, and spawn→run→die of either kind.
+// sleep cycle, a stackless sleep cycle, and a stackless spawn→run→die.
 func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	env := NewEnv(1)
 	stop := false
@@ -400,7 +430,6 @@ func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	child := steps()
 	env.Go("spawner", func(p *Proc) {
 		for !stop {
-			env.Go("child", func(*Proc) {})
 			child.next = 0
 			env.Spawn("child", child)
 			p.Sleep(time.Microsecond)
@@ -412,8 +441,6 @@ func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 		horizon += time.Millisecond
 		env.Run(horizon)
 	})
-	// Each horizon-bounded Run drains the goroutine pool, so the one pooled
-	// child goroutine is re-created per run; everything per-cycle is free.
 	if allocs > 8 {
 		t.Errorf("%.0f allocs per 1000 cycles of each hot path, want a small constant", allocs)
 	}

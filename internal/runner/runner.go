@@ -43,9 +43,9 @@ func Workers(n int) Option {
 // Mechanics: the calling goroutine always executes jobs itself (progress is
 // never blocked on the pool, so nesting cannot deadlock), and additional
 // workers are started only for slots acquired — without waiting — from a
-// process-wide budget of SharedCapacity slots. Total sweep goroutines
-// across every concurrent Shared call are therefore bounded by
-// SharedCapacity plus one inline worker per caller, instead of the product
+// process-wide budget of slots (SetSharedCapacity). Total sweep goroutines
+// across every concurrent Shared call are therefore bounded by that
+// budget plus one inline worker per caller, instead of the product
 // of per-call pool sizes.
 func Shared() Option {
 	return func(c *config) { c.shared = true }
@@ -68,13 +68,6 @@ func SetSharedCapacity(n int) {
 	sharedMu.Lock()
 	sharedCap = n
 	sharedMu.Unlock()
-}
-
-// SharedCapacity reports the current process-wide worker budget.
-func SharedCapacity() int {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	return sharedCap
 }
 
 func tryAcquireShared() bool {

@@ -97,8 +97,8 @@ func TestRunCancellation(t *testing.T) {
 		t.Errorf("epochs = %d, want 2 (cancel lands at the epoch boundary)", len(sr.Epochs))
 	}
 
-	// The aborted simulation must drain completely: the kernel kills its
-	// parked goroutines at calendar exhaustion.
+	// The aborted simulation must drain completely: every process
+	// goroutine runs to its end.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
