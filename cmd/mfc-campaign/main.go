@@ -44,7 +44,7 @@
 // `serve` lifts the same protocol onto HTTP: one control plane owns the
 // plan and the store, and workers on any host join it with `work -join
 // ADDR` — no shared filesystem — receiving work grants that carry a
-// fence token (the shard lease's generation), heartbeating them, and
+// fence token (a per-shard grant counter), heartbeating them, and
 // uploading records as they complete. Workers that stop heartbeating are
 // presumed dead and their shards re-granted; a fenced worker's late
 // uploads are refused with 410.

@@ -55,7 +55,7 @@
 // the jobs were split, killed or resumed. Fleets without a shared
 // filesystem run `serve`, an HTTP control plane owning the plan and the
 // store, and join it from anywhere with `work -join ADDR`: workers
-// receive fenced work grants (the shard lease's generation travels as
+// receive fenced work grants (a per-shard grant counter travels as
 // the fence token), heartbeat them, and upload records as they
 // complete; a worker silent past the TTL has its shard re-granted and
 // its late requests refused with 410 Gone. `analyze` is the deep read

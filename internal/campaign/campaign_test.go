@@ -158,6 +158,59 @@ func TestManifestCheckpoints(t *testing.T) {
 	}
 }
 
+// A worker holds a shard's appender open only while it holds the shard: over
+// a 300-shard thin plan it never has more shard files open than its pool is
+// wide, and none once the last shard is sealed — not one per shard it ever
+// wrote (EMFILE at a thousand shards).
+func TestWorkerClosesSealedShardFiles(t *testing.T) {
+	dir := t.TempDir()
+	plan, err := NewPlan("thin", []population.Band{population.Rank10K},
+		[]core.Stage{core.StageBase}, nil, 600, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.MaxCrowd, plan.MinClients, plan.Clients, plan.ShardJobs = 5, 5, 8, 2
+	if err := plan.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenLeaseSource(dir, "w", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+
+	const width = 2
+	var peak atomic.Int64
+	open := func() int64 {
+		src.store.mu.Lock()
+		defer src.store.mu.Unlock()
+		return int64(len(src.store.files))
+	}
+	st, err := Work(context.Background(), plan, src, nil, WorkOptions{
+		Owner: "w", Workers: width,
+		OnEvent: func(ev SiteEvent) {
+			if n := open(); n > peak.Load() {
+				peak.Store(n)
+			}
+		},
+		OnShardDone: func(shard, _ int) {
+			if n := open(); n != 0 {
+				t.Errorf("%d shard files open after shard %d was sealed", n, shard)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ShardsFinished != plan.Shards() {
+		t.Fatalf("sealed %d shards, want %d", st.ShardsFinished, plan.Shards())
+	}
+	// Each shard's second job runs beside the first one's open appender.
+	if p := peak.Load(); p < 1 || p > width {
+		t.Errorf("peak open shard files = %d, want 1..%d (the pool width)", p, width)
+	}
+}
+
 // Saving a plan is idempotent, but replacing a campaign's plan is refused:
 // the plan is the store's identity.
 func TestPlanSaveRefusesReplacement(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // with `mfc-campaign serve`: it fetches the plan over HTTP and runs the
 // shared engine (campaign.Work) over grants instead of file leases — no
 // filesystem is shared with the plan. The grant's fence token (the
-// server-side lease generation) travels with every heartbeat and upload;
+// server's per-shard grant counter) travels with every heartbeat and upload;
 // a 410 from the server means the shard was re-granted to a successor and
 // this worker abandons it, exactly like a filesystem worker losing its
 // lease. WorkRemote returns when the server reports the campaign
@@ -147,7 +147,7 @@ func readError(resp *http.Response) string {
 }
 
 // grantSource is the campaign.ShardSource over the serve protocol: a claim
-// is a grant, and the server — which owns the store and the shard leases —
+// is a grant, and the server — which owns the store and the grant table —
 // decides wait and complete.
 type grantSource struct {
 	rc    *remoteClient

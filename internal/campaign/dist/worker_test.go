@@ -15,6 +15,7 @@ import (
 
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/campaign/serve"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -375,6 +376,32 @@ func TestWorkFailsFastWhenStoreLocked(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "locked by single-process run") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+}
+
+// The converse: a control plane must refuse a directory a filesystem worker
+// is live on — its in-memory grants and the worker's shard lease would
+// otherwise never see each other.
+func TestServeRefusesLiveWorkerLease(t *testing.T) {
+	dir := t.TempDir()
+	distPlan(t, dir)
+	lk, err := lease.Acquire(campaign.LeasesDir(dir), campaign.ShardLeaseName(0), "worker", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := serve.New(dir, serve.Options{}); err == nil {
+		srv.Close()
+		t.Fatal("control plane opened a dir with a live worker lease")
+	} else if !strings.Contains(err.Error(), "live worker lease") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	if err := lk.Release(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(dir, serve.Options{})
+	if err != nil {
+		t.Fatalf("control plane refused the dir after the worker released: %v", err)
+	}
+	srv.Close()
 }
 
 // A worker started with a short -ttl must still respect a live store

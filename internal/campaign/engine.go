@@ -32,7 +32,8 @@ var (
 	// the worker abandons the shard without releasing anything. Lost work
 	// is only wasted, never wrong — records are pure functions of (plan,
 	// job) and every reader dedupes. It is the lease package's own
-	// sentinel: a grant's fence token is a lease generation too.
+	// sentinel, so the file-lease source needs no mapping; the grant source
+	// maps the control plane's 410 onto it.
 	ErrFenced = lease.ErrLost
 )
 

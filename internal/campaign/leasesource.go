@@ -179,7 +179,7 @@ func (s *LeaseSource) Claim(ctx context.Context) (*Claim, error) {
 			return nil, err
 		}
 		return &Claim{Shard: k, Takeover: lk.TookOver(), TTL: s.ttl, Jobs: jobs,
-			Hold: &leaseHold{lk: lk, store: s.store}}, nil
+			Hold: &leaseHold{lk: lk, store: s.store, shard: k}}, nil
 	}
 }
 
@@ -194,22 +194,31 @@ func (s *LeaseSource) Survey(context.Context) (StartInfo, error) {
 
 // leaseHold is a held shard lease plus the store its records append to.
 // ErrFenced is lease.ErrLost, so the lease's own errors need no mapping.
+// Giving the shard up, sealed or part-done, closes its appender first.
 type leaseHold struct {
 	lk    *lease.Handle
 	store *Store
+	shard int
 }
 
 func (h *leaseHold) Heartbeat(context.Context) error { return h.lk.Heartbeat() }
 
 func (h *leaseHold) Persist(_ context.Context, rec *Record) error { return h.store.Append(rec) }
 
-func (h *leaseHold) Seal(context.Context) error { return h.lk.Release() }
+func (h *leaseHold) Seal(context.Context) error {
+	cerr := h.store.CloseShard(h.shard)
+	if err := h.lk.Release(); err != nil {
+		return err
+	}
+	return cerr
+}
 
 // Release tolerates a lease already taken over in the release window:
 // the shard has an owner, which is all releasing was for.
 func (h *leaseHold) Release() error {
+	cerr := h.store.CloseShard(h.shard)
 	if err := h.lk.Release(); err != nil && !errors.Is(err, lease.ErrLost) {
 		return err
 	}
-	return nil
+	return cerr
 }

@@ -5,27 +5,9 @@ import (
 	"io"
 	"strings"
 
+	"mfc/internal/population"
 	"mfc/internal/stats"
 )
-
-// bucketLabels are the §5 stopping-size buckets (Figures 7–9).
-var bucketLabels = []string{"10-20", "20-30", "30-40", "40-50", "NoStop"}
-
-// bucketOf maps a stopping size (0 = no stop) to a §5 bucket index.
-func bucketOf(stop int) int {
-	switch {
-	case stop == 0:
-		return 4
-	case stop <= 20:
-		return 0
-	case stop <= 30:
-		return 1
-	case stop <= 40:
-		return 2
-	default:
-		return 3
-	}
-}
 
 // verdictNames indexes CellSummary.Verdicts; Error is the engine's own
 // verdict for failed measurements.
@@ -60,7 +42,7 @@ type CellSummary struct {
 
 // NewCellSummary returns an empty cell partial.
 func NewCellSummary() *CellSummary {
-	return &CellSummary{Verdicts: make([]int64, len(verdictNames)), Buckets: make([]int64, len(bucketLabels))}
+	return &CellSummary{Verdicts: make([]int64, len(verdictNames)), Buckets: make([]int64, len(population.BucketLabels))}
 }
 
 // Add folds one record in.
@@ -69,10 +51,10 @@ func (c *CellSummary) Add(rec *Record) {
 	c.Verdicts[VerdictIndex(rec.Verdict)]++
 	switch rec.Verdict {
 	case "Stopped":
-		c.Buckets[bucketOf(rec.Stop)]++
+		c.Buckets[population.BucketOf(rec.Stop)]++
 		c.Stops.Add(rec.Stop)
 	case "NoStop":
-		c.Buckets[bucketOf(0)]++
+		c.Buckets[population.BucketOf(0)]++
 	}
 	if rec.Err == "" {
 		c.Requests.Add(float64(rec.Requests))
@@ -202,7 +184,7 @@ func RenderReport(w io.Writer, plan *Plan, sum *Summary) error {
 		}
 		b.WriteByte('\n')
 		b.WriteString("  buckets:")
-		for i, lbl := range bucketLabels {
+		for i, lbl := range population.BucketLabels {
 			fmt.Fprintf(&b, " %s=%d", lbl, c.Buckets[i])
 		}
 		fmt.Fprintf(&b, "\n  stopped=%.1f%%", c.StoppedFraction()*100)

@@ -2,16 +2,16 @@
 // owns the plan and the result store, and any number of workers join over
 // plain HTTP — no shared filesystem — with `mfc-campaign work -join`.
 //
-// The server hands out work as grants. A grant is one result shard's
-// pending jobs plus a fence token: the generation of the shard's lease
-// file, acquired server-side in the worker's name (the same crash-safe
-// lease the filesystem workers use, so the arbitration rules — and their
-// tests — are shared). Workers heartbeat their grant; a worker silent for
-// a full TTL is presumed dead, its grant is forgotten, and the next grant
-// of that shard re-acquires the now-stale lease, bumping the generation.
-// Every later request bearing the old token — heartbeat, record upload,
-// seal — is refused with 410 Gone, which is how a wedged-but-alive worker
-// learns it was fenced.
+// The server hands out work as grants: one result shard's pending jobs
+// plus a fence token, a per-shard counter bumped each time the shard is
+// granted. Grants live in memory only — the server holds the directory's
+// exclusive store lease, the one lease file it ever writes, so no other
+// process could read a per-shard one — and die with the process: a
+// restarted server refuses its predecessor's tokens. Workers heartbeat
+// their grant; one silent for a full TTL on the server's clock is presumed
+// dead, its grant is forgotten, and the shard's next grant carries the next
+// token. Every later request bearing the old token — heartbeat, upload,
+// seal — gets 410 Gone: how a wedged-but-alive worker learns it was fenced.
 //
 // Correctness never rests on the grants. Every record is a pure function
 // of (plan, job index) and the report fold dedupes by job, so a
@@ -26,6 +26,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,7 +78,7 @@ type GrantDoc struct {
 	Wait bool `json:"wait,omitempty"`
 
 	Shard int   `json:"shard"`
-	Gen   int64 `json:"gen"` // fence token: the shard lease's generation
+	Gen   int64 `json:"gen"` // fence token: how many times the shard has been granted
 	Jobs  []int `json:"jobs,omitempty"`
 	// TTLNanos is the grant's staleness bound: heartbeat well within it
 	// (the worker beats every TTL/3) or be presumed dead and fenced.
@@ -127,27 +128,24 @@ type StatusDoc struct {
 
 // Options tunes a control plane.
 type Options struct {
-	// Owner identifies the server in lease files (default: host-pid-seq).
-	Owner string
 	// TTL is the grant staleness bound (default lease.DefaultTTL): a
 	// worker silent this long is presumed dead and its shard re-granted.
 	TTL time.Duration
-	// CheckpointEvery writes the manifest after this many newly ingested
-	// jobs (default 64); the manifest is progress metadata, never
-	// authority, exactly as in the filesystem paths.
-	CheckpointEvery int
 	// StragglerK is the straggler threshold multiplier for the fleet view:
 	// an active shard older than k× the median completed-shard duration is
 	// flagged (default campaign.DefaultStragglerK).
 	StragglerK float64
 }
 
-// grant is one outstanding shard grant.
+// checkpointEvery is how many newly ingested jobs pass between manifest
+// writes; the manifest is progress metadata, never authority.
+const checkpointEvery = 64
+
+// grant is one outstanding shard grant, the only record of it anywhere.
 type grant struct {
 	owner    string
 	shard    int
 	gen      int64
-	lk       *lease.Handle
 	lastBeat time.Time
 	jobs     []int
 	newly    int // jobs ingested under this grant
@@ -157,30 +155,28 @@ type grant struct {
 // on a listener (campaign.ServeUntil shuts it down cleanly), Close when
 // done.
 type Server struct {
-	dir      string
-	plan     *campaign.Plan
-	store    *campaign.Store
-	leaseDir string
-	opts     Options
+	dir   string
+	plan  *campaign.Plan
+	store *campaign.Store
+	opts  Options
 
 	reg   *obs.Registry
 	tr    *campaign.Tracker
 	dash  *campaign.Dash
 	fleet *campaign.Fleet
-	trace string // campaign trace id, stamped on every response
 
-	now func() time.Time // tests inject a fake clock for reaping
+	now func() time.Time // the one clock liveness is judged by; tests inject a fake
 
 	mu        sync.Mutex
 	done      []bool // job -> has a stored record
 	doneCount int
+	gens      []int64           // shard -> grants issued so far; the next fence token is gens[k]+1
 	grants    map[int]*grant    // shard -> outstanding grant
 	byOwner   map[string]*grant // owner -> its outstanding grant
 	lastSeen  map[string]time.Time
 	spanFiles map[string]*campaign.SpanWriter // owner -> span spill
 	sinceCkpt int
-	closed    bool
-	lostStore bool // the exclusive store lease was lost; refuse writes
+	down      bool // closed, or the exclusive store lease was lost: refuse writes
 
 	grantsTotal   obs.Counter
 	regrantsTotal obs.Counter
@@ -205,42 +201,33 @@ func New(dir string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	plan := r.Plan()
-	if opts.Owner == "" {
-		opts.Owner = lease.DefaultOwner()
-	}
 	if opts.TTL <= 0 {
 		opts.TTL = lease.DefaultTTL
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 64
 	}
 
 	s := &Server{
 		dir:       dir,
 		plan:      plan,
-		leaseDir:  campaign.LeasesDir(dir),
 		opts:      opts,
 		now:       time.Now,
+		gens:      make([]int64, plan.Shards()),
 		grants:    make(map[int]*grant),
 		byOwner:   make(map[string]*grant),
 		lastSeen:  make(map[string]time.Time),
 		spanFiles: make(map[string]*campaign.SpanWriter),
-		trace:     campaign.PlanTraceID(plan),
 		fleet:     campaign.NewFleet(opts.StragglerK),
 		complete:  make(chan struct{}),
 	}
-	store, err := campaign.OpenStoreLocked(dir, plan.ShardJobs, opts.Owner, opts.TTL, func() {
+	s.store, err = campaign.OpenStoreLocked(dir, plan.ShardJobs, lease.DefaultOwner(), opts.TTL, func() {
 		s.mu.Lock()
-		s.lostStore = true
+		s.down = true
 		s.mu.Unlock()
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.store = store
-
 	if s.done, err = r.Done(); err != nil {
-		store.Close()
+		s.store.Close()
 		return nil, err
 	}
 	start := plan.StartInfo(s.done)
@@ -301,33 +288,32 @@ func (s *Server) Status() StatusDoc {
 	}
 }
 
-// Close releases every outstanding grant's lease and the store lock.
+// Close forgets every outstanding grant and releases the store lease.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
-	for shard, g := range s.grants {
-		g.lk.Release()
-		delete(s.grants, shard)
-		delete(s.byOwner, g.owner)
-	}
-	for owner, w := range s.spanFiles {
+	s.down = true
+	clear(s.grants)
+	clear(s.byOwner)
+	for _, w := range s.spanFiles {
 		if w != nil {
 			w.Close()
 		}
-		delete(s.spanFiles, owner)
 	}
+	clear(s.spanFiles)
 	s.mu.Unlock()
 	return s.store.Close()
 }
 
-// errFenced marks a request refused for a stale fence token.
-var errFenced = errors.New("serve: stale fence token (the shard was re-granted)")
+// errFenced marks a request refused for a stale fence token; errStore one
+// the server cannot serve because its store is failing or lost.
+var (
+	errFenced = errors.New("serve: stale fence token (the shard was re-granted)")
+	errStore  = errors.New("serve: result store unavailable")
+)
 
 // reapLocked forgets grants whose worker has been silent past the TTL.
-// The lease handle is deliberately NOT released: the file ages out on its
-// own (its last heartbeat is the worker's last proof of life), and the
-// next Acquire of the shard takes it over, bumping the generation — which
-// is exactly what fences the presumed-dead worker if it was merely slow.
+// The shard's next grant carries the next token, which is exactly what
+// fences the presumed-dead worker if it was merely slow.
 func (s *Server) reapLocked() {
 	cutoff := s.now().Add(-s.opts.TTL)
 	for shard, g := range s.grants {
@@ -344,23 +330,22 @@ func (s *Server) reapLocked() {
 const maxTrackedOwners = 512
 
 // touchOwnerLocked records that owner was just heard from, and on first
-// sight binds its heartbeat-age gauge. The gauge fn takes s.mu — safe
-// because the registry calls gauge fns outside its own locks.
+// sight binds its heartbeat-age gauge; owners past the bound are served
+// but not tracked. The gauge fn takes s.mu — safe because the registry
+// calls gauge fns outside its own locks.
 func (s *Server) touchOwnerLocked(owner string) {
 	if owner == "" {
 		return
 	}
 	if _, known := s.lastSeen[owner]; !known {
 		if len(s.lastSeen) >= maxTrackedOwners {
-			s.lastSeen[owner] = s.now()
 			return
 		}
-		o := owner
 		s.hbAge.Func(func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return s.now().Sub(s.lastSeen[o]).Seconds()
-		}, o)
+			return s.now().Sub(s.lastSeen[owner]).Seconds()
+		}, owner)
 	}
 	s.lastSeen[owner] = s.now()
 }
@@ -369,8 +354,8 @@ func (s *Server) touchOwnerLocked(owner string) {
 func (s *Server) grantFor(owner string) (GrantDoc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.lostStore {
-		return GrantDoc{}, fmt.Errorf("serve: control plane is shut down or lost its store lease")
+	if s.down {
+		return GrantDoc{}, fmt.Errorf("%w: control plane is shut down or lost its store lease", errStore)
 	}
 	s.reapLocked()
 	s.touchOwnerLocked(owner)
@@ -399,21 +384,12 @@ func (s *Server) grantFor(owner string) (GrantDoc, error) {
 		if len(jobs) == 0 {
 			continue
 		}
-		lk, err := lease.Acquire(s.leaseDir, campaign.ShardLeaseName(k), owner, s.opts.TTL)
-		if err != nil {
-			if lease.IsHeld(err) {
-				// A forgotten grant's lease file has not aged out yet (the
-				// reaper and the file share the same last-beat clock, so
-				// this is a narrow race); treat the shard as taken.
-				continue
-			}
-			return GrantDoc{}, err
-		}
-		g := &grant{owner: owner, shard: k, gen: lk.Gen(), lk: lk, lastBeat: s.now(), jobs: jobs}
+		s.gens[k]++
+		g := &grant{owner: owner, shard: k, gen: s.gens[k], lastBeat: s.now(), jobs: jobs}
 		s.grants[k] = g
 		s.byOwner[owner] = g
 		s.grantsTotal.Inc()
-		if lk.TookOver() {
+		if g.gen > 1 {
 			s.regrantsTotal.Inc()
 		}
 		s.tr.OnClaim(k)
@@ -423,36 +399,26 @@ func (s *Server) grantFor(owner string) (GrantDoc, error) {
 	return GrantDoc{Wait: true, TTLNanos: int64(s.opts.TTL)}, nil
 }
 
-// grantLocked resolves a ShardRef to its live grant, or errFenced.
+// grantLocked resolves a fence token to its live grant and refreshes the
+// grant's liveness — any request under a good token is proof of life — or
+// returns errFenced.
 func (s *Server) grantLocked(owner string, shard int, gen int64) (*grant, error) {
+	s.touchOwnerLocked(owner)
 	g := s.grants[shard]
 	if g == nil || g.owner != owner || g.gen != gen {
 		s.fencedTotal.Inc()
 		return nil, errFenced
 	}
+	g.lastBeat = s.now()
 	return g, nil
 }
 
-// heartbeat refreshes a grant's liveness, both in memory and on the lease
-// file (so a process probing the directory still sees a live worker).
+// heartbeat handles /api/heartbeat: the token check is the whole of it.
 func (s *Server) heartbeat(ref ShardRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.touchOwnerLocked(ref.Owner)
-	g, err := s.grantLocked(ref.Owner, ref.Shard, ref.Gen)
-	if err != nil {
-		return err
-	}
-	if err := g.lk.Heartbeat(); errors.Is(err, lease.ErrLost) {
-		// Someone outside the control plane took the lease file over; the
-		// grant is no longer ours to vouch for.
-		delete(s.grants, g.shard)
-		delete(s.byOwner, g.owner)
-		s.fencedTotal.Inc()
-		return errFenced
-	}
-	g.lastBeat = s.now()
-	return nil
+	_, err := s.grantLocked(ref.Owner, ref.Shard, ref.Gen)
+	return err
 }
 
 // ingest validates the fence token and appends the records to the store.
@@ -462,25 +428,23 @@ func (s *Server) heartbeat(ref ShardRef) error {
 func (s *Server) ingest(req IngestRequest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lostStore {
-		return fmt.Errorf("serve: store lease lost; not accepting records")
+	if s.down {
+		return fmt.Errorf("%w: not accepting records", errStore)
 	}
-	s.touchOwnerLocked(req.Owner)
 	g, err := s.grantLocked(req.Owner, req.Shard, req.Gen)
 	if err != nil {
 		return err
 	}
 	lo, hi := s.plan.ShardRange(req.Shard)
 	for i := range req.Records {
-		rec := &req.Records[i]
-		if rec.Job < lo || rec.Job >= hi {
-			return fmt.Errorf("serve: record for job %d is outside granted shard %d [%d,%d)", rec.Job, req.Shard, lo, hi)
+		if j := req.Records[i].Job; j < lo || j >= hi {
+			return fmt.Errorf("serve: record for job %d is outside granted shard %d [%d,%d)", j, req.Shard, lo, hi)
 		}
 	}
 	for i := range req.Records {
 		rec := &req.Records[i]
 		if err := s.store.Append(rec); err != nil {
-			return err
+			return fmt.Errorf("%w: %v", errStore, err)
 		}
 		s.recordsTotal.Inc()
 		if !s.done[rec.Job] {
@@ -495,8 +459,7 @@ func (s *Server) ingest(req IngestRequest) error {
 			})
 		}
 	}
-	g.lastBeat = s.now()
-	if s.sinceCkpt >= s.opts.CheckpointEvery || s.doneCount == s.plan.Jobs() {
+	if s.sinceCkpt >= checkpointEvery || s.doneCount == s.plan.Jobs() {
 		s.writeManifestLocked()
 		s.sinceCkpt = 0
 	}
@@ -511,7 +474,7 @@ func (s *Server) ingest(req IngestRequest) error {
 // server side sees remote workers too. No fence check — a fenced worker's
 // spans are still wanted — and the spill is best-effort: span loss never
 // fails a request.
-func (s *Server) ingestSpans(req SpanBatch) {
+func (s *Server) ingestSpans(req SpanBatch) error {
 	for i := range req.Spans {
 		if req.Spans[i].Worker == "" {
 			req.Spans[i].Worker = req.Owner
@@ -521,12 +484,9 @@ func (s *Server) ingestSpans(req SpanBatch) {
 
 	s.mu.Lock()
 	s.touchOwnerLocked(req.Owner)
-	owner := req.Owner
-	if owner == "" {
-		owner = "unknown"
-	}
+	owner := cmp.Or(req.Owner, "unknown")
 	w, ok := s.spanFiles[owner]
-	if !ok && len(s.spanFiles) < maxTrackedOwners && !s.closed {
+	if !ok && len(s.spanFiles) < maxTrackedOwners && !s.down {
 		w, _ = campaign.NewSpanWriter(campaign.SpanFilePath(s.dir, owner))
 		s.spanFiles[owner] = w // nil on open failure: remembered, skipped
 	}
@@ -534,10 +494,10 @@ func (s *Server) ingestSpans(req SpanBatch) {
 	if w != nil {
 		w.Write(req.Spans)
 	}
+	return nil
 }
 
-// sealShard handles /api/done: the worker finished its grant; release the
-// lease so the directory shows the shard free.
+// sealShard handles /api/done: the worker finished its grant.
 func (s *Server) sealShard(ref ShardRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -547,12 +507,10 @@ func (s *Server) sealShard(ref ShardRef) error {
 	}
 	delete(s.grants, g.shard)
 	delete(s.byOwner, g.owner)
-	// ErrLost here means a racing takeover already owns the file; the
-	// records are in the store either way.
-	if err := g.lk.Release(); err != nil && !errors.Is(err, lease.ErrLost) {
-		return err
-	}
 	s.tr.OnShardDone(g.shard, g.newly)
+	if err := s.store.CloseShard(g.shard); err != nil {
+		return fmt.Errorf("%w: %v", errStore, err)
+	}
 	return nil
 }
 
@@ -590,47 +548,22 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "owner is required", http.StatusBadRequest)
 			return
 		}
-		g, err := s.grantFor(req.Owner)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+		if g, err := s.grantFor(req.Owner); err != nil {
+			finish(w, err)
+		} else {
+			writeJSON(w, g)
 		}
-		writeJSON(w, g)
 	})
-	mux.HandleFunc("/api/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var ref ShardRef
-		if !decodeJSON(w, r, &ref) {
-			return
-		}
-		finish(w, s.heartbeat(ref))
-	})
-	mux.HandleFunc("/api/records", func(w http.ResponseWriter, r *http.Request) {
-		var req IngestRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		finish(w, s.ingest(req))
-	})
-	mux.HandleFunc("/api/done", func(w http.ResponseWriter, r *http.Request) {
-		var ref ShardRef
-		if !decodeJSON(w, r, &ref) {
-			return
-		}
-		finish(w, s.sealShard(ref))
-	})
-	mux.HandleFunc("/api/spans", func(w http.ResponseWriter, r *http.Request) {
-		var req SpanBatch
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		s.ingestSpans(req)
-		w.WriteHeader(http.StatusNoContent)
-	})
+	mux.HandleFunc("/api/heartbeat", post(s.heartbeat))
+	mux.HandleFunc("/api/records", post(s.ingest))
+	mux.HandleFunc("/api/done", post(s.sealShard))
+	mux.HandleFunc("/api/spans", post(s.ingestSpans))
 	mux.Handle("/", s.dash.Handler())
 	// Stamp the campaign trace id on every response so joining workers
 	// adopt it and all span files merge into one fleet trace.
+	trace := campaign.PlanTraceID(s.plan)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(TraceHeader, s.trace)
+		w.Header().Set(TraceHeader, trace)
 		mux.ServeHTTP(w, r)
 	})
 }
@@ -638,6 +571,17 @@ func (s *Server) Handler() http.Handler {
 // WaitQuit exposes the dashboard's quit channel (POST /quit), so a
 // harness can end a serve process that has no -until-done condition.
 func (s *Server) WaitQuit() <-chan struct{} { return s.dash.WaitQuit() }
+
+// post adapts one of the 204-or-error endpoints: decode the body, run fn,
+// map its error to a status.
+func post[T any](fn func(T) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if decodeJSON(w, r, &req) {
+			finish(w, fn(req))
+		}
+	}
+}
 
 // decodeJSON decodes a POST body, writing the HTTP error itself on
 // failure. Bodies are capped well above any real record batch.
@@ -655,14 +599,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // finish maps a control-plane error to its HTTP status: fencing is 410
-// Gone (the caller must abandon the shard), anything else is 400 (bad
-// record) or 500 (store trouble) — collapsed to 400/503 by class.
+// Gone (the caller must abandon the shard), store trouble is 503 (the
+// caller may retry), anything else is a caller bug, 400.
 func finish(w http.ResponseWriter, err error) {
 	switch {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, errFenced):
 		http.Error(w, err.Error(), http.StatusGone)
+	case errors.Is(err, errStore):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
@@ -670,6 +616,5 @@ func finish(w http.ResponseWriter, err error) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }

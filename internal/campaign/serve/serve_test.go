@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"mfc/internal/campaign"
-	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -31,35 +36,45 @@ func servePlan(t testing.TB, dir string) *campaign.Plan {
 	return plan
 }
 
-// ageLease rewrites a shard lease's heartbeat far into the past, the same
-// way the dist package simulates a wedged worker; the server-side reaper
-// uses the injected clock, but lease takeover reads the file.
-func ageLease(t *testing.T, dir string, shard int) {
+// call POSTs body (JSON-encoded unless already bytes) to the server's real
+// handler, the way a joined worker would.
+func call(t testing.TB, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
-	ld := campaign.LeasesDir(dir)
-	name := campaign.ShardLeaseName(shard)
-	info, err := lease.Read(ld, name)
-	if err != nil {
-		t.Fatal(err)
+	data, ok := body.([]byte)
+	if !ok {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
 	}
-	info.HeartbeatUnixNano = time.Now().Add(-time.Hour).UnixNano()
-	data, err := json.Marshal(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lease.Path(ld, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+	return rr
 }
 
-// The full grant/fence lifecycle at the Server level, with an injected
-// clock: idempotent grants, silence past the TTL re-granting the shard
-// with a bumped generation, every request under the old token refused,
-// and duplicate ingests deliberately accepted.
+// grantOver asks for a grant over HTTP and decodes the answer.
+func grantOver(t testing.TB, h http.Handler, owner string) GrantDoc {
+	t.Helper()
+	rr := call(t, h, "/api/grant", GrantRequest{Owner: owner})
+	if rr.Code != http.StatusOK {
+		t.Fatalf("POST /api/grant for %q = %d: %s", owner, rr.Code, rr.Body.String())
+	}
+	var g GrantDoc
+	if err := json.Unmarshal(rr.Body.Bytes(), &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The full grant/fence lifecycle at the Server level, on the injected
+// clock alone: idempotent grants, silence past the TTL re-granting the
+// shard under the next token while a heartbeating peer keeps its own,
+// every request under the old token refused, and duplicate ingests
+// deliberately accepted.
 func TestGrantFenceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	plan := servePlan(t, dir)
-	srv, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +106,14 @@ func TestGrantFenceLifecycle(t *testing.T) {
 		t.Fatalf("owners a and b share shard %d", g1.Shard)
 	}
 
-	// Both workers go silent for two TTLs. The reaper forgets their
-	// grants; a's lease file is aged (its process would have stopped
-	// heartbeating too), b's stays fresh, so only a's shard is
+	// a goes silent for 80s, past the one-minute TTL; b heartbeats half-way
+	// through, so the reaper forgets only a's grant and only a's shard is
 	// re-grantable.
-	now = now.Add(2 * time.Minute)
-	ageLease(t, dir, g1.Shard)
+	now = now.Add(40 * time.Second)
+	if err := srv.heartbeat(ShardRef{Owner: "b", Shard: g2.Shard, Gen: g2.Gen}); err != nil {
+		t.Fatalf("b's heartbeat: %v", err)
+	}
+	now = now.Add(40 * time.Second)
 	g3, err := srv.grantFor("c")
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +138,10 @@ func TestGrantFenceLifecycle(t *testing.T) {
 	}
 	if err := srv.sealShard(old); !errors.Is(err, errFenced) {
 		t.Errorf("stale seal: %v, want errFenced", err)
+	}
+	// b's token survived a's reaping.
+	if err := srv.heartbeat(ShardRef{Owner: "b", Shard: g2.Shard, Gen: g2.Gen}); err != nil {
+		t.Errorf("live peer's heartbeat after the reap: %v", err)
 	}
 
 	// The successor's token works, and replaying an upload is accepted
@@ -173,12 +194,12 @@ func TestGrantFenceLifecycle(t *testing.T) {
 func TestServeTakesExclusiveStoreLease(t *testing.T) {
 	dir := t.TempDir()
 	servePlan(t, dir)
-	srv, err := New(dir, Options{Owner: "cp-1", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if second, err := New(dir, Options{Owner: "cp-2", TTL: time.Minute}); err == nil {
+	if second, err := New(dir, Options{TTL: time.Minute}); err == nil {
 		second.Close()
 		t.Fatal("second control plane opened the same campaign dir")
 	}
@@ -190,7 +211,7 @@ func TestServeTakesExclusiveStoreLease(t *testing.T) {
 func TestServeRestartResumesFromStore(t *testing.T) {
 	dir := t.TempDir()
 	plan := servePlan(t, dir)
-	srv, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +228,7 @@ func TestServeRestartResumesFromStore(t *testing.T) {
 	}
 	srv.Close()
 
-	srv2, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv2, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +246,162 @@ func TestServeRestartResumesFromStore(t *testing.T) {
 			if j == done {
 				t.Errorf("job %d re-granted after restart", j)
 			}
+		}
+	}
+}
+
+// The control plane's grant table is in memory: through a whole grant ->
+// heartbeat -> ingest -> done -> reap -> re-grant cycle driven over the
+// real handler, the only lease file the directory ever holds is the
+// exclusive store lease.
+func TestServeWritesOnlyStoreLease(t *testing.T) {
+	dir := t.TempDir()
+	plan := servePlan(t, dir)
+	srv, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	now := time.Now()
+	srv.now = func() time.Time { return now }
+	h := srv.Handler()
+
+	onlyStoreLease := func(step string) {
+		t.Helper()
+		ents, err := os.ReadDir(campaign.LeasesDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if len(names) != 1 || names[0] != "store.lease" {
+			t.Fatalf("after %s leases/ holds %v, want exactly [store.lease]", step, names)
+		}
+	}
+	expect := func(step string, rr *httptest.ResponseRecorder, code int) {
+		t.Helper()
+		if rr.Code != code {
+			t.Fatalf("%s = %d, want %d: %s", step, rr.Code, code, rr.Body.String())
+		}
+		onlyStoreLease(step)
+	}
+
+	g := grantOver(t, h, "w")
+	onlyStoreLease("grant")
+	ref := ShardRef{Owner: "w", Shard: g.Shard, Gen: g.Gen}
+	expect("heartbeat", call(t, h, "/api/heartbeat", ref), http.StatusNoContent)
+	var recs []campaign.Record
+	for _, j := range g.Jobs {
+		recs = append(recs, *campaign.Measure(plan, j, nil))
+	}
+	up := IngestRequest{Owner: "w", Shard: g.Shard, Gen: g.Gen, Records: recs}
+	expect("ingest", call(t, h, "/api/records", up), http.StatusNoContent)
+	expect("done", call(t, h, "/api/done", ref), http.StatusNoContent)
+
+	// A second worker dies holding the next shard; its successor is
+	// re-granted that shard under the next token.
+	dead := grantOver(t, h, "dead")
+	now = now.Add(2 * time.Minute)
+	heir := grantOver(t, h, "heir")
+	if heir.Shard != dead.Shard || heir.Gen != dead.Gen+1 {
+		t.Fatalf("re-grant = %+v, want shard %d under token %d", heir, dead.Shard, dead.Gen+1)
+	}
+	onlyStoreLease("re-grant")
+	expect("fenced heartbeat", call(t, h, "/api/heartbeat",
+		ShardRef{Owner: "dead", Shard: dead.Shard, Gen: dead.Gen}), http.StatusGone)
+}
+
+// Grants die with the process: a token the previous incarnation issued is
+// refused with 410 by its successor, and the fenced worker's next grant
+// request simply succeeds.
+func TestRestartRefusesOldTokens(t *testing.T) {
+	dir := t.TempDir()
+	servePlan(t, dir)
+	srv, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := grantOver(t, srv.Handler(), "w")
+	srv.Close()
+
+	srv2, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	h := srv2.Handler()
+	ref := ShardRef{Owner: "w", Shard: old.Shard, Gen: old.Gen}
+	for path, body := range map[string]any{
+		"/api/heartbeat": ref, "/api/done": ref,
+		"/api/records": IngestRequest{Owner: "w", Shard: old.Shard, Gen: old.Gen},
+	} {
+		if rr := call(t, h, path, body); rr.Code != http.StatusGone {
+			t.Errorf("%s under the previous incarnation's token = %d, want 410", path, rr.Code)
+		}
+	}
+	if g := grantOver(t, h, "w"); g.Wait || g.Complete || len(g.Jobs) == 0 {
+		t.Errorf("grant after restart = %+v, want a shard", g)
+	}
+}
+
+// Every endpoint error lands in one of three classes: a stale token is 410
+// (abandon the shard), a caller bug is 400 (do not retry), and a store that
+// cannot take the write is 503 (retry later).
+func TestErrorStatusClasses(t *testing.T) {
+	dir := t.TempDir()
+	plan := servePlan(t, dir)
+	srv, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	g := grantOver(t, h, "w")
+	good := *campaign.Measure(plan, g.Jobs[0], nil)
+	lo, hi := plan.ShardRange(g.Shard)
+	foreign := *campaign.Measure(plan, (hi+1)%plan.Jobs(), nil)
+	if foreign.Job >= lo && foreign.Job < hi {
+		t.Fatalf("job %d is not outside shard %d", foreign.Job, g.Shard)
+	}
+	upload := func(gen int64, recs ...campaign.Record) IngestRequest {
+		return IngestRequest{Owner: "w", Shard: g.Shard, Gen: gen, Records: recs}
+	}
+	// Appends to the granted shard fail: its file path is a directory.
+	breakStore := func() {
+		path := filepath.Join(dir, "shards", fmt.Sprintf("shard-%04d.jsonl", g.Shard))
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loseLease := func() {
+		srv.mu.Lock()
+		srv.down = true
+		srv.mu.Unlock()
+	}
+
+	for _, tc := range []struct {
+		name, path string
+		before     func()
+		body       any
+		want       int
+	}{
+		{"stale token", "/api/records", nil, upload(g.Gen+1, good), http.StatusGone},
+		{"stale heartbeat", "/api/heartbeat", nil, ShardRef{Owner: "w", Shard: g.Shard, Gen: g.Gen + 1}, http.StatusGone},
+		{"out-of-shard record", "/api/records", nil, upload(g.Gen, foreign), http.StatusBadRequest},
+		{"bad body", "/api/records", nil, []byte("not json"), http.StatusBadRequest},
+		{"grant without owner", "/api/grant", nil, GrantRequest{}, http.StatusBadRequest},
+		{"failed append", "/api/records", breakStore, upload(g.Gen, good), http.StatusServiceUnavailable},
+		{"lost store lease", "/api/records", loseLease, upload(g.Gen, good), http.StatusServiceUnavailable},
+		{"grant after lost lease", "/api/grant", nil, GrantRequest{Owner: "w2"}, http.StatusServiceUnavailable},
+	} {
+		if tc.before != nil {
+			tc.before()
+		}
+		if rr := call(t, h, tc.path, tc.body); rr.Code != tc.want {
+			t.Errorf("%s: POST %s = %d, want %d: %s", tc.name, tc.path, rr.Code, tc.want,
+				strings.TrimSpace(rr.Body.String()))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,7 +21,7 @@ import (
 func TestSpanIngestAndTraceHeader(t *testing.T) {
 	dir := t.TempDir()
 	plan := servePlan(t, dir)
-	srv, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSpanIngestAndTraceHeader(t *testing.T) {
 func TestReapMetrics(t *testing.T) {
 	dir := t.TempDir()
 	servePlan(t, dir)
-	srv, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,6 @@ func TestReapMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	now = now.Add(2 * time.Minute)
-	ageLease(t, dir, 0)
 	// Any grant request reaps first; "next" also pins its own gauge at 0s.
 	if _, err := srv.grantFor("next"); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestReapMetrics(t *testing.T) {
 func FuzzSpanIngest(f *testing.F) {
 	dir := f.TempDir()
 	servePlan(f, dir)
-	srv, err := New(dir, Options{Owner: "cp", TTL: time.Minute})
+	srv, err := New(dir, Options{TTL: time.Minute})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -144,5 +144,52 @@ func FuzzSpanIngest(f *testing.F) {
 		if err := srv.fleet.Bounded(); err != nil {
 			t.Fatal(err)
 		}
+		srv.mu.Lock()
+		tracked := len(srv.lastSeen)
+		srv.mu.Unlock()
+		if tracked > maxTrackedOwners {
+			t.Fatalf("tracking %d owners, bound is %d", tracked, maxTrackedOwners)
+		}
 	})
+}
+
+// A client inventing owner names cannot grow the per-owner maps past
+// maxTrackedOwners; spans from the owners past the bound still reach the
+// fleet aggregator.
+func TestTrackedOwnersBounded(t *testing.T) {
+	dir := t.TempDir()
+	servePlan(t, dir)
+	srv, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+
+	const owners = maxTrackedOwners + 40
+	for i := 0; i < owners; i++ {
+		// One fleet worker under many batch owners: the fleet view has its
+		// own, lower cap on worker names.
+		owner := fmt.Sprintf("invented-%d", i)
+		batch := SpanBatch{Owner: owner, Spans: []obs.Span{
+			{ID: uint64(i + 1), Name: "idle", Cat: "idle", Worker: "w", Shard: -1, Start: 1, End: 2}}}
+		if rr := call(t, h, "/api/spans", batch); rr.Code != http.StatusNoContent {
+			t.Fatalf("POST /api/spans from %s = %d", owner, rr.Code)
+		}
+	}
+	srv.mu.Lock()
+	tracked, spills := len(srv.lastSeen), len(srv.spanFiles)
+	srv.mu.Unlock()
+	if tracked != maxTrackedOwners || spills != maxTrackedOwners {
+		t.Errorf("tracking %d owners and %d spill files, want exactly the bound %d", tracked, spills, maxTrackedOwners)
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/fleet.json", nil))
+	var doc campaign.FleetDoc
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Ingested != owners {
+		t.Errorf("fleet ingested %d spans, want all %d (untracked owners included)", doc.Ingested, owners)
+	}
 }

@@ -199,6 +199,20 @@ func (s *Store) openShardAppender(k int) (*os.File, error) {
 	return f, nil
 }
 
+// CloseShard closes shard k's appender, if one is open: a writer calls it
+// when it gives the shard up, so it holds open only the shards it is
+// writing, not every shard it ever wrote. A later Append reopens.
+func (s *Store) CloseShard(k int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.files[k]
+	if !ok {
+		return nil
+	}
+	delete(s.files, k)
+	return f.Close()
+}
+
 // Close closes every open shard appender and, for a locked store, stops
 // the heartbeat and releases the exclusive lease.
 func (s *Store) Close() error {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mfc/internal/plot"
+	"mfc/internal/population"
 )
 
 // Plot methods render the figure-shaped experiments as ASCII charts, the
@@ -78,12 +79,12 @@ func (r *Figure6Result) Plot() string {
 func (r *PopulationResult) Plot() string {
 	b := &plot.Bars{
 		Title:  fmt.Sprintf("Figure %s: %v-stage stopping sizes (share of sites)", figNum(r.Stage), r.Stage),
-		Legend: bucketLabels,
+		Legend: population.BucketLabels,
 	}
 	for _, h := range r.Bands {
 		b.Labels = append(b.Labels, h.Band.String())
-		parts := make([]float64, len(bucketLabels))
-		for i := range bucketLabels {
+		parts := make([]float64, len(population.BucketLabels))
+		for i := range population.BucketLabels {
 			parts[i] = h.Fraction(i)
 		}
 		b.Parts = append(b.Parts, parts)

@@ -10,25 +10,6 @@ import (
 	"mfc/internal/population"
 )
 
-// Bucket labels for the §5 stopping-size histograms.
-var bucketLabels = []string{"10-20", "20-30", "30-40", "40-50", "NoStop"}
-
-// bucketOf maps a stopping size (0 = NoStop) to a bucket index.
-func bucketOf(stop int) int {
-	switch {
-	case stop == 0:
-		return 4
-	case stop <= 20:
-		return 0
-	case stop <= 30:
-		return 1
-	case stop <= 40:
-		return 2
-	default:
-		return 3
-	}
-}
-
 // BandHistogram is the stopping-size distribution for one rank band.
 type BandHistogram struct {
 	Band    population.Band
@@ -93,7 +74,7 @@ func runPopulationStage(stage core.Stage, bands []population.Band, sizes []int, 
 				hist.Skipped++
 				continue
 			}
-			hist.Counts[bucketOf(o.stop)]++
+			hist.Counts[population.BucketOf(o.stop)]++
 			hist.Total++
 		}
 		res.Bands = append(res.Bands, hist)
@@ -164,10 +145,10 @@ func (r *PopulationResult) Render() string {
 	}
 	t := newTable(
 		fmt.Sprintf("Figure %s: %v-stage stopping crowd sizes by rank %s", figNum(r.Stage), r.Stage, paperNote),
-		append([]string{"band", "n"}, append(bucketLabels, "stopped%")...)...)
+		append([]string{"band", "n"}, append(population.BucketLabels, "stopped%")...)...)
 	for _, h := range r.Bands {
 		cells := fmt.Sprintf("%v|%d", h.Band, h.Total)
-		for i := range bucketLabels {
+		for i := range population.BucketLabels {
 			cells += fmt.Sprintf("|%.0f%%", h.Fraction(i)*100)
 		}
 		cells += fmt.Sprintf("|%.0f%%", h.StoppedFraction()*100)
@@ -233,7 +214,7 @@ func Table5(seed int64) (*SpecialPopResult, error) {
 func (r *SpecialPopResult) Render() string {
 	t := newTable(fmt.Sprintf("%s stopping crowd sizes (n=%d)", r.Label, r.Hist.Total),
 		"bucket", "measured", "paper")
-	for i, lbl := range bucketLabels {
+	for i, lbl := range population.BucketLabels {
 		paper := ""
 		if r.HasRef {
 			paper = fmt.Sprintf("%d%%", r.Paper[i])

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mfc/internal/population"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -57,8 +59,8 @@ func TestStopStr(t *testing.T) {
 func TestBucketOf(t *testing.T) {
 	cases := map[int]int{0: 4, 15: 0, 20: 0, 21: 1, 30: 1, 35: 2, 45: 3, 50: 3}
 	for stop, want := range cases {
-		if got := bucketOf(stop); got != want {
-			t.Errorf("bucketOf(%d) = %d, want %d", stop, got, want)
+		if got := population.BucketOf(stop); got != want {
+			t.Errorf("BucketOf(%d) = %d, want %d", stop, got, want)
 		}
 	}
 }

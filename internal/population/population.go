@@ -39,6 +39,26 @@ const (
 // Bands lists every studied population, in presentation order.
 var Bands = []Band{Rank1K, Rank10K, Rank100K, Rank1M, Startup, Phishing}
 
+// BucketLabels are the §5 stopping-size buckets (Figures 7–9): one
+// vocabulary for the experiment tables and the campaign report.
+var BucketLabels = []string{"10-20", "20-30", "30-40", "40-50", "NoStop"}
+
+// BucketOf maps a stopping size (0 = no stop) to its BucketLabels index.
+func BucketOf(stop int) int {
+	switch {
+	case stop == 0:
+		return 4
+	case stop <= 20:
+		return 0
+	case stop <= 30:
+		return 1
+	case stop <= 40:
+		return 2
+	default:
+		return 3
+	}
+}
+
 // ParseBand maps a Band.String() name back to the band. Unknown names
 // fail with the list of known ones, so plan-time validation errors are
 // actionable.
