@@ -37,10 +37,12 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# One iteration of the whole-experiment benchmark at both GOMAXPROCS: it
-# must still run, nothing is compared.
+# One iteration of the whole-experiment and flash-crowd-job benchmarks at
+# both GOMAXPROCS, and the timer arm+cancel cycle: they must still run,
+# nothing is compared.
 bench-once:
-	$(GO) test -run '^$$' -bench BenchmarkSimulatedExperiment -benchtime 1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatedExperiment|BenchmarkScenarioFlashCrowd' -benchtime 1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench BenchmarkTimerCancel -benchtime 1000x -benchmem ./internal/netsim
 
 # The benchmark is a nested module (benchmark/go.mod), so `./...` above
 # never compiles it: vet it and run its own tests against this tree, so an

@@ -16,9 +16,9 @@
 //   - A goroutine process (Env.Go) runs ordinary sequential code on its own
 //     goroutine; every block is a two-way channel handoff with the driver —
 //     two scheduler switches, and worse across OS threads. It is for the
-//     cold, genuinely sequential actors: the MFC coordinator, the Poisson
-//     and flash-crowd generator loops, tests — at most six per simulated
-//     run, so each Go simply allocates a Proc and a goroutine.
+//     one cold, genuinely sequential actor — the MFC coordinator — and for
+//     tests: a simulated run starts exactly one, so each Go simply
+//     allocates a Proc and a goroutine.
 //   - A stackless process (Env.Spawn) has no goroutine. Its body is a Task,
 //     a state machine whose Step the driver calls in its own context when
 //     the process starts and whenever its pending block resolves. Step runs
@@ -27,8 +27,10 @@
 //     Resource.BeginAcquire[Timeout]) or finishes. Everything per request —
 //     websim's Call pipeline, the sim clients' bursts, baselines and MFC-mr
 //     connections, background/flash-crowd/cross-traffic visitors, the
-//     resource monitor — is a task: a simulated HTTP request costs no
-//     goroutine and no handoff.
+//     resource monitor — is a task, and so is every arrival process that
+//     spawns them (Poisson, burst, ramp, diurnal: a task that re-arms itself
+//     with BeginSleep): neither a simulated HTTP request nor the loop that
+//     generates it costs a goroutine or a handoff.
 //
 // There is one implementation of each primitive, the Begin form; the
 // blocking form (Sleep, Wait, Transfer, Acquire…) is the Begin form plus
@@ -67,8 +69,13 @@
 // reallocated per event, the binary heap is maintained in place on an
 // index-addressed slice (no container/heap interface boxing), and the
 // wake/yield token exchange of goroutine processes uses 1-buffered channels
-// so each handoff costs a single blocking rendezvous rather than two.
-// Env.Stats counts entries dispatched, goroutine handoffs, inline task
+// so each handoff costs a single blocking rendezvous rather than two. The
+// calendar holds only live entries: each entry records its heap index, so
+// Timer.Cancel removes and recycles it on the spot. Nearly every timed wait
+// beats its deadline, and a deadline entry left in place until its time
+// came would ride the heap for seconds of virtual time — a thousand dead
+// entries under a flash crowd, deepening every sift. Env.Stats counts
+// entries dispatched, timers canceled, goroutine handoffs, inline task
 // steps, link waterfills and the calendar's high-water mark.
 //
 // Two further optimizations exploit the lock-step model:
@@ -177,18 +184,18 @@ const (
 	entSpawn                  // SpawnAfter's timer: push proc's start entry now
 )
 
-// entry is one calendar item. Entries are pooled: once popped and
-// dispatched they return to Env.free and are reused by later pushes. A
-// Timer therefore validates its saved seq before acting on the entry it
-// points to.
+// entry is one calendar item. Entries are pooled: once popped for dispatch
+// or removed by Timer.Cancel they return to Env.free and are reused by
+// later pushes. A Timer therefore validates its saved seq before acting on
+// the entry it points to.
 type entry struct {
-	at       time.Duration
-	seq      uint64
-	proc     *Proc
-	target   uint64 // entWake: the block generation this wakeup is for
-	fn       func() // entFn
-	kind     entryKind
-	canceled bool
+	at     time.Duration
+	seq    uint64
+	proc   *Proc
+	target uint64 // entWake: the block generation this wakeup is for
+	fn     func() // entFn
+	pos    int    // index in Env.cal while scheduled
+	kind   entryKind
 }
 
 func entryLess(a, b *entry) bool {
@@ -210,38 +217,62 @@ func (e *Env) newEntry() *entry {
 	return &entry{}
 }
 
-// recycle clears an entry and returns it to the free list. Clearing seq
-// invalidates any Timer still holding the entry (timer seqs are never 0).
+// recycle clears an entry that has left the heap and returns it to the free
+// list. Clearing seq invalidates any Timer still holding the entry (timer
+// seqs are never 0).
 func (e *Env) recycle(en *entry) {
 	*en = entry{}
 	e.free = append(e.free, en)
 }
 
-// calPush inserts an entry into the heap, sifting up in place.
+// calPush inserts an entry into the heap.
 func (e *Env) calPush(en *entry) {
+	i := len(e.cal)
 	e.cal = append(e.cal, en)
-	i := len(e.cal) - 1
 	if i >= e.stats.CalendarPeak {
 		e.stats.CalendarPeak = i + 1
 	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !entryLess(e.cal[i], e.cal[parent]) {
-			break
-		}
-		e.cal[i], e.cal[parent] = e.cal[parent], e.cal[i]
-		i = parent
+	e.siftUp(en, i)
+}
+
+// calRemove takes the entry at heap index i out of the calendar: the last
+// entry moves into the hole and sifts whichever way restores the order.
+// Popping is calRemove(0); a canceled far-future timeout sits at or near a
+// leaf, so its removal moves next to nothing.
+func (e *Env) calRemove(i int) {
+	n := len(e.cal) - 1
+	last := e.cal[n]
+	e.cal[n] = nil
+	e.cal = e.cal[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && entryLess(last, e.cal[(i-1)/2]) {
+		e.siftUp(last, i)
+	} else {
+		e.siftDown(last, i)
 	}
 }
 
-// calPop removes and returns the earliest entry, sifting down in place.
-func (e *Env) calPop() *entry {
-	en := e.cal[0]
-	n := len(e.cal) - 1
-	e.cal[0] = e.cal[n]
-	e.cal[n] = nil
-	e.cal = e.cal[:n]
-	i := 0
+// siftUp places en, which belongs at heap index i or above it, moving
+// later ancestors down into the hole.
+func (e *Env) siftUp(en *entry, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		up := e.cal[parent]
+		if !entryLess(en, up) {
+			break
+		}
+		e.cal[i], up.pos = up, i
+		i = parent
+	}
+	e.cal[i], en.pos = en, i
+}
+
+// siftDown places en, which belongs at heap index i or below it, moving
+// earlier children up into the hole.
+func (e *Env) siftDown(en *entry, i int) {
+	n := len(e.cal)
 	for {
 		l := 2*i + 1
 		if l >= n {
@@ -251,13 +282,14 @@ func (e *Env) calPop() *entry {
 		if r := l + 1; r < n && entryLess(e.cal[r], e.cal[l]) {
 			m = r
 		}
-		if !entryLess(e.cal[m], e.cal[i]) {
+		down := e.cal[m]
+		if !entryLess(down, en) {
 			break
 		}
-		e.cal[i], e.cal[m] = e.cal[m], e.cal[i]
+		e.cal[i], down.pos = down, i
 		i = m
 	}
-	return en
+	e.cal[i], en.pos = en, i
 }
 
 func (e *Env) push(en *entry) *entry {
@@ -292,9 +324,12 @@ func (e *Env) pushProc(kind entryKind, at time.Duration, p *Proc) *entry {
 // Stats are the kernel's own counters since NewEnv: plain fields bumped on
 // the dispatch path, cheap enough to be always on.
 type Stats struct {
-	// Dispatched counts calendar entries popped and acted on (canceled
-	// timers excluded, dropped stale wakeups included).
+	// Dispatched counts calendar entries popped and acted on (dropped stale
+	// wakeups included).
 	Dispatched uint64
+	// Canceled counts timers removed from the calendar before firing: the
+	// timeouts of timed waits that the event won, canceled After/At timers.
+	Canceled uint64
 	// Handoffs counts times the driver gave the execution token to a
 	// process goroutine and waited for it back: two channel operations and
 	// two scheduler switches each — the cost stackless processes avoid.
@@ -303,7 +338,8 @@ type Stats struct {
 	Inline uint64
 	// Flushes counts end-of-instant link waterfills.
 	Flushes uint64
-	// CalendarPeak is the largest number of entries the calendar held.
+	// CalendarPeak is the largest number of live entries the calendar held
+	// (a canceled timer leaves it at once).
 	CalendarPeak int
 }
 
@@ -313,17 +349,27 @@ func (e *Env) Stats() Stats { return e.stats }
 // Timer is a handle to a scheduled callback; Cancel prevents a pending
 // callback from running. The zero Timer is valid and cancels nothing.
 type Timer struct {
+	env *Env
 	en  *entry
 	seq uint64
 }
 
-// Cancel marks the timer so its callback will not fire. Canceling an
-// already-fired, already-canceled, or zero timer is a no-op: once the entry
-// has been dispatched and recycled its seq no longer matches the timer's.
+// timerFor returns the handle for a scheduled entry.
+func (e *Env) timerFor(en *entry) Timer { return Timer{env: e, en: en, seq: en.seq} }
+
+// Cancel takes a pending timer off the calendar and recycles its entry, so
+// it neither fires nor extends virtual time. Canceling an already-fired,
+// already-canceled, or zero timer is a no-op: once the entry has been
+// recycled its seq no longer matches the timer's, and that includes the
+// entry being dispatched right now (Run recycles before it dispatches).
 func (t Timer) Cancel() {
-	if t.en != nil && t.en.seq == t.seq {
-		t.en.canceled = true
+	if t.en == nil || t.en.seq != t.seq {
+		return
 	}
+	e := t.env
+	e.calRemove(t.en.pos)
+	e.recycle(t.en)
+	e.stats.Canceled++
 }
 
 // After schedules fn to run in driver context at Now()+d. The callback must
@@ -336,8 +382,7 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 	en := e.newEntry()
 	en.at = e.now + d
 	en.fn = fn
-	e.push(en)
-	return Timer{en: en, seq: en.seq}
+	return e.timerFor(e.push(en))
 }
 
 // At schedules fn to run in driver context at the absolute virtual time
@@ -373,16 +418,12 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			e.flushDirty()
 			continue // the flush may have pushed earlier entries
 		}
-		en := e.calPop()
-		if en.canceled {
-			e.recycle(en)
-			continue
-		}
+		en := e.cal[0]
 		if until > 0 && en.at > until {
-			e.calPush(en) // keep it for a later Run
-			e.now = until
+			e.now = until // en stays for a later Run
 			return e.now
 		}
+		e.calRemove(0)
 		e.now = en.at
 		// Copy the dispatch fields and recycle before dispatching: the
 		// process or callback may push new entries that reuse this one.

@@ -86,8 +86,8 @@ func (p *Proc) OK() bool { return p.ok }
 // Go starts fn as a new goroutine-backed process at the current time.
 // It can be called before Run, from another process, or from a callback.
 // Every call allocates a Proc, a wake channel and a goroutine: a simulated
-// run starts a handful of these (the coordinator and the generator loops),
-// so there is nothing to pool.
+// run starts one of these (the coordinator; everything else is a Spawn), so
+// there is nothing to pool.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, wake: make(chan struct{}, 1), slot: len(e.live)}
 	e.live = append(e.live, p)
@@ -349,8 +349,7 @@ func (p *Proc) BeginWaitTimeout(ev *Event, d time.Duration) bool {
 // entry and ev — and suspends; the stale one is dropped by the generation
 // guard in Run, and resolve cancels the timeout entry if the event won.
 func (p *Proc) waitTimeout(ev *Event, d time.Duration, kind pendKind) {
-	en := p.env.pushWake(p.env.now+d, p, p.blocks+1)
-	p.timer = Timer{en: en, seq: en.seq}
+	p.timer = p.env.timerFor(p.env.pushWake(p.env.now+d, p, p.blocks+1))
 	ev.addWaiter(p, p.blocks+1)
 	p.suspend(kind)
 }

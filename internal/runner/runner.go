@@ -16,7 +16,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -90,11 +89,14 @@ func releaseShared() {
 // waits for completion. Jobs are claimed in index order but may finish in any
 // order; fn must therefore not depend on the progress of other indices.
 //
-// If any fn returns an error the context passed to the jobs is canceled,
-// in-flight jobs are awaited, and the error with the lowest index is
-// returned — the same error a sequential loop over [0, n) would have
-// returned first. If the parent context is canceled, ForEach stops claiming
-// new indices and returns ctx.Err().
+// If any fn returns an error, no index above it starts, the context of every
+// in-flight job above it is canceled, in-flight jobs are awaited, and the
+// error with the lowest index is returned — the same error a sequential loop
+// over [0, n) would have returned first. A failure never disturbs the jobs
+// below it: they are the ones a sequential loop would have run before
+// reaching it, so they start (if already claimed) and finish under a live
+// context. If the parent context is canceled, ForEach stops claiming new
+// indices and returns ctx.Err().
 func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts ...Option) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -111,38 +113,58 @@ func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) err
 		workers = n
 	}
 
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	// slot is one worker's cancelable context and the index it is running.
+	// One context serves every job the worker runs: a failure at index i
+	// cancels the slots whose job is above i, and indices are claimed in
+	// increasing order, so whatever such a worker claims next is above i as
+	// well and never starts.
+	type slot struct {
+		ctx    context.Context
+		cancel context.CancelFunc
+		cur    atomic.Int64
+	}
 	var (
 		next     atomic.Int64
-		mu       sync.Mutex
-		firstIdx = n // lowest failing index seen so far
-		firstErr error
+		lowest   atomic.Int64 // lowest failing index seen so far; n while none
+		mu       sync.Mutex   // guards firstErr, slots and writes to lowest
+		firstErr error        // the error at index lowest
+		slots    []*slot
 		wg       sync.WaitGroup
 	)
-	fail := func(i int, err error) {
-		// A job surfacing our own cancellation (jobCtx canceled by an
-		// earlier failure, parent still live) is a casualty, not a cause:
-		// recording it could mask the real error under a lower index.
-		if errors.Is(err, context.Canceled) && jobCtx.Err() != nil && ctx.Err() == nil {
-			return
-		}
-		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		mu.Unlock()
-		cancel() // first error stops the pool from claiming more work
-	}
+	lowest.Store(int64(n))
 	worker := func() {
+		sl := &slot{}
+		sl.cur.Store(-1)
+		sl.ctx, sl.cancel = context.WithCancel(ctx)
+		defer sl.cancel()
+		mu.Lock()
+		slots = append(slots, sl)
+		mu.Unlock()
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || jobCtx.Err() != nil {
+			i := next.Add(1) - 1
+			if i >= int64(n) || ctx.Err() != nil {
 				return
 			}
-			if err := fn(jobCtx, i); err != nil {
-				fail(i, err)
+			// Publish i as running, then look for a failure below it; a
+			// failing worker records its index, then looks for jobs running
+			// above it. Whichever order the two interleave in, at least one
+			// side sees the other: i is dropped here or canceled there.
+			sl.cur.Store(i)
+			if i > lowest.Load() {
+				return
+			}
+			if err := fn(sl.ctx, int(i)); err != nil {
+				mu.Lock()
+				if i < lowest.Load() {
+					lowest.Store(i)
+					firstErr = err
+				}
+				for _, o := range slots {
+					if o.cur.Load() > i {
+						o.cancel()
+					}
+				}
+				mu.Unlock()
 				return
 			}
 		}

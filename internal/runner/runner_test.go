@@ -92,15 +92,16 @@ func TestForEachErrorCancelsRemainingJobs(t *testing.T) {
 	}
 }
 
-// A job that blocks on ctx and returns ctx.Err() after another job's real
-// failure must not have its context.Canceled win the lowest-index race.
+// A job that blocks on ctx and returns ctx.Err() once a lower job's real
+// failure cancels it is a casualty: the call reports the failure, not the
+// cancellation echo.
 func TestRealErrorNotMaskedByCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	started := make(chan struct{})
 	err := ForEach(context.Background(), 2, func(ctx context.Context, i int) error {
-		if i == 0 {
+		if i == 1 {
 			close(started)
-			<-ctx.Done() // released by job 1's failure canceling the pool
+			<-ctx.Done() // released by job 0's failure canceling the jobs above it
 			return ctx.Err()
 		}
 		<-started
@@ -108,6 +109,43 @@ func TestRealErrorNotMaskedByCancellation(t *testing.T) {
 	}, Workers(2))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the real failure, not the cancellation echo", err)
+	}
+}
+
+// The schedule behind a 1-in-70 flake of TestForEachReturnsLowestIndexError:
+// index 7 fails while index 3 is claimed but unfinished. A sequential loop
+// reaches 3 first, so 3 must run to the end under a live context — a
+// canceled one would turn its real failure into a cancellation echo — and
+// its error is the one reported. Index 8 shows the failure has been
+// processed: cancellation does reach the jobs above 7.
+func TestForEachHigherFailureLeavesLowerJobsAlone(t *testing.T) {
+	started3, started8 := make(chan struct{}), make(chan struct{})
+	failed7 := make(chan struct{})
+	var ctxErr3 error
+	err := ForEach(context.Background(), 16, func(ctx context.Context, i int) error {
+		switch i {
+		case 3:
+			close(started3)
+			<-failed7
+			ctxErr3 = ctx.Err()
+			return errors.New("job 3 failed")
+		case 7:
+			<-started3
+			<-started8
+			return errors.New("job 7 failed")
+		case 8:
+			close(started8)
+			<-ctx.Done() // job 7's failure, recorded and propagated
+			close(failed7)
+			return ctx.Err()
+		}
+		return nil
+	}, Workers(4))
+	if err == nil || err.Error() != "job 3 failed" {
+		t.Errorf("err = %v, want job 3 failed", err)
+	}
+	if ctxErr3 != nil {
+		t.Errorf("job 3's context was canceled by job 7's failure: %v", ctxErr3)
 	}
 }
 

@@ -128,6 +128,7 @@ type Controller struct {
 	cfg     *Config
 	stopped bool
 	timers  []netsim.Timer
+	surge   *websim.RampArrivals // the cross-traffic arrivals, if started
 }
 
 // Start wires the scenario's runtime effects into a simulation: sustained
@@ -172,6 +173,9 @@ func (c *Config) Start(h Hooks) *Controller {
 // virtual time).
 func (ctl *Controller) Stop() {
 	ctl.stopped = true
+	if ctl.surge != nil {
+		ctl.surge.Stop()
+	}
 	for _, t := range ctl.timers {
 		t.Cancel()
 	}
@@ -182,92 +186,57 @@ func (ctl *Controller) Stop() {
 // High× its configured base, one full cycle per Period, updating every
 // Period/16.
 func (ctl *Controller) startDiurnal(env *netsim.Env, bg *websim.BackgroundTraffic, d *Diurnal) {
-	base := bg.Rate()
-	low, high := d.Low, d.High
 	step := d.Period / 16
 	if step <= 0 {
 		step = d.Period
 	}
-	env.Go("scenario/diurnal", func(p *netsim.Proc) {
-		for !ctl.stopped {
-			p.Sleep(step)
-			if ctl.stopped {
-				return
-			}
-			phase := 2 * math.Pi * float64(p.Now()%d.Period) / float64(d.Period)
-			f := (high+low)/2 - (high-low)/2*math.Cos(phase)
-			if f < 0.01 {
-				f = 0.01
-			}
-			bg.SetRate(base * f)
-		}
-	})
+	env.Spawn("scenario/diurnal", &diurnal{ctl: ctl, bg: bg, cfg: d, base: bg.Rate(), step: step})
 }
 
-// startCrossTraffic launches the flash-crowd surge: Poisson arrivals
-// ramping linearly to PeakRate over RampUp, holding for Hold, aimed at one
-// URL (the site's largest static object unless configured).
+// diurnal is the modulation process: every step it sets the background
+// rate for the current phase of the cycle.
+type diurnal struct {
+	ctl     *Controller
+	bg      *websim.BackgroundTraffic
+	cfg     *Diurnal
+	base    float64 // the background rate being modulated
+	step    time.Duration
+	started bool
+}
+
+// Step implements netsim.Task.
+func (d *diurnal) Step(p *netsim.Proc) bool {
+	if d.ctl.stopped {
+		return false
+	}
+	if d.started { // a step elapsed
+		low, high, period := d.cfg.Low, d.cfg.High, d.cfg.Period
+		phase := 2 * math.Pi * float64(p.Now()%period) / float64(period)
+		f := (high+low)/2 - (high-low)/2*math.Cos(phase)
+		if f < 0.01 {
+			f = 0.01
+		}
+		d.bg.SetRate(d.base * f)
+	}
+	d.started = true
+	return p.BeginSleep(d.step)
+}
+
+// startCrossTraffic launches the flash-crowd surge: websim's ramp-arrival
+// process, with the flash crowd's defaults (60 s ramp, 30 s hold, 60 ms
+// and 1 MB/s visitors, 10 s budget), aimed at one URL (the site's largest
+// static object unless configured; a site with none gets no visitors).
 func (ctl *Controller) startCrossTraffic(env *netsim.Env, srv *websim.Server, ct *CrossTraffic) {
-	rampUp := ct.RampUp
-	if rampUp <= 0 {
-		rampUp = 60 * time.Second
+	url := ct.URL
+	if url == "" {
+		url = largestStatic(srv.Site())
 	}
-	hold := ct.Hold
-	if hold <= 0 {
-		hold = 30 * time.Second
-	}
-	rtt := ct.ClientRTT
-	if rtt <= 0 {
-		rtt = 60 * time.Millisecond
-	}
-	bw := ct.ClientBW
-	if bw <= 0 {
-		bw = 1e6
-	}
-	env.Go("scenario/cross-traffic", func(p *netsim.Proc) {
-		if ct.StartAt > 0 {
-			p.Sleep(ct.StartAt)
-		}
-		if ctl.stopped {
-			return
-		}
-		url := ct.URL
-		if url == "" {
-			url = largestStatic(srv.Site())
-		}
-		if url == "" {
-			return
-		}
-		start := p.Now()
-		end := rampUp + hold
-		for !ctl.stopped {
-			el := p.Now() - start
-			if el >= end {
-				return
-			}
-			rate := ct.PeakRate
-			if el < rampUp {
-				rate = ct.PeakRate * float64(el) / float64(rampUp)
-			}
-			if rate < 0.5 {
-				rate = 0.5
-			}
-			gap := time.Duration(env.Rand().ExpFloat64() / rate * float64(time.Second))
-			if gap > 2*time.Second {
-				gap = 2 * time.Second
-			}
-			p.Sleep(gap)
-			if ctl.stopped {
-				return
-			}
-			req := websim.Request{
-				Method: "GET", URL: url,
-				ClientRTT: rtt, ClientBW: bw,
-				Deadline: env.Now() + 10*time.Second,
-			}
-			env.Spawn("xt-visitor", srv.NewVisit("xt", req, nil, nil))
-		}
+	ctl.surge = websim.NewRampArrivals(srv, "xt", websim.FlashCrowdConfig{
+		URL: url, PeakRate: ct.PeakRate, RampUp: ct.RampUp, Hold: ct.Hold,
+		ClientRTT: ct.ClientRTT, ClientBW: ct.ClientBW,
 	})
+	ctl.surge.StartAt = ct.StartAt
+	env.Spawn("scenario/cross-traffic", ctl.surge)
 }
 
 // scheduleFault arms one chaos trigger (and, for transient faults, its

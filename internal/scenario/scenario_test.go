@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mfc/internal/content"
 	"mfc/internal/core"
 	"mfc/internal/netsim"
 	"mfc/internal/websim"
@@ -307,5 +308,122 @@ func TestControllerStopCancelsPendingFaults(t *testing.T) {
 	// Canceled fault timers must not drag virtual time out to the trigger.
 	if got := env.Now(); got != 50*time.Millisecond {
 		t.Errorf("run ended at %v, want 50ms (canceled fault extended the clock)", got)
+	}
+}
+
+// generatorRig is a server with background load, wrapped in a scenario
+// whose only effects are the two generator processes.
+func generatorRig(t *testing.T, site *content.Site, c *Config) (*netsim.Env, *websim.Server, *websim.BackgroundTraffic, *Controller) {
+	t.Helper()
+	env := netsim.NewEnv(4)
+	srv := websim.NewServer(env, websim.Config{}, site)
+	srv.EnableAccessLog()
+	bg := websim.StartBackground(env, srv, websim.BackgroundConfig{Rate: 10})
+	return env, srv, bg, c.Start(Hooks{Env: env, Server: srv, Background: bg})
+}
+
+func crossTrafficArrivals(srv *websim.Server) (n int, last time.Duration) {
+	for _, a := range srv.AccessLog() {
+		if a.Tag == "xt" {
+			n++
+			last = a.At
+		}
+	}
+	return n, last
+}
+
+var generatorsOnly = Config{
+	Diurnal:      &Diurnal{Period: 16 * time.Second, Low: 0.5, High: 4},
+	CrossTraffic: &CrossTraffic{PeakRate: 40, RampUp: 5 * time.Second, Hold: 5 * time.Second, StartAt: 2 * time.Second},
+}
+
+func TestGeneratorsStopBeforeFirstWakeup(t *testing.T) {
+	env, srv, bg, ctl := generatorRig(t, testSite(t), &generatorsOnly)
+	ctl.Stop()
+	bg.Stop()
+	// The cross-traffic task is already asleep until StartAt; that wake is
+	// the last entry, and it finds the flag.
+	if end := env.Run(0); end != 2*time.Second {
+		t.Errorf("stopped scenario ran until %v, want the StartAt wake at 2s", end)
+	}
+	if n, _ := crossTrafficArrivals(srv); n != 0 || bg.Rate() != 10 {
+		t.Errorf("%d cross-traffic arrivals, background rate %v after Stop before the first wakeup", n, bg.Rate())
+	}
+	if st := env.Stats(); st.Handoffs != 0 {
+		t.Errorf("%d goroutine handoffs, want 0", st.Handoffs)
+	}
+}
+
+func TestGeneratorsStopMidRun(t *testing.T) {
+	env, srv, bg, ctl := generatorRig(t, testSite(t), &generatorsOnly)
+	var rateAtStop float64
+	env.After(6*time.Second, func() {
+		ctl.Stop()
+		bg.Stop()
+		rateAtStop = bg.Rate()
+	})
+	end := env.Run(0)
+	// Diurnal steps every second: six updates in, the rate is on its way up
+	// from Low× toward High× the base of 10.
+	if rateAtStop <= 10 || rateAtStop > 40 {
+		t.Errorf("background rate at 6s = %v, want inside (10, 40]", rateAtStop)
+	}
+	if bg.Rate() != rateAtStop {
+		t.Errorf("rate moved from %v to %v after Stop", rateAtStop, bg.Rate())
+	}
+	// Four seconds of a five-second ramp to 40/s: ~64 arrivals, none after
+	// the stop.
+	n, last := crossTrafficArrivals(srv)
+	if n < 30 || n > 120 {
+		t.Errorf("%d cross-traffic arrivals by 6s, want ~64", n)
+	}
+	if last > 6*time.Second {
+		t.Errorf("cross-traffic arrival at %v, after Stop at 6s", last)
+	}
+	if end > 20*time.Second {
+		t.Errorf("stopped scenario ran until %v", end)
+	}
+	if st := env.Stats(); st.Handoffs != 0 {
+		t.Errorf("%d goroutine handoffs in a run of generators and visitors, want 0", st.Handoffs)
+	}
+}
+
+// A diurnal SetRate applies at the background generator's next draw, so
+// more visitors arrive in the high half of the cycle than in the low one.
+func TestDiurnalModulatesArrivals(t *testing.T) {
+	c := &Config{Diurnal: &Diurnal{Period: 160 * time.Second, Low: 0.1, High: 3}}
+	env, srv, bg, ctl := generatorRig(t, testSite(t), c)
+	env.After(160*time.Second, func() { ctl.Stop(); bg.Stop() })
+	env.Run(0)
+	trough, crest := 0, 0 // first and third quarter straddle the extremes
+	for _, a := range srv.AccessLog() {
+		switch {
+		case a.At < 20*time.Second || a.At >= 140*time.Second:
+			trough++
+		case a.At >= 60*time.Second && a.At < 100*time.Second:
+			crest++
+		}
+	}
+	if crest < 4*trough || trough == 0 {
+		t.Errorf("%d arrivals around the crest, %d around the trough; want the 30:1 rate swing to show", crest, trough)
+	}
+}
+
+func TestCrossTrafficWithoutStaticObjectSpawnsNobody(t *testing.T) {
+	site, err := content.NewSite("q", "/search?q=1", []content.Object{
+		{URL: "/search?q=1", Kind: content.KindQuery, Size: 4096, Dynamic: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Config{CrossTraffic: &CrossTraffic{PeakRate: 40}}
+	env := netsim.NewEnv(4)
+	srv := websim.NewServer(env, websim.Config{}, site)
+	c.Start(Hooks{Env: env, Server: srv})
+	if end := env.Run(0); end != 0 {
+		t.Errorf("cross-traffic with no target ran until %v", end)
+	}
+	if st := env.Stats(); st.Dispatched != 1 || st.Handoffs != 0 || srv.Served() != 0 {
+		t.Errorf("stats = %+v, served = %d; want the task's start entry alone", st, srv.Served())
 	}
 }

@@ -37,9 +37,7 @@ func (c BackgroundConfig) withDefaults() BackgroundConfig {
 	if c.ClientBW <= 0 {
 		c.ClientBW = 500e3
 	}
-	if c.QueryFraction < 0 || c.QueryFraction > 1 {
-		c.QueryFraction = 0.2
-	} else if c.QueryFraction == 0 {
+	if c.QueryFraction <= 0 || c.QueryFraction > 1 {
 		c.QueryFraction = 0.2
 	}
 	if c.Timeout <= 0 {
@@ -65,8 +63,9 @@ type BackgroundTraffic struct {
 	countDone func(*Visit, Response)
 }
 
-// StartBackground launches the generator as a simulated process. With a
-// non-positive rate it is inert (returns immediately on start).
+// StartBackground launches the generator's arrival processes: stackless
+// tasks, like the visitors they spawn. With a non-positive rate (and no
+// bursts) it is inert: nothing is scheduled.
 func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *BackgroundTraffic {
 	bt := &BackgroundTraffic{cfg: cfg.withDefaults(), srv: srv}
 	bt.countSent = func() { bt.sent++ }
@@ -77,34 +76,46 @@ func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *Backgr
 			bt.completed++
 		}
 	}
-	if cfg.Rate > 0 {
-		env.Go("bg/"+srv.cfg.Name, bt.run)
+	arrivals, bursts := cfg.Rate > 0, cfg.BurstSize > 0 && cfg.BurstEvery > 0
+	if !arrivals && !bursts {
+		return bt
 	}
-	if cfg.BurstSize > 0 && cfg.BurstEvery > 0 {
-		env.Go("bg-burst/"+srv.cfg.Name, bt.runBursts)
+	// Partition the site once.
+	var static, dynamic []string
+	for _, o := range srv.site.Objects() {
+		if o.Dynamic {
+			dynamic = append(dynamic, o.URL)
+		} else if o.Size < 256*1024 { // background visitors rarely pull blobs
+			static = append(static, o.URL)
+		}
+	}
+	if arrivals {
+		env.Spawn("bg/"+srv.cfg.Name, &bgArrivals{bt: bt, static: static, dynamic: dynamic})
+	}
+	if bursts {
+		env.Spawn("bg-burst/"+srv.cfg.Name, &bgBursts{bt: bt, urls: static})
 	}
 	return bt
 }
 
-// runBursts injects occasional request spikes.
-func (bt *BackgroundTraffic) runBursts(p *netsim.Proc) {
-	env := p.Env()
-	urls := bt.staticURLs()
-	if len(urls) == 0 {
-		return
-	}
-	for !bt.stopped {
-		gap := time.Duration(env.Rand().ExpFloat64() * float64(bt.cfg.BurstEvery))
-		if gap > 10*bt.cfg.BurstEvery {
-			gap = 10 * bt.cfg.BurstEvery
-		}
-		p.Sleep(gap)
+// bgBursts injects occasional request spikes: it sleeps an exponential gap
+// around BurstEvery, then schedules BurstSize visitors within 200 ms.
+type bgBursts struct {
+	bt      *BackgroundTraffic
+	urls    []string // bursts hit the static objects only
+	started bool
+}
+
+// Step implements netsim.Task.
+func (g *bgBursts) Step(p *netsim.Proc) bool {
+	bt, env := g.bt, p.Env()
+	if g.started { // a gap elapsed: the burst arrives
 		if bt.stopped {
-			return
+			return false
 		}
 		for i := 0; i < bt.cfg.BurstSize; i++ {
 			offset := time.Duration(env.Rand().Float64() * 200 * float64(time.Millisecond))
-			url := urls[env.Rand().Intn(len(urls))]
+			url := g.urls[env.Rand().Intn(len(g.urls))]
 			req := Request{
 				Method:    "GET",
 				URL:       url,
@@ -115,17 +126,15 @@ func (bt *BackgroundTraffic) runBursts(p *netsim.Proc) {
 			env.SpawnAfter("bg-burst-req", offset, bt.srv.NewVisit("bg", req, bt.countSent, bt.countDone))
 		}
 	}
-}
-
-// staticURLs lists the site's burst-eligible objects.
-func (bt *BackgroundTraffic) staticURLs() []string {
-	var out []string
-	for _, o := range bt.srv.site.Objects() {
-		if !o.Dynamic && o.Size < 256*1024 {
-			out = append(out, o.URL)
-		}
+	g.started = true
+	if bt.stopped || len(g.urls) == 0 {
+		return false
 	}
-	return out
+	gap := time.Duration(env.Rand().ExpFloat64() * float64(bt.cfg.BurstEvery))
+	if gap > 10*bt.cfg.BurstEvery {
+		gap = 10 * bt.cfg.BurstEvery
+	}
+	return p.BeginSleep(gap)
 }
 
 // Stop ends the arrival process after the next arrival tick.
@@ -150,29 +159,21 @@ func (bt *BackgroundTraffic) Sent() uint64      { return bt.sent }
 func (bt *BackgroundTraffic) Completed() uint64 { return bt.completed }
 func (bt *BackgroundTraffic) Errored() uint64   { return bt.errored }
 
-func (bt *BackgroundTraffic) run(p *netsim.Proc) {
-	env := p.Env()
-	// Partition the site once.
-	var static, dynamic []string
-	for _, o := range bt.srv.site.Objects() {
-		if o.Dynamic {
-			dynamic = append(dynamic, o.URL)
-		} else if o.Size < 256*1024 { // background visitors rarely pull blobs
-			static = append(static, o.URL)
-		}
-	}
-	if len(static) == 0 && len(dynamic) == 0 {
-		return
-	}
-	for !bt.stopped {
-		// Exponential inter-arrival for a Poisson process.
-		gap := time.Duration(env.Rand().ExpFloat64() / bt.cfg.Rate * float64(time.Second))
-		if gap > time.Minute {
-			gap = time.Minute
-		}
-		p.Sleep(gap)
+// bgArrivals is the Poisson arrival process: an exponential gap at the
+// current rate, then one visitor.
+type bgArrivals struct {
+	bt              *BackgroundTraffic
+	static, dynamic []string
+	started         bool
+}
+
+// Step implements netsim.Task.
+func (g *bgArrivals) Step(p *netsim.Proc) bool {
+	bt, env := g.bt, p.Env()
+	static, dynamic := g.static, g.dynamic
+	if g.started { // a gap elapsed: one visitor arrives
 		if bt.stopped {
-			return
+			return false
 		}
 		url := ""
 		if len(dynamic) > 0 && (len(static) == 0 || env.Rand().Float64() < bt.cfg.QueryFraction) {
@@ -192,6 +193,16 @@ func (bt *BackgroundTraffic) run(p *netsim.Proc) {
 		}
 		env.Spawn("bg-req", bt.srv.NewVisit("bg", req, nil, bt.countDone))
 	}
+	g.started = true
+	if bt.stopped || len(static)+len(dynamic) == 0 {
+		return false
+	}
+	// Exponential inter-arrival for a Poisson process.
+	gap := time.Duration(env.Rand().ExpFloat64() / bt.cfg.Rate * float64(time.Second))
+	if gap > time.Minute {
+		gap = time.Minute
+	}
+	return p.BeginSleep(gap)
 }
 
 // PoissonRate is a helper converting a mean inter-arrival time to a rate.

@@ -67,9 +67,9 @@ type FlashCrowdResult struct {
 // per-request record. It runs inside the simulation's virtual time (the
 // caller owns env.Run).
 func RunFlashCrowd(env *netsim.Env, srv *Server, cfg FlashCrowdConfig) *FlashCrowdResult {
-	cfg = cfg.withDefaults()
 	res := &FlashCrowdResult{}
-	record := func(v *Visit, resp Response) {
+	ramp := NewRampArrivals(srv, "fc", cfg)
+	ramp.OnDone = func(v *Visit, resp Response) {
 		res.Samples = append(res.Samples, FlashSample{
 			At:         v.At,
 			Concurrent: v.Concurrent,
@@ -77,46 +77,124 @@ func RunFlashCrowd(env *netsim.Env, srv *Server, cfg FlashCrowdConfig) *FlashCro
 			Err:        resp.Err != nil,
 		})
 	}
-
-	env.Go("flashcrowd", func(p *netsim.Proc) {
-		// Unloaded baseline first.
-		t0 := p.Now()
-		srv.Serve(p, "fc-base", Request{
-			Method: cfg.Method, URL: cfg.URL,
-			ClientRTT: cfg.ClientRTT, ClientBW: cfg.ClientBW,
-			Deadline: p.Now() + cfg.Timeout,
-		})
-		res.BaseResp = p.Now() - t0
-
-		start := p.Now()
-		end := cfg.RampUp + cfg.Hold
-		for {
-			el := p.Now() - start
-			if el >= end {
-				return
-			}
-			// Instantaneous rate: linear ramp, then flat.
-			rate := cfg.PeakRate
-			if el < cfg.RampUp {
-				rate = cfg.PeakRate * float64(el) / float64(cfg.RampUp)
-			}
-			if rate < 0.5 {
-				rate = 0.5
-			}
-			gap := time.Duration(env.Rand().ExpFloat64() / rate * float64(time.Second))
-			if gap > 2*time.Second {
-				gap = 2 * time.Second
-			}
-			p.Sleep(gap)
-
-			env.Spawn("fc-visitor", srv.NewVisit("fc", Request{
-				Method: cfg.Method, URL: cfg.URL,
-				ClientRTT: cfg.ClientRTT, ClientBW: cfg.ClientBW,
-				Deadline: p.Now() + cfg.Timeout,
-			}, nil, record))
-		}
-	})
+	env.Spawn("flashcrowd", &flashCrowd{res: res, ramp: ramp})
 	return res
+}
+
+// flashCrowd is RunFlashCrowd's process: one unloaded baseline request,
+// then the ramp.
+type flashCrowd struct {
+	res     *FlashCrowdResult
+	ramp    *RampArrivals
+	base    *Call // the baseline request, once started
+	t0      time.Duration
+	ramping bool
+}
+
+// Step implements netsim.Task.
+func (fc *flashCrowd) Step(p *netsim.Proc) bool {
+	if !fc.ramping {
+		if fc.base == nil {
+			fc.t0 = p.Now()
+			fc.base = fc.ramp.srv.Start("fc-base", fc.ramp.request(fc.t0))
+		}
+		if fc.base.Step(p) {
+			return true
+		}
+		fc.base.Finish()
+		fc.res.BaseResp = p.Now() - fc.t0
+		fc.ramping = true
+	}
+	return fc.ramp.Step(p)
+}
+
+// RampArrivals is the arrival process of an organic surge, as a netsim.Task
+// (start it with Env.Spawn): after StartAt of idle time, visitors arrive
+// with exponential gaps at a rate that climbs linearly from zero to
+// PeakRate over RampUp, holds for Hold, then the process ends. Each arrival
+// is a Visit. RunFlashCrowd and the scenario layer's cross-traffic are both
+// this task.
+type RampArrivals struct {
+	// StartAt is idle time before the ramp begins.
+	StartAt time.Duration
+	// OnDone (may be nil) receives every visitor's response.
+	OnDone func(*Visit, Response)
+
+	srv     *Server
+	tag     string // access-log tag; visitor processes are named tag+"-visitor"
+	visitor string
+	cfg     FlashCrowdConfig
+	state   rampState
+	stopped bool
+	begun   time.Duration // when the ramp started
+}
+
+type rampState uint8
+
+const (
+	rampIdle    rampState = iota // not started
+	rampBegin                    // StartAt elapsed (or skipped)
+	rampArrival                  // an inter-arrival gap elapsed
+)
+
+// NewRampArrivals prepares the surge cfg describes (its defaults applied)
+// against srv. With an empty cfg.URL the task ends without an arrival.
+func NewRampArrivals(srv *Server, tag string, cfg FlashCrowdConfig) *RampArrivals {
+	return &RampArrivals{srv: srv, tag: tag, visitor: tag + "-visitor", cfg: cfg.withDefaults()}
+}
+
+// Stop ends the arrival process at its next wakeup.
+func (r *RampArrivals) Stop() { r.stopped = true }
+
+// request is what a visitor arriving at `at` sends.
+func (r *RampArrivals) request(at time.Duration) Request {
+	return Request{
+		Method: r.cfg.Method, URL: r.cfg.URL,
+		ClientRTT: r.cfg.ClientRTT, ClientBW: r.cfg.ClientBW,
+		Deadline: at + r.cfg.Timeout,
+	}
+}
+
+// Step implements netsim.Task.
+func (r *RampArrivals) Step(p *netsim.Proc) bool {
+	env, cfg := p.Env(), &r.cfg
+	switch r.state {
+	case rampIdle:
+		r.state = rampBegin
+		if r.StartAt > 0 {
+			return p.BeginSleep(r.StartAt)
+		}
+		fallthrough
+	case rampBegin:
+		if r.stopped || cfg.URL == "" {
+			return false
+		}
+		r.begun = p.Now()
+		r.state = rampArrival
+	case rampArrival:
+		if r.stopped {
+			return false
+		}
+		env.Spawn(r.visitor, r.srv.NewVisit(r.tag, r.request(p.Now()), nil, r.OnDone))
+	}
+	el := p.Now() - r.begun
+	if el >= cfg.RampUp+cfg.Hold {
+		return false
+	}
+	// Instantaneous rate: linear ramp, then flat; never below 0.5 req/s so
+	// the first gaps stay finite.
+	rate := cfg.PeakRate
+	if el < cfg.RampUp {
+		rate = cfg.PeakRate * float64(el) / float64(cfg.RampUp)
+	}
+	if rate < 0.5 {
+		rate = 0.5
+	}
+	gap := time.Duration(env.Rand().ExpFloat64() / rate * float64(time.Second))
+	if gap > 2*time.Second {
+		gap = 2 * time.Second
+	}
+	return p.BeginSleep(gap)
 }
 
 // DegradationPoint finds the smallest concurrency at which the median
