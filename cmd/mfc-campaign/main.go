@@ -51,10 +51,12 @@
 // `report` merges one or many stores of the same plan; `merge` writes the
 // consolidated store to a fresh directory. However the jobs were split,
 // killed or resumed, the report is byte-identical to an uninterrupted
-// single-process run. When a read passes over shard-file lines — torn by a
-// kill, carrying a job index foreign to their shard, or repeating a job —
-// `report`, `analyze` and `merge` say so in one "skipped: torn=N foreign=N
-// duplicate=N" line on stderr; stdout is unaffected.
+// single-process run (main_test.go holds this to literal comparisons over
+// real worker and `serve` processes, one killed -9 mid-shard). When a read
+// passes over shard-file lines — torn by a kill, carrying a job index
+// foreign to their shard, or repeating a job — `report`, `analyze` and
+// `merge` say so in one "skipped: torn=N foreign=N duplicate=N" line on
+// stderr; stdout is unaffected.
 // `analyze` is the deep read side: it streams the stores' full Result
 // payloads into per-cell latency-quantile curves, response-time knees,
 // verdict confusion matrices against each group's clean baseline, and
@@ -81,6 +83,7 @@ import (
 	"mfc/internal/campaign/dist"
 	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 	"mfc/internal/population"
@@ -423,24 +426,18 @@ func cmdServe(args []string) error {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
+	var complete <-chan struct{} // nil, so never ready, without -until-done
 	if *untilDone {
-		go func() {
-			select {
-			case <-srv.Complete():
-			case <-srv.WaitQuit():
-			case <-ctx.Done():
-			}
-			cancel()
-		}()
-	} else {
-		go func() {
-			select {
-			case <-srv.WaitQuit():
-			case <-ctx.Done():
-			}
-			cancel()
-		}()
+		complete = srv.Complete()
 	}
+	go func() {
+		select {
+		case <-complete:
+		case <-srv.WaitQuit():
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
 	if err := campaign.ServeUntil(ctx, ln, srv.Handler()); err != nil {
 		return err
 	}
@@ -527,7 +524,7 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 		var ctx context.Context
 		ctx, m.stop = context.WithCancel(context.Background())
 		m.srvDone = make(chan error, 1)
-		go func() { m.srvDone <- m.dash.Serve(ctx, ln) }()
+		go func() { m.srvDone <- campaign.ServeUntil(ctx, ln, m.dash.Handler()) }()
 	}
 	return m, nil
 }
@@ -538,7 +535,7 @@ func (m *liveMonitor) onEvent(ev campaign.SiteEvent) {
 		return
 	}
 	final := m.tr.Finished()
-	now := time.Now().UnixMilli()
+	now := clock.Real.Now().UnixMilli()
 	last := m.lastLine.Load()
 	if !final && (now-last < 100 || !m.lastLine.CompareAndSwap(last, now)) {
 		return
@@ -556,9 +553,11 @@ func (m *liveMonitor) close() {
 	}
 	if m.hold > 0 {
 		fmt.Fprintf(os.Stderr, "holding dashboard for %v (POST /quit to release)\n", m.hold)
+		hold := clock.Real.NewTimer(m.hold)
 		select {
-		case <-time.After(m.hold):
+		case <-hold.C:
 		case <-m.dash.WaitQuit():
+			hold.Stop()
 		}
 	}
 	m.stop()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/clock"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -158,6 +159,45 @@ func TestManifestCheckpoints(t *testing.T) {
 	}
 }
 
+// Every worker that finishes a campaign writes the manifest, so writers
+// race: each write must land whole (a reader never sees a torn file) and
+// none may fail — with one shared temp path the loser's rename found its
+// file already renamed away.
+func TestManifestConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	m := &Manifest{Plan: "racing", Total: 4096, Done: 4096, PerShard: make([]int, 512)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := WriteManifest(dir, m); err != nil {
+					t.Errorf("WriteManifest: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(stop) }()
+	for reads := 0; ; reads++ {
+		if got, err := LoadManifest(dir); err == nil && got.Done != m.Done {
+			t.Fatalf("read %d saw done=%d", reads, got.Done)
+		} else if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("read %d: %v", reads, err)
+		}
+		select {
+		case <-stop:
+			if files, _ := os.ReadDir(dir); len(files) != 1 {
+				t.Errorf("%d files left in the directory, want only manifest.json", len(files))
+			}
+			return
+		default:
+		}
+	}
+}
+
 // A worker holds a shard's appender open only while it holds the shard: over
 // a 300-shard thin plan it never has more shard files open than its pool is
 // wide, and none once the last shard is sealed — not one per shard it ever
@@ -173,7 +213,7 @@ func TestWorkerClosesSealedShardFiles(t *testing.T) {
 	if err := plan.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenLeaseSource(dir, "w", time.Minute)
+	src, err := OpenLeaseSource(clock.Real, dir, "w", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +314,7 @@ func TestConcurrentRunsShareShards(t *testing.T) {
 	if got := reportOf(t, dir); got != want {
 		t.Errorf("report of two concurrent runs differs from a single run:\n--- want\n%s\n--- got\n%s", want, got)
 	}
-	if live, _ := lease.Live(LeasesDir(dir), time.Minute); len(live) != 0 {
+	if live, _ := lease.Live(LeasesDir(dir), time.Now()); len(live) != 0 {
 		t.Errorf("leases left behind: %+v", live)
 	}
 }
@@ -335,7 +375,7 @@ func writeLease(t *testing.T, dir, name string, info *lease.Info) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(lease.Path(LeasesDir(dir), name), data, 0o644); err != nil {
+	if err := os.WriteFile(lease.Path(LeasesDir(dir), name, info.Gen), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -125,15 +125,6 @@ func (d *Dash) Handler() http.Handler {
 	return mux
 }
 
-// Serve serves the dashboard on ln until ctx is canceled, then shuts the
-// server down and returns. It is the context-aware replacement for the
-// old "go srv.Serve(ln); ...; srv.Close()" pattern, which abandoned the
-// listener goroutine mid-accept and leaked it (visible under -race in
-// tests and on -metrics-hold exits).
-func (d *Dash) Serve(ctx context.Context, ln net.Listener) error {
-	return ServeUntil(ctx, ln, d.Handler())
-}
-
 // ServeUntil runs an http.Server for h on ln until ctx is canceled, then
 // drains it via http.Server.Shutdown (bounded by a short grace period)
 // and waits for the serve goroutine to exit, so no goroutine outlives the

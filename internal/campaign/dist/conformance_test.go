@@ -14,6 +14,7 @@ import (
 	"mfc/internal/analyze"
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -122,7 +123,7 @@ func checkDoneSet(t *testing.T, dir string, want []bool) {
 		}
 	}
 
-	src, err := campaign.OpenLeaseSource(dir, "surveyor", time.Minute)
+	src, err := campaign.OpenLeaseSource(clock.Real, dir, "surveyor", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -12,16 +13,17 @@ import (
 // protocol's two invariants: parsing never panics, and the shard range is
 // never granted to two owners at once. Whatever the file holds, it reads
 // as exactly one of (valid lease, corrupt); a valid fresh lease turns
-// every contender away, and anything else admits at most one taker via
-// the tombstone-rename arbitration. Seed corpus:
+// every contender away, and anything else admits at most one taker — the
+// one whose exclusive create of the next generation lands. Seed corpus:
 // testdata/fuzz/FuzzLease plus the seeds below (a live lease, a stale
-// lease, a torn half-record, binary junk, hostile timestamps).
+// lease, a torn half-record, binary junk, hostile timestamps, a record
+// with no TTL).
 func FuzzLease(f *testing.F) {
 	now := time.Now().UnixNano()
-	live, _ := json.Marshal(&Info{Name: "shard-0000", Owner: "incumbent", Gen: 3,
-		Host: "other-host", PID: 1, AcquiredUnixNano: now, HeartbeatUnixNano: now})
-	stale, _ := json.Marshal(&Info{Name: "shard-0000", Owner: "dead", Gen: 2,
-		Host: "other-host", PID: 1, AcquiredUnixNano: 1, HeartbeatUnixNano: 1})
+	live, _ := json.Marshal(&Info{Name: "shard-0000", Owner: "incumbent", Gen: 3, Host: "other-host", PID: 1,
+		TTLNanos: int64(time.Minute), AcquiredUnixNano: now, HeartbeatUnixNano: now})
+	stale, _ := json.Marshal(&Info{Name: "shard-0000", Owner: "dead", Gen: 2, Host: "other-host", PID: 1,
+		TTLNanos: int64(time.Minute), AcquiredUnixNano: 1, HeartbeatUnixNano: 1})
 	f.Add([]byte{})
 	f.Add(live)
 	f.Add(stale)
@@ -35,11 +37,18 @@ func FuzzLease(f *testing.F) {
 		`"heartbeat_unix_nano":-9223372036854775808}`))
 	f.Add([]byte("null"))
 	f.Add([]byte("[1,2,3]"))
+	f.Add([]byte(fmt.Sprintf(`{"owner":"x","gen":1,"heartbeat_unix_nano":%d}`, now))) // fresh, but declares no TTL
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		const name = "shard-0000"
-		if err := os.WriteFile(Path(dir, name), data, 0o644); err != nil {
+		// The bytes become the lease file of the generation they claim, if
+		// they parse, so a valid record is read back as the current lease.
+		gen := int64(1)
+		if info, err := parse(data); err == nil {
+			gen = info.Gen
+		}
+		if err := os.WriteFile(Path(dir, name, gen), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -47,7 +56,7 @@ func FuzzLease(f *testing.F) {
 		// must satisfy the parse invariants.
 		info, err := Read(dir, name)
 		if err == nil {
-			if info.Owner == "" || info.Gen < 1 {
+			if info.Owner == "" || info.Gen < 1 || info.TTLNanos <= 0 {
 				t.Fatalf("Read accepted an invalid lease: %+v", info)
 			}
 		}
@@ -59,7 +68,7 @@ func FuzzLease(f *testing.F) {
 		hB, errB := Acquire(dir, name, "contender-b", ttl)
 		if errA == nil && errB == nil {
 			t.Fatalf("both contenders acquired %q (A gen=%d, B gen=%d)",
-				name, hA.Gen(), hB.Gen())
+				name, hA.info.Gen, hB.info.Gen)
 		}
 		// Whoever won (if either) must hold a verifiable lease; the loser
 		// must see it as held.

@@ -1,7 +1,7 @@
 // Package lease is the campaign store's crash-safe file-lease protocol:
 // one JSON lease file per claimable resource (a result shard, or the whole
-// store for a control plane), created atomically, renewed by heartbeat,
-// and taken over when its owner goes stale.
+// store for a control plane) and generation, created atomically, renewed
+// by heartbeat, and superseded when its owner goes stale.
 //
 // The protocol assumes only a filesystem with atomic create-by-link and
 // rename (any local filesystem; NFS with close-to-open consistency is
@@ -18,13 +18,17 @@
 //	                  held by new owner at gen+1; old owner's next
 //	                  Heartbeat/Verify returns ErrLost (fencing)
 //
-// Takeover arbitration: a contender first renames the stale lease file to
-// a unique tombstone — rename succeeds for exactly one contender, every
-// loser sees ENOENT and retries — and then creates the successor lease
-// with an atomic link. A fresh lease is never renamed; the only window in
-// which two processes can both believe they hold a lease is a heartbeat
-// landing between a contender's staleness read and its rename, which the
-// TTL margin makes unlikely and the store's dedupe makes harmless.
+// A lease file is named <name>.g<gen>.lease and the highest generation on
+// disk owns the name. Free or stale, a name is claimed the same way: one
+// exclusive link(2) of generation highest+1, which succeeds for exactly
+// one contender — so each (name, generation) has one winner by
+// construction, and a contender acting on an old read finds its generation
+// taken and loses. The winner removes the files it superseded; nothing is
+// ever renamed or removed out from under a live owner. The one way a live
+// owner loses its lease is a heartbeat landing after a contender's
+// staleness read: the contender still wins the next generation and the
+// owner's next Verify reports ErrLost — wasted work, which the store's
+// dedupe makes harmless.
 package lease
 
 import (
@@ -33,16 +37,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"mfc/internal/clock"
 )
 
 // Info is the decoded contents of one lease file.
 type Info struct {
 	Name  string `json:"name"`  // resource name, e.g. "shard-0003" or "store"
 	Owner string `json:"owner"` // unique per acquisition (see DefaultOwner)
-	Gen   int64  `json:"gen"`   // fencing generation, +1 per takeover
+	Gen   int64  `json:"gen"`   // fencing generation: one above the highest on disk at acquisition
 	Host  string `json:"host"`
 	PID   int    `json:"pid"`
 
@@ -58,7 +67,7 @@ type Info struct {
 }
 
 // maxClockSkew bounds how far in the future a heartbeat may claim to be
-// before the lease is treated as corrupt: without it, a garbage file with
+// before the lease is treated as stale: without it, a garbage file with
 // a far-future timestamp would hold its resource forever.
 const maxClockSkew = time.Minute
 
@@ -98,8 +107,38 @@ func IsHeld(err error) bool {
 	return errors.As(err, &h)
 }
 
-// Path returns the lease file for resource name under dir.
-func Path(dir, name string) string { return filepath.Join(dir, name+".lease") }
+// Path returns the lease file of generation gen for resource name under
+// dir.
+func Path(dir, name string, gen int64) string {
+	return filepath.Join(dir, fmt.Sprintf("%s.g%d.lease", name, gen))
+}
+
+// fileGen splits a lease file name into resource name and generation.
+func fileGen(file string) (name string, gen int64, ok bool) {
+	base, ok := strings.CutSuffix(file, ".lease")
+	i := strings.LastIndex(base, ".g")
+	if !ok || i < 0 {
+		return "", 0, false
+	}
+	gen, err := strconv.ParseInt(base[i+2:], 10, 64)
+	return base[:i], gen, err == nil && gen >= 1
+}
+
+// list reads dir's lease files: resource name -> the generations on disk.
+// A missing directory holds none.
+func list(dir string) (map[string][]int64, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	gens := make(map[string][]int64)
+	for _, ent := range ents {
+		if name, gen, ok := fileGen(ent.Name()); ok {
+			gens[name] = append(gens[name], gen)
+		}
+	}
+	return gens, nil
+}
 
 var ownerSeq atomic.Int64
 
@@ -107,54 +146,72 @@ var ownerSeq atomic.Int64
 // in-process sequence number, so two acquisitions in one process can never
 // mistake each other's lease for their own.
 func DefaultOwner() string {
+	return fmt.Sprintf("%s-%d-%d", hostname(), os.Getpid(), ownerSeq.Add(1))
+}
+
+func hostname() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {
-		host = "unknown-host"
+		return "unknown-host"
 	}
-	return fmt.Sprintf("%s-%d-%d", host, os.Getpid(), ownerSeq.Add(1))
+	return host
 }
 
 // Handle is a held lease. It is not safe for concurrent use; the typical
 // shape is one goroutine heartbeating while the owner works.
 type Handle struct {
-	dir  string
-	info Info
+	clk       clock.Clock
+	dir       string
+	info      Info
+	displaced bool
 }
 
-// pathNonce numbers every temp and tombstone file this process creates.
-// It is process-wide, not per handle: contenders in one process share a
-// pid, and two of them writing the same temp path would let the loser
-// truncate the inode the winner has just linked in as the live lease.
-var pathNonce atomic.Int64
+// tmpNonce numbers every temp file this process creates. It is
+// process-wide, not per handle: contenders in one process share a pid, and
+// two of them writing the same temp path would let the loser truncate the
+// inode the winner has just linked in as the live lease.
+var tmpNonce atomic.Int64
 
-// scratchPath returns a path next to name's lease file that no other
+// tmpPath returns a path next to the handle's lease file that no other
 // handle, in this process or another, will ever use.
-func (h *Handle) scratchPath(name, kind string) string {
-	return fmt.Sprintf("%s.%s.%d.%d", Path(h.dir, name), kind, os.Getpid(), pathNonce.Add(1))
+func (h *Handle) tmpPath() string {
+	return filepath.Join(h.dir, fmt.Sprintf("%s.tmp.%d.%d", h.info.Name, os.Getpid(), tmpNonce.Add(1)))
 }
 
-// Owner returns the handle's owner id.
-func (h *Handle) Owner() string { return h.info.Owner }
+// TookOver reports whether this acquisition displaced a stale owner or a
+// corrupt record.
+func (h *Handle) TookOver() bool { return h.displaced }
 
-// Gen returns the lease generation; a value above 1 means this acquisition
-// took the lease over from a stale owner.
-func (h *Handle) Gen() int64 { return h.info.Gen }
-
-// TookOver reports whether this acquisition displaced a stale owner.
-func (h *Handle) TookOver() bool { return h.info.Gen > 1 }
-
-// Read parses the lease file for name under dir. It returns
-// os.ErrNotExist when no lease exists and an ErrCorrupt-wrapped error for
-// any content that cannot be a live lease; it never panics, whatever the
-// file holds.
+// Read parses the current lease for name under dir — the highest
+// generation on disk. It returns os.ErrNotExist when no lease exists and
+// an ErrCorrupt-wrapped error for any content that cannot be a lease; it
+// never panics, whatever the file holds.
 func Read(dir, name string) (*Info, error) {
-	data, err := os.ReadFile(Path(dir, name))
+	all, err := list(dir)
 	if err != nil {
 		return nil, err
 	}
-	return parse(data)
+	if len(all[name]) == 0 {
+		return nil, os.ErrNotExist
+	}
+	return readGen(dir, name, slices.Max(all[name]))
 }
 
+func readGen(dir, name string, gen int64) (*Info, error) {
+	data, err := os.ReadFile(Path(dir, name, gen))
+	if err != nil {
+		return nil, err
+	}
+	info, err := parse(data)
+	if err == nil && info.Gen != gen {
+		return nil, fmt.Errorf("%w: generation %d in the file of generation %d", ErrCorrupt, info.Gen, gen)
+	}
+	return info, err
+}
+
+// parse decodes and validates one lease record; it is a pure function of
+// its bytes. Whether the heartbeat is plausible is Stale's question — only
+// a caller knows what time it is.
 func parse(data []byte) (*Info, error) {
 	var info Info
 	if err := json.Unmarshal(data, &info); err != nil {
@@ -166,36 +223,25 @@ func parse(data []byte) (*Info, error) {
 	if info.Gen < 1 {
 		return nil, fmt.Errorf("%w: generation %d", ErrCorrupt, info.Gen)
 	}
-	if info.TTLNanos < 0 {
-		return nil, fmt.Errorf("%w: negative ttl %d", ErrCorrupt, info.TTLNanos)
-	}
-	if hb := time.Unix(0, info.HeartbeatUnixNano); hb.After(time.Now().Add(maxClockSkew)) {
-		return nil, fmt.Errorf("%w: heartbeat %v is in the future", ErrCorrupt, hb)
+	if info.TTLNanos <= 0 {
+		return nil, fmt.Errorf("%w: ttl %d", ErrCorrupt, info.TTLNanos)
 	}
 	return &info, nil
 }
 
-// Stale reports whether the lease's owner should be considered dead: its
-// heartbeat is older than the TTL the owner declared in the lease
-// (fallback covers records written before TTLs were recorded; maxTTL
-// bounds hostile values), or it was taken on this host by a process that
-// no longer exists (which makes takeover after a kill -9 immediate
-// instead of waiting out the TTL).
-func (info *Info) Stale(fallback time.Duration) bool {
-	ttl := time.Duration(info.TTLNanos)
-	if ttl <= 0 {
-		ttl = fallback
-	}
-	if ttl > maxTTL {
-		ttl = maxTTL
-	}
-	if time.Since(time.Unix(0, info.HeartbeatUnixNano)) > ttl {
+// Stale reports whether, at now, the lease's owner should be considered
+// dead: its heartbeat is older than the TTL the owner declared in the
+// lease (maxTTL bounds hostile values) or implausibly far in the future,
+// or it was taken on this host by a process that no longer exists (which
+// makes takeover after a kill -9 immediate instead of waiting out the
+// TTL).
+func (info *Info) Stale(now time.Time) bool {
+	age := now.Sub(time.Unix(0, info.HeartbeatUnixNano))
+	if age > min(time.Duration(info.TTLNanos), maxTTL) || age < -maxClockSkew {
 		return true
 	}
 	if host, err := os.Hostname(); err == nil && host == info.Host && info.PID > 0 {
-		if !pidAlive(info.PID) {
-			return true
-		}
+		return !pidAlive(info.PID)
 	}
 	return false
 }
@@ -210,14 +256,19 @@ func pidAlive(pid int) bool {
 	return err == nil || errors.Is(err, syscall.EPERM)
 }
 
-// Acquire claims the lease for resource name under dir, creating dir if
-// needed. A missing, corrupt or stale lease is taken over (generation
-// bumped); a lease held by a live owner returns a HeldError. ttl is the
-// staleness bound this handle commits to heartbeat under (recorded in the
-// lease, so readers judge the lease by its owner's contract); for an
-// incumbent it is only the fallback when the incumbent's record predates
-// declared TTLs.
+// Acquire claims the lease for resource name under dir on the real clock,
+// creating dir if needed. A missing, corrupt or stale lease is claimed at
+// the next generation; a lease held by a live owner — or lost to a
+// concurrent contender — returns a HeldError. ttl is the staleness bound
+// this handle commits to heartbeat under (recorded in the lease, so
+// readers judge the lease by its owner's contract).
 func Acquire(dir, name, owner string, ttl time.Duration) (*Handle, error) {
+	return AcquireOn(clock.Real, dir, name, owner, ttl)
+}
+
+// AcquireOn is Acquire with staleness judged, and heartbeats stamped, on
+// clk.
+func AcquireOn(clk clock.Clock, dir, name, owner string, ttl time.Duration) (*Handle, error) {
 	if owner == "" {
 		return nil, fmt.Errorf("lease: empty owner for %q", name)
 	}
@@ -227,120 +278,99 @@ func Acquire(dir, name, owner string, ttl time.Duration) (*Handle, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	h := &Handle{dir: dir}
-
-	// The loop races other contenders: each iteration either observes a
-	// live owner (and stops), or wins/loses one atomic step (tombstone
-	// rename, create-by-link) and re-reads. Four attempts is far beyond
-	// any real contention; exhausting them means the file is churning.
-	for attempt := 0; attempt < 4; attempt++ {
-		gen := int64(1)
-		info, err := Read(dir, name)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// Free: fall through to create.
-		case errors.Is(err, ErrCorrupt):
-			// Provably not a live lease: exactly one contender gets to
-			// bury it.
-			if ok, terr := h.tombstone(name); terr != nil {
-				return nil, terr
-			} else if !ok {
-				continue // lost the rename race: re-read
-			}
-		case err != nil:
-			// A transient read failure (EIO, EACCES on a shared fs) says
-			// nothing about the incumbent — never bury a possibly-live
-			// lease over it.
-			return nil, err
-		default:
-			if !info.Stale(ttl) {
-				return nil, &HeldError{Name: name, Owner: info.Owner}
-			}
-			gen = info.Gen + 1
-			if ok, terr := h.tombstone(name); terr != nil {
-				return nil, terr
-			} else if !ok {
-				continue
-			}
-		}
-
-		now := time.Now().UnixNano()
-		h.info = Info{
-			Name: name, Owner: owner, Gen: gen,
-			Host: hostname(), PID: os.Getpid(),
-			TTLNanos:         ttl.Nanoseconds(),
-			AcquiredUnixNano: now, HeartbeatUnixNano: now,
-		}
-		created, err := h.create()
-		if err != nil {
-			return nil, err
-		}
-		if created {
-			return h, nil
-		}
-		// Another contender created first; the re-read decides held/stale.
-	}
-	return nil, fmt.Errorf("lease: %q is contended, giving up after retries", name)
-}
-
-func hostname() string {
-	host, err := os.Hostname()
+	now := clk.Now()
+	gens, displaced, err := observe(dir, name, now)
 	if err != nil {
-		return "unknown-host"
+		return nil, err
 	}
-	return host
-}
-
-// tombstone renames the current lease file to a unique name and removes
-// it. Rename is the arbitration point: it succeeds for exactly one
-// contender; everyone else sees ENOENT and reports false.
-func (h *Handle) tombstone(name string) (bool, error) {
-	dst := h.scratchPath(name, "stale")
-	err := os.Rename(Path(h.dir, name), dst)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+	h := &Handle{clk: clk, dir: dir, displaced: displaced, info: Info{
+		Name: name, Owner: owner, Gen: 1,
+		Host: hostname(), PID: os.Getpid(),
+		TTLNanos:         ttl.Nanoseconds(),
+		AcquiredUnixNano: now.UnixNano(), HeartbeatUnixNano: now.UnixNano(),
+	}}
+	if len(gens) > 0 {
+		h.info.Gen = slices.Max(gens) + 1
 	}
+	created, err := h.create()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	os.Remove(dst)
-	return true, nil
+	if !created {
+		// A contender acting on the same observation linked this generation
+		// first; it holds the name now.
+		held := &HeldError{Name: name}
+		if info, err := readGen(dir, name, h.info.Gen); err == nil {
+			held.Owner = info.Owner
+		}
+		return nil, held
+	}
+	for _, gen := range gens {
+		os.Remove(Path(dir, name, gen)) // superseded: Read ignores it while a higher generation exists
+	}
+	return h, nil
 }
 
-// create atomically publishes h.info as the lease file, complete or not at
-// all: the record is written to a private temp file and linked into place,
-// so no reader can ever observe a half-written lease (a half-written file
-// would read as corrupt and invite a takeover of a live lease). Returns
-// false if someone else's lease already exists.
-func (h *Handle) create() (bool, error) {
+// observe is the read half of an acquisition: the generations of name on
+// disk, and whether the highest is a stale or corrupt lease this
+// acquisition would displace. A live one is a HeldError. A highest
+// generation that vanished since the listing was released or superseded —
+// nothing is displaced, and if it was superseded the create loses.
+func observe(dir, name string, now time.Time) (gens []int64, displaced bool, err error) {
+	all, err := list(dir)
+	if gens = all[name]; err != nil || len(gens) == 0 {
+		return nil, false, err
+	}
+	info, err := readGen(dir, name, slices.Max(gens))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return gens, false, nil
+	case errors.Is(err, ErrCorrupt):
+		return gens, true, nil
+	case err != nil:
+		// A transient read failure (EIO, EACCES on a shared fs) says
+		// nothing about the incumbent — never supersede a possibly-live
+		// lease over it.
+		return nil, false, err
+	case !info.Stale(now):
+		return nil, false, &HeldError{Name: name, Owner: info.Owner}
+	}
+	return gens, true, nil
+}
+
+// publish writes h.info to a private temp file and moves it onto the
+// handle's lease path with op — os.Link to create it exclusively,
+// os.Rename to replace it — so no reader can ever observe a half-written
+// lease (which would read as corrupt and invite a takeover of a live one).
+func (h *Handle) publish(op func(tmp, path string) error) error {
 	data, err := json.Marshal(&h.info)
 	if err != nil {
-		return false, err
+		return err
 	}
-	tmp := h.scratchPath(h.info.Name, "tmp")
+	tmp := h.tmpPath()
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return false, err
+		return err
 	}
 	defer os.Remove(tmp)
-	err = os.Link(tmp, Path(h.dir, h.info.Name))
+	return op(tmp, Path(h.dir, h.info.Name, h.info.Gen))
+}
+
+// create claims the handle's generation. It reports false if that
+// generation already has an owner.
+func (h *Handle) create() (bool, error) {
+	err := h.publish(os.Link)
 	if errors.Is(err, os.ErrExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
-// Verify re-reads the lease file and confirms this handle still owns it.
-// Any other state — taken over, removed, corrupt — returns ErrLost: the
-// caller is fenced.
+// Verify confirms this handle still owns the name: the highest generation
+// on disk is its own. Any other state — taken over, removed, corrupt —
+// returns ErrLost: the caller is fenced.
 func (h *Handle) Verify() error {
 	info, err := Read(h.dir, h.info.Name)
-	if err != nil {
-		return ErrLost
-	}
-	if info.Owner != h.info.Owner || info.Gen != h.info.Gen {
+	if err != nil || info.Owner != h.info.Owner || info.Gen != h.info.Gen {
 		return ErrLost
 	}
 	return nil
@@ -353,20 +383,8 @@ func (h *Handle) Heartbeat() error {
 	if err := h.Verify(); err != nil {
 		return err
 	}
-	h.info.HeartbeatUnixNano = time.Now().UnixNano()
-	data, err := json.Marshal(&h.info)
-	if err != nil {
-		return err
-	}
-	tmp := h.scratchPath(h.info.Name, "tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, Path(h.dir, h.info.Name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	h.info.HeartbeatUnixNano = h.clk.Now().UnixNano()
+	return h.publish(os.Rename)
 }
 
 // Release removes the lease if this handle still owns it; releasing a
@@ -376,44 +394,23 @@ func (h *Handle) Release() error {
 	if err := h.Verify(); err != nil {
 		return err
 	}
-	return os.Remove(Path(h.dir, h.info.Name))
+	return os.Remove(Path(h.dir, h.info.Name, h.info.Gen))
 }
 
-// Holder reports who currently holds a live (non-stale) lease on name:
-// ok is false when the resource is free, stale or corrupt — i.e. when an
-// Acquire would be worth attempting. fallbackTTL only applies to records
-// that predate declared TTLs.
-func Holder(dir, name string, fallbackTTL time.Duration) (owner string, ok bool) {
-	info, err := Read(dir, name)
-	if err != nil || info.Stale(fallbackTTL) {
-		return "", false
-	}
-	return info.Owner, true
-}
-
-// Live lists the names of all live (non-stale, parseable) leases under
-// dir, in lexical order, judging each by its own declared TTL
-// (fallbackTTL for legacy records). Tombstones, temp files and stale
-// leases are skipped. A missing directory is simply empty.
-func Live(dir string, fallbackTTL time.Duration) ([]Info, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+// Live lists the current lease of every name under dir that is live at
+// now (parseable, not stale by its own declared TTL), in lexical order. A
+// missing directory is simply empty.
+func Live(dir string, now time.Time) ([]Info, error) {
+	all, err := list(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []Info
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || filepath.Ext(name) != ".lease" {
-			continue
+	for name, gens := range all {
+		if info, err := readGen(dir, name, slices.Max(gens)); err == nil && !info.Stale(now) {
+			out = append(out, *info)
 		}
-		info, err := Read(dir, name[:len(name)-len(".lease")])
-		if err != nil || info.Stale(fallbackTTL) {
-			continue
-		}
-		out = append(out, *info)
 	}
+	slices.SortFunc(out, func(a, b Info) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock"
 	"mfc/internal/obs"
 )
 
@@ -31,6 +32,7 @@ func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus
 	if opts.Owner == "" {
 		opts.Owner = lease.DefaultOwner()
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	rc := &remoteClient{
 		base: normalizeAddr(addr),
 		hc:   &http.Client{Timeout: 30 * time.Second},
@@ -63,14 +65,14 @@ func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus
 			trace = *id
 		}
 		opts.Spans.SetTrace(trace)
-		spill = campaign.NewSpanSpiller(opts.Spans, 0, func(spans []obs.Span) {
+		spill = campaign.NewSpanSpiller(opts.Clock, opts.Spans, func(spans []obs.Span) {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			rc.post(sctx, "/api/spans", serve.SpanBatch{Owner: opts.Owner, Spans: spans}, nil)
 		})
 		defer spill.Close()
 	}
-	return campaign.Work(ctx, &plan, &grantSource{rc: rc, owner: opts.Owner}, spill, opts)
+	return campaign.Work(ctx, &plan, &grantSource{rc: rc, clk: opts.Clock, owner: opts.Owner}, spill, opts)
 }
 
 // normalizeAddr turns "host:port" into a base URL.
@@ -151,6 +153,7 @@ func readError(resp *http.Response) string {
 // decides wait and complete.
 type grantSource struct {
 	rc    *remoteClient
+	clk   clock.Clock // paces Persist's retries
 	owner string
 }
 
@@ -181,22 +184,22 @@ func (s *grantSource) Claim(ctx context.Context) (*campaign.Claim, error) {
 		ttl = lease.DefaultTTL
 	}
 	return &campaign.Claim{Shard: g.Shard, Takeover: g.Gen > 1, TTL: ttl, Jobs: g.Jobs,
-		Hold: &grantHold{rc: s.rc, ref: serve.ShardRef{Owner: s.owner, Shard: g.Shard, Gen: g.Gen}}}, nil
+		Hold: &grantHold{src: s, ref: serve.ShardRef{Owner: s.owner, Shard: g.Shard, Gen: g.Gen}}}, nil
 }
 
 // grantHold is one grant's fence token; every request bearing it gets a
 // 410 (campaign.ErrFenced) once the shard has been re-granted.
 type grantHold struct {
-	rc  *remoteClient
+	src *grantSource
 	ref serve.ShardRef
 }
 
 func (h *grantHold) Heartbeat(ctx context.Context) error {
-	return h.rc.post(ctx, "/api/heartbeat", h.ref, nil)
+	return h.src.rc.post(ctx, "/api/heartbeat", h.ref, nil)
 }
 
 func (h *grantHold) Seal(ctx context.Context) error {
-	return h.rc.post(ctx, "/api/done", h.ref, nil)
+	return h.src.rc.post(ctx, "/api/done", h.ref, nil)
 }
 
 // Release is a no-op: the protocol has no give-back, the server reaps a
@@ -211,13 +214,15 @@ func (h *grantHold) Persist(ctx context.Context, rec *campaign.Record) error {
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
+			t := h.src.clk.NewTimer(time.Duration(attempt) * 500 * time.Millisecond)
 			select {
 			case <-ctx.Done():
+				t.Stop()
 				return ctx.Err()
-			case <-time.After(time.Duration(attempt) * 500 * time.Millisecond):
+			case <-t.C:
 			}
 		}
-		err = h.rc.post(ctx, "/api/records", req, nil)
+		err = h.src.rc.post(ctx, "/api/records", req, nil)
 		if err == nil || errors.Is(err, campaign.ErrFenced) || ctx.Err() != nil {
 			return err
 		}

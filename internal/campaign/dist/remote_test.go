@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock/clocktest"
 )
 
 // startControlPlane opens dir as a control plane on an ephemeral
@@ -108,7 +111,8 @@ func TestRemoteStaleFenceRefused(t *testing.T) {
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
 	ttl := 100 * time.Millisecond
-	srv, addr := startControlPlane(t, dir, serve.Options{TTL: ttl})
+	clk := clocktest.New(time.Now())
+	srv, addr := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
 	rc := &remoteClient{base: normalizeAddr(addr), hc: &http.Client{Timeout: 10 * time.Second}}
 	ctx := context.Background()
 
@@ -126,7 +130,7 @@ func TestRemoteStaleFenceRefused(t *testing.T) {
 	if err := rc.post(ctx, "/api/records", live, nil); err != nil {
 		t.Fatalf("upload under live token: %v", err)
 	}
-	time.Sleep(4 * ttl)
+	clk.Advance(4 * ttl)
 
 	// The heir is granted the dead worker's shard under the next fence.
 	var heir serve.GrantDoc
@@ -184,6 +188,37 @@ func TestRemoteStaleFenceRefused(t *testing.T) {
 	}
 	if got := reportOf(t, dir); got != want {
 		t.Errorf("report after fencing differs from single-process run:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}
+
+// Persist retries a transient upload failure after 0.5 s and again after
+// 1 s of its clock: each retry is parked on a timer until the test moves
+// time.
+func TestPersistRetriesOnTheClock(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if posts.Add(1) < 3 {
+			http.Error(w, "store unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer ts.Close()
+	clk := clocktest.New(time.Now())
+	h := &grantHold{src: &grantSource{rc: &remoteClient{base: ts.URL, hc: ts.Client()}, clk: clk},
+		ref: serve.ShardRef{Owner: "w", Shard: 0, Gen: 1}}
+
+	done := make(chan error)
+	go func() { done <- h.Persist(context.Background(), &campaign.Record{Job: 0}) }()
+	for attempt, wait := range []time.Duration{500 * time.Millisecond, time.Second} {
+		clk.BlockUntil(1)
+		if n := posts.Load(); n != int64(attempt+1) {
+			t.Fatalf("%d uploads before retry wait %d", n, attempt+1)
+		}
+		clk.Advance(wait)
+	}
+	if err := <-done; err != nil || posts.Load() != 3 {
+		t.Fatalf("Persist = %v after %d uploads, want success on the third", err, posts.Load())
 	}
 }
 
@@ -261,7 +296,9 @@ func TestHelperRemoteWorkProcess(t *testing.T) {
 }
 
 // The networked acceptance scenario: a joined worker is SIGKILLed
-// mid-shard; the server reaps its silent grant after the TTL, re-grants
+// mid-shard; the server reaps its silent grant after the TTL — real time:
+// the victim's last requests may still be in flight when it dies, so no
+// single step of a fake clock is known to come after them — re-grants
 // the shard (bumping the fence), a rescuer finishes the campaign, and
 // the report is byte-identical to an uninterrupted single-process run.
 func TestRemoteKillNineByteIdentical(t *testing.T) {

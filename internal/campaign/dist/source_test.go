@@ -10,6 +10,8 @@ import (
 
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock"
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -29,23 +31,24 @@ func oneShardPlan(t *testing.T, dir string) *campaign.Plan {
 	return plan
 }
 
-// Both real backends must tell the engine the same story: a claim names
-// the jobs lacking a record, heartbeats keep it, an owner that stops
-// beating is taken over after the TTL, the displaced owner's heartbeat
-// and seal report ErrFenced, the heir sees only the jobs still missing,
-// and once it seals the source reports the campaign complete — with the
-// store holding the single-process run's bytes.
+// Both real backends must tell the engine the same story, on one fake
+// clock: a claim names the jobs lacking a record, heartbeats keep it, an
+// owner that stops beating is taken over once the TTL has passed and not
+// before, the displaced owner's heartbeat and seal report ErrFenced, the
+// heir sees only the jobs still missing, and once it seals the source
+// reports the campaign complete — with the store holding the
+// single-process run's bytes.
 func TestShardSourceConformance(t *testing.T) {
 	want := singleProcessReport(t, oneShardPlan)
-	const ttl = 20 * time.Millisecond
+	const ttl = 20 * time.Second
 
 	backends := []struct {
 		name string
-		open func(t *testing.T, dir string) (a, b campaign.ShardSource)
+		open func(t *testing.T, clk clock.Clock, dir string) (a, b campaign.ShardSource)
 	}{
-		{"file-lease", func(t *testing.T, dir string) (a, b campaign.ShardSource) {
+		{"file-lease", func(t *testing.T, clk clock.Clock, dir string) (a, b campaign.ShardSource) {
 			open := func(owner string) campaign.ShardSource {
-				src, err := campaign.OpenLeaseSource(dir, owner, ttl)
+				src, err := campaign.OpenLeaseSource(clk, dir, owner, ttl)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,18 +57,19 @@ func TestShardSourceConformance(t *testing.T) {
 			}
 			return open("a"), open("b")
 		}},
-		{"http-grant", func(t *testing.T, dir string) (a, b campaign.ShardSource) {
-			_, addr := startControlPlane(t, dir, serve.Options{TTL: ttl})
+		{"http-grant", func(t *testing.T, clk clock.Clock, dir string) (a, b campaign.ShardSource) {
+			_, addr := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
 			rc := &remoteClient{base: normalizeAddr(addr), hc: &http.Client{Timeout: 10 * time.Second}}
 			t.Cleanup(rc.hc.CloseIdleConnections)
-			return &grantSource{rc: rc, owner: "a"}, &grantSource{rc: rc, owner: "b"}
+			return &grantSource{rc: rc, clk: clk, owner: "a"}, &grantSource{rc: rc, clk: clk, owner: "b"}
 		}},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
 			dir := t.TempDir()
 			plan := oneShardPlan(t, dir)
-			srcA, srcB := be.open(t, dir)
+			clk := clocktest.New(time.Now())
+			srcA, srcB := be.open(t, clk, dir)
 			ctx := context.Background()
 
 			a, err := srcA.Claim(ctx)
@@ -84,14 +88,14 @@ func TestShardSourceConformance(t *testing.T) {
 
 			// a goes silent. b is told to wait until a's claim has aged past
 			// the TTL, then takes it over.
-			var b *campaign.Claim
-			for deadline := time.Now().Add(30 * time.Second); ; {
-				if b, err = srcB.Claim(ctx); err == nil {
-					break
-				}
-				if !errors.Is(err, campaign.ErrWait) || time.Now().After(deadline) {
-					t.Fatalf("heir's claim: %v, want ErrWait until the takeover", err)
-				}
+			clk.Advance(ttl)
+			if _, err := srcB.Claim(ctx); !errors.Is(err, campaign.ErrWait) {
+				t.Fatalf("heir's claim at exactly the TTL: %v, want ErrWait", err)
+			}
+			clk.Advance(time.Millisecond)
+			b, err := srcB.Claim(ctx)
+			if err != nil {
+				t.Fatalf("heir's claim past the TTL: %v", err)
 			}
 			if b.Shard != 0 || !b.Takeover {
 				t.Fatalf("heir's claim = %+v, want a takeover of shard 0", b)

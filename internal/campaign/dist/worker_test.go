@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -16,6 +15,8 @@ import (
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/campaign/serve"
+	"mfc/internal/clock"
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -141,7 +142,7 @@ func TestThreeWorkersDisjointByteIdentical(t *testing.T) {
 	}
 	// All leases are released; a legacy resume on the same dir is free to
 	// run (and finds nothing to do).
-	if live, _ := lease.Live(campaign.LeasesDir(dir), time.Minute); len(live) != 0 {
+	if live, _ := lease.Live(campaign.LeasesDir(dir), time.Now()); len(live) != 0 {
 		t.Errorf("leases left behind: %+v", live)
 	}
 	st, err := campaign.Run(context.Background(), dir, campaign.Options{})
@@ -366,7 +367,7 @@ func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 func TestWorkFailsFastWhenStoreLocked(t *testing.T) {
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	store, err := campaign.OpenStoreLocked(dir, plan.ShardJobs, "legacy-run", time.Minute, nil)
+	store, err := campaign.OpenStoreLocked(clock.Real, dir, plan.ShardJobs, "legacy-run", time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,44 +411,32 @@ func TestServeRefusesLiveWorkerLease(t *testing.T) {
 func TestShortTTLWorkerRespectsStoreLock(t *testing.T) {
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	store, err := campaign.OpenStoreLocked(dir, plan.ShardJobs, "legacy-run", time.Minute, nil)
+	clk := clocktest.New(time.Now())
+	store, err := campaign.OpenStoreLocked(clk, dir, plan.ShardJobs, "legacy-run", time.Minute, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	time.Sleep(5 * time.Millisecond) // age the heartbeat past the worker's ttl
-	if _, err := Work(context.Background(), dir, WorkOptions{Owner: "impatient", TTL: time.Millisecond}); err == nil {
+	clk.Advance(5 * time.Millisecond) // age the heartbeat past the worker's ttl
+	if _, err := Work(context.Background(), dir, WorkOptions{Owner: "impatient", TTL: time.Millisecond, Clock: clk}); err == nil {
 		t.Fatal("short-ttl worker bypassed a live store lock")
 	}
 }
 
 // A stale-lease takeover in-process: worker A acquires a shard and goes
-// silent (its lease file is aged below the TTL with a dead pid); worker B
-// must take the shard over, finish it, and A's handle must be fenced.
+// silent for an hour of the fake clock; worker B must take the shard over,
+// finish it, and A's handle must be fenced.
 func TestStaleShardLeaseTakeover(t *testing.T) {
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	name := campaign.ShardLeaseName(0)
-	ld := campaign.LeasesDir(dir)
-	hA, err := lease.Acquire(ld, name, "wedged-worker", time.Minute)
+	clk := clocktest.New(time.Now())
+	hA, err := lease.AcquireOn(clk, campaign.LeasesDir(dir), campaign.ShardLeaseName(0), "wedged-worker", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := lease.Read(ld, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info.HeartbeatUnixNano = time.Now().Add(-time.Hour).UnixNano()
-	info.PID = 0
-	data, err := json.Marshal(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lease.Path(ld, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	clk.Advance(time.Hour)
 
-	st, err := Work(context.Background(), dir, WorkOptions{Owner: "healthy-worker", Workers: 2})
+	st, err := Work(context.Background(), dir, WorkOptions{Owner: "healthy-worker", Workers: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/clock"
 	"mfc/internal/obs"
 	"mfc/internal/runner"
 )
@@ -127,6 +128,10 @@ type WorkOptions struct {
 	// SpanTee, when non-nil, also receives every spilled span batch; the
 	// -metrics dashboard feeds its local Fleet view through it.
 	SpanTee func([]obs.Span)
+
+	// Clock is what the worker waits, beats and judges staleness on; nil
+	// means clock.Real, the only value outside tests.
+	Clock clock.Clock
 }
 
 // WorkStatus summarizes one worker invocation.
@@ -151,6 +156,7 @@ func Work(ctx context.Context, plan *Plan, src ShardSource, spill *SpanSpiller, 
 	if opts.Poll <= 0 {
 		opts.Poll = 2 * time.Second
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	st := &WorkStatus{Owner: opts.Owner, Total: plan.Jobs()}
 	w := &shardWorker{plan: plan, src: src, spill: spill, opts: opts, st: st}
 	w.root = opts.Spans.Start("work", "work", -1, 0)
@@ -217,11 +223,13 @@ func (w *shardWorker) loop(ctx context.Context) error {
 			return nil
 		case errors.Is(err, ErrWait):
 			idleSpan := w.opts.Spans.Start("idle", "idle", -1, w.root.ID())
+			t := w.opts.Clock.NewTimer(idle.Next())
 			select {
 			case <-ctx.Done():
+				t.Stop()
 				idleSpan.End(obs.A("reason", "canceled"))
 				return ctx.Err()
-			case <-time.After(idle.Next()):
+			case <-t.C:
 			}
 			idleSpan.End()
 			continue
@@ -259,37 +267,20 @@ func (w *shardWorker) runClaim(ctx context.Context, c *Claim) error {
 	// wedged past the TTL and a peer took over) cancels this shard's jobs
 	// so two workers don't grind the same range longer than a heartbeat.
 	shardCtx, cancelShard := context.WithCancelCause(ctx)
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(c.TTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-shardCtx.Done():
-				return
-			case <-t.C:
-				// Only a definitive ErrFenced gives the shard up; a
-				// transient failure (ENOSPC, NFS hiccup, dropped request)
-				// skips a beat and retries next tick. If the failures
-				// outlast the TTL the claim goes stale, a peer takes
-				// over, and the next beat reports ErrFenced anyway.
-				hb := w.opts.Spans.Start("heartbeat", "heartbeat", c.Shard, shardSpan.ID())
-				err := c.Heartbeat(shardCtx)
-				hb.End(obs.ABool("ok", err == nil))
-				if errors.Is(err, ErrFenced) {
-					w.opts.Spans.Event("fence", "fence", c.Shard, shardSpan.ID())
-					cancelShard(ErrFenced)
-					return
-				}
-			}
-		}
-	}()
+	defer cancelShard(nil)
+	stopBeat := startKeepAlive(shardCtx, w.opts.Clock, c.TTL, func(ctx context.Context) error {
+		hb := w.opts.Spans.Start("heartbeat", "heartbeat", c.Shard, shardSpan.ID())
+		err := c.Heartbeat(ctx)
+		hb.End(obs.ABool("ok", err == nil))
+		return err
+	}, func() {
+		w.opts.Spans.Event("fence", "fence", c.Shard, shardSpan.ID())
+		cancelShard(ErrFenced)
+	})
 
 	before := w.newly.Load()
 	err := w.measure(shardCtx, c, shardSpan.ID())
-	cancelShard(nil) // stops the heartbeat; an earlier fence keeps its cause
-	<-hbDone
+	stopBeat()
 	fenced := errors.Is(err, ErrFenced) || errors.Is(context.Cause(shardCtx), ErrFenced)
 
 	sealed := false
@@ -322,6 +313,40 @@ func (w *shardWorker) runClaim(ctx context.Context, c *Claim) error {
 	shardSpan.End(obs.ABool("sealed", sealed), obs.ABool("fenced", fenced),
 		obs.ABool("takeover", c.Takeover), obs.AInt("jobs", done))
 	return err
+}
+
+// startKeepAlive starts the one liveness loop: every held lease and claim
+// — a worker's shard, a control plane's store lock — is kept by beating
+// every TTL/3 on the clock (the ticker is armed before this returns). Only
+// a definitive ErrFenced gives the hold up — lost is called once and the
+// loop ends; a transient failure (ENOSPC, NFS hiccup, dropped request)
+// skips a beat and the next tick retries. If the failures outlast the TTL
+// the hold goes stale, a peer takes over, and the next beat reports
+// ErrFenced anyway. stop ends the loop and waits for it: no beat is in
+// flight afterwards.
+func startKeepAlive(ctx context.Context, clk clock.Clock, ttl time.Duration, beat func(context.Context) error, lost func()) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	t := clk.NewTicker(ttl / 3)
+	go func() {
+		defer close(done)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if errors.Is(beat(ctx), ErrFenced) {
+					lost()
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 // measure runs the claim's jobs on the shared pool, persisting each

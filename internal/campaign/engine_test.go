@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 	"mfc/internal/population"
@@ -244,20 +246,41 @@ func TestEngineHaltAfterReleasesPartDone(t *testing.T) {
 	}
 }
 
-// ErrWait backs off and asks again; ErrComplete ends the worker.
+// ErrWait backs off and asks again; ErrComplete ends the worker. The idle
+// waits are timers on the worker's clock: nothing is claimed until the
+// test moves it.
 func TestEngineWaitsThenCompletes(t *testing.T) {
-	f := &fakeSource{claims: []func() (*Claim, error){
-		func() (*Claim, error) { return nil, ErrWait },
-		func() (*Claim, error) { return nil, ErrWait },
+	var asked atomic.Int64
+	wait := func() (*Claim, error) { asked.Add(1); return nil, ErrWait }
+	f := &fakeSource{claims: []func() (*Claim, error){wait, wait,
 		func() (*Claim, error) { return nil, ErrComplete },
 	}}
 	rec := obs.NewSpanRecorder("waiter", 0)
-	st, err := Work(context.Background(), enginePlan(t), f, nil, WorkOptions{Poll: time.Millisecond, Spans: rec})
-	if err != nil {
-		t.Fatal(err)
+	clk := clocktest.New(time.Unix(0, 0))
+	type result struct {
+		st  *WorkStatus
+		err error
 	}
-	if st.ShardsClaimed != 0 || st.NewlyDone != 0 {
-		t.Errorf("status = %+v, want nothing claimed", *st)
+	done := make(chan result)
+	go func() {
+		st, err := Work(context.Background(), enginePlan(t), f, nil, WorkOptions{Poll: time.Hour, Spans: rec, Clock: clk})
+		done <- result{st, err}
+	}()
+	// The backoff doubles from Poll with jitter over [d/2, d): the first
+	// wait is under one hour, the second under two.
+	for i := int64(1); i <= 2; i++ {
+		clk.BlockUntil(1)
+		if n := asked.Load(); n != i {
+			t.Fatalf("asked %d times before idle wait %d", n, i)
+		}
+		clk.Advance(2 * time.Hour)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.st.ShardsClaimed != 0 || r.st.NewlyDone != 0 {
+		t.Errorf("status = %+v, want nothing claimed", *r.st)
 	}
 	idles := 0
 	for _, sp := range rec.Drain(nil) {
@@ -267,6 +290,56 @@ func TestEngineWaitsThenCompletes(t *testing.T) {
 	}
 	if idles != 2 || len(f.claims) != 0 {
 		t.Errorf("%d idle spans with %d scripted claims unread, want 2 and 0", idles, len(f.claims))
+	}
+}
+
+// The one keep-alive loop, on the fake clock: a tick is a beat, a
+// transient failure skips that beat only, ErrFenced is reported once and
+// ends the loop, and Stop returns with no beat in flight.
+func TestKeepAlive(t *testing.T) {
+	const ttl = 3 * time.Second
+	clk := clocktest.New(time.Unix(0, 0))
+	var (
+		beats, lost int
+		next        error
+		beat        = make(chan struct{})
+	)
+	start := func() (stop func()) {
+		return startKeepAlive(context.Background(), clk, ttl, func(context.Context) error {
+			beats++
+			defer func() { beat <- struct{}{} }()
+			return next
+		}, func() { lost++ })
+	}
+	tick := func() {
+		clk.Advance(ttl / 3)
+		<-beat
+	}
+
+	stop := start()
+	for i := 0; i < 5; i++ {
+		if i == 2 {
+			next = errors.New("EIO")
+		}
+		tick()
+		next = nil
+	}
+	if beats != 5 || lost != 0 {
+		t.Fatalf("5 ticks, one failing with EIO: %d beats, %d lost; want 5 and 0", beats, lost)
+	}
+	stop()
+	clk.Advance(ttl)
+	if beats != 5 {
+		t.Fatalf("%d beats after Stop", beats-5)
+	}
+
+	stop = start()
+	next = ErrFenced
+	tick()
+	stop() // waits for the loop, which the fence has already ended
+	clk.Advance(ttl)
+	if beats != 6 || lost != 1 {
+		t.Fatalf("a fenced beat: %d beats, %d lost; want one more beat, reported once, then silence", beats-5, lost)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
+	"mfc/internal/clock"
 	"mfc/internal/obs"
 )
 
@@ -39,7 +39,7 @@ const DefaultStragglerK = 4.0
 // until some worker actually finishes it.
 type Fleet struct {
 	k   float64
-	now func() int64 // unix micros; tests inject a fake
+	clk clock.Clock
 
 	mu       sync.Mutex
 	workers  map[string]*fleetWorker
@@ -119,7 +119,7 @@ func NewFleet(k float64) *Fleet {
 	}
 	return &Fleet{
 		k:       k,
-		now:     func() int64 { return time.Now().UnixMicro() },
+		clk:     clock.Real,
 		workers: make(map[string]*fleetWorker),
 		active:  make(map[int]fleetClaim),
 	}
@@ -194,34 +194,10 @@ func (w *fleetWorker) appendSeg(seg FleetSeg) {
 	}
 }
 
-// stragglerThresholdLocked returns the flagging threshold in µs, or 0
-// when there is not yet enough signal (fewer than 3 completed shards).
-func (f *Fleet) stragglerThresholdLocked() int64 {
-	if f.shardDur.n < 3 {
-		return 0
-	}
-	median := pct(f.shardDur.sortedCopy(), 0.5)
-	return int64(f.k * float64(median))
-}
-
 // Stragglers counts active shards older than k× the median completed
-// shard duration — the value mfc_campaign_straggler_shards exports.
-func (f *Fleet) Stragglers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	thr := f.stragglerThresholdLocked()
-	if thr <= 0 {
-		return 0
-	}
-	now := f.now()
-	n := 0
-	for _, c := range f.active {
-		if now-c.since > thr {
-			n++
-		}
-	}
-	return n
-}
+// shard duration — the value mfc_campaign_straggler_shards exports, read
+// off the same Snapshot /fleet.json serves.
+func (f *Fleet) Stragglers() int { return f.Snapshot().Stragglers }
 
 // FleetWorker is one worker's row of /fleet.json.
 type FleetWorker struct {
@@ -261,9 +237,8 @@ type FleetDoc struct {
 }
 
 // Snapshot renders the current fleet picture, workers sorted by name and
-// active shards by shard index. The straggler flags here and the
-// Stragglers() count are computed from the same state under the same
-// rule, which the drift test locks in.
+// active shards by shard index. It is the one place ages are taken and
+// stragglers flagged; Stragglers() and the exported gauges read it.
 func (f *Fleet) Snapshot() FleetDoc {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -276,6 +251,9 @@ func (f *Fleet) Snapshot() FleetDoc {
 	}
 	if s := f.shardDur.sortedCopy(); s != nil {
 		doc.ShardP50Us, doc.ShardP99Us = pct(s, 0.5), pct(s, 0.99)
+		if len(s) >= 3 { // fewer completed shards are not yet a signal
+			doc.ThresholdUs = int64(f.k * float64(doc.ShardP50Us))
+		}
 	}
 	if s := f.jobDur.sortedCopy(); s != nil {
 		doc.JobP50Us, doc.JobP99Us = pct(s, 0.5), pct(s, 0.99)
@@ -289,13 +267,11 @@ func (f *Fleet) Snapshot() FleetDoc {
 	}
 	sort.Slice(doc.Workers, func(i, j int) bool { return doc.Workers[i].Name < doc.Workers[j].Name })
 
-	thr := f.stragglerThresholdLocked()
-	doc.ThresholdUs = thr
-	now := f.now()
+	now := f.clk.Now().UnixMicro()
 	for shard, c := range f.active {
 		age := now - c.since
 		a := FleetActive{Shard: shard, Worker: c.worker, SinceUs: c.since, AgeUs: age}
-		if thr > 0 && age > thr {
+		if doc.ThresholdUs > 0 && age > doc.ThresholdUs {
 			a.Straggler = true
 			doc.Stragglers++
 		}
@@ -338,11 +314,7 @@ func (f *Fleet) Register(reg *obs.Registry) {
 		func() float64 { return float64(f.Stragglers()) })
 	reg.GaugeFunc("mfc_campaign_fleet_workers",
 		"Workers that have reported at least one span.",
-		func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			return float64(len(f.workers))
-		})
+		func() float64 { return float64(len(f.Snapshot().Workers)) })
 }
 
 // MountOn serves the fleet view on a dashboard: /fleet.json (the

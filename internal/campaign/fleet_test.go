@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/obs"
 )
 
@@ -40,7 +42,7 @@ func syntheticFleet(base int64) []obs.Span {
 func TestFleetSnapshotCounts(t *testing.T) {
 	const base = int64(1_000_000)
 	f := NewFleet(4)
-	f.now = func() int64 { return base + 1_000_000 }
+	f.clk = clocktest.New(time.UnixMicro(base + 1_000_000))
 	f.Ingest(syntheticFleet(base))
 
 	doc := f.Snapshot()
@@ -73,7 +75,7 @@ func TestFleetSnapshotCounts(t *testing.T) {
 func TestFleetTakeoverKeepsStragglerClock(t *testing.T) {
 	const base = int64(1_000_000)
 	f := NewFleet(4)
-	f.now = func() int64 { return base + 1_000_000 }
+	f.clk = clocktest.New(time.UnixMicro(base + 1_000_000))
 	spans := syntheticFleet(base)
 	// w-d re-claims shard 9 moments before "now": a fresh clock would hide
 	// the straggler.
@@ -98,7 +100,7 @@ func TestFleetViewsAgree(t *testing.T) {
 	const base = int64(1_000_000)
 	spans := syntheticFleet(base)
 	f := NewFleet(4)
-	f.now = func() int64 { return base + 1_000_000 }
+	f.clk = clocktest.New(time.UnixMicro(base + 1_000_000))
 	f.Ingest(spans)
 
 	doc := f.Snapshot()
@@ -172,7 +174,7 @@ func TestFleetViewsAgree(t *testing.T) {
 func TestFleetStragglerWarmup(t *testing.T) {
 	const base = int64(1_000_000)
 	f := NewFleet(4)
-	f.now = func() int64 { return base + 10_000_000 }
+	f.clk = clocktest.New(time.UnixMicro(base + 10_000_000))
 	f.Ingest([]obs.Span{
 		{ID: 1, Name: "claim", Cat: "claim", Worker: "w", Shard: 0, Start: base, End: base},
 		{ID: 2, Name: "shard 1", Cat: "shard", Worker: "w", Shard: 1, Start: base, End: base + 100,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/clock"
 )
 
 // WorkDir runs one worker over the campaign directory dir: it claims
@@ -24,7 +25,8 @@ func WorkDir(ctx context.Context, dir string, opts WorkOptions) (*WorkStatus, er
 	if opts.TTL <= 0 {
 		opts.TTL = lease.DefaultTTL
 	}
-	src, err := OpenLeaseSource(dir, opts.Owner, opts.TTL)
+	opts.Clock = clock.Or(opts.Clock)
+	src, err := OpenLeaseSource(opts.Clock, dir, opts.Owner, opts.TTL)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +35,7 @@ func WorkDir(ctx context.Context, dir string, opts WorkOptions) (*WorkStatus, er
 	// The spiller's Close is deferred so a canceled worker still
 	// force-closes open spans (partial) and flushes its spill file.
 	opts.Spans.SetTrace(PlanTraceID(src.plan))
-	spill, err := StartSpanSpill(opts.Spans, dir, opts.SpanTee)
+	spill, err := StartSpanSpill(opts.Clock, opts.Spans, dir, opts.SpanTee)
 	if err != nil {
 		return nil, err
 	}
@@ -55,6 +57,7 @@ func WorkDir(ctx context.Context, dir string, opts WorkOptions) (*WorkStatus, er
 // the authority on which jobs are done, and readers dedupe by job — so
 // even a split-brain pair double-measuring a shard only wastes work.
 type LeaseSource struct {
+	clk   clock.Clock
 	dir   string
 	plan  *Plan
 	store *Store
@@ -72,13 +75,13 @@ type LeaseSource struct {
 // OpenLeaseSource opens the campaign in dir for one worker named owner.
 // Only a control plane (`serve`), which holds the exclusive "store" lease,
 // makes it refuse the directory. Close the source to close the store.
-func OpenLeaseSource(dir, owner string, ttl time.Duration) (*LeaseSource, error) {
+func OpenLeaseSource(clk clock.Clock, dir, owner string, ttl time.Duration) (*LeaseSource, error) {
 	plan, err := LoadPlan(dir)
 	if err != nil {
 		return nil, err
 	}
-	if holder, held := lease.Holder(LeasesDir(dir), "store", ttl); held {
-		return nil, fmt.Errorf("campaign: %s is locked by single-process run %q (a `serve` control plane holds its store lease); join it with `work -join` or wait for it to exit", dir, holder)
+	if lock, err := lease.Read(LeasesDir(dir), "store"); err == nil && !lock.Stale(clk.Now()) {
+		return nil, fmt.Errorf("campaign: %s is locked by single-process run %q (a `serve` control plane holds its store lease); join it with `work -join` or wait for it to exit", dir, lock.Owner)
 	}
 	store, err := OpenStore(dir, plan.ShardJobs)
 	if err != nil {
@@ -90,7 +93,7 @@ func OpenLeaseSource(dir, owner string, ttl time.Duration) (*LeaseSource, error)
 	h := fnv.New32a()
 	h.Write([]byte(owner))
 	return &LeaseSource{
-		dir: dir, plan: plan, store: store, owner: owner, ttl: ttl,
+		clk: clk, dir: dir, plan: plan, store: store, owner: owner, ttl: ttl,
 		// Not NewShardScanner's 1 MB: this buffer lives as long as the
 		// worker, and the simulations it runs beside keep so little heap
 		// live that a resident megabyte shortens every GC cycle (+60%
@@ -163,7 +166,7 @@ func (s *LeaseSource) Claim(ctx context.Context) (*Claim, error) {
 			continue
 		}
 		s.pending++
-		lk, err := lease.Acquire(LeasesDir(s.dir), ShardLeaseName(k), s.owner, s.ttl)
+		lk, err := lease.AcquireOn(s.clk, LeasesDir(s.dir), ShardLeaseName(k), s.owner, s.ttl)
 		if lease.IsHeld(err) {
 			continue
 		}

@@ -17,6 +17,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -225,11 +226,20 @@ func LoadPlan(dir string) (*Plan, error) {
 }
 
 // writeFileAtomic writes via a temp file + rename so a kill mid-write can
-// never leave a half-written plan or manifest behind.
+// never leave a half-written plan or manifest behind. The temp file is
+// this call's own: every worker that finishes a campaign writes the
+// manifest, and finishers sharing one temp path would truncate each
+// other's file mid-rename.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp.*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer os.Remove(f.Name()) // gone already once the rename has happened
+	_, err = f.Write(data)
+	// CreateTemp's 0600 would hide the file from a shared directory's other users.
+	if err := errors.Join(err, f.Chmod(0o644), f.Close()); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

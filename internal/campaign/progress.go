@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"mfc/internal/clock"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 )
@@ -27,8 +28,7 @@ import (
 // jobs finished in an earlier session anchor the percentage, never the
 // rate, so a resumed campaign shows an honest ETA.
 type Tracker struct {
-	// now is the clock; tests inject a fake.
-	now     func() time.Time
+	clk     clock.Clock
 	started time.Time
 
 	mu        sync.Mutex
@@ -56,8 +56,8 @@ type bandTrack struct {
 // NewTracker registers the mfc_campaign_* families on reg and returns the
 // tracker. reg may be nil for a metrics-less tracker (terminal line only).
 func NewTracker(reg *obs.Registry) *Tracker {
-	t := &Tracker{now: time.Now, bands: map[string]*bandTrack{}}
-	t.started = t.now()
+	t := &Tracker{clk: clock.Real, bands: map[string]*bandTrack{}}
+	t.started = t.clk.Now()
 	if reg == nil {
 		reg = obs.NewRegistry() // unexposed sink; keeps the hot path uniform
 	}
@@ -71,52 +71,24 @@ func NewTracker(reg *obs.Registry) *Tracker {
 		"Jobs completed this session, per popularity band.", "band")
 	t.bandPending = reg.GaugeVec("mfc_campaign_band_jobs_pending",
 		"Jobs this session started with, per popularity band.", "band")
-	reg.GaugeFunc("mfc_campaign_jobs_total",
-		"Jobs in the campaign plan.", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.total)
-		})
-	reg.GaugeFunc("mfc_campaign_jobs_done",
-		"Jobs with a stored record: earlier sessions plus this one.", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.already + t.done)
-		})
-	reg.GaugeFunc("mfc_campaign_jobs_done_earlier",
-		"Jobs already complete when this session started (resume skip).", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.already)
-		})
-	reg.GaugeFunc("mfc_campaign_jobs_done_session",
-		"Jobs completed by this session.", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.done)
-		})
-	reg.GaugeFunc("mfc_campaign_jobs_errored_session",
-		"This session's completions that carried a measurement error.", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.errored)
-		})
-	reg.GaugeFunc("mfc_campaign_session_rate_jobs_per_second",
-		"This session's completion rate (0 until two completions).", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return t.rateLocked()
-		})
-	reg.GaugeFunc("mfc_campaign_eta_seconds",
-		"Estimated seconds to finish remaining jobs at the session rate (0 = unknown).", func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			eta, ok := t.etaLocked()
-			if !ok {
-				return 0
-			}
-			return eta.Seconds()
-		})
+	// Every derived series is a field of the same Snapshot /progress serves.
+	gauge := func(name, help string, field func(Progress) float64) {
+		reg.GaugeFunc(name, help, func() float64 { return field(t.Snapshot()) })
+	}
+	gauge("mfc_campaign_jobs_total", "Jobs in the campaign plan.",
+		func(p Progress) float64 { return float64(p.Total) })
+	gauge("mfc_campaign_jobs_done", "Jobs with a stored record: earlier sessions plus this one.",
+		func(p Progress) float64 { return float64(p.Done) })
+	gauge("mfc_campaign_jobs_done_earlier", "Jobs already complete when this session started (resume skip).",
+		func(p Progress) float64 { return float64(p.DoneEarlier) })
+	gauge("mfc_campaign_jobs_done_session", "Jobs completed by this session.",
+		func(p Progress) float64 { return float64(p.DoneSession) })
+	gauge("mfc_campaign_jobs_errored_session", "This session's completions that carried a measurement error.",
+		func(p Progress) float64 { return float64(p.ErroredSession) })
+	gauge("mfc_campaign_session_rate_jobs_per_second", "This session's completion rate (0 until two completions).",
+		func(p Progress) float64 { return p.RatePerSecond })
+	gauge("mfc_campaign_eta_seconds", "Estimated seconds to finish remaining jobs at the session rate (0 = unknown).",
+		func(p Progress) float64 { return p.ETASeconds })
 	return t
 }
 
@@ -143,7 +115,7 @@ func (t *Tracker) OnEvent(ev SiteEvent) {
 	case core.ExperimentFinished:
 		t.mu.Lock()
 		if t.done == 0 {
-			t.firstDone = t.now()
+			t.firstDone = t.clk.Now()
 		}
 		t.done++
 		if e.Err != "" {
@@ -151,7 +123,7 @@ func (t *Tracker) OnEvent(ev SiteEvent) {
 		}
 		if b := t.bands[ev.Band]; b != nil {
 			if b.done == 0 {
-				b.first = t.now()
+				b.first = t.clk.Now()
 			}
 			b.done++
 			t.bandDone.With(ev.Band).Set(float64(b.done))
@@ -173,36 +145,28 @@ func (t *Tracker) Finished() bool {
 	return t.total > 0 && t.already+t.done >= t.total
 }
 
-func (t *Tracker) rateLocked() float64 {
-	if t.done < 2 {
-		return 0
-	}
-	elapsed := t.now().Sub(t.firstDone).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.done-1) / elapsed
-}
-
 func (t *Tracker) etaLocked() (time.Duration, bool) {
-	return sessionETA(t.done, t.total-t.already-t.done, t.firstDone, t.now)
+	return sessionETA(t.done, t.total-t.already-t.done, t.firstDone, t.clk.Now())
 }
 
-// sessionETA extrapolates the time to finish `left` jobs from `done`
-// completions since `first`. The rate counts only completions after the
-// first (the first anchors the clock — one data point is not a rate yet),
-// and deliberately never includes jobs completed before this session: a
-// resumed campaign's already-done sites say nothing about how fast this
-// session is measuring.
-func sessionETA(done, left int, first time.Time, now func() time.Time) (time.Duration, bool) {
-	if left <= 0 || done < 2 {
+// sessionRate is the completions per second of `done` completions since
+// `first`. It counts only completions after the first (the first anchors
+// the clock — one data point is not a rate yet), and deliberately never
+// includes jobs completed before this session: a resumed campaign's
+// already-done sites say nothing about how fast this session is measuring.
+func sessionRate(done int, first, now time.Time) float64 {
+	if elapsed := now.Sub(first).Seconds(); done >= 2 && elapsed > 0 {
+		return float64(done-1) / elapsed
+	}
+	return 0
+}
+
+// sessionETA extrapolates the time to finish `left` jobs at sessionRate.
+func sessionETA(done, left int, first, now time.Time) (time.Duration, bool) {
+	rate := sessionRate(done, first, now)
+	if left <= 0 || rate == 0 {
 		return 0, false
 	}
-	elapsed := now().Sub(first).Seconds()
-	if elapsed <= 0 {
-		return 0, false
-	}
-	rate := float64(done-1) / elapsed
 	return time.Duration(float64(left)/rate) * time.Second, true
 }
 
@@ -221,7 +185,7 @@ func (t *Tracker) Line() string {
 		pct = 100 * float64(overall) / float64(total)
 	}
 	fmt.Fprintf(&b, "\r%d/%d sites (%.1f%%) %.0fs %d epochs",
-		overall, total, pct, t.now().Sub(t.started).Seconds(), t.epochs.Value())
+		overall, total, pct, t.clk.Now().Sub(t.started).Seconds(), t.epochs.Value())
 	if t.already > 0 {
 		fmt.Fprintf(&b, " (+%d earlier)", t.already)
 	}
@@ -237,7 +201,7 @@ func (t *Tracker) Line() string {
 			continue
 		}
 		fmt.Fprintf(&b, " | %s %d/%d", band, bs.done, bs.pending)
-		if eta, ok := sessionETA(bs.done, bs.pending-bs.done, bs.first, t.now); ok {
+		if eta, ok := sessionETA(bs.done, bs.pending-bs.done, bs.first, t.clk.Now()); ok {
 			fmt.Fprintf(&b, " eta %s", eta.Round(time.Second))
 		}
 	}
@@ -283,8 +247,8 @@ func (t *Tracker) Snapshot() Progress {
 		Epochs:         t.epochs.Value(),
 		ShardsClaimed:  t.shardsClaimed.Value(),
 		ShardsSealed:   t.shardsSealed.Value(),
-		ElapsedSeconds: t.now().Sub(t.started).Seconds(),
-		RatePerSecond:  t.rateLocked(),
+		ElapsedSeconds: t.clk.Now().Sub(t.started).Seconds(),
+		RatePerSecond:  sessionRate(t.done, t.firstDone, t.clk.Now()),
 	}
 	if eta, ok := t.etaLocked(); ok {
 		p.ETASeconds = eta.Seconds()
@@ -292,7 +256,7 @@ func (t *Tracker) Snapshot() Progress {
 	for _, band := range t.order {
 		bs := t.bands[band]
 		bp := BandProgress{Band: band, Pending: bs.pending, Done: bs.done}
-		if eta, ok := sessionETA(bs.done, bs.pending-bs.done, bs.first, t.now); ok {
+		if eta, ok := sessionETA(bs.done, bs.pending-bs.done, bs.first, t.clk.Now()); ok {
 			bp.ETASeconds = eta.Seconds()
 		}
 		p.Bands = append(p.Bands, bp)

@@ -5,21 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 )
 
-// fakeClock advances only when told — ETAs become exact.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func newTestTracker(reg *obs.Registry) (*Tracker, *fakeClock) {
-	clk := &fakeClock{t: time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)}
+// newTestTracker puts the tracker on a clock that advances only when told
+// — ETAs become exact.
+func newTestTracker(reg *obs.Registry) (*Tracker, *clocktest.Clock) {
+	clk := clocktest.New(time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC))
 	tr := NewTracker(reg)
-	tr.now = clk.now
-	tr.started = clk.now()
+	tr.clk = clk
+	tr.started = clk.Now()
 	return tr, clk
 }
 
@@ -53,7 +50,7 @@ func TestSessionETAAndEarlierAccounting(t *testing.T) {
 	// A second completion 2s later: rate = 1/2s, 8 left -> 16s. The 10
 	// earlier jobs must not inflate the rate (a drifting implementation
 	// would count them and report a ~7x shorter ETA).
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	finish(tr, "rank-1M", "")
 	eta, ok := tr.etaLocked()
 	if !ok || eta != 16*time.Second {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"mfc/internal/clock"
 )
 
 // Skipped counts the shard-file lines a scan did not turn into records:
@@ -132,6 +134,7 @@ func (p *Plan) StartInfo(done []bool) StartInfo {
 type Snapshot[T any] struct {
 	Debounce time.Duration
 	Scan     func() (T, error)
+	Clock    clock.Clock // nil means clock.Real
 
 	mu   sync.Mutex
 	last time.Time
@@ -142,11 +145,12 @@ type Snapshot[T any] struct {
 func (s *Snapshot[T]) Get() (T, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.good && time.Since(s.last) < s.Debounce {
+	clk := clock.Or(s.Clock)
+	if s.good && clk.Now().Sub(s.last) < s.Debounce {
 		return s.val, nil
 	}
 	v, err := s.Scan()
-	s.last = time.Now()
+	s.last = clk.Now()
 	if err == nil {
 		s.val, s.good = v, true
 	}

@@ -8,10 +8,11 @@
 // exclusive store lease, the one lease file it ever writes, so no other
 // process could read a per-shard one — and die with the process: a
 // restarted server refuses its predecessor's tokens. Workers heartbeat
-// their grant; one silent for a full TTL on the server's clock is presumed
-// dead, its grant is forgotten, and the shard's next grant carries the next
-// token. Every later request bearing the old token — heartbeat, upload,
-// seal — gets 410 Gone: how a wedged-but-alive worker learns it was fenced.
+// their grant; one silent for a full TTL on the server's clock
+// (Options.Clock — time is an input, a fake in tests) is presumed dead, its
+// grant is forgotten, and the shard's next grant carries the next token.
+// Every later request bearing the old token — heartbeat, upload, seal —
+// gets 410 Gone: how a wedged-but-alive worker learns it was fenced.
 //
 // Correctness never rests on the grants. Every record is a pure function
 // of (plan, job index) and the report fold dedupes by job, so a
@@ -37,6 +38,7 @@ import (
 	"mfc/internal/analyze"
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/clock"
 	"mfc/internal/core"
 	"mfc/internal/obs"
 )
@@ -135,6 +137,9 @@ type Options struct {
 	// an active shard older than k× the median completed-shard duration is
 	// flagged (default campaign.DefaultStragglerK).
 	StragglerK float64
+	// Clock is the one clock liveness is judged by — grant ages and the
+	// store lease; nil means clock.Real, the only value outside tests.
+	Clock clock.Clock
 }
 
 // checkpointEvery is how many newly ingested jobs pass between manifest
@@ -164,8 +169,6 @@ type Server struct {
 	tr    *campaign.Tracker
 	dash  *campaign.Dash
 	fleet *campaign.Fleet
-
-	now func() time.Time // the one clock liveness is judged by; tests inject a fake
 
 	mu        sync.Mutex
 	done      []bool // job -> has a stored record
@@ -204,12 +207,12 @@ func New(dir string, opts Options) (*Server, error) {
 	if opts.TTL <= 0 {
 		opts.TTL = lease.DefaultTTL
 	}
+	opts.Clock = clock.Or(opts.Clock)
 
 	s := &Server{
 		dir:       dir,
 		plan:      plan,
 		opts:      opts,
-		now:       time.Now,
 		gens:      make([]int64, plan.Shards()),
 		grants:    make(map[int]*grant),
 		byOwner:   make(map[string]*grant),
@@ -218,7 +221,7 @@ func New(dir string, opts Options) (*Server, error) {
 		fleet:     campaign.NewFleet(opts.StragglerK),
 		complete:  make(chan struct{}),
 	}
-	s.store, err = campaign.OpenStoreLocked(dir, plan.ShardJobs, lease.DefaultOwner(), opts.TTL, func() {
+	s.store, err = campaign.OpenStoreLocked(opts.Clock, dir, plan.ShardJobs, lease.DefaultOwner(), opts.TTL, func() {
 		s.mu.Lock()
 		s.down = true
 		s.mu.Unlock()
@@ -315,7 +318,7 @@ var (
 // The shard's next grant carries the next token, which is exactly what
 // fences the presumed-dead worker if it was merely slow.
 func (s *Server) reapLocked() {
-	cutoff := s.now().Add(-s.opts.TTL)
+	cutoff := s.opts.Clock.Now().Add(-s.opts.TTL)
 	for shard, g := range s.grants {
 		if g.lastBeat.Before(cutoff) {
 			delete(s.grants, shard)
@@ -344,10 +347,10 @@ func (s *Server) touchOwnerLocked(owner string) {
 		s.hbAge.Func(func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return s.now().Sub(s.lastSeen[owner]).Seconds()
+			return s.opts.Clock.Now().Sub(s.lastSeen[owner]).Seconds()
 		}, owner)
 	}
-	s.lastSeen[owner] = s.now()
+	s.lastSeen[owner] = s.opts.Clock.Now()
 }
 
 // grantFor issues (or re-issues) a grant for the worker named owner.
@@ -363,7 +366,7 @@ func (s *Server) grantFor(owner string) (GrantDoc, error) {
 	// A retry from a worker that already holds a grant — or a duplicate
 	// worker id — gets the same grant back, not a second shard.
 	if g, ok := s.byOwner[owner]; ok {
-		g.lastBeat = s.now()
+		g.lastBeat = s.opts.Clock.Now()
 		return GrantDoc{Shard: g.shard, Gen: g.gen, Jobs: g.jobs, TTLNanos: int64(s.opts.TTL)}, nil
 	}
 	if s.doneCount == s.plan.Jobs() {
@@ -385,7 +388,7 @@ func (s *Server) grantFor(owner string) (GrantDoc, error) {
 			continue
 		}
 		s.gens[k]++
-		g := &grant{owner: owner, shard: k, gen: s.gens[k], lastBeat: s.now(), jobs: jobs}
+		g := &grant{owner: owner, shard: k, gen: s.gens[k], lastBeat: s.opts.Clock.Now(), jobs: jobs}
 		s.grants[k] = g
 		s.byOwner[owner] = g
 		s.grantsTotal.Inc()
@@ -409,7 +412,7 @@ func (s *Server) grantLocked(owner string, shard int, gen int64) (*grant, error)
 		s.fencedTotal.Inc()
 		return nil, errFenced
 	}
-	g.lastBeat = s.now()
+	g.lastBeat = s.opts.Clock.Now()
 	return g, nil
 }
 

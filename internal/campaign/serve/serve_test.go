@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign"
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -74,13 +75,12 @@ func grantOver(t testing.TB, h http.Handler, owner string) GrantDoc {
 func TestGrantFenceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	plan := servePlan(t, dir)
-	srv, err := New(dir, Options{TTL: time.Minute})
+	clk := clocktest.New(time.Now())
+	srv, err := New(dir, Options{TTL: time.Minute, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	now := time.Now()
-	srv.now = func() time.Time { return now }
 
 	g1, err := srv.grantFor("a")
 	if err != nil {
@@ -109,11 +109,11 @@ func TestGrantFenceLifecycle(t *testing.T) {
 	// a goes silent for 80s, past the one-minute TTL; b heartbeats half-way
 	// through, so the reaper forgets only a's grant and only a's shard is
 	// re-grantable.
-	now = now.Add(40 * time.Second)
+	clk.Advance(40 * time.Second)
 	if err := srv.heartbeat(ShardRef{Owner: "b", Shard: g2.Shard, Gen: g2.Gen}); err != nil {
 		t.Fatalf("b's heartbeat: %v", err)
 	}
-	now = now.Add(40 * time.Second)
+	clk.Advance(40 * time.Second)
 	g3, err := srv.grantFor("c")
 	if err != nil {
 		t.Fatal(err)
@@ -257,27 +257,24 @@ func TestServeRestartResumesFromStore(t *testing.T) {
 func TestServeWritesOnlyStoreLease(t *testing.T) {
 	dir := t.TempDir()
 	plan := servePlan(t, dir)
-	srv, err := New(dir, Options{TTL: time.Minute})
+	clk := clocktest.New(time.Now())
+	srv, err := New(dir, Options{TTL: time.Minute, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	now := time.Now()
-	srv.now = func() time.Time { return now }
 	h := srv.Handler()
 
 	onlyStoreLease := func(step string) {
 		t.Helper()
-		ents, err := os.ReadDir(campaign.LeasesDir(dir))
+		// Lease files only: the store lease's own heartbeat, which the fake
+		// clock's jump sets off, passes through a temp file.
+		names, err := filepath.Glob(filepath.Join(campaign.LeasesDir(dir), "*.lease"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var names []string
-		for _, e := range ents {
-			names = append(names, e.Name())
-		}
-		if len(names) != 1 || names[0] != "store.lease" {
-			t.Fatalf("after %s leases/ holds %v, want exactly [store.lease]", step, names)
+		if len(names) != 1 || filepath.Base(names[0]) != "store.g1.lease" {
+			t.Fatalf("after %s leases/ holds %v, want exactly [store.g1.lease]", step, names)
 		}
 	}
 	expect := func(step string, rr *httptest.ResponseRecorder, code int) {
@@ -303,7 +300,7 @@ func TestServeWritesOnlyStoreLease(t *testing.T) {
 	// A second worker dies holding the next shard; its successor is
 	// re-granted that shard under the next token.
 	dead := grantOver(t, h, "dead")
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	heir := grantOver(t, h, "heir")
 	if heir.Shard != dead.Shard || heir.Gen != dead.Gen+1 {
 		t.Fatalf("re-grant = %+v, want shard %d under token %d", heir, dead.Shard, dead.Gen+1)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign"
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/obs"
 )
 
@@ -83,18 +84,17 @@ func TestSpanIngestAndTraceHeader(t *testing.T) {
 func TestReapMetrics(t *testing.T) {
 	dir := t.TempDir()
 	servePlan(t, dir)
-	srv, err := New(dir, Options{TTL: time.Minute})
+	clk := clocktest.New(time.Now())
+	srv, err := New(dir, Options{TTL: time.Minute, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	now := time.Now()
-	srv.now = func() time.Time { return now }
 
 	if _, err := srv.grantFor("quiet"); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	// Any grant request reaps first; "next" also pins its own gauge at 0s.
 	if _, err := srv.grantFor("next"); err != nil {
 		t.Fatal(err)

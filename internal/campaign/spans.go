@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"mfc/internal/clock"
 	"mfc/internal/obs"
 )
 
@@ -44,10 +45,9 @@ func sanitizeOwner(owner string) string {
 	return b.String()
 }
 
-// SpanWriter appends spans to one worker's JSONL spill file. Like the
-// result store's shard appenders it seals a torn final line (from a
-// previous kill) with a newline before appending, so one dead write costs
-// one skippable line, never two.
+// SpanWriter appends spans to one worker's JSONL spill file, opened like
+// the result store's shard appenders (openAppend): a torn final line from
+// a previous kill costs one skippable line, never two.
 type SpanWriter struct {
 	mu sync.Mutex
 	f  *os.File
@@ -59,15 +59,9 @@ func NewSpanWriter(path string) (*SpanWriter, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := openAppend(path)
 	if err != nil {
 		return nil, err
-	}
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		last := make([]byte, 1)
-		if _, err := f.ReadAt(last, st.Size()-1); err == nil && last[0] != '\n' {
-			f.Write([]byte{'\n'})
-		}
 	}
 	return &SpanWriter{f: f}, nil
 }
@@ -126,9 +120,9 @@ func ReadSpans(dir string) ([]obs.Span, error) {
 	return spans, nil
 }
 
-// defaultSpanFlush is how often a SpanSpiller drains its recorder. Well
-// under the ring's wrap horizon at any plausible span rate.
-const defaultSpanFlush = 500 * time.Millisecond
+// spanFlush is how often a SpanSpiller drains its recorder. Well under the
+// ring's wrap horizon at any plausible span rate.
+const spanFlush = 500 * time.Millisecond
 
 // SpanSpiller periodically drains a SpanRecorder into a sink — the spill
 // file, the control plane, a Fleet aggregator, or several at once. The
@@ -146,13 +140,10 @@ type SpanSpiller struct {
 	onClose func()
 }
 
-// NewSpanSpiller starts the flush loop. interval <= 0 selects the
-// default; sink is called with each non-empty batch, oldest first, and
-// must not retain the slice across calls.
-func NewSpanSpiller(rec *obs.SpanRecorder, interval time.Duration, sink func([]obs.Span)) *SpanSpiller {
-	if interval <= 0 {
-		interval = defaultSpanFlush
-	}
+// NewSpanSpiller starts the flush loop, ticking every spanFlush on clk;
+// sink is called with each non-empty batch, oldest first, and must not
+// retain the slice across calls.
+func NewSpanSpiller(clk clock.Clock, rec *obs.SpanRecorder, sink func([]obs.Span)) *SpanSpiller {
 	sp := &SpanSpiller{
 		rec:  rec,
 		sink: sink,
@@ -160,9 +151,9 @@ func NewSpanSpiller(rec *obs.SpanRecorder, interval time.Duration, sink func([]o
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	t := clk.NewTicker(spanFlush)
 	go func() {
 		defer close(sp.done)
-		t := time.NewTicker(interval)
 		defer t.Stop()
 		var buf []obs.Span
 		for {
@@ -218,7 +209,7 @@ func (sp *SpanSpiller) Close() {
 // and, when tee is non-nil, also hands each batch to tee (the live
 // dashboard's Fleet feed). A nil recorder returns a nil spiller, which is
 // safe to Kick and Close.
-func StartSpanSpill(rec *obs.SpanRecorder, dir string, tee func([]obs.Span)) (*SpanSpiller, error) {
+func StartSpanSpill(clk clock.Clock, rec *obs.SpanRecorder, dir string, tee func([]obs.Span)) (*SpanSpiller, error) {
 	if rec == nil {
 		return nil, nil
 	}
@@ -226,7 +217,7 @@ func StartSpanSpill(rec *obs.SpanRecorder, dir string, tee func([]obs.Span)) (*S
 	if err != nil {
 		return nil, err
 	}
-	sp := NewSpanSpiller(rec, 0, func(spans []obs.Span) {
+	sp := NewSpanSpiller(clk, rec, func(spans []obs.Span) {
 		w.Write(spans)
 		if tee != nil {
 			tee(spans)

@@ -2,8 +2,8 @@ package campaign
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mfc/internal/campaign/dist/lease"
+	"mfc/internal/clock"
 	"mfc/internal/core"
 )
 
@@ -56,9 +57,8 @@ type Store struct {
 	mu    sync.Mutex
 	files map[int]*os.File // open shard appenders
 
-	lock   *lease.Handle // exclusive store lease (OpenStoreLocked only)
-	hbStop chan struct{}
-	hbDone chan struct{}
+	lock     *lease.Handle // exclusive store lease (OpenStoreLocked only)
+	stopBeat func()        // ends its keep-alive
 }
 
 // OpenStore opens (creating if needed) the result store under dir for
@@ -90,51 +90,30 @@ func ShardLeaseName(k int) string { return fmt.Sprintf("shard-%04d", k) }
 // heartbeated until Close; if it is ever lost (this process wedged past
 // the TTL and someone took over), onLost is called once so the caller can
 // abort instead of split-braining. onLost may be nil.
-func OpenStoreLocked(dir string, shardJobs int, owner string, ttl time.Duration, onLost func()) (*Store, error) {
+func OpenStoreLocked(clk clock.Clock, dir string, shardJobs int, owner string, ttl time.Duration, onLost func()) (*Store, error) {
 	s, err := OpenStore(dir, shardJobs)
 	if err != nil {
 		return nil, err
 	}
 	ld := LeasesDir(dir)
-	lk, err := lease.Acquire(ld, "store", owner, ttl)
+	lk, err := lease.AcquireOn(clk, ld, "store", owner, ttl)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %s is in use: %w", dir, err)
 	}
-	live, err := lease.Live(ld, ttl)
-	if err == nil {
-		for _, info := range live {
-			if info.Name != "store" {
-				lk.Release()
-				return nil, fmt.Errorf("campaign: %s has live worker lease %q held by %q; wait for the run/work processes on it to finish",
-					dir, info.Name, info.Owner)
-			}
+	live, _ := lease.Live(ld, clk.Now()) // leases that cannot be listed cannot be shown live
+	for _, info := range live {
+		if info.Name != "store" {
+			lk.Release()
+			return nil, fmt.Errorf("campaign: %s has live worker lease %q held by %q; wait for the run/work processes on it to finish",
+				dir, info.Name, info.Owner)
 		}
 	}
 	s.lock = lk
-	s.hbStop = make(chan struct{})
-	s.hbDone = make(chan struct{})
-	go func() {
-		defer close(s.hbDone)
-		t := time.NewTicker(ttl / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.hbStop:
-				return
-			case <-t.C:
-				// Only a provably lost lease aborts the run; a transient
-				// write failure skips a beat and retries. Persistent
-				// failure ends in a takeover, which the next heartbeat's
-				// ownership check reports as ErrLost.
-				if err := lk.Heartbeat(); errors.Is(err, lease.ErrLost) {
-					if onLost != nil {
-						onLost()
-					}
-					return
-				}
-			}
-		}
-	}()
+	if onLost == nil {
+		onLost = func() {}
+	}
+	s.stopBeat = startKeepAlive(context.Background(), clk, ttl,
+		func(context.Context) error { return lk.Heartbeat() }, onLost)
 	return s, nil
 }
 
@@ -158,7 +137,7 @@ func (s *Store) Append(rec *Record) error {
 	defer s.mu.Unlock()
 	f, ok := s.files[shard]
 	if !ok {
-		f, err = s.openShardAppender(shard)
+		f, err = openAppend(shardPath(s.dir, shard))
 		if err != nil {
 			return err
 		}
@@ -168,13 +147,14 @@ func (s *Store) Append(rec *Record) error {
 	return err
 }
 
-// openShardAppender opens shard k for appending, first terminating any
-// unterminated final line: a kill mid-append leaves a torn line with no
-// trailing newline, and appending straight after it would weld the next
-// record onto the garbage, losing both. Sealing the tear with a newline
-// turns it into one skippable bad line.
-func (s *Store) openShardAppender(k int) (*os.File, error) {
-	f, err := os.OpenFile(shardPath(s.dir, k), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// openAppend opens a JSONL file (a result shard, a span spill) for
+// appending, first terminating any unterminated final line: a kill
+// mid-append leaves a torn line with no trailing newline, and appending
+// straight after it would weld the next record onto the garbage, losing
+// both. Sealing the tear with a newline turns it into one skippable bad
+// line.
+func openAppend(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -216,10 +196,8 @@ func (s *Store) CloseShard(k int) error {
 // Close closes every open shard appender and, for a locked store, stops
 // the heartbeat and releases the exclusive lease.
 func (s *Store) Close() error {
-	if s.hbStop != nil {
-		close(s.hbStop)
-		<-s.hbDone
-		s.hbStop = nil
+	if s.lock != nil {
+		s.stopBeat()
 		s.lock.Release() // ErrLost just means someone already took over
 		s.lock = nil
 	}

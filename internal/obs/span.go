@@ -8,6 +8,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"mfc/internal/clock"
 )
 
 // SpanRecorder is the wall-clock half of the tracing story: where Tracer
@@ -34,10 +36,10 @@ type SpanRecorder struct {
 	mu      sync.Mutex
 	trace   string
 	nextID  uint64
-	now     func() int64 // unix microseconds; tests inject a fake
-	ring    []Span       // preallocated slot storage, reused in place
-	head    int          // index of the oldest live slot
-	count   int          // live slots
+	clk     clock.Clock // spans are stamped in its unix microseconds
+	ring    []Span      // preallocated slot storage, reused in place
+	head    int         // index of the oldest live slot
+	count   int         // live slots
 	dropped uint64
 
 	open     []openSpan
@@ -116,7 +118,7 @@ func NewSpanRecorder(worker string, capacity int) *SpanRecorder {
 	}
 	return &SpanRecorder{
 		worker: worker,
-		now:    func() int64 { return time.Now().UnixMicro() },
+		clk:    clock.Real,
 		ring:   make([]Span, capacity),
 	}
 }
@@ -193,7 +195,7 @@ func (r *SpanRecorder) Start(name, cat string, shard int, parent uint64) SpanRef
 	o.span.Cat = cat
 	o.span.Worker = r.worker
 	o.span.Shard = shard
-	o.span.Start = r.now()
+	o.span.Start = r.clk.Now().UnixMicro()
 	o.span.End = 0
 	o.span.Partial = false
 	o.span.Attrs = o.span.Attrs[:0]
@@ -219,7 +221,7 @@ func (ref SpanRef) End(attrs ...SpanAttr) {
 		r.mu.Unlock()
 		return
 	}
-	o.span.End = r.now()
+	o.span.End = r.clk.Now().UnixMicro()
 	o.span.Attrs = append(o.span.Attrs, attrs...)
 	r.appendLocked(&o.span)
 	// Return the slot, keeping its attr storage for reuse.
@@ -237,7 +239,7 @@ func (r *SpanRecorder) Event(name, cat string, shard int, parent uint64, attrs .
 	}
 	r.mu.Lock()
 	r.nextID++
-	now := r.now()
+	now := r.clk.Now().UnixMicro()
 	sp := Span{
 		Trace: r.trace, ID: r.nextID, Parent: parent,
 		Name: name, Cat: cat, Worker: r.worker, Shard: shard,
@@ -273,7 +275,7 @@ func (r *SpanRecorder) CloseOpen() {
 		return
 	}
 	r.mu.Lock()
-	now := r.now()
+	now := r.clk.Now().UnixMicro()
 	for i := range r.open {
 		o := &r.open[i]
 		if !o.used {

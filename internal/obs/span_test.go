@@ -4,17 +4,26 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"mfc/internal/clock"
 )
 
-// fakeClock installs a deterministic microsecond clock that advances by
-// step on every read.
-func fakeClock(r *SpanRecorder, start, step int64) *int64 {
-	t := start - step
-	r.now = func() int64 {
-		t += step
-		return t
-	}
-	return &t
+// stepClock reads start, start+step, ... in unix microseconds: every Now
+// is one step later than the last.
+type stepClock struct {
+	clock.Clock // the recorder only reads Now
+	next, step  int64
+}
+
+func (c *stepClock) Now() time.Time {
+	t := c.next
+	c.next += c.step
+	return time.UnixMicro(t)
+}
+
+func fakeClock(r *SpanRecorder, start, step int64) {
+	r.clk = &stepClock{next: start, step: step}
 }
 
 func TestSpanRecorderBasics(t *testing.T) {
