@@ -194,8 +194,8 @@ func BenchmarkTable4Startups(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		weakBase = base.Hist.Fraction(0)
-		noStopBase = base.Hist.Fraction(4)
+		weakBase = float64(base.Cell.Buckets[0]) / float64(base.Cell.Measured())
+		noStopBase = 1 - base.Cell.StoppedFraction()
 	}
 	b.ReportMetric(weakBase*100, "weak-pct(paper-24)")
 	b.ReportMetric(noStopBase*100, "nostop-pct(paper-58)")
@@ -208,7 +208,7 @@ func BenchmarkTable5Phishing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		noStop = r.Hist.Fraction(4)
+		noStop = 1 - r.Cell.StoppedFraction()
 	}
 	b.ReportMetric(noStop*100, "nostop-pct(paper-50)")
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,27 +104,9 @@ func catalog() []experiment {
 			}
 			return r.Render(), nil
 		}},
-		{"f7", "Figure 7: Base stage by Quantcast rank", func(seed int64) (string, error) {
-			r, err := experiments.Figure7(seed)
-			if err != nil {
-				return "", err
-			}
-			return r.Render() + "\n" + r.Plot(), nil
-		}},
-		{"f8", "Figure 8: Small Query by Quantcast rank", func(seed int64) (string, error) {
-			r, err := experiments.Figure8(seed)
-			if err != nil {
-				return "", err
-			}
-			return r.Render() + "\n" + r.Plot(), nil
-		}},
-		{"f9", "Figure 9: Large Object by Quantcast rank", func(seed int64) (string, error) {
-			r, err := experiments.Figure9(seed)
-			if err != nil {
-				return "", err
-			}
-			return r.Render() + "\n" + r.Plot(), nil
-		}},
+		{"f7", "Figure 7: Base stage by Quantcast rank", rankFigure(experiments.Figure7)},
+		{"f8", "Figure 8: Small Query by Quantcast rank", rankFigure(experiments.Figure8)},
+		{"f9", "Figure 9: Large Object by Quantcast rank", rankFigure(experiments.Figure9)},
 		{"t4", "Table 4: startup servers", func(seed int64) (string, error) {
 			b, q, err := experiments.Table4(seed)
 			if err != nil {
@@ -221,6 +204,17 @@ func catalog() []experiment {
 	}
 }
 
+// rankFigure renders one §5 by-rank figure: its table, then its bar plot.
+func rankFigure(figure func(seed int64) (*experiments.PopulationResult, error)) func(int64) (string, error) {
+	return func(seed int64) (string, error) {
+		r, err := figure(seed)
+		if err != nil {
+			return "", err
+		}
+		return r.Render() + "\n" + r.Plot(), nil
+	}
+}
+
 func main() {
 	var (
 		run      = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
@@ -263,8 +257,16 @@ func main() {
 	}
 	want := map[string]bool{}
 	if *run != "all" {
+		known := make([]string, len(cat))
+		for i, e := range cat {
+			known[i] = e.id
+		}
 		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.Contains(known, id) {
+				log.Fatalf("unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
+			}
+			want[id] = true
 		}
 	}
 	failed := false

@@ -1,86 +1,52 @@
 // Population study: a scaled-down §5 — measure the Base and Small Query
-// stages against synthetic server populations drawn from rank-correlated
-// provisioning distributions, and print the stopping-size histograms
-// (Figures 7 and 8 at reduced sample counts; run cmd/mfc-experiments for
-// the full-size versions).
+// stages against the first 25 servers of each rank band, and print the
+// stopping-size histograms (Figures 7 and 8 at reduced sample counts; run
+// cmd/mfc-experiments for the full-size versions). Each stage is an
+// in-memory campaign plan, so these are the servers `mfc-campaign plan
+// -seed 7` measures, and both stages see the same ones.
 //
 //	go run ./examples/population
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"os"
-	"time"
 
 	"mfc"
+	"mfc/internal/campaign"
 	"mfc/internal/population"
 )
 
-var perBand = 25 // sites per band (paper: ~100-150)
+const perBand = 25 // sites per band (paper: ~100-150)
 
 func main() {
 	bands := []population.Band{
 		population.Rank1K, population.Rank10K, population.Rank100K, population.Rank1M,
 	}
-	if os.Getenv("MFC_EXAMPLE_QUICK") != "" {
-		perBand = 4 // tiny populations for the examples smoke test
-		bands = bands[:2]
-	}
 	for _, stage := range []mfc.Stage{mfc.StageBase, mfc.StageSmallQuery} {
+		plan, err := campaign.NewPlan("example", bands, []mfc.Stage{stage}, nil, perBand, 7)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sum := campaign.NewSummary(plan)
+		for j := 0; j < plan.Jobs(); j++ {
+			rec := campaign.Measure(plan, j, nil)
+			if rec.Err != "" {
+				log.Fatalf("%s: %s", rec.Site, rec.Err)
+			}
+			sum.Cells[plan.CellOf(j)].Add(rec)
+		}
+
 		fmt.Printf("== %v stage, %d sites per band ==\n", stage, perBand)
 		fmt.Printf("%-15s %8s %8s %8s\n", "band", "stop<=20", "stop<=50", "NoStop")
-		for _, band := range bands {
-			sites := population.Generate(band, perBand, 7)
-			le20, le50, noStop := 0, 0, 0
-			for i, s := range sites {
-				stop, ok := measure(stage, s, int64(100*i+1))
-				if !ok {
-					continue
-				}
-				switch {
-				case stop == 0:
-					noStop++
-				case stop <= 20:
-					le20++
-					le50++
-				default:
-					le50++
-				}
-			}
-			n := le50 + noStop
-			if n == 0 {
-				continue
-			}
-			fmt.Printf("%-15v %7.0f%% %7.0f%% %7.0f%%\n", band,
-				100*float64(le20)/float64(n), 100*float64(le50)/float64(n), 100*float64(noStop)/float64(n))
+		for ci, cell := range plan.Cells {
+			c := sum.Cells[ci]
+			pct := func(n int64) float64 { return 100 * float64(n) / float64(c.Measured()) }
+			fmt.Printf("%-15s %7.0f%% %7.0f%% %7.0f%%\n", cell.Band,
+				pct(c.Buckets[0]), 100*c.StoppedFraction(), pct(c.Buckets[4]))
 		}
 		fmt.Println()
 	}
 	fmt.Println("paper's shape: popularity correlates with Base and Small Query robustness;")
 	fmt.Println("Small Query degrades for a larger fraction than Base in every band.")
-}
-
-func measure(stage mfc.Stage, sample population.SiteSample, seed int64) (int, bool) {
-	cfg := mfc.DefaultConfig()
-	cfg.Threshold = 100 * time.Millisecond
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
-	run, err := mfc.Run(context.Background(), mfc.SimTarget{
-		Server: sample.Config, Site: sample.Site, Clients: 55, Seed: seed,
-		NoAccessLog: true, MonitorPeriod: -1,
-	}, cfg, mfc.WithStage(stage))
-	if err != nil {
-		log.Fatal(err)
-	}
-	sr := run.Result.Stages[0]
-	switch sr.Verdict {
-	case mfc.VerdictStopped:
-		return sr.StoppingCrowd, true
-	case mfc.VerdictNoStop:
-		return 0, true
-	default:
-		return 0, false
-	}
 }

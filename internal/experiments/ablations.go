@@ -194,7 +194,7 @@ func AblationStep(seed int64) (*StepAblationResult, error) {
 		cfg.MinClients = 50
 
 		out, _, err := runSite(websim.QTNPConfig(), websim.QTSite(7),
-			websim.BackgroundConfig{}, singleStage(cfg), 70, seed)
+			websim.BackgroundConfig{}, cfg, 70, seed)
 		if err != nil {
 			return StepPoint{}, err
 		}
@@ -211,11 +211,6 @@ func AblationStep(seed int64) (*StepAblationResult, error) {
 	}
 	return &StepAblationResult{Points: points}, nil
 }
-
-// singleStage returns cfg unchanged; runSite runs all three stages, so the
-// step ablation reads only the Base stage out of the result. Kept as a
-// named helper for clarity at call sites.
-func singleStage(cfg core.Config) core.Config { return cfg }
 
 // Render prints the sweep.
 func (r *StepAblationResult) Render() string {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mfc/internal/core"
-	"mfc/internal/population"
 )
 
 // withParallelism runs fn with the package pool pinned to n workers.
@@ -27,8 +26,7 @@ func TestPopulationParallelMatchesSequential(t *testing.T) {
 		var r *PopulationResult
 		var err error
 		withParallelism(t, workers, func() {
-			r, err = runPopulationStage(core.StageBase,
-				[]population.Band{population.Rank10K, population.Rank1M}, []int{9, 9}, seed)
+			r, err = populationFigure(core.StageBase, [4]int{5, 4, 4, 5}, seed)
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -78,14 +78,14 @@ func (r *Figure6Result) Plot() string {
 // Plot draws a population figure as stacked bars per rank band.
 func (r *PopulationResult) Plot() string {
 	b := &plot.Bars{
-		Title:  fmt.Sprintf("Figure %s: %v-stage stopping sizes (share of sites)", figNum(r.Stage), r.Stage),
+		Title:  fmt.Sprintf("Figure %s: %v-stage stopping sizes (share of sites)", figures[r.Stage].num, r.Stage),
 		Legend: population.BucketLabels,
 	}
-	for _, h := range r.Bands {
-		b.Labels = append(b.Labels, h.Band.String())
+	for bi, h := range r.Bands {
+		b.Labels = append(b.Labels, rankBands[bi].String())
 		parts := make([]float64, len(population.BucketLabels))
 		for i := range population.BucketLabels {
-			parts[i] = h.Fraction(i)
+			parts[i] = share(h, i)
 		}
 		b.Parts = append(b.Parts, parts)
 	}

@@ -1,172 +1,126 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"mfc"
+	"mfc/internal/campaign"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
 
-// BandHistogram is the stopping-size distribution for one rank band.
-type BandHistogram struct {
-	Band    population.Band
-	Counts  [5]int
-	Total   int
-	Skipped int // sites whose stage was unavailable (e.g. no large object)
-}
-
-// Fraction returns bucket i's share of measured sites.
-func (h *BandHistogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
+// share returns bucket i's share of the cell's measured sites.
+func share(c *campaign.CellSummary, i int) float64 {
+	if m := c.Measured(); m > 0 {
+		return float64(c.Buckets[i]) / float64(m)
 	}
-	return float64(h.Counts[i]) / float64(h.Total)
+	return 0
 }
 
-// StoppedFraction is the share of sites that showed a confirmed
-// degradation at any crowd size.
-func (h *BandHistogram) StoppedFraction() float64 {
-	return 1 - h.Fraction(4)
-}
-
-// PopulationResult is one figure's histograms over all bands.
+// PopulationResult is one figure's campaign cells, indexed as rankBands.
 type PopulationResult struct {
 	Stage core.Stage
-	Bands []BandHistogram
+	Bands []*campaign.CellSummary
 }
 
-// siteOutcome is one site's measurement, carried from the worker pool back
-// to the in-order aggregation.
-type siteOutcome struct {
-	stop int
-	ok   bool
+var rankBands = [4]population.Band{
+	population.Rank1K, population.Rank10K, population.Rank100K, population.Rank1M,
 }
 
-// runPopulationStage measures one stage against every site in each band,
-// as §5 does: standard MFC, θ=100ms, one request per client, at most 85
-// clients (we ramp to 50, the bucket ceiling the paper reports).
-//
-// The sites are measured on the package worker pool: each site's simulation
-// seed is derived from its band and index exactly as the original sequential
-// loop derived it, and the histogram is folded in site order afterwards, so
-// the result is byte-identical whatever the pool size.
-func runPopulationStage(stage core.Stage, bands []population.Band, sizes []int, seed int64) (*PopulationResult, error) {
+// populationFigure measures one stage against the first sizes[i] sites of
+// each rank band, as §5 does.
+func populationFigure(stage core.Stage, sizes [4]int, seed int64) (*PopulationResult, error) {
 	res := &PopulationResult{Stage: stage}
-	for bi, band := range bands {
-		n := sizes[bi]
-		samples := population.Generate(band, n, seed+int64(bi)*1000)
-		outcomes, err := parMap(len(samples), func(si int) (siteOutcome, error) {
-			stop, ok, err := measureSite(stage, samples[si], seed+int64(bi)*1000+int64(si))
-			if err != nil {
-				return siteOutcome{}, fmt.Errorf("experiments: %v on %s: %w", stage, samples[si].Name, err)
-			}
-			return siteOutcome{stop: stop, ok: ok}, nil
-		})
+	for bi, band := range rankBands {
+		cell, err := measureCell(band, stage, sizes[bi], seed)
 		if err != nil {
 			return nil, err
 		}
-		hist := BandHistogram{Band: band}
-		for _, o := range outcomes {
-			if !o.ok {
-				hist.Skipped++
-				continue
-			}
-			hist.Counts[population.BucketOf(o.stop)]++
-			hist.Total++
-		}
-		res.Bands = append(res.Bands, hist)
+		res.Bands = append(res.Bands, cell)
 	}
 	return res, nil
 }
 
-// measureSite runs one single-stage MFC against one population sample.
-// ok=false means the stage was unavailable for this site's content.
-func measureSite(stage core.Stage, sample population.SiteSample, seed int64) (stop int, ok bool, err error) {
-	cfg := core.DefaultConfig()
-	cfg.Threshold = 100 * time.Millisecond
-	cfg.Step = 5
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
-
-	run, err := mfc.Run(context.Background(), mfc.SimTarget{
-		Server: sample.Config, Site: sample.Site, Clients: 60, Seed: seed,
-		NoAccessLog: true, MonitorPeriod: -1,
-	}, cfg, mfc.WithStage(stage),
-		traceOpt(fmt.Sprintf("%v %s", stage, sample.Name)))
+// measureCell measures stage on the band's first n sites: a single-cell
+// campaign plan at the experiment's seed, with the campaign's §5 parameters
+// (standard MFC, θ=100ms, one request per client, ramp to 50, the bucket
+// ceiling the paper reports). Site i depends only on (seed, band, i), so it
+// is site i of any on-disk campaign over the same band and seed with at
+// least n sites per cell, and every stage measures the same servers.
+func measureCell(band population.Band, stage core.Stage, n int, seed int64) (*campaign.CellSummary, error) {
+	plan, err := campaign.NewPlan(fmt.Sprintf("%v/%v", band, stage),
+		[]population.Band{band}, []core.Stage{stage}, nil, n, seed)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
-	sr := run.Result.Stages[0]
-	switch sr.Verdict {
-	case core.VerdictStopped:
-		return sr.StoppingCrowd, true, nil
-	case core.VerdictNoStop:
-		return 0, true, nil
-	case core.VerdictUnavailable:
-		return 0, false, nil
-	default:
-		return 0, false, fmt.Errorf("unexpected verdict %v", sr.Verdict)
-	}
+	return measurePlan(plan)
 }
 
-var rankBands = []population.Band{
-	population.Rank1K, population.Rank10K, population.Rank100K, population.Rank1M,
+// measurePlan runs every job of a single-cell plan on the package worker
+// pool and folds the records in job order, so the summary is byte-identical
+// whatever the pool size. A measurement that errored or was aborted fails
+// the whole cell.
+func measurePlan(plan *campaign.Plan) (*campaign.CellSummary, error) {
+	recs, err := parMap(plan.Jobs(), func(j int) (*campaign.Record, error) {
+		var onEvent func(campaign.SiteEvent)
+		if traceFactory != nil {
+			obs := traceFactory(fmt.Sprintf("%s #%d", plan.Name, j))
+			onEvent = func(ev campaign.SiteEvent) { obs(ev.Event) }
+		}
+		rec := campaign.Measure(plan, j, onEvent)
+		if rec.Verdict == "Error" || rec.Verdict == "Aborted" {
+			return nil, fmt.Errorf("experiments: %s on %s: %s: %s", rec.Stage, rec.Site, rec.Verdict, rec.Err)
+		}
+		rec.Result = nil // the fold reads only the compact fields
+		return rec, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sum := campaign.NewCellSummary()
+	for _, rec := range recs {
+		sum.Add(rec)
+	}
+	return sum, nil
 }
 
 // Figure7 reproduces the Base-stage breakdown by Quantcast rank
 // (114/107/118/148 sites in the four bands).
 func Figure7(seed int64) (*PopulationResult, error) {
-	return runPopulationStage(core.StageBase, rankBands, []int{114, 107, 118, 148}, seed)
+	return populationFigure(core.StageBase, [4]int{114, 107, 118, 148}, seed)
 }
 
 // Figure8 reproduces the Small Query breakdown (106/103/103/122 sites).
 func Figure8(seed int64) (*PopulationResult, error) {
-	return runPopulationStage(core.StageSmallQuery, rankBands, []int{106, 103, 103, 122}, seed)
+	return populationFigure(core.StageSmallQuery, [4]int{106, 103, 103, 122}, seed)
 }
 
 // Figure9 reproduces the Large Object breakdown (129/100/114/103 sites).
 func Figure9(seed int64) (*PopulationResult, error) {
-	return runPopulationStage(core.StageLargeObject, rankBands, []int{129, 100, 114, 103}, seed)
+	return populationFigure(core.StageLargeObject, [4]int{129, 100, 114, 103}, seed)
+}
+
+// figures holds each §5 stage's figure number and the paper's reading of it.
+var figures = map[core.Stage]struct{ num, paper string }{
+	core.StageBase:        {"7", "stopped fraction grows 17%→45% with rank; ~10% of top sites degrade <40"},
+	core.StageSmallQuery:  {"8", "strong rank correlation; 100K-1M: ~75% can't handle 50, ~45% can't handle 20"},
+	core.StageLargeObject: {"9", "weak rank correlation; ~45-55% of non-top sites can't handle 50"},
 }
 
 // Render prints a band × bucket percentage table.
 func (r *PopulationResult) Render() string {
-	var paperNote string
-	switch r.Stage {
-	case core.StageBase:
-		paperNote = "(paper Fig 7: stopped fraction grows 17%→45% with rank; ~10% of top sites degrade <40)"
-	case core.StageSmallQuery:
-		paperNote = "(paper Fig 8: strong rank correlation; 100K-1M: ~75% can't handle 50, ~45% can't handle 20)"
-	case core.StageLargeObject:
-		paperNote = "(paper Fig 9: weak rank correlation; ~45-55% of non-top sites can't handle 50)"
-	}
+	fig := figures[r.Stage]
 	t := newTable(
-		fmt.Sprintf("Figure %s: %v-stage stopping crowd sizes by rank %s", figNum(r.Stage), r.Stage, paperNote),
+		fmt.Sprintf("Figure %s: %v-stage stopping crowd sizes by rank (paper Fig %s: %s)", fig.num, r.Stage, fig.num, fig.paper),
 		append([]string{"band", "n"}, append(population.BucketLabels, "stopped%")...)...)
-	for _, h := range r.Bands {
-		cells := fmt.Sprintf("%v|%d", h.Band, h.Total)
+	for bi, h := range r.Bands {
+		cells := fmt.Sprintf("%v|%d", rankBands[bi], h.Measured())
 		for i := range population.BucketLabels {
-			cells += fmt.Sprintf("|%.0f%%", h.Fraction(i)*100)
+			cells += fmt.Sprintf("|%.0f%%", share(h, i)*100)
 		}
 		cells += fmt.Sprintf("|%.0f%%", h.StoppedFraction()*100)
 		t.addf("%s", cells)
 	}
 	return t.String()
-}
-
-func figNum(s core.Stage) string {
-	switch s {
-	case core.StageBase:
-		return "7"
-	case core.StageSmallQuery:
-		return "8"
-	case core.StageLargeObject:
-		return "9"
-	}
-	return "?"
 }
 
 // ---------------------------------------------------------------------------
@@ -175,51 +129,44 @@ func figNum(s core.Stage) string {
 
 // SpecialPopResult is a stopping-size histogram for a special population.
 type SpecialPopResult struct {
-	Label  string
-	Stage  core.Stage
-	Hist   BandHistogram
-	Paper  [5]int // the paper's percentages for reference
-	HasRef bool
+	Label string
+	Cell  *campaign.CellSummary
+	Paper [5]int // the paper's percentages for reference
+}
+
+func specialPop(label string, band population.Band, stage core.Stage, n int, seed int64, paper [5]int) (*SpecialPopResult, error) {
+	cell, err := measureCell(band, stage, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &SpecialPopResult{Label: label, Cell: cell, Paper: paper}, nil
 }
 
 // Table4 reproduces the startup study: Base on 107 servers and Small Query
-// on 82.
+// on the first 82 of them.
 func Table4(seed int64) (*SpecialPopResult, *SpecialPopResult, error) {
-	base, err := runPopulationStage(core.StageBase, []population.Band{population.Startup}, []int{107}, seed)
+	base, err := specialPop("startups/Base", population.Startup, core.StageBase, 107, seed, [5]int{24, 6, 7, 6, 58})
 	if err != nil {
 		return nil, nil, err
 	}
-	query, err := runPopulationStage(core.StageSmallQuery, []population.Band{population.Startup}, []int{82}, seed+500)
+	query, err := specialPop("startups/SmallQuery", population.Startup, core.StageSmallQuery, 82, seed, [5]int{33, 12, 6, 5, 44})
 	if err != nil {
 		return nil, nil, err
 	}
-	b := &SpecialPopResult{Label: "startups/Base", Stage: core.StageBase, Hist: base.Bands[0],
-		Paper: [5]int{24, 6, 7, 6, 58}, HasRef: true}
-	q := &SpecialPopResult{Label: "startups/SmallQuery", Stage: core.StageSmallQuery, Hist: query.Bands[0],
-		Paper: [5]int{33, 12, 6, 5, 44}, HasRef: true}
-	return b, q, nil
+	return base, query, nil
 }
 
 // Table5 reproduces the phishing study: Base stage on 89 hosts.
 func Table5(seed int64) (*SpecialPopResult, error) {
-	r, err := runPopulationStage(core.StageBase, []population.Band{population.Phishing}, []int{89}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &SpecialPopResult{Label: "phishing/Base", Stage: core.StageBase, Hist: r.Bands[0],
-		Paper: [5]int{12, 16, 11, 11, 50}, HasRef: true}, nil
+	return specialPop("phishing/Base", population.Phishing, core.StageBase, 89, seed, [5]int{12, 16, 11, 11, 50})
 }
 
 // Render prints measured-vs-paper bucket percentages.
 func (r *SpecialPopResult) Render() string {
-	t := newTable(fmt.Sprintf("%s stopping crowd sizes (n=%d)", r.Label, r.Hist.Total),
+	t := newTable(fmt.Sprintf("%s stopping crowd sizes (n=%d)", r.Label, r.Cell.Measured()),
 		"bucket", "measured", "paper")
 	for i, lbl := range population.BucketLabels {
-		paper := ""
-		if r.HasRef {
-			paper = fmt.Sprintf("%d%%", r.Paper[i])
-		}
-		t.addf("%s|%.0f%%|%s", lbl, r.Hist.Fraction(i)*100, paper)
+		t.addf("%s|%.0f%%|%d%%", lbl, share(r.Cell, i)*100, r.Paper[i])
 	}
 	return t.String()
 }

@@ -2,7 +2,9 @@
 // evaluation (§3 validation, §4 cooperating sites, §5 large-scale study)
 // plus the ablations DESIGN.md calls out. Each experiment returns a
 // structured result with a Render method that prints the same rows/series
-// the paper reports; EXPERIMENTS.md records paper-vs-measured.
+// the paper reports; EXPERIMENTS.md records paper-vs-measured. The §5
+// figures and tables are cells of internal/campaign at the paper's site
+// counts: the first n sites of the band a 10k-site campaign measures.
 package experiments
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mfc/internal/campaign"
 	"mfc/internal/population"
 )
 
@@ -65,16 +66,22 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
-func TestBandHistogramFractions(t *testing.T) {
-	h := BandHistogram{Counts: [5]int{2, 1, 1, 0, 6}, Total: 10}
-	if f := h.Fraction(0); f != 0.2 {
-		t.Errorf("Fraction(0) = %v", f)
+func TestBucketShare(t *testing.T) {
+	sum := campaign.NewCellSummary()
+	for _, rec := range []campaign.Record{
+		{Verdict: "Stopped", Stop: 15}, {Verdict: "Stopped", Stop: 20}, {Verdict: "Stopped", Stop: 25},
+		{Verdict: "Stopped", Stop: 35}, {Verdict: "Unavailable"},
+		{Verdict: "NoStop"}, {Verdict: "NoStop"}, {Verdict: "NoStop"}, {Verdict: "NoStop"}, {Verdict: "NoStop"}, {Verdict: "NoStop"},
+	} {
+		sum.Add(&rec)
 	}
-	if s := h.StoppedFraction(); s != 0.4 {
+	if f := share(sum, 0); f != 0.2 {
+		t.Errorf("share(0) = %v", f)
+	}
+	if s := sum.StoppedFraction(); s != 0.4 {
 		t.Errorf("StoppedFraction = %v", s)
 	}
-	empty := BandHistogram{}
-	if empty.Fraction(0) != 0 {
-		t.Error("empty fraction should be 0")
+	if share(campaign.NewCellSummary(), 0) != 0 {
+		t.Error("empty share should be 0")
 	}
 }

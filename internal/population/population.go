@@ -8,8 +8,9 @@
 // rank-correlated — strongly for request handling and back-end capacity,
 // weakly for access bandwidth, which the paper found much less correlated
 // with popularity. The MFC measurement pipeline is then run against each
-// sampled server, and the §5 figures are the recovered stopping-crowd-size
-// distributions.
+// sampled server — by internal/campaign, whose cells the §5 figures and the
+// 10k-site studies both are — and the figures are the recovered
+// stopping-crowd-size distributions.
 package population
 
 import (
@@ -181,37 +182,18 @@ type SiteSample struct {
 	Config websim.Config
 	Site   *content.Site
 	Seed   int64
-	// MeasureSeed drives the simulation that measures this site. Set only
-	// by SampleAt; Generate's callers derive their own measurement seeds.
+	// MeasureSeed drives the simulation that measures this site.
 	MeasureSeed int64
-}
-
-// Generate samples n servers from the band's provisioning distributions.
-// The same (band, n, seed) yields the same population.
-func Generate(b Band, n int, seed int64) []SiteSample {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]SiteSample, 0, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s-%03d", b, i)
-		cfg := configFor(rng, b, name)
-		siteSeed := rng.Int63()
-		site := siteFor(b, name, siteSeed, rng)
-		out = append(out, SiteSample{
-			Name: name, Band: b, Config: cfg, Site: site, Seed: siteSeed,
-		})
-	}
-	return out
 }
 
 // SampleAt generates site i of band b without generating sites 0..i-1: the
 // site's generator is seeded by a splitmix-style hash of (seed, band, i), so
 // any site is reachable in O(1). This is what lets a campaign shard a
-// 10k-site band into independent per-site jobs and resume any subset — the
-// contract Generate cannot offer, because its single sequential rng makes
-// site i depend on every draw before it.
+// 10k-site band into independent per-site jobs and resume any subset, and
+// what makes a paper-sized figure the first n sites of that same band.
 //
 // SampleAt(b, i, seed) is deterministic in its arguments and independent of
-// call order; it does not reproduce Generate's samples.
+// call order.
 func SampleAt(b Band, i int, seed int64) SiteSample {
 	rng := rand.New(rand.NewSource(mixSeed(seed, int64(b), int64(i))))
 	name := fmt.Sprintf("%s-%05d", b, i)

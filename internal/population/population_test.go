@@ -6,28 +6,19 @@ import (
 	"testing/quick"
 )
 
-func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(Rank1M, 20, 7)
-	b := Generate(Rank1M, 20, 7)
-	if len(a) != len(b) {
-		t.Fatal("lengths differ")
+// firstSites is the first n sites of a band, as a campaign cell or a
+// paper-sized figure draws them.
+func firstSites(b Band, n int, seed int64) []SiteSample {
+	out := make([]SiteSample, n)
+	for i := range out {
+		out[i] = SampleAt(b, i, seed)
 	}
-	for i := range a {
-		if a[i].Config.ParseCPU != b[i].Config.ParseCPU ||
-			a[i].Config.AccessBandwidth != b[i].Config.AccessBandwidth ||
-			a[i].Site.Len() != b[i].Site.Len() {
-			t.Fatalf("sample %d differs between runs", i)
-		}
-	}
+	return out
 }
 
-func TestGenerateCounts(t *testing.T) {
-	for _, band := range []Band{Rank1K, Rank10K, Rank100K, Rank1M, Startup, Phishing} {
-		got := Generate(band, 13, 1)
-		if len(got) != 13 {
-			t.Errorf("%v: %d samples, want 13", band, len(got))
-		}
-		for _, s := range got {
+func TestSamplesAreWellFormed(t *testing.T) {
+	for _, band := range Bands {
+		for _, s := range firstSites(band, 13, 1) {
 			if s.Site == nil || s.Site.Len() == 0 {
 				t.Errorf("%v: empty site", band)
 			}
@@ -65,7 +56,7 @@ func TestWeightsSumToOneProperty(t *testing.T) {
 // clearly lower than the bottom band's (the Figure 7/8 driver).
 func TestRankCorrelation(t *testing.T) {
 	mean := func(b Band) float64 {
-		samples := Generate(b, 200, 3)
+		samples := firstSites(b, 200, 3)
 		tot := 0.0
 		for _, s := range samples {
 			tot += s.Config.ParseCPU.Seconds()
@@ -83,7 +74,7 @@ func TestRankCorrelation(t *testing.T) {
 // processing ratio.
 func TestBandwidthWeaklyCorrelated(t *testing.T) {
 	meanBW := func(b Band) float64 {
-		samples := Generate(b, 300, 3)
+		samples := firstSites(b, 300, 3)
 		tot := 0.0
 		for _, s := range samples {
 			tot += s.Config.AccessBandwidth * float64(max(1, s.Config.Replicas))
@@ -91,7 +82,7 @@ func TestBandwidthWeaklyCorrelated(t *testing.T) {
 		return tot / float64(len(samples))
 	}
 	meanCPU := func(b Band) float64 {
-		samples := Generate(b, 300, 3)
+		samples := firstSites(b, 300, 3)
 		tot := 0.0
 		for _, s := range samples {
 			tot += s.Config.ParseCPU.Seconds()
@@ -116,7 +107,7 @@ func TestBandString(t *testing.T) {
 }
 
 func TestPhishingSitesAreSmall(t *testing.T) {
-	for _, s := range Generate(Phishing, 10, 2) {
+	for _, s := range firstSites(Phishing, 10, 2) {
 		if s.Site.Len() > 60 {
 			t.Errorf("phishing site with %d objects; expected a handful", s.Site.Len())
 		}
@@ -137,7 +128,7 @@ func TestSampleAtIsOrderIndependent(t *testing.T) {
 		got := SampleAt(Rank100K, i, seed)
 		want := forward[i]
 		if got.Name != want.Name || got.Seed != want.Seed ||
-			got.MeasureSeed != want.MeasureSeed ||
+			got.MeasureSeed != want.MeasureSeed || got.Site.Len() != want.Site.Len() ||
 			!reflect.DeepEqual(got.Config, want.Config) {
 			t.Fatalf("site %d differs between sweeps:\n%+v\n%+v", i, got, want)
 		}
