@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"mfc/internal/experiments"
 )
 
 // TestHelperMain is not a test: it is mfc-experiments itself, entered by
@@ -74,43 +76,44 @@ func TestSameSeedSameBytes(t *testing.T) {
 	}
 }
 
-// EXPERIMENTS.md's id tables and the catalog name the same experiments.
-func TestCatalogMatchesExperimentsDoc(t *testing.T) {
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var documented []string
-	inIDTable := false
-	for _, line := range strings.Split(string(doc), "\n") {
-		cells := strings.Split(line, "|")
-		switch {
-		case len(cells) < 3 || cells[0] != "":
-			inIDTable = false
-		case strings.TrimSpace(cells[1]) == "id":
-			inIDTable = true
-		case inIDTable && !strings.HasPrefix(cells[1], "-"):
-			documented = append(documented, strings.TrimSpace(cells[1]))
-		}
-	}
-
-	stdout, stderr, err := mfcExperiments("-list")
+// An experiment that fixes its own seeds says so instead of silently
+// ignoring -seed: -list marks it, and running it under an explicit -seed
+// prints one note on stderr and the same table on stdout.
+func TestFixedSeedExperimentsSaySo(t *testing.T) {
+	list, stderr, err := mfcExperiments("-list")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stderr)
 	}
-	var listed []string
-	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
-		listed = append(listed, strings.Fields(line)[0])
+	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+		id := strings.Fields(line)[0]
+		i := slices.IndexFunc(experiments.Catalog, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("-list prints %q, which is not in the catalog", id)
+		}
+		if marked, fixed := strings.HasSuffix(line, "(fixed seeds)"), experiments.Catalog[i].Seed == 0; marked != fixed {
+			t.Errorf("-list line %q: marked fixed = %v, catalog Seed == 0 is %v", line, marked, fixed)
+		}
 	}
 
-	for _, id := range listed {
-		if !slices.Contains(documented, id) {
-			t.Errorf("-list prints %q, which no EXPERIMENTS.md table row records", id)
-		}
+	plain, stderr, err := mfcExperiments("-run", "t1,f3")
+	if err != nil || strings.Contains(stderr, "note:") {
+		t.Fatalf("without -seed: %v, stderr %q", err, stderr)
 	}
-	for _, id := range documented {
-		if !slices.Contains(listed, id) {
-			t.Errorf("EXPERIMENTS.md records %q, which is not in the catalog", id)
-		}
+	seeded, stderr, err := mfcExperiments("-run", "t1,f3", "-seed", "5")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	if strings.Count(stderr, "note:") != 1 || !strings.Contains(stderr, "-seed does not apply to t1:") {
+		t.Errorf("-run t1,f3 -seed 5: want one note naming t1 only, got stderr %q", stderr)
+	}
+	t1 := func(out string) string {
+		out = wallClock.ReplaceAllString(out, "")
+		return out[:strings.Index(out, "==== f3")]
+	}
+	if t1(plain) != t1(seeded) {
+		t.Errorf("t1 moved with -seed:\n--- default\n%s\n--- -seed 5\n%s", t1(plain), t1(seeded))
+	}
+	if wallClock.ReplaceAllString(plain, "") == wallClock.ReplaceAllString(seeded, "") {
+		t.Error("f3 did not move with -seed")
 	}
 }

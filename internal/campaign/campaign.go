@@ -7,20 +7,13 @@ import (
 
 	"mfc"
 	"mfc/internal/core"
-	"mfc/internal/obs"
 	"mfc/internal/population"
 	"mfc/internal/scenario"
 )
 
-// Options tunes one Run invocation (never the campaign's results — those
-// are fixed by the plan). The fields are the WorkOptions of the same name.
-type Options struct {
-	Workers   int
-	HaltAfter int
-	OnStart   func(info StartInfo)
-	OnEvent   func(ev SiteEvent)
-	Spans     *obs.SpanRecorder
-}
+// Options tunes one Run invocation: Run is a worker, so they are the
+// worker's options.
+type Options = WorkOptions
 
 // StartInfo describes a campaign before a worker's first job.
 type StartInfo struct {
@@ -69,16 +62,14 @@ func (st *Status) Done() int { return st.AlreadyDone + st.NewlyDone }
 // shards. Run returns early with ctx's error if the context is canceled.
 func Run(ctx context.Context, dir string, opts Options) (*Status, error) {
 	var start StartInfo
-	wopts := WorkOptions{
-		Workers: opts.Workers, HaltAfter: opts.HaltAfter, OnEvent: opts.OnEvent, Spans: opts.Spans,
-		OnStart: func(info StartInfo) {
-			start = info
-			if opts.OnStart != nil {
-				opts.OnStart(info)
-			}
-		},
+	onStart := opts.OnStart
+	opts.OnStart = func(info StartInfo) {
+		start = info
+		if onStart != nil {
+			onStart(info)
+		}
 	}
-	ws, err := WorkDir(ctx, dir, wopts)
+	ws, err := WorkDir(ctx, dir, opts)
 	if ws == nil {
 		return nil, err
 	}

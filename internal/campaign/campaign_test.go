@@ -15,6 +15,7 @@ import (
 
 	"mfc/internal/campaign/dist/lease"
 	"mfc/internal/clock"
+	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
@@ -138,34 +139,12 @@ func TestTornWriteIsRepairedOnResume(t *testing.T) {
 	}
 }
 
-// The manifest must exist after a finished run and agree with the store.
-func TestManifestCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	plan := testPlan(t, dir)
-	runToCompletion(t, dir, Options{})
-	m, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Plan != plan.Name || m.Total != plan.Jobs() || m.Done != plan.Jobs() {
-		t.Fatalf("manifest %+v disagrees with plan (%d jobs)", m, plan.Jobs())
-	}
-	sum := 0
-	for _, n := range m.PerShard {
-		sum += n
-	}
-	if len(m.PerShard) != plan.Shards() || sum != m.Done {
-		t.Fatalf("per-shard counts %v do not sum to %d", m.PerShard, m.Done)
-	}
-}
-
-// Every worker that finishes a campaign writes the manifest, so writers
-// race: each write must land whole (a reader never sees a torn file) and
-// none may fail — with one shared temp path the loser's rename found its
-// file already renamed away.
+// Concurrent writeFileAtomic calls on one path race: each write must land
+// whole (a reader never sees a torn file) and none may fail — with one
+// shared temp path the loser's rename found its file already renamed away.
 func TestManifestConcurrentWriters(t *testing.T) {
-	dir := t.TempDir()
-	m := &Manifest{Plan: "racing", Total: 4096, Done: 4096, PerShard: make([]int, 512)}
+	path := filepath.Join(t.TempDir(), "racing.json")
+	want := bytes.Repeat([]byte("0123456789abcdef"), 256)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -173,8 +152,8 @@ func TestManifestConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := WriteManifest(dir, m); err != nil {
-					t.Errorf("WriteManifest: %v", err)
+				if err := writeFileAtomic(path, want); err != nil {
+					t.Errorf("writeFileAtomic: %v", err)
 					return
 				}
 			}
@@ -182,15 +161,15 @@ func TestManifestConcurrentWriters(t *testing.T) {
 	}
 	go func() { wg.Wait(); close(stop) }()
 	for reads := 0; ; reads++ {
-		if got, err := LoadManifest(dir); err == nil && got.Done != m.Done {
-			t.Fatalf("read %d saw done=%d", reads, got.Done)
+		if got, err := os.ReadFile(path); err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("read %d saw a torn file of %d bytes", reads, len(got))
 		} else if err != nil && !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("read %d: %v", reads, err)
 		}
 		select {
 		case <-stop:
-			if files, _ := os.ReadDir(dir); len(files) != 1 {
-				t.Errorf("%d files left in the directory, want only manifest.json", len(files))
+			if files, _ := os.ReadDir(filepath.Dir(path)); len(files) != 1 {
+				t.Errorf("%d files left in the directory, want only %s", len(files), filepath.Base(path))
 			}
 			return
 		default:
@@ -266,9 +245,21 @@ func TestPlanSaveRefusesReplacement(t *testing.T) {
 	}
 }
 
+// skipClock is a fake clock on which a timer's wait passes as it is armed:
+// an idle backoff costs fake time and no real time, with nobody driving.
+type skipClock struct{ *clocktest.Clock }
+
+func (c skipClock) NewTimer(d time.Duration) *clock.Timer {
+	t := c.Clock.NewTimer(d)
+	c.Advance(d)
+	return t
+}
+
 // Two concurrent runs on one campaign directory cooperate like any two
 // workers: they lease disjoint shards, so every job is measured exactly
-// once between them, and the report is the single run's bytes.
+// once between them, and the report is the single run's bytes. The run
+// left without a free shard polls through its backoff on a fake clock
+// (1 ms base, so the TTL outlasts any number of polls).
 func TestConcurrentRunsShareShards(t *testing.T) {
 	clean := t.TempDir()
 	testPlan(t, clean)
@@ -277,6 +268,7 @@ func TestConcurrentRunsShareShards(t *testing.T) {
 
 	dir := t.TempDir()
 	plan := testPlan(t, dir)
+	clk := skipClock{clocktest.New(time.Now())}
 	var (
 		mu      sync.Mutex
 		shardBy = map[int]int{} // shard -> the run that measured its jobs
@@ -287,7 +279,7 @@ func TestConcurrentRunsShareShards(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := Run(context.Background(), dir, Options{Workers: 2, OnEvent: func(ev SiteEvent) {
+			st, err := Run(context.Background(), dir, Options{Workers: 2, Clock: clk, Poll: time.Millisecond, TTL: time.Hour, OnEvent: func(ev SiteEvent) {
 				if !ev.Terminal() {
 					return
 				}
@@ -314,7 +306,7 @@ func TestConcurrentRunsShareShards(t *testing.T) {
 	if got := reportOf(t, dir); got != want {
 		t.Errorf("report of two concurrent runs differs from a single run:\n--- want\n%s\n--- got\n%s", want, got)
 	}
-	if live, _ := lease.Live(LeasesDir(dir), time.Now()); len(live) != 0 {
+	if live, _ := lease.Live(LeasesDir(dir), clk.Now()); len(live) != 0 {
 		t.Errorf("leases left behind: %+v", live)
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // Merge consolidates one or many store dirs into a fresh campaign
 // directory at out: the shared plan, every unique record rewritten in
-// (shard, job) order, and a manifest that matches the store.
+// (shard, job) order.
 // The output is itself a valid campaign dir — reportable, resumable, and
 // deterministic: any collection of stores holding the same record union
 // merges to byte-identical shard files. out must not already contain
@@ -58,8 +58,7 @@ func MergeReader(r *campaign.Reader, out string) (done int, err error) {
 	}
 	defer dst.Close()
 
-	counts := make([]int, plan.Shards())
-	for k := range counts {
+	for k := range plan.Shards() {
 		// Full: merged shards are rewritten with their Result payloads.
 		recs, err := r.Shard(k, true)
 		if err != nil {
@@ -70,10 +69,7 @@ func MergeReader(r *campaign.Reader, out string) (done int, err error) {
 				return 0, err
 			}
 		}
-		counts[k] = len(recs)
 		done += len(recs)
 	}
-	return done, campaign.WriteManifest(out, &campaign.Manifest{
-		Plan: plan.Name, Total: plan.Jobs(), Done: done, PerShard: counts,
-	})
+	return done, nil
 }

@@ -320,10 +320,14 @@ func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 	}
 
 	// Physical merge: the consolidated dir reports identically through
-	// the plain single-store path, and its manifest matches the store.
+	// the plain single-store path, and holds one record per job.
 	out := filepath.Join(t.TempDir(), "merged")
-	if err := Merge([]string{dirA, dirB}, out); err != nil {
+	r, err := campaign.OpenReader(dirA, dirB)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if done, err := MergeReader(r, out); err != nil || done != plan.Jobs() {
+		t.Fatalf("merged %d records (%v), want %d", done, err, plan.Jobs())
 	}
 	buf.Reset()
 	if err := campaign.Report(out, &buf); err != nil {
@@ -331,13 +335,6 @@ func TestMergeAcrossStoresByteIdentical(t *testing.T) {
 	}
 	if buf.String() != want {
 		t.Errorf("physically merged store reports differently:\n--- want\n%s\n--- got\n%s", want, buf.String())
-	}
-	m, err := campaign.LoadManifest(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Done != plan.Jobs() {
-		t.Errorf("merged manifest done=%d, want %d", m.Done, plan.Jobs())
 	}
 
 	// Merging into a dir that already holds records is refused.

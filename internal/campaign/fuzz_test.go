@@ -98,37 +98,3 @@ func FuzzShardTail(f *testing.F) {
 		}
 	})
 }
-
-// FuzzManifest feeds arbitrary bytes to the checkpoint-manifest loader:
-// parsing must never panic, and anything it accepts must round-trip through
-// WriteManifest. Resume never trusts the manifest, but dashboards read it,
-// so a corrupt checkpoint must fail loudly rather than crash or lie.
-func FuzzManifest(f *testing.F) {
-	good, _ := json.Marshal(&Manifest{Plan: "p", Total: 8, Done: 2, PerShard: []int{2, 0}})
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte("{}"))
-	f.Add([]byte("null"))
-	f.Add([]byte("[1,2,3]"))
-	f.Add([]byte("\x00\x01"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := LoadManifest(dir)
-		if err != nil {
-			return // rejected: fine, as long as it did not panic
-		}
-		if m == nil {
-			t.Fatal("LoadManifest returned nil manifest with nil error")
-		}
-		if err := WriteManifest(dir, m); err != nil {
-			t.Fatalf("accepted manifest does not round-trip: %v", err)
-		}
-		if _, err := LoadManifest(dir); err != nil {
-			t.Fatalf("re-written manifest does not load: %v", err)
-		}
-	})
-}

@@ -66,10 +66,9 @@ type LeaseSource struct {
 
 	reader *Reader // compact: pending scans never decode Result payloads
 
-	start            int   // first shard of every pass
-	next             int   // shards visited so far in this pass
-	pending, claimed int   // shards with missing jobs / leased by us, this pass
-	counts           []int // records per shard as of this pass's scan
+	start            int // first shard of every pass
+	next             int // shards visited so far in this pass
+	pending, claimed int // shards with missing jobs / leased by us, this pass
 }
 
 // OpenLeaseSource opens the campaign in dir for one worker named owner.
@@ -100,7 +99,6 @@ func OpenLeaseSource(clk clock.Clock, dir, owner string, ttl time.Duration) (*Le
 		// collections on the run-clean benchmark). Longer lines grow a
 		// per-scan buffer instead.
 		reader: &Reader{plan: plan, dirs: []string{dir}, sc: &ShardScanner{buf: make([]byte, 0, 64<<10)}},
-		counts: make([]int, plan.Shards()),
 		start:  int(h.Sum32() % uint32(plan.Shards())),
 	}, nil
 }
@@ -115,7 +113,6 @@ func (s *LeaseSource) pendingJobs(k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.counts[k] = len(recs)
 	lo, hi := s.plan.ShardRange(k)
 	if len(recs) == hi-lo {
 		return nil, nil
@@ -142,15 +139,6 @@ func (s *LeaseSource) Claim(ctx context.Context) (*Claim, error) {
 			s.next, s.pending, s.claimed = 0, 0, 0
 			switch {
 			case pending == 0:
-				// This pass saw every shard full, so counts is the finished
-				// campaign's manifest. Every worker that finishes last writes
-				// the same bytes, so concurrent finishers cannot disagree;
-				// the manifest is progress for dashboards, never authority,
-				// so a failed write is not worth failing a finished worker.
-				_ = WriteManifest(s.dir, &Manifest{
-					Plan: s.plan.Name, Total: s.plan.Jobs(), Done: s.plan.Jobs(),
-					PerShard: append([]int(nil), s.counts...),
-				})
 				return nil, ErrComplete
 			case claimed == 0:
 				return nil, ErrWait

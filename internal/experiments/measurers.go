@@ -28,6 +28,7 @@ type MeasurerPoint struct {
 
 // MeasurerResult is one crowd-stage's correlation series.
 type MeasurerResult struct {
+	Name       string // "indep" or "shared": which of the two targets
 	CrowdStage core.Stage
 	Points     []MeasurerPoint
 }
@@ -39,7 +40,7 @@ type MeasurerResult struct {
 // own response time climbs: the resources are independent. Contrast
 // ExtensionMeasurersShared.
 func ExtensionMeasurers(seed int64) (*MeasurerResult, error) {
-	return measurerRun(websim.LabConfig(websim.BackendMongrel), websim.LabSite(),
+	return measurerRun("indep", websim.LabConfig(websim.BackendMongrel), websim.LabSite(),
 		core.StageLargeObject, seed)
 }
 
@@ -59,10 +60,10 @@ func ExtensionMeasurersShared(seed int64) (*MeasurerResult, error) {
 		QueryCacheBytes: -1,
 		DBConns:         64,
 	}
-	return measurerRun(cfg, websim.LabSite(), core.StageBase, seed)
+	return measurerRun("shared", cfg, websim.LabSite(), core.StageBase, seed)
 }
 
-func measurerRun(srvCfg websim.Config, site *content.Site, crowdStage core.Stage, seed int64) (*MeasurerResult, error) {
+func measurerRun(name string, srvCfg websim.Config, site *content.Site, crowdStage core.Stage, seed int64) (*MeasurerResult, error) {
 	cfg := core.DefaultConfig()
 	cfg.Step = 5
 	cfg.MaxCrowd = 50
@@ -84,7 +85,7 @@ func measurerRun(srvCfg websim.Config, site *content.Site, crowdStage core.Stage
 	}
 	sr := run.Result.Stages[0]
 
-	res := &MeasurerResult{CrowdStage: crowdStage}
+	res := &MeasurerResult{Name: name, CrowdStage: crowdStage}
 	for _, e := range sr.Epochs {
 		if e.Kind != core.EpochRamp {
 			continue
@@ -117,4 +118,9 @@ func (r *MeasurerResult) Final() MeasurerPoint {
 		return MeasurerPoint{}
 	}
 	return r.Points[len(r.Points)-1]
+}
+
+// Headline reports the query measurer at the largest crowd.
+func (r *MeasurerResult) Headline() []Metric {
+	return []Metric{{r.Name + "-query-ms", msf(r.Final().QueryMeasurer)}}
 }

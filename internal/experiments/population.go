@@ -123,6 +123,16 @@ func (r *PopulationResult) Render() string {
 	return t.String()
 }
 
+// Headline reports each band's stopped percentage, top band first.
+func (r *PopulationResult) Headline() []Metric {
+	names := [4]string{"top-stopped-pct", "1K-10K-stopped-pct", "10K-100K-stopped-pct", "bottom-stopped-pct"}
+	var m []Metric
+	for bi, h := range r.Bands {
+		m = append(m, Metric{names[bi], h.StoppedFraction() * 100})
+	}
+	return m
+}
+
 // ---------------------------------------------------------------------------
 // Table 4 — startups; Table 5 — phishing.
 // ---------------------------------------------------------------------------
@@ -142,18 +152,14 @@ func specialPop(label string, band population.Band, stage core.Stage, n int, see
 	return &SpecialPopResult{Label: label, Cell: cell, Paper: paper}, nil
 }
 
-// Table4 reproduces the startup study: Base on 107 servers and Small Query
-// on the first 82 of them.
-func Table4(seed int64) (*SpecialPopResult, *SpecialPopResult, error) {
-	base, err := specialPop("startups/Base", population.Startup, core.StageBase, 107, seed, [5]int{24, 6, 7, 6, 58})
-	if err != nil {
-		return nil, nil, err
-	}
-	query, err := specialPop("startups/SmallQuery", population.Startup, core.StageSmallQuery, 82, seed, [5]int{33, 12, 6, 5, 44})
-	if err != nil {
-		return nil, nil, err
-	}
-	return base, query, nil
+// Table4Base reproduces the startup study's Base stage on 107 servers.
+func Table4Base(seed int64) (*SpecialPopResult, error) {
+	return specialPop("startups/Base", population.Startup, core.StageBase, 107, seed, [5]int{24, 6, 7, 6, 58})
+}
+
+// Table4Query is its Small Query stage, on the first 82 of them.
+func Table4Query(seed int64) (*SpecialPopResult, error) {
+	return specialPop("startups/SmallQuery", population.Startup, core.StageSmallQuery, 82, seed, [5]int{33, 12, 6, 5, 44})
 }
 
 // Table5 reproduces the phishing study: Base stage on 89 hosts.
@@ -169,4 +175,13 @@ func (r *SpecialPopResult) Render() string {
 		t.addf("%s|%.0f%%|%d%%", lbl, share(r.Cell, i)*100, r.Paper[i])
 	}
 	return t.String()
+}
+
+// Headline reports the weakest bucket and NoStop, each named with the
+// paper's percentage.
+func (r *SpecialPopResult) Headline() []Metric {
+	return []Metric{
+		{fmt.Sprintf("weak-pct(paper-%d)", r.Paper[0]), share(r.Cell, 0) * 100},
+		{fmt.Sprintf("nostop-pct(paper-%d)", r.Paper[4]), (1 - r.Cell.StoppedFraction()) * 100},
+	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"mfc"
@@ -124,4 +125,15 @@ func (r *PredictiveResult) Render() string {
 			row.PeakConc)
 	}
 	return t.String()
+}
+
+// Headline reports each target's prediction and actual degradation point,
+// named by the target's first word.
+func (r *PredictiveResult) Headline() []Metric {
+	var m []Metric
+	for _, row := range r.Rows {
+		name, _, _ := strings.Cut(row.Target, " ")
+		m = append(m, Metric{name + "-mfc-stop", float64(row.MFCStop)}, Metric{name + "-actual-degradation", float64(row.ActualPoint)})
+	}
+	return m
 }

@@ -1,10 +1,13 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§3 validation, §4 cooperating sites, §5 large-scale study)
-// plus the ablations DESIGN.md calls out. Each experiment returns a
+// plus the ablations and extensions DESIGN.md motivates. Catalog declares
+// each one once: the CLI, the benchmarks, EXPERIMENTS.md's rows and the
+// paper-fidelity test are loops over it. Each experiment returns a
 // structured result with a Render method that prints the same rows/series
-// the paper reports; EXPERIMENTS.md records paper-vs-measured. The §5
-// figures and tables are cells of internal/campaign at the paper's site
-// counts: the first n sites of the band a 10k-site campaign measures.
+// the paper reports and a Headline method with the numbers that summarize
+// them. The §5 figures and tables are cells of internal/campaign at the
+// paper's site counts: the first n sites of the band a 10k-site campaign
+// measures.
 package experiments
 
 import (
@@ -74,8 +77,11 @@ func (t *table) String() string {
 
 // ms renders a duration in whole milliseconds.
 func ms(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
+	return fmt.Sprintf("%.1f", msf(d))
 }
+
+// msf is a duration in float milliseconds, the unit of every "-ms" metric.
+func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // stopStr renders a stopping size or NoStop with the probed maximum.
 func stopStr(stopped bool, at, probedMax int) string {

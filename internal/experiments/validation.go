@@ -90,6 +90,11 @@ func (r *Figure3Result) Render() string {
 	return t.String()
 }
 
+// Headline reports the two spreads the paper quotes.
+func (r *Figure3Result) Headline() []Metric {
+	return []Metric{{"spread70-ms", msf(r.Spread70)}, {"spread90-ms", msf(r.Spread90)}}
+}
+
 // ---------------------------------------------------------------------------
 // Figure 4 — tracking synthetic response-time functions.
 // ---------------------------------------------------------------------------
@@ -108,6 +113,16 @@ type Figure4Result struct {
 	// MaxAbsErr and MeanAbsErr summarize tracking fidelity.
 	MaxAbsErr  time.Duration
 	MeanAbsErr time.Duration
+}
+
+// Figure4Linear is Figure 4(a): a 5 ms/client linear model.
+func Figure4Linear(seed int64) (*Figure4Result, error) {
+	return Figure4(websim.LinearModel{Slope: 5 * time.Millisecond}, seed)
+}
+
+// Figure4Exponential is Figure 4(b): 15 ms doubling every 10 clients.
+func Figure4Exponential(seed int64) (*Figure4Result, error) {
+	return Figure4(websim.ExponentialModel{Unit: 15 * time.Millisecond, Doubling: 10}, seed)
 }
 
 // Figure4 measures how faithfully the MFC median tracks a synthetic
@@ -162,6 +177,11 @@ func (r *Figure4Result) Render() string {
 	return t.String()
 }
 
+// Headline reports the mean absolute tracking error.
+func (r *Figure4Result) Headline() []Metric {
+	return []Metric{{"track-err-ms", msf(r.MeanAbsErr)}}
+}
+
 // ---------------------------------------------------------------------------
 // Figure 5 — Large Object stage on the lab server: response time and
 // network usage vs crowd size, with CPU/memory/disk staying idle.
@@ -203,6 +223,11 @@ func (r *Figure5Result) Render() string {
 	return t.String()
 }
 
+// Headline reports the median response at the largest crowd.
+func (r *Figure5Result) Headline() []Metric {
+	return []Metric{{"median-at-50-ms", msf(r.Points[len(r.Points)-1].MedianResp)}}
+}
+
 // ---------------------------------------------------------------------------
 // Figure 6 — Small Query stage under FastCGI (memory blow-up) vs Mongrel
 // (flat).
@@ -241,6 +266,14 @@ func (r *Figure6Result) Render() string {
 		t.addf("%d|%s|%.2f|%.0f|%s|%.0f", f.Crowd, ms(f.MedianResp), f.CPUUtil, f.MemMB, ms(m.MedianResp), m.MemMB)
 	}
 	return t.String()
+}
+
+// Headline reports both backends at the largest crowd.
+func (r *Figure6Result) Headline() []Metric {
+	f, m := r.FastCGI[len(r.FastCGI)-1], r.Mongrel[len(r.Mongrel)-1]
+	return []Metric{
+		{"fcgi-at-50-ms", msf(f.MedianResp)}, {"mongrel-at-50-ms", msf(m.MedianResp)}, {"fcgi-peak-MB", f.MemMB},
+	}
 }
 
 // labRun executes one §3.2 lab stage (LAN clients, max 50, full curve) and

@@ -40,18 +40,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return quantileSorted(s, q), nil
 }
 
-// QuantileSorted is Quantile for an already ascending-sorted slice.
-// It avoids the copy and sort; the caller guarantees order.
-func QuantileSorted(sorted []float64, q float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of range [0,1]", q)
-	}
-	return quantileSorted(sorted, q), nil
-}
-
 func quantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]

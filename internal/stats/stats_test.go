@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -117,19 +116,6 @@ func TestMedianShiftProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuantileSortedMatchesQuantile(t *testing.T) {
-	xs := []float64{4, 8, 15, 16, 23, 42}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for _, q := range []float64{0, 0.1, 0.5, 0.9, 1} {
-		a, _ := Quantile(xs, q)
-		b, _ := QuantileSorted(sorted, q)
-		if !almostEq(a, b) {
-			t.Errorf("q=%v: Quantile=%v QuantileSorted=%v", q, a, b)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package websim
 
 import (
-	"math"
 	"time"
 
 	"mfc/internal/netsim"
@@ -203,12 +202,4 @@ func (g *bgArrivals) Step(p *netsim.Proc) bool {
 		gap = time.Minute
 	}
 	return p.BeginSleep(gap)
-}
-
-// PoissonRate is a helper converting a mean inter-arrival time to a rate.
-func PoissonRate(meanGap time.Duration) float64 {
-	if meanGap <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / meanGap.Seconds()
 }

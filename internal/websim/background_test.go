@@ -55,12 +55,6 @@ func TestBackgroundBursts(t *testing.T) {
 	}
 }
 
-func TestPoissonRate(t *testing.T) {
-	if r := PoissonRate(100 * time.Millisecond); r != 10 {
-		t.Errorf("PoissonRate(100ms) = %v, want 10", r)
-	}
-}
-
 func TestMonitorSamplesAndStops(t *testing.T) {
 	env := netsim.NewEnv(1)
 	srv := NewServer(env, Config{ParseCPU: 5 * time.Millisecond}, bgSite(t))
