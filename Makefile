@@ -68,8 +68,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLease$$' -fuzztime 10s ./internal/campaign/dist/lease
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeShard$$' -fuzztime 10s ./internal/analyze
-	$(GO) test -run '^$$' -fuzz '^FuzzSanitizeMetricName$$' -fuzztime 10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzSanitizeLabelName$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanIngest$$' -fuzztime 10s ./internal/campaign/serve
 
 # The multi-process scenarios — three workers over a shared dir or joined

@@ -15,15 +15,18 @@
 //	mfc-campaign merge  -out DIR -dir DIR [-dir DIR ...]
 //	mfc-campaign trace  -dir DIR [-dir DIR ...] [-out FILE]
 //
-// -metrics ADDR serves, for run/resume/work: Prometheus text metrics on
-// /metrics, a JSON progress snapshot (per-band done/pending, session rate,
-// ETA, shard lease churn, whole-store completion) on /progress, Go
-// profiling on /debug/pprof/, a fleet timeline with straggler detection
-// on /fleet, and a self-refreshing HTML dashboard on /.
-// All of them read the same tracker state that renders the terminal
-// progress line, so the surfaces cannot drift apart. -metrics-hold keeps
-// the server up after the campaign ends so the terminal counter values
-// can still be scraped; POST /quit releases the hold early.
+// -metrics ADDR serves, for run/resume/work, the live campaign surface
+// (analyze.Live): Prometheus text metrics on /metrics, a JSON progress
+// snapshot (per-band done/pending, session rate, ETA, shard lease churn,
+// whole-store completion) on /progress, the store's analytics document on
+// /analyze.json, the fleet timeline with straggler detection on
+// /fleet.json, Go profiling on /debug/pprof/, and one self-refreshing
+// HTML page over all three feeds on /. Session counters read the same
+// tracker state that renders the terminal progress line, and every
+// whole-store number comes from one cached store scan, so the surfaces
+// cannot drift apart. -metrics-hold keeps the server up after the
+// campaign ends so the terminal counter values can still be scraped;
+// POST /quit releases the hold early.
 //
 // Every run/resume/work process also records wall-clock spans — shard
 // claims, job execution, heartbeats, fence events, idle waits — into
@@ -62,8 +65,8 @@
 // verdict confusion matrices against each group's clean baseline, and
 // request/error rollups — as §5-style figures, or with -json as
 // deterministic bytes carrying the same byte-identity guarantee as
-// report. The same aggregates are served live on /analyze (HTML) and
-// /analyze.json from every -metrics dashboard and `serve` control plane.
+// report. The same document is served live on /analyze.json, and drawn
+// on the live page, by every -metrics listener and `serve` control plane.
 package main
 
 import (
@@ -137,9 +140,10 @@ func usage() {
   mfc-campaign merge  -out DIR -dir DIR [-dir DIR ...]
   mfc-campaign trace  -dir DIR [-dir DIR ...] [-out FILE]
 
--metrics serves /metrics (Prometheus), /progress (JSON), /debug/pprof/
-and an HTML dashboard on ADDR while the campaign runs; -metrics-hold
-keeps it up that long afterwards (POST /quit releases early).
+-metrics serves /metrics (Prometheus), /progress, /analyze.json and
+/fleet.json (JSON), /debug/pprof/ and one HTML page over them on ADDR
+while the campaign runs; -metrics-hold keeps it up that long afterwards
+(POST /quit releases early).
 
 run, resume and work each run one worker of the same engine: start any
 number of them on the same campaign dir (shared filesystem included);
@@ -148,7 +152,7 @@ work -join ADDR joins a control plane over HTTP instead — no shared
 filesystem — receiving fenced work grants and uploading records.
 serve runs that control plane: it owns the plan and the store, grants
 shards to joining workers, re-grants the shards of workers that stop
-heartbeating, and serves the dashboard on the same listener; -until-done
+heartbeating, and serves the same live page on its listener; -until-done
 exits once every job has a record.
 report over several -dir flags merges stores of one plan; merge writes
 the consolidated store to -out. report, analyze and merge print one
@@ -303,7 +307,7 @@ func cmdWorker(verb string, args []string) error {
 		workers     = fs.Int("workers", 0, "per-shard measurement pool bound (0 = GOMAXPROCS)")
 		haltAfter   = fs.Int("halt-after", 0, "stop cleanly after N new completions (testing/CI)")
 		quiet       = fs.Bool("quiet", false, "suppress the live progress line")
-		metrics     = fs.String("metrics", "", "serve /metrics, /progress, /debug/pprof and the HTML dashboard on this address (e.g. :9090 or :0)")
+		metrics     = fs.String("metrics", "", "serve /metrics, /progress, /analyze.json, /fleet.json, /debug/pprof and the HTML page on this address (e.g. :9090 or :0)")
 		metricsHold = fs.Duration("metrics-hold", 0, "keep the -metrics server up this long after this worker ends (POST /quit releases early)")
 		// work only; run and resume keep the defaults.
 		join, owner string
@@ -401,7 +405,7 @@ func cmdServe(args []string) error {
 		dir       = fs.String("dir", "", "campaign directory (must hold plan.json)")
 		listen    = fs.String("listen", "", "listen address for the control plane + dashboard (e.g. :8080 or 127.0.0.1:0)")
 		ttl       = fs.Duration("ttl", 0, "grant staleness bound: a worker silent this long is presumed dead and its shard re-granted (default 15s)")
-		straggler = fs.Float64("straggler", 0, "straggler threshold multiplier for /fleet: an active shard older than K x the median completed-shard duration is flagged (default 4)")
+		straggler = fs.Float64("straggler", 0, "straggler threshold multiplier for /fleet.json: an active shard older than K x the median completed-shard duration is flagged (default 4)")
 		untilDone = fs.Bool("until-done", false, "exit once every job in the plan has a record (CI/batch mode)")
 	)
 	fs.Parse(args)
@@ -485,7 +489,7 @@ func printSkipped(s campaign.Skipped) {
 // liveMonitor couples the shared campaign.Tracker — the single source of
 // truth behind the terminal progress line, the /progress JSON and the
 // /metrics exposition, so the three can never drift — with the optional
-// dashboard HTTP server enabled by -metrics.
+// live surface enabled by -metrics.
 type liveMonitor struct {
 	tr    *campaign.Tracker
 	fleet *campaign.Fleet
@@ -494,14 +498,14 @@ type liveMonitor struct {
 	// Throttle for the terminal line: ~10 lines/sec, final always prints.
 	lastLine atomic.Int64
 
-	dash    *campaign.Dash
+	live    *analyze.Live
 	stop    context.CancelFunc
 	srvDone chan error
 	hold    time.Duration
 }
 
 // startMonitor builds the Tracker and, when addr is non-empty, starts the
-// dashboard server on it (use ":0" for an ephemeral port; the bound
+// live surface on it (use ":0" for an ephemeral port; the bound
 // address is printed to stderr).
 func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonitor, error) {
 	m := &liveMonitor{quiet: quiet, hold: hold}
@@ -511,11 +515,8 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 	}
 	m.tr = campaign.NewTracker(reg)
 	if addr != "" {
-		m.dash = campaign.NewDash(dir, reg, m.tr)
-		analyze.NewWeb([]string{dir}, 0).MountOn(m.dash)
 		m.fleet = campaign.NewFleet(0)
-		m.fleet.Register(reg)
-		m.fleet.MountOn(m.dash)
+		m.live = analyze.NewLive(dir, reg, m.tr, m.fleet)
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			return nil, fmt.Errorf("-metrics: %w", err)
@@ -524,7 +525,7 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 		var ctx context.Context
 		ctx, m.stop = context.WithCancel(context.Background())
 		m.srvDone = make(chan error, 1)
-		go func() { m.srvDone <- campaign.ServeUntil(ctx, ln, m.dash.Handler()) }()
+		go func() { m.srvDone <- campaign.ServeUntil(ctx, ln, m.live) }()
 	}
 	return m, nil
 }
@@ -543,7 +544,7 @@ func (m *liveMonitor) onEvent(ev campaign.SiteEvent) {
 	fmt.Fprint(os.Stderr, m.tr.Line())
 }
 
-// close shuts the dashboard down via http.Server.Shutdown (no abandoned
+// close shuts the live surface down via http.Server.Shutdown (no abandoned
 // listener goroutine). With -metrics-hold the server stays up after the
 // campaign ends — so a scraper can read the terminal counter values —
 // until the hold elapses or something POSTs /quit.
@@ -556,7 +557,7 @@ func (m *liveMonitor) close() {
 		hold := clock.Real.NewTimer(m.hold)
 		select {
 		case <-hold.C:
-		case <-m.dash.WaitQuit():
+		case <-m.live.WaitQuit():
 			hold.Stop()
 		}
 	}

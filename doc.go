@@ -64,7 +64,8 @@
 // curves, response-time knees, error-class rollups and
 // baseline-vs-scenario verdict confusion matrices, as text with figures,
 // canonical JSON (`-json`, byte-identical however the store was
-// produced), and a live /analyze view on every dashboard listener. See
+// produced), and live as /analyze.json on every -metrics and serve
+// listener. See
 // DESIGN.md "The campaign engine", "Distributed campaigns", "Networked
 // campaigns" and "Campaign analytics".
 //
@@ -74,9 +75,11 @@
 // `mfc-campaign run|resume|work -metrics ADDR` serves Prometheus text
 // metrics on /metrics, a JSON progress snapshot (per-band done/pending,
 // session rate, ETA, shard lease churn, whole-store completion) on
-// /progress, Go profiling on /debug/pprof/ and a live HTML dashboard on
-// /; all of them render the same tracker state as the terminal progress
-// line, so the surfaces cannot disagree (`-metrics-hold` keeps the server
+// /progress, the analytics document on /analyze.json, the fleet view on
+// /fleet.json, Go profiling on /debug/pprof/ and one live HTML page over
+// them on /; session counters render the same tracker state as the
+// terminal progress line and every whole-store number comes from one
+// store scan, so the surfaces cannot disagree (`-metrics-hold` keeps the server
 // scrapable after the campaign; POST /quit releases it). `mfc-sim -trace
 // out.json` and `mfc-experiments -trace out.json` write Chrome
 // trace-event JSON in virtual time — stage and epoch spans, fault and

@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"time"
 
 	"mfc"
@@ -169,3 +171,24 @@ func measureSample(plan *Plan, stage core.Stage, scenarioName string, sample pop
 
 // SimElapsed returns the record's simulated duration.
 func (r *Record) SimElapsed() time.Duration { return time.Duration(r.SimElapsedNs) }
+
+// ServeUntil runs an http.Server for h on ln until ctx is canceled, then
+// drains it via http.Server.Shutdown (bounded by a short grace period)
+// and waits for the serve goroutine to exit, so no goroutine outlives the
+// call. A clean shutdown returns nil; an accept failure returns the
+// server error.
+func ServeUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err // the listener died on its own; nothing to shut down
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := srv.Shutdown(sctx)
+	<-errc // always http.ErrServerClosed after Shutdown
+	return err
+}

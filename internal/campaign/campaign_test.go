@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -396,5 +398,44 @@ func TestPlanJobAddressing(t *testing.T) {
 	}
 	if perCell[0] != 7 || perCell[1] != 7 {
 		t.Fatalf("cells unevenly addressed: %v", perCell)
+	}
+}
+
+// ServeUntil must shut the listener down when the context is canceled —
+// no leaked server goroutine, no accepting socket left behind.
+func TestServeUntilShutsDownOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- ServeUntil(ctx, ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusOK)
+		}))
+	}()
+
+	resp, err := http.Get("http://" + addr + "/")
+	if err != nil {
+		t.Fatalf("request while serving: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d while serving", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeUntil after cancel: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeUntil did not return after context cancel")
+	}
+	if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		t.Error("listener still accepting after shutdown")
 	}
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 
@@ -30,7 +29,7 @@ const DefaultStragglerK = 4.0
 // Fleet aggregates wall-clock spans into the live fleet picture: who is
 // busy on what, how long shards and jobs really take, and which active
 // shards have outlived k× the median — the stragglers. It is the single
-// source the /fleet view, /fleet.json, and the
+// source /fleet.json, the live page's fleet section and the
 // mfc_campaign_straggler_shards gauge all read, so they cannot drift.
 //
 // Straggler clocks deliberately survive worker death: an active shard is
@@ -316,87 +315,3 @@ func (f *Fleet) Register(reg *obs.Registry) {
 		"Workers that have reported at least one span.",
 		func() float64 { return float64(len(f.Snapshot().Workers)) })
 }
-
-// MountOn serves the fleet view on a dashboard: /fleet.json (the
-// Snapshot) and /fleet (the HTML timeline view).
-func (f *Fleet) MountOn(d *Dash) {
-	d.Mount("/fleet.json", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, f.Snapshot())
-	}))
-	d.Mount("/fleet", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write([]byte(fleetHTML))
-	}))
-}
-
-// fleetHTML is the self-refreshing fleet view: worker timelines drawn as
-// plain positioned divs over /fleet.json, no external assets.
-const fleetHTML = `<!doctype html>
-<html><head><meta charset="utf-8"><title>mfc fleet</title>
-<style>
- body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; max-width: 72rem; }
- h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 1.5rem; }
- table { border-collapse: collapse; margin-top: .5rem; }
- td, th { padding: .15rem .7rem .15rem 0; text-align: left; font-variant-numeric: tabular-nums; }
- .lane { position: relative; background: #f2f2f2; height: 1.05rem; width: 28rem; border-radius: 2px; }
- .lane div { position: absolute; top: 0; height: 100%; background: #4a90d9; border-radius: 2px; }
- .lane div.idle { background: #ccc; } .lane div.partial { background: #d97706; }
- .straggler { color: #b00; font-weight: 600; }
- #meta, #err { color: #666; } #err { color: #b00; }
-</style></head><body>
-<h1>mfc fleet <small><a href="/">dashboard</a></small></h1>
-<p id="meta">loading…</p><p id="err"></p>
-<h2>workers</h2><table id="workers"></table>
-<h2>active shards</h2><table id="active"></table>
-<script>
-function us(v) {
-  if (!v) return "0";
-  if (v < 1e3) return v + "µs";
-  if (v < 1e6) return (v/1e3).toFixed(1) + "ms";
-  return (v/1e6).toFixed(2) + "s";
-}
-async function tick() {
-  try {
-    const d = await fetch("/fleet.json").then(r => r.json());
-    let meta = (d.workers || []).length + " workers · shard p50 " + us(d.shard_p50_us) +
-      " p99 " + us(d.shard_p99_us) + " · job p50 " + us(d.job_p50_us) +
-      " p99 " + us(d.job_p99_us) + " · stragglers " + d.stragglers +
-      " (k=" + d.straggler_k + (d.straggler_threshold_us ?
-        ", threshold " + us(d.straggler_threshold_us) : ", warming up") + ")";
-    document.getElementById("meta").textContent = meta;
-    let lo = Infinity, hi = 0;
-    for (const w of d.workers || []) for (const s of w.timeline || []) {
-      if (s.start_us < lo) lo = s.start_us;
-      if (s.end_us > hi) hi = s.end_us;
-    }
-    const span = Math.max(hi - lo, 1);
-    const tbl = document.getElementById("workers");
-    tbl.innerHTML = "<tr><th>worker</th><th>shards</th><th>jobs</th><th>busy</th><th>timeline (busy/idle)</th></tr>";
-    for (const w of d.workers || []) {
-      let lane = '<div class="lane">';
-      for (const s of w.timeline || []) {
-        const l = (100 * (s.start_us - lo) / span).toFixed(2);
-        const wd = Math.max(100 * (s.end_us - s.start_us) / span, 0.4).toFixed(2);
-        const cls = s.shard < 0 ? "idle" : (s.partial ? "partial" : "");
-        lane += '<div class="' + cls + '" style="left:' + l + '%;width:' + wd +
-          '%" title="' + (s.shard < 0 ? "idle" : "shard " + s.shard) + '"></div>';
-      }
-      lane += "</div>";
-      tbl.innerHTML += "<tr><td>" + w.name + "</td><td>" + w.shards_done +
-        "</td><td>" + w.jobs_done + "</td><td>" + us(w.busy_us) + "</td><td>" + lane + "</td></tr>";
-    }
-    const act = document.getElementById("active");
-    act.innerHTML = "<tr><th>shard</th><th>worker</th><th>age</th><th></th></tr>";
-    for (const a of d.active || []) {
-      act.innerHTML += "<tr" + (a.straggler ? ' class="straggler"' : "") + "><td>" +
-        a.shard + "</td><td>" + a.worker + "</td><td>" + us(a.age_us) +
-        "</td><td>" + (a.straggler ? "STRAGGLER" : "") + "</td></tr>";
-    }
-    document.getElementById("err").textContent = "";
-  } catch (e) {
-    document.getElementById("err").textContent = String(e);
-  }
-}
-tick(); setInterval(tick, 2000);
-</script></body></html>
-`

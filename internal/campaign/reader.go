@@ -3,10 +3,6 @@ package campaign
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
-
-	"mfc/internal/clock"
 )
 
 // Skipped counts the shard-file lines a scan did not turn into records:
@@ -124,38 +120,4 @@ func (p *Plan) StartInfo(done []bool) StartInfo {
 		}
 	}
 	return info
-}
-
-// Snapshot caches the last good result of an expensive scan for the live
-// views: at most one scan per debounce interval, and a scan that fails
-// after one succeeded (a reader can race a shard rename) keeps serving
-// the good value. Until a scan succeeds, Get returns T's zero value and
-// the scan's error.
-type Snapshot[T any] struct {
-	Debounce time.Duration
-	Scan     func() (T, error)
-	Clock    clock.Clock // nil means clock.Real
-
-	mu   sync.Mutex
-	last time.Time
-	good bool
-	val  T
-}
-
-func (s *Snapshot[T]) Get() (T, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clk := clock.Or(s.Clock)
-	if s.good && clk.Now().Sub(s.last) < s.Debounce {
-		return s.val, nil
-	}
-	v, err := s.Scan()
-	s.last = clk.Now()
-	if err == nil {
-		s.val, s.good = v, true
-	}
-	if s.good {
-		return s.val, nil
-	}
-	return s.val, err
 }

@@ -21,9 +21,10 @@
 // of the merged report. The grant machinery exists to make duplication
 // rare and completion prompt, not to make results correct.
 //
-// The control plane mounts the campaign dashboard (campaign.Dash) on the
-// same listener, so /metrics, /progress, /dashboard.json and the HTML
-// view describe the fleet from the one process that sees every record.
+// The control plane serves the live campaign surface (analyze.Live) on
+// the same listener, so /metrics, /progress, /analyze.json, /fleet.json
+// and the HTML page describe the fleet from the one process that sees
+// every record.
 package serve
 
 import (
@@ -163,7 +164,7 @@ type Server struct {
 
 	reg   *obs.Registry
 	tr    *campaign.Tracker
-	dash  *campaign.Dash
+	live  *analyze.Live
 	fleet *campaign.Fleet
 
 	mu        sync.Mutex
@@ -234,8 +235,6 @@ func New(dir string, opts Options) (*Server, error) {
 	s.reg = obs.NewRegistry()
 	s.tr = campaign.NewTracker(s.reg)
 	s.tr.Start(start)
-	s.dash = campaign.NewDash(dir, s.reg, s.tr)
-	analyze.NewWeb([]string{dir}, 0).MountOn(s.dash)
 	s.grantsTotal = s.reg.Counter("mfc_serve_grants_total",
 		"Work grants issued to joining workers.")
 	s.regrantsTotal = s.reg.Counter("mfc_serve_regrants_total",
@@ -254,8 +253,7 @@ func New(dir string, opts Options) (*Server, error) {
 			defer s.mu.Unlock()
 			return float64(len(s.byOwner))
 		})
-	s.fleet.Register(s.reg)
-	s.fleet.MountOn(s.dash)
+	s.live = analyze.NewLive(dir, s.reg, s.tr, s.fleet)
 
 	if s.doneCount == plan.Jobs() {
 		s.completeOnce.Do(func() { close(s.complete) })
@@ -507,9 +505,9 @@ func (s *Server) sealShard(ref ShardRef) error {
 	return nil
 }
 
-// Handler returns the control-plane mux: the /api endpoints plus the full
-// campaign dashboard (metrics, progress, dashboard.json, pprof, HTML) on
-// the same listener.
+// Handler returns the control-plane mux: the /api endpoints plus the live
+// campaign surface (metrics, progress, analyze.json, fleet.json, pprof,
+// HTML) on the same listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/plan", func(w http.ResponseWriter, r *http.Request) {
@@ -537,7 +535,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/records", post(s.ingest))
 	mux.HandleFunc("/api/done", post(s.sealShard))
 	mux.HandleFunc("/api/spans", post(s.ingestSpans))
-	mux.Handle("/", s.dash.Handler())
+	mux.Handle("/", s.live)
 	// Stamp the campaign trace id on every response so joining workers
 	// adopt it and all span files merge into one fleet trace.
 	trace := campaign.PlanTraceID(s.plan)
@@ -547,9 +545,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// WaitQuit exposes the dashboard's quit channel (POST /quit), so a
+// WaitQuit exposes the live surface's quit channel (POST /quit), so a
 // harness can end a serve process that has no -until-done condition.
-func (s *Server) WaitQuit() <-chan struct{} { return s.dash.WaitQuit() }
+func (s *Server) WaitQuit() <-chan struct{} { return s.live.WaitQuit() }
 
 // post adapts one of the 204-or-error endpoints: decode the body, run fn,
 // map its error to a status.

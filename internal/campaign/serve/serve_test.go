@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"mfc/internal/campaign"
 	"mfc/internal/clock/clocktest"
 	"mfc/internal/core"
+	"mfc/internal/obs"
 	"mfc/internal/population"
 )
 
@@ -399,6 +401,61 @@ func TestErrorStatusClasses(t *testing.T) {
 		if rr := call(t, h, tc.path, tc.body); rr.Code != tc.want {
 			t.Errorf("%s: POST %s = %d, want %d: %s", tc.name, tc.path, rr.Code, tc.want,
 				strings.TrimSpace(rr.Body.String()))
+		}
+	}
+}
+
+// Every name the tree's registries expose is in the Prometheus grammar:
+// the control plane's (Tracker, Live, Fleet and its own series, with a
+// worker heard from) and the run bridge's (with its labelled series hit).
+func TestExposedNamesMatchGrammar(t *testing.T) {
+	dir := t.TempDir()
+	servePlan(t, dir)
+	srv, err := New(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	grantOver(t, h, "w1")
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+
+	reg := obs.NewRegistry()
+	observe := obs.NewRunMetrics(reg).Observer()
+	observe(core.FaultInjected{Kind: "flap"})
+	observe(core.ExperimentFinished{Result: &core.Result{Stages: []*core.StageResult{{Verdict: core.VerdictStopped, StoppingCrowd: 10}}}})
+	var run strings.Builder
+	reg.WriteTo(&run)
+
+	scrape := rr.Body.String() + run.String()
+	for _, want := range []string{"mfc_campaign_store_jobs_done ", "mfc_campaign_straggler_shards ",
+		`mfc_serve_worker_heartbeat_age_seconds{owner="w1"}`, `mfc_run_faults_injected_total{kind="flap"`} {
+		if !strings.Contains(scrape, want) {
+			t.Errorf("scrape lacks %s", want)
+		}
+	}
+	metricName := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName := regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	series := regexp.MustCompile(`^([^{ ]+)(?:\{(.*)\})? \S+$`)
+	label := regexp.MustCompile(`([^=,]+)="(?:[^"\\]|\\.)*"`)
+	for _, line := range strings.Split(strings.TrimSpace(scrape), "\n") {
+		var name, labels string
+		if strings.HasPrefix(line, "# ") {
+			name = strings.Fields(line)[2]
+		} else if m := series.FindStringSubmatch(line); m != nil {
+			name, labels = m[1], m[2]
+		} else {
+			t.Errorf("unparseable exposition line %q", line)
+			continue
+		}
+		if !metricName.MatchString(name) || strings.HasPrefix(name, "__") {
+			t.Errorf("metric name %q outside the grammar", name)
+		}
+		for _, l := range label.FindAllStringSubmatch(labels, -1) {
+			if !labelName.MatchString(l[1]) || strings.HasPrefix(l[1], "__") {
+				t.Errorf("label name %q of %s outside the grammar", l[1], name)
+			}
 		}
 	}
 }

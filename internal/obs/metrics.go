@@ -16,6 +16,8 @@ package obs
 import (
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -86,10 +88,34 @@ type child struct {
 	sum  atomic.Uint64 // float64 bits
 }
 
+// validName reports whether s is in the Prometheus name grammar — metric
+// names [a-zA-Z_:][a-zA-Z0-9_:]*, label names the same without ':' — and
+// clear of the "__" prefix Prometheus reserves for itself.
+func validName(s string, colon bool) bool {
+	if s == "" || strings.HasPrefix(s, "__") {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' ||
+			c == ':' && colon || c >= '0' && c <= '9' && i > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// register finds or creates a family. Every name is a literal in the
+// calling code, so a name outside the grammar is a bug and panics rather
+// than being rewritten into a series nobody asked for.
 func (r *Registry) register(name, help string, typ metricType, labels []string, buckets []float64) *family {
-	name = SanitizeMetricName(name)
-	for i, l := range labels {
-		labels[i] = SanitizeLabelName(l)
+	if !validName(name, true) {
+		panic("obs: invalid metric name " + strconv.Quote(name))
+	}
+	for _, l := range labels {
+		if !validName(l, false) {
+			panic("obs: metric " + name + ": invalid label name " + strconv.Quote(l))
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

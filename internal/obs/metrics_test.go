@@ -126,14 +126,33 @@ func TestBucketsMustAscend(t *testing.T) {
 	r.Histogram("bad", "Bad.", []float64{1, 1})
 }
 
-func TestNamesAreSanitized(t *testing.T) {
+// Registration refuses a name outside the Prometheus grammar instead of
+// rewriting it: every name is a literal, so a bad one is a bug.
+func TestRegisterRejectsInvalidNames(t *testing.T) {
+	for _, c := range []struct{ name, label string }{
+		{"band a/b", "band"},
+		{"9lives", "band"},
+		{"", "band"},
+		{"__reserved", "band"},
+		{"mfc_ok", "scenario name"},
+		{"mfc_ok", "a:b"},
+		{"mfc_ok", "__name__"},
+		{"mfc_ok", "0x"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CounterVec(%q, %q) did not panic", c.name, c.label)
+				}
+			}()
+			NewRegistry().CounterVec(c.name, "Bad.", c.label)
+		}()
+	}
 	r := NewRegistry()
-	v := r.CounterVec("band a/b", "Spaces and slash.", "scenario name")
-	v.With("loss 5%").Inc()
+	r.CounterVec("mfc:recording:rule", "Colons are metric-only.", "Band_9").With("loss 5%").Inc()
 	var sb strings.Builder
 	r.WriteTo(&sb)
-	want := `band_a_b{scenario_name="loss 5%"} 1`
-	if !strings.Contains(sb.String(), want+"\n") {
+	if want := `mfc:recording:rule{Band_9="loss 5%"} 1`; !strings.Contains(sb.String(), want+"\n") {
 		t.Errorf("exposition missing %q:\n%s", want, sb.String())
 	}
 }

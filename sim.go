@@ -30,25 +30,22 @@ type SimTarget struct {
 	// disables it).
 	Background BackgroundConfig
 	// Clients is the number of simulated PlanetLab clients (default 65,
-	// the paper's validation population). Ignored when ClientSpecs or
-	// Specs is set.
+	// the paper's validation population). Ignored when Specs is set.
 	Clients int
 	// LAN places the clients on the target's LAN (§3 lab setting) instead
 	// of the wide area.
 	LAN bool
-	// ClientSpecs overrides the generated client population entirely.
-	ClientSpecs []SimClientSpec
 	// Specs, when non-nil, generates the client population against the
 	// simulation environment — for populations that reference simulation
 	// entities, e.g. a shared middle bottleneck link (§2.2.3's confound).
-	// Takes precedence over Clients/LAN; ignored when ClientSpecs is set.
+	// Takes precedence over scenario RTT bands and Clients/LAN.
 	Specs func(env *netsim.Env) []SimClientSpec
 	// Scenario wraps the run's environment with scenario/chaos effects
 	// (loss, rate limiting, CDN tiers, RTT bands, scheduled faults...).
 	// nil is the clean environment; a scenario-wrapped run is still a pure
 	// function of (SimTarget, Config) — the scenario only redirects which
 	// deterministic run happens. When the scenario declares RTT bands they
-	// generate the client population (unless ClientSpecs/Specs override).
+	// generate the client population (unless Specs overrides).
 	Scenario *Scenario
 	// Seed drives every random choice (default 1). The same SimTarget and
 	// Config always produce the same Result.
@@ -92,8 +89,9 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 		server.EnableAccessLog()
 	}
 
-	specs := t.ClientSpecs
-	if specs == nil && t.Specs != nil {
+	// Population precedence: Specs > scenario RTT bands > Clients/LAN.
+	var specs []SimClientSpec
+	if t.Specs != nil {
 		specs = t.Specs(env)
 	}
 	if specs == nil {
