@@ -69,8 +69,10 @@ type CellAnalysis struct {
 	// BySite records each site's verdict code (campaign.VerdictIndex) so
 	// cross-cell joins — the confusion matrix — survive merging. One byte
 	// per site: O(Jobs) bytes total for a whole campaign, tiny next to a
-	// single shard of full records.
-	BySite []uint8
+	// single shard of full records. A shard partial spans only the sites
+	// its records hold, from siteOff on.
+	BySite  []uint8
+	siteOff int
 	// Curve maps ramp crowd size to its aggregate point.
 	Curve map[int]*CurvePoint
 	// Whole-cell request rollups over every epoch (ramp and check phases).
@@ -78,23 +80,41 @@ type CellAnalysis struct {
 	RampEpochs, CheckEpochs     int64
 }
 
-func newCellAnalysis(sites int) *CellAnalysis {
-	by := make([]uint8, sites)
+func newCellAnalysis() *CellAnalysis {
+	return &CellAnalysis{CellSummary: *campaign.NewCellSummary(), Curve: make(map[int]*CurvePoint)}
+}
+
+// site returns the verdict code of within-cell site i, SiteMissing when
+// no record for it has been folded in.
+func (c *CellAnalysis) site(i int) uint8 {
+	if i -= c.siteOff; i >= 0 && i < len(c.BySite) {
+		return c.BySite[i]
+	}
+	return SiteMissing
+}
+
+// cover widens the verdict array to span at least sites [lo, hi).
+func (c *CellAnalysis) cover(lo, hi int) {
+	if len(c.BySite) == 0 {
+		c.siteOff = lo
+	}
+	lo, hi = min(lo, c.siteOff), max(hi, c.siteOff+len(c.BySite))
+	if hi-lo == len(c.BySite) {
+		return
+	}
+	by := make([]uint8, hi-lo)
 	for i := range by {
 		by[i] = SiteMissing
 	}
-	return &CellAnalysis{
-		CellSummary: *campaign.NewCellSummary(),
-		BySite:      by,
-		Curve:       make(map[int]*CurvePoint),
-	}
+	copy(by[c.siteOff-lo:], c.BySite)
+	c.BySite, c.siteOff = by, lo
 }
 
 // add folds one record in; site is the record's within-cell site index.
 func (c *CellAnalysis) add(rec *campaign.Record, site int) {
 	c.CellSummary.Add(rec)
-	if site >= 0 && site < len(c.BySite) {
-		c.BySite[site] = uint8(campaign.VerdictIndex(rec.Verdict))
+	if i := site - c.siteOff; i >= 0 && i < len(c.BySite) {
+		c.BySite[i] = uint8(campaign.VerdictIndex(rec.Verdict))
 	}
 	if rec.Err != "" {
 		c.Errored++
@@ -123,13 +143,17 @@ func (c *CellAnalysis) add(rec *campaign.Record, site int) {
 	}
 }
 
-// Merge folds another cell partial (same cell, same plan) in.
+// Merge folds another cell partial (same cell, same plan) in, widening
+// the verdict array to o's sites: it costs O(o's span), not O(Sites).
 func (c *CellAnalysis) Merge(o *CellAnalysis) {
 	c.CellSummary.Merge(&o.CellSummary)
 	c.Errored += o.Errored
+	if len(o.BySite) > 0 {
+		c.cover(o.siteOff, o.siteOff+len(o.BySite))
+	}
 	for i, code := range o.BySite {
 		if code != SiteMissing {
-			c.BySite[i] = code
+			c.BySite[o.siteOff-c.siteOff+i] = code
 		}
 	}
 	for crowd, op := range o.Curve {
@@ -171,7 +195,8 @@ type Analysis struct {
 func NewAnalysis(plan *campaign.Plan) *Analysis {
 	a := &Analysis{Plan: plan, Cells: make([]*CellAnalysis, len(plan.Cells))}
 	for i := range a.Cells {
-		a.Cells[i] = newCellAnalysis(plan.Sites)
+		a.Cells[i] = newCellAnalysis()
+		a.Cells[i].cover(0, plan.Sites)
 	}
 	return a
 }
@@ -185,15 +210,26 @@ func (a *Analysis) Merge(o *Analysis) {
 }
 
 // AnalyzeShard folds one shard's records — in job order, repeats dropped
-// (campaign.UniqueByJob) — into a fresh analysis.
+// (campaign.UniqueByJob) — into a fresh partial. Each cell's verdict
+// array spans only the sites the records hold, so a partial costs
+// O(ShardJobs) bytes however large the plan.
 func AnalyzeShard(plan *campaign.Plan, recs []campaign.Record) *Analysis {
 	recs, _ = campaign.UniqueByJob(recs)
-	a := NewAnalysis(plan)
+	a := &Analysis{Plan: plan, Cells: make([]*CellAnalysis, len(plan.Cells)), Done: len(recs)}
+	for i := range a.Cells {
+		a.Cells[i] = newCellAnalysis()
+	}
 	for i := range recs {
 		j := recs[i].Job
-		a.Cells[plan.CellOf(j)].add(&recs[i], plan.SiteOf(j))
+		c := a.Cells[plan.CellOf(j)]
+		if len(c.BySite) == 0 {
+			// The cell's first record: in job order the rest of its
+			// records follow, up to the cell's end or the last record.
+			end := min(recs[len(recs)-1].Job, (plan.CellOf(j)+1)*plan.Sites-1)
+			c.cover(plan.SiteOf(j), plan.SiteOf(end)+1)
+		}
+		c.add(&recs[i], plan.SiteOf(j))
 	}
-	a.Done = len(recs)
 	return a
 }
 

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mfc/internal/campaign"
@@ -195,5 +197,97 @@ func TestMultiDirMatchesSingle(t *testing.T) {
 	}
 	if got := docJSON(t, partA, partB); !bytes.Equal(got, want) {
 		t.Errorf("split-store analyze differs from single store:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}
+
+// spanPlan is a two-cell plan (clean and lossy, so Doc builds a confusion
+// matrix) of sites sites per cell.
+func spanPlan(t *testing.T, sites, shardJobs int) *campaign.Plan {
+	t.Helper()
+	plan, err := campaign.NewPlan("spans", []population.Band{population.Rank1M},
+		[]core.Stage{core.StageBase}, []string{"", "lossy"}, sites, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.ShardJobs = shardJobs
+	return plan
+}
+
+// Partials of arbitrary, interleaved site spans merge into each other to
+// exactly what folding them, in the same order, into a whole-plan
+// NewAnalysis gives: every site's verdict and the rendered document.
+func TestMergeOfAnySpansEqualsFullFold(t *testing.T) {
+	plan := spanPlan(t, 50, 7)
+	rng := rand.New(rand.NewSource(1))
+	verdicts := []string{"Stopped", "NoStop", "Unavailable"}
+	groups := make([][]campaign.Record, 5)
+	for j := 0; j < plan.Jobs(); j++ {
+		if rng.Intn(10) < 3 {
+			continue // never measured: SiteMissing
+		}
+		rec := *fuzzShardRecord(j)
+		rec.Verdict = verdicts[rng.Intn(len(verdicts))]
+		g := rng.Intn(len(groups))
+		groups[g] = append(groups[g], rec)
+	}
+	partials := func() []*Analysis {
+		var out []*Analysis
+		for _, g := range groups {
+			out = append(out, AnalyzeShard(plan, append([]campaign.Record(nil), g...)))
+		}
+		return out
+	}
+
+	want := NewAnalysis(plan)
+	for _, p := range partials() {
+		want.Merge(p)
+	}
+	ps := partials()
+	got := ps[0]
+	for _, p := range ps[1:] {
+		got.Merge(p)
+	}
+
+	for c := range plan.Cells {
+		for s := 0; s < plan.Sites; s++ {
+			if g, w := got.Cells[c].site(s), want.Cells[c].site(s); g != w {
+				t.Errorf("cell %d site %d: merged partials say %d, full fold %d", c, s, g, w)
+			}
+		}
+	}
+	gotDoc, err := got.Doc().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDoc, err := want.Doc().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotDoc, wantDoc) {
+		t.Errorf("merged partials render differently from the full fold:\n--- want\n%s\n--- got\n%s", wantDoc, gotDoc)
+	}
+}
+
+// A shard partial of a 100k-site plan costs O(ShardJobs) bytes, not
+// O(Sites) per cell — here for the shard that straddles the cell
+// boundary, so both cells hold records.
+func TestShardPartialSizedToShard(t *testing.T) {
+	plan := spanPlan(t, 100_000, 512)
+	k := plan.ShardOf(plan.Sites)
+	lo, hi := plan.ShardRange(k)
+	recs := make([]campaign.Record, 0, hi-lo)
+	for j := lo; j < hi; j++ {
+		recs = append(recs, *fuzzShardRecord(j))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := AnalyzeShard(plan, recs)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*plan.ShardJobs); got > limit {
+		t.Errorf("shard partial allocated %d bytes, want at most %d (a whole-plan verdict array is %d per cell)",
+			got, limit, plan.Sites)
+	}
+	if spans := len(a.Cells[0].BySite) + len(a.Cells[1].BySite); spans != hi-lo {
+		t.Errorf("partial verdict arrays span %d sites, want the shard's %d", spans, hi-lo)
 	}
 }

@@ -226,7 +226,7 @@ func (a *Analysis) Doc() *Doc {
 		n := len(names)
 		counts := make([]int64, n*n) // [predicted][observed]
 		for site := 0; site < plan.Sites; site++ {
-			p, o := int(base.BySite[site]), int(scen.BySite[site])
+			p, o := int(base.site(site)), int(scen.site(site))
 			if p >= n || o >= n {
 				continue // SiteMissing on either side: no pair to join
 			}

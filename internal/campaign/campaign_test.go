@@ -232,6 +232,86 @@ func TestWorkerClosesSealedShardFiles(t *testing.T) {
 	}
 }
 
+// A claim lost mid-shard closes its appender when it returns: a second
+// owner takes the lease over after the first record is stored, the next
+// heartbeat fences the worker, and nothing of the shard stays open — while
+// the successor's lease is left in place.
+func TestFencedClaimClosesItsAppender(t *testing.T) {
+	dir := t.TempDir()
+	plan, err := NewPlan("fenced", []population.Band{population.Rank10K},
+		[]core.Stage{core.StageBase}, nil, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.MaxCrowd, plan.MinClients, plan.Clients, plan.ShardJobs = 5, 5, 8, 4
+	if err := plan.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	const ttl = time.Minute
+	clk := clocktest.New(time.Unix(1e9, 0))
+	src, err := OpenLeaseSource(clk, dir, "first", ttl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+
+	one := &fakeSource{claims: []func() (*Claim, error){
+		func() (*Claim, error) {
+			c, err := src.Claim(context.Background())
+			if err == nil {
+				c.Hold = &takeoverHold{Hold: c.Hold, t: t, clk: clk, dir: dir, ttl: ttl}
+			}
+			return c, err
+		},
+		func() (*Claim, error) { return nil, ErrComplete },
+	}}
+	st, err := Work(context.Background(), plan, one, nil, WorkOptions{Owner: "first", Workers: 1, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fenced != 1 || st.ShardsFinished != 0 {
+		t.Fatalf("status = %+v, want the one claim fenced", *st)
+	}
+	src.store.mu.Lock()
+	open := len(src.store.files)
+	src.store.mu.Unlock()
+	if open != 0 {
+		t.Errorf("%d shard appenders open after the fenced claim returned", open)
+	}
+	if info, err := lease.Read(LeasesDir(dir), ShardLeaseName(0)); err != nil || info.Owner != "successor" {
+		t.Errorf("shard lease after the fenced release: %+v, %v; want the successor's", info, err)
+	}
+}
+
+// takeoverHold stores a record, then — once — lets a second owner take the
+// shard's lease over on a clock past the TTL and moves the worker's clock
+// to its next heartbeat, which finds the claim lost. Each Persist then
+// waits for the fence to cancel the shard.
+type takeoverHold struct {
+	Hold
+	t    *testing.T
+	clk  *clocktest.Clock
+	dir  string
+	ttl  time.Duration
+	once sync.Once
+}
+
+func (h *takeoverHold) Persist(ctx context.Context, rec *Record) error {
+	if err := h.Hold.Persist(ctx, rec); err != nil {
+		return err
+	}
+	h.once.Do(func() {
+		later := clocktest.New(h.clk.Now().Add(2 * h.ttl))
+		lk, err := lease.AcquireOn(later, LeasesDir(h.dir), ShardLeaseName(0), "successor", h.ttl)
+		if err != nil || !lk.TookOver() {
+			h.t.Errorf("second owner's takeover: %v", err)
+		}
+		h.clk.Advance(h.ttl / 3)
+	})
+	<-ctx.Done()
+	return nil
+}
+
 // Saving a plan is idempotent, but replacing a campaign's plan is refused:
 // the plan is the store's identity.
 func TestPlanSaveRefusesReplacement(t *testing.T) {

@@ -30,7 +30,8 @@ var (
 	ErrComplete = errors.New("campaign: complete")
 	// ErrFenced is returned by a claim's Heartbeat, Persist or Seal when
 	// the claim was lost to a successor (stale-lease takeover, re-grant):
-	// the worker abandons the shard without releasing anything. Lost work
+	// the worker abandons the shard, releasing only what its own claim
+	// holds (an open appender), never the successor's lease. Lost work
 	// is only wasted, never wrong — records are pure functions of (plan,
 	// job) and every reader dedupes. It is the lease package's own
 	// sentinel, so the file-lease source needs no mapping; the grant source
@@ -68,7 +69,9 @@ type Hold interface {
 	// Seal gives the shard up with every job persisted.
 	Seal(ctx context.Context) error
 	// Release gives the shard up part-done (halt, cancellation, failure)
-	// so a peer can claim the rest without waiting out the TTL.
+	// so a peer can claim the rest without waiting out the TTL. After a
+	// lost claim it only closes what this hold has open; ErrFenced from it
+	// then means nothing.
 	Release() error
 }
 
@@ -245,8 +248,8 @@ func (w *shardWorker) loop(ctx context.Context) error {
 
 // runClaim measures and persists one claim's jobs under its heartbeat,
 // then gives the shard up: sealed when every job was persisted, released
-// part-done on halt, cancellation or failure, simply abandoned when
-// fenced (the successor owns it now). The error is what ends the worker.
+// part-done on halt, cancellation, failure or a lost claim (the successor
+// owns it now). The error is what ends the worker.
 func (w *shardWorker) runClaim(ctx context.Context, c *Claim) error {
 	w.st.ShardsClaimed++
 	if c.Takeover {
@@ -286,7 +289,10 @@ func (w *shardWorker) runClaim(ctx context.Context, c *Claim) error {
 	sealed := false
 	switch {
 	case fenced:
-		err = nil
+		// Release closes what the lost claim holds open, never the successor's.
+		if err = c.Release(); errors.Is(err, ErrFenced) {
+			err = nil
+		}
 	case err == nil:
 		// Every pending job is measured and stored. Losing the claim on
 		// the finish line changes nothing in the store, only who seals.

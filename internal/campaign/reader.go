@@ -1,8 +1,9 @@
 package campaign
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Skipped counts the shard-file lines a scan did not turn into records:
@@ -19,11 +20,11 @@ type Skipped struct {
 // any fold over the result depends only on WHICH jobs are done — never on
 // completion order, interruption history or how many workers raced.
 func UniqueByJob(recs []Record) ([]Record, int) {
-	byJob := func(i, j int) bool { return recs[i].Job < recs[j].Job }
+	byJob := func(a, b Record) int { return cmp.Compare(a.Job, b.Job) }
 	// Reader.Shard's output, which the per-shard folds pass through here a
 	// second time, is already sorted; the check is cheaper than the sort.
-	if !sort.SliceIsSorted(recs, byJob) {
-		sort.SliceStable(recs, byJob)
+	if !slices.IsSortedFunc(recs, byJob) {
+		slices.SortStableFunc(recs, byJob)
 	}
 	out := recs[:0]
 	for i := range recs {

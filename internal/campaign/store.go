@@ -210,9 +210,9 @@ func (s *Store) Close() error {
 // ShardScanner decodes shard files with reusable scratch: the line buffer
 // and the record slice survive across Scan calls, so a full-store scan
 // (Summarize, analyze, resume's Completed) costs one buffer however many
-// shards it visits instead of allocating per shard. Compact scans skip
-// the Result payload entirely — the JSON subtree is tokenized past, never
-// built — which is most of each line's bytes for campaign records.
+// shards it visits instead of allocating per shard. Each line is decoded
+// in one validating pass (decodeLine); compact scans validate the Result
+// payload, most of each line's bytes, but never build it.
 //
 // Not safe for concurrent use; give each goroutine its own scanner.
 type ShardScanner struct {
@@ -229,15 +229,16 @@ func NewShardScanner() *ShardScanner {
 	return &ShardScanner{buf: make([]byte, 0, 1<<20)}
 }
 
-// resultSkip discards the "result" subtree during compact scans: the
-// decoder still finds the subtree's end (so torn lines are detected
-// exactly as in full scans) but builds nothing.
+// resultSkip discards the "result" subtree when a compact scan hands a
+// non-canonical line to encoding/json: the subtree is still validated (so
+// torn lines are detected exactly as in full scans) but nothing is built.
 type resultSkip struct{}
 
 func (*resultSkip) UnmarshalJSON([]byte) error { return nil }
 
-// compactRecord decodes a Record with the Result payload skipped: its own
-// "result" field, being shallower, takes the key from the embedded one.
+// compactRecord is that fallback's target, a Record with the Result
+// payload skipped: its own "result" field, being shallower, takes the key
+// from the embedded one.
 type compactRecord struct {
 	Record
 	Result resultSkip `json:"result"`
@@ -269,16 +270,9 @@ func (sc *ShardScanner) scan(path string, shardJobs, k, totalJobs int, full bool
 
 	br := bufio.NewScanner(f)
 	br.Buffer(sc.buf, 16<<20) // full Results can be long lines
-	var compact compactRecord
 	for br.Scan() {
 		var rec Record
-		if full {
-			err = json.Unmarshal(br.Bytes(), &rec)
-		} else {
-			compact = compactRecord{}
-			err = json.Unmarshal(br.Bytes(), &compact)
-			rec = compact.Record
-		}
+		err = decodeLine(br.Bytes(), &rec, full)
 		switch {
 		case err != nil:
 			sc.Skipped.Torn++ // torn write: the job reruns
