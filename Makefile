@@ -60,8 +60,9 @@ experiments:
 	$(GO) test ./internal/experiments -run 'TestExperimentsDoc' -update
 	$(GO) run ./cmd/mfc-experiments
 
-# Short coverage-guided fuzz runs over the hostile-input parsers (the
-# checked-in seed corpora also run as plain unit tests under `make test`).
+# Short coverage-guided fuzz runs over the hostile-input parsers and the
+# site generator against its oracle (the checked-in seed corpora also run
+# as plain unit tests under `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardTail$$' -fuzztime 10s ./internal/campaign
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioConfig$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeShard$$' -fuzztime 10s ./internal/analyze
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanIngest$$' -fuzztime 10s ./internal/campaign/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/content
 
 # The multi-process scenarios — three workers over a shared dir or joined
 # to a `serve` control plane, one killed -9 mid-shard; report and analytics

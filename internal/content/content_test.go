@@ -113,3 +113,34 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// A Site is immutable: NewSite copies the caller's slice, so writing to it
+// afterwards changes nothing the site serves.
+func TestNewSiteCopiesObjects(t *testing.T) {
+	objs := []Object{{URL: "/a", Size: 1}, {URL: "/b", Size: 2, Links: []string{"/a"}}}
+	site, err := NewSite("h", "/a", objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs[0] = Object{URL: "/z", Size: 99}
+	objs[1].Size = 77
+	objs[1].URL = "/y"
+	if o, ok := site.Lookup("/a"); !ok || o.Size != 1 {
+		t.Errorf("Lookup(/a) = %+v, %v after the caller's write", o, ok)
+	}
+	if o, ok := site.Lookup("/b"); !ok || o.Size != 2 || o.URL != "/b" {
+		t.Errorf("Lookup(/b) = %+v, %v after the caller's write", o, ok)
+	}
+	for _, u := range []string{"/z", "/y"} {
+		if _, ok := site.Lookup(u); ok {
+			t.Errorf("Lookup(%s) found an object the caller wrote after NewSite", u)
+		}
+	}
+	if site.Len() != 2 || site.BasePage().Size != 1 {
+		t.Errorf("Len = %d, BasePage = %+v", site.Len(), site.BasePage())
+	}
+	got := site.Objects()
+	if len(got) != 2 || got[0].URL != "/a" || got[0].Size != 1 || got[1].URL != "/b" || got[1].Size != 2 {
+		t.Errorf("Objects = %+v after the caller's write", got)
+	}
+}

@@ -160,3 +160,16 @@ func TestParseBandRoundTrips(t *testing.T) {
 		t.Error("unknown band accepted")
 	}
 }
+
+// BenchmarkSampleAt is one site sample per band: the provisioning draw
+// plus the generated content tree, the first step of every campaign job.
+func BenchmarkSampleAt(b *testing.B) {
+	for _, band := range Bands {
+		b.Run(band.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SampleAt(band, i, 1)
+			}
+		})
+	}
+}
