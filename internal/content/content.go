@@ -9,6 +9,7 @@ package content
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -128,38 +129,48 @@ func Classify(url string) Kind {
 // simulated server hosts.
 type Site struct {
 	Host    string
-	Base    string // URL of the base page (e.g. "/index.html")
-	objects map[string]Object
+	Base    string           // URL of the base page (e.g. "/index.html")
+	objects []Object         // in the order they were given
+	index   map[string]int32 // URL -> position in objects
 }
 
 // NewSite builds a Site from objects. The base URL must be present among
 // the objects.
 func NewSite(host, base string, objects []Object) (*Site, error) {
-	m := make(map[string]Object, len(objects))
-	for _, o := range objects {
+	return newSite(host, base, slices.Clone(objects))
+}
+
+// newSite is NewSite keeping objects itself, for a caller that built the
+// slice for this site and never touches it again.
+func newSite(host, base string, objects []Object) (*Site, error) {
+	index := make(map[string]int32, len(objects))
+	for i, o := range objects {
 		if o.URL == "" {
 			return nil, fmt.Errorf("content: object with empty URL on host %q", host)
 		}
-		if _, dup := m[o.URL]; dup {
+		if index[o.URL] = int32(i); len(index) != i+1 {
 			return nil, fmt.Errorf("content: duplicate URL %q on host %q", o.URL, host)
 		}
-		m[o.URL] = o
 	}
-	if _, ok := m[base]; !ok {
+	if _, ok := index[base]; !ok {
 		return nil, fmt.Errorf("content: base page %q not among objects of host %q", base, host)
 	}
-	return &Site{Host: host, Base: base, objects: m}, nil
+	return &Site{Host: host, Base: base, objects: objects, index: index}, nil
 }
 
 // Lookup returns the object at url.
 func (s *Site) Lookup(url string) (Object, bool) {
-	o, ok := s.objects[url]
-	return o, ok
+	i, ok := s.index[url]
+	if !ok {
+		return Object{}, false
+	}
+	return s.objects[i], true
 }
 
 // BasePage returns the site's base page object.
 func (s *Site) BasePage() Object {
-	return s.objects[s.Base]
+	o, _ := s.Lookup(s.Base)
+	return o
 }
 
 // Len returns the number of objects.
@@ -167,9 +178,9 @@ func (s *Site) Len() int { return len(s.objects) }
 
 // URLs returns all object URLs in deterministic (sorted) order.
 func (s *Site) URLs() []string {
-	urls := make([]string, 0, len(s.objects))
-	for u := range s.objects {
-		urls = append(urls, u)
+	urls := make([]string, len(s.objects))
+	for i, o := range s.objects {
+		urls[i] = o.URL
 	}
 	sort.Strings(urls)
 	return urls
@@ -177,10 +188,8 @@ func (s *Site) URLs() []string {
 
 // Objects returns all objects in deterministic (URL-sorted) order.
 func (s *Site) Objects() []Object {
-	urls := s.URLs()
-	out := make([]Object, len(urls))
-	for i, u := range urls {
-		out[i] = s.objects[u]
-	}
+	out := make([]Object, len(s.objects))
+	copy(out, s.objects)
+	slices.SortFunc(out, func(a, b Object) int { return strings.Compare(a.URL, b.URL) })
 	return out
 }

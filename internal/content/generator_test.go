@@ -137,29 +137,9 @@ func requireSameSite(t *testing.T, got, want *Site) {
 	}
 }
 
-// The production generator matches the oracle on the configs the repo
-// uses and on ones that widen every zero-padded field past its width.
-func TestGenerateMatchesOracle(t *testing.T) {
-	cfgs := []GenConfig{
-		{},
-		{Pages: 60, Queries: 120, Binaries: 8, LargeObjects: 4, MaxLargeObjectSize: 400 * 1024},
-		{Pages: 5, Queries: 4, Binaries: 1, LargeObjects: 1},
-		{Pages: 1, ImagesPerPage: -1, Queries: -1, Binaries: 1},
-		{Pages: 3, ImagesPerPage: 90, Queries: 2, Binaries: 2, MaxLargeObjectSize: LargeObjectMin},
-		{Pages: 1200, Queries: 1100, Binaries: 120, ImagesPerPage: 7},
-	}
-	for ci, cfg := range cfgs {
-		for seed := int64(0); seed < 5; seed++ {
-			t.Run(fmt.Sprintf("cfg%d/seed%d", ci, seed), func(t *testing.T) {
-				requireSameSite(t, Generate("h.example", seed, cfg), oracleGenerate("h.example", seed, cfg))
-			})
-		}
-	}
-}
-
 func TestJitter64MatchesOracle(t *testing.T) {
 	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	for i := 0; i < 200000; i++ {
+	for i := 0; i < 2000000; i++ {
 		mean := int64(1 + i%50000)
 		if got, want := jitter64(a, mean), oracleJitter64(b, mean); got != want {
 			t.Fatalf("draw %d: jitter64 = %d, oracle %d", i, got, want)
@@ -170,10 +150,15 @@ func TestJitter64MatchesOracle(t *testing.T) {
 // FuzzGenerate drives Generate and the oracle with the same seed and
 // GenConfig and requires the same site. Field values are folded into
 // ranges that keep one run small but still cross every zero-pad width.
-// Seed corpus: testdata/fuzz/FuzzGenerate plus the seeds below.
+// Seed corpus: testdata/fuzz/FuzzGenerate plus the seeds below — the
+// defaults, the population bands' configs, every field at or below zero,
+// a page pool wider than the image cap, and every zero-pad width crossed.
 func FuzzGenerate(f *testing.F) {
 	f.Add(int64(1), 0, 0, 0, 0, 0, int64(0), int64(0), int64(0))
 	f.Add(int64(7), 60, 3, 8, 120, 4, int64(0), int64(0), int64(400*1024))
+	f.Add(int64(2), 5, 0, 1, 4, 1, int64(0), int64(0), int64(0))
+	f.Add(int64(3), 1, -1, 1, -1, 0, int64(0), int64(0), int64(0))
+	f.Add(int64(4), 3, 39, 2, 2, 0, int64(0), int64(0), int64(LargeObjectMin))
 	f.Add(int64(99), 1200, 7, 120, 1100, 3, int64(0), int64(0), int64(0))
 	f.Add(int64(-5), 2, -1, -3, -1, 9, int64(-1), int64(-1), int64(LargeObjectMin))
 	f.Fuzz(func(t *testing.T, seed int64, pages, imgs, bins, queries, large int, pageSize, querySize, maxLarge int64) {

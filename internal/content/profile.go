@@ -1,10 +1,11 @@
 package content
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -77,16 +78,20 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 		url   string
 		depth int
 	}
-	seen := map[string]bool{base: true}
-	queue := []item{{base, 0}}
+	// Sized for a small site: population sites run from two dozen objects
+	// to a few hundred, and sizing every crawl for its bound would cost the
+	// small ones more than growing costs the large ones.
+	const hint = 32
+	seen := make(map[string]struct{}, hint)
+	seen[base] = struct{}{}
+	queue := append(make([]item, 0, hint), item{base, 0})
 	prof := &Profile{Host: host, BaseURL: base, ByKind: make(map[Kind]int)}
 
-	for len(queue) > 0 && prof.Discovered < cfg.MaxObjects {
+	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		it := queue[0]
-		queue = queue[1:]
+		it := queue[head]
 		kind := Classify(it.url)
 
 		var size int64
@@ -116,8 +121,8 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 
 		if it.depth < cfg.MaxDepth {
 			for _, l := range links {
-				if !seen[l] {
-					seen[l] = true
+				if _, ok := seen[l]; !ok {
+					seen[l] = struct{}{}
 					queue = append(queue, item{l, it.depth + 1})
 				}
 			}
@@ -126,17 +131,11 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 	if prof.Discovered == 0 {
 		return nil, ErrEmptyCrawl
 	}
-	sort.Slice(prof.LargeObjects, func(i, j int) bool {
-		if prof.LargeObjects[i].Size != prof.LargeObjects[j].Size {
-			return prof.LargeObjects[i].Size > prof.LargeObjects[j].Size
-		}
-		return prof.LargeObjects[i].URL < prof.LargeObjects[j].URL
+	slices.SortFunc(prof.LargeObjects, func(a, b Object) int {
+		return cmp.Or(cmp.Compare(b.Size, a.Size), strings.Compare(a.URL, b.URL))
 	})
-	sort.Slice(prof.SmallQueries, func(i, j int) bool {
-		if prof.SmallQueries[i].Size != prof.SmallQueries[j].Size {
-			return prof.SmallQueries[i].Size < prof.SmallQueries[j].Size
-		}
-		return prof.SmallQueries[i].URL < prof.SmallQueries[j].URL
+	slices.SortFunc(prof.SmallQueries, func(a, b Object) int {
+		return cmp.Or(cmp.Compare(a.Size, b.Size), strings.Compare(a.URL, b.URL))
 	})
 	return prof, nil
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
@@ -196,7 +197,7 @@ type SiteSample struct {
 // call order.
 func SampleAt(b Band, i int, seed int64) SiteSample {
 	rng := rand.New(rand.NewSource(mixSeed(seed, int64(b), int64(i))))
-	name := fmt.Sprintf("%s-%05d", b, i)
+	name := siteName(b, i)
 	cfg := configFor(rng, b, name)
 	siteSeed := rng.Int63()
 	site := siteFor(b, name, siteSeed, rng)
@@ -204,6 +205,16 @@ func SampleAt(b Band, i int, seed int64) SiteSample {
 		Name: name, Band: b, Config: cfg, Site: site, Seed: siteSeed,
 		MeasureSeed: rng.Int63(),
 	}
+}
+
+// siteName is fmt.Sprintf("%s-%05d", b, i) in one allocation.
+func siteName(b Band, i int) string {
+	if i < 0 {
+		return fmt.Sprintf("%s-%05d", b, i)
+	}
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(i), 10)
+	return b.String() + "-" + "00000"[min(len(digits), 5):] + string(digits)
 }
 
 // mixSeed folds the inputs through splitmix64 finalizers so that adjacent
@@ -301,6 +312,5 @@ func siteFor(b Band, name string, seed int64, rng *rand.Rand) *content.Site {
 		// large object at all (§5.3 only ran the Base stage).
 		gc = content.GenConfig{Pages: 5, Queries: 4, Binaries: 1, LargeObjects: 1}
 	}
-	host := fmt.Sprintf("%s.example.net", name)
-	return content.Generate(host, seed, gc)
+	return content.Generate(name+".example.net", seed, gc)
 }

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -171,5 +172,29 @@ func BenchmarkSampleAt(b *testing.B) {
 				SampleAt(band, i, 1)
 			}
 		})
+	}
+}
+
+func TestSiteNameMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 7, 42, 999, 12345, 99999, 100000, 1234567, -1, -42, -9999, -10000, -123456} {
+		for _, b := range []Band{Rank1K, Phishing, Band(9)} {
+			if got, want := siteName(b, i), fmt.Sprintf("%s-%05d", b, i); got != want {
+				t.Errorf("siteName(%v, %d) = %q, want %q", b, i, got, want)
+			}
+		}
+	}
+}
+
+// TestAllocBudgetSampleAt keeps site sampling cheap: a Rank10K sample made
+// 671 allocations when it formatted every URL with fmt and deduped links
+// through a map per page, and 13 after.
+func TestAllocBudgetSampleAt(t *testing.T) {
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		SampleAt(Rank10K, i, 1)
+		i++
+	})
+	if allocs > 100 {
+		t.Errorf("%.0f allocs per Rank10K SampleAt, budget 100", allocs)
 	}
 }
