@@ -194,18 +194,30 @@ func goldenLine(t *testing.T, c goldenCase) string {
 		srv.Served(), srv.Refused(), srv.RateLimited(), srv.JunkServed(), srv.EdgeHits())
 }
 
-// TestGoldenRequestPath compares every case against the checked-in bytes.
+// TestGoldenRequestPath compares every case against the checked-in bytes,
+// under the batched and the reference immediate-reallocate kernel.
 func TestGoldenRequestPath(t *testing.T) {
-	path := filepath.Join("testdata", "request_path.golden")
-	var got bytes.Buffer
+	var batched, immediate bytes.Buffer
 	for _, c := range goldenCases(t) {
-		got.WriteString(goldenLine(t, c))
+		batched.WriteString(goldenLine(t, c))
 	}
-	if *updateGolden {
+	underImmediateKernel(t, func() {
+		for _, c := range goldenCases(t) {
+			immediate.WriteString(goldenLine(t, c))
+		}
+	})
+	checkRequestPath(t, "batched", batched.String())
+	checkRequestPath(t, "immediate", immediate.String())
+}
+
+func checkRequestPath(t *testing.T, kernel, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "request_path.golden")
+	if *updateGolden && kernel == "batched" {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -214,14 +226,14 @@ func TestGoldenRequestPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
-	gotLines := strings.Split(got.String(), "\n")
+	gotLines := strings.Split(got, "\n")
 	wantLines := strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("golden has %d lines, this tree produces %d", len(wantLines), len(gotLines))
+		t.Fatalf("%s: golden has %d lines, this tree produces %d", kernel, len(wantLines), len(gotLines))
 	}
 	for i := range wantLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("request path diverged from the pinned bytes\n  want: %s\n  got:  %s", wantLines[i], gotLines[i])
+			t.Errorf("%s: request path diverged from the pinned bytes\n  want: %s\n  got:  %s", kernel, wantLines[i], gotLines[i])
 		}
 	}
 }

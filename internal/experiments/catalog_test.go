@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math"
@@ -11,18 +13,26 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the generated rows of EXPERIMENTS.md from this tree")
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated rows or testdata/catalog.golden from this tree")
 
-// headlines runs every catalog entry once, at the seed its entry pins, for
-// both tests below (~10 s, most of it ab-check and the §5 cells).
-var headlines = sync.OnceValue(func() [][]Metric {
-	out := make([][]Metric, len(Catalog))
+// catalogRun is one catalog entry's report, reduced to what the tests
+// below compare: its headline metrics and the sha256 of its printed text.
+type catalogRun struct {
+	headline []Metric
+	digest   string
+}
+
+// runs runs every catalog entry once, at the seed its entry pins, for the
+// tests below (~10 s, most of it ab-check and the §5 cells).
+var runs = sync.OnceValue(func() []catalogRun {
+	out := make([]catalogRun, len(Catalog))
 	for i, e := range Catalog {
 		r, err := e.Run(e.Seed)
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", e.ID, err))
 		}
-		out[i] = r.Headline()
+		sum := sha256.Sum256([]byte(Text(r)))
+		out[i] = catalogRun{headline: r.Headline(), digest: hex.EncodeToString(sum[:])}
 	}
 	return out
 })
@@ -47,7 +57,7 @@ func TestPaperFidelity(t *testing.T) {
 	}
 	for i, e := range Catalog {
 		covered := map[string]bool{}
-		for _, m := range headlines()[i] {
+		for _, m := range runs()[i].headline {
 			b, ok := e.within(m.Name)
 			if !ok {
 				continue
@@ -99,7 +109,7 @@ func catalogDoc() string {
 	b.WriteString("|----|------------|-------|---------------------------------|\n")
 	for i, e := range Catalog {
 		var cells []string
-		for _, m := range headlines()[i] {
+		for _, m := range runs()[i].headline {
 			cell := m.Name + " " + num(m.Value)
 			if bound, ok := e.within(m.Name); ok {
 				cell += " (" + band(bound) + ")"
@@ -150,4 +160,42 @@ func TestExperimentsDoc(t *testing.T) {
 	}
 	t.Fatalf("%s has %d lines after the generated rows that the catalog does not produce (regenerate with `make experiments`)",
 		path, len(haveLines)-len(wantLines))
+}
+
+// TestCatalogGolden pins every catalog report byte for byte: one line per
+// entry, its id and the sha256 of what mfc-experiments prints for it at
+// the entry's seed. Regenerate only for an intentional behaviour change:
+//
+//	go test ./internal/experiments -run TestCatalogGolden -update
+func TestCatalogGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole catalog")
+	}
+	const path = "testdata/catalog.golden"
+	var got strings.Builder
+	for i, e := range Catalog {
+		fmt.Fprintf(&got, "%s %s\n", e.ID, runs()[i].digest)
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s has %d lines, the catalog produces %d", path, len(wantLines), len(gotLines))
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("catalog report diverged from the pinned bytes\n  want: %s\n  got:  %s", wantLines[i], gotLines[i])
+		}
+	}
 }

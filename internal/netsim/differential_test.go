@@ -1,44 +1,104 @@
 package netsim
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
-// The batched kernel defers Link waterfills to the end of each simulated
-// instant; the reference kernel recomputes on every flow change. The two
-// must be observably indistinguishable. These tests drive identical
-// scenarios through both kernels and require identical traces, covering
-// the adversarial same-instant cases individually and a seeded random
-// workload for breadth. The full-experiment differential lives in the
-// repository root (differential_test.go); this file locks the kernel
-// itself.
+// Every scenario below drives one deterministic workload and requires its
+// trace to equal the section of testdata/kernel_traces.golden named after
+// it, under both the batched and the reference immediate-reallocate
+// kernel: the pinned bytes are the reference kernel's. The adversarial
+// same-instant cases each get a scenario; a seeded random workload adds
+// breadth. Regenerate only for an intentional behaviour change:
+//
+//	go test ./internal/netsim -run Differential -update
+
+var updateTraces = flag.Bool("update", false, "rewrite testdata/kernel_traces.golden from this tree")
+
+const tracesPath = "testdata/kernel_traces.golden"
 
 // scenario drives one deterministic workload, appending observable facts
 // (virtual times, byte counts, completion order) to the trace.
 type scenario func(env *Env, trace *[]string)
 
-// runBoth executes sc under the batched and the immediate kernel and
-// fails the test if any trace line differs.
+// runBoth executes sc under the batched and the immediate kernel and fails
+// the test if either trace differs from the pinned section name.
 func runBoth(t *testing.T, name string, seed int64, sc scenario) {
 	t.Helper()
-	var traces [2][]string
-	for mode, immediate := range []bool{false, true} {
+	for _, immediate := range []bool{false, true} {
 		env := NewEnv(seed)
 		env.SetImmediateReallocate(immediate)
-		sc(env, &traces[mode])
-		traces[mode] = append(traces[mode], fmt.Sprintf("end now=%v", env.Now()))
-	}
-	if len(traces[0]) != len(traces[1]) {
-		t.Fatalf("%s: batched trace has %d lines, immediate %d\nbatched: %q\nimmediate: %q",
-			name, len(traces[0]), len(traces[1]), traces[0], traces[1])
-	}
-	for i := range traces[0] {
-		if traces[0][i] != traces[1][i] {
-			t.Errorf("%s: trace line %d diverges\n  batched:   %s\n  immediate: %s",
-				name, i, traces[0][i], traces[1][i])
+		var trace []string
+		sc(env, &trace)
+		trace = append(trace, fmt.Sprintf("end now=%v", env.Now()))
+		if *updateTraces && !immediate {
+			writeTrace(t, name, trace)
+			continue
 		}
+		_, secs := readTraces(t)
+		want := secs[name]
+		if want == nil {
+			t.Fatalf("%s: no pinned trace in %s (generate with -update)", name, tracesPath)
+		}
+		if len(trace) != len(want) {
+			t.Fatalf("%s (immediate=%v): trace has %d lines, the pin %d", name, immediate, len(trace), len(want))
+		}
+		for i := range want {
+			if trace[i] != want[i] {
+				t.Errorf("%s (immediate=%v): trace line %d diverged from the pin\n  want: %s\n  got:  %s",
+					name, immediate, i, want[i], trace[i])
+			}
+		}
+	}
+}
+
+// readTraces parses the golden file: a "== name" line opens each section
+// and the trace lines follow. It returns the section names in file order.
+func readTraces(t *testing.T) ([]string, map[string][]string) {
+	t.Helper()
+	data, err := os.ReadFile(tracesPath)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var names []string
+	secs := map[string][]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "== "); ok {
+			names = append(names, name)
+			secs[name] = []string{}
+		} else if len(names) > 0 && line != "" {
+			secs[names[len(names)-1]] = append(secs[names[len(names)-1]], line)
+		}
+	}
+	return names, secs
+}
+
+// writeTrace replaces (or appends) section name of the golden file.
+func writeTrace(t *testing.T, name string, trace []string) {
+	t.Helper()
+	names, secs := readTraces(t)
+	if _, ok := secs[name]; !ok {
+		names = append(names, name)
+	}
+	secs[name] = trace
+	var b strings.Builder
+	for _, n := range names {
+		b.WriteString("== " + n + "\n")
+		for _, line := range secs[n] {
+			b.WriteString(line + "\n")
+		}
+	}
+	if err := os.MkdirAll(filepath.Dir(tracesPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tracesPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,7 +210,7 @@ func TestDifferentialRandomChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runBoth(t, "churn", seed, func(env *Env, trace *[]string) {
+			runBoth(t, fmt.Sprintf("churn/seed%d", seed), seed, func(env *Env, trace *[]string) {
 				fast := env.NewLink("fast", 5e5)
 				slow := env.NewLink("slow", 5e4)
 				res := env.NewResource("res", 2)
