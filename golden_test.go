@@ -1,21 +1,27 @@
 package mfc
 
 // The request-path oracle. Every line of testdata/request_path.golden is
-// one simulated experiment reduced by fingerprint (Result JSON, access-log
+// one simulated experiment reduced by fingerprintOf (Result JSON, access-log
 // hash, virtual elapsed) plus the server's own counters, generated once at
 // the commit before the stackless request path landed. The kernel keeps no
 // reference implementation to compare against, so these bytes are what
-// "unchanged behaviour" means: the differential matrix of
-// differential_test.go plus every request-path branch that matrix misses.
-// Regenerate only for an intentional behaviour change:
+// "unchanged behaviour" means: QTNP across eight seeds, structurally
+// different presets and population bands, plus every request-path branch
+// that matrix misses. The same lines came out of the eager-reallocate
+// kernel while it still existed. Regenerate it, or its two sibling pins
+// (the netsim scenario traces, the catalog report digests), only for an
+// intentional behaviour change:
 //
 //	go test -run TestGoldenRequestPath -update .
+//	go test ./internal/netsim -run Differential -update
+//	go test ./internal/experiments -run TestCatalogGolden -update
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -61,8 +67,8 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	var cases []goldenCase
 
-	// The differential matrix: QTNP x 8 seeds with samples kept, the
-	// structurally different presets, the four population bands.
+	// The seed matrix: QTNP x 8 seeds with samples kept, the structurally
+	// different presets, the four population bands.
 	keep := config(func(c *Config) { c.MaxCrowd = 50; c.MinClients = 50; c.KeepSamples = true })
 	for seed := int64(1); seed <= 8; seed++ {
 		cases = append(cases, goldenCase{name: fmt.Sprintf("qtnp/seed%d", seed), target: qtnp(seed), cfg: keep})
@@ -180,6 +186,32 @@ func flapStorm() *Scenario {
 	return sc
 }
 
+// runFingerprint reduces one simulated experiment to a comparable tuple:
+// the full Result JSON, a hash of the server's request-arrival trace, and
+// the virtual time span.
+type runFingerprint struct {
+	resultJSON string
+	traceHash  string
+	elapsed    string
+}
+
+func fingerprintOf(t *testing.T, run *Session) runFingerprint {
+	t.Helper()
+	res, err := json.Marshal(run.Result)
+	if err != nil {
+		t.Fatalf("encoding result: %v", err)
+	}
+	h := sha256.New()
+	for _, a := range run.Server.AccessLog() {
+		fmt.Fprintf(h, "%d %s %s %s\n", a.At, a.Method, a.URL, a.Tag)
+	}
+	return runFingerprint{
+		resultJSON: string(res),
+		traceHash:  hex.EncodeToString(h.Sum(nil)),
+		elapsed:    run.VirtualElapsed.String(),
+	}
+}
+
 func goldenLine(t *testing.T, c goldenCase) string {
 	t.Helper()
 	run, err := Run(context.Background(), c.target, c.cfg, c.opts...)
@@ -194,30 +226,18 @@ func goldenLine(t *testing.T, c goldenCase) string {
 		srv.Served(), srv.Refused(), srv.RateLimited(), srv.JunkServed(), srv.EdgeHits())
 }
 
-// TestGoldenRequestPath compares every case against the checked-in bytes,
-// under the batched and the reference immediate-reallocate kernel.
+// TestGoldenRequestPath compares every case against the checked-in bytes.
 func TestGoldenRequestPath(t *testing.T) {
-	var batched, immediate bytes.Buffer
-	for _, c := range goldenCases(t) {
-		batched.WriteString(goldenLine(t, c))
-	}
-	underImmediateKernel(t, func() {
-		for _, c := range goldenCases(t) {
-			immediate.WriteString(goldenLine(t, c))
-		}
-	})
-	checkRequestPath(t, "batched", batched.String())
-	checkRequestPath(t, "immediate", immediate.String())
-}
-
-func checkRequestPath(t *testing.T, kernel, got string) {
-	t.Helper()
 	path := filepath.Join("testdata", "request_path.golden")
-	if *updateGolden && kernel == "batched" {
+	var got bytes.Buffer
+	for _, c := range goldenCases(t) {
+		got.WriteString(goldenLine(t, c))
+	}
+	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -226,14 +246,14 @@ func checkRequestPath(t *testing.T, kernel, got string) {
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
-	gotLines := strings.Split(got, "\n")
+	gotLines := strings.Split(got.String(), "\n")
 	wantLines := strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%s: golden has %d lines, this tree produces %d", kernel, len(wantLines), len(gotLines))
+		t.Fatalf("golden has %d lines, this tree produces %d", len(wantLines), len(gotLines))
 	}
 	for i := range wantLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("%s: request path diverged from the pinned bytes\n  want: %s\n  got:  %s", kernel, wantLines[i], gotLines[i])
+			t.Errorf("request path diverged from the pinned bytes\n  want: %s\n  got:  %s", wantLines[i], gotLines[i])
 		}
 	}
 }

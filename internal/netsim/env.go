@@ -88,15 +88,14 @@
 //     instead of N. Flush order is registration order, never map iteration,
 //     so runs stay byte-deterministic. No virtual time passes between a
 //     flow change and its flush, so rates, byte accounting, and completion
-//     instants are exactly those of eager recomputation. One narrower
-//     behavior does differ from the pre-batching kernel: the completion
+//     instants are exactly those of eager recomputation. The completion
 //     callback's calendar entry is pushed at the flush rather than
-//     mid-instant, so its tie-break order against an entry independently
-//     scheduled for the very same future nanosecond can change. The
-//     reference "immediate" kernel — reallocate on every change — remains
-//     selectable per environment (SetImmediateReallocate), and the
-//     differential tests verify end-to-end result equality across seeds,
-//     presets, and population bands.
+//     mid-instant, so against an entry independently scheduled for the very
+//     same future nanosecond it may tie-break differently than eager
+//     recomputation; no pinned run does. The pins — the scenario traces in
+//     testdata/kernel_traces.golden, the root request-path golden and the
+//     experiment catalog's report digests — are bytes the eager kernel
+//     produced too.
 //
 //   - Recycled stackless processes. A dead stackless Proc is reused by the
 //     next Spawn and keeps its monotonic block counter, so wakeups aimed at
@@ -128,11 +127,6 @@ type Env struct {
 	rng    *rand.Rand
 	err    any // panic value recovered from a process
 	stats  Stats
-
-	// immediate selects the reference kernel: every Link flow change
-	// recomputes the waterfill eagerly instead of once per instant. The
-	// differential tests run both kernels and require identical output.
-	immediate bool
 }
 
 // NewEnv returns an environment whose random source is seeded with seed.
@@ -141,17 +135,6 @@ func NewEnv(seed int64) *Env {
 		yield: make(chan struct{}, 1),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
-}
-
-// SetImmediateReallocate switches between the batched kernel (default,
-// false) and the reference immediate-reallocate kernel. Call it before the
-// simulation runs; switching to immediate mid-run flushes any pending
-// recomputations first so no link is left with stale rates.
-func (e *Env) SetImmediateReallocate(on bool) {
-	if on {
-		e.flushDirty()
-	}
-	e.immediate = on
 }
 
 // flushDirty recomputes the waterfill of every dirty link, in the order the

@@ -176,11 +176,10 @@ func TestCanceledAtDoesNotExtendClock(t *testing.T) {
 	}
 }
 
-// Faults injected mid-run must be kernel-invariant: the batched and the
-// immediate kernels see identical flap/step/loss sequences and must produce
-// identical completion traces.
+// Faults injected mid-run: a capacity step, a flap and a loss burst must
+// leave the completion trace equal to its pin.
 func TestDifferentialFaultSequence(t *testing.T) {
-	runBoth(t, "faults", 5, func(env *Env, trace *[]string) {
+	checkTrace(t, "faults", 5, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 2000)
 		for i := 0; i < 6; i++ {
 			i := i

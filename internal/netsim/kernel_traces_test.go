@@ -10,12 +10,14 @@ import (
 	"time"
 )
 
-// Every scenario below drives one deterministic workload and requires its
-// trace to equal the section of testdata/kernel_traces.golden named after
-// it, under both the batched and the reference immediate-reallocate
-// kernel: the pinned bytes are the reference kernel's. The adversarial
-// same-instant cases each get a scenario; a seeded random workload adds
-// breadth. Regenerate only for an intentional behaviour change:
+// The kernel's pinned traces. Every scenario below drives one deterministic
+// workload and requires its trace to equal the section of
+// testdata/kernel_traces.golden named after it. The pins were taken when
+// an eager reference kernel (waterfill on every flow change) still ran
+// beside the batched one and produced the same bytes, so they are what
+// "the batched flush is invisible" means. The adversarial same-instant
+// cases each get a scenario; a seeded random workload adds breadth.
+// Regenerate only for an intentional behaviour change:
 //
 //	go test ./internal/netsim -run Differential -update
 
@@ -27,33 +29,29 @@ const tracesPath = "testdata/kernel_traces.golden"
 // (virtual times, byte counts, completion order) to the trace.
 type scenario func(env *Env, trace *[]string)
 
-// runBoth executes sc under the batched and the immediate kernel and fails
-// the test if either trace differs from the pinned section name.
-func runBoth(t *testing.T, name string, seed int64, sc scenario) {
+// checkTrace runs sc on a fresh environment and fails the test if its trace
+// differs from the pinned section name.
+func checkTrace(t *testing.T, name string, seed int64, sc scenario) {
 	t.Helper()
-	for _, immediate := range []bool{false, true} {
-		env := NewEnv(seed)
-		env.SetImmediateReallocate(immediate)
-		var trace []string
-		sc(env, &trace)
-		trace = append(trace, fmt.Sprintf("end now=%v", env.Now()))
-		if *updateTraces && !immediate {
-			writeTrace(t, name, trace)
-			continue
-		}
-		_, secs := readTraces(t)
-		want := secs[name]
-		if want == nil {
-			t.Fatalf("%s: no pinned trace in %s (generate with -update)", name, tracesPath)
-		}
-		if len(trace) != len(want) {
-			t.Fatalf("%s (immediate=%v): trace has %d lines, the pin %d", name, immediate, len(trace), len(want))
-		}
-		for i := range want {
-			if trace[i] != want[i] {
-				t.Errorf("%s (immediate=%v): trace line %d diverged from the pin\n  want: %s\n  got:  %s",
-					name, immediate, i, want[i], trace[i])
-			}
+	env := NewEnv(seed)
+	var trace []string
+	sc(env, &trace)
+	trace = append(trace, fmt.Sprintf("end now=%v", env.Now()))
+	if *updateTraces {
+		writeTrace(t, name, trace)
+		return
+	}
+	_, secs := readTraces(t)
+	want := secs[name]
+	if want == nil {
+		t.Fatalf("%s: no pinned trace in %s (generate with -update)", name, tracesPath)
+	}
+	if len(trace) != len(want) {
+		t.Fatalf("%s: trace has %d lines, the pin %d", name, len(trace), len(want))
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Errorf("%s: trace line %d diverged from the pin\n  want: %s\n  got:  %s", name, i, want[i], trace[i])
 		}
 	}
 }
@@ -109,9 +107,9 @@ func logf(trace *[]string, format string, args ...any) {
 
 // A synchronized wave: many flows with distinct caps arrive at the same
 // instant — the exact case batching collapses from N waterfills to one.
-// Every completion time and the final byte count must match the reference.
+// Every completion time and the final byte count must match the pin.
 func TestDifferentialSynchronizedWave(t *testing.T) {
-	runBoth(t, "wave", 1, func(env *Env, trace *[]string) {
+	checkTrace(t, "wave", 1, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 1e6)
 		for i := 0; i < 24; i++ {
 			i := i
@@ -128,9 +126,9 @@ func TestDifferentialSynchronizedWave(t *testing.T) {
 
 // A flow added and removed in the same instant (TransferTimeout with a
 // zero deadline) must leave the surviving flows' rates — and therefore
-// their completion times — identical under both kernels.
+// their completion times — equal to the pin.
 func TestDifferentialAddRemoveSameInstant(t *testing.T) {
-	runBoth(t, "add-remove", 2, func(env *Env, trace *[]string) {
+	checkTrace(t, "add-remove", 2, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 1000)
 		for i := 0; i < 3; i++ {
 			i := i
@@ -153,7 +151,7 @@ func TestDifferentialAddRemoveSameInstant(t *testing.T) {
 // A link touched several times at one instant — a scheduled completion, two
 // arrivals, and an abort all at the same timestamp.
 func TestDifferentialLinkTouchedTwice(t *testing.T) {
-	runBoth(t, "touched-twice", 3, func(env *Env, trace *[]string) {
+	checkTrace(t, "touched-twice", 3, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 1000)
 		env.Go("first", func(p *Proc) {
 			// Alone on the link: 500 bytes at 1000 B/s completes exactly at
@@ -180,7 +178,7 @@ func TestDifferentialLinkTouchedTwice(t *testing.T) {
 // A proc dying at the same timestamp a new proc spawns (and is recycled
 // into it) while both touch the same link.
 func TestDifferentialDeathAndSpawnSameInstant(t *testing.T) {
-	runBoth(t, "death-spawn", 4, func(env *Env, trace *[]string) {
+	checkTrace(t, "death-spawn", 4, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 1000)
 		done := env.NewEvent()
 		env.Go("dying", func(p *Proc) {
@@ -205,12 +203,12 @@ func TestDifferentialDeathAndSpawnSameInstant(t *testing.T) {
 
 // Seeded random churn across two links and a resource: sleeps, transfers,
 // tight timeouts, and aborts drawn from the environment RNG. Eight seeds;
-// any behavioral divergence between the kernels shows up as a trace diff.
+// any behavioral change shows up as a trace diff.
 func TestDifferentialRandomChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runBoth(t, fmt.Sprintf("churn/seed%d", seed), seed, func(env *Env, trace *[]string) {
+			checkTrace(t, fmt.Sprintf("churn/seed%d", seed), seed, func(env *Env, trace *[]string) {
 				fast := env.NewLink("fast", 5e5)
 				slow := env.NewLink("slow", 5e4)
 				res := env.NewResource("res", 2)

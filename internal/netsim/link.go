@@ -15,10 +15,9 @@ import (
 // simulated instant, when the clock is about to advance (see Env.Run). A
 // synchronized crowd of N arrivals at one timestamp therefore costs one
 // recomputation, not N. Within an instant no virtual time passes, so the
-// deferred rates, byte accounting, and completion instants equal the eager
-// kernel's — the differential tests verify it end to end against the
-// reference immediate-reallocate kernel (see env.go's package comment for
-// the one narrow divergence: same-nanosecond tie-break order of the
+// deferred rates, byte accounting, and completion instants equal eager
+// recomputation's (see env.go's package comment for the pinned traces and
+// the one narrow difference: same-nanosecond tie-break order of the
 // completion callback).
 //
 // This is the standard flow-level abstraction of TCP bandwidth sharing: with
@@ -257,14 +256,9 @@ func (l *Link) abort(fl *Flow) {
 	l.changed()
 }
 
-// changed records that the flow set was mutated at the current instant. In
-// the batched kernel it registers the link for the end-of-instant flush; in
-// the reference immediate kernel it recomputes on the spot.
+// changed records that the flow set was mutated at the current instant: it
+// registers the link for the end-of-instant flush.
 func (l *Link) changed() {
-	if l.env.immediate {
-		l.reallocate()
-		return
-	}
 	if l.dirty {
 		return
 	}

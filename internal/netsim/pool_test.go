@@ -249,8 +249,8 @@ func BenchmarkEnvGoSpawn(b *testing.B) {
 }
 
 // BenchmarkLinkWaterfill measures a synchronized crowd wave: 50 flows
-// arriving at one simulated instant and draining. The batched kernel runs
-// one waterfill for the whole wave where the immediate kernel runs 50.
+// arriving at one simulated instant and draining: one waterfill for the
+// whole wave, where recomputing on every flow change would run 50.
 func BenchmarkLinkWaterfill(b *testing.B) {
 	env := NewEnv(1)
 	link := env.NewLink("bench", 1e9)

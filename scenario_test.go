@@ -9,15 +9,12 @@ package mfc
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// fingerprintScenario is fingerprint() with Result.Scenario blanked: the
+// fingerprintScenario is fingerprintOf with Result.Scenario blanked: the
 // scenario label is intentional metadata, everything else must match the
 // clean run bit for bit when the scenario is zero-intensity.
 func fingerprintScenario(t *testing.T, target SimTarget, cfg Config) runFingerprint {
@@ -27,19 +24,7 @@ func fingerprintScenario(t *testing.T, target SimTarget, cfg Config) runFingerpr
 		t.Fatalf("experiment failed: %v", err)
 	}
 	run.Result.Scenario = ""
-	res, err := json.Marshal(run.Result)
-	if err != nil {
-		t.Fatalf("encoding result: %v", err)
-	}
-	h := sha256.New()
-	for _, a := range run.Server.AccessLog() {
-		fmt.Fprintf(h, "%d %s %s %s\n", a.At, a.Method, a.URL, a.Tag)
-	}
-	return runFingerprint{
-		resultJSON: string(res),
-		traceHash:  hex.EncodeToString(h.Sum(nil)),
-		elapsed:    run.VirtualElapsed.String(),
-	}
+	return fingerprintOf(t, run)
 }
 
 // zeroIntensityScenario configures every effect the engine knows at zero

@@ -64,11 +64,6 @@ type SimTarget struct {
 	MonitorPeriod time.Duration
 }
 
-// newSimEnv builds every simulated run's environment. It is a variable so
-// that the differential tests can run whole experiments on the reference
-// immediate-reallocate kernel; nothing else assigns it.
-var newSimEnv = netsim.NewEnv
-
 // open implements Target.
 func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding, error) {
 	if t.Site == nil {
@@ -83,7 +78,7 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 		return nil, fmt.Errorf("mfc: SimTarget.Scenario: %w", err)
 	}
 	serverCfg := scen.WrapServer(t.Server)
-	env := newSimEnv(seed)
+	env := netsim.NewEnv(seed)
 	server := websim.NewServer(env, serverCfg, t.Site)
 	if !t.NoAccessLog {
 		server.EnableAccessLog()
