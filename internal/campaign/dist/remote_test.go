@@ -23,13 +23,19 @@ import (
 // cleanup so tests only speak HTTP to it, like real joined workers.
 func startControlPlane(t *testing.T, dir string, opts serve.Options) (*serve.Server, string) {
 	t.Helper()
-	srv, err := serve.New(dir, opts)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return serveOn(t, dir, opts, ln), ln.Addr().String()
+}
+
+// serveOn is startControlPlane on a listener the caller made.
+func serveOn(t *testing.T, dir string, opts serve.Options, ln net.Listener) *serve.Server {
+	t.Helper()
+	srv, err := serve.New(dir, opts)
 	if err != nil {
-		srv.Close()
+		ln.Close()
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -42,7 +48,34 @@ func startControlPlane(t *testing.T, dir string, opts serve.Options) (*serve.Ser
 		}
 		srv.Close()
 	})
-	return srv, ln.Addr().String()
+	return srv
+}
+
+// connCounter is a listener that counts the connections it accepted and
+// the server has not yet closed.
+type connCounter struct {
+	net.Listener
+	open atomic.Int64
+}
+
+func (l *connCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &countedConn{Conn: c, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l    *connCounter
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.l.open.Add(-1) })
+	return c.Conn.Close()
 }
 
 // Three workers joined over HTTP — no filesystem shared with the plan —
@@ -296,11 +329,10 @@ func TestHelperRemoteWorkProcess(t *testing.T) {
 }
 
 // The networked acceptance scenario: a joined worker is SIGKILLed
-// mid-shard; the server reaps its silent grant after the TTL — real time:
-// the victim's last requests may still be in flight when it dies, so no
-// single step of a fake clock is known to come after them — re-grants
-// the shard (bumping the fence), a rescuer finishes the campaign, and
-// the report is byte-identical to an uninterrupted single-process run.
+// mid-shard; once its grant has aged past the TTL on the server's fake
+// clock, the server re-grants the shard (bumping the fence), a rescuer
+// finishes the campaign, and the report is byte-identical to an
+// uninterrupted single-process run.
 func TestRemoteKillNineByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill test")
@@ -309,7 +341,15 @@ func TestRemoteKillNineByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	plan := killPlan(t, dir)
-	srv, addr := startControlPlane(t, dir, serve.Options{TTL: 500 * time.Millisecond})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &connCounter{Listener: inner}
+	const ttl = 500 * time.Millisecond
+	clk := clocktest.New(time.Now())
+	srv := serveOn(t, dir, serve.Options{TTL: ttl, Clock: clk}, ln)
+	addr := ln.Addr().String()
 
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperRemoteWorkProcess$")
 	cmd.Env = append(os.Environ(), "MFC_DIST_HELPER_REMOTE=1", "MFC_DIST_ADDR="+addr)
@@ -337,6 +377,18 @@ func TestRemoteKillNineByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd.Wait()
+
+	// The victim's last requests may still sit unserved at the server, and
+	// a heartbeat served after the jump below would refresh its grant. The
+	// server closes a dead peer's connection only after serving whatever it
+	// had sent, so once none is open the jump comes after all of them.
+	for ln.open.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections of the killed victim still open", ln.open.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(2 * ttl)
 
 	st, err := WorkRemote(context.Background(), addr, WorkOptions{
 		Owner:   "remote-rescuer",
