@@ -51,9 +51,6 @@ func New(p Platform, cfg Config, opts ...Option) *Coordinator {
 	return c
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
-
 // emit delivers one event to the observer, if any.
 func (c *Coordinator) emit(ev Event) {
 	if c.observe != nil {

@@ -307,21 +307,3 @@ func (v GaugeVec) With(values ...string) Gauge { return Gauge{v.f.with(values...
 func (v GaugeVec) Func(fn func() float64, values ...string) {
 	v.f.with(values...).fn.Store(&fn)
 }
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers (or finds) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) HistogramVec {
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic("obs: histogram " + name + " buckets not ascending")
-		}
-	}
-	return HistogramVec{r.register(name, help, typeHistogram, append([]string(nil), labels...), append([]float64(nil), buckets...))}
-}
-
-// With returns the child for the given label values (see CounterVec.With).
-func (v HistogramVec) With(values ...string) Histogram {
-	return Histogram{v.f.with(values...), v.f.buckets}
-}

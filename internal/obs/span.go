@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"sync"
-	"time"
 
 	"mfc/internal/clock"
 )
@@ -91,9 +90,6 @@ type Span struct {
 	Partial bool       `json:"partial,omitempty"` // force-closed at shutdown, not ended by its owner
 	Attrs   []SpanAttr `json:"attrs,omitempty"`
 }
-
-// Dur returns the span's wall-clock duration.
-func (s *Span) Dur() time.Duration { return time.Duration(s.End-s.Start) * time.Microsecond }
 
 // Attr returns the value of the named attribute ("" if absent).
 func (s *Span) Attr(key string) string {
