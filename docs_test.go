@@ -9,24 +9,14 @@ import (
 	"testing"
 )
 
-// The docs that tell a reader which test to run or which file to open.
-var referenceDocs = []string{"DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
-
-var (
-	codeSpan   = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
-	testName   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
-	fileName   = regexp.MustCompile(`[\w./-]*\w\.(?:go|golden)\b`)
-	declaredFn = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-)
-
 // TestDocsNameRealTestsAndFiles keeps the docs from pointing at code that is
-// gone: every test, fuzz target or benchmark named in a code span must be
-// declared in some _test.go file (the benchmark module included), and every
-// .go or .golden file named must exist, as a path from the repository root
-// or as the tail of one.
+// gone: every test, fuzz target or benchmark named in a code span of
+// DESIGN.md, EXPERIMENTS.md or the verify notes must be declared in some
+// _test.go file (the benchmark module included), and every .go or .golden
+// file named must exist, as a path from the repository root or its tail.
 func TestDocsNameRealTestsAndFiles(t *testing.T) {
-	declared := map[string]bool{}
-	var files []string
+	declaredFn := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	declared, files := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -40,7 +30,14 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 			}
 			return nil
 		}
-		files = append(files, filepath.ToSlash(path))
+		for p := filepath.ToSlash(path); ; {
+			files[p] = true
+			_, tail, ok := strings.Cut(p, "/")
+			if !ok {
+				break
+			}
+			p = tail
+		}
 		if strings.HasSuffix(path, "_test.go") {
 			src, err := os.ReadFile(path)
 			if err != nil {
@@ -55,15 +52,10 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exists := func(name string) bool {
-		for _, f := range files {
-			if f == name || strings.HasSuffix(f, "/"+name) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, doc := range referenceDocs {
+	codeSpan := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	fileName := regexp.MustCompile(`[\w./-]*\w\.(?:go|golden)\b`)
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +67,7 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 				}
 			}
 			for _, name := range fileName.FindAllString(span, -1) {
-				if !exists(strings.TrimPrefix(name, "./")) {
+				if !files[strings.TrimPrefix(name, "./")] {
 					t.Errorf("%s names %s, which is not in the tree", doc, name)
 				}
 			}

@@ -19,25 +19,21 @@ import (
 )
 
 // startControlPlane opens dir as a control plane on an ephemeral
-// listener and returns it with its address; shutdown is registered as
-// cleanup so tests only speak HTTP to it, like real joined workers.
-func startControlPlane(t *testing.T, dir string, opts serve.Options) (*serve.Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serveOn(t, dir, opts, ln), ln.Addr().String()
-}
-
-// serveOn is startControlPlane on a listener the caller made.
-func serveOn(t *testing.T, dir string, opts serve.Options, ln net.Listener) *serve.Server {
+// listener and returns it with its address and the listener's count of
+// open connections; shutdown is registered as cleanup so tests only speak
+// HTTP to it, like real joined workers.
+func startControlPlane(t *testing.T, dir string, opts serve.Options) (*serve.Server, string, *atomic.Int64) {
 	t.Helper()
 	srv, err := serve.New(dir, opts)
 	if err != nil {
-		ln.Close()
 		t.Fatal(err)
 	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	ln := &connCounter{Listener: inner}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- campaign.ServeUntil(ctx, ln, srv.Handler()) }()
@@ -48,11 +44,10 @@ func serveOn(t *testing.T, dir string, opts serve.Options, ln net.Listener) *ser
 		}
 		srv.Close()
 	})
-	return srv
+	return srv, ln.Addr().String(), &ln.open
 }
 
-// connCounter is a listener that counts the connections it accepted and
-// the server has not yet closed.
+// connCounter counts the connections it accepted that are not closed yet.
 type connCounter struct {
 	net.Listener
 	open atomic.Int64
@@ -64,17 +59,17 @@ func (l *connCounter) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	l.open.Add(1)
-	return &countedConn{Conn: c, l: l}, nil
+	return &countedConn{Conn: c, open: &l.open}, nil
 }
 
 type countedConn struct {
 	net.Conn
-	l    *connCounter
+	open *atomic.Int64
 	once sync.Once
 }
 
 func (c *countedConn) Close() error {
-	c.once.Do(func() { c.l.open.Add(-1) })
+	c.once.Do(func() { c.open.Add(-1) })
 	return c.Conn.Close()
 }
 
@@ -86,7 +81,7 @@ func TestRemoteThreeWorkersByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	srv, addr := startControlPlane(t, dir, serve.Options{})
+	srv, addr, _ := startControlPlane(t, dir, serve.Options{})
 
 	statuses := make([]*WorkStatus, 3)
 	var wg sync.WaitGroup
@@ -145,7 +140,7 @@ func TestRemoteStaleFenceRefused(t *testing.T) {
 	plan := distPlan(t, dir)
 	ttl := 100 * time.Millisecond
 	clk := clocktest.New(time.Now())
-	srv, addr := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
+	srv, addr, _ := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
 	rc := &remoteClient{base: normalizeAddr(addr), hc: &http.Client{Timeout: 10 * time.Second}}
 	ctx := context.Background()
 
@@ -265,7 +260,7 @@ func TestRemoteDuplicateGrantByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	srv, addr := startControlPlane(t, dir, serve.Options{})
+	srv, addr, _ := startControlPlane(t, dir, serve.Options{})
 	rc := &remoteClient{base: normalizeAddr(addr), hc: &http.Client{Timeout: 10 * time.Second}}
 	ctx := context.Background()
 
@@ -341,15 +336,9 @@ func TestRemoteKillNineByteIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	plan := killPlan(t, dir)
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &connCounter{Listener: inner}
 	const ttl = 500 * time.Millisecond
 	clk := clocktest.New(time.Now())
-	srv := serveOn(t, dir, serve.Options{TTL: ttl, Clock: clk}, ln)
-	addr := ln.Addr().String()
+	srv, addr, open := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
 
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperRemoteWorkProcess$")
 	cmd.Env = append(os.Environ(), "MFC_DIST_HELPER_REMOTE=1", "MFC_DIST_ADDR="+addr)
@@ -382,9 +371,9 @@ func TestRemoteKillNineByteIdentical(t *testing.T) {
 	// a heartbeat served after the jump below would refresh its grant. The
 	// server closes a dead peer's connection only after serving whatever it
 	// had sent, so once none is open the jump comes after all of them.
-	for ln.open.Load() > 0 {
+	for open.Load() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d connections of the killed victim still open", ln.open.Load())
+			t.Fatalf("%d connections of the killed victim still open", open.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -58,7 +58,7 @@ func TestShardSourceConformance(t *testing.T) {
 			return open("a"), open("b")
 		}},
 		{"http-grant", func(t *testing.T, clk clock.Clock, dir string) (a, b campaign.ShardSource) {
-			_, addr := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
+			_, addr, _ := startControlPlane(t, dir, serve.Options{TTL: ttl, Clock: clk})
 			rc := &remoteClient{base: normalizeAddr(addr), hc: &http.Client{Timeout: 10 * time.Second}}
 			t.Cleanup(rc.hc.CloseIdleConnections)
 			return &grantSource{rc: rc, clk: clk, owner: "a"}, &grantSource{rc: rc, clk: clk, owner: "b"}

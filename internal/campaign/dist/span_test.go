@@ -85,7 +85,7 @@ func TestWorkerSpansSpilled(t *testing.T) {
 func TestRemoteWorkerSpansShipped(t *testing.T) {
 	dir := t.TempDir()
 	plan := distPlan(t, dir)
-	_, addr := startControlPlane(t, dir, serve.Options{})
+	_, addr, _ := startControlPlane(t, dir, serve.Options{})
 
 	rec := obs.NewSpanRecorder("remote-spans", 0)
 	st, err := WorkRemote(context.Background(), addr, WorkOptions{

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -30,73 +29,54 @@ const tracesPath = "testdata/kernel_traces.golden"
 type scenario func(env *Env, trace *[]string)
 
 // checkTrace runs sc on a fresh environment and fails the test if its trace
-// differs from the pinned section name.
+// differs from the pinned section name; with -update it rewrites that
+// section instead.
 func checkTrace(t *testing.T, name string, seed int64, sc scenario) {
 	t.Helper()
 	env := NewEnv(seed)
 	var trace []string
 	sc(env, &trace)
 	trace = append(trace, fmt.Sprintf("end now=%v", env.Now()))
-	if *updateTraces {
-		writeTrace(t, name, trace)
-		return
-	}
-	_, secs := readTraces(t)
-	want := secs[name]
-	if want == nil {
-		t.Fatalf("%s: no pinned trace in %s (generate with -update)", name, tracesPath)
-	}
-	if len(trace) != len(want) {
-		t.Fatalf("%s: trace has %d lines, the pin %d", name, len(trace), len(want))
-	}
-	for i := range want {
-		if trace[i] != want[i] {
-			t.Errorf("%s: trace line %d diverged from the pin\n  want: %s\n  got:  %s", name, i, want[i], trace[i])
-		}
-	}
-}
+	got := strings.Join(trace, "\n")
 
-// readTraces parses the golden file: a "== name" line opens each section
-// and the trace lines follow. It returns the section names in file order.
-func readTraces(t *testing.T) ([]string, map[string][]string) {
-	t.Helper()
+	// The golden file is a run of sections: "== name", then its trace.
 	data, err := os.ReadFile(tracesPath)
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil && !*updateTraces {
 		t.Fatal(err)
 	}
 	var names []string
-	secs := map[string][]string{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "== "); ok {
+	pinned := map[string]string{}
+	for _, sec := range strings.Split("\n"+string(data), "\n== ")[1:] {
+		n, body, _ := strings.Cut(strings.TrimSuffix(sec, "\n"), "\n")
+		names = append(names, n)
+		pinned[n] = body
+	}
+	if *updateTraces {
+		if _, ok := pinned[name]; !ok {
 			names = append(names, name)
-			secs[name] = []string{}
-		} else if len(names) > 0 && line != "" {
-			secs[names[len(names)-1]] = append(secs[names[len(names)-1]], line)
 		}
-	}
-	return names, secs
-}
-
-// writeTrace replaces (or appends) section name of the golden file.
-func writeTrace(t *testing.T, name string, trace []string) {
-	t.Helper()
-	names, secs := readTraces(t)
-	if _, ok := secs[name]; !ok {
-		names = append(names, name)
-	}
-	secs[name] = trace
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString("== " + n + "\n")
-		for _, line := range secs[n] {
-			b.WriteString(line + "\n")
+		pinned[name] = got
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "== %s\n%s\n", n, pinned[n])
 		}
+		if err := os.WriteFile(tracesPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	if err := os.MkdirAll(filepath.Dir(tracesPath), 0o755); err != nil {
-		t.Fatal(err)
+	want, ok := pinned[name]
+	if !ok {
+		t.Fatalf("%s: no pinned trace in %s (generate with -update)", name, tracesPath)
 	}
-	if err := os.WriteFile(tracesPath, []byte(b.String()), 0o644); err != nil {
-		t.Fatal(err)
+	if got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		i := 0
+		for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+			i++
+		}
+		t.Fatalf("%s: trace diverged from the pin at line %d\n  want: %.120s\n  got:  %.120s",
+			name, i, strings.Join(wl[i:], " | "), strings.Join(gl[i:], " | "))
 	}
 }
 
