@@ -7,10 +7,9 @@ package mfc
 // reference implementation to compare against, so these bytes are what
 // "unchanged behaviour" means: QTNP across eight seeds, structurally
 // different presets and population bands, plus every request-path branch
-// that matrix misses. The same lines came out of the eager-reallocate
-// kernel while it still existed. Regenerate it, or its two sibling pins
-// (the netsim scenario traces, the catalog report digests), only for an
-// intentional behaviour change:
+// that matrix misses. Regenerate it, or its two sibling pins (the netsim
+// scenario traces, the catalog report digests), only for an intentional
+// behaviour change:
 //
 //	go test -run TestGoldenRequestPath -update .
 //	go test ./internal/netsim -run Differential -update
