@@ -32,7 +32,7 @@ func main() {
 		run      = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of every MFC run (virtual time) to this file")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of every MFC run (virtual time, one process per run label; same seed, same bytes) to this file")
 	)
 	flag.Parse()
 
@@ -101,13 +101,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("trace: %v", err)
 		}
-		if _, err := tracer.WriteTo(f); err != nil {
+		if err := tracer.WriteJSON(f); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "trace of %d events written to %s (load in Perfetto)\n", tracer.Len(), *traceOut)
+		fmt.Fprintf(os.Stderr, "trace written to %s (load in Perfetto)\n", *traceOut)
 	}
 	if failed {
 		os.Exit(1)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -60,19 +61,30 @@ func TestSameSeedSameBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("population study is slow")
 	}
-	run := func() string {
-		stdout, stderr, err := mfcExperiments("-run", "f7,t5", "-seed", "1")
+	// Each invocation also writes its virtual-time trace; those must match
+	// byte for byte too.
+	run := func(trace string) (string, []byte) {
+		stdout, stderr, err := mfcExperiments("-run", "f7,t5", "-seed", "1", "-trace", trace)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, stderr)
 		}
-		return wallClock.ReplaceAllString(stdout, "")
+		doc, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wallClock.ReplaceAllString(stdout, ""), doc
 	}
-	first, second := run(), run()
+	dir := t.TempDir()
+	first, firstTrace := run(filepath.Join(dir, "first.json"))
+	second, secondTrace := run(filepath.Join(dir, "second.json"))
 	if !strings.Contains(first, "==== f7") || !strings.Contains(first, "==== t5") {
 		t.Fatalf("output lacks the requested experiments:\n%s", first)
 	}
 	if first != second {
 		t.Errorf("two invocations at one seed differ:\n--- first\n%s\n--- second\n%s", first, second)
+	}
+	if !bytes.Equal(firstTrace, secondTrace) {
+		t.Errorf("two invocations at one seed wrote different traces (%d and %d bytes)", len(firstTrace), len(secondTrace))
 	}
 }
 

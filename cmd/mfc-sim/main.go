@@ -39,7 +39,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed (same seed = same run)")
 		bgRate    = flag.Float64("bg", 0, "background traffic rate (requests/sec)")
 		scen      = flag.String("scenario", "", "scenario wrapping the run: a name (see -list-scenarios) or inline JSON")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run (virtual time) to this file")
+		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the run (virtual time: run, stage and epoch rows) to this file")
 		verbose   = flag.Bool("v", false, "log coordinator progress")
 		list      = flag.Bool("list", false, "list presets and exit")
 		listScen  = flag.Bool("list-scenarios", false, "list scenario presets and exit")
@@ -150,7 +150,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("mfc-sim: %v", err)
 		}
-		if _, err := tracer.WriteTo(f); err != nil {
+		if err := tracer.WriteJSON(f); err != nil {
 			log.Fatalf("mfc-sim: writing trace: %v", err)
 		}
 		if err := f.Close(); err != nil {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mfc/internal/campaign"
@@ -51,20 +50,14 @@ func WorkRemote(ctx context.Context, addr string, opts WorkOptions) (*WorkStatus
 		return nil, fmt.Errorf("dist: control plane sent an invalid plan: %w", err)
 	}
 
-	// Wall-clock tracing, networked flavor: the trace id comes from the
-	// server's X-Mfc-Trace header (adopted during the plan fetch above;
-	// the plan-derived id is the same value, but the header stays
-	// authoritative if the server ever overrides it) and span batches ship
-	// to POST /api/spans instead of a spill file. Each shipment uses its
-	// own short deadline off context.Background() so the final flush —
-	// after SIGINT has killed ctx — still reaches the server.
+	// Wall-clock tracing, networked flavor: the trace id is derived from
+	// the plan, as WorkDir's is, and span batches ship to POST /api/spans
+	// instead of a spill file. Each shipment uses its own short deadline
+	// off context.Background() so the final flush — after SIGINT has
+	// killed ctx — still reaches the server.
 	var spill *campaign.SpanSpiller
 	if opts.Spans != nil {
-		trace := campaign.PlanTraceID(&plan)
-		if id := rc.trace.Load(); id != nil {
-			trace = *id
-		}
-		opts.Spans.SetTrace(trace)
+		opts.Spans.SetTrace(campaign.PlanTraceID(&plan))
 		spill = campaign.NewSpanSpiller(opts.Clock, opts.Spans, func(spans []obs.Span) {
 			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
@@ -84,13 +77,9 @@ func normalizeAddr(addr string) string {
 }
 
 // remoteClient is a minimal JSON-over-HTTP client for the serve protocol.
-// It captures the control plane's trace id (the X-Mfc-Trace response
-// header the server stamps on everything) and echoes it on requests, so
-// every worker of one served campaign lands in the same trace.
 type remoteClient struct {
-	base  string
-	hc    *http.Client
-	trace atomic.Pointer[string] // adopted from the server; nil before first contact
+	base string
+	hc   *http.Client
 }
 
 func (rc *remoteClient) get(ctx context.Context, path string, out any) error {
@@ -120,17 +109,11 @@ func (rc *remoteClient) do(ctx context.Context, method, path string, body, out a
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if id := rc.trace.Load(); id != nil {
-		req.Header.Set(serve.TraceHeader, *id)
-	}
 	resp, err := rc.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if id := resp.Header.Get(serve.TraceHeader); id != "" {
-		rc.trace.Store(&id)
-	}
 	switch {
 	case resp.StatusCode == http.StatusGone:
 		return campaign.ErrFenced

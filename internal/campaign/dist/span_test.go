@@ -79,8 +79,8 @@ func TestWorkerSpansSpilled(t *testing.T) {
 }
 
 // A joined worker has no filesystem shared with the plan: its spans must
-// ship to the control plane over POST /api/spans, adopt the server's
-// trace id, and land in the server's spans directory where `mfc-campaign
+// ship to the control plane over POST /api/spans, carry the plan's trace
+// id, and land in the server's spans directory where `mfc-campaign
 // trace` merges them.
 func TestRemoteWorkerSpansShipped(t *testing.T) {
 	dir := t.TempDir()
@@ -98,7 +98,7 @@ func TestRemoteWorkerSpansShipped(t *testing.T) {
 		t.Fatalf("remote worker measured %d jobs, want %d", st.NewlyDone, plan.Jobs())
 	}
 	if got, want := rec.Trace(), campaign.PlanTraceID(plan); got != want {
-		t.Errorf("recorder trace = %q, want the server's %q (adopted from %s)", got, want, serve.TraceHeader)
+		t.Errorf("recorder trace = %q, want the plan's %q", got, want)
 	}
 
 	spans, err := campaign.ReadSpans(dir)

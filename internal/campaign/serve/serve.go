@@ -56,13 +56,7 @@ import (
 //
 // 410 Gone means the fence token is stale: the shard was re-granted and
 // the bearer must abandon it. Everything else non-2xx is a caller bug
-// (400) or a server that cannot serve (503). Every response carries the
-// campaign's trace id in the X-Mfc-Trace header; workers adopt it so all
-// their spans land in one fleet trace.
-
-// TraceHeader carries the campaign's trace id on every control-plane
-// response (and is echoed back by workers on their requests).
-const TraceHeader = "X-Mfc-Trace"
+// (400) or a server that cannot serve (503).
 
 // GrantRequest asks for a work grant. Owner identifies the worker; two
 // workers must never share an owner string (a duplicate owner is treated
@@ -536,13 +530,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/done", post(s.sealShard))
 	mux.HandleFunc("/api/spans", post(s.ingestSpans))
 	mux.Handle("/", s.live)
-	// Stamp the campaign trace id on every response so joining workers
-	// adopt it and all span files merge into one fleet trace.
-	trace := campaign.PlanTraceID(s.plan)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(TraceHeader, trace)
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // WaitQuit exposes the live surface's quit channel (POST /quit), so a

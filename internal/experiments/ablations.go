@@ -78,7 +78,7 @@ func noisyBaseRun(cfg core.Config, seed int64) (int, error) {
 		Background: websim.BackgroundConfig{BurstSize: 1200, BurstEvery: 12 * time.Second},
 		Clients:    60, Seed: seed, NoAccessLog: true, MonitorPeriod: -1,
 	}, cfg, mfc.WithStage(core.StageBase),
-		traceOpt(fmt.Sprintf("ablation-check seed=%d", seed)))
+		traceOpt(fmt.Sprintf("ablation-check check=%t seed=%d", cfg.CheckPhase, seed)))
 	if err != nil {
 		return 0, err
 	}
@@ -204,7 +204,7 @@ func AblationStep(seed int64) (*StepAblationResult, error) {
 		cfg.MaxCrowd = 60
 		cfg.MinClients = 50
 
-		out, _, err := runSite(websim.QTNPConfig(), websim.QTSite(7),
+		out, _, err := runSite(fmt.Sprintf("ablation-step step=%d", steps[i]), websim.QTNPConfig(), websim.QTSite(7),
 			websim.BackgroundConfig{}, cfg, 70, seed)
 		if err != nil {
 			return StepPoint{}, err
@@ -270,7 +270,7 @@ func ExtensionStaggered(seed int64) (*StaggerResult, error) {
 		cfg.MinClients = 50
 		cfg.Stagger = staggers[i]
 
-		out, _, err := runSite(websim.Univ1Config(), websim.Univ1Site(5),
+		out, _, err := runSite(fmt.Sprintf("stagger %v", staggers[i]), websim.Univ1Config(), websim.Univ1Site(5),
 			websim.BackgroundConfig{}, cfg, 65, seed)
 		if err != nil {
 			return StaggerPoint{}, err
@@ -346,7 +346,7 @@ func ExtensionMultiRequest(seed int64) (*MRResult, error) {
 		cfg.MinClients = 50
 		cfg.MultiRequest = m
 
-		out, _, err := runSite(websim.QTNPConfig(), websim.QTSite(7),
+		out, _, err := runSite(fmt.Sprintf("multi-request m=%d", m), websim.QTNPConfig(), websim.QTSite(7),
 			websim.BackgroundConfig{}, cfg, 70, seed)
 		if err != nil {
 			return MRPoint{}, err
@@ -405,7 +405,7 @@ func ExtensionDDoS(seed int64) (Report, error) {
 		{"weak", "weak target (univ3)", websim.Univ3Config(), websim.Univ3Site(5)},
 		{"strong", "strong target (qtp)", websim.QTPConfig(), websim.QTSite(7)},
 	} {
-		out, _, err := runSite(t.cfg, t.site, websim.BackgroundConfig{}, cfg, 65, seed)
+		out, _, err := runSite("ddos "+t.name, t.cfg, t.site, websim.BackgroundConfig{}, cfg, 65, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"mfc"
 )
 
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated rows or testdata/catalog.golden from this tree")
@@ -22,9 +25,21 @@ type catalogRun struct {
 	digest   string
 }
 
+// runLabels counts every run label the catalog issued while runs ran.
+var runLabels = map[string]int{}
+
 // runs runs every catalog entry once, at the seed its entry pins, for the
-// tests below (~10 s, most of it ab-check and the §5 cells).
+// tests below (~10 s, most of it ab-check and the §5 cells). A
+// label-recording trace factory fills runLabels meanwhile.
 var runs = sync.OnceValue(func() []catalogRun {
+	var mu sync.Mutex
+	EnableTrace(func(label string) mfc.Observer {
+		mu.Lock()
+		runLabels[label]++
+		mu.Unlock()
+		return func(mfc.Event) {}
+	})
+	defer EnableTrace(nil)
 	out := make([]catalogRun, len(Catalog))
 	for i, e := range Catalog {
 		r, err := e.Run(e.Seed)
@@ -167,6 +182,10 @@ func TestExperimentsDoc(t *testing.T) {
 // the entry's seed. Regenerate only for an intentional behaviour change:
 //
 //	go test ./internal/experiments -run TestCatalogGolden -update
+//
+// It also requires every run label to be unique: a label names the run's
+// process in a -trace document and is that document's sort key, so two
+// runs sharing one would interleave their spans in scheduling order.
 func TestCatalogGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole catalog")
@@ -175,6 +194,15 @@ func TestCatalogGolden(t *testing.T) {
 	var got strings.Builder
 	for i, e := range Catalog {
 		fmt.Fprintf(&got, "%s %s\n", e.ID, runs()[i].digest)
+	}
+	var dups []string
+	for label, n := range runLabels {
+		if n > 1 {
+			dups = append(dups, fmt.Sprintf("%q ×%d", label, n))
+		}
+	}
+	if sort.Strings(dups); len(dups) > 0 {
+		t.Errorf("run labels issued more than once: %s", strings.Join(dups, ", "))
 	}
 	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {

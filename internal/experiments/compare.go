@@ -72,7 +72,7 @@ func CompareDeployments(site *content.Site, cfg core.Config, deployments []Deplo
 	// results indexed by deployment, and the scoring folds them in the
 	// original deployment order.
 	outs, err := parMap(len(deployments), func(di int) (*core.Result, error) {
-		out, _, err := runSite(deployments[di].Config, site, websim.BackgroundConfig{}, cfg, 65, seed)
+		out, _, err := runSite("compare "+deployments[di].Label, deployments[di].Config, site, websim.BackgroundConfig{}, cfg, 65, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: comparing %s: %w", deployments[di].Label, err)
 		}

@@ -12,15 +12,17 @@ import (
 )
 
 // runSite executes a full three-stage experiment against one simulated
-// installation, returning the result and the server handle.
-func runSite(srvCfg websim.Config, site *content.Site, bg websim.BackgroundConfig,
+// installation, returning the result and the server handle. label names
+// the caller's variant; with the server name and seed it makes the run's
+// trace label, which must be unique across the catalog.
+func runSite(label string, srvCfg websim.Config, site *content.Site, bg websim.BackgroundConfig,
 	cfg core.Config, clients int, seed int64) (*core.Result, *websim.Server, error) {
 
 	run, err := mfc.Run(context.Background(), mfc.SimTarget{
 		Server: srvCfg, Site: site, Background: bg, Clients: clients, Seed: seed,
 		CommandLoss:   0.015, // the paper's UDP control has no retransmit
 		MonitorPeriod: -1,
-	}, cfg, traceOpt(fmt.Sprintf("%s seed=%d", srvCfg.Name, seed)))
+	}, cfg, traceOpt(fmt.Sprintf("%s %s seed=%d", label, srvCfg.Name, seed)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -76,7 +78,7 @@ func Table1() (*Table1Result, error) {
 	}
 	rows, err := parMap(len(runs), func(i int) (Table1Row, error) {
 		r := runs[i]
-		out, _, err := runSite(websim.QTNPConfig(), websim.QTSite(7),
+		out, _, err := runSite("table1 "+r.label, websim.QTNPConfig(), websim.QTSite(7),
 			websim.BackgroundConfig{}, r.cfg, 85, r.seed)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: table1 %s: %w", r.label, err)
@@ -171,7 +173,7 @@ func Table2() (*Table2Result, error) {
 	cfg.MultiRequest = 5
 	cfg.KeepSamples = true
 
-	out, _, err := runSite(websim.QTPConfig(), websim.QTSite(7),
+	out, _, err := runSite("table2", websim.QTPConfig(), websim.QTSite(7),
 		websim.BackgroundConfig{Rate: 35, QueryFraction: 0.5}, cfg, 85, 103)
 	if err != nil {
 		return nil, err
@@ -283,7 +285,7 @@ func table3(site string, srvCfg websim.Config, siteModel *content.Site, runs []s
 		cfg.MinClients = 50
 		cfg.MultiRequest = 2
 
-		out, server, err := runSite(srvCfg, siteModel,
+		out, server, err := runSite("table3 "+r.label, srvCfg, siteModel,
 			websim.BackgroundConfig{Rate: r.rate}, cfg, 85, r.seed)
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("experiments: table3 %s %s: %w", site, r.label, err)
@@ -371,7 +373,7 @@ func Univ1() (*Univ1Result, error) {
 	cfg.MaxCrowd = 50
 	cfg.MinClients = 50
 
-	out, _, err := runSite(websim.Univ1Config(), websim.Univ1Site(5),
+	out, _, err := runSite("univ1", websim.Univ1Config(), websim.Univ1Site(5),
 		websim.BackgroundConfig{Rate: 0.15}, cfg, 65, 811)
 	if err != nil {
 		return nil, err

@@ -438,7 +438,7 @@ func TestRendersNonEmpty(t *testing.T) {
 
 // Guard: epoch accounting in StageResult stays consistent.
 func TestEpochAccounting(t *testing.T) {
-	out, _, err := runSite(websim.QTNPConfig(), websim.QTSite(7),
+	out, _, err := runSite("epoch-accounting", websim.QTNPConfig(), websim.QTSite(7),
 		websim.BackgroundConfig{}, core.DefaultConfig(), 65, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Tracing hook: mfc-experiments -trace routes every catalog run's event
 // stream into an obs.Tracer, one labeled trace process per mfc.Run, so a
 // single experiment can be opened in Perfetto for a virtual-time deep
-// dive.
+// dive. Labels are unique across the catalog; the trace is sorted by them.
 package experiments
 
 import "mfc"

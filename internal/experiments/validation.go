@@ -137,7 +137,7 @@ func Figure4(model websim.SyntheticModel, seed int64) (*Figure4Result, error) {
 		Server: websim.ValidationConfig(model), Site: websim.ValidationSite(),
 		Clients: 65, Seed: seed, NoAccessLog: true, MonitorPeriod: -1,
 	}, cfg, mfc.WithStage(core.StageBase),
-		traceOpt(fmt.Sprintf("figure4 seed=%d", seed)))
+		traceOpt(fmt.Sprintf("figure4 %s seed=%d", model.Name(), seed)))
 	if err != nil {
 		return nil, err
 	}

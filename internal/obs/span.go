@@ -12,7 +12,7 @@ import (
 )
 
 // SpanRecorder is the wall-clock half of the tracing story: where Tracer
-// reconstructs *virtual* time inside one simulation, SpanRecorder records
+// records spans in *virtual* time inside a simulation, SpanRecorder records
 // what the fleet actually did — which worker held which shard when, how
 // long each job really took, how long a poller idled. It is built for
 // week-long campaigns: spans live in a bounded ring (appending past the
@@ -24,11 +24,11 @@ import (
 // plane's POST /api/spans — well before it wraps.
 //
 // Spans form a tree per trace: every Start takes an optional parent span
-// id, and the campaign-wide trace id (deterministic from the plan, or
-// adopted from the control plane's X-Mfc-Trace header) ties the workers'
-// files together so `mfc-campaign trace` can merge them into one fleet
-// trace. A nil *SpanRecorder is a valid no-op recorder: every method is
-// nil-safe, so instrumented code needs no conditionals.
+// id, and the campaign-wide trace id (deterministic from the plan) ties
+// the workers' files together so `mfc-campaign trace` can merge them into
+// one fleet trace — through WriteFleetTrace, the writer Tracer uses too.
+// A nil *SpanRecorder is a valid no-op recorder: every method is nil-safe,
+// so instrumented code needs no conditionals.
 type SpanRecorder struct {
 	worker string
 
@@ -74,7 +74,8 @@ func ABool(k string, v bool) SpanAttr {
 // AInt renders an integer attribute.
 func AInt(k string, v int64) SpanAttr { return SpanAttr{Key: k, Val: fmt.Sprintf("%d", v)} }
 
-// Span is one completed wall-clock span. Times are unix microseconds.
+// Span is one completed span. A SpanRecorder's times are unix
+// microseconds of wall clock; a Tracer's are microseconds of virtual time.
 // This struct is also the JSONL wire format: one span per line in a
 // worker's spans file and in /api/spans batches.
 type Span struct {
@@ -128,8 +129,8 @@ func (r *SpanRecorder) Worker() string {
 }
 
 // SetTrace sets the trace id stamped on subsequently recorded spans —
-// the propagation hook: filesystem workers derive it from the plan,
-// networked workers adopt the control plane's X-Mfc-Trace header.
+// the propagation hook: every worker, filesystem or networked, derives it
+// from the plan.
 func (r *SpanRecorder) SetTrace(id string) {
 	if r == nil {
 		return

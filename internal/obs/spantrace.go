@@ -7,13 +7,13 @@ import (
 	"strconv"
 )
 
-// WriteFleetTrace merges completed wall-clock spans — typically the
-// concatenation of every worker's spans.jsonl, or the control plane's
-// collected batches — into one Chrome trace-event JSON document. The
-// layout mirrors how operators think about a fleet: one trace pid per
-// worker (named after it), tid 1 is the worker's own track (shard -1
-// spans: the work root, idle backoffs), and shard k gets tid k+2 so each
-// shard's claims, jobs and heartbeats line up on a dedicated row.
+// WriteFleetTrace merges completed spans — every worker's spans.jsonl,
+// the control plane's collected batches, or a Tracer's virtual-time runs
+// — into one Chrome trace-event JSON document. The layout mirrors how
+// operators think about a fleet: one trace pid per worker (named after
+// it), tid 1 is the worker's own track (shard -1 spans: the work root,
+// idle backoffs), and shard k gets tid k+2 so each shard's claims, jobs
+// and heartbeats line up on a dedicated row.
 //
 // Output is deterministic for a given span set regardless of input order:
 // workers are numbered in sorted-name order and spans sorted by
@@ -88,9 +88,9 @@ func WriteFleetTrace(w io.Writer, spans []Span) error {
 			Ts: sp.Start - base, Pid: pid, Tid: tid, Args: args,
 		}
 		if sp.End == sp.Start {
-			ev.Ph, ev.S = phInstant, "t"
+			ev.Ph, ev.S = "i", "t"
 		} else {
-			ev.Ph = phComplete
+			ev.Ph = "X"
 			ev.Dur = sp.End - sp.Start
 			if ev.Dur < 1 {
 				ev.Dur = 1
@@ -110,6 +110,26 @@ func WriteFleetTrace(w io.Writer, spans []Span) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// traceEvent is one entry of the Trace Event Format's JSON array form.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"` // X complete, i instant, M metadata
+	Ts   int64          `json:"ts"` // microseconds
+	Dur  int64          `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"` // instant scope: t = thread
+	Args map[string]any `json:"args,omitempty"`
+}
+
+func metaEvent(pid, tid int, name, value string) traceEvent {
+	return traceEvent{
+		Name: name, Ph: "M", Pid: pid, Tid: tid,
+		Args: map[string]any{"name": value},
+	}
 }
 
 // fleetTid maps a span's shard to its trace thread: tid 1 is the

@@ -1,90 +1,65 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"mfc/internal/core"
 )
 
-// Tracer turns coordinator event streams into Chrome trace-event JSON
-// keyed by *simulated* time: every ts/dur below is the platform clock's
-// virtual duration in microseconds, so a 40-minute experiment that ran in
-// 8ms of wall clock renders as 40 minutes in Perfetto. One Tracer can hold
-// many runs — each RunObserver gets its own trace pid, so concurrent
-// experiments land in separate process tracks. Event appends are
-// mutex-serialized; within one run they arrive in coordinator order.
+// Tracer records coordinator event streams as spans keyed by *simulated*
+// time: every Start/End is the platform clock's virtual duration in
+// microseconds, so a 40-minute experiment that ran in 8ms of wall clock
+// renders as 40 minutes in Perfetto. One Tracer can hold many runs; each
+// run is one WriteFleetTrace worker track named by its RunObserver label.
 //
-// Track layout per run: tid 1 carries one span per stage, tid 2 one span
-// per epoch (ArriveAt → Done, the schedule-to-collect window), tid 3 the
-// instants — scenario activation, chaos faults and their restorations,
-// check-phase entries, measurer reservations. Stage and epoch spans are
-// emitted from the terminal ExperimentFinished's Result, whose
-// StageResult/EpochResult carry the exact virtual intervals; instants are
-// emitted live as their events fire.
+// Rows per run: row -1 carries one "run" span from 0 to the run's last
+// virtual instant, and the instants — scenario activation, chaos faults
+// and their restorations, check-phase entries, measurer reservations,
+// errors; row 0 one span per stage; row 1 one span per epoch (ArriveAt →
+// Done, the schedule-to-collect window). Stage and epoch spans come from
+// the terminal ExperimentFinished's Result, whose StageResult/EpochResult
+// carry the exact virtual intervals; instants are recorded live as their
+// events fire. Span ids are numbered per run, so given unique labels the
+// output does not depend on the order in which runs start or report.
 type Tracer struct {
-	mu      sync.Mutex
-	events  []traceEvent
-	nextPid int
+	mu    sync.Mutex
+	spans []Span
 }
-
-// traceEvent is one entry of the Trace Event Format's JSON array form.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"` // microseconds of virtual time
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope: p = process
-	Args map[string]any `json:"args,omitempty"`
-}
-
-const (
-	tidStages  = 1
-	tidEpochs  = 2
-	tidEvents  = 3
-	phComplete = "X"
-	phInstant  = "i"
-	phMetadata = "M"
-)
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-func micros(d time.Duration) int64 { return d.Microseconds() }
-
-func (t *Tracer) append(evs ...traceEvent) {
-	t.mu.Lock()
-	t.events = append(t.events, evs...)
-	t.mu.Unlock()
-}
-
-// RunObserver allocates a trace process for one experiment run (label
-// names it in the Perfetto track list) and returns the core.Observer to
-// attach via WithObserver. The observer is called synchronously on the
-// coordinator's goroutine; distinct runs may share one Tracer from
-// different goroutines.
+// RunObserver returns the core.Observer that records one experiment run
+// under label, to attach via WithObserver. The observer is called
+// synchronously on the coordinator's goroutine; distinct runs may share
+// one Tracer from different goroutines.
 func (t *Tracer) RunObserver(label string) core.Observer {
-	t.mu.Lock()
-	t.nextPid++
-	pid := t.nextPid
-	t.events = append(t.events,
-		metaEvent(pid, 0, "process_name", label),
-		metaEvent(pid, tidStages, "thread_name", "stages"),
-		metaEvent(pid, tidEpochs, "thread_name", "epochs"),
-		metaEvent(pid, tidEvents, "thread_name", "events"),
-	)
-	t.mu.Unlock()
-
 	// lastAt tracks the most recent virtual timestamp seen, the anchor for
 	// events that carry no time of their own (check-phase entry, measurer
 	// reservation). Observers are single-goroutine per run, so no lock.
 	var lastAt time.Duration
+	var id uint64
+	add := func(row int, name, cat string, from, to time.Duration, attrs ...SpanAttr) {
+		id++
+		sp := Span{ID: id, Name: name, Cat: cat, Worker: label, Shard: row,
+			Start: from.Microseconds(), End: to.Microseconds(), Attrs: attrs}
+		t.mu.Lock()
+		t.spans = append(t.spans, sp)
+		t.mu.Unlock()
+	}
+	instant := func(at time.Duration, name, cat string, attrs ...SpanAttr) {
+		add(-1, name, cat, at, at, attrs...)
+	}
+	// span keeps a zero-length interval at least 1µs long, so it stays a
+	// span rather than rendering as an instant.
+	span := func(row int, name string, from, to time.Duration, attrs ...SpanAttr) {
+		add(row, name, "mfc", from, max(to, from+time.Microsecond), attrs...)
+	}
 	return func(ev core.Event) {
 		switch e := ev.(type) {
 		case core.StageStarted:
@@ -92,135 +67,60 @@ func (t *Tracer) RunObserver(label string) core.Observer {
 		case core.EpochCompleted:
 			lastAt = e.At
 		case core.ScenarioApplied:
-			t.append(traceEvent{
-				Name: "scenario " + e.Name, Cat: "scenario", Ph: phInstant,
-				Ts: micros(lastAt), Pid: pid, Tid: tidEvents, S: "p",
-				Args: map[string]any{"effects": e.Effects},
-			})
+			instant(lastAt, "scenario "+e.Name, "scenario", A("effects", strings.Join(e.Effects, ",")))
 		case core.FaultInjected:
 			name := "fault " + e.Kind
 			if e.Restored {
 				name = "restore " + e.Kind
 			}
-			t.append(traceEvent{
-				Name: name, Cat: "chaos", Ph: phInstant,
-				Ts: micros(e.At), Pid: pid, Tid: tidEvents, S: "p",
-				Args: map[string]any{
-					"scenario": e.Scenario,
-					"duration": e.Duration.String(),
-					"restored": e.Restored,
-				},
-			})
-			if e.At > lastAt {
-				lastAt = e.At
-			}
+			instant(e.At, name, "chaos", A("scenario", e.Scenario),
+				A("duration", e.Duration.String()), ABool("restored", e.Restored))
+			lastAt = max(lastAt, e.At)
 		case core.CheckPhaseEntered:
-			t.append(traceEvent{
-				Name: fmt.Sprintf("check phase @%d", e.Crowd), Cat: "mfc", Ph: phInstant,
-				Ts: micros(lastAt), Pid: pid, Tid: tidEvents, S: "p",
-				Args: map[string]any{"stage": e.Stage.String(), "crowd": e.Crowd},
-			})
+			instant(lastAt, fmt.Sprintf("check phase @%d", e.Crowd), "mfc",
+				A("stage", e.Stage.String()), AInt("crowd", int64(e.Crowd)))
 		case core.MeasurersReserved:
-			t.append(traceEvent{
-				Name: "measurers reserved", Cat: "mfc", Ph: phInstant,
-				Ts: micros(lastAt), Pid: pid, Tid: tidEvents, S: "p",
-				Args: map[string]any{"url": e.URL, "clients": e.Clients},
-			})
+			instant(lastAt, "measurers reserved", "mfc", A("url", e.URL), AInt("clients", int64(e.Clients)))
 		case core.ExperimentFinished:
-			t.finishRun(pid, lastAt, e)
+			if e.Err != "" {
+				instant(lastAt, "error: "+e.Err, "mfc")
+			}
+			var stages []*core.StageResult
+			if e.Result != nil {
+				stages = e.Result.Stages
+			}
+			for _, sr := range stages {
+				span(0, "stage "+sr.Stage.String(), sr.Started, sr.Started+sr.Elapsed,
+					A("verdict", sr.Verdict.String()),
+					AInt("stopping_crowd", int64(sr.StoppingCrowd)),
+					AInt("first_exceed", int64(sr.FirstExceed)),
+					A("threshold", sr.Threshold.String()),
+					A("quantile", strconv.FormatFloat(sr.Quantile, 'g', -1, 64)),
+					AInt("requests", int64(sr.TotalRequests)))
+				for i := range sr.Epochs {
+					ep := &sr.Epochs[i]
+					span(1, fmt.Sprintf("epoch %d %s crowd=%d", ep.Index, ep.Kind, ep.Crowd), ep.ArriveAt, ep.Done,
+						A("kind", ep.Kind.String()),
+						AInt("crowd", int64(ep.Crowd)),
+						AInt("scheduled", int64(ep.Scheduled)),
+						AInt("received", int64(ep.Received)),
+						AInt("errors", int64(ep.Errors)),
+						A("norm_quantile", ep.NormQuantile.String()),
+						A("norm_median", ep.NormMedian.String()),
+						ABool("exceeded", ep.Exceeded))
+				}
+				lastAt = max(lastAt, sr.Started+sr.Elapsed)
+			}
+			span(-1, "run", 0, lastAt)
 		}
 	}
 }
 
-// finishRun emits the exact stage and epoch spans recorded on the result.
-func (t *Tracer) finishRun(pid int, lastAt time.Duration, e core.ExperimentFinished) {
-	if e.Err != "" {
-		t.append(traceEvent{
-			Name: "error: " + e.Err, Cat: "mfc", Ph: phInstant,
-			Ts: micros(lastAt), Pid: pid, Tid: tidEvents, S: "p",
-		})
-	}
-	if e.Result == nil {
-		return
-	}
-	var evs []traceEvent
-	for _, sr := range e.Result.Stages {
-		evs = append(evs, traceEvent{
-			Name: "stage " + sr.Stage.String(), Cat: "mfc", Ph: phComplete,
-			Ts: micros(sr.Started), Dur: spanDur(sr.Elapsed), Pid: pid, Tid: tidStages,
-			Args: map[string]any{
-				"verdict":        sr.Verdict.String(),
-				"stopping_crowd": sr.StoppingCrowd,
-				"first_exceed":   sr.FirstExceed,
-				"threshold":      sr.Threshold.String(),
-				"quantile":       sr.Quantile,
-				"requests":       sr.TotalRequests,
-			},
-		})
-		for i := range sr.Epochs {
-			ep := &sr.Epochs[i]
-			evs = append(evs, traceEvent{
-				Name: fmt.Sprintf("epoch %d %s crowd=%d", ep.Index, ep.Kind, ep.Crowd),
-				Cat:  "mfc", Ph: phComplete,
-				Ts: micros(ep.ArriveAt), Dur: spanDur(ep.Done - ep.ArriveAt), Pid: pid, Tid: tidEpochs,
-				Args: map[string]any{
-					"kind":          ep.Kind.String(),
-					"crowd":         ep.Crowd,
-					"scheduled":     ep.Scheduled,
-					"received":      ep.Received,
-					"errors":        ep.Errors,
-					"norm_quantile": ep.NormQuantile.String(),
-					"norm_median":   ep.NormMedian.String(),
-					"exceeded":      ep.Exceeded,
-				},
-			})
-		}
-	}
-	t.append(evs...)
-}
-
-// spanDur clamps a span to at least 1µs so zero-length spans stay visible
-// (and valid) in Perfetto.
-func spanDur(d time.Duration) int64 {
-	if us := micros(d); us > 0 {
-		return us
-	}
-	return 1
-}
-
-func metaEvent(pid, tid int, name, value string) traceEvent {
-	return traceEvent{
-		Name: name, Ph: phMetadata, Pid: pid, Tid: tid,
-		Args: map[string]any{"name": value},
-	}
-}
-
-// Len returns how many trace events have been recorded.
-func (t *Tracer) Len() int {
+// WriteJSON writes every recorded run as one Chrome trace-event JSON
+// document in WriteFleetTrace's layout, loadable in Perfetto and
+// chrome://tracing.
+func (t *Tracer) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// WriteTo writes the collected trace as Chrome trace-event JSON (the
-// object form with a traceEvents array), loadable in Perfetto and
-// chrome://tracing.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	t.mu.Lock()
-	events := t.events
-	if events == nil {
-		events = []traceEvent{}
-	}
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"}
-	data, err := json.MarshalIndent(doc, "", " ")
-	t.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
+	return WriteFleetTrace(w, t.spans)
 }

@@ -27,8 +27,8 @@ type traceDoc struct {
 func decodeTrace(t *testing.T, tr *Tracer) traceDoc {
 	t.Helper()
 	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if err := tr.WriteJSON(&sb); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
 	var doc traceDoc
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
@@ -90,7 +90,7 @@ func TestTracerSpansAndInstants(t *testing.T) {
 		switch {
 		case e.Ph == "M":
 			meta++
-		case e.Ph == "X" && e.Tid == tidStages:
+		case e.Ph == "X" && e.Tid == 2: // row 0, the stages
 			stageSpans++
 			if e.Ts != (2*time.Second).Microseconds() || e.Dur != (3*time.Minute).Microseconds() {
 				t.Errorf("stage span ts/dur = %d/%d, want exact virtual interval", e.Ts, e.Dur)
@@ -98,12 +98,12 @@ func TestTracerSpansAndInstants(t *testing.T) {
 			if e.Args["verdict"] != "Stopped" {
 				t.Errorf("stage span verdict arg = %v", e.Args["verdict"])
 			}
-		case e.Ph == "X" && e.Tid == tidEpochs:
+		case e.Ph == "X" && e.Tid == 3: // row 1, the epochs
 			epochSpans++
 		case e.Ph == "i":
 			instants++
-			if e.S != "p" {
-				t.Errorf("instant %q scope = %q, want p", e.Name, e.S)
+			if e.S != "t" || e.Tid != 1 {
+				t.Errorf("instant %q scope/tid = %q/%d, want t on the run's track (tid 1)", e.Name, e.S, e.Tid)
 			}
 		}
 	}
@@ -149,6 +149,42 @@ func TestTracerDistinctPids(t *testing.T) {
 	}
 }
 
+// The document depends only on what each run reported, not on the order
+// the runs were opened in or their events interleaved: parMap workers
+// deliver them in whatever order the scheduler picks.
+func TestTracerOrderIndependent(t *testing.T) {
+	events := func(fault time.Duration) []core.Event {
+		return []core.Event{
+			core.ScenarioApplied{Name: "lossy", Effects: []string{"loss", "delay"}},
+			core.StageStarted{Stage: core.StageBase, At: 2 * time.Second},
+			core.FaultInjected{Scenario: "lossy", Kind: "flap", At: fault, Duration: time.Second},
+			core.CheckPhaseEntered{Stage: core.StageBase, Crowd: 20},
+			finishedEvent(),
+		}
+	}
+	evs := map[string][]core.Event{"a": events(5 * time.Second), "b": events(9 * time.Second)}
+	write := func(labels ...string) string {
+		tr := NewTracer()
+		obs := map[string]core.Observer{}
+		for _, l := range labels {
+			obs[l] = tr.RunObserver(l)
+		}
+		for i := range evs["a"] {
+			for _, l := range labels {
+				obs[l](evs[l][i])
+			}
+		}
+		var sb strings.Builder
+		if err := tr.WriteJSON(&sb); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		return sb.String()
+	}
+	if ab, ba := write("a", "b"), write("b", "a"); ab != ba {
+		t.Errorf("trace depends on run order:\n--- a first\n%s\n--- b first\n%s", ab, ba)
+	}
+}
+
 func TestTracerErrorRun(t *testing.T) {
 	tr := NewTracer()
 	obs := tr.RunObserver("err")
@@ -159,8 +195,8 @@ func TestTracerErrorRun(t *testing.T) {
 		if e.Ph == "i" && strings.HasPrefix(e.Name, "error:") {
 			found = true
 		}
-		if e.Ph == "X" {
-			t.Errorf("nil-Result run emitted span %q", e.Name)
+		if e.Ph == "X" && e.Tid != 1 {
+			t.Errorf("nil-Result run emitted stage or epoch span %q", e.Name)
 		}
 	}
 	if !found {
@@ -172,7 +208,7 @@ func TestTracerErrorRun(t *testing.T) {
 // traceEvents array, not null).
 func TestTracerEmpty(t *testing.T) {
 	var sb strings.Builder
-	NewTracer().WriteTo(&sb)
+	NewTracer().WriteJSON(&sb)
 	if !strings.Contains(sb.String(), `"traceEvents": []`) {
 		t.Errorf("empty trace = %s", sb.String())
 	}
