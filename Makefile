@@ -11,14 +11,16 @@ test:
 # Race coverage on the packages that own concurrency: the worker pool, the
 # DES kernel it drives, the server model (whose blocking Serve adapter is
 # where driver-context steps and a process goroutine touch the same call),
-# the coordinator (event stream + cancellation), the experiments/campaign
-# layers that fan out on it, and the root package's whole-experiment
-# oracles (the request-path golden, the kernel cost counters). The three
-# catalog tests are about numbers, not concurrency: they re-run, one after
-# another, experiment functions the shape tests beside them already run
-# under the detector (~90 s of it), so they are left to `make test`.
+# the coordinator (event stream + cancellation), the live platforms (an
+# agent's fired requests record into its client while its polls read it),
+# the experiments/campaign layers that fan out on it, and the root
+# package's whole-experiment oracles (the request-path golden, the kernel
+# cost counters). The three catalog tests are about numbers, not
+# concurrency: they re-run, one after another, experiment functions the
+# shape tests beside them already run under the detector (~90 s of it), so
+# they are left to `make test`.
 race:
-	$(GO) test -race -skip 'TestPaperFidelity|TestExperimentsDoc|TestCatalogGolden' ./internal/runner ./internal/netsim ./internal/websim ./internal/core ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
+	$(GO) test -race -skip 'TestPaperFidelity|TestExperimentsDoc|TestCatalogGolden' ./internal/runner ./internal/netsim ./internal/websim ./internal/core ./internal/liveplat ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
 	$(GO) test -race -run 'Golden|Kernel' .
 
 # API-surface lock: api.txt is the checked-in `go doc -all` of the public

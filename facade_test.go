@@ -87,16 +87,13 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.MinClients != 50 {
 		t.Errorf("MinClients = %d, want 50", cfg.MinClients)
 	}
-	if cfg.MinSignificant != 15 {
-		t.Errorf("MinSignificant = %d, want 15", cfg.MinSignificant)
-	}
 	if cfg.RequestTimeout != 10*time.Second {
 		t.Errorf("timeout = %v, want 10s", cfg.RequestTimeout)
 	}
 	if !cfg.CheckPhase {
 		t.Error("check phase must default on")
 	}
-	if cfg.LargeObserveFrac != 0.90 || cfg.BaseObserveFrac != 0.50 {
+	if cfg.LargeObserveFrac != 0.90 || cfg.Quantile(StageBase) != 0.50 {
 		t.Error("observe fractions must match the paper")
 	}
 }

@@ -11,7 +11,7 @@
 //
 // Lifecycle:
 //
-//	Acquire ──► held ──Heartbeat──► held ──Release──► free
+//	Acquire ──► held ──Heartbeat──► held ──Release──► released (free)
 //	               │
 //	               └─(no heartbeat for TTL, or owner pid dead on this
 //	                  host, or unparseable file)──► stale ──takeover──►
@@ -19,9 +19,12 @@
 //	                  Heartbeat/Verify returns ErrLost (fencing)
 //
 // A lease file is named <name>.g<gen>.lease and the highest generation on
-// disk owns the name. Free or stale, a name is claimed the same way: one
-// exclusive link(2) of generation highest+1, which succeeds for exactly
-// one contender — so each (name, generation) has one winner by
+// disk owns the name. Release renames it to <name>.g<gen>.lease.released:
+// the name is free, but its generation stays on disk, so generations only
+// ever grow and a released handle stays fenced when its owner string takes
+// the name again. Free, released or stale, a name is claimed the same way:
+// one exclusive link(2) of generation highest+1, which succeeds for
+// exactly one contender — so each (name, generation) has one winner by
 // construction, and a contender acting on an old read finds its generation
 // taken and loses. The winner removes the files it superseded; nothing is
 // ever renamed or removed out from under a live owner. The one way a live
@@ -113,9 +116,13 @@ func Path(dir, name string, gen int64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.g%d.lease", name, gen))
 }
 
-// fileGen splits a lease file name into resource name and generation.
+// released is the suffix Release appends to a lease file's path.
+const released = ".released"
+
+// fileGen splits a lease file name, released or not, into resource name
+// and generation.
 func fileGen(file string) (name string, gen int64, ok bool) {
-	base, ok := strings.CutSuffix(file, ".lease")
+	base, ok := strings.CutSuffix(strings.TrimSuffix(file, released), ".lease")
 	i := strings.LastIndex(base, ".g")
 	if !ok || i < 0 {
 		return "", 0, false
@@ -183,9 +190,10 @@ func (h *Handle) tmpPath() string {
 func (h *Handle) TookOver() bool { return h.displaced }
 
 // Read parses the current lease for name under dir — the highest
-// generation on disk. It returns os.ErrNotExist when no lease exists and
-// an ErrCorrupt-wrapped error for any content that cannot be a lease; it
-// never panics, whatever the file holds.
+// generation on disk. It returns os.ErrNotExist when no lease exists or
+// the current one was released, and an ErrCorrupt-wrapped error for any
+// content that cannot be a lease; it never panics, whatever the file
+// holds.
 func Read(dir, name string) (*Info, error) {
 	all, err := list(dir)
 	if err != nil {
@@ -305,8 +313,9 @@ func AcquireOn(clk clock.Clock, dir, name, owner string, ttl time.Duration) (*Ha
 		}
 		return nil, held
 	}
-	for _, gen := range gens {
-		os.Remove(Path(dir, name, gen)) // superseded: Read ignores it while a higher generation exists
+	for _, gen := range gens { // superseded: Read ignores them while a higher generation exists
+		os.Remove(Path(dir, name, gen))
+		os.Remove(Path(dir, name, gen) + released)
 	}
 	return h, nil
 }
@@ -314,8 +323,9 @@ func AcquireOn(clk clock.Clock, dir, name, owner string, ttl time.Duration) (*Ha
 // observe is the read half of an acquisition: the generations of name on
 // disk, and whether the highest is a stale or corrupt lease this
 // acquisition would displace. A live one is a HeldError. A highest
-// generation that vanished since the listing was released or superseded —
-// nothing is displaced, and if it was superseded the create loses.
+// generation that was released, or vanished since the listing because it
+// was released or superseded, displaces nothing; if it was superseded the
+// create loses.
 func observe(dir, name string, now time.Time) (gens []int64, displaced bool, err error) {
 	all, err := list(dir)
 	if gens = all[name]; err != nil || len(gens) == 0 {
@@ -387,19 +397,22 @@ func (h *Handle) Heartbeat() error {
 	return h.publish(os.Rename)
 }
 
-// Release removes the lease if this handle still owns it; releasing a
-// lease that was already taken over returns ErrLost and leaves the
-// successor's file untouched.
+// Release frees the name if this handle still owns it, renaming its lease
+// file to the released record of its generation, so the next owner takes
+// the generation after it and this handle's Verify and Heartbeat return
+// ErrLost. Releasing a lease that was already taken over returns ErrLost
+// and leaves the successor's file untouched.
 func (h *Handle) Release() error {
 	if err := h.Verify(); err != nil {
 		return err
 	}
-	return os.Remove(Path(h.dir, h.info.Name, h.info.Gen))
+	path := Path(h.dir, h.info.Name, h.info.Gen)
+	return os.Rename(path, path+released)
 }
 
 // Live lists the current lease of every name under dir that is live at
-// now (parseable, not stale by its own declared TTL), in lexical order. A
-// missing directory is simply empty.
+// now (parseable, not released, not stale by its own declared TTL), in
+// lexical order. A missing directory is simply empty.
 func Live(dir string, now time.Time) ([]Info, error) {
 	all, err := list(dir)
 	if err != nil {

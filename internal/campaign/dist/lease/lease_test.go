@@ -37,7 +37,48 @@ func TestAcquireHeartbeatRelease(t *testing.T) {
 		t.Fatalf("release: %v", err)
 	}
 	if _, err := Read(dir, "shard-0000"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("lease file survived release: %v", err)
+		t.Fatalf("Read after release = %v, want os.ErrNotExist (the name is free)", err)
+	}
+}
+
+// One owner string takes a name, releases it and takes it again — what a
+// worker does with every shard lease. The second acquisition gets the
+// next generation, as a clean handoff (no takeover), and the released
+// handle is fenced: its Verify and Heartbeat return ErrLost, and a second
+// Release does too. The released record is not live.
+func TestReacquireAfterReleaseBumpsGeneration(t *testing.T) {
+	dir, clk := t.TempDir(), testClock()
+	first, err := AcquireOn(clk, dir, "shard-0001", "w", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if live, err := Live(dir, clk.Now()); err != nil || len(live) != 0 {
+		t.Fatalf("Live after release = %+v, %v; want none", live, err)
+	}
+	second, err := AcquireOn(clk, dir, "shard-0001", "w", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.info.Gen != 2 || second.TookOver() {
+		t.Fatalf("re-acquire: gen=%d took over=%v, want gen 2 and a clean handoff", second.info.Gen, second.TookOver())
+	}
+	if err := first.Verify(); !errors.Is(err, ErrLost) {
+		t.Errorf("released handle Verify = %v, want ErrLost", err)
+	}
+	if err := first.Heartbeat(); !errors.Is(err, ErrLost) {
+		t.Errorf("released handle Heartbeat = %v, want ErrLost", err)
+	}
+	if err := first.Release(); !errors.Is(err, ErrLost) {
+		t.Errorf("second Release = %v, want ErrLost", err)
+	}
+	if err := second.Verify(); err != nil {
+		t.Errorf("new holder fenced by the released handle: %v", err)
+	}
+	if files := leaseFiles(t, dir); len(files) != 1 || files[0] != "shard-0001.g2.lease" {
+		t.Errorf("leases dir holds %v, want only shard-0001.g2.lease", files)
 	}
 }
 
@@ -205,7 +246,7 @@ type contender struct {
 // clock-step operations by four contenders on one name, on the fake clock.
 // After every operation: at most one handle verifies; a handle that has
 // heartbeated inside its declared TTL throughout is never lost; no
-// generation is handed out twice while the name stays claimed; and once the
+// generation is ever handed out twice, releases included; and once the
 // schedule quiesces the directory holds at most one lease file.
 func TestInterleavedContendersOneOwner(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
@@ -217,7 +258,7 @@ func TestInterleavedContendersOneOwner(t *testing.T) {
 			for i := range cs {
 				cs[i] = &contender{owner: fmt.Sprint("c", i), ttl: time.Duration(10+10*i) * time.Second}
 			}
-			won := make(map[int64]string) // generation -> winner since the name was last free
+			won := make(map[int64]string) // generation -> winner
 			// A holder lapses once its last beat is a TTL old — or, after the
 			// clock was stepped back, implausibly far in the future.
 			lapse := func() {
@@ -255,9 +296,7 @@ func TestInterleavedContendersOneOwner(t *testing.T) {
 						c.h = nil
 					}
 				case op == 6 && c.h != nil: // release
-					if err := c.h.Release(); err == nil {
-						clear(won) // the name is free: generations restart
-					} else if !errors.Is(err, ErrLost) || !c.lapsed {
+					if err := c.h.Release(); err != nil && (!errors.Is(err, ErrLost) || !c.lapsed) {
 						t.Fatalf("step %d: %s release (lapsed=%v): %v", step, c.owner, c.lapsed, err)
 					}
 					c.h = nil

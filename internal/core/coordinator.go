@@ -152,27 +152,7 @@ func (c *Coordinator) delayComputation(reqs map[string]Request) {
 // The terminal ExperimentFinished event is emitted exactly once, whatever
 // the outcome.
 func (c *Coordinator) RunExperiment(ctx context.Context, target string, prof *content.Profile) (*Result, error) {
-	res, err := c.runExperiment(ctx, target, prof)
-	c.emit(ExperimentFinished{Target: target, Result: res, Err: errString(err)})
-	return res, err
-}
-
-func (c *Coordinator) runExperiment(ctx context.Context, target string, prof *content.Profile) (*Result, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("core: nil profile for target %s", target)
-	}
-	if err := c.register(); err != nil {
-		return nil, err
-	}
-	res := &Result{Target: target}
-	for _, stage := range Stages {
-		sr := c.RunStage(ctx, stage, prof)
-		res.Stages = append(res.Stages, sr)
-		if canceled(ctx) {
-			return res, ctx.Err()
-		}
-	}
-	return res, nil
+	return c.run(ctx, target, Stages, prof)
 }
 
 // RunSingleStage runs exactly one stage as a complete experiment:
@@ -181,23 +161,25 @@ func (c *Coordinator) runExperiment(ctx context.Context, target string, prof *co
 // campaign engine use. Like RunExperiment, cancellation yields the partial
 // Result plus ctx's error.
 func (c *Coordinator) RunSingleStage(ctx context.Context, target string, stage Stage, prof *content.Profile) (*Result, error) {
-	res, err := c.runSingleStage(ctx, target, stage, prof)
-	c.emit(ExperimentFinished{Target: target, Result: res, Err: errString(err)})
-	return res, err
+	return c.run(ctx, target, []Stage{stage}, prof)
 }
 
-func (c *Coordinator) runSingleStage(ctx context.Context, target string, stage Stage, prof *content.Profile) (*Result, error) {
+// run is both entry points: register, run the stages in order until ctx
+// is canceled, and emit ExperimentFinished exactly once.
+func (c *Coordinator) run(ctx context.Context, target string, stages []Stage, prof *content.Profile) (res *Result, err error) {
+	defer func() { c.emit(ExperimentFinished{Target: target, Result: res, Err: errString(err)}) }()
 	if prof == nil {
 		return nil, fmt.Errorf("core: nil profile for target %s", target)
 	}
-	if len(c.clients) == 0 {
-		if err := c.register(); err != nil {
-			return nil, err
-		}
+	if err := c.register(); err != nil {
+		return nil, err
 	}
-	res := &Result{Target: target, Stages: []*StageResult{c.RunStage(ctx, stage, prof)}}
-	if canceled(ctx) {
-		return res, ctx.Err()
+	res = &Result{Target: target}
+	for _, stage := range stages {
+		res.Stages = append(res.Stages, c.RunStage(ctx, stage, prof))
+		if canceled(ctx) {
+			return res, ctx.Err()
+		}
 	}
 	return res, nil
 }
@@ -254,7 +236,7 @@ func (c *Coordinator) RunStage(ctx context.Context, stage Stage, prof *content.P
 		if !er.Exceeded {
 			continue
 		}
-		if crowd < c.cfg.MinSignificant {
+		if crowd < minSignificant {
 			// Too few participants for a statistically meaningful quantile.
 			continue
 		}

@@ -178,7 +178,7 @@ func TestMinSignificantSuppressesEarlyStops(t *testing.T) {
 		t.Fatalf("verdict = %v, want Stopped", sr.Verdict)
 	}
 	if sr.StoppingCrowd != 15 {
-		t.Errorf("StoppingCrowd = %d, want 15 (the MinSignificant floor)", sr.StoppingCrowd)
+		t.Errorf("StoppingCrowd = %d, want 15 (the minSignificant floor)", sr.StoppingCrowd)
 	}
 	if sr.FirstExceed != 5 {
 		t.Errorf("FirstExceed = %d, want 5 (footnote-2 post-analysis)", sr.FirstExceed)
@@ -339,7 +339,7 @@ func TestMultiRequestSchedulesMRequestsPerClient(t *testing.T) {
 
 // Property: for any linear degradation slope, the confirmed stopping crowd
 // brackets the true threshold crossing — never below it (modulo the
-// MinSignificant floor), never more than one step plus the check margin
+// minSignificant floor), never more than one step plus the check margin
 // above it.
 func TestStoppingCrowdBracketsCrossingProperty(t *testing.T) {
 	for _, slopeMs := range []int{2, 3, 4, 6, 8, 12, 20} {
@@ -356,8 +356,8 @@ func TestStoppingCrowdBracketsCrossingProperty(t *testing.T) {
 		sr := coord.RunStage(context.Background(), StageBase, testProfile())
 		trueCross := int(cfg.Threshold/slope) + 1
 		wantLo := trueCross
-		if wantLo < cfg.MinSignificant {
-			wantLo = cfg.MinSignificant
+		if wantLo < minSignificant {
+			wantLo = minSignificant
 		}
 		wantHi := wantLo + cfg.Step // ramp granularity
 		if trueCross > cfg.MaxCrowd {

@@ -50,6 +50,15 @@ func (s Stage) String() string {
 	}
 }
 
+// The paper's fixed detection rules (§2.2.2): a crowd below 15 is too
+// small for a trusted quantile, so those ramp epochs always progress; and
+// the Base and Small Query stages need half the clients ("the median") to
+// observe a >θ increase.
+const (
+	minSignificant  = 15
+	baseObserveFrac = 0.50
+)
+
 // Config tunes an MFC experiment. The zero value is NOT usable; call
 // DefaultConfig and adjust.
 type Config struct {
@@ -66,9 +75,6 @@ type Config struct {
 	// MinClients aborts the experiment when fewer distinct clients are
 	// available (paper: 50), ensuring wide-area representativeness.
 	MinClients int
-	// MinSignificant is the smallest crowd whose quantile is trusted
-	// (paper: 15); epochs below it always progress.
-	MinSignificant int
 
 	// EpochGap separates successive epochs (paper: ~10s).
 	EpochGap time.Duration
@@ -79,16 +85,14 @@ type Config struct {
 	// client lead time, absorbing control jitter.
 	ScheduleGuard time.Duration
 
-	// BaseObserveFrac is the fraction of clients that must observe a >θ
-	// increase for the Base and Small Query stages (paper: 0.50 — "the
-	// median"). LargeObserveFrac applies to the Large Object stage (paper:
-	// 0.90 — "we require that a larger fraction of the clients,
-	// specifically 90% of them, observe >θ"), which discounts shared
-	// network bottlenecks far from the target: congestion on a middle link
-	// shared by some clients cannot trip a rule that demands nearly all of
-	// them degrade. The detection statistic is therefore the (1−fraction)
-	// quantile of normalized response times.
-	BaseObserveFrac  float64
+	// LargeObserveFrac is the fraction of clients that must observe a >θ
+	// increase for the Large Object stage (paper: 0.90 — "we require that
+	// a larger fraction of the clients, specifically 90% of them, observe
+	// >θ"), which discounts shared network bottlenecks far from the
+	// target: congestion on a middle link shared by some clients cannot
+	// trip a rule that demands nearly all of them degrade. The Base and
+	// Small Query stages use the median (baseObserveFrac). The detection
+	// statistic is the (1−fraction) quantile of normalized response times.
 	LargeObserveFrac float64
 
 	// CheckPhase enables the N-1/N/N+1 confirmation epochs. Disabling it is
@@ -136,11 +140,9 @@ func DefaultConfig() Config {
 		Step:             5,
 		MaxCrowd:         50,
 		MinClients:       50,
-		MinSignificant:   15,
 		EpochGap:         10 * time.Second,
 		RequestTimeout:   10 * time.Second,
 		ScheduleGuard:    500 * time.Millisecond,
-		BaseObserveFrac:  0.50,
 		LargeObserveFrac: 0.90,
 		CheckPhase:       true,
 		MultiRequest:     1,
@@ -161,9 +163,6 @@ func (c Config) withDefaults() Config {
 	if c.MinClients < 0 {
 		c.MinClients = 0
 	}
-	if c.MinSignificant <= 0 {
-		c.MinSignificant = d.MinSignificant
-	}
 	if c.EpochGap <= 0 {
 		c.EpochGap = d.EpochGap
 	}
@@ -172,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScheduleGuard <= 0 {
 		c.ScheduleGuard = d.ScheduleGuard
-	}
-	if c.BaseObserveFrac <= 0 || c.BaseObserveFrac >= 1 {
-		c.BaseObserveFrac = d.BaseObserveFrac
 	}
 	if c.LargeObserveFrac <= 0 || c.LargeObserveFrac >= 1 {
 		c.LargeObserveFrac = d.LargeObserveFrac
@@ -198,7 +194,7 @@ func (c Config) Quantile(s Stage) float64 {
 	if s == StageLargeObject {
 		return 1 - c.LargeObserveFrac
 	}
-	return 1 - c.BaseObserveFrac
+	return 1 - baseObserveFrac
 }
 
 // StaggerDist enumerates staggered-arrival inter-arrival distributions.

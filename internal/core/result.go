@@ -112,8 +112,8 @@ type StageResult struct {
 	// StoppingCrowd is the confirmed stopping crowd size (0 if NoStop).
 	StoppingCrowd int
 	// FirstExceed is the earliest crowd size whose quantile exceeded θ,
-	// even below MinSignificant — the post-analysis the paper applies to
-	// Univ-1 (footnote 2). 0 if never exceeded.
+	// even below the 15-client significance floor — the post-analysis the
+	// paper applies to Univ-1 (footnote 2). 0 if never exceeded.
 	FirstExceed int
 
 	Epochs        []EpochResult

@@ -332,7 +332,7 @@ type MRPoint struct {
 type MRResult struct{ Points []MRPoint }
 
 // ExtensionMultiRequest sweeps MFC-mr against QTNP's Base stage: the
-// stopping size in *clients* shrinks toward the MinSignificant floor while
+// stopping size in *clients* shrinks toward the 15-client floor while
 // the server-side load at the stop is governed by simultaneous requests —
 // MFC-mr reaches a given request volume with proportionally fewer client
 // machines, which is exactly why the paper uses it on QTNP and QTP.

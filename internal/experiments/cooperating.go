@@ -365,7 +365,7 @@ type Univ1Result struct {
 
 // Univ1 runs the standard MFC against the weak research-group server. The
 // paper's "stopping size 5" is FirstExceed post-analysis (footnote 2): the
-// ramp cannot stop below MinSignificant=15.
+// ramp cannot stop below the 15-client significance floor.
 func Univ1() (*Univ1Result, error) {
 	cfg := core.DefaultConfig()
 	cfg.Threshold = 100 * time.Millisecond

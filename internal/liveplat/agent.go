@@ -25,7 +25,6 @@ type Agent struct {
 
 	mu      sync.Mutex
 	client  *goClient // bound to the target after the measure command
-	results map[int][]core.Sample
 	stopped bool
 }
 
@@ -40,7 +39,6 @@ func NewAgent(id, coordAddr string) (*Agent, error) {
 		ID:          id,
 		Coordinator: addr,
 		Logf:        log.Printf,
-		results:     make(map[int][]core.Sample),
 	}, nil
 }
 
@@ -91,6 +89,15 @@ func (a *Agent) reply(to *net.UDPAddr, m *wire.Message) {
 	}
 }
 
+// coreRequests converts a command's wire requests.
+func coreRequests(rs []wire.Request) []core.Request {
+	reqs := make([]core.Request, len(rs))
+	for i, r := range rs {
+		reqs[i] = core.Request{Method: r.Method, URL: r.URL}
+	}
+	return reqs
+}
+
 func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 	switch m.Type {
 	case wire.TypeProbe:
@@ -110,11 +117,7 @@ func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 		cl := a.client
 		a.mu.Unlock()
 
-		reqs := make([]core.Request, len(m.Requests))
-		for i, r := range m.Requests {
-			reqs[i] = core.Request{Method: r.Method, URL: r.URL}
-		}
-		bl, err := cl.MeasureTarget(reqs)
+		bl, err := cl.MeasureTarget(coreRequests(m.Requests))
 		if err != nil {
 			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, Err: err.Error()})
 			return
@@ -139,28 +142,16 @@ func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 		if cl == nil {
 			return // fire before measure: drop
 		}
-		epoch := m.Epoch
-		timeout := time.Duration(m.TimeoutNs)
-		go func() {
-			var wg sync.WaitGroup
-			for _, r := range m.Requests {
-				r := r
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					s := cl.doRequest(core.Request{Method: r.Method, URL: r.URL}, timeout)
-					a.mu.Lock()
-					a.results[epoch] = append(a.results[epoch], s)
-					a.mu.Unlock()
-				}()
-			}
-			wg.Wait()
-		}()
+		go cl.fire(m.Epoch, coreRequests(m.Requests), time.Duration(m.TimeoutNs))
 
 	case wire.TypePoll:
 		a.mu.Lock()
-		samples := a.results[m.Epoch]
+		cl := a.client
 		a.mu.Unlock()
+		var samples []core.Sample
+		if cl != nil { // poll before measure: empty results
+			samples, _ = cl.Collect(m.Epoch)
+		}
 		res := &wire.Message{Type: wire.TypeResults, Epoch: m.Epoch, Seq: m.Seq}
 		for _, s := range samples {
 			res.Samples = append(res.Samples, wire.Sample{

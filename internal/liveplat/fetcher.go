@@ -15,10 +15,10 @@ import (
 type HTTPFetcher struct {
 	Base   *url.URL
 	Client *http.Client
-	// MaxBody bounds how much of a page is read for link extraction
-	// (default 512 KB).
-	MaxBody int64
 }
+
+// maxBody bounds how much of a page is read for link extraction.
+const maxBody = 512 << 10
 
 // NewHTTPFetcher builds a fetcher for the given absolute base URL.
 func NewHTTPFetcher(target string) (*HTTPFetcher, error) {
@@ -77,11 +77,7 @@ func (f *HTTPFetcher) Get(ctx context.Context, u string) (int64, []string, error
 		io.Copy(io.Discard, resp.Body)
 		return 0, nil, fmt.Errorf("liveplat: GET %s: status %d", u, resp.StatusCode)
 	}
-	max := f.MaxBody
-	if max <= 0 {
-		max = 512 << 10
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, max))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
 		return 0, nil, err
 	}

@@ -113,21 +113,24 @@ func (c *goClient) Fire(epoch int, arriveAt time.Duration, reqs []core.Request, 
 	rtt := c.baseRTT
 	c.mu.Unlock()
 	fireAt := c.clock.Absolute(arriveAt - rtt*3/2)
-	time.AfterFunc(time.Until(fireAt), func() {
-		var wg sync.WaitGroup
-		for _, rq := range reqs {
-			rq := rq
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := c.doRequest(rq, timeout)
-				c.mu.Lock()
-				c.results[epoch] = append(c.results[epoch], s)
-				c.mu.Unlock()
-			}()
-		}
-		wg.Wait()
-	})
+	time.AfterFunc(time.Until(fireAt), func() { c.fire(epoch, reqs, timeout) })
+}
+
+// fire issues reqs in parallel now and records each sample under epoch
+// for Collect; it returns once every request has completed.
+func (c *goClient) fire(epoch int, reqs []core.Request, timeout time.Duration) {
+	var wg sync.WaitGroup
+	for _, rq := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := c.doRequest(rq, timeout)
+			c.mu.Lock()
+			c.results[epoch] = append(c.results[epoch], s)
+			c.mu.Unlock()
+		}()
+	}
+	wg.Wait()
 }
 
 // doRequest issues one HTTP request, fully reading the body, enforcing the

@@ -22,10 +22,16 @@ type UDPPlatform struct {
 
 	mu      sync.Mutex
 	agents  map[string]*udpClient // by client ID
+	full    bool                  // a registration was dropped at maxAgents
 	pending map[uint64]pendingRPC
 	seq     uint64
 	closed  bool
 }
+
+// maxAgents caps the registry well above the paper's ~100 PlanetLab
+// clients: registrations are unauthenticated datagrams, and ActiveClients
+// probes every agent in turn.
+const maxAgents = 1024
 
 // pendingRPC routes a reply to its waiting request. A reply must match
 // both the sequence number and the agent the request went to: a datagram
@@ -89,14 +95,7 @@ func (p *UDPPlatform) readLoop() {
 		}
 		switch m.Type {
 		case wire.TypeRegister:
-			p.mu.Lock()
-			if _, ok := p.agents[m.ClientID]; !ok {
-				p.agents[m.ClientID] = &udpClient{platform: p, id: m.ClientID, addr: from}
-				p.logf("registered agent %s at %s", m.ClientID, from)
-			} else {
-				p.agents[m.ClientID].addr = from // re-registration: refresh addr
-			}
-			p.mu.Unlock()
+			p.register(m.ClientID, from)
 		default:
 			p.mu.Lock()
 			pr, ok := p.pending[m.Seq]
@@ -113,6 +112,26 @@ func (p *UDPPlatform) readLoop() {
 			default:
 			}
 		}
+	}
+}
+
+// register refreshes a known agent's address or adds a new one. An empty
+// id is rejected, and new ids past maxAgents are dropped (logged once).
+func (p *UDPPlatform) register(id string, addr *net.UDPAddr) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch c, ok := p.agents[id]; {
+	case ok:
+		c.addr = addr
+	case id == "": // rejected
+	case len(p.agents) >= maxAgents:
+		if !p.full {
+			p.logf("agent registry full at %d agents: dropping registrations of new IDs", maxAgents)
+		}
+		p.full = true
+	default:
+		p.agents[id] = &udpClient{platform: p, id: id, addr: addr}
+		p.logf("registered agent %s at %s", id, addr)
 	}
 }
 

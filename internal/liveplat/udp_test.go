@@ -199,3 +199,75 @@ func TestPlatformDropsWrongClientIDReply(t *testing.T) {
 		t.Errorf("probe failed: %v", err)
 	}
 }
+
+// Registrations are unauthenticated datagrams: an empty ClientID is
+// rejected, distinct IDs stop at maxAgents however many arrive, and a
+// known ID that re-registers from a new address still has it refreshed.
+func TestPlatformBoundsAgentRegistry(t *testing.T) {
+	plat, err := NewUDPPlatform("127.0.0.1:0", "http://unused/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plat.Close()
+	flood, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flood.Close()
+	moved, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Close()
+
+	registered := func() int {
+		plat.mu.Lock()
+		defer plat.mu.Unlock()
+		return len(plat.agents)
+	}
+	register := func(conn *net.UDPConn, id string) {
+		if err := wire.Send(conn, plat.Addr(), &wire.Message{Type: wire.TypeRegister, ClientID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Paced in batches the read loop drains, so the socket buffer never
+	// overflows and every datagram is seen.
+	register(flood, "")
+	const ids = maxAgents + 50
+	for i := 0; i < ids; i++ {
+		register(flood, fmt.Sprintf("spoof-%d", i))
+		if i%64 == 63 || i == ids-1 {
+			want := min(i+1, maxAgents)
+			deadline := time.Now().Add(5 * time.Second)
+			for registered() < want && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	// Datagrams from one sender are read in order, so once the
+	// re-registration from the new address lands, every spoofed
+	// registration before it has been handled.
+	register(moved, "spoof-0")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		plat.mu.Lock()
+		addr := plat.agents["spoof-0"].addr
+		plat.mu.Unlock()
+		if addr.Port == moved.LocalAddr().(*net.UDPAddr).Port {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("re-registration from a new address was not refreshed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	plat.mu.Lock()
+	_, empty := plat.agents[""]
+	plat.mu.Unlock()
+	if empty {
+		t.Error("an empty ClientID was registered")
+	}
+	if n := registered(); n != maxAgents {
+		t.Errorf("registered %d agents from %d distinct IDs, want the cap %d", n, ids, maxAgents)
+	}
+}

@@ -196,7 +196,7 @@ type SiteSample struct {
 // SampleAt(b, i, seed) is deterministic in its arguments and independent of
 // call order.
 func SampleAt(b Band, i int, seed int64) SiteSample {
-	rng := rand.New(rand.NewSource(mixSeed(seed, int64(b), int64(i))))
+	rng := rand.New(rand.NewSource(MixSeed(seed, int64(b), int64(i))))
 	name := siteName(b, i)
 	cfg := configFor(rng, b, name)
 	siteSeed := rng.Int63()
@@ -217,9 +217,9 @@ func siteName(b Band, i int) string {
 	return b.String() + "-" + "00000"[min(len(digits), 5):] + string(digits)
 }
 
-// mixSeed folds the inputs through splitmix64 finalizers so that adjacent
-// (seed, band, index) tuples land on well-separated generator states.
-func mixSeed(vals ...int64) int64 {
+// MixSeed folds the inputs through splitmix64 finalizers so that adjacent
+// input tuples land on well-separated generator states.
+func MixSeed(vals ...int64) int64 {
 	z := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vals {
 		z += uint64(v) + 0x9E3779B97F4A7C15

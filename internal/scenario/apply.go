@@ -9,6 +9,7 @@ import (
 	"mfc/internal/content"
 	"mfc/internal/core"
 	"mfc/internal/netsim"
+	"mfc/internal/population"
 	"mfc/internal/websim"
 )
 
@@ -59,7 +60,7 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 	}
 	specs := make([]core.SimClientSpec, n)
 	for i := range specs {
-		rng := rand.New(rand.NewSource(mixSeed(seed, int64(i))))
+		rng := rand.New(rand.NewSource(population.MixSeed(seed, int64(i))))
 		x := rng.Float64() * total
 		k := 0
 		for k < len(weights)-1 && x >= weights[k] {
@@ -91,20 +92,6 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 		}
 	}
 	return specs
-}
-
-// mixSeed folds the inputs through splitmix64 finalizers (the same mixing
-// population.SampleAt uses) so adjacent (seed, index) tuples land on
-// well-separated generator states.
-func mixSeed(vals ...int64) int64 {
-	z := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vals {
-		z += uint64(v) + 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-	}
-	return int64(z & math.MaxInt64)
 }
 
 // Hooks are the simulation handles Start wires the scenario's runtime

@@ -12,14 +12,9 @@ import (
 type BackgroundConfig struct {
 	// Rate is the Poisson arrival rate in requests per second.
 	Rate float64
-	// ClientRTT/ClientBW describe typical background visitors.
-	ClientRTT time.Duration // default 60ms
-	ClientBW  float64       // default 500 KB/s
 	// QueryFraction is the share of background requests hitting dynamic
 	// URLs (default 0.2).
 	QueryFraction float64
-	// Timeout is the per-request budget (default 10s).
-	Timeout time.Duration
 	// BurstSize and BurstEvery model transient load spikes: every
 	// ~BurstEvery (exponential), BurstSize extra requests arrive within
 	// about a second. Bursts are the "stochastic effects" the coordinator's
@@ -29,18 +24,17 @@ type BackgroundConfig struct {
 	BurstEvery time.Duration
 }
 
+// A typical background visitor, and the per-request budget of every
+// non-MFC visitor (background and flash crowd).
+const (
+	backgroundRTT  = 60 * time.Millisecond
+	backgroundBW   = 500e3 // bytes/s
+	visitorTimeout = 10 * time.Second
+)
+
 func (c BackgroundConfig) withDefaults() BackgroundConfig {
-	if c.ClientRTT <= 0 {
-		c.ClientRTT = 60 * time.Millisecond
-	}
-	if c.ClientBW <= 0 {
-		c.ClientBW = 500e3
-	}
 	if c.QueryFraction <= 0 || c.QueryFraction > 1 {
 		c.QueryFraction = 0.2
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
 	}
 	return c
 }
@@ -118,9 +112,9 @@ func (g *bgBursts) Step(p *netsim.Proc) bool {
 			req := Request{
 				Method:    "GET",
 				URL:       url,
-				ClientRTT: bt.cfg.ClientRTT,
-				ClientBW:  bt.cfg.ClientBW,
-				Deadline:  env.Now() + offset + bt.cfg.Timeout,
+				ClientRTT: backgroundRTT,
+				ClientBW:  backgroundBW,
+				Deadline:  env.Now() + offset + visitorTimeout,
 			}
 			env.SpawnAfter("bg-burst-req", offset, bt.srv.NewVisit("bg", req, bt.countSent, bt.countDone))
 		}
@@ -181,14 +175,14 @@ func (g *bgArrivals) Step(p *netsim.Proc) bool {
 			url = static[env.Rand().Intn(len(static))]
 		}
 		bt.sent++
-		// Jitter visitor RTT ±40% around the configured typical value.
-		rtt := time.Duration(float64(bt.cfg.ClientRTT) * (0.6 + 0.8*env.Rand().Float64()))
+		// Jitter visitor RTT ±40% around the typical value.
+		rtt := time.Duration(float64(backgroundRTT) * (0.6 + 0.8*env.Rand().Float64()))
 		req := Request{
 			Method:    "GET",
 			URL:       url,
 			ClientRTT: rtt,
-			ClientBW:  bt.cfg.ClientBW * (0.5 + env.Rand().Float64()),
-			Deadline:  env.Now() + bt.cfg.Timeout,
+			ClientBW:  backgroundBW * (0.5 + env.Rand().Float64()),
+			Deadline:  env.Now() + visitorTimeout,
 		}
 		env.Spawn("bg-req", bt.srv.NewVisit("bg", req, nil, bt.countDone))
 	}

@@ -22,7 +22,6 @@ type FlashCrowdConfig struct {
 
 	ClientRTT time.Duration // default 60ms
 	ClientBW  float64       // default 1 MB/s
-	Timeout   time.Duration // default 10s
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -40,9 +39,6 @@ func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 	}
 	if c.ClientBW <= 0 {
 		c.ClientBW = 1e6
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
 	}
 	return c
 }
@@ -151,7 +147,7 @@ func (r *RampArrivals) request(at time.Duration) Request {
 	return Request{
 		Method: r.cfg.Method, URL: r.cfg.URL,
 		ClientRTT: r.cfg.ClientRTT, ClientBW: r.cfg.ClientBW,
-		Deadline: at + r.cfg.Timeout,
+		Deadline: at + visitorTimeout,
 	}
 }
 

@@ -48,6 +48,10 @@ func (b Backend) String() string {
 	return "mongrel"
 }
 
+// fileCacheBytes is each replica's static-object cache capacity and
+// headerBytes the HTTP response header size.
+const fileCacheBytes, headerBytes = 64 << 20, 300
+
 // Config describes one server installation. NewServer applies defaults for
 // zero fields (documented per field).
 type Config struct {
@@ -83,8 +87,6 @@ type Config struct {
 	// (default 6ms); DiskBandwidth is the sequential rate (default 40 MB/s).
 	DiskSeek      time.Duration
 	DiskBandwidth float64
-	// FileCacheBytes is the static-object cache capacity (default 64 MB).
-	FileCacheBytes int64
 
 	// DBConns is the connection-pool size per replica (default 16).
 	DBConns int
@@ -133,9 +135,6 @@ type Config struct {
 	// Replicas models a load-balanced farm of identical servers behind one
 	// IP (QTP has 16). Capacities above are per replica.
 	Replicas int
-
-	// HeaderBytes is the HTTP response header size (default 300).
-	HeaderBytes int64
 
 	// LimitRate enables a server-side token-bucket rate limiter (WAF /
 	// reverse-proxy throttling tier) admitting this many requests per
@@ -220,9 +219,6 @@ func (c Config) withDefaults() Config {
 	if c.DiskBandwidth <= 0 {
 		c.DiskBandwidth = 40e6
 	}
-	if c.FileCacheBytes <= 0 {
-		c.FileCacheBytes = 64 << 20
-	}
 	if c.DBConns <= 0 {
 		c.DBConns = 16
 	}
@@ -249,9 +245,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = 300
 	}
 	if c.SyntheticSettle <= 0 {
 		c.SyntheticSettle = 50 * time.Millisecond
@@ -370,7 +363,7 @@ func NewServer(env *netsim.Env, cfg Config, site *content.Site) *Server {
 		cpu:        env.NewLink(cfg.Name+"/cpu", cfg.Cores*r),
 		disk:       env.NewResource(cfg.Name+"/disk", cfg.Replicas),
 		dbPool:     env.NewResource(cfg.Name+"/db", cfg.DBConns*cfg.Replicas),
-		fileCache:  newLRU(cfg.FileCacheBytes * int64(cfg.Replicas)),
+		fileCache:  newLRU(fileCacheBytes * int64(cfg.Replicas)),
 		queryCache: newLRU(cfg.QueryCacheBytes * int64(cfg.Replicas)),
 		resident:   cfg.BaseMemBytes,
 		pathLoss:   cfg.PathLoss,
@@ -610,7 +603,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 					bw = req.ClientBW
 				}
 				c.state = callEdge
-				return p.BeginSleep(time.Duration(float64(c.body+s.cfg.HeaderBytes) / bw * float64(time.Second)))
+				return p.BeginSleep(time.Duration(float64(c.body+headerBytes) / bw * float64(time.Second)))
 			}
 
 			// WAF / reverse-proxy rate limiter: a deterministic leaky bucket in
@@ -869,7 +862,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			// Push the response through the shared access link, charging the
 			// TCP slow-start ramp for transfers that span multiple windows.
 			c.state = callSlowStart
-			if penalty := slowStartPenalty(c.body+s.cfg.HeaderBytes, req.ClientRTT); penalty > 0 {
+			if penalty := slowStartPenalty(c.body+headerBytes, req.ClientRTT); penalty > 0 {
 				return p.BeginSleep(penalty)
 			}
 
@@ -881,7 +874,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				// window-limited early rounds. Larger responses are likelier to
 				// stall, which is why sustained loss hurts the Large Object stage
 				// first. No draw happens when pathLoss is 0 (determinism guard).
-				pkts := float64((c.body + s.cfg.HeaderBytes + 1459) / 1460)
+				pkts := float64((c.body + headerBytes + 1459) / 1460)
 				if pkts > 64 {
 					pkts = 64
 				}
@@ -896,7 +889,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				return c.timeout()
 			}
 			c.state = callSent
-			return s.access.BeginTransferTimeout(p, float64(c.body+s.cfg.HeaderBytes), req.ClientBW, rem)
+			return s.access.BeginTransferTimeout(p, float64(c.body+headerBytes), req.ClientBW, rem)
 
 		case callSent:
 			if !ok {

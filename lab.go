@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
-	"mfc/internal/content"
 	"mfc/internal/labtarget"
 	"mfc/internal/liveplat"
 )
@@ -23,15 +21,10 @@ type LabTarget struct {
 	// Model is an optional synthetic response-time model driven by the
 	// live pending-request count (§3.1's validation functions).
 	Model SyntheticModel
-	// QueryDelay is a fixed handling time for dynamic URLs, emulating a
-	// back-end query independent of the model.
-	QueryDelay time.Duration
 	// Listen is the TCP address to bind (default "127.0.0.1:0").
 	Listen string
 	// Clients is the in-process goroutine crowd size (default 40).
 	Clients int
-	// CrawlMax bounds the profiling crawl (default 200 objects).
-	CrawlMax int
 }
 
 // open implements Target.
@@ -44,7 +37,6 @@ func (t LabTarget) open(_ context.Context, cfg Config, _ *runOptions) (*binding,
 		listen = "127.0.0.1:0"
 	}
 	srv := labtarget.New(t.Site, t.Model)
-	srv.QueryDelay = t.QueryDelay
 	srv.EnableAccessLog()
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -62,27 +54,12 @@ func (t LabTarget) open(_ context.Context, cfg Config, _ *runOptions) (*binding,
 		ln.Close()
 		return nil, err
 	}
-	fetcher, err := liveplat.NewHTTPFetcher(url)
+	s, err := httpBinding(url, t.Site.Base, 0, srv)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
-	crawlMax := t.CrawlMax
-	if crawlMax <= 0 {
-		crawlMax = 200
-	}
-	return &binding{
-		platform:     plat,
-		fetcher:      fetcher,
-		host:         url,
-		base:         t.Site.Base,
-		crawl:        content.CrawlConfig{MaxObjects: crawlMax},
-		crawlTimeout: 5 * time.Minute, // loopback, but never hang the crawl
-		execute:      func(body func()) { body() },
-		finish: func(r *Session) {
-			r.URL = url
-			r.Lab = srv
-		},
-		close: func() { ln.Close() },
-	}, nil
+	s.platform = plat
+	s.close = func() { ln.Close() }
+	return s, nil
 }

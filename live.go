@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mfc/internal/content"
+	"mfc/internal/labtarget"
 	"mfc/internal/liveplat"
 )
 
@@ -39,15 +40,42 @@ type LiveTarget struct {
 	MinAgents    int
 	RegisterWait time.Duration
 
-	// CrawlMax bounds the profiling crawl (default 200 objects) and
-	// CrawlTimeout its wall-clock budget (default 5m) — a live server that
-	// drips bytes must not hang the profiling stage forever.
-	CrawlMax     int
-	CrawlTimeout time.Duration
+	// CrawlMax bounds the profiling crawl (default 200 objects).
+	CrawlMax int
 
 	// Logf receives platform-level progress (agent registrations). The
 	// experiment itself reports through the typed event stream.
 	Logf func(string, ...any)
+}
+
+// crawlTimeout bounds a real server's profiling crawl: a server that
+// drips bytes must not hang the profiling stage forever.
+const crawlTimeout = 5 * time.Minute
+
+// httpBinding binds the real HTTP server at target, crawled from base
+// (crawlMax objects, default 200) and run inline; lab is nil for a live
+// server. The caller sets the platform and any close hook.
+func httpBinding(target, base string, crawlMax int, lab *labtarget.Server) (*binding, error) {
+	fetcher, err := liveplat.NewHTTPFetcher(target)
+	if err != nil {
+		return nil, err
+	}
+	if crawlMax <= 0 {
+		crawlMax = 200
+	}
+	return &binding{
+		fetcher:      fetcher,
+		host:         target,
+		base:         base,
+		crawl:        content.CrawlConfig{MaxObjects: crawlMax},
+		crawlTimeout: crawlTimeout,
+		execute:      func(body func()) { body() },
+		finish: func(r *Session) {
+			r.URL = target
+			r.Lab = lab
+		},
+		close: func() {},
+	}, nil
 }
 
 // open implements Target.
@@ -63,28 +91,9 @@ func (t LiveTarget) open(ctx context.Context, cfg Config, _ *runOptions) (*bindi
 	if base == "" {
 		base = "/"
 	}
-	fetcher, err := liveplat.NewHTTPFetcher(t.URL)
+	s, err := httpBinding(t.URL, base, t.CrawlMax, nil)
 	if err != nil {
 		return nil, err
-	}
-	crawlMax := t.CrawlMax
-	if crawlMax <= 0 {
-		crawlMax = 200
-	}
-
-	crawlTimeout := t.CrawlTimeout
-	if crawlTimeout <= 0 {
-		crawlTimeout = 5 * time.Minute
-	}
-	s := &binding{
-		fetcher:      fetcher,
-		host:         t.URL,
-		base:         base,
-		crawl:        content.CrawlConfig{MaxObjects: crawlMax},
-		crawlTimeout: crawlTimeout,
-		execute:      func(body func()) { body() },
-		finish:       func(r *Session) { r.URL = t.URL },
-		close:        func() {},
 	}
 
 	if t.Listen == "" {

@@ -171,9 +171,6 @@ const (
 // ScenarioNames) or an inline JSON object — and validates it.
 func ParseScenario(s string) (*Scenario, error) { return scenario.Parse(s) }
 
-// DecodeScenario parses and validates a JSON scenario configuration.
-func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(data) }
-
 // ScenarioNames lists the registered scenario presets, sorted.
 func ScenarioNames() []string { return scenario.Names() }
 
