@@ -13,6 +13,8 @@ test:
 # where driver-context steps and a process goroutine touch the same call),
 # the coordinator (event stream + cancellation), the live platforms (an
 # agent's fired requests record into its client while its polls read it),
+# the lab target (concurrent handlers bump its counters and append to its
+# access log),
 # the experiments/campaign layers that fan out on it, and the root
 # package's whole-experiment oracles (the request-path golden, the kernel
 # cost counters). The three catalog tests are about numbers, not
@@ -20,7 +22,7 @@ test:
 # shape tests beside them already run under the detector (~90 s of it), so
 # they are left to `make test`.
 race:
-	$(GO) test -race -skip 'TestPaperFidelity|TestExperimentsDoc|TestCatalogGolden' ./internal/runner ./internal/netsim ./internal/websim ./internal/core ./internal/liveplat ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
+	$(GO) test -race -skip 'TestPaperFidelity|TestExperimentsDoc|TestCatalogGolden' ./internal/runner ./internal/netsim ./internal/websim ./internal/core ./internal/liveplat ./internal/labtarget ./internal/scenario ./internal/experiments ./internal/campaign ./internal/campaign/dist ./internal/campaign/dist/lease ./internal/campaign/serve ./internal/analyze ./internal/obs
 	$(GO) test -race -run 'Golden|Kernel' .
 
 # API-surface lock: api.txt is the checked-in `go doc -all` of the public

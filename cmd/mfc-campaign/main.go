@@ -24,8 +24,10 @@
 // HTML page over all three feeds on /. Session counters read the same
 // tracker state that renders the terminal progress line, and every
 // whole-store number comes from one cached store scan, so the surfaces
-// cannot drift apart. -metrics-hold keeps the server up after the
-// campaign ends so the terminal counter values can still be scraped;
+// cannot drift apart. The same site events also feed the mfc_run_*
+// families (obs.RunMetrics: epochs, requests, response-time histograms,
+// faults, verdicts) on /metrics. -metrics-hold keeps the server up after
+// the campaign ends so the terminal counter values can still be scraped;
 // POST /quit releases the hold early.
 //
 // Every run/resume/work process also records wall-clock spans — shard
@@ -489,9 +491,11 @@ func printSkipped(s campaign.Skipped) {
 // liveMonitor couples the shared campaign.Tracker — the single source of
 // truth behind the terminal progress line, the /progress JSON and the
 // /metrics exposition, so the three can never drift — with the optional
-// live surface enabled by -metrics.
+// live surface enabled by -metrics, whose registry also carries the
+// per-run event bridge.
 type liveMonitor struct {
 	tr    *campaign.Tracker
+	run   core.Observer // obs.RunMetrics on the -metrics registry; nil without one
 	fleet *campaign.Fleet
 	quiet bool
 
@@ -515,6 +519,7 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 	}
 	m.tr = campaign.NewTracker(reg)
 	if addr != "" {
+		m.run = obs.NewRunMetrics(reg).Observer()
 		m.fleet = campaign.NewFleet(0)
 		m.live = analyze.NewLive(dir, reg, m.tr, m.fleet)
 		ln, err := net.Listen("tcp", addr)
@@ -532,6 +537,9 @@ func startMonitor(dir, addr string, hold time.Duration, quiet bool) (*liveMonito
 
 func (m *liveMonitor) onEvent(ev campaign.SiteEvent) {
 	m.tr.OnEvent(ev)
+	if m.run != nil {
+		m.run(ev.Event)
+	}
 	if m.quiet || !ev.Terminal() {
 		return
 	}

@@ -297,6 +297,10 @@ func TestMetricsMatchReportHeader(t *testing.T) {
 	if fmt.Sprint(total) != header[1] || fmt.Sprint(done) != header[2] {
 		t.Errorf("metrics drift: /metrics store %d/%d vs report header %s/%s", done, total, header[2], header[1])
 	}
+	// The per-run event bridge sees the same terminal events as the tracker.
+	if finished, session := metric(t, scrape, "mfc_run_experiments_finished_total"), metric(t, scrape, "mfc_campaign_jobs_done_session"); finished != session {
+		t.Errorf("metrics drift: mfc_run_experiments_finished_total %d vs mfc_campaign_jobs_done_session %d", finished, session)
+	}
 }
 
 // served starts a control plane over dir and three workers joined to it

@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -27,9 +28,53 @@ import (
 	"mfc/internal/obs"
 )
 
+// serverPreset is one -preset choice: its name, its -list line and how it
+// builds the server and its site for a seed.
+type serverPreset struct {
+	name, about string
+	build       func(seed int64) (mfc.ServerConfig, *mfc.Site)
+}
+
+// custom is the custom preset's server; main binds its knobs to the
+// -cores/-parse/... flags.
+var custom = mfc.ServerConfig{Name: "custom"}
+
+// presets drives both -list and -preset.
+var presets = []serverPreset{
+	{"qtnp", "top-50 commercial site, non-production twin (§4.1)",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetQTNP(), mfc.PresetQTSite(seed) }},
+	{"qtp", "production 16-server load-balanced farm (§4.1)",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetQTP(), mfc.PresetQTSite(seed) }},
+	{"univ1", "weak European research-group server (§4.2)",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetUniv1(), mfc.PresetUniv1Site(seed) }},
+	{"univ2", "CS department with a years-old thread cap (§4.2)",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetUniv2(), mfc.PresetUniv2Site(seed) }},
+	{"univ3", "CS department with a legacy uncached query path (§4.2)",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetUniv3(), mfc.PresetUniv3Site(seed) }},
+	{"lab-fcgi", "§3.2 Apache/MySQL lab box, FastCGI backend",
+		func(int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetLab(mfc.BackendFastCGI) }},
+	{"lab-mongrel", "§3.2 lab box, Mongrel backend",
+		func(int64) (mfc.ServerConfig, *mfc.Site) { return mfc.PresetLab(mfc.BackendMongrel) }},
+	{"custom", "build from the -cores/-parse/-dbconns/... flags",
+		func(seed int64) (mfc.ServerConfig, *mfc.Site) {
+			return custom, mfc.GenerateSite("custom.example", seed, mfc.SiteGenConfig{})
+		}},
+}
+
+// listPresets prints one -list line per preset.
+func listPresets(w io.Writer) {
+	for _, p := range presets {
+		fmt.Fprintf(w, "%-11s %s\n", p.name, p.about)
+	}
+}
+
 func main() {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
+	}
 	var (
-		preset    = flag.String("preset", "qtnp", "server preset: qtnp|qtp|univ1|univ2|univ3|lab-fcgi|lab-mongrel|custom")
+		preset    = flag.String("preset", "qtnp", "server preset: "+strings.Join(names, "|"))
 		threshold = flag.Duration("threshold", 100*time.Millisecond, "θ")
 		step      = flag.Int("step", 5, "crowd increment")
 		max       = flag.Int("max", 55, "maximum crowd size")
@@ -43,25 +88,16 @@ func main() {
 		verbose   = flag.Bool("v", false, "log coordinator progress")
 		list      = flag.Bool("list", false, "list presets and exit")
 		listScen  = flag.Bool("list-scenarios", false, "list scenario presets and exit")
-
-		// custom preset knobs
-		cores     = flag.Float64("cores", 2, "custom: CPU cores")
-		parse     = flag.Duration("parse", 2*time.Millisecond, "custom: per-request parse CPU")
-		dbconns   = flag.Int("dbconns", 8, "custom: DB connection pool size")
-		queryTime = flag.Duration("querytime", 10*time.Millisecond, "custom: backend time per query")
-		bandwidth = flag.Float64("bandwidth", 12.5e6, "custom: access bandwidth (bytes/sec)")
-		workers   = flag.Int("workers", 256, "custom: worker pool size")
 	)
+	flag.Float64Var(&custom.Cores, "cores", 2, "custom: CPU cores")
+	flag.DurationVar(&custom.ParseCPU, "parse", 2*time.Millisecond, "custom: per-request parse CPU")
+	flag.IntVar(&custom.DBConns, "dbconns", 8, "custom: DB connection pool size")
+	flag.DurationVar(&custom.QueryBackendTime, "querytime", 10*time.Millisecond, "custom: backend time per query")
+	flag.Float64Var(&custom.AccessBandwidth, "bandwidth", 12.5e6, "custom: access bandwidth (bytes/sec)")
+	flag.IntVar(&custom.Workers, "workers", 256, "custom: worker pool size")
 	flag.Parse()
 	if *list {
-		fmt.Println("qtnp        top-50 commercial site, non-production twin (§4.1)")
-		fmt.Println("qtp         production 16-server load-balanced farm (§4.1)")
-		fmt.Println("univ1       weak European research-group server (§4.2)")
-		fmt.Println("univ2       CS department with a years-old thread cap (§4.2)")
-		fmt.Println("univ3       CS department with a legacy uncached query path (§4.2)")
-		fmt.Println("lab-fcgi    §3.2 Apache/MySQL lab box, FastCGI backend")
-		fmt.Println("lab-mongrel §3.2 lab box, Mongrel backend")
-		fmt.Println("custom      build from the -cores/-parse/-dbconns/... flags")
+		listPresets(os.Stdout)
 		return
 	}
 	if *listScen {
@@ -83,33 +119,12 @@ func main() {
 
 	var srv mfc.ServerConfig
 	var site *mfc.Site
-	switch *preset {
-	case "qtnp":
-		srv, site = mfc.PresetQTNP(), mfc.PresetQTSite(*seed)
-	case "qtp":
-		srv, site = mfc.PresetQTP(), mfc.PresetQTSite(*seed)
-	case "univ1":
-		srv, site = mfc.PresetUniv1(), mfc.PresetUniv1Site(*seed)
-	case "univ2":
-		srv, site = mfc.PresetUniv2(), mfc.PresetUniv2Site(*seed)
-	case "univ3":
-		srv, site = mfc.PresetUniv3(), mfc.PresetUniv3Site(*seed)
-	case "lab-fcgi":
-		srv, site = mfc.PresetLab(mfc.BackendFastCGI)
-	case "lab-mongrel":
-		srv, site = mfc.PresetLab(mfc.BackendMongrel)
-	case "custom":
-		srv = mfc.ServerConfig{
-			Name:             "custom",
-			Cores:            *cores,
-			ParseCPU:         *parse,
-			DBConns:          *dbconns,
-			QueryBackendTime: *queryTime,
-			AccessBandwidth:  *bandwidth,
-			Workers:          *workers,
+	for _, p := range presets {
+		if p.name == *preset {
+			srv, site = p.build(*seed)
 		}
-		site = mfc.GenerateSite("custom.example", *seed, mfc.SiteGenConfig{})
-	default:
+	}
+	if site == nil {
 		fmt.Fprintf(os.Stderr, "mfc-sim: unknown preset %q (try -list)\n", *preset)
 		os.Exit(2)
 	}

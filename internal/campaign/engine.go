@@ -120,13 +120,14 @@ type WorkOptions struct {
 	OnEvent func(ev SiteEvent)
 
 	// Spans, when non-nil, records this worker's wall-clock spans: a root
-	// "work" span, a claim event plus a "shard" span per claim, a "job"
-	// span per measurement, a "heartbeat" span per renewal, a "fence"
-	// event on losing a claim, and an "idle" span per backoff wait. They
-	// are spilled to dir/spans/spans-<worker>.jsonl (networked workers
-	// ship them to the control plane instead) and flushed on return —
-	// including a SIGINT-canceled return, so an interrupted worker still
-	// yields a loadable trace.
+	// "work" span (its spans_dropped attribute counts the spans the ring
+	// overwrote before they were spilled), a claim event plus a "shard"
+	// span per claim, a "job" span per measurement, a "heartbeat" span per
+	// renewal, a "fence" event on losing a claim, and an "idle" span per
+	// backoff wait. They are spilled to dir/spans/spans-<worker>.jsonl
+	// (networked workers ship them to the control plane instead) and
+	// flushed on return — including a SIGINT-canceled return, so an
+	// interrupted worker still yields a loadable trace.
 	Spans *obs.SpanRecorder
 	// SpanTee, when non-nil, also receives every spilled span batch; the
 	// -metrics dashboard feeds its local Fleet view through it.
@@ -166,7 +167,8 @@ func Work(ctx context.Context, plan *Plan, src ShardSource, spill *SpanSpiller, 
 	defer func() {
 		w.root.End(obs.AInt("jobs", w.newly.Load()),
 			obs.AInt("shards_claimed", int64(st.ShardsClaimed)),
-			obs.AInt("fenced", int64(st.Fenced)))
+			obs.AInt("fenced", int64(st.Fenced)),
+			obs.AInt("spans_dropped", int64(opts.Spans.Dropped())))
 	}()
 
 	if opts.OnStart != nil {

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +113,29 @@ func shardSpan(t *testing.T, rec *obs.SpanRecorder) obs.Span {
 	}
 	t.Fatal("no shard span recorded")
 	return obs.Span{}
+}
+
+// A worker whose span ring wraps before the first flush says so: the root
+// work span carries the count of spans overwritten before it ended. With
+// no spiller nothing drains the 4-slot ring, so the claim event, three job
+// spans and the shard span overflow it, and the root span's own append
+// overwrites one more after the count was taken.
+func TestEngineWorkSpanCountsDroppedSpans(t *testing.T) {
+	rec := obs.NewSpanRecorder("wrapped", 4)
+	if _, err := Work(context.Background(), enginePlan(t), newFakeSource(0, 1, 2), nil, WorkOptions{Workers: 1, Spans: rec}); err != nil {
+		t.Fatal(err)
+	}
+	total := rec.Dropped()
+	for _, sp := range rec.Drain(nil) {
+		if sp.Cat != "work" {
+			continue
+		}
+		if got, want := sp.Attr("spans_dropped"), fmt.Sprint(total-1); total < 2 || got != want {
+			t.Errorf("work span spans_dropped = %q, want %s (the ring dropped %d in all)", got, want, total)
+		}
+		return
+	}
+	t.Fatal("no work span recorded")
 }
 
 func TestEngineSealsACleanShard(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Subsystem names the server-side sub-systems MFC can distinguish (§3.3:
@@ -238,13 +237,4 @@ func CompareStages(r *Result) string {
 	}
 	return fmt.Sprintf("weakest sub-system: %v (%v), degrading at %d simultaneous requests",
 		subsystemFor(weakest), weakest, weakestStop)
-}
-
-// Elapsed is a small helper summing stage durations (experiment span).
-func Elapsed(r *Result) time.Duration {
-	var d time.Duration
-	for _, sr := range r.Stages {
-		d += sr.Elapsed
-	}
-	return d
 }

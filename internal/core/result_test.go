@@ -114,12 +114,3 @@ func TestResultStageLookup(t *testing.T) {
 		t.Error("missing stage should be nil")
 	}
 }
-
-func TestElapsedSumsStages(t *testing.T) {
-	r := &Result{Stages: []*StageResult{
-		{Elapsed: time.Minute}, {Elapsed: 2 * time.Minute},
-	}}
-	if Elapsed(r) != 3*time.Minute {
-		t.Errorf("Elapsed = %v", Elapsed(r))
-	}
-}

@@ -47,7 +47,6 @@ type Link struct {
 	// metrics
 	bytesSent float64
 	busyTime  time.Duration // time with >= 1 active flow
-	lastBusy  time.Duration
 	flowsDone uint64
 	maxActive int
 }

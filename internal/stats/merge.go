@@ -17,14 +17,13 @@ import (
 // (Float sums are associative only per-grouping — regrouping shifts the
 // last ULP — so the report never mixes groupings.)
 
-// Running is a mergeable moment accumulator: count, sum, sum of squares,
-// min and max. The zero value is an empty summary ready for use.
+// Running is a mergeable moment accumulator: count, sum, min and max. The
+// zero value is an empty summary ready for use.
 type Running struct {
-	N     int64   `json:"n"`
-	Sum   float64 `json:"sum"`
-	SumSq float64 `json:"sumsq"`
-	Min   float64 `json:"min"` // valid only when N > 0
-	Max   float64 `json:"max"` // valid only when N > 0
+	N   int64   `json:"n"`
+	Sum float64 `json:"sum"`
+	Min float64 `json:"min"` // valid only when N > 0
+	Max float64 `json:"max"` // valid only when N > 0
 }
 
 // Add folds one observation in.
@@ -37,7 +36,6 @@ func (r *Running) Add(x float64) {
 	}
 	r.N++
 	r.Sum += x
-	r.SumSq += x * x
 }
 
 // Merge folds another summary in, as if every observation behind o had been
@@ -54,7 +52,6 @@ func (r *Running) Merge(o Running) {
 	}
 	r.N += o.N
 	r.Sum += o.Sum
-	r.SumSq += o.SumSq
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty summary.
@@ -63,22 +60,6 @@ func (r Running) Mean() float64 {
 		return 0
 	}
 	return r.Sum / float64(r.N)
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator), 0 for
-// fewer than two observations.
-func (r Running) Stddev() float64 {
-	if r.N < 2 {
-		return 0
-	}
-	m := r.Mean()
-	// Guard the cancellation floor: SumSq - N·m² can dip below zero in
-	// float arithmetic for near-constant samples.
-	v := (r.SumSq - float64(r.N)*m*m) / float64(r.N-1)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }
 
 // IntHist is a mergeable exact histogram over (small) integer observations

@@ -39,27 +39,26 @@ func TestRunningMergeEqualsBulk(t *testing.T) {
 		t.Fatalf("merged %+v != bulk %+v", merged, bulk)
 	}
 	// Sums agree up to float re-association (different grouping, same data).
-	if math.Abs(merged.Sum-bulk.Sum) > 1e-9*math.Abs(bulk.Sum) ||
-		math.Abs(merged.SumSq-bulk.SumSq) > 1e-9*math.Abs(bulk.SumSq) {
+	if math.Abs(merged.Sum-bulk.Sum) > 1e-9*math.Abs(bulk.Sum) {
 		t.Fatalf("sums diverged: merged %+v bulk %+v", merged, bulk)
 	}
 
-	mean, _ := Mean(xs)
-	if math.Abs(merged.Mean()-mean) > 1e-9 {
-		t.Errorf("Mean = %v, want %v", merged.Mean(), mean)
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
 	}
-	if sd := Stddev(xs); math.Abs(merged.Stddev()-sd) > 1e-6 {
-		t.Errorf("Stddev = %v, want %v", merged.Stddev(), sd)
+	if mean := sum / float64(len(xs)); math.Abs(merged.Mean()-mean) > 1e-9 {
+		t.Errorf("Mean = %v, want %v", merged.Mean(), mean)
 	}
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Stddev() != 0 {
-		t.Errorf("empty Running: mean %v sd %v", r.Mean(), r.Stddev())
+	if r.Mean() != 0 {
+		t.Errorf("empty Running: mean %v", r.Mean())
 	}
 	r.Add(5)
-	if r.Mean() != 5 || r.Stddev() != 0 || r.Min != 5 || r.Max != 5 {
+	if r.Mean() != 5 || r.Min != 5 || r.Max != 5 {
 		t.Errorf("single Running: %+v", r)
 	}
 	var other Running

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,21 +12,21 @@ import (
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestMedianOdd(t *testing.T) {
-	m, err := Median([]float64{3, 1, 2})
+	m, err := Quantile([]float64{3, 1, 2}, 0.5)
 	if err != nil || !almostEq(m, 2) {
 		t.Errorf("Median = %v, %v; want 2", m, err)
 	}
 }
 
 func TestMedianEvenInterpolates(t *testing.T) {
-	m, err := Median([]float64{1, 2, 3, 4})
+	m, err := Quantile([]float64{1, 2, 3, 4}, 0.5)
 	if err != nil || !almostEq(m, 2.5) {
 		t.Errorf("Median = %v, %v; want 2.5", m, err)
 	}
 }
 
 func TestMedianEmpty(t *testing.T) {
-	if _, err := Median(nil); err != ErrEmpty {
+	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
 		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 }
@@ -76,8 +77,7 @@ func TestQuantileBoundsAndMonotoneProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 100
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
 			v, err := Quantile(xs, q)
@@ -110,8 +110,8 @@ func TestMedianShiftProperty(t *testing.T) {
 			xs[i] = rng.Float64() * 1000
 			ys[i] = xs[i] + shift
 		}
-		a, _ := Median(xs)
-		b, _ := Median(ys)
+		a, _ := Quantile(xs, 0.5)
+		b, _ := Quantile(ys, 0.5)
 		return math.Abs((a+shift)-b) < 1e-6*(1+math.Abs(shift))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -129,33 +129,5 @@ func TestQuantileDuration(t *testing.T) {
 	}
 	if q := QuantileDuration(ds, 1); q != 3*time.Second {
 		t.Errorf("q1 = %v, want 3s", q)
-	}
-}
-
-func TestMeanAndStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || !almostEq(m, 5) {
-		t.Errorf("Mean = %v, %v; want 5", m, err)
-	}
-	// Sample stddev with n-1 denominator: sqrt(32/7).
-	if sd := Stddev(xs); math.Abs(sd-math.Sqrt(32.0/7)) > 1e-9 {
-		t.Errorf("Stddev = %v, want %v", sd, math.Sqrt(32.0/7))
-	}
-	if sd := Stddev([]float64{1}); sd != 0 {
-		t.Errorf("Stddev of singleton = %v, want 0", sd)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if s.N != 10 || !almostEq(s.Min, 1) || !almostEq(s.Max, 10) || !almostEq(s.Median, 5.5) {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("Summarize(nil) = %+v", z)
-	}
-	if s.String() == "" {
-		t.Error("String empty")
 	}
 }

@@ -9,9 +9,6 @@ type lru struct {
 	usedBytes int64
 	order     *list.List // front = most recent; values are *lruEntry
 	items     map[string]*list.Element
-
-	hits   uint64
-	misses uint64
 }
 
 type lruEntry struct {
@@ -29,17 +26,15 @@ func newLRU(capBytes int64) *lru {
 
 func (c *lru) enabled() bool { return c.capBytes > 0 }
 
-// get reports whether key is cached, updating recency and hit counters.
+// get reports whether key is cached, updating its recency on a hit.
 func (c *lru) get(key string) bool {
 	if !c.enabled() {
 		return false
 	}
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
 		return true
 	}
-	c.misses++
 	return false
 }
 
@@ -66,13 +61,4 @@ func (c *lru) put(key string, size int64) {
 	el := c.order.PushFront(&lruEntry{key: key, size: size})
 	c.items[key] = el
 	c.usedBytes += size
-}
-
-// HitRate returns hits/(hits+misses), 0 when unused.
-func (c *lru) hitRate() float64 {
-	tot := c.hits + c.misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(tot)
 }

@@ -77,31 +77,6 @@ func TestQueryCacheHitSkipsBackend(t *testing.T) {
 	}
 }
 
-func TestQueryDiskPath(t *testing.T) {
-	env := netsim.NewEnv(1)
-	cfg := Config{
-		QueryDisk:       10 << 20, // 10 MB read
-		DiskBandwidth:   10e6,     // 1 second
-		DiskSeek:        time.Millisecond,
-		QueryCPU:        time.Millisecond,
-		QueryCacheBytes: -1,
-	}
-	srv := NewServer(env, cfg, smallSite(t))
-	var took time.Duration
-	env.Go("c", func(p *netsim.Proc) {
-		t0 := p.Now()
-		srv.Serve(p, "t", Request{Method: "GET", URL: "/q?x=1"})
-		took = p.Now() - t0
-	})
-	env.Run(0)
-	if took < time.Second {
-		t.Errorf("query with a 10MB disk read took %v, want >= 1s", took)
-	}
-	if bt := srv.Disk().BusyTime(); bt < time.Second {
-		t.Errorf("disk busy %v, want >= 1s", bt)
-	}
-}
-
 func TestSyntheticServerAppliesModel(t *testing.T) {
 	env := netsim.NewEnv(1)
 	cfg := Config{

@@ -98,9 +98,6 @@ type Config struct {
 	// runs locally on QueryCPU only). Production sites where "the Small
 	// Query involves processing on multiple servers" (QTNP) use this.
 	QueryBackendTime time.Duration
-	// QueryDisk is the bytes a query reads when the DB buffer misses
-	// (default 0: DB fits in buffer pool).
-	QueryDisk int64
 	// QueryCacheBytes is the MySQL-style query cache size (default 16 MB);
 	// 0 disables query caching.
 	QueryCacheBytes int64
@@ -520,8 +517,6 @@ const (
 	callPool                       // dynamic: about to take a DB connection
 	callPoolHeld                   // dynamic: DB pool wait resolved
 	callCacheHit                   // dynamic: query-cache hit CPU resolved
-	callQDiskHeld                  // dynamic: disk arm wait resolved
-	callQDiskRead                  // dynamic: buffer-miss read elapsed
 	callBackend                    // dynamic: about to visit the DB machine
 	callQuery                      // dynamic: about to burn query CPU
 	callQueried                    // dynamic: query CPU resolved
@@ -781,26 +776,14 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				return c.timeout()
 			}
 			c.pooled = true
-			switch {
-			case s.queryCache.enabled() && s.queryCache.get(req.URL):
+			c.state = callBackend
+			if s.queryCache.enabled() && s.queryCache.get(req.URL) {
 				// Cache hit: negligible CPU (MySQL's query cache returns the
 				// stored result without re-executing).
 				c.state = callCacheHit
 				if suspended, ok = s.burnCPU(p, 200*time.Microsecond, req.Deadline); suspended {
 					return true
 				}
-			case s.cfg.QueryDisk > 0:
-				rem, live := s.remaining(req.Deadline)
-				if !live {
-					return c.timeout()
-				}
-				c.state = callQDiskHeld
-				if s.disk.BeginAcquireTimeout(p, rem) {
-					return true
-				}
-				ok = true
-			default:
-				c.state = callBackend
 			}
 
 		case callCacheHit:
@@ -809,18 +792,6 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			}
 			c.endDynamic()
 			c.state = callRender
-
-		case callQDiskHeld:
-			if !ok {
-				return c.timeout()
-			}
-			d := time.Duration((s.cfg.DiskSeek.Seconds() + float64(s.cfg.QueryDisk)/s.cfg.DiskBandwidth) * s.thrash() * float64(time.Second))
-			c.state = callQDiskRead
-			return p.BeginSleep(d)
-
-		case callQDiskRead:
-			s.disk.Release()
-			c.state = callBackend
 
 		case callBackend:
 			c.state = callQuery
