@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench-once bench-smoke experiments fuzz campaign-scale-smoke api apicheck ci
+.PHONY: build test race vet fmt-check reach bench-once bench-smoke experiments fuzz campaign-scale-smoke api apicheck ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Non-test code is code a binary reaches (DESIGN.md "Layering"): build
+# every main package and the benchmark module, and fail on any declared
+# function in no binary's symbol table that the test's allowlist does not
+# name (~30s cold, a few seconds warm).
+reach:
+	$(GO) test -count=1 -run '^TestEveryFuncIsReached$$' -reach .
 
 # One iteration of the whole-experiment and flash-crowd-job benchmarks at
 # both GOMAXPROCS, the timer arm+cancel cycle, one site sample per band and
@@ -88,4 +95,4 @@ fuzz:
 campaign-scale-smoke:
 	$(GO) test -count=1 -run '^TestWorkersKillNineByteIdentical$$' ./cmd/mfc-campaign -scale
 
-ci: build vet fmt-check apicheck test bench-smoke race
+ci: build vet fmt-check apicheck test reach bench-smoke race

@@ -7,7 +7,7 @@
 //
 //	mfc-campaign plan   -dir DIR -bands all|b1,b2 -stages base,query,large [-scenarios s1,s2] -sites N [-seed S] [-name NAME]
 //	mfc-campaign run    -dir DIR [-workers N] [-halt-after N] [-quiet] [-metrics :9090]
-//	mfc-campaign resume -dir DIR [-workers N] [-quiet] [-metrics :9090]
+//	mfc-campaign resume -dir DIR [-workers N] [-halt-after N] [-quiet] [-metrics :9090]
 //	mfc-campaign work   -dir DIR | -join ADDR [-workers N] [-owner ID] [-ttl D] [-poll D] [-halt-after N] [-quiet] [-metrics :9090]
 //	mfc-campaign serve  -dir DIR -listen ADDR [-ttl D] [-until-done]
 //	mfc-campaign report -dir DIR [-dir DIR ...]
@@ -134,7 +134,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   mfc-campaign plan   -dir DIR -bands all|b1,b2,... -stages base,query,large [-scenarios s1,s2,...] -sites N [-seed S] [-name NAME] [-shard-jobs N]
   mfc-campaign run    -dir DIR [-workers N] [-halt-after N] [-quiet] [-metrics ADDR [-metrics-hold D]]
-  mfc-campaign resume -dir DIR [-workers N] [-quiet] [-metrics ADDR [-metrics-hold D]]
+  mfc-campaign resume -dir DIR [-workers N] [-halt-after N] [-quiet] [-metrics ADDR [-metrics-hold D]]
   mfc-campaign work   -dir DIR | -join ADDR [-workers N] [-owner ID] [-ttl D] [-poll D] [-halt-after N] [-quiet] [-metrics ADDR [-metrics-hold D]]
   mfc-campaign serve  -dir DIR -listen ADDR [-ttl D] [-straggler K] [-until-done]
   mfc-campaign report -dir DIR [-dir DIR ...]

@@ -68,14 +68,10 @@ func TestPresetValidationAndLab(t *testing.T) {
 	}
 }
 
-func TestGenerateSiteAndNewSite(t *testing.T) {
+func TestGenerateSite(t *testing.T) {
 	site := GenerateSite("api.example", 3, SiteGenConfig{Pages: 5})
 	if site.Host != "api.example" || site.Len() == 0 {
 		t.Errorf("GenerateSite = %v objects on %s", site.Len(), site.Host)
-	}
-	manual, err := NewSite("m", "/x", []Object{{URL: "/x", Size: 10}})
-	if err != nil || manual.BasePage().Size != 10 {
-		t.Errorf("NewSite: %v", err)
 	}
 }
 

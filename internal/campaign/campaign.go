@@ -52,10 +52,6 @@ type Status struct {
 	AlreadyDone int // completed before this run (resume skip)
 }
 
-// Done is the campaign's completion count as this run accounts for it:
-// jobs a concurrent peer measured meanwhile are in neither term.
-func (st *Status) Done() int { return st.AlreadyDone + st.NewlyDone }
-
 // Run executes (or resumes) the campaign in dir to completion: it is
 // WorkDir under a process-unique owner, reported with resume accounting.
 // Jobs that already hold a record are skipped; shards a live peer holds —

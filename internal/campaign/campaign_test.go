@@ -87,7 +87,7 @@ func TestResumeReportByteIdentical(t *testing.T) {
 		t.Fatalf("partial report not marked incomplete:\n%s", got)
 	}
 	st2 := runToCompletion(t, resumed, Options{Workers: 4})
-	if st2.AlreadyDone != st1.NewlyDone || st2.Done() != st2.Total {
+	if st2.AlreadyDone != st1.NewlyDone || st2.AlreadyDone+st2.NewlyDone != st2.Total {
 		t.Fatalf("resume did not skip completed jobs: %+v then %+v", st1, st2)
 	}
 	if got := reportOf(t, resumed); got != want {
@@ -435,7 +435,7 @@ func TestRunSkipsLiveLeasedShardThenTakesItOver(t *testing.T) {
 	writeLease(t, dir, ShardLeaseName(1), info)
 
 	st = runToCompletion(t, dir, Options{})
-	if st.AlreadyDone != free || st.Done() != st.Total {
+	if st.AlreadyDone != free || st.AlreadyDone+st.NewlyDone != st.Total {
 		t.Fatalf("run after the lease went stale: %+v", st)
 	}
 	if got := reportOf(t, dir); got != want {

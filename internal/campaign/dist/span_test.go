@@ -97,18 +97,19 @@ func TestRemoteWorkerSpansShipped(t *testing.T) {
 	if st.NewlyDone != plan.Jobs() {
 		t.Fatalf("remote worker measured %d jobs, want %d", st.NewlyDone, plan.Jobs())
 	}
-	if got, want := rec.Trace(), campaign.PlanTraceID(plan); got != want {
-		t.Errorf("recorder trace = %q, want the plan's %q", got, want)
-	}
 
 	spans, err := campaign.ReadSpans(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var roots, shards, jobs int
+	trace := campaign.PlanTraceID(plan)
 	for i := range spans {
 		if spans[i].Worker != "remote-spans" {
 			t.Fatalf("span %d carries worker %q", spans[i].ID, spans[i].Worker)
+		}
+		if spans[i].Trace != trace {
+			t.Fatalf("span %d carries trace %q, want the plan's %q", spans[i].ID, spans[i].Trace, trace)
 		}
 		switch spans[i].Cat {
 		case "work":

@@ -49,7 +49,7 @@ func singleProcessReport(t *testing.T, mkPlan func(*testing.T, string) *campaign
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done() != st.Total {
+	if st.AlreadyDone+st.NewlyDone != st.Total {
 		t.Fatalf("baseline run incomplete: %+v", st)
 	}
 	return reportOf(t, dir)

@@ -441,11 +441,25 @@ func (s *Server) ingest(req IngestRequest) error {
 			s.done[rec.Job] = true
 			s.doneCount++
 			g.newly++
-			s.tr.OnEvent(campaign.SiteEvent{
+			// Replay the record to the tracker as the worker's engine saw
+			// it: one EpochCompleted per measured epoch, then the finish.
+			ev := campaign.SiteEvent{
 				Job: rec.Job, Band: rec.Band, Stage: rec.Stage,
 				Scenario: rec.Scenario, Site: rec.Site,
-				Event: core.ExperimentFinished{Target: rec.Site, Err: rec.Err},
-			})
+			}
+			if rec.Result != nil {
+				for _, sr := range rec.Result.Stages {
+					if sr == nil {
+						continue
+					}
+					for _, e := range sr.Epochs {
+						ev.Event = core.EpochCompleted{Stage: sr.Stage, Epoch: e.Index, Kind: e.Kind}
+						s.tr.OnEvent(ev)
+					}
+				}
+			}
+			ev.Event = core.ExperimentFinished{Target: rec.Site, Err: rec.Err}
+			s.tr.OnEvent(ev)
 		}
 	}
 	if s.doneCount == s.plan.Jobs() {

@@ -190,6 +190,40 @@ func TestGrantFenceLifecycle(t *testing.T) {
 	}
 }
 
+// A record ingested over HTTP counts its epochs into the campaign tracker,
+// as a worker's own engine does in process; a replayed upload counts
+// nothing, like the done count.
+func TestIngestCountsEpochs(t *testing.T) {
+	dir := t.TempDir()
+	plan := servePlan(t, dir)
+	srv, err := New(dir, Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	g := grantOver(t, h, "w1")
+	rec := campaign.Measure(plan, g.Jobs[0], nil)
+	k := 0
+	for _, sr := range rec.Result.Stages {
+		k += len(sr.Epochs)
+	}
+	if k == 0 {
+		t.Fatalf("measured record holds no epochs: %+v", rec)
+	}
+	up := IngestRequest{Owner: "w1", Shard: g.Shard, Gen: g.Gen, Records: []campaign.Record{*rec}}
+	for i := 0; i < 2; i++ {
+		if rr := call(t, h, "/api/records", up); rr.Code != http.StatusNoContent {
+			t.Fatalf("POST /api/records = %d: %s", rr.Code, rr.Body.String())
+		}
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := fmt.Sprintf("mfc_campaign_epochs_total %d\n", k); !strings.Contains(rr.Body.String(), want) {
+		t.Errorf("scrape lacks %q:\n%s", want, rr.Body.String())
+	}
+}
+
 // A second control plane, a legacy run, or filesystem workers must fail
 // fast on a dir a control plane already owns: New takes the exclusive
 // store lease.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -175,16 +174,6 @@ func (s *Site) BasePage() Object {
 
 // Len returns the number of objects.
 func (s *Site) Len() int { return len(s.objects) }
-
-// URLs returns all object URLs in deterministic (sorted) order.
-func (s *Site) URLs() []string {
-	urls := make([]string, len(s.objects))
-	for i, o := range s.objects {
-		urls[i] = o.URL
-	}
-	sort.Strings(urls)
-	return urls
-}
 
 // Objects returns all objects in deterministic (URL-sorted) order.
 func (s *Site) Objects() []Object {

@@ -132,14 +132,9 @@ func TestGeneratorDeterministicProperty(t *testing.T) {
 		if a.Len() != b.Len() {
 			return false
 		}
-		au, bu := a.URLs(), b.URLs()
-		for i := range au {
-			if au[i] != bu[i] {
-				return false
-			}
-			oa, _ := a.Lookup(au[i])
-			ob, _ := b.Lookup(bu[i])
-			if oa.Size != ob.Size || oa.Kind != ob.Kind {
+		ao, bo := a.Objects(), b.Objects()
+		for i := range ao {
+			if ao[i].URL != bo[i].URL || ao[i].Size != bo[i].Size || ao[i].Kind != bo[i].Kind {
 				return false
 			}
 		}

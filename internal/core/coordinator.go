@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"mfc/internal/content"
@@ -13,6 +14,9 @@ type Coordinator struct {
 	cfg      Config
 	platform Platform
 	observe  Observer
+	// rng draws crowd membership and staggered arrival offsets; a fixed
+	// seed keeps every experiment reproducible.
+	rng *rand.Rand
 
 	clients   []Client
 	ctrlRTT   map[string]time.Duration
@@ -44,7 +48,7 @@ func WithObserver(o Observer) Option {
 
 // New builds a coordinator over a platform.
 func New(p Platform, cfg Config, opts ...Option) *Coordinator {
-	c := &Coordinator{cfg: cfg.withDefaults(), platform: p}
+	c := &Coordinator{cfg: cfg.withDefaults(), platform: p, rng: rand.New(rand.NewSource(1))}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -192,8 +196,8 @@ func errString(err error) string {
 }
 
 // RunStage executes one MFC stage to completion and returns its result.
-// The coordinator must have registered clients (RunExperiment does this;
-// direct callers can use Register). A canceled ctx aborts at the next
+// The coordinator must have registered clients (RunExperiment and
+// RunSingleStage do this). A canceled ctx aborts at the next
 // epoch boundary with VerdictAborted.
 func (c *Coordinator) RunStage(ctx context.Context, stage Stage, prof *content.Profile) *StageResult {
 	clock := c.platform.Clock()
@@ -309,7 +313,7 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 			at += staggerOffset
 			switch c.cfg.StaggerDist {
 			case StaggerExponential:
-				staggerOffset += time.Duration(c.cfg.Rand.ExpFloat64() * float64(c.cfg.Stagger))
+				staggerOffset += time.Duration(c.rng.ExpFloat64() * float64(c.cfg.Stagger))
 			default:
 				staggerOffset += c.cfg.Stagger
 			}
@@ -448,10 +452,6 @@ func (c *Coordinator) fireMeasurers(epoch int, arriveAt time.Duration) func() ma
 	}
 }
 
-// Measurers returns the reserved measurer clients by URL (nil when the
-// extension is off).
-func (c *Coordinator) Measurers() map[string][]Client { return c.measurers }
-
 // leadTime is how far ahead of the arrival instant the command to this
 // client must be sent: 0.5·T_coord (command propagation) + 1.5·T_target
 // (TCP handshake up to the first request byte), per §2.2.4.
@@ -465,17 +465,10 @@ func (c *Coordinator) leadTime(cl Client) time.Duration {
 // participation isolates the effect of crowd size from client-local
 // conditions).
 func (c *Coordinator) pickCrowd(n int) []Client {
-	idx := c.cfg.Rand.Perm(len(c.clients))
+	idx := c.rng.Perm(len(c.clients))
 	members := make([]Client, n)
 	for i := 0; i < n; i++ {
 		members[i] = c.clients[idx[i]]
 	}
 	return members
 }
-
-// Register exposes client registration for callers driving RunStage
-// directly (tests, single-stage tools).
-func (c *Coordinator) Register() error { return c.register() }
-
-// Clients returns the registered clients (after Register).
-func (c *Coordinator) Clients() []Client { return c.clients }

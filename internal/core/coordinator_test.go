@@ -124,7 +124,7 @@ func TestStageStopsAtThresholdCrossing(t *testing.T) {
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -149,7 +149,7 @@ func TestStageStopsAtThresholdCrossing(t *testing.T) {
 func TestStageNoStopWhenFlat(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 2 * time.Millisecond })
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -170,7 +170,7 @@ func TestMinSignificantSuppressesEarlyStops(t *testing.T) {
 		return 500 * time.Millisecond
 	})
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -198,7 +198,7 @@ func TestCheckPhaseRejectsTransient(t *testing.T) {
 		return time.Millisecond
 	})
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -222,7 +222,7 @@ func TestCheckPhaseDisabledAcceptsTransient(t *testing.T) {
 	cfg := testCfg()
 	cfg.CheckPhase = false
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -236,7 +236,7 @@ func TestTooFewClientsAborts(t *testing.T) {
 	cfg := testCfg()
 	cfg.MinClients = 50
 	coord := New(plat, cfg)
-	if err := coord.Register(); err == nil {
+	if err := coord.register(); err == nil {
 		t.Fatal("Register accepted 10 clients with MinClients=50")
 	}
 	if _, err := coord.RunExperiment(context.Background(), "fake", testProfile()); err == nil {
@@ -247,7 +247,7 @@ func TestTooFewClientsAborts(t *testing.T) {
 func TestStageUnavailableWithoutContent(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 0 })
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	prof := &content.Profile{Host: "x", BaseURL: "/", ByKind: map[content.Kind]int{}}
@@ -266,7 +266,7 @@ func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	reqs, err := coord.stageRequests(StageSmallQuery, testProfile())
@@ -286,7 +286,7 @@ func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	reqs, err := coord.stageRequests(StageLargeObject, testProfile())
@@ -303,7 +303,7 @@ func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 func TestBaseStageUsesHEAD(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	coord := New(plat, testCfg())
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	reqs, err := coord.stageRequests(StageBase, testProfile())
@@ -323,7 +323,7 @@ func TestMultiRequestSchedulesMRequestsPerClient(t *testing.T) {
 	cfg.MultiRequest = 3
 	cfg.MaxCrowd = 10
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -350,7 +350,7 @@ func TestStoppingCrowdBracketsCrossingProperty(t *testing.T) {
 		cfg := testCfg()
 		cfg.MaxCrowd = 70
 		coord := New(plat, cfg)
-		if err := coord.Register(); err != nil {
+		if err := coord.register(); err != nil {
 			t.Fatal(err)
 		}
 		sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -384,7 +384,7 @@ func TestStaggerUniformSpacesArrivals(t *testing.T) {
 	cfg.Stagger = 50 * time.Millisecond
 	cfg.MaxCrowd = 10
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
@@ -407,14 +407,14 @@ func TestMeasurerReservationPreservesMinClients(t *testing.T) {
 	cfg.Measurers = []Request{{Method: "HEAD", URL: "/index.html"}}
 	cfg.MeasurerReplicas = 10 // would eat past the minimum if unchecked
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())
 	if sr.Verdict == VerdictAborted {
 		t.Fatal("measurer reservation starved the crowd below MinClients")
 	}
-	if got := len(coord.Measurers()["/index.html"]); got != 4 {
+	if got := len(coord.measurers["/index.html"]); got != 4 {
 		t.Errorf("reserved %d measurers, want the 4 spare clients", got)
 	}
 }
@@ -428,7 +428,7 @@ func TestMeasurerMediansRecorded(t *testing.T) {
 	cfg.Measurers = []Request{{Method: "GET", URL: "/q?a"}}
 	cfg.MeasurerReplicas = 3
 	coord := New(plat, cfg)
-	if err := coord.Register(); err != nil {
+	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	sr := coord.RunStage(context.Background(), StageBase, testProfile())

@@ -15,7 +15,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -125,10 +124,6 @@ type Config struct {
 	// KeepSamples retains every per-request sample in the epoch results
 	// (memory-heavy; used by the synchronization analyses).
 	KeepSamples bool
-
-	// Rand drives crowd selection; nil gets a fixed-seed source so
-	// experiments are reproducible by default.
-	Rand *rand.Rand
 }
 
 // DefaultConfig returns the paper's standard parameters: θ=100ms, step 5 up
@@ -180,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MeasurerReplicas <= 0 {
 		c.MeasurerReplicas = 3
-	}
-	if c.Rand == nil {
-		c.Rand = rand.New(rand.NewSource(1))
 	}
 	return c
 }

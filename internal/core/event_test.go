@@ -217,7 +217,7 @@ func TestCancelSimulatedNoLeaks(t *testing.T) {
 				}
 			}
 		}))
-		if err := coord.Register(); err != nil {
+		if err := coord.register(); err != nil {
 			panic(err)
 		}
 		sr = coord.RunStage(ctx, StageBase, prof)

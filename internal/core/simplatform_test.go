@@ -41,7 +41,7 @@ func simStage(t *testing.T, mutate func(*SimPlatform, []SimClientSpec), cfg Conf
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
 		coord := New(plat, cfg)
-		if err := coord.Register(); err != nil {
+		if err := coord.register(); err != nil {
 			panic(err)
 		}
 		sr = coord.RunStage(context.Background(), stage, prof)
@@ -149,11 +149,11 @@ func TestSimBaselineFailureDropsClient(t *testing.T) {
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
 		coord := New(plat, cfg)
-		if err := coord.Register(); err != nil {
+		if err := coord.register(); err != nil {
 			panic(err)
 		}
 		sr = coord.RunStage(context.Background(), StageLargeObject, prof)
-		nClients = len(coord.Clients())
+		nClients = len(coord.clients)
 	})
 	env.Run(0)
 	if nClients != 54 {

@@ -127,12 +127,13 @@ func TestUDPCoordinatorRunsStage(t *testing.T) {
 	cfg.Threshold = time.Hour // no stop: we only exercise the machinery
 
 	coord := core.New(plat, cfg)
-	if err := coord.Register(); err != nil {
-		t.Fatal(err)
-	}
 	prof := &content.Profile{Host: ts.URL, BaseURL: "/index.html",
 		ByKind: map[content.Kind]int{}}
-	sr := coord.RunStage(context.Background(), core.StageBase, prof)
+	res, err := coord.RunSingleStage(context.Background(), ts.URL, core.StageBase, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := res.Stages[0]
 	if sr.Verdict != core.VerdictNoStop {
 		t.Fatalf("verdict = %v, want NoStop", sr.Verdict)
 	}

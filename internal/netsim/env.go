@@ -542,9 +542,6 @@ func (ev *Event) addWaiter(p *Proc, target uint64) {
 	ev.waiters = append(ev.waiters, evWaiter{proc: p, target: target})
 }
 
-// Triggered reports whether the event has fired.
-func (ev *Event) Triggered() bool { return ev.triggered }
-
 // Trigger fires the event, waking all current waiters at the current time in
 // FIFO order. Triggering twice is a no-op. It may be called from a process
 // or a driver callback.

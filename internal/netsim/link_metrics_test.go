@@ -49,7 +49,7 @@ func TestStartFlowNonBlocking(t *testing.T) {
 	env.Go("x", func(p *Proc) {
 		ev := l.StartFlow(500, 0) // 0.5s in background
 		p.Sleep(100 * time.Millisecond)
-		if !ev.Triggered() {
+		if !ev.triggered {
 			overlapped = true // still in flight: we really did overlap
 		}
 		p.Wait(ev)

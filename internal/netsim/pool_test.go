@@ -119,7 +119,7 @@ func TestEventPoolRecyclesAndResets(t *testing.T) {
 	env.Go("waiter", func(p *Proc) { p.Wait(ev) })
 	env.Go("trigger", func(p *Proc) { ev.Trigger() })
 	env.Run(0)
-	if !ev.Triggered() {
+	if !ev.triggered {
 		t.Fatal("event did not trigger")
 	}
 	env.FreeEvent(ev)
@@ -127,9 +127,9 @@ func TestEventPoolRecyclesAndResets(t *testing.T) {
 	if ev2 != ev {
 		t.Error("NewEvent did not reuse the freed event")
 	}
-	if ev2.Triggered() || len(ev2.waiters) != 0 {
+	if ev2.triggered || len(ev2.waiters) != 0 {
 		t.Errorf("recycled event not reset: triggered=%v waiters=%d",
-			ev2.Triggered(), len(ev2.waiters))
+			ev2.triggered, len(ev2.waiters))
 	}
 }
 

@@ -204,15 +204,6 @@ type Gauge struct{ c *child }
 // Set stores v.
 func (g Gauge) Set(v float64) { g.c.g.Store(math.Float64bits(v)) }
 
-// Add adds delta (atomically; negative deltas decrease).
-func (g Gauge) Add(delta float64) { addFloat(&g.c.g, delta) }
-
-// Inc adds one.
-func (g Gauge) Inc() { g.Add(1) }
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.g.Load()) }
-
 // A Histogram counts observations into declared cumulative buckets.
 type Histogram struct {
 	c       *child
@@ -230,18 +221,6 @@ func (h Histogram) Observe(v float64) {
 	h.c.bins[i].Add(1)
 	addFloat(&h.c.sum, v)
 }
-
-// Count returns the total number of observations.
-func (h Histogram) Count() int64 {
-	var n int64
-	for i := range h.c.bins {
-		n += h.c.bins[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observations.
-func (h Histogram) Sum() float64 { return math.Float64frombits(h.c.sum.Load()) }
 
 // Counter registers (or finds) a plain counter.
 func (r *Registry) Counter(name, help string) Counter {

@@ -140,16 +140,6 @@ func (r *SpanRecorder) SetTrace(id string) {
 	r.mu.Unlock()
 }
 
-// Trace returns the current trace id.
-func (r *SpanRecorder) Trace() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
-}
-
 // SpanRef names one started span. The zero SpanRef (and any ref on a nil
 // recorder) is a valid no-op.
 type SpanRef struct {
@@ -309,16 +299,6 @@ func (r *SpanRecorder) Drain(buf []Span) []Span {
 	r.head, r.count = 0, 0
 	r.mu.Unlock()
 	return buf
-}
-
-// Len returns how many completed spans wait in the ring.
-func (r *SpanRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
 }
 
 // Dropped returns how many spans the ring overwrote before they were

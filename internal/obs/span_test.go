@@ -55,8 +55,8 @@ func TestSpanRecorderBasics(t *testing.T) {
 	if work.Shard != -1 || work.Trace != "cafe" || work.Worker != "w1" {
 		t.Fatalf("work span wrong: %+v", work)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("ring not emptied by Drain: %d left", r.Len())
+	if r.count != 0 {
+		t.Fatalf("ring not emptied by Drain: %d left", r.count)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 	if got := r.Drain(nil); len(got) != 0 {
 		t.Fatalf("nil recorder drained %d spans", len(got))
 	}
-	if r.Len() != 0 || r.Dropped() != 0 || r.Trace() != "" || r.Worker() != "" {
+	if r.Dropped() != 0 || r.Worker() != "" {
 		t.Fatal("nil recorder accessors not zero")
 	}
 	var zero SpanRef
@@ -191,7 +191,7 @@ func TestSpanRecordSteadyStateAllocs(t *testing.T) {
 	r.Drain(nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Start("job", "job", 3, 0).End(attrs...)
-		if r.Len() >= 128 {
+		if r.count >= 128 {
 			r.head, r.count = 0, 0 // reset in place; Drain would allocate
 		}
 	})

@@ -42,7 +42,7 @@ func Workers(n int) Option {
 // Mechanics: the calling goroutine always executes jobs itself (progress is
 // never blocked on the pool, so nesting cannot deadlock), and additional
 // workers are started only for slots acquired — without waiting — from a
-// process-wide budget of slots (SetSharedCapacity). Total sweep goroutines
+// process-wide budget of GOMAXPROCS slots. Total sweep goroutines
 // across every concurrent Shared call are therefore bounded by that
 // budget plus one inline worker per caller, instead of the product
 // of per-call pool sizes.
@@ -55,19 +55,6 @@ var (
 	sharedCap  = runtime.GOMAXPROCS(0)
 	sharedUsed int
 )
-
-// SetSharedCapacity resizes the process-wide worker budget Shared calls
-// draw from. n <= 0 restores the default, runtime.GOMAXPROCS(0). Workers
-// already running keep their slots; the new capacity governs future
-// acquisitions.
-func SetSharedCapacity(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	sharedMu.Lock()
-	sharedCap = n
-	sharedMu.Unlock()
-}
 
 func tryAcquireShared() bool {
 	sharedMu.Lock()

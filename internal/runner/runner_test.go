@@ -232,8 +232,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // jobs are bounded by the shared capacity plus the one inline worker every
 // call runs on its caller's goroutine.
 func TestSharedPoolBoundsNestedSweeps(t *testing.T) {
-	SetSharedCapacity(2)
-	defer SetSharedCapacity(0)
+	defer func(old int) { sharedCap = old }(sharedCap)
+	sharedCap = 2
 
 	var inFlight, peak atomic.Int64
 	err := ForEach(context.Background(), 4, func(ctx context.Context, _ int) error {
@@ -265,8 +265,8 @@ func TestSharedPoolBoundsNestedSweeps(t *testing.T) {
 // An exhausted shared pool must not deadlock or starve a sweep: the caller
 // always makes progress inline.
 func TestSharedPoolExhaustedStillCompletes(t *testing.T) {
-	SetSharedCapacity(1)
-	defer SetSharedCapacity(0)
+	defer func(old int) { sharedCap = old }(sharedCap)
+	sharedCap = 1
 	// Hold the only slot for the duration of the call.
 	if !tryAcquireShared() {
 		t.Fatal("could not take the only slot")
@@ -287,8 +287,8 @@ func TestSharedPoolExhaustedStillCompletes(t *testing.T) {
 
 // Shared slots must be returned when a sweep finishes.
 func TestSharedPoolSlotsReleased(t *testing.T) {
-	SetSharedCapacity(4)
-	defer SetSharedCapacity(0)
+	defer func(old int) { sharedCap = old }(sharedCap)
+	sharedCap = 4
 	for round := 0; round < 3; round++ {
 		if err := ForEach(context.Background(), 16, func(_ context.Context, _ int) error {
 			return nil
@@ -307,8 +307,8 @@ func TestSharedPoolSlotsReleased(t *testing.T) {
 // Worker-count invariance holds under Shared too: the pool only changes
 // scheduling, never results.
 func TestSharedWorkerInvariance(t *testing.T) {
-	SetSharedCapacity(3)
-	defer SetSharedCapacity(0)
+	defer func(old int) { sharedCap = old }(sharedCap)
+	sharedCap = 3
 	base, err := Map(context.Background(), 200, func(_ context.Context, i int) (int, error) {
 		return i * 13, nil
 	}, Workers(1))

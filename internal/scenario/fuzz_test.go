@@ -53,7 +53,6 @@ func FuzzScenarioConfig(f *testing.F) {
 		}
 		// Every derived computation must tolerate whatever decoded.
 		_ = c.Label()
-		_ = c.Active()
 		_ = c.Effects()
 		_ = c.WrapServer(websim.Config{})
 		_ = c.Specs(1, 8)

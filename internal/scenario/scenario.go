@@ -315,9 +315,6 @@ func (c *Config) Effects() []string {
 	return out
 }
 
-// Active reports whether the scenario changes anything at all.
-func (c *Config) Active() bool { return len(c.Effects()) > 0 }
-
 // faultInert reports whether a fault has zero intensity and can be skipped
 // without the run noticing.
 func faultInert(f Fault) bool {

@@ -34,10 +34,10 @@ func TestNamesSortedAndParseable(t *testing.T) {
 			t.Errorf("preset %q labels itself %q", name, c.Label())
 		}
 		if name == "clean" {
-			if c.Active() {
+			if len(c.Effects()) > 0 {
 				t.Errorf("clean preset has effects: %v", c.Effects())
 			}
-		} else if !c.Active() {
+		} else if len(c.Effects()) == 0 {
 			t.Errorf("preset %q has no effects", name)
 		}
 	}
@@ -148,11 +148,11 @@ func TestEffectsCanonicalAndInertOmitted(t *testing.T) {
 	if err := inert.Validate(); err != nil {
 		t.Errorf("inert config invalid: %v", err)
 	}
-	if inert.Active() {
+	if len(inert.Effects()) > 0 {
 		t.Errorf("inert config reports effects: %v", inert.Effects())
 	}
 	var nilC *Config
-	if nilC.Active() || nilC.Effects() != nil || nilC.Validate() != nil {
+	if nilC.Effects() != nil || nilC.Validate() != nil {
 		t.Error("nil Config must be the clean pass-through")
 	}
 }

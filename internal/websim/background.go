@@ -147,11 +147,6 @@ func (bt *BackgroundTraffic) SetRate(r float64) {
 // Rate returns the current Poisson arrival rate.
 func (bt *BackgroundTraffic) Rate() float64 { return bt.cfg.Rate }
 
-// Sent, Completed, Errored return workload counters.
-func (bt *BackgroundTraffic) Sent() uint64      { return bt.sent }
-func (bt *BackgroundTraffic) Completed() uint64 { return bt.completed }
-func (bt *BackgroundTraffic) Errored() uint64   { return bt.errored }
-
 // bgArrivals is the Poisson arrival process: an exponential gap at the
 // current rate, then one visitor.
 type bgArrivals struct {

@@ -20,10 +20,10 @@ func TestBackgroundGeneratesLoad(t *testing.T) {
 	env.After(30*time.Second, bt.Stop)
 	env.Run(2 * time.Minute)
 	// 20 req/s for ~30s: expect on the order of 600 arrivals.
-	if bt.Sent() < 400 || bt.Sent() > 900 {
-		t.Errorf("Sent = %d, want ~600", bt.Sent())
+	if bt.sent < 400 || bt.sent > 900 {
+		t.Errorf("Sent = %d, want ~600", bt.sent)
 	}
-	if bt.Completed() == 0 {
+	if bt.completed == 0 {
 		t.Error("no background requests completed")
 	}
 }
@@ -33,8 +33,8 @@ func TestBackgroundZeroRateInert(t *testing.T) {
 	srv := NewServer(env, Config{}, bgSite(t))
 	bt := StartBackground(env, srv, BackgroundConfig{})
 	env.Run(0) // must terminate immediately: no processes scheduled
-	if bt.Sent() != 0 {
-		t.Errorf("Sent = %d, want 0", bt.Sent())
+	if bt.sent != 0 {
+		t.Errorf("Sent = %d, want 0", bt.sent)
 	}
 }
 
@@ -47,11 +47,11 @@ func TestBackgroundBursts(t *testing.T) {
 	env.After(20*time.Second, bt.Stop)
 	env.Run(3 * time.Minute)
 	// ~4 bursts of 50 expected over 20s.
-	if bt.Sent() < 50 {
-		t.Errorf("Sent = %d, want at least one burst", bt.Sent())
+	if bt.sent < 50 {
+		t.Errorf("Sent = %d, want at least one burst", bt.sent)
 	}
-	if bt.Sent()%50 != 0 {
-		t.Errorf("Sent = %d, want a multiple of the burst size", bt.Sent())
+	if bt.sent%50 != 0 {
+		t.Errorf("Sent = %d, want a multiple of the burst size", bt.sent)
 	}
 }
 
@@ -66,14 +66,14 @@ func TestMonitorSamplesAndStops(t *testing.T) {
 	}
 	env.After(time.Second, mon.Stop)
 	env.Run(time.Minute)
-	if len(mon.Samples()) < 5 {
-		t.Fatalf("samples = %d, want several", len(mon.Samples()))
+	if len(mon.samples) < 5 {
+		t.Fatalf("samples = %d, want several", len(mon.samples))
 	}
 	w := mon.Window(0, time.Second)
 	if w.CPUUtil <= 0 {
 		t.Errorf("window CPU util = %v, want > 0", w.CPUUtil)
 	}
-	if mon.MaxResident() <= 0 {
-		t.Error("MaxResident not recorded")
+	if mon.samples[0].ResidentBytes <= 0 {
+		t.Error("resident memory not recorded")
 	}
 }

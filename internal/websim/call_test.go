@@ -127,9 +127,9 @@ func TestTimedOutCountsEveryDeadlineExactlyOnce(t *testing.T) {
 			t.Errorf("crowd of %d: TimedOut() = %d for %d ErrTimeout responses, Served() = %d for %d",
 				n, srv.TimedOut(), timeouts, srv.Served(), served)
 		}
-		if srv.Pending() != 0 || srv.Resident() != srv.Config().BaseMemBytes || srv.DBPool().InUse() != 0 {
+		if srv.pending != 0 || srv.resident != srv.Config().BaseMemBytes || srv.dbPool.InUse() != 0 {
 			t.Errorf("crowd of %d left state behind: pending %d, resident %d, db in use %d",
-				n, srv.Pending(), srv.Resident(), srv.DBPool().InUse())
+				n, srv.pending, srv.resident, srv.dbPool.InUse())
 		}
 	}
 }

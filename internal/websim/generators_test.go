@@ -45,8 +45,8 @@ func TestBackgroundStopBeforeFirstArrival(t *testing.T) {
 	if end := env.Run(0); end != 0 {
 		t.Errorf("stopped generators kept the simulation alive until %v", end)
 	}
-	if bt.Sent() != 0 || srv.Served() != 0 {
-		t.Errorf("Sent = %d, Served = %d after Stop before the first arrival", bt.Sent(), srv.Served())
+	if bt.sent != 0 || srv.Served() != 0 {
+		t.Errorf("Sent = %d, Served = %d after Stop before the first arrival", bt.sent, srv.Served())
 	}
 	assertStackless(t, env)
 }
@@ -58,7 +58,7 @@ func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	var atStop uint64
 	env.After(30*time.Second, func() {
 		bt.Stop()
-		atStop = bt.Sent()
+		atStop = bt.sent
 	})
 	end := env.Run(0)
 	if atStop < 400 {
@@ -66,7 +66,7 @@ func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	}
 	// Burst visitors already scheduled (within 200 ms) still arrive; no
 	// generator draws another gap.
-	if extra := bt.Sent() - atStop; extra > 10 {
+	if extra := bt.sent - atStop; extra > 10 {
 		t.Errorf("%d arrivals after Stop, want at most the burst in flight", extra)
 	}
 	// Each loop notices the flag at its next wakeup: at most one Poisson
@@ -75,8 +75,8 @@ func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	if end > 30*time.Second+time.Minute+10*time.Second {
 		t.Errorf("simulation ran until %v after a Stop at 30s", end)
 	}
-	if bt.Completed()+bt.Errored() != bt.Sent() {
-		t.Errorf("Sent %d != Completed %d + Errored %d at exhaustion", bt.Sent(), bt.Completed(), bt.Errored())
+	if bt.completed+bt.errored != bt.sent {
+		t.Errorf("Sent %d != Completed %d + Errored %d at exhaustion", bt.sent, bt.completed, bt.errored)
 	}
 	assertStackless(t, env)
 }
@@ -120,8 +120,8 @@ func TestBackgroundNoEligibleURLEndsWithoutSpawning(t *testing.T) {
 	if end := env.Run(0); end != 0 {
 		t.Errorf("generators with nothing to request ran until %v", end)
 	}
-	if bt.Sent() != 0 || srv.Served() != 0 {
-		t.Errorf("Sent = %d, Served = %d on a site with no eligible URL", bt.Sent(), srv.Served())
+	if bt.sent != 0 || srv.Served() != 0 {
+		t.Errorf("Sent = %d, Served = %d on a site with no eligible URL", bt.sent, srv.Served())
 	}
 	// Two start entries — one per generator — and nothing else.
 	if st := env.Stats(); st.Dispatched != 2 || st.Handoffs != 0 {

@@ -90,20 +90,6 @@ func (m *Monitor) sample(now time.Duration) {
 	m.samples = append(m.samples, samp)
 }
 
-// Samples returns everything recorded so far.
-func (m *Monitor) Samples() []Sample { return m.samples }
-
-// MaxResident returns the largest sampled resident memory.
-func (m *Monitor) MaxResident() int64 {
-	var max int64
-	for _, s := range m.samples {
-		if s.ResidentBytes > max {
-			max = s.ResidentBytes
-		}
-	}
-	return max
-}
-
 // Window aggregates the samples in [from, to) into a single Sample of peak
 // values. Peaks, not means: an MFC epoch's burst is much shorter than the
 // window, and the paper's atop plots show the burst's utilization, which a

@@ -46,7 +46,7 @@ func TestQueryBackendTimeHoldsPoolNotCPU(t *testing.T) {
 	}
 	// The CPU was essentially idle (backend time is remote): only parse,
 	// render and the microsecond query cost remain.
-	if used := srv.CPU().BytesSent(); used > 0.02 {
+	if used := srv.cpu.BytesSent(); used > 0.02 {
 		t.Errorf("CPU consumed %v core-seconds; backend time should not burn local CPU", used)
 	}
 }
@@ -186,8 +186,7 @@ func TestConfigAccessors(t *testing.T) {
 	if srv.Config().Name != "acc" {
 		t.Error("Config accessor")
 	}
-	if srv.Site() == nil || srv.AccessLink() == nil || srv.CPU() == nil ||
-		srv.Disk() == nil || srv.DBPool() == nil {
+	if srv.Site() == nil || srv.AccessLink() == nil {
 		t.Error("nil subsystem accessor")
 	}
 	if BackendFastCGI.String() != "fastcgi" || BackendMongrel.String() != "mongrel" {

@@ -226,8 +226,8 @@ func TestBackgroundAndFlashCrowdSuperpose(t *testing.T) {
 	})
 	env.Run(2 * time.Minute)
 
-	if bg.Sent() == 0 || len(fc.Samples) == 0 {
-		t.Fatalf("no superposition: background sent %d, crowd sampled %d", bg.Sent(), len(fc.Samples))
+	if bg.sent == 0 || len(fc.Samples) == 0 {
+		t.Fatalf("no superposition: background sent %d, crowd sampled %d", bg.sent, len(fc.Samples))
 	}
 	// Background alone occupies the first seconds (the ramp starts near
 	// zero); the crowd's hold is 20s-40s.

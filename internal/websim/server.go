@@ -439,21 +439,8 @@ func (s *Server) TakePeakResident() int64 {
 	return p
 }
 
-// Resident returns current resident memory (bytes).
-func (s *Server) Resident() int64 { return s.resident }
-
-// Pending returns the number of requests accepted and not yet answered.
-func (s *Server) Pending() int { return s.pending }
-
 // AccessLink exposes the outbound link for monitoring.
 func (s *Server) AccessLink() *netsim.Link { return s.access }
-
-// CPU exposes the processor-sharing engine for monitoring.
-func (s *Server) CPU() *netsim.Link { return s.cpu }
-
-// Disk and DBPool expose those resources for monitoring.
-func (s *Server) Disk() *netsim.Resource   { return s.disk }
-func (s *Server) DBPool() *netsim.Resource { return s.dbPool }
 
 // thrash returns the current service-time multiplier from memory pressure.
 func (s *Server) thrash() float64 {

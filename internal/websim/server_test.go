@@ -152,8 +152,8 @@ func TestFastCGIMemoryGrowsWithConcurrency(t *testing.T) {
 		t.Errorf("PeakResident = %d, want %d", srv.PeakResident(), want)
 	}
 	// After completion memory returns to base.
-	if srv.Resident() != 100<<20 {
-		t.Errorf("Resident = %d after drain, want base", srv.Resident())
+	if srv.resident != 100<<20 {
+		t.Errorf("Resident = %d after drain, want base", srv.resident)
 	}
 }
 

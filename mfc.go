@@ -136,11 +136,6 @@ func GenerateSite(host string, seed int64, cfg SiteGenConfig) *Site {
 	return content.Generate(host, seed, cfg)
 }
 
-// NewSite builds a site from explicit objects.
-func NewSite(host, base string, objects []Object) (*Site, error) {
-	return content.NewSite(host, base, objects)
-}
-
 // Scenario & chaos layer: composable environment effects around a
 // simulated run (see internal/scenario and DESIGN.md "Scenarios & chaos").
 type (
