@@ -9,10 +9,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"mfc/internal/liveplat"
 )
@@ -38,8 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("mfc-client: %v", err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("mfc-client %s serving commands from %s", *id, *coord)
-	if err := agent.Run(); err != nil {
+	if err := agent.Run(ctx); err != nil {
 		log.Fatalf("mfc-client: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -12,7 +11,8 @@ import (
 // Fleet capacity bounds. Ingest accepts arbitrary span batches — from
 // trusted worker loops and from the network via POST /api/spans — so
 // every structure it grows is hard-capped: input past a cap is counted,
-// never stored. Bounded() audits the caps and the fuzzer asserts it.
+// never stored. The ingest tests and the span-ingest fuzzer assert the caps
+// on Snapshot, the /fleet.json document.
 const (
 	maxFleetWorkers  = 256
 	maxFleetActive   = 4096
@@ -278,31 +278,6 @@ func (f *Fleet) Snapshot() FleetDoc {
 	}
 	sort.Slice(doc.Active, func(i, j int) bool { return doc.Active[i].Shard < doc.Active[j].Shard })
 	return doc
-}
-
-// Bounded verifies every capacity invariant; the span-ingest fuzzer calls
-// it after each hostile batch ("never corrupt the ring").
-func (f *Fleet) Bounded() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n := len(f.workers); n > maxFleetWorkers {
-		return fmt.Errorf("fleet: %d workers exceeds cap %d", n, maxFleetWorkers)
-	}
-	if n := len(f.active); n > maxFleetActive {
-		return fmt.Errorf("fleet: %d active shards exceeds cap %d", n, maxFleetActive)
-	}
-	if f.shardDur.n > fleetDurRingCap || f.jobDur.n > fleetDurRingCap {
-		return fmt.Errorf("fleet: duration ring overflow (%d/%d)", f.shardDur.n, f.jobDur.n)
-	}
-	for _, w := range f.workers {
-		if len(w.name) > maxFleetNameLen {
-			return fmt.Errorf("fleet: worker name %d bytes exceeds cap %d", len(w.name), maxFleetNameLen)
-		}
-		if len(w.timeline) > maxFleetTimeline {
-			return fmt.Errorf("fleet: worker %q timeline %d exceeds cap %d", w.name, len(w.timeline), maxFleetTimeline)
-		}
-	}
-	return nil
 }
 
 // Register exports the fleet on a registry: the straggler gauge plus the

@@ -190,26 +190,46 @@ func TestFleetStragglerWarmup(t *testing.T) {
 	}
 }
 
-// Hostile ingest must be bounded: more workers, active claims, and
-// timeline segments than the caps may arrive, but never be stored.
+// Hostile ingest must be bounded: more workers, active claims, timeline
+// segments and name bytes than the caps may arrive, but /fleet.json never
+// shows more than the caps. The duration rings are fixed-size arrays.
 func TestFleetIngestBounded(t *testing.T) {
 	f := NewFleet(0)
-	var spans []obs.Span
+	long := strings.Repeat("n", maxFleetNameLen+77)
+	spans := []obs.Span{{ID: 1, Name: "x", Cat: "shard", Worker: long, Shard: 0, Start: 1, End: 2}}
 	for i := 0; i < maxFleetWorkers+50; i++ {
-		spans = append(spans, obs.Span{ID: uint64(i + 1), Name: "claim", Cat: "claim",
+		spans = append(spans, obs.Span{ID: uint64(len(spans) + 1), Name: "claim", Cat: "claim",
 			Worker: fmt.Sprintf("w-%04d", i), Shard: i, Start: 1, End: 1})
 	}
+	for i := 0; i < maxFleetActive+10; i++ {
+		spans = append(spans, obs.Span{ID: uint64(len(spans) + 1), Name: "claim", Cat: "claim",
+			Worker: "w-0000", Shard: 10_000 + i, Start: 1, End: 1})
+	}
 	for i := 0; i < maxFleetTimeline+30; i++ {
-		spans = append(spans, obs.Span{ID: uint64(9000 + i), Name: "idle", Cat: "idle",
+		spans = append(spans, obs.Span{ID: uint64(len(spans) + 1), Name: "idle", Cat: "idle",
 			Worker: "w-0000", Shard: -1, Start: int64(i), End: int64(i + 1)})
 	}
-	spans = append(spans, obs.Span{ID: 99999, Name: "x", Cat: "shard",
-		Worker: strings.Repeat("n", maxFleetNameLen+77), Shard: 0, Start: 1, End: 2})
 	f.Ingest(spans)
-	if err := f.Bounded(); err != nil {
-		t.Fatal(err)
+	doc := f.Snapshot()
+	if len(doc.Workers) != maxFleetWorkers || len(doc.Active) != maxFleetActive {
+		t.Errorf("%d workers and %d active shards, want the caps %d and %d",
+			len(doc.Workers), len(doc.Active), maxFleetWorkers, maxFleetActive)
 	}
-	if doc := f.Snapshot(); doc.Skipped == 0 {
+	truncated := false
+	for _, w := range doc.Workers {
+		truncated = truncated || w.Name == long[:maxFleetNameLen]
+		if len(w.Name) > maxFleetNameLen || len(w.Timeline) > maxFleetTimeline {
+			t.Errorf("worker %.20q…: %d-byte name, %d timeline segments; caps %d and %d",
+				w.Name, len(w.Name), len(w.Timeline), maxFleetNameLen, maxFleetTimeline)
+		}
+		if w.Name == "w-0000" && len(w.Timeline) != maxFleetTimeline {
+			t.Errorf("w-0000 keeps %d timeline segments, want the last %d", len(w.Timeline), maxFleetTimeline)
+		}
+	}
+	if !truncated {
+		t.Errorf("the long-named worker is not stored under its %d-byte prefix", maxFleetNameLen)
+	}
+	if doc.Skipped == 0 {
 		t.Error("caps were exceeded but nothing counted as skipped")
 	}
 }

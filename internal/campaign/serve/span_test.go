@@ -129,8 +129,15 @@ func FuzzSpanIngest(f *testing.F) {
 		if rr.Code != http.StatusNoContent && rr.Code != http.StatusBadRequest {
 			t.Fatalf("POST /api/spans = %d, want 204 or 400", rr.Code)
 		}
-		if err := srv.fleet.Bounded(); err != nil {
-			t.Fatal(err)
+		// The fleet caps, as /fleet.json shows them.
+		doc := srv.fleet.Snapshot()
+		if len(doc.Workers) > 256 || len(doc.Active) > 4096 {
+			t.Fatalf("fleet holds %d workers and %d active shards; caps 256 and 4096", len(doc.Workers), len(doc.Active))
+		}
+		for _, w := range doc.Workers {
+			if len(w.Name) > 128 || len(w.Timeline) > 64 {
+				t.Fatalf("fleet worker has a %d-byte name and %d timeline segments; caps 128 and 64", len(w.Name), len(w.Timeline))
+			}
 		}
 		srv.mu.Lock()
 		tracked := len(srv.lastSeen)

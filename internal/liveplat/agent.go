@@ -1,11 +1,11 @@
 package liveplat
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
 	"net/url"
-	"sync"
 	"time"
 
 	"mfc/internal/core"
@@ -21,11 +21,9 @@ type Agent struct {
 	Coordinator *net.UDPAddr
 	Logf        func(string, ...any)
 
-	conn *net.UDPConn
-
-	mu      sync.Mutex
-	client  *goClient // bound to the target after the measure command
-	stopped bool
+	// Touched only by Run's goroutine.
+	conn   *net.UDPConn
+	client *goClient // bound to the target after the measure command
 }
 
 // NewAgent creates an agent that will register with the coordinator at
@@ -42,8 +40,9 @@ func NewAgent(id, coordAddr string) (*Agent, error) {
 	}, nil
 }
 
-// Run registers and serves commands until Stop. It blocks.
-func (a *Agent) Run() error {
+// Run registers and serves commands until ctx is done, noticing within the
+// one-second read deadline. It blocks.
+func (a *Agent) Run(ctx context.Context) error {
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{})
 	if err != nil {
 		return fmt.Errorf("liveplat: agent listen: %w", err)
@@ -56,13 +55,7 @@ func (a *Agent) Run() error {
 	}
 	a.Logf("agent %s registered with %s", a.ID, a.Coordinator)
 
-	for {
-		a.mu.Lock()
-		stopped := a.stopped
-		a.mu.Unlock()
-		if stopped {
-			return nil
-		}
+	for ctx.Err() == nil {
 		m, from, err := wire.Recv(conn, time.Now().Add(time.Second))
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -73,13 +66,7 @@ func (a *Agent) Run() error {
 		}
 		a.handle(m, from)
 	}
-}
-
-// Stop makes Run return after its current read.
-func (a *Agent) Stop() {
-	a.mu.Lock()
-	a.stopped = true
-	a.mu.Unlock()
+	return nil
 }
 
 func (a *Agent) reply(to *net.UDPAddr, m *wire.Message) {
@@ -112,12 +99,8 @@ func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, Err: "bad target"})
 			return
 		}
-		a.mu.Lock()
 		a.client = newGoClient(a.ID, base, NewWallClock())
-		cl := a.client
-		a.mu.Unlock()
-
-		bl, err := cl.MeasureTarget(coreRequests(m.Requests))
+		bl, err := a.client.MeasureTarget(coreRequests(m.Requests))
 		if err != nil {
 			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, Err: err.Error()})
 			return
@@ -136,21 +119,15 @@ func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 	case wire.TypeFire:
 		// Fire immediately: the coordinator timed this datagram's departure
 		// so that our handshake's first request byte lands at T (§2.2.4).
-		a.mu.Lock()
-		cl := a.client
-		a.mu.Unlock()
-		if cl == nil {
+		if a.client == nil {
 			return // fire before measure: drop
 		}
-		go cl.fire(m.Epoch, coreRequests(m.Requests), time.Duration(m.TimeoutNs))
+		go a.client.fire(m.Epoch, coreRequests(m.Requests), time.Duration(m.TimeoutNs))
 
 	case wire.TypePoll:
-		a.mu.Lock()
-		cl := a.client
-		a.mu.Unlock()
 		var samples []core.Sample
-		if cl != nil { // poll before measure: empty results
-			samples, _ = cl.Collect(m.Epoch)
+		if a.client != nil { // poll before measure: empty results
+			samples, _ = a.client.Collect(m.Epoch)
 		}
 		res := &wire.Message{Type: wire.TypeResults, Epoch: m.Epoch, Seq: m.Seq}
 		for _, s := range samples {

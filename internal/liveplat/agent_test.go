@@ -1,6 +1,7 @@
 package liveplat
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -29,8 +30,9 @@ func newAgentHarness(t *testing.T) *agentHarness {
 		t.Fatal(err)
 	}
 	a.Logf = func(string, ...any) {}
-	go a.Run()
-	t.Cleanup(a.Stop)
+	ctx, cancel := context.WithCancel(context.Background())
+	go a.Run(ctx)
+	t.Cleanup(cancel)
 
 	m, from, err := wire.Recv(conn, time.Now().Add(3*time.Second))
 	if err != nil || m.Type != wire.TypeRegister {

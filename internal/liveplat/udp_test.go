@@ -16,23 +16,19 @@ import (
 
 // startAgents launches n agents registering with the platform and returns
 // a stop function.
-func startAgents(t *testing.T, coordAddr string, n int) func() {
+func startAgents(t *testing.T, coordAddr string, n int) context.CancelFunc {
 	t.Helper()
-	agents := make([]*Agent, n)
+	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < n; i++ {
 		a, err := NewAgent(agentID(i), coordAddr)
 		if err != nil {
+			cancel()
 			t.Fatal(err)
 		}
 		a.Logf = func(string, ...any) {}
-		agents[i] = a
-		go a.Run()
+		go a.Run(ctx)
 	}
-	return func() {
-		for _, a := range agents {
-			a.Stop()
-		}
-	}
+	return cancel
 }
 
 func agentID(i int) string { return string(rune('a'+i)) + "gent" }

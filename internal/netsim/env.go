@@ -1,7 +1,8 @@
 // Package netsim is a deterministic discrete-event simulation (DES) kernel
 // plus the network primitives the MFC reproduction is built on: simulated
-// processes with a virtual clock, one-shot events, FIFO resources, and a
-// fluid-flow shared link with max-min fair bandwidth allocation.
+// processes with a virtual clock, one-shot single-waiter events, FIFO
+// resources, and a fluid-flow shared link with max-min fair bandwidth
+// allocation.
 //
 // Execution model (lock-step): at most one thread of control — the driver
 // inside Env.Run or exactly one simulated process — executes at any
@@ -23,8 +24,8 @@
 //     a state machine whose Step the driver calls in its own context when
 //     the process starts and whenever its pending block resolves. Step runs
 //     until it suspends the process through a Begin primitive (BeginSleep,
-//     BeginWait, BeginWaitTimeout, Link.BeginTransfer[Timeout],
-//     Resource.BeginAcquire[Timeout]) or finishes. Everything per request —
+//     BeginWait, Link.BeginTransfer[Timeout], Resource.BeginAcquire[Timeout])
+//     or finishes. Everything per request —
 //     websim's Call pipeline, the sim clients' bursts, baselines and MFC-mr
 //     connections, background/flash-crowd/cross-traffic visitors, the
 //     resource monitor — is a task, and so is every arrival process that
@@ -33,8 +34,9 @@
 //     generates it costs a goroutine or a handoff.
 //
 // There is one implementation of each primitive, the Begin form; the
-// blocking form (Sleep, Wait, Transfer, Acquire…) is the Begin form plus
-// parking the caller's goroutine. Likewise a goroutine process runs a whole
+// blocking form (Sleep, Wait, Transfer, Acquire) is the Begin form plus
+// parking the caller's goroutine. The timed blocks have no blocking form:
+// only tasks take them. Likewise a goroutine process runs a whole
 // task with Proc.Do: the task's blocks count on the caller's own generation
 // counter, the goroutine parks once, and the driver hands the token back in
 // the dispatch that finishes the task (one handoff per call instead of one
@@ -59,10 +61,18 @@
 //     after every unfinished goroutine process has been ended, like a panic
 //     in a goroutine body.
 //
+// One waiter per block. A process is in at most one block, and each block
+// has exactly that one waiting process. Whatever resolves a block — a
+// sleep's entry, Link.complete retiring a flow, Resource.Release handing a
+// unit over, Event.Trigger — holds the process and its block generation and
+// pushes the wake entry itself. A timed block aims a second source, its
+// deadline entry, at the same generation; whichever dispatches second finds
+// the process moved on and is dropped by the generation guard in Run.
+//
 // When a block resolves, what used to follow it inside the blocking
-// primitive — cancel the losing timeout entry, abort a flow that ran out of
-// time, recycle the event, flow or queue node — runs in driver context
-// first (Proc.resolve), then the process sees the token.
+// primitive — cancel the losing deadline entry, abort a flow that ran out
+// of time, recycle the flow or queue node — runs in driver context first
+// (Proc.resolve), then the process sees the token.
 //
 // The calendar is tuned for the dispatch cycle that dominates simulated
 // experiments: entries are recycled through a free list instead of being
@@ -113,15 +123,14 @@ import (
 // they hold the single execution token, which is safe by construction).
 type Env struct {
 	now    time.Duration
-	cal    []*entry     // binary min-heap ordered by (at, seq)
-	free   []*entry     // recycled calendar entries
-	evfree []*Event     // recycled events (see FreeEvent)
-	wfree  [][]evWaiter // recycled waiter slices (capacity only)
-	dirty  []*Link      // links awaiting the end-of-instant waterfill flush
-	live   []*Proc      // goroutine procs whose goroutine has not finished
-	tfree  []*Proc      // dead stackless procs, LIFO
-	flfree []*Flow      // recycled link flows (see freeFlow)
-	wtfree []*waiter    // recycled resource waiters
+	cal    []*entry  // binary min-heap ordered by (at, seq)
+	free   []*entry  // recycled calendar entries
+	evfree []*Event  // recycled events (see FreeEvent)
+	dirty  []*Link   // links awaiting the end-of-instant waterfill flush
+	live   []*Proc   // goroutine procs whose goroutine has not finished
+	tfree  []*Proc   // dead stackless procs, LIFO
+	flfree []*Flow   // recycled link flows (see freeFlow)
+	wtfree []*waiter // recycled resource queue nodes
 	seq    uint64
 	yield  chan struct{}
 	rng    *rand.Rand
@@ -288,7 +297,8 @@ func (e *Env) push(en *entry) *entry {
 // pushWake schedules a wakeup for p at time `at`, valid only for block
 // generation `target`. The wakeup is delivered only if, when popped, p is
 // still suspended in that same block; otherwise it is dropped. This makes
-// racing wakeup sources (event trigger vs. timeout) harmless.
+// racing wakeup sources (a flow completion or queue hand-off vs. the
+// block's deadline) harmless.
 func (e *Env) pushWake(at time.Duration, p *Proc, target uint64) *entry {
 	en := e.pushProc(entWake, at, p)
 	en.target = target
@@ -311,7 +321,7 @@ type Stats struct {
 	// wakeups included).
 	Dispatched uint64
 	// Canceled counts timers removed from the calendar before firing: the
-	// timeouts of timed waits that the event won, canceled After/At timers.
+	// deadlines of timed blocks that resolved first, canceled After/At timers.
 	Canceled uint64
 	// Handoffs counts times the driver gave the execution token to a
 	// process goroutine and waited for it back: two channel operations and
@@ -445,26 +455,18 @@ func (e *Env) Run(until time.Duration) time.Duration {
 	return e.now
 }
 
-// Event is a one-shot condition processes can wait on. The zero value is
-// unusable; create events with NewEvent.
+// Event is a one-shot condition one process can wait on: core's baseline
+// and burst barriers. The zero value is unusable; create events with
+// NewEvent.
 type Event struct {
 	env       *Env
 	triggered bool
-	waiters   []evWaiter
+	proc      *Proc  // the waiting process, nil if none
+	target    uint64 // the block generation proc waits in
 }
 
-// evWaiter pins the waiting process to the block generation in which it
-// registered, so a trigger that fires after the process has moved on (e.g.
-// past a WaitTimeout) cannot disturb its later blocks.
-type evWaiter struct {
-	proc   *Proc
-	target uint64
-}
-
-// NewEvent returns an untriggered event bound to e. Events come from a free
-// list fed by FreeEvent; Sleep-style waits plus the pooled calendar already
-// run allocation-free, and recycling events (the other per-wait allocation)
-// keeps Resource and Link waits at zero steady-state allocation too.
+// NewEvent returns an untriggered event bound to e, from the free list fed
+// by FreeEvent.
 func (e *Env) NewEvent() *Event {
 	if n := len(e.evfree); n > 0 {
 		ev := e.evfree[n-1]
@@ -476,17 +478,11 @@ func (e *Env) NewEvent() *Event {
 }
 
 // FreeEvent returns ev to the environment's free list for reuse by a later
-// NewEvent. The caller asserts that no process will touch ev again: every
-// waiter has returned from its Wait, and no other reference escaped (events
-// handed out by StartFlow, for example, must not be freed by the Link).
-// Stale evWaiter entries from an abandoned WaitTimeout are harmless — they
-// are cleared here, and their wakeups were never scheduled.
+// NewEvent. The caller asserts that no process will touch ev again: it has
+// triggered and its waiter has returned from Wait, or nobody waited on it.
 func (e *Env) FreeEvent(ev *Event) {
 	if ev == nil {
 		return
-	}
-	if cap(ev.waiters) > 0 {
-		e.wfree = append(e.wfree, ev.waiters[:0])
 	}
 	*ev = Event{env: e}
 	e.evfree = append(e.evfree, ev)
@@ -504,10 +500,9 @@ func (e *Env) newFlow() *Flow {
 	return &Flow{}
 }
 
-// freeFlow recycles a retired flow. The caller asserts the flow is off its
-// link's flow list and no other reference escaped — Transfer-style waits
-// qualify; flows handed out via StartFlow are never recycled because the
-// caller keeps the completion event.
+// freeFlow recycles a flow whose transfer has resolved. The caller asserts
+// the flow is off its link's flow list; only the transferring process held
+// it, and that block is over.
 func (e *Env) freeFlow(fl *Flow) {
 	*fl = Flow{}
 	e.flfree = append(e.flfree, fl)
@@ -529,32 +524,15 @@ func (e *Env) freeWaiter(w *waiter) {
 	e.wtfree = append(e.wtfree, w)
 }
 
-// addWaiter registers a waiter, drawing the backing slice from the recycled
-// pool on first use.
-func (ev *Event) addWaiter(p *Proc, target uint64) {
-	if ev.waiters == nil {
-		if n := len(ev.env.wfree); n > 0 {
-			ev.waiters = ev.env.wfree[n-1]
-			ev.env.wfree[n-1] = nil
-			ev.env.wfree = ev.env.wfree[:n-1]
-		}
-	}
-	ev.waiters = append(ev.waiters, evWaiter{proc: p, target: target})
-}
-
-// Trigger fires the event, waking all current waiters at the current time in
-// FIFO order. Triggering twice is a no-op. It may be called from a process
-// or a driver callback.
+// Trigger fires the event, waking its waiter, if any, at the current time.
+// Triggering twice is a no-op. It may be called from a process or a driver
+// callback.
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
 	}
 	ev.triggered = true
-	for _, w := range ev.waiters {
-		ev.env.pushWake(ev.env.now, w.proc, w.target)
+	if ev.proc != nil {
+		ev.env.pushWake(ev.env.now, ev.proc, ev.target)
 	}
-	if cap(ev.waiters) > 0 {
-		ev.env.wfree = append(ev.env.wfree, ev.waiters[:0])
-	}
-	ev.waiters = nil
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,32 +60,6 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	}
 }
 
-func TestEventWakesAllWaitersFIFO(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	var order []string
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		env.Go(name, func(p *Proc) {
-			p.Wait(ev)
-			order = append(order, name)
-		})
-	}
-	env.GoAfter("trigger", 10*time.Millisecond, func(p *Proc) {
-		ev.Trigger()
-	})
-	env.Run(0)
-	want := []string{"w1", "w2", "w3"}
-	if len(order) != 3 {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestWaitOnTriggeredEventReturnsImmediately(t *testing.T) {
 	env := NewEnv(1)
 	ev := env.NewEvent()
@@ -100,58 +75,21 @@ func TestWaitOnTriggeredEventReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestWaitTimeoutExpires(t *testing.T) {
+// An event has one waiter: a second process waiting on it is a bug in the
+// caller and panics, the way Release of an idle Resource does.
+func TestSecondEventWaiterPanics(t *testing.T) {
 	env := NewEnv(1)
 	ev := env.NewEvent()
-	var ok bool
-	var at time.Duration
-	env.Go("w", func(p *Proc) {
-		ok = p.WaitTimeout(ev, 100*time.Millisecond)
-		at = p.Now()
-	})
+	env.Go("first", func(p *Proc) { p.Wait(ev) })
+	env.Go("second", func(p *Proc) { p.Wait(ev) })
+	defer func() {
+		s, _ := recover().(string)
+		if !strings.Contains(s, `netsim: process "second" panicked`) || !strings.Contains(s, `"first" already waits on`) {
+			t.Errorf("Run raised %q, want the second waiter's panic", s)
+		}
+	}()
 	env.Run(0)
-	if ok {
-		t.Error("WaitTimeout reported success; want timeout")
-	}
-	if at != 100*time.Millisecond {
-		t.Errorf("timed out at %v, want 100ms", at)
-	}
-}
-
-func TestWaitTimeoutTriggerBeforeDeadline(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	var ok bool
-	var at time.Duration
-	env.Go("w", func(p *Proc) {
-		ok = p.WaitTimeout(ev, 100*time.Millisecond)
-		at = p.Now()
-	})
-	env.GoAfter("t", 30*time.Millisecond, func(p *Proc) { ev.Trigger() })
-	env.Run(0)
-	if !ok {
-		t.Error("WaitTimeout reported timeout; want success")
-	}
-	if at != 30*time.Millisecond {
-		t.Errorf("resumed at %v, want 30ms", at)
-	}
-}
-
-// A late trigger after a timeout must not corrupt the process's later blocks.
-func TestStaleTriggerWakeupIsDropped(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	var resumedAt []time.Duration
-	env.Go("w", func(p *Proc) {
-		p.WaitTimeout(ev, 10*time.Millisecond) // will time out
-		p.Sleep(100 * time.Millisecond)        // stale trigger lands here
-		resumedAt = append(resumedAt, p.Now())
-	})
-	env.GoAfter("late", 50*time.Millisecond, func(p *Proc) { ev.Trigger() })
-	env.Run(0)
-	if len(resumedAt) != 1 || resumedAt[0] != 110*time.Millisecond {
-		t.Errorf("resumedAt = %v, want [110ms]", resumedAt)
-	}
+	t.Error("Run returned; want the second waiter's panic")
 }
 
 func TestTimerCancel(t *testing.T) {

@@ -43,10 +43,10 @@ func TestDownFlowHitsDeadline(t *testing.T) {
 	l.SetDown(true)
 	var ok bool
 	var at time.Duration
-	env.Go("x", func(p *Proc) {
-		ok = l.TransferTimeout(p, 10, 0, 300*time.Millisecond)
-		at = p.Now()
-	})
+	env.Spawn("x", steps(
+		func(p *Proc) bool { return l.BeginTransferTimeout(p, 10, 0, 300*time.Millisecond) },
+		then(func(p *Proc) { ok, at = p.OK(), p.Now() }),
+	))
 	env.Run(0)
 	if ok {
 		t.Error("transfer on a down link succeeded; want deadline abort")

@@ -3,6 +3,7 @@ package netsim
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -104,8 +105,8 @@ func TestDifferentialSynchronizedWave(t *testing.T) {
 	})
 }
 
-// A flow added and removed in the same instant (TransferTimeout with a
-// zero deadline) must leave the surviving flows' rates — and therefore
+// A flow added and removed in the same instant (BeginTransferTimeout with
+// a zero deadline) must leave the surviving flows' rates — and therefore
 // their completion times — equal to the pin.
 func TestDifferentialAddRemoveSameInstant(t *testing.T) {
 	checkTrace(t, "add-remove", 2, func(env *Env, trace *[]string) {
@@ -117,12 +118,12 @@ func TestDifferentialAddRemoveSameInstant(t *testing.T) {
 				logf(trace, "long%d done at %v", i, p.Now())
 			})
 		}
-		env.GoAfter("blip", 100*time.Millisecond, func(p *Proc) {
+		env.SpawnAfter("blip", 100*time.Millisecond, steps(
 			// Arrives and gives up at the same instant: the flow set is
 			// mutated twice at t=100ms with zero net effect.
-			ok := link.TransferTimeout(p, 1e9, 0, 0)
-			logf(trace, "blip ok=%v at %v active=%d", ok, p.Now(), link.Active())
-		})
+			func(p *Proc) bool { return link.BeginTransferTimeout(p, 1e9, 0, 0) },
+			then(func(p *Proc) { logf(trace, "blip ok=%v at %v active=%d", p.OK(), p.Now(), link.Active()) }),
+		))
 		env.Run(0)
 		logf(trace, "bytes=%.6f", link.BytesSent())
 	})
@@ -146,10 +147,10 @@ func TestDifferentialLinkTouchedTwice(t *testing.T) {
 				logf(trace, "joiner%d done at %v", i, p.Now())
 			})
 		}
-		env.GoAfter("quitter", 500*time.Millisecond, func(p *Proc) {
-			ok := link.TransferTimeout(p, 1e9, 0, 0)
-			logf(trace, "quitter ok=%v at %v", ok, p.Now())
-		})
+		env.SpawnAfter("quitter", 500*time.Millisecond, steps(
+			func(p *Proc) bool { return link.BeginTransferTimeout(p, 1e9, 0, 0) },
+			then(func(p *Proc) { logf(trace, "quitter ok=%v at %v", p.OK(), p.Now()) }),
+		))
 		env.Run(0)
 		logf(trace, "bytes=%.6f completed=%d", link.BytesSent(), link.FlowsCompleted())
 	})
@@ -193,35 +194,8 @@ func TestDifferentialRandomChurn(t *testing.T) {
 				slow := env.NewLink("slow", 5e4)
 				res := env.NewResource("res", 2)
 				for w := 0; w < 6; w++ {
-					w := w
-					env.Go(fmt.Sprintf("c%d", w), func(p *Proc) {
-						rng := env.Rand()
-						for i := 0; i < 40; i++ {
-							p.Sleep(time.Duration(rng.Intn(5000)) * time.Microsecond)
-							link := fast
-							if rng.Intn(2) == 0 {
-								link = slow
-							}
-							bytes := float64(1 + rng.Intn(20000))
-							cap := float64(0)
-							if rng.Intn(3) == 0 {
-								cap = 1e4 + float64(rng.Intn(100000))
-							}
-							if rng.Intn(4) == 0 {
-								d := time.Duration(rng.Intn(60)) * time.Millisecond
-								ok := link.TransferTimeout(p, bytes, cap, d)
-								logf(trace, "c%d i%d timeout ok=%v at %v", w, i, ok, p.Now())
-							} else {
-								link.Transfer(p, bytes, cap)
-								logf(trace, "c%d i%d done at %v", w, i, p.Now())
-							}
-							if rng.Intn(5) == 0 {
-								if res.AcquireTimeout(p, 3*time.Millisecond) {
-									p.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
-									res.Release()
-								}
-							}
-						}
+					env.Spawn(fmt.Sprintf("c%d", w), &churner{
+						w: w, fast: fast, slow: slow, res: res, rng: env.Rand(), trace: trace,
 					})
 				}
 				env.Run(0)
@@ -230,6 +204,84 @@ func TestDifferentialRandomChurn(t *testing.T) {
 					fast.FlowsCompleted(), slow.FlowsCompleted())
 			})
 		})
+	}
+}
+
+// churner is one churn worker: 40 rounds of a sleep, a transfer on a
+// random link (every fourth under a tight deadline), and now and then a
+// short hold of the shared resource, which it may fail to get in time.
+type churner struct {
+	w          int
+	fast, slow *Link
+	res        *Resource
+	rng        *rand.Rand
+	trace      *[]string
+	i, state   int
+	timed      bool
+}
+
+const (
+	churnSleep    = iota // start round i: sleep
+	churnTransfer        // slept: start the transfer
+	churnMoved           // transferred: log it, maybe go for the resource
+	churnAcquired        // acquire resolved: hold it if granted
+	churnRelease         // held: release and start the next round
+)
+
+func (c *churner) Step(p *Proc) bool {
+	rng := c.rng
+	for {
+		switch c.state {
+		case churnSleep:
+			if c.i == 40 {
+				return false
+			}
+			c.state = churnTransfer
+			return p.BeginSleep(time.Duration(rng.Intn(5000)) * time.Microsecond)
+		case churnTransfer:
+			link := c.fast
+			if rng.Intn(2) == 0 {
+				link = c.slow
+			}
+			bytes := float64(1 + rng.Intn(20000))
+			cap := float64(0)
+			if rng.Intn(3) == 0 {
+				cap = 1e4 + float64(rng.Intn(100000))
+			}
+			c.state = churnMoved
+			if c.timed = rng.Intn(4) == 0; c.timed {
+				d := time.Duration(rng.Intn(60)) * time.Millisecond
+				return link.BeginTransferTimeout(p, bytes, cap, d)
+			}
+			return link.BeginTransfer(p, bytes, cap)
+		case churnMoved:
+			if c.timed {
+				logf(c.trace, "c%d i%d timeout ok=%v at %v", c.w, c.i, p.OK(), p.Now())
+			} else {
+				logf(c.trace, "c%d i%d done at %v", c.w, c.i, p.Now())
+			}
+			c.state = churnSleep
+			if rng.Intn(5) == 0 {
+				c.state = churnAcquired
+				if c.res.BeginAcquireTimeout(p, 3*time.Millisecond) {
+					return true
+				}
+				continue
+			}
+			c.i++
+		case churnAcquired:
+			if !p.OK() {
+				c.state = churnSleep
+				c.i++
+				continue
+			}
+			c.state = churnRelease
+			return p.BeginSleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
+		case churnRelease:
+			c.res.Release()
+			c.state = churnSleep
+			c.i++
+		}
 	}
 }
 

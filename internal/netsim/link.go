@@ -51,13 +51,15 @@ type Link struct {
 	maxActive int
 }
 
-// Flow is one in-flight transfer on a Link.
+// Flow is one in-flight transfer on a Link, owned by the one process
+// blocked on it.
 type Flow struct {
 	remaining float64 // bytes left
 	cap       float64 // per-flow rate cap (bytes/sec); +Inf if uncapped
 	rate      float64 // currently allocated rate
-	done      *Event
-	started   time.Duration
+	proc      *Proc   // the transferring process
+	target    uint64  // the block generation proc transfers in
+	done      bool    // retired by complete; proc's wake is pushed
 }
 
 // NewLink creates a link with capacity in bytes per second.
@@ -186,10 +188,8 @@ func (l *Link) Utilization() float64 {
 // suspends p until the transfer completes (it always suspends). cap limits
 // this flow's rate (<= 0 means uncapped).
 func (l *Link) BeginTransfer(p *Proc, bytes, cap float64) bool {
-	fl := l.start(bytes, cap)
-	fl.done.addWaiter(p, p.blocks+1)
+	p.link, p.fl = l, l.start(p, bytes, cap)
 	p.suspend(pendTransfer)
-	p.link, p.fl = l, fl
 	return true
 }
 
@@ -197,9 +197,8 @@ func (l *Link) BeginTransfer(p *Proc, bytes, cap float64) bool {
 // deadline passes first the flow is aborted (its partial bytes stay
 // counted) and OK reports false.
 func (l *Link) BeginTransferTimeout(p *Proc, bytes, cap float64, d time.Duration) bool {
-	fl := l.start(bytes, cap)
-	p.waitTimeout(fl.done, d, pendTransfer)
-	p.link, p.fl = l, fl
+	p.link, p.fl = l, l.start(p, bytes, cap)
+	p.waitTimeout(d, pendTransfer)
 	return true
 }
 
@@ -210,21 +209,8 @@ func (l *Link) Transfer(p *Proc, bytes float64, cap float64) {
 	p.park()
 }
 
-// TransferTimeout is Transfer with a deadline; it reports false if the
-// deadline passed first.
-func (l *Link) TransferTimeout(p *Proc, bytes, cap float64, d time.Duration) bool {
-	l.BeginTransferTimeout(p, bytes, cap, d)
-	p.park()
-	return p.ok
-}
-
-// StartFlow begins a transfer without blocking; the returned event triggers
-// on completion. Used by server models that overlap transfer with other work.
-func (l *Link) StartFlow(bytes, cap float64) *Event {
-	return l.start(bytes, cap).done
-}
-
-func (l *Link) start(bytes, cap float64) *Flow {
+// start adds a flow for p's next block.
+func (l *Link) start(p *Proc, bytes, cap float64) *Flow {
 	if bytes <= 0 {
 		bytes = 1 // zero-byte responses still occupy an instant
 	}
@@ -235,8 +221,7 @@ func (l *Link) start(bytes, cap float64) *Flow {
 	fl := l.env.newFlow()
 	fl.remaining = bytes
 	fl.cap = cap
-	fl.done = l.env.NewEvent()
-	fl.started = l.env.now
+	fl.proc, fl.target = p, p.blocks+1
 	l.flows = append(l.flows, fl)
 	if len(l.flows) > l.maxActive {
 		l.maxActive = len(l.flows)
@@ -343,8 +328,8 @@ func (l *Link) reallocate() {
 	l.next = l.env.After(first, l.completeFn)
 }
 
-// complete retires every flow that has (within tolerance) finished, triggers
-// its completion event, and reallocates for the survivors.
+// complete retires every flow that has (within tolerance) finished, wakes
+// its process, and reallocates for the survivors.
 func (l *Link) complete() {
 	l.advance()
 	const eps = 1e-6 // bytes; absorbs float drift
@@ -354,7 +339,8 @@ func (l *Link) complete() {
 			l.bytesSent += fl.remaining
 			fl.remaining = 0
 			l.flowsDone++
-			fl.done.Trigger()
+			fl.done = true
+			l.env.pushWake(l.env.now, fl.proc, fl.target)
 		} else {
 			keep = append(keep, fl)
 		}

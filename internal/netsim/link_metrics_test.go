@@ -42,27 +42,6 @@ func TestLinkMaxActiveTracksPeak(t *testing.T) {
 	}
 }
 
-func TestStartFlowNonBlocking(t *testing.T) {
-	env := NewEnv(1)
-	l := env.NewLink("up", 1000)
-	var overlapped bool
-	env.Go("x", func(p *Proc) {
-		ev := l.StartFlow(500, 0) // 0.5s in background
-		p.Sleep(100 * time.Millisecond)
-		if !ev.triggered {
-			overlapped = true // still in flight: we really did overlap
-		}
-		p.Wait(ev)
-		if got := p.Now(); got < 499*time.Millisecond {
-			t.Errorf("flow completed too early: %v", got)
-		}
-	})
-	env.Run(0)
-	if !overlapped {
-		t.Error("StartFlow blocked the caller")
-	}
-}
-
 func TestZeroByteTransferCompletes(t *testing.T) {
 	env := NewEnv(1)
 	l := env.NewLink("up", 1000)

@@ -106,19 +106,22 @@ func TestTransferTimeoutAborts(t *testing.T) {
 	l := env.NewLink("up", 100)
 	var ok bool
 	var at time.Duration
-	env.Go("x", func(p *Proc) {
-		ok = l.TransferTimeout(p, 10000, 0, time.Second) // needs 100s
-		at = p.Now()
-	})
+	env.Spawn("x", steps(
+		func(p *Proc) bool { return l.BeginTransferTimeout(p, 10000, 0, time.Second) }, // needs 100s
+		then(func(p *Proc) { ok, at = p.OK(), p.Now() }),
+	))
 	env.Run(0)
 	if ok {
-		t.Error("TransferTimeout reported success; want abort")
+		t.Error("BeginTransferTimeout reported success; want abort")
 	}
 	if at != time.Second {
 		t.Errorf("aborted at %v, want 1s", at)
 	}
-	if l.Active() != 0 {
-		t.Errorf("Active = %d after abort, want 0", l.Active())
+	if l.Active() != 0 || l.FlowsCompleted() != 0 {
+		t.Errorf("Active = %d, FlowsCompleted = %d after abort, want 0, 0", l.Active(), l.FlowsCompleted())
+	}
+	if got := l.BytesSent(); got != 100 {
+		t.Errorf("BytesSent = %v after abort, want the 100 partial bytes", got)
 	}
 }
 

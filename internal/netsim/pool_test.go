@@ -101,8 +101,11 @@ func BenchmarkLinkReallocate(b *testing.B) {
 	env := NewEnv(1)
 	link := env.NewLink("bench", 1e9)
 	for i := 0; i < 50; i++ {
-		link.StartFlow(1e12, 1e6) // long-lived capped flows
+		env.Spawn("flow", steps(func(p *Proc) bool {
+			return link.BeginTransfer(p, 1e12, 1e6) // long-lived capped flows
+		}))
 	}
+	env.Run(time.Nanosecond) // start them all; none finishes for days
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,7 +114,7 @@ func BenchmarkLinkReallocate(b *testing.B) {
 }
 
 // Events are recycled through FreeEvent. A freed event must come back from
-// NewEvent reset — untriggered, with no waiters — and the free list must
+// NewEvent reset — untriggered, with no waiter — and the free list must
 // actually be hit (LIFO reuse of the same allocation).
 func TestEventPoolRecyclesAndResets(t *testing.T) {
 	env := NewEnv(1)
@@ -127,63 +130,8 @@ func TestEventPoolRecyclesAndResets(t *testing.T) {
 	if ev2 != ev {
 		t.Error("NewEvent did not reuse the freed event")
 	}
-	if ev2.triggered || len(ev2.waiters) != 0 {
-		t.Errorf("recycled event not reset: triggered=%v waiters=%d",
-			ev2.triggered, len(ev2.waiters))
-	}
-}
-
-// Triggering recycles the waiter slice; the next event to take waiters must
-// reuse its capacity instead of growing a fresh slice.
-func TestEventWaiterSliceRecycled(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	for i := 0; i < 4; i++ {
-		env.Go("w", func(p *Proc) { p.Wait(ev) })
-	}
-	env.Go("t", func(p *Proc) { p.Sleep(time.Millisecond); ev.Trigger() })
-	env.Run(0)
-	if len(env.wfree) == 0 {
-		t.Fatal("trigger did not recycle the waiter slice")
-	}
-	recycled := env.wfree[len(env.wfree)-1]
-	if cap(recycled) < 4 {
-		t.Fatalf("recycled slice capacity %d, want >= 4", cap(recycled))
-	}
-	ev2 := env.NewEvent()
-	env.Go("w2", func(p *Proc) { p.Wait(ev2) })
-	env.Go("t2", func(p *Proc) { ev2.Trigger() })
-	env.Run(0)
-	// The waiter slice pool is LIFO too: ev2 must have taken the slice back.
-	if len(env.wfree) == 0 || cap(env.wfree[len(env.wfree)-1]) < 4 {
-		t.Error("second event did not cycle the recycled waiter slice")
-	}
-}
-
-// A stale waiter left behind by a timed-out WaitTimeout must not leak into
-// the event's next life: after FreeEvent and reuse, triggering the recycled
-// event must not disturb the process that abandoned it.
-func TestFreedEventWithStaleWaiterIsInert(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	reached := false
-	env.Go("abandoner", func(p *Proc) {
-		if p.WaitTimeout(ev, time.Millisecond) {
-			t.Error("event unexpectedly triggered")
-		}
-		env.FreeEvent(ev) // we were the only user
-		// Reuse the allocation for an unrelated event and trigger it while
-		// this process is asleep; a leaked stale waiter would wake us early
-		// or corrupt the next block.
-		ev2 := env.NewEvent()
-		env.Go("other", func(q *Proc) { q.Wait(ev2) })
-		env.After(2*time.Millisecond, func() { ev2.Trigger() })
-		p.Sleep(10 * time.Millisecond)
-		reached = true
-	})
-	env.Run(0)
-	if !reached {
-		t.Error("abandoning process did not complete")
+	if ev2.triggered || ev2.proc != nil {
+		t.Errorf("recycled event not reset: triggered=%v waiter=%v", ev2.triggered, ev2.proc)
 	}
 }
 
@@ -267,31 +215,62 @@ func BenchmarkLinkWaterfill(b *testing.B) {
 	}
 }
 
-// Resource and Link waits recycle their events: over many cycles the event
-// free list must stay flat (the same handful of events keep cycling), the
-// same bound the calendar free list honors.
+// Resource and Link blocks recycle their queue nodes and flows: over many
+// cycles, timeouts included, both free lists stay flat (the same handful
+// keep cycling), the same bound the calendar free list honors.
 func TestEventFreeListStaysBounded(t *testing.T) {
 	env := NewEnv(1)
 	res := env.NewResource("db", 1)
 	link := env.NewLink("net", 1e6)
+	var timedOut int
 	for w := 0; w < 4; w++ {
-		env.Go("worker", func(p *Proc) {
-			for i := 0; i < 500; i++ {
-				res.Acquire(p)
-				p.Sleep(time.Microsecond)
+		i := 0
+		env.Spawn("worker", &repeat{n: 500, s: steps(
+			func(p *Proc) bool { return res.BeginAcquire(p) },
+			func(p *Proc) bool { return p.BeginSleep(time.Microsecond) },
+			func(p *Proc) bool {
+				// The unit goes to the next queued worker, if any, so a timed
+				// acquire right behind it mostly times out.
 				res.Release()
-				link.Transfer(p, 100, 0)
+				return i%5 == 0 && res.BeginAcquireTimeout(p, 10*time.Nanosecond)
+			},
+			func(p *Proc) bool {
 				if i%5 == 0 {
-					res.AcquireTimeout(p, 10*time.Nanosecond) // mostly times out
+					if p.OK() {
+						res.Release()
+					} else {
+						timedOut++
+					}
 				}
-			}
-		})
+				i++
+				return link.BeginTransfer(p, 100, 0)
+			},
+		)})
 	}
 	env.Run(0)
-	if got := len(env.evfree); got > 32 {
-		t.Errorf("event free list grew to %d; events are not cycling", got)
+	if got := len(env.flfree); got > 32 {
+		t.Errorf("flow free list grew to %d; flows are not cycling", got)
 	}
-	if got := len(env.wfree); got > 32 {
-		t.Errorf("waiter-slice free list grew to %d", got)
+	if got := len(env.wtfree); got > 32 {
+		t.Errorf("queue-node free list grew to %d; nodes are not cycling", got)
 	}
+	if timedOut == 0 {
+		t.Error("no acquire timed out; the canceled-node path never ran")
+	}
+}
+
+// repeat runs a script's steps n times over.
+type repeat struct {
+	s *script
+	n int
+}
+
+func (r *repeat) Step(p *Proc) bool {
+	for ; r.n > 0; r.n-- {
+		if r.s.Step(p) {
+			return true
+		}
+		r.s.next = 0
+	}
+	return false
 }

@@ -26,10 +26,9 @@ type Task interface {
 type pendKind uint8
 
 const (
-	pendNone        pendKind = iota // running, or suspended in a Sleep/Wait: nothing to tidy
-	pendWaitTimeout                 // event vs. timeout entry
-	pendTransfer                    // link flow, with or without a deadline
-	pendAcquire                     // resource queue, with or without a deadline
+	pendNone     pendKind = iota // running, or suspended in a Sleep/Wait: nothing to tidy
+	pendTransfer                 // link flow, with or without a deadline
+	pendAcquire                  // resource queue, with or without a deadline
 )
 
 // Proc is a simulated process: a virtual thread of control that blocks on
@@ -40,9 +39,9 @@ const (
 // own goroutine and the blocking primitives park that goroutine) or
 // stackless (Env.Spawn: no goroutine; the driver calls its Task). Both
 // share one bookkeeping: blocks is a generation counter that only ever
-// increases, so a wakeup aimed at an earlier block — a timeout that lost
-// its race, an event triggered after the waiter moved on, a predecessor's
-// wake after the Proc was recycled — never matches and is dropped.
+// increases, so a wakeup aimed at an earlier block — a deadline or a
+// completion that lost its race, a predecessor's wake after the Proc was
+// recycled — never matches and is dropped.
 //
 // Dead stackless Procs are recycled by the next Spawn; blocks is
 // deliberately NOT reset on reuse. A goroutine-backed Proc is never reused.
@@ -61,8 +60,7 @@ type Proc struct {
 	// the frame for it: no per-block closure or allocation.
 	pend  pendKind
 	ok    bool    // outcome of the last block (see OK)
-	timer Timer   // the timeout's wake entry, zero for untimed blocks
-	ev    *Event  // pendWaitTimeout
+	timer Timer   // the deadline's wake entry, zero for untimed blocks
 	link  *Link   // pendTransfer
 	fl    *Flow   // pendTransfer
 	w     *waiter // pendAcquire
@@ -79,8 +77,7 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 
 // OK reports the outcome of the block that most recently resolved, or of
 // the Begin call that completed without suspending: false only when a
-// timed wait (BeginWaitTimeout, BeginTransferTimeout, BeginAcquireTimeout)
-// ran out of time.
+// timed block (BeginTransferTimeout, BeginAcquireTimeout) ran out of time.
 func (p *Proc) OK() bool { return p.ok }
 
 // Go starts fn as a new goroutine-backed process at the current time.
@@ -239,7 +236,8 @@ func (p *Proc) Do(t Task) {
 }
 
 // suspend enters block #blocks+1; the caller has already aimed at least
-// one wake source (calendar entry, event waiter) at that generation.
+// one wake source (calendar entry, event, flow, queue node) at that
+// generation.
 func (p *Proc) suspend(kind pendKind) {
 	p.blocks++
 	p.blockedNow = true
@@ -266,41 +264,33 @@ func (p *Proc) yieldToken() {
 // block is dispatched, before p (goroutine or task) sees the token again —
 // Run calls it for every block but a plain Sleep or Wait, after presetting
 // OK to true. It is the code that used to follow the block inside each
-// primitive: cancel the losing timeout entry, abort a flow that ran out of
-// time, hand events, flows and queue nodes back to their pools, and record
-// a timeout for OK.
+// primitive: cancel the losing deadline entry, abort a flow that ran out of
+// time, hand flows and queue nodes back to their pools, and record a
+// timeout for OK.
 func (p *Proc) resolve() {
 	e := p.env
 	p.timer.Cancel()
 	p.timer = Timer{}
 	switch p.pend {
-	case pendWaitTimeout:
-		p.ok = p.ev.triggered
-		p.ev = nil
 	case pendTransfer:
-		// Either way the event is dead (triggered-and-waited, or aborted
-		// with only our now-stale waiter registered) and the flow is off the
-		// link (retired by complete, or removed by abort), so both recycle.
+		// Either way the flow is off the link (retired by complete, or
+		// removed by abort here) and nobody else holds it, so it recycles.
 		fl := p.fl
-		if !fl.done.triggered {
+		if !fl.done {
 			p.ok = false
 			p.link.abort(fl)
 		}
-		e.FreeEvent(fl.done)
 		e.freeFlow(fl)
 		p.fl, p.link = nil, nil
 	case pendAcquire:
 		w := p.w
-		if w.ev.triggered {
+		if w.granted {
 			// The releaser transferred the unit to us (take() already ran)
-			// and popped w off the queue; the trigger event and the waiter
-			// node are ours alone, so both go back to the pool.
-			ev := w.ev
+			// and popped w off the queue; the node is ours alone.
 			e.freeWaiter(w)
-			e.FreeEvent(ev)
 		} else {
-			// Timed out: mark the waiter canceled so a future release skips
-			// it. The event stays with the queued node until that skip.
+			// Timed out: mark the node canceled so a future release skips
+			// and recycles it.
 			p.ok = false
 			w.cancel()
 		}
@@ -322,35 +312,28 @@ func (p *Proc) BeginSleep(d time.Duration) bool {
 }
 
 // BeginWait suspends p until ev triggers; if it already has, p is not
-// suspended and BeginWait reports false.
+// suspended and BeginWait reports false. An event has one waiter: a second
+// process waiting on it panics.
 func (p *Proc) BeginWait(ev *Event) bool {
 	p.ok = true
 	if ev.triggered {
 		return false
 	}
-	ev.addWaiter(p, p.blocks+1)
+	if ev.proc != nil {
+		panic(fmt.Sprintf("netsim: process %q waits on an event %q already waits on", p.name, ev.proc.name))
+	}
+	ev.proc, ev.target = p, p.blocks+1
 	p.suspend(pendNone)
 	return true
 }
 
-// BeginWaitTimeout is BeginWait with a deadline d from now; once resolved,
-// OK reports whether the event (true) or the timeout (false) came first.
-func (p *Proc) BeginWaitTimeout(ev *Event, d time.Duration) bool {
-	p.ok = true
-	if ev.triggered {
-		return false
-	}
-	p.waitTimeout(ev, d, pendWaitTimeout)
-	p.ev = ev
-	return true
-}
-
-// waitTimeout aims two racing wake sources at the next block — a timeout
-// entry and ev — and suspends; the stale one is dropped by the generation
-// guard in Run, and resolve cancels the timeout entry if the event won.
-func (p *Proc) waitTimeout(ev *Event, d time.Duration, kind pendKind) {
+// waitTimeout suspends p in a block whose resolver (flow or queue node)
+// the caller has already aimed at the next generation, adding the deadline
+// entry as the second, racing wake source. Whichever dispatches second is
+// dropped by the generation guard in Run; resolve cancels the deadline if
+// the resolver won.
+func (p *Proc) waitTimeout(d time.Duration, kind pendKind) {
 	p.timer = p.env.timerFor(p.env.pushWake(p.env.now+d, p, p.blocks+1))
-	ev.addWaiter(p, p.blocks+1)
 	p.suspend(kind)
 }
 
@@ -366,14 +349,4 @@ func (p *Proc) Wait(ev *Event) {
 	if p.BeginWait(ev) {
 		p.park()
 	}
-}
-
-// WaitTimeout waits for ev for at most d. It reports true if the event
-// triggered while waiting (or had already triggered), false if the timeout
-// elapsed first.
-func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
-	if p.BeginWaitTimeout(ev, d) {
-		p.park()
-	}
-	return p.ok
 }

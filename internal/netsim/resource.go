@@ -13,7 +13,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*waiter // FIFO from head; canceled waiters linger until a release skips them
+	queue    []*waiter // FIFO from head; canceled nodes linger until a release skips them
 	head     int
 	live     int // queued waiters not canceled
 
@@ -24,13 +24,17 @@ type Resource struct {
 	lastChange time.Duration
 }
 
+// waiter is one queue node: the one process blocked on it and the block
+// generation it waits in.
 type waiter struct {
 	res      *Resource
-	ev       *Event
-	canceled bool
+	proc     *Proc
+	target   uint64
+	granted  bool // Release handed the unit over and pushed proc's wake
+	canceled bool // proc timed out; Release skips and recycles the node
 }
 
-// cancel abandons a queued waiter whose process timed out.
+// cancel abandons a queued node whose process timed out.
 func (w *waiter) cancel() {
 	w.canceled = true
 	w.res.live--
@@ -91,8 +95,8 @@ func (r *Resource) accrue() {
 // one is idle and nobody (not even an abandoned waiter) is ahead.
 func (r *Resource) free() bool { return r.inUse < r.capacity && len(r.queue) == r.head }
 
-// enqueue appends a fresh waiter for the calling process.
-func (r *Resource) enqueue() *waiter {
+// enqueue appends a fresh queue node for p's next block.
+func (r *Resource) enqueue(p *Proc) *waiter {
 	if r.head > 0 && len(r.queue) == cap(r.queue) {
 		// Slide the live tail down instead of growing past a dead prefix.
 		n := copy(r.queue, r.queue[r.head:])
@@ -101,7 +105,7 @@ func (r *Resource) enqueue() *waiter {
 	}
 	w := r.env.newWaiter()
 	w.res = r
-	w.ev = r.env.NewEvent()
+	w.proc, w.target = p, p.blocks+1
 	r.queue = append(r.queue, w)
 	r.live++
 	if r.live > r.maxQueue {
@@ -119,10 +123,8 @@ func (r *Resource) BeginAcquire(p *Proc) bool {
 		r.take()
 		return false
 	}
-	w := r.enqueue()
-	w.ev.addWaiter(p, p.blocks+1)
+	p.w = r.enqueue(p)
 	p.suspend(pendAcquire)
-	p.w = w
 	return true
 }
 
@@ -134,9 +136,8 @@ func (r *Resource) BeginAcquireTimeout(p *Proc, d time.Duration) bool {
 		r.take()
 		return false
 	}
-	w := r.enqueue()
-	p.waitTimeout(w.ev, d, pendAcquire)
-	p.w = w
+	p.w = r.enqueue(p)
+	p.waitTimeout(d, pendAcquire)
 	return true
 }
 
@@ -154,15 +155,6 @@ func (r *Resource) TryAcquire() bool {
 		return true
 	}
 	return false
-}
-
-// AcquireTimeout blocks p until a unit is available or d elapses. It reports
-// whether the unit was acquired.
-func (r *Resource) AcquireTimeout(p *Proc, d time.Duration) bool {
-	if r.BeginAcquireTimeout(p, d) {
-		p.park()
-	}
-	return p.ok
 }
 
 func (r *Resource) take() {
@@ -186,18 +178,16 @@ func (r *Resource) Release() {
 			r.queue, r.head = r.queue[:0], 0
 		}
 		if w.canceled {
-			// The timed-out waiter abandoned this never-triggered event
-			// and its queue node; recycle both.
-			ev := w.ev
+			// The timed-out process abandoned this node; recycle it.
 			r.env.freeWaiter(w)
-			r.env.FreeEvent(ev)
 			continue
 		}
 		// Hand the unit straight to the waiter: counts as taken now so
 		// a racing TryAcquire cannot steal it.
 		r.live--
 		r.take()
-		w.ev.Trigger()
+		w.granted = true
+		r.env.pushWake(r.env.now, w.proc, w.target)
 		return
 	}
 }

@@ -87,9 +87,10 @@ func TestAcquireTimeoutExpiresAndSkipsWaiter(t *testing.T) {
 		p.Sleep(100 * time.Millisecond)
 		r.Release()
 	})
-	env.GoAfter("impatient", time.Millisecond, func(p *Proc) {
-		timedOut = !r.AcquireTimeout(p, 10*time.Millisecond)
-	})
+	env.SpawnAfter("impatient", time.Millisecond, steps(
+		func(p *Proc) bool { return r.BeginAcquireTimeout(p, 10*time.Millisecond) },
+		then(func(p *Proc) { timedOut = !p.OK() }),
+	))
 	env.GoAfter("patient", 2*time.Millisecond, func(p *Proc) {
 		r.Acquire(p)
 		laterGot = true
@@ -144,12 +145,15 @@ func TestQueueLenTracksTimeoutsAndHandovers(t *testing.T) {
 		lens = append(lens, r.QueueLen()) // the impatient waiter gave up at 5ms
 		r.Release()
 	})
-	env.Go("impatient", func(p *Proc) {
-		if r.AcquireTimeout(p, 5*time.Millisecond) {
-			t.Error("impatient waiter acquired")
-		}
-		lens = append(lens, r.QueueLen())
-	})
+	env.Spawn("impatient", steps(
+		func(p *Proc) bool { return r.BeginAcquireTimeout(p, 5*time.Millisecond) },
+		then(func(p *Proc) {
+			if p.OK() {
+				t.Error("impatient waiter acquired")
+			}
+			lens = append(lens, r.QueueLen())
+		}),
+	))
 	for _, name := range []string{"x", "y"} {
 		name := name
 		env.Go(name, func(p *Proc) {

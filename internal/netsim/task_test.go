@@ -62,80 +62,101 @@ func TestTaskSleepAdvancesClockWithoutGoroutine(t *testing.T) {
 	}
 }
 
-// A timed-out wait leaves its waiter on the event. A later trigger aims a
-// wake at the dead generation and must be dropped; conversely, when the
-// event wins, the losing timeout entry is canceled and does not even
-// extend virtual time.
+// A transfer whose last byte lands on its deadline's nanosecond. The
+// deadline entry was pushed when the transfer began, before any flush
+// scheduled the link's completion callback, so it dispatches first: the
+// transfer times out with every byte counted, the callback that follows
+// finds the flow gone, and nothing wakes the task's next block early.
+// Conversely, when the flow finishes first, its deadline entry is canceled
+// and does not even extend virtual time.
 func TestTaskStaleWakeAfterTimeoutIsDropped(t *testing.T) {
+	const at = 500 * time.Millisecond // 500 bytes at 1000 B/s
 	env := NewEnv(1)
-	ev := env.NewEvent()
-	var timedOutAt, wokeAt time.Duration
+	link := env.NewLink("l", 1000)
 	var ok bool
-	env.Spawn("waiter", steps(
-		func(p *Proc) bool { return p.BeginWaitTimeout(ev, time.Millisecond) },
+	var resolvedAt, wokeAt time.Duration
+	var bytes float64
+	var active int
+	env.Spawn("x", steps(
+		func(p *Proc) bool { return link.BeginTransferTimeout(p, 500, 0, at) },
 		func(p *Proc) bool {
-			ok, timedOutAt = p.OK(), p.Now()
+			ok, resolvedAt = p.OK(), p.Now()
+			bytes, active = link.BytesSent(), link.Active()
 			return p.BeginSleep(10 * time.Millisecond)
 		},
 		then(func(p *Proc) { wokeAt = p.Now() }),
 	))
-	env.After(2*time.Millisecond, ev.Trigger) // stale: the wait it targets is over
 	env.Run(0)
-	if ok || timedOutAt != time.Millisecond {
-		t.Errorf("wait resolved ok=%v at %v, want a timeout at 1ms", ok, timedOutAt)
+	if ok || resolvedAt != at {
+		t.Errorf("transfer resolved ok=%v at %v, want a timeout at %v", ok, resolvedAt, at)
 	}
-	if wokeAt != 11*time.Millisecond {
-		t.Errorf("sleep ended at %v, want 11ms; the stale trigger leaked through", wokeAt)
+	if bytes != 500 || active != 0 || link.FlowsCompleted() != 0 {
+		t.Errorf("after the deadline: bytes=%v active=%d completed=%d, want 500, 0, 0",
+			bytes, active, link.FlowsCompleted())
+	}
+	if wokeAt != at+10*time.Millisecond {
+		t.Errorf("sleep ended at %v, want %v; a stale wake leaked through", wokeAt, at+10*time.Millisecond)
 	}
 
 	env = NewEnv(1)
-	ev = env.NewEvent()
-	env.Spawn("waiter", steps(
-		func(p *Proc) bool { return p.BeginWaitTimeout(ev, time.Hour) },
+	link = env.NewLink("l", 1000)
+	env.Spawn("x", steps(
+		func(p *Proc) bool { return link.BeginTransferTimeout(p, 500, 0, time.Hour) },
 		then(func(p *Proc) { ok = p.OK() }),
 	))
-	env.After(time.Millisecond, ev.Trigger)
-	if end := env.Run(0); !ok || end != time.Millisecond {
-		t.Errorf("event win: ok=%v, Run ended at %v; want true at 1ms (timeout entry canceled)", ok, end)
+	if end := env.Run(0); !ok || end != at || link.FlowsCompleted() != 1 || link.Active() != 0 {
+		t.Errorf("flow win: ok=%v, Run ended at %v, completed=%d active=%d; want true at %v (deadline canceled), 1, 0",
+			ok, end, link.FlowsCompleted(), link.Active(), at)
 	}
 }
 
-// An event trigger and the timeout falling on the same nanosecond resolve
-// by calendar order, and a task sees exactly what a goroutine process's
-// WaitTimeout sees — whichever of the two was scheduled first wins.
-func TestTaskWaitTimeoutSameInstantMatchesBlockingForm(t *testing.T) {
-	const at = 5 * time.Millisecond
-	for _, triggerFirst := range []bool{true, false} {
-		run := func(stackless bool) (ok bool, when time.Duration) {
-			env := NewEnv(1)
-			ev := env.NewEvent()
-			if triggerFirst {
-				env.After(at, ev.Trigger)
-			}
-			if stackless {
-				env.Spawn("w", steps(
-					func(p *Proc) bool { return p.BeginWaitTimeout(ev, at) },
-					then(func(p *Proc) { ok, when = p.OK(), p.Now() }),
-				))
-			} else {
-				env.Go("w", func(p *Proc) { ok, when = p.WaitTimeout(ev, at), p.Now() })
-			}
-			if !triggerFirst {
-				// The timeout entry is pushed when the process starts, at t=0;
-				// only a trigger scheduled from a later instant sorts behind it.
-				env.After(time.Millisecond, func() { env.After(at-time.Millisecond, ev.Trigger) })
-			}
-			env.Run(0)
-			return ok, when
+// A unit handed over on the nanosecond the waiter's deadline falls resolves
+// by calendar order. If the releasing dispatch comes first, the unit is the
+// waiter's: the deadline entry resumes it with OK true, and the hand-off's
+// own wake, pushed behind it, is stale and must not end the waiter's next
+// block early. If the deadline comes first, the waiter times out and the
+// release skips its canceled node.
+func TestStaleTriggerWakeupIsDropped(t *testing.T) {
+	const at = 10 * time.Millisecond
+	for _, releaseFirst := range []bool{true, false} {
+		env := NewEnv(1)
+		res := env.NewResource("r", 1)
+		res.TryAcquire() // held from t=0 until the release at `at`
+		release := func() { res.Release() }
+		if releaseFirst {
+			env.After(at, release) // sorts before the deadline pushed at start
 		}
-		gOK, gWhen := run(false)
-		tOK, tWhen := run(true)
-		if gOK != tOK || gWhen != tWhen {
-			t.Errorf("triggerFirst=%v: goroutine (%v at %v) and task (%v at %v) disagree",
-				triggerFirst, gOK, gWhen, tOK, tWhen)
+		var ok bool
+		var queued, inUse int
+		var wokeAt time.Duration
+		env.Spawn("w", steps(
+			func(p *Proc) bool { return res.BeginAcquireTimeout(p, at) },
+			func(p *Proc) bool {
+				ok, queued, inUse = p.OK(), res.QueueLen(), res.InUse()
+				return p.BeginSleep(5 * time.Millisecond)
+			},
+			then(func(p *Proc) { wokeAt = p.Now() }),
+		))
+		if !releaseFirst {
+			// Only a release scheduled from a later instant sorts behind
+			// the deadline.
+			env.After(time.Millisecond, func() { env.After(at-time.Millisecond, release) })
 		}
-		if gOK != triggerFirst || gWhen != at {
-			t.Errorf("triggerFirst=%v: resolved ok=%v at %v", triggerFirst, gOK, gWhen)
+		env.Run(0)
+		if ok != releaseFirst || queued != 0 || inUse != 1 {
+			t.Errorf("releaseFirst=%v: ok=%v queue=%d inUse=%d at the deadline, want ok=%v, 0, 1",
+				releaseFirst, ok, queued, inUse, releaseFirst)
+		}
+		if wokeAt != at+5*time.Millisecond {
+			t.Errorf("releaseFirst=%v: sleep ended at %v, want %v; the stale hand-off wake leaked through",
+				releaseFirst, wokeAt, at+5*time.Millisecond)
+		}
+		want := 0 // the holder released and nobody took the unit
+		if releaseFirst {
+			want = 1 // the waiter holds it for good
+		}
+		if res.InUse() != want || res.QueueLen() != 0 {
+			t.Errorf("releaseFirst=%v: final inUse=%d queue=%d, want %d, 0", releaseFirst, res.InUse(), res.QueueLen(), want)
 		}
 	}
 }
@@ -193,7 +214,7 @@ func TestTaskAndGoroutineShareFIFOOrder(t *testing.T) {
 		)
 	}
 	env.Spawn("a", xfer("a"))
-	env.Go("b", func(p *Proc) { link.TransferTimeout(p, 500, 0, time.Second); order = append(order, "b") })
+	env.Go("b", func(p *Proc) { p.Do(xfer("b")) })
 	env.Spawn("c", xfer("c"))
 	env.Run(0)
 	if strings.Join(order, "") != "abc" {
@@ -305,39 +326,9 @@ func TestStacklessPoolReusesDeadProc(t *testing.T) {
 	}
 }
 
-// A recycled stackless proc must not observe its predecessor's wake: an
-// event still holding the dead incarnation's waiter fires after reuse.
-func TestRecycledStacklessIgnoresPredecessorEventWake(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	var victim, heir *Proc
-	var wokeAt time.Duration
-	env.Spawn("victim", steps(
-		func(p *Proc) bool { victim = p; return p.BeginWaitTimeout(ev, time.Millisecond) },
-		then(func(p *Proc) {
-			if p.OK() {
-				t.Error("event fired during victim's wait")
-			}
-		}), // dies at 1ms leaving its stale waiter registered on ev
-	))
-	env.After(2*time.Millisecond, func() {
-		env.Spawn("heir", steps(
-			func(p *Proc) bool { heir = p; return p.BeginSleep(10 * time.Millisecond) },
-			then(func(p *Proc) { wokeAt = p.Now() }),
-		))
-	})
-	env.After(3*time.Millisecond, ev.Trigger) // aims a wake at the dead incarnation
-	env.Run(0)
-	if heir != victim {
-		t.Fatal("heir did not reuse the dead proc; stale-wake scenario not exercised")
-	}
-	if wokeAt != 12*time.Millisecond {
-		t.Errorf("heir woke at %v, want 12ms; predecessor's wake leaked through", wokeAt)
-	}
-}
-
-// Same via a raw stale calendar wakeup aimed at the previous incarnation's
-// block generation: the monotonic counter survives recycling.
+// A recycled stackless proc must not observe its predecessor's wake: a raw
+// stale calendar wakeup aimed at the previous incarnation's block
+// generation is dropped, because the monotonic counter survives recycling.
 func TestRecycledStacklessIgnoresPredecessorTimerWake(t *testing.T) {
 	env := NewEnv(1)
 	var victim, heir *Proc
@@ -417,11 +408,19 @@ func TestBlockingCallInsideStepPanics(t *testing.T) {
 }
 
 // The hot paths stay allocation-free at steady state: a goroutine process's
-// sleep cycle, a stackless sleep cycle, and a stackless spawn→run→die.
+// sleep cycle, a stackless sleep cycle, a stackless spawn→run→die, and the
+// per-request blocks — a timed transfer and a contended timed acquire, half
+// of each running out of time.
 func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	env := NewEnv(1)
 	stop := false
 	env.Spawn("ticker", &ticker{stop: &stop})
+	xfer := &xferTicker{link: env.NewLink("l", 1e9), stop: &stop}
+	env.Spawn("xfer", xfer)
+	res := env.NewResource("r", 1)
+	acq := [2]*acqTicker{{res: res, stop: &stop}, {res: res, stop: &stop}}
+	env.Spawn("acq0", acq[0])
+	env.Spawn("acq1", acq[1])
 	env.Go("sleeper", func(p *Proc) {
 		for !stop {
 			p.Sleep(time.Microsecond)
@@ -446,12 +445,90 @@ func TestKernelHotPathsDoNotAllocate(t *testing.T) {
 	}
 	stop = true
 	env.Run(0)
+	for _, c := range [][2]int{xfer.outcomes, acq[0].outcomes, acq[1].outcomes} {
+		if c[0] == 0 || c[1] == 0 {
+			t.Errorf("outcomes (timed out, resolved) = %v; both paths must run", c)
+		}
+	}
 }
 
 // ticker sleeps a microsecond at a time until told to stop.
 type ticker struct{ stop *bool }
 
 func (tk *ticker) Step(p *Proc) bool { return !*tk.stop && p.BeginSleep(time.Microsecond) }
+
+// xferTicker moves 1000 bytes (a microsecond at 1e9 B/s) at a time until
+// told to stop, every other transfer under a deadline too short for it.
+type xferTicker struct {
+	link     *Link
+	stop     *bool
+	n        int
+	started  bool
+	outcomes [2]int // timed out, completed
+}
+
+func (x *xferTicker) Step(p *Proc) bool {
+	if x.started {
+		x.outcomes[b2i(p.OK())]++
+	}
+	if *x.stop {
+		return false
+	}
+	x.started = true
+	x.n++
+	d := 2 * time.Microsecond
+	if x.n%2 == 0 {
+		d = 500 * time.Nanosecond
+	}
+	return x.link.BeginTransferTimeout(p, 1000, 0, d)
+}
+
+// acqTicker holds a unit of a shared resource for a microsecond at a time
+// until told to stop, every other acquire under a deadline shorter than the
+// other holder's turn.
+type acqTicker struct {
+	res           *Resource
+	stop          *bool
+	n             int
+	waiting, held bool
+	outcomes      [2]int // timed out, granted
+}
+
+func (a *acqTicker) Step(p *Proc) bool {
+	for {
+		switch {
+		case a.held:
+			a.held = false
+			a.res.Release()
+		case a.waiting:
+			a.waiting = false
+			a.outcomes[b2i(p.OK())]++
+			if p.OK() {
+				a.held = true
+				return p.BeginSleep(time.Microsecond)
+			}
+		}
+		if *a.stop {
+			return false
+		}
+		a.n++
+		d := 2 * time.Microsecond
+		if a.n%2 == 0 {
+			d = 500 * time.Nanosecond
+		}
+		a.waiting = true
+		if a.res.BeginAcquireTimeout(p, d) {
+			return true
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // BenchmarkTaskSleepCycle is BenchmarkKernelSleepCycle for a stackless
 // process: one calendar push + pop and an inline step per iteration, no

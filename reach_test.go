@@ -40,13 +40,6 @@ var unreachedAllowed = []struct {
 		"mfc/internal/core.CheckPhaseEntered.event",
 		"mfc/internal/core.ExperimentFinished.event",
 	}},
-	{"kernel primitives that testdata/kernel_traces.golden and the kernel race tests drive", []string{
-		"mfc/internal/netsim.Proc.WaitTimeout",
-		"mfc/internal/netsim.Proc.BeginWaitTimeout",
-		"mfc/internal/netsim.Link.TransferTimeout",
-		"mfc/internal/netsim.Link.StartFlow",
-		"mfc/internal/netsim.Resource.AcquireTimeout",
-	}},
 	{"model counters the per-job ledger (ROADMAP item 3) will read; tests read them until it lands", []string{
 		"mfc/internal/websim.Server.TimedOut",
 		"mfc/internal/websim.Server.RateLimited",
@@ -64,10 +57,6 @@ var unreachedAllowed = []struct {
 		"mfc/internal/netsim.Resource.InUse",
 		"mfc/internal/netsim.Resource.MaxQueueLen",
 		"mfc/internal/netsim.Resource.Acquired",
-	}},
-	{"test oracle and lifecycle hook: FuzzSpanIngest's invariant; mfc-client runs until killed, the UDP tests stop their agents", []string{
-		"mfc/internal/campaign.Fleet.Bounded",
-		"mfc/internal/liveplat.Agent.Stop",
 	}},
 }
 
