@@ -171,7 +171,7 @@ process track per worker, one thread track per shard.
 
 bands:     all, `+strings.Join(bandNames(), ", ")+`
 stages:    base, query, large
-scenarios: `+strings.Join(scenario.Names(), ", ")+`
+scenarios: `+strings.Join(campaign.Scenarios(), ", ")+`
   (-scenarios sweeps every band x stage cell across the named
    scenario/chaos environments; omit for clean-only campaigns)`)
 }

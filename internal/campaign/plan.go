@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -142,12 +143,26 @@ func (p *Plan) Validate() error {
 			return err
 		}
 		if c.Scenario != "" {
-			if _, err := scenario.Parse(c.Scenario); err != nil {
+			if err := checkScenario(c.Scenario); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// checkScenario resolves a cell's scenario and refuses a diurnal one: it
+// modulates background traffic, which campaign jobs do not run.
+func checkScenario(name string) error {
+	if sc, err := scenario.Parse(name); err != nil || sc.Diurnal == nil {
+		return err
+	}
+	return fmt.Errorf("campaign: scenario %q modulates background traffic, which campaign jobs do not run", name)
+}
+
+// Scenarios lists the registered scenario names a plan accepts.
+func Scenarios() []string {
+	return slices.DeleteFunc(scenario.Names(), func(name string) bool { return checkScenario(name) != nil })
 }
 
 // Jobs returns the total number of per-site jobs.

@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"mfc/internal/core"
 	"mfc/internal/population"
+	"mfc/internal/scenario"
 )
 
 // chaosPlan is a small campaign sweeping the clean environment against a
@@ -121,6 +123,79 @@ func TestNewPlanRejectsUnknownScenario(t *testing.T) {
 	for _, wantSub := range []string{"chaoz", "chaos", "flaky-link"} {
 		if !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("error %q does not mention %q", err, wantSub)
+		}
+	}
+}
+
+// Campaign jobs run no background traffic, so a diurnal scenario, which
+// only modulates it, would leave every record equal to its clean twin: a
+// plan refuses it, by name or inline.
+func TestPlanRejectsDiurnalScenario(t *testing.T) {
+	for _, sc := range []string{"diurnal", `{"name":"tide","diurnal":{"period":60000000000,"low":0.5,"high":2}}`} {
+		_, err := NewPlan("tide", []population.Band{population.Rank1M},
+			[]core.Stage{core.StageBase}, []string{"", sc}, 1, 1)
+		if err == nil || !strings.Contains(err.Error(), "background traffic") {
+			t.Errorf("NewPlan(%s) = %v, want a background-traffic error", sc, err)
+		}
+	}
+	for _, name := range Scenarios() {
+		if name == "diurnal" {
+			t.Error("Scenarios lists diurnal, which a plan refuses")
+		}
+	}
+}
+
+// Every scenario a plan accepts must change at least one record against
+// its clean twin (same band, stage and site), or its cells measure the
+// clean environment under another label. identical names the known
+// exceptions; one that starts to differ fails too, so the list cannot go
+// stale.
+func TestEveryAcceptedScenarioChangesARecord(t *testing.T) {
+	const undrained = "the limiter's bucket depth defaults to its 400 req/s rate, and a crowd of at most 50 never drains it"
+	identical := map[string]string{"throttled": undrained, "waf-reject": undrained}
+	bands := []population.Band{population.Rank1K, population.Rank1M, population.Startup}
+	measure := func(sc string) ([]string, error) {
+		plan, err := NewPlan("effect", bands, core.Stages, []string{sc}, 2, 3)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]string, plan.Jobs())
+		for j := range out {
+			rec := Measure(plan, j, nil)
+			rec.Scenario = ""
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[j] = string(b)
+		}
+		return out, nil
+	}
+	clean, err := measure("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range scenario.Names() {
+		if name == "clean" {
+			continue
+		}
+		recs, err := measure(name)
+		if err != nil {
+			continue // a plan refuses it
+		}
+		differ := 0
+		for j := range recs {
+			if recs[j] != clean[j] {
+				differ++
+			}
+		}
+		t.Logf("%s: %d of %d records differ from clean", name, differ, len(recs))
+		why, known := identical[name]
+		switch {
+		case differ == 0 && !known:
+			t.Errorf("scenario %s: all %d records equal their clean twins", name, len(recs))
+		case differ > 0 && known:
+			t.Errorf("scenario %s: %d of %d records differ from clean; drop it from the exceptions (%s)", name, differ, len(recs), why)
 		}
 	}
 }

@@ -119,8 +119,9 @@ func (p *SimPlatform) ActiveClients() ([]Client, error) {
 
 // SimClient is one simulated PlanetLab node. Everything it does in
 // simulated time — baseline fetches, epoch bursts, MFC-mr fan-out — runs as
-// stackless netsim tasks: no goroutine per request, no goroutine handoff
-// per block. Only the coordinator waiting on it is a goroutine process.
+// netsim tasks: no goroutine per request, no goroutine handoff per block.
+// Bursts and connections are stackless processes; a baseline runs on the
+// coordinator's own goroutine process (Proc.Do), which waits on it anyway.
 type SimClient struct {
 	env      *netsim.Env
 	server   *websim.Server
@@ -131,7 +132,7 @@ type SimClient struct {
 	results map[int][]Sample
 
 	// process labels, built once
-	baselineName, burstName, mrName string
+	burstName, mrName string
 	// recycled task state
 	freeReqs   []*simRequest
 	freeBursts []*burst
@@ -140,7 +141,7 @@ type SimClient struct {
 func newSimClient(env *netsim.Env, server *websim.Server, spec SimClientSpec) *SimClient {
 	return &SimClient{
 		env: env, server: server, spec: spec, results: make(map[int][]Sample),
-		baselineName: spec.ID + "/baseline", burstName: spec.ID + "/epoch", mrName: spec.ID + "/mr",
+		burstName: spec.ID + "/epoch", mrName: spec.ID + "/mr",
 	}
 }
 
@@ -169,11 +170,9 @@ func (c *SimClient) MeasureTarget(reqs []Request) (Baseline, error) {
 	bl := Baseline{BaseTimes: make(map[string]time.Duration, len(reqs))}
 	bl.TargetRTT = c.rtt(c.spec.TargetRTT)
 
-	b := &baseline{c: c, reqs: reqs, times: bl.BaseTimes, done: c.env.NewEvent()}
-	c.env.Spawn(c.baselineName, b)
-	// The coordinator waits for this client's sequential measurements.
-	c.platform.proc.Wait(b.done)
-	c.env.FreeEvent(b.done) // triggered and waited; ours alone
+	// The coordinator's own process runs the sequential fetches.
+	b := &baseline{c: c, reqs: reqs, times: bl.BaseTimes}
+	c.platform.proc.Do(b)
 	if b.failed != nil {
 		return Baseline{}, b.failed
 	}
@@ -181,7 +180,7 @@ func (c *SimClient) MeasureTarget(reqs []Request) (Baseline, error) {
 	return bl, nil
 }
 
-// baseline is MeasureTarget's process: the requests one after another.
+// baseline is MeasureTarget's task: the requests one after another.
 type baseline struct {
 	c        *SimClient
 	reqs     []Request
@@ -190,7 +189,6 @@ type baseline struct {
 	inFlight bool // req is mid-request
 	times    map[string]time.Duration
 	failed   error
-	done     *netsim.Event
 }
 
 // Step implements netsim.Task.
@@ -215,7 +213,6 @@ func (b *baseline) Step(p *netsim.Proc) bool {
 		}
 		b.times[s.URL] = s.Resp
 	}
-	b.done.Trigger()
 	return false
 }
 
@@ -249,10 +246,8 @@ type burst struct {
 	reqs     []Request
 	timeout  time.Duration
 
-	state     burstState
-	single    simRequest    // the one request of a standard burst
-	doneAll   *netsim.Event // MFC-mr: triggered by the last connection
-	remaining int           // MFC-mr: connections still in flight
+	state  burstState
+	single simRequest // the one request of a standard burst
 }
 
 type burstState uint8
@@ -261,7 +256,6 @@ const (
 	burstCommanded burstState = iota // the command has arrived
 	burstFire                        // the fire instant has come
 	burstSingle                      // stepping the one request
-	burstJoin                        // MFC-mr: every connection has finished
 )
 
 // Step implements netsim.Task.
@@ -288,9 +282,8 @@ func (b *burst) Step(p *netsim.Proc) bool {
 			// not instantaneous on a real client — connection setup, SYN
 			// pacing and kernel scheduling stagger them by tens of
 			// milliseconds, which is why Table 2's arrival spreads are looser
-			// than the single-connection Figure 3.
-			b.doneAll = c.env.NewEvent()
-			b.remaining = len(b.reqs)
+			// than the single-connection Figure 3. Each connection records
+			// its own sample, so the burst is over once they are launched.
 			for i, rq := range b.reqs {
 				setup := time.Duration(0)
 				if i > 0 {
@@ -301,20 +294,13 @@ func (b *burst) Step(p *netsim.Proc) bool {
 				}
 				c.env.SpawnAfter(c.mrName, setup, c.newConnection(b, rq))
 			}
-			b.state = burstJoin
-			if p.BeginWait(b.doneAll) {
-				return true
-			}
+			return b.finish()
 
 		case burstSingle:
 			if b.single.step(p) {
 				return true
 			}
 			c.results[b.epoch] = append(c.results[b.epoch], b.single.sample)
-			return b.finish()
-
-		case burstJoin:
-			c.env.FreeEvent(b.doneAll) // triggered and waited; ours alone
 			return b.finish()
 		}
 	}
@@ -333,13 +319,12 @@ func (b *burst) finish() bool {
 // an RTT for the tail of the response, enforcing the client-side timeout.
 // A baseline or a single-request burst embeds one and steps it as a
 // sub-machine; an MFC-mr connection is a pooled one running as a process of
-// its own (Step) that reports to its burst.
+// its own (Step) that appends its sample to the client's results.
 type simRequest struct {
 	c       *SimClient
 	epoch   int
 	rq      Request
 	timeout time.Duration
-	burst   *burst // MFC-mr connection: the burst to report to
 
 	state  reqState
 	start  time.Duration
@@ -367,7 +352,7 @@ func (c *SimClient) newConnection(b *burst, rq Request) *simRequest {
 	} else {
 		r = new(simRequest)
 	}
-	*r = simRequest{c: c, epoch: b.epoch, rq: rq, timeout: b.timeout, burst: b}
+	*r = simRequest{c: c, epoch: b.epoch, rq: rq, timeout: b.timeout}
 	return r
 }
 
@@ -376,13 +361,9 @@ func (r *simRequest) Step(p *netsim.Proc) bool {
 	if r.step(p) {
 		return true
 	}
-	c, b := r.c, r.burst
+	c := r.c
 	c.results[r.epoch] = append(c.results[r.epoch], r.sample)
 	c.freeReqs = append(c.freeReqs, r)
-	b.remaining--
-	if b.remaining == 0 {
-		b.doneAll.Trigger()
-	}
 	return false
 }
 

@@ -1,14 +1,13 @@
 // Package netsim is a deterministic discrete-event simulation (DES) kernel
 // plus the network primitives the MFC reproduction is built on: simulated
-// processes with a virtual clock, one-shot single-waiter events, FIFO
-// resources, and a fluid-flow shared link with max-min fair bandwidth
-// allocation.
+// processes with a virtual clock, FIFO resources, and a fluid-flow shared
+// link with max-min fair bandwidth allocation.
 //
 // Execution model (lock-step): at most one thread of control — the driver
 // inside Env.Run or exactly one simulated process — executes at any
 // instant. The driver pops the earliest calendar entry, gives the matching
 // process the execution token, and gets it back when that process blocks
-// (sleep, wait, resource queue, link transfer) or ends, before advancing
+// (sleep, resource queue, link transfer) or ends, before advancing
 // the clock. Identical seeds therefore produce identical runs.
 //
 // Who runs where. A process comes in two kinds that share one bookkeeping
@@ -24,26 +23,27 @@
 //     a state machine whose Step the driver calls in its own context when
 //     the process starts and whenever its pending block resolves. Step runs
 //     until it suspends the process through a Begin primitive (BeginSleep,
-//     BeginWait, Link.BeginTransfer[Timeout], Resource.BeginAcquire[Timeout])
-//     or finishes. Everything per request —
-//     websim's Call pipeline, the sim clients' bursts, baselines and MFC-mr
-//     connections, background/flash-crowd/cross-traffic visitors, the
-//     resource monitor — is a task, and so is every arrival process that
+//     Link.BeginTransfer[Timeout], Resource.BeginAcquire[Timeout]) or
+//     finishes. Everything per request — websim's Call pipeline, the sim
+//     clients' bursts, baselines and MFC-mr connections,
+//     background/flash-crowd/cross-traffic visitors, the resource monitor —
+//     is a task, and so is every arrival process that
 //     spawns them (Poisson, burst, ramp, diurnal: a task that re-arms itself
 //     with BeginSleep): neither a simulated HTTP request nor the loop that
 //     generates it costs a goroutine or a handoff.
 //
 // There is one implementation of each primitive, the Begin form; the
-// blocking form (Sleep, Wait, Transfer, Acquire) is the Begin form plus
+// blocking form (Sleep, Transfer, Acquire) is the Begin form plus
 // parking the caller's goroutine. The timed blocks have no blocking form:
 // only tasks take them. Likewise a goroutine process runs a whole
 // task with Proc.Do: the task's blocks count on the caller's own generation
 // counter, the goroutine parks once, and the driver hands the token back in
 // the dispatch that finishes the task (one handoff per call instead of one
 // per block, none if the task never blocks). websim.Server.Serve is that
-// adapter over the one request pipeline. There is deliberately no switch
-// that selects a goroutine-per-request path: a second implementation kept
-// "for reference" is exactly what would drift. The oracle is bytes — the
+// adapter over the one request pipeline, and core's sim clients run each
+// baseline that way on the coordinator's process. There is deliberately no
+// switch that selects a goroutine-per-request path: a second implementation
+// kept "for reference" is exactly what would drift. The oracle is bytes — the
 // root package's golden fingerprints, pinned at the commit before the
 // stackless path landed — and the invariants that make the conversion
 // byte-identical by construction:
@@ -61,13 +61,14 @@
 //     after every unfinished goroutine process has been ended, like a panic
 //     in a goroutine body.
 //
-// One waiter per block. A process is in at most one block, and each block
-// has exactly that one waiting process. Whatever resolves a block — a
-// sleep's entry, Link.complete retiring a flow, Resource.Release handing a
-// unit over, Event.Trigger — holds the process and its block generation and
-// pushes the wake entry itself. A timed block aims a second source, its
-// deadline entry, at the same generation; whichever dispatches second finds
-// the process moved on and is dropped by the generation guard in Run.
+// One waiter per block. A process blocks only on a sleep, a transfer or an
+// acquire, is in at most one block, and each block has exactly that one
+// waiting process. Whatever resolves a block — a sleep's entry,
+// Link.complete retiring a flow, Resource.Release handing a unit over —
+// holds the process and its block generation and pushes the wake entry
+// itself. A timed block aims a second source, its deadline entry, at the
+// same generation; whichever dispatches second finds the process moved on
+// and is dropped by the generation guard in Run.
 //
 // When a block resolves, what used to follow it inside the blocking
 // primitive — cancel the losing deadline entry, abort a flow that ran out
@@ -125,7 +126,6 @@ type Env struct {
 	now    time.Duration
 	cal    []*entry  // binary min-heap ordered by (at, seq)
 	free   []*entry  // recycled calendar entries
-	evfree []*Event  // recycled events (see FreeEvent)
 	dirty  []*Link   // links awaiting the end-of-instant waterfill flush
 	live   []*Proc   // goroutine procs whose goroutine has not finished
 	tfree  []*Proc   // dead stackless procs, LIFO
@@ -366,8 +366,7 @@ func (t Timer) Cancel() {
 }
 
 // After schedules fn to run in driver context at Now()+d. The callback must
-// not block; it may schedule further work, trigger events, and start
-// processes.
+// not block; it may schedule further work and start processes.
 func (e *Env) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
@@ -455,39 +454,6 @@ func (e *Env) Run(until time.Duration) time.Duration {
 	return e.now
 }
 
-// Event is a one-shot condition one process can wait on: core's baseline
-// and burst barriers. The zero value is unusable; create events with
-// NewEvent.
-type Event struct {
-	env       *Env
-	triggered bool
-	proc      *Proc  // the waiting process, nil if none
-	target    uint64 // the block generation proc waits in
-}
-
-// NewEvent returns an untriggered event bound to e, from the free list fed
-// by FreeEvent.
-func (e *Env) NewEvent() *Event {
-	if n := len(e.evfree); n > 0 {
-		ev := e.evfree[n-1]
-		e.evfree[n-1] = nil
-		e.evfree = e.evfree[:n-1]
-		return ev
-	}
-	return &Event{env: e}
-}
-
-// FreeEvent returns ev to the environment's free list for reuse by a later
-// NewEvent. The caller asserts that no process will touch ev again: it has
-// triggered and its waiter has returned from Wait, or nobody waited on it.
-func (e *Env) FreeEvent(ev *Event) {
-	if ev == nil {
-		return
-	}
-	*ev = Event{env: e}
-	e.evfree = append(e.evfree, ev)
-}
-
 // newFlow takes a Flow from the free list (or allocates one). Fields are
 // zeroed at free time; Link.start sets every live field.
 func (e *Env) newFlow() *Flow {
@@ -522,17 +488,4 @@ func (e *Env) newWaiter() *waiter {
 func (e *Env) freeWaiter(w *waiter) {
 	*w = waiter{}
 	e.wtfree = append(e.wtfree, w)
-}
-
-// Trigger fires the event, waking its waiter, if any, at the current time.
-// Triggering twice is a no-op. It may be called from a process or a driver
-// callback.
-func (ev *Event) Trigger() {
-	if ev.triggered {
-		return
-	}
-	ev.triggered = true
-	if ev.proc != nil {
-		ev.env.pushWake(ev.env.now, ev.proc, ev.target)
-	}
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -58,38 +57,6 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	if !fired {
 		t.Error("callback did not fire after resume")
 	}
-}
-
-func TestWaitOnTriggeredEventReturnsImmediately(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	ev.Trigger()
-	var at time.Duration = -1
-	env.GoAfter("w", 5*time.Millisecond, func(p *Proc) {
-		p.Wait(ev)
-		at = p.Now()
-	})
-	env.Run(0)
-	if at != 5*time.Millisecond {
-		t.Errorf("resumed at %v, want 5ms", at)
-	}
-}
-
-// An event has one waiter: a second process waiting on it is a bug in the
-// caller and panics, the way Release of an idle Resource does.
-func TestSecondEventWaiterPanics(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	env.Go("first", func(p *Proc) { p.Wait(ev) })
-	env.Go("second", func(p *Proc) { p.Wait(ev) })
-	defer func() {
-		s, _ := recover().(string)
-		if !strings.Contains(s, `netsim: process "second" panicked`) || !strings.Contains(s, `"first" already waits on`) {
-			t.Errorf("Run raised %q, want the second waiter's panic", s)
-		}
-	}()
-	env.Run(0)
-	t.Error("Run returned; want the second waiter's panic")
 }
 
 func TestTimerCancel(t *testing.T) {

@@ -161,21 +161,18 @@ func TestDifferentialLinkTouchedTwice(t *testing.T) {
 func TestDifferentialDeathAndSpawnSameInstant(t *testing.T) {
 	checkTrace(t, "death-spawn", 4, func(env *Env, trace *[]string) {
 		link := env.NewLink("l", 1000)
-		done := env.NewEvent()
 		env.Go("dying", func(p *Proc) {
 			link.Transfer(p, 300, 0) // done at t=300ms, then the proc exits
 			logf(trace, "dying done at %v", p.Now())
-			done.Trigger()
-		})
-		env.Go("watcher", func(p *Proc) {
-			p.Wait(done)
-			// Same instant as the death: spawn a successor (which reuses
-			// the dead proc's pooled incarnation) that re-touches the link.
-			env.Go("heir", func(q *Proc) {
-				link.Transfer(q, 100, 0)
-				logf(trace, "heir %q done at %v", q.Name(), q.Now())
+			// One dispatch after the death, at the same instant, a watcher
+			// spawns a successor that re-touches the link.
+			env.After(0, func() {
+				env.Go("heir", func(q *Proc) {
+					link.Transfer(q, 100, 0)
+					logf(trace, "heir %q done at %v", q.Name(), q.Now())
+				})
+				logf(trace, "watcher spawned at %v", env.Now())
 			})
-			logf(trace, "watcher spawned at %v", p.Now())
 		})
 		env.Run(0)
 		logf(trace, "bytes=%.6f", link.BytesSent())

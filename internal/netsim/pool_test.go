@@ -113,28 +113,6 @@ func BenchmarkLinkReallocate(b *testing.B) {
 	}
 }
 
-// Events are recycled through FreeEvent. A freed event must come back from
-// NewEvent reset — untriggered, with no waiter — and the free list must
-// actually be hit (LIFO reuse of the same allocation).
-func TestEventPoolRecyclesAndResets(t *testing.T) {
-	env := NewEnv(1)
-	ev := env.NewEvent()
-	env.Go("waiter", func(p *Proc) { p.Wait(ev) })
-	env.Go("trigger", func(p *Proc) { ev.Trigger() })
-	env.Run(0)
-	if !ev.triggered {
-		t.Fatal("event did not trigger")
-	}
-	env.FreeEvent(ev)
-	ev2 := env.NewEvent()
-	if ev2 != ev {
-		t.Error("NewEvent did not reuse the freed event")
-	}
-	if ev2.triggered || ev2.proc != nil {
-		t.Errorf("recycled event not reset: triggered=%v waiter=%v", ev2.triggered, ev2.proc)
-	}
-}
-
 // A process goroutine ends with its function: no goroutines accumulate
 // across sequential simulations in one process.
 func TestProcPoolDrainedAtExhaustion(t *testing.T) {
@@ -218,7 +196,7 @@ func BenchmarkLinkWaterfill(b *testing.B) {
 // Resource and Link blocks recycle their queue nodes and flows: over many
 // cycles, timeouts included, both free lists stay flat (the same handful
 // keep cycling), the same bound the calendar free list honors.
-func TestEventFreeListStaysBounded(t *testing.T) {
+func TestFreeListsStayBounded(t *testing.T) {
 	env := NewEnv(1)
 	res := env.NewResource("db", 1)
 	link := env.NewLink("net", 1e6)

@@ -11,8 +11,8 @@ import (
 // of the Begin primitives (Proc.BeginSleep, Link.BeginTransferTimeout, …)
 // or finishes. It reports true when p is suspended — the driver calls Step
 // again, in driver context, when that block resolves — and false when the
-// task is done. A task must not call the blocking forms (Sleep, Wait,
-// Transfer, Acquire, Do): there is no goroutine to park.
+// task is done. A task must not call the blocking forms (Sleep, Transfer,
+// Acquire, Do): there is no goroutine to park.
 //
 // A task composes sub-machines the protothread way: it keeps the child in
 // its own state and forwards every Step to the child's until the child
@@ -26,7 +26,7 @@ type Task interface {
 type pendKind uint8
 
 const (
-	pendNone     pendKind = iota // running, or suspended in a Sleep/Wait: nothing to tidy
+	pendNone     pendKind = iota // running, or suspended in a Sleep: nothing to tidy
 	pendTransfer                 // link flow, with or without a deadline
 	pendAcquire                  // resource queue, with or without a deadline
 )
@@ -223,7 +223,8 @@ func (e *Env) step(p *Proc) (suspended bool) {
 // driver steps t from then on, handing the token back inside the dispatch
 // that finishes it. The cost is one goroutine handoff per Do instead of one
 // per block, and none when t never blocks. websim.Server.Serve is built on
-// it.
+// it, and so is core's baseline: the coordinator runs each client's
+// sequential fetches on its own process.
 func (p *Proc) Do(t Task) {
 	if p.task != nil {
 		panic("netsim: Do called from inside a task step")
@@ -236,7 +237,7 @@ func (p *Proc) Do(t Task) {
 }
 
 // suspend enters block #blocks+1; the caller has already aimed at least
-// one wake source (calendar entry, event, flow, queue node) at that
+// one wake source (calendar entry, flow, queue node) at that
 // generation.
 func (p *Proc) suspend(kind pendKind) {
 	p.blocks++
@@ -262,7 +263,7 @@ func (p *Proc) yieldToken() {
 
 // resolve runs in driver context when the wake entry matching p's current
 // block is dispatched, before p (goroutine or task) sees the token again —
-// Run calls it for every block but a plain Sleep or Wait, after presetting
+// Run calls it for every block but a plain Sleep, after presetting
 // OK to true. It is the code that used to follow the block inside each
 // primitive: cancel the losing deadline entry, abort a flow that ran out of
 // time, hand flows and queue nodes back to their pools, and record a
@@ -311,22 +312,6 @@ func (p *Proc) BeginSleep(d time.Duration) bool {
 	return true
 }
 
-// BeginWait suspends p until ev triggers; if it already has, p is not
-// suspended and BeginWait reports false. An event has one waiter: a second
-// process waiting on it panics.
-func (p *Proc) BeginWait(ev *Event) bool {
-	p.ok = true
-	if ev.triggered {
-		return false
-	}
-	if ev.proc != nil {
-		panic(fmt.Sprintf("netsim: process %q waits on an event %q already waits on", p.name, ev.proc.name))
-	}
-	ev.proc, ev.target = p, p.blocks+1
-	p.suspend(pendNone)
-	return true
-}
-
 // waitTimeout suspends p in a block whose resolver (flow or queue node)
 // the caller has already aimed at the next generation, adding the deadline
 // entry as the second, racing wake source. Whichever dispatches second is
@@ -341,12 +326,4 @@ func (p *Proc) waitTimeout(d time.Duration, kind pendKind) {
 func (p *Proc) Sleep(d time.Duration) {
 	p.BeginSleep(d)
 	p.park()
-}
-
-// Wait suspends p until the event triggers. If the event has already
-// triggered, Wait returns immediately without yielding.
-func (p *Proc) Wait(ev *Event) {
-	if p.BeginWait(ev) {
-		p.park()
-	}
 }

@@ -37,15 +37,16 @@ var presets = map[string]func() *Config{
 		}}
 	},
 	// throttled: a 400 req/s shaping rate limiter (tarpit mode) in front
-	// of the workers — over-limit requests are delayed, so the throttling
-	// is visible in response times.
+	// of the workers — over-limit requests are delayed. The bucket depth
+	// defaults to the rate, 400, so a crowd of 50 or fewer never drains it
+	// and the measurement equals the clean one.
 	"throttled": func() *Config {
 		return &Config{Name: "throttled", RateLimit: &RateLimit{Rate: 400}}
 	},
 	// waf-reject: the same budget enforced by a fail-fast WAF — over-limit
-	// requests get an immediate 429, which hides the throttling from
-	// latency-based detection (see EXPERIMENTS.md). The 429s are caught by
-	// the error-class floor.
+	// requests get an immediate 429, hidden from latency-based detection
+	// but caught by the error-class floor. Like throttled, a crowd of 50
+	// or fewer never reaches the limit (see EXPERIMENTS.md).
 	"waf-reject": func() *Config {
 		return &Config{Name: "waf-reject", RateLimit: &RateLimit{Rate: 400, Reject: true}}
 	},

@@ -10,6 +10,7 @@ package mfc
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,6 +73,19 @@ func TestZeroIntensityScenarioByteIdentical(t *testing.T) {
 				t.Errorf("virtual elapsed diverges: clean %s, zero %s", clean.elapsed, zero.elapsed)
 			}
 		})
+	}
+}
+
+// A diurnal scenario modulates background traffic; with none configured it
+// would change nothing, so the run is refused rather than mislabeled.
+func TestDiurnalScenarioNeedsBackground(t *testing.T) {
+	diurnal, err := ParseScenario("diurnal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := SimTarget{Server: PresetQTNP(), Site: PresetQTSite(7), Scenario: diurnal}
+	if _, err := Run(context.Background(), target, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "Background.Rate") {
+		t.Errorf("Run without background = %v, want a Background.Rate error", err)
 	}
 }
 
