@@ -103,7 +103,11 @@ func main() {
 	if *listScen {
 		for _, name := range mfc.ScenarioNames() {
 			sc, _ := mfc.ParseScenario(name)
-			fmt.Printf("%-15s %s\n", name, strings.Join(sc.Effects(), " "))
+			effects := strings.Join(sc.Effects(), " ")
+			if sc.Diurnal != nil {
+				effects += " (needs -bg)"
+			}
+			fmt.Printf("%-15s %s\n", name, effects)
 		}
 		return
 	}
@@ -113,6 +117,10 @@ func main() {
 		var err error
 		if scenario, err = mfc.ParseScenario(*scen); err != nil {
 			fmt.Fprintf(os.Stderr, "mfc-sim: %v\n", err)
+			os.Exit(2)
+		}
+		if scenario.Diurnal != nil && *bgRate <= 0 {
+			fmt.Fprintf(os.Stderr, "mfc-sim: -scenario %s modulates background traffic: set -bg above 0\n", *scen)
 			os.Exit(2)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"time"
+
+	"mfc/internal/rng"
 )
 
 // Backoff paces an idle poller: a worker whose every pending shard is
@@ -27,7 +29,7 @@ type Backoff struct {
 func NewBackoff(base time.Duration, seed string) *Backoff {
 	h := fnv.New64a()
 	h.Write([]byte(seed))
-	return &Backoff{base: base, max: 16 * base, rng: rand.New(rand.NewSource(int64(h.Sum64())))}
+	return &Backoff{base: base, max: 16 * base, rng: rand.New(rng.New(int64(h.Sum64())))}
 }
 
 // Next returns the next idle sleep: ~base on the first call after a

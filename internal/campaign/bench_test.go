@@ -1,23 +1,54 @@
 package campaign
 
 import (
+	"runtime"
 	"testing"
 
 	"mfc/internal/core"
 	"mfc/internal/population"
 )
 
+// thinPlan is the fleet workloads' thin plan over the first 1000 sites.
+func thinPlan(tb testing.TB) *Plan {
+	plan, err := NewPlan("bench-thin", []population.Band{population.Rank10K},
+		[]core.Stage{core.StageBase}, nil, 1000, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan.MaxCrowd, plan.MinClients, plan.Clients = 5, 5, 8
+	return plan
+}
+
+// TestAllocBudgetMeasureThin is the hardware-independent half of
+// BenchmarkMeasureThin: a thin job made 265 allocations and 105.5 KB when
+// the crawl walked object positions and seeding lost its division chain
+// (268 and 116.1 KB before); the budgets are those + 10 %.
+func TestAllocBudgetMeasureThin(t *testing.T) {
+	plan := thinPlan(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if rec := Measure(plan, job, nil); rec.Err != "" {
+			t.Fatalf("job %d: %s", rec.Job, rec.Err)
+		}
+		job++
+	})
+	runtime.ReadMemStats(&after)
+	if allocs > 290 {
+		t.Errorf("%.0f allocs per thin job, budget 290", allocs)
+	}
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(job) / 1000; kb > 116 {
+		t.Errorf("%.1f KB allocated per thin job, budget 116", kb)
+	}
+}
+
 // BenchmarkMeasureThin is one job of the fleet workloads' thin plan
 // (Rank10K x Base, crowd 5 of 8 clients, one epoch): site sampling and the
 // profiling crawl are a large share of it, so it prices both next to the
 // coordinator's work. Jobs cycle over the first 1000 sites.
 func BenchmarkMeasureThin(b *testing.B) {
-	plan, err := NewPlan("bench-thin", []population.Band{population.Rank10K},
-		[]core.Stage{core.StageBase}, nil, 1000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan.MaxCrowd, plan.MinClients, plan.Clients = 5, 5, 8
+	plan := thinPlan(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if rec := Measure(plan, i%plan.Jobs(), nil); rec.Err != "" {

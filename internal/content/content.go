@@ -131,19 +131,45 @@ type Site struct {
 	Base    string           // URL of the base page (e.g. "/index.html")
 	objects []Object         // in the order they were given
 	index   map[string]int32 // URL -> position in objects
+	// Kind(kinds[i]) is Classify(objects[i].URL). links[first[i]:first[i+1]]
+	// are the positions of the objects object i links to, when the crawl
+	// reads its links (it classifies as text or query); a link to no
+	// object is dropped, as the crawl skips an unreachable object.
+	kinds []byte
+	first []int32
+	links []int32
 }
 
 // NewSite builds a Site from objects. The base URL must be present among
 // the objects.
 func NewSite(host, base string, objects []Object) (*Site, error) {
-	return newSite(host, base, slices.Clone(objects))
+	s, err := newSite(host, base, slices.Clone(objects))
+	if err != nil {
+		return nil, err
+	}
+	s.first = make([]int32, len(s.objects)+1)
+	for i, o := range s.objects {
+		k := Classify(o.URL)
+		s.kinds[i] = byte(k)
+		for _, l := range o.Links {
+			if j, ok := s.index[l]; ok && (k == KindText || k == KindQuery) {
+				s.links = append(s.links, j)
+			}
+		}
+		s.first[i+1] = int32(len(s.links))
+	}
+	return s, nil
 }
 
-// newSite is NewSite keeping objects itself, for a caller that built the
-// slice for this site and never touches it again.
+// newSite is NewSite keeping objects itself and taking each crawl kind
+// from Object.Kind, for Generate, which built the slice for this site,
+// never touches it again, sets every Kind to Classify's, and builds the
+// link slab itself.
 func newSite(host, base string, objects []Object) (*Site, error) {
 	index := make(map[string]int32, len(objects))
+	kinds := make([]byte, len(objects))
 	for i, o := range objects {
+		kinds[i] = byte(o.Kind)
 		if o.URL == "" {
 			return nil, fmt.Errorf("content: object with empty URL on host %q", host)
 		}
@@ -154,7 +180,7 @@ func newSite(host, base string, objects []Object) (*Site, error) {
 	if _, ok := index[base]; !ok {
 		return nil, fmt.Errorf("content: base page %q not among objects of host %q", base, host)
 	}
-	return &Site{Host: host, Base: base, objects: objects, index: index}, nil
+	return &Site{Host: host, Base: base, objects: objects, index: index, kinds: kinds}, nil
 }
 
 // Lookup returns the object at url.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+
+	"mfc/internal/rng"
 )
 
 // GenConfig controls synthetic site generation. Zero values get sensible
@@ -66,7 +68,7 @@ func (c GenConfig) withDefaults() GenConfig {
 // same (host, seed, cfg) always yields the same site.
 func Generate(host string, seed int64, cfg GenConfig) *Site {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rng.New(seed))
 	nImages := min(cfg.Pages*cfg.ImagesPerPage, 200)
 	// One slice in draw order (queries, binaries, images, pages); each
 	// URL is a substring of one per-site string.
@@ -102,43 +104,51 @@ func Generate(host string, seed int64, cfg GenConfig) *Site {
 
 	// Pages. Page i links to a few later pages (tree-ish), some images,
 	// an occasional binary and an occasional query. All links share one
-	// backing array; linkedBy[k] is 1 + the last page that linked image k.
+	// backing array, and their object positions one slab beside it;
+	// linkedBy[k] is 1 + the last page that linked image k.
 	pages[0].URL = "/index.html"
 	for i := 1; i < len(pages); i++ {
 		pages[i].URL = w.url("/pages/p", i, 3, ".html")
 	}
-	links := make([]string, 0, len(pages)-1+len(pages)*(min(cfg.ImagesPerPage, nImages)+2)+len(bins)+1)
+	nLinks := len(pages) - 1 + len(pages)*(min(cfg.ImagesPerPage, nImages)+2) + len(bins) + 1
+	links, linkIdx := make([]string, 0, nLinks), make([]int32, 0, nLinks)
+	link := func(o int) {
+		links = append(links, objects[o].URL)
+		linkIdx = append(linkIdx, int32(o))
+	}
+	pageAt, imgAt, binAt := len(objects)-len(pages), len(queries)+len(bins), len(queries)
+	first := make([]int32, len(objects)+1)
 	linkedBy := make([]int32, nImages)
 	for i := range pages {
 		start := len(links)
 		for j := i*2 + 1; j <= i*2+2 && j < len(pages); j++ {
-			links = append(links, pages[j].URL)
+			link(pageAt + j)
 		}
 		for k := 0; k < cfg.ImagesPerPage && nImages > 0; k++ {
 			if n := rng.Intn(nImages); linkedBy[n] != int32(i+1) {
 				linkedBy[n] = int32(i + 1)
-				links = append(links, imgs[n].URL)
+				link(imgAt + n)
 			}
 		}
 		bin, query := -1, -1
 		if len(bins) > 0 && rng.Intn(3) == 0 {
 			bin = rng.Intn(len(bins))
-			links = append(links, bins[bin].URL)
+			link(binAt + bin)
 		}
 		if len(queries) > 0 && rng.Intn(2) == 0 {
 			query = rng.Intn(len(queries))
-			links = append(links, queries[query].URL)
+			link(query)
 		}
 		if i == 0 {
 			// The index must reach everything for the crawler: give it
 			// direct links to every binary and the first query too.
 			for k := range bins {
 				if k != bin {
-					links = append(links, bins[k].URL)
+					link(binAt + k)
 				}
 			}
 			if len(queries) > 0 && query != 0 {
-				links = append(links, queries[0].URL)
+				link(0)
 			}
 		}
 		pages[i].Kind = KindText
@@ -146,12 +156,14 @@ func Generate(host string, seed int64, cfg GenConfig) *Site {
 		if len(links) > start {
 			pages[i].Links = links[start:len(links):len(links)]
 		}
+		first[pageAt+i+1] = int32(len(links))
 	}
 
 	site, err := newSite(host, "/index.html", objects)
 	if err != nil {
 		panic("content: generator produced invalid site: " + err.Error())
 	}
+	site.first, site.links = first, linkIdx
 	return site
 }
 

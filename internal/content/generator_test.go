@@ -148,8 +148,9 @@ func TestJitter64MatchesOracle(t *testing.T) {
 }
 
 // FuzzGenerate drives Generate and the oracle with the same seed and
-// GenConfig and requires the same site. Field values are folded into
-// ranges that keep one run small but still cross every zero-pad width.
+// GenConfig and requires the same site, and the site's Profile to be its
+// Crawl. Field values are folded into ranges that keep one run small but
+// still cross every zero-pad width.
 // Seed corpus: testdata/fuzz/FuzzGenerate plus the seeds below — the
 // defaults, the population bands' configs, every field at or below zero,
 // a page pool wider than the image cap, and every zero-pad width crossed.
@@ -167,6 +168,8 @@ func FuzzGenerate(f *testing.F) {
 			Queries: queries % 1500, LargeObjects: large % 150,
 			MeanPageSize: pageSize, MeanQuerySize: querySize, MaxLargeObjectSize: maxLarge,
 		}
-		requireSameSite(t, Generate("fuzz.example", seed, cfg), oracleGenerate("fuzz.example", seed, cfg))
+		site := Generate("fuzz.example", seed, cfg)
+		requireSameSite(t, site, oracleGenerate("fuzz.example", seed, cfg))
+		RequireProfileMatchesCrawl(t, site)
 	})
 }

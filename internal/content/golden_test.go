@@ -95,3 +95,23 @@ func TestSitesGolden(t *testing.T) {
 	}
 	t.Errorf("%d of %d site digests differ from testdata/sites.golden", bad, len(wl))
 }
+
+// TestSiteProfileMatchesCrawl requires the simulated profiling stage,
+// Site.Profile, to return what Crawl over the site returns, for every
+// pinned site under every checked crawl bound.
+func TestSiteProfileMatchesCrawl(t *testing.T) {
+	goldenSites(func(_ string, s *content.Site) { content.RequireProfileMatchesCrawl(t, s) })
+}
+
+// TestGeneratedKindsMatchClassify checks what Generate's Site relies on
+// when it takes each object's crawl kind from Object.Kind: that kind is
+// the one Classify gives the URL.
+func TestGeneratedKindsMatchClassify(t *testing.T) {
+	goldenSites(func(name string, s *content.Site) {
+		for _, o := range s.Objects() {
+			if k := content.Classify(o.URL); o.Kind != k {
+				t.Fatalf("%s: %s has Kind %v, Classify gives %v", name, o.URL, o.Kind, k)
+			}
+		}
+	})
+}

@@ -78,13 +78,8 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 		url   string
 		depth int
 	}
-	// Sized for a small site: population sites run from two dozen objects
-	// to a few hundred, and sizing every crawl for its bound would cost the
-	// small ones more than growing costs the large ones.
-	const hint = 32
-	seen := make(map[string]struct{}, hint)
-	seen[base] = struct{}{}
-	queue := append(make([]item, 0, hint), item{base, 0})
+	seen := map[string]struct{}{base: {}}
+	queue := []item{{base, 0}}
 	prof := &Profile{Host: host, BaseURL: base, ByKind: make(map[Kind]int)}
 
 	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
@@ -109,16 +104,7 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 			continue // unreachable object: skip, as a crawler must
 		}
 
-		obj := Object{URL: it.url, Kind: kind, Size: size, Dynamic: kind == KindQuery}
-		prof.Discovered++
-		prof.ByKind[kind]++
-		if obj.IsLargeObject() {
-			prof.LargeObjects = append(prof.LargeObjects, obj)
-		}
-		if obj.IsSmallQuery() {
-			prof.SmallQueries = append(prof.SmallQueries, obj)
-		}
-
+		prof.add(Object{URL: it.url, Kind: kind, Size: size, Dynamic: kind == KindQuery})
 		if it.depth < cfg.MaxDepth {
 			for _, l := range links {
 				if _, ok := seen[l]; !ok {
@@ -131,33 +117,56 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 	if prof.Discovered == 0 {
 		return nil, ErrEmptyCrawl
 	}
-	slices.SortFunc(prof.LargeObjects, func(a, b Object) int {
-		return cmp.Or(cmp.Compare(b.Size, a.Size), strings.Compare(a.URL, b.URL))
-	})
-	slices.SortFunc(prof.SmallQueries, func(a, b Object) int {
-		return cmp.Or(cmp.Compare(a.Size, b.Size), strings.Compare(a.URL, b.URL))
-	})
+	prof.sortGroups()
 	return prof, nil
 }
 
-// SiteFetcher adapts a Site to the Fetcher interface (used by the simulated
-// profiling stage and in tests).
-type SiteFetcher struct{ Site *Site }
-
-// Head implements Fetcher.
-func (sf SiteFetcher) Head(_ context.Context, url string) (int64, error) {
-	o, ok := sf.Site.Lookup(url)
-	if !ok {
-		return 0, fmt.Errorf("content: %s: not found", url)
+// Profile is Crawl over the site itself, walking object positions instead
+// of URLs: the same Profile Crawl returns from a fetcher that serves the
+// site, for the simulated profiling stage.
+func (s *Site) Profile(cfg CrawlConfig) *Profile {
+	cfg = cfg.withDefaults()
+	type item struct{ obj, depth int32 }
+	seen := make([]bool, len(s.objects))
+	base := s.index[s.Base]
+	seen[base] = true
+	queue := append(make([]item, 0, len(s.objects)), item{base, 0})
+	prof := &Profile{Host: s.Host, BaseURL: s.Base, ByKind: make(map[Kind]int)}
+	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
+		it := queue[head]
+		o, kind := &s.objects[it.obj], Kind(s.kinds[it.obj])
+		prof.add(Object{URL: o.URL, Kind: kind, Size: o.Size, Dynamic: kind == KindQuery})
+		if int(it.depth) < cfg.MaxDepth {
+			for _, l := range s.links[s.first[it.obj]:s.first[it.obj+1]] {
+				if !seen[l] {
+					seen[l] = true
+					queue = append(queue, item{l, it.depth + 1})
+				}
+			}
+		}
 	}
-	return o.Size, nil
+	prof.sortGroups()
+	return prof
 }
 
-// Get implements Fetcher.
-func (sf SiteFetcher) Get(_ context.Context, url string) (int64, []string, error) {
-	o, ok := sf.Site.Lookup(url)
-	if !ok {
-		return 0, nil, fmt.Errorf("content: %s: not found", url)
+// add counts one discovered object.
+func (p *Profile) add(obj Object) {
+	p.Discovered++
+	p.ByKind[obj.Kind]++
+	if obj.IsLargeObject() {
+		p.LargeObjects = append(p.LargeObjects, obj)
 	}
-	return o.Size, o.Links, nil
+	if obj.IsSmallQuery() {
+		p.SmallQueries = append(p.SmallQueries, obj)
+	}
+}
+
+// sortGroups puts the groups in the order the stages request from them.
+func (p *Profile) sortGroups() {
+	slices.SortFunc(p.LargeObjects, func(a, b Object) int {
+		return cmp.Or(cmp.Compare(b.Size, a.Size), strings.Compare(a.URL, b.URL))
+	})
+	slices.SortFunc(p.SmallQueries, func(a, b Object) int {
+		return cmp.Or(cmp.Compare(a.Size, b.Size), strings.Compare(a.URL, b.URL))
+	})
 }

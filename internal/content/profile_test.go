@@ -85,6 +85,47 @@ func TestCrawlCanceledContext(t *testing.T) {
 	}
 }
 
+// TestNewSiteProfileMatchesCrawl covers the links NewSite resolves that a
+// generated site never has.
+func TestNewSiteProfileMatchesCrawl(t *testing.T) {
+	cases := []struct {
+		name    string
+		objects []Object
+		want    int // objects the default crawl discovers
+	}{
+		{"unresolvable link", testSite(t).objects, 5},
+		{"duplicate and self links", []Object{
+			{URL: "/index.html", Links: []string{"/a.html", "/a.html", "/index.html", "/a.html"}},
+			{URL: "/a.html", Links: []string{"/index.html", "/a.html", "/b.html"}},
+			{URL: "/b.html"},
+		}, 3},
+		{"links on non-page objects", []Object{
+			{URL: "/index.html", Links: []string{"/pic.jpg", "/q?x=1"}},
+			{URL: "/pic.jpg", Kind: KindImage, Links: []string{"/hidden.html"}}, // HEAD only
+			{URL: "/q?x=1", Kind: KindQuery, Size: 10, Dynamic: true, Links: []string{"/shown.html"}},
+			{URL: "/hidden.html"},
+			{URL: "/shown.html"},
+		}, 4},
+		{"Kind disagrees with Classify", []Object{
+			{URL: "/index.html", Kind: KindImage, Links: []string{"/big.bin", "/q?y", "/page.html"}},
+			{URL: "/big.bin", Kind: KindText, Size: 300_000, Links: []string{"/hidden.html"}},
+			{URL: "/q?y", Kind: KindBinary, Size: 100, Links: []string{"/hidden.html"}},
+			{URL: "/page.html", Kind: KindBinary, Size: 200_000},
+			{URL: "/hidden.html"},
+		}, 5},
+	}
+	for _, tc := range cases {
+		site, err := NewSite(tc.name, "/index.html", tc.objects)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RequireProfileMatchesCrawl(t, site)
+		if got := site.Profile(CrawlConfig{}).Discovered; got != tc.want {
+			t.Errorf("%s: Discovered = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestCrawlEmptySiteFails(t *testing.T) {
 	site, err := NewSite("h", "/a", []Object{{URL: "/a"}})
 	if err != nil {

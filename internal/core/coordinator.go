@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mfc/internal/content"
+	"mfc/internal/rng"
 )
 
 // Coordinator orchestrates MFC experiments over a Platform (Figure 1).
@@ -46,9 +47,13 @@ func WithObserver(o Observer) Option {
 	}
 }
 
+// seed1 is the coordinator's source as seeded, copied by every New.
+var seed1 = rng.New(1)
+
 // New builds a coordinator over a platform.
 func New(p Platform, cfg Config, opts ...Option) *Coordinator {
-	c := &Coordinator{cfg: cfg.withDefaults(), platform: p, rng: rand.New(rand.NewSource(1))}
+	src := *seed1
+	c := &Coordinator{cfg: cfg.withDefaults(), platform: p, rng: rand.New(&src)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -147,8 +152,8 @@ func (c *Coordinator) delayComputation(reqs map[string]Request) {
 
 // RunExperiment runs all three stages against the target (the
 // client-visible host name). The profile comes from the platform-specific
-// profiling crawl (content.Crawl over a SiteFetcher for simulations, over
-// liveplat.HTTPFetcher for live sites) or from a cooperating operator.
+// profiling crawl (content.Site.Profile for simulations, content.Crawl
+// over liveplat.HTTPFetcher for live sites) or from a cooperating operator.
 //
 // Cancellation is honored at epoch boundaries: when ctx is canceled the
 // in-progress stage returns with VerdictAborted, later stages do not run,

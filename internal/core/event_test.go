@@ -194,11 +194,7 @@ func TestCancelSimulatedNoLeaks(t *testing.T) {
 		ParseCPU: 100 * time.Microsecond,
 	}, site)
 	plat := NewSimPlatform(env, server, PlanetLabSpecs(env, 60))
-	prof, err := content.Crawl(context.Background(), content.SiteFetcher{Site: site},
-		site.Host, site.Base, content.CrawlConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := site.Profile(content.CrawlConfig{})
 	cfg := DefaultConfig()
 	cfg.MinClients = 50
 	cfg.MaxCrowd = 50

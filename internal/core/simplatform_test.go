@@ -32,11 +32,7 @@ func simStage(t *testing.T, mutate func(*SimPlatform, []SimClientSpec), cfg Conf
 	if mutate != nil {
 		mutate(plat, specs)
 	}
-	prof, err := content.Crawl(context.Background(), content.SiteFetcher{Site: site},
-		site.Host, site.Base, content.CrawlConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := site.Profile(content.CrawlConfig{})
 	var sr *StageResult
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
@@ -135,11 +131,7 @@ func TestSimBaselineFailureDropsClient(t *testing.T) {
 	specs := PlanetLabSpecs(env, 55)
 	specs[0].Bandwidth = 10 // 10 B/s: the 1MB baseline takes >10s
 	plat := NewSimPlatform(env, server, specs)
-	prof, err := content.Crawl(context.Background(), content.SiteFetcher{Site: site},
-		site.Host, site.Base, content.CrawlConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := site.Profile(content.CrawlConfig{})
 	cfg := DefaultConfig()
 	cfg.MinClients = 50
 	cfg.MaxCrowd = 20

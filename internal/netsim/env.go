@@ -116,6 +116,8 @@ package netsim
 import (
 	"math/rand"
 	"time"
+
+	"mfc/internal/rng"
 )
 
 // Env is a simulation environment: a virtual clock and an event calendar.
@@ -142,7 +144,7 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	return &Env{
 		yield: make(chan struct{}, 1),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(rng.New(seed)),
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"mfc/internal/content"
+	"mfc/internal/rng"
 	"mfc/internal/websim"
 )
 
@@ -196,7 +197,7 @@ type SiteSample struct {
 // SampleAt(b, i, seed) is deterministic in its arguments and independent of
 // call order.
 func SampleAt(b Band, i int, seed int64) SiteSample {
-	rng := rand.New(rand.NewSource(MixSeed(seed, int64(b), int64(i))))
+	rng := rand.New(rng.New(MixSeed(seed, int64(b), int64(i))))
 	name := siteName(b, i)
 	cfg := configFor(rng, b, name)
 	siteSeed := rng.Int63()

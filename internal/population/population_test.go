@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -187,14 +188,21 @@ func TestSiteNameMatchesSprintf(t *testing.T) {
 
 // TestAllocBudgetSampleAt keeps site sampling cheap: a Rank10K sample made
 // 671 allocations when it formatted every URL with fmt and deduped links
-// through a map per page, and 13 after.
+// through a map per page, and 13 after. The crawl's link slab and kinds
+// took it to 16 allocations and 66 KB; the byte budget is that + 10 %.
 func TestAllocBudgetSampleAt(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	i := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		SampleAt(Rank10K, i, 1)
 		i++
 	})
+	runtime.ReadMemStats(&after)
 	if allocs > 100 {
 		t.Errorf("%.0f allocs per Rank10K SampleAt, budget 100", allocs)
+	}
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(i) / 1000; kb > 73 {
+		t.Errorf("%.1f KB allocated per Rank10K SampleAt, budget 73", kb)
 	}
 }

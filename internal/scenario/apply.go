@@ -10,6 +10,7 @@ import (
 	"mfc/internal/core"
 	"mfc/internal/netsim"
 	"mfc/internal/population"
+	"mfc/internal/rng"
 	"mfc/internal/websim"
 )
 
@@ -60,7 +61,7 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 	}
 	specs := make([]core.SimClientSpec, n)
 	for i := range specs {
-		rng := rand.New(rand.NewSource(population.MixSeed(seed, int64(i))))
+		rng := rand.New(rng.New(population.MixSeed(seed, int64(i))))
 		x := rng.Float64() * total
 		k := 0
 		for k < len(weights)-1 && x >= weights[k] {

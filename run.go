@@ -23,8 +23,8 @@ import (
 //     in-process goroutines or remote UDP-controlled agents (§4's
 //     wide-area deployment).
 //
-// Each target binds a core.Platform plus the profiling fetcher the crawl
-// stage needs; Run drives the same coordinator over all of them.
+// Each target binds a core.Platform plus the site or fetcher the crawl
+// stage profiles; Run drives the same coordinator over all of them.
 type Target interface {
 	// open binds the target and returns the run binding, which owns
 	// platform-specific setup/teardown; Run owns the experiment itself.
@@ -35,6 +35,7 @@ type Target interface {
 // drive the coordinator, plus the hooks to tear the binding down.
 type binding struct {
 	platform core.Platform
+	site     *content.Site // profiled directly if set, else crawled via fetcher
 	fetcher  content.Fetcher
 	host     string // Result.Target label (site host or URL)
 	base     string // crawl entry path
@@ -148,7 +149,15 @@ func Run(ctx context.Context, t Target, cfg Config, opts ...RunOption) (*Session
 		crawlCtx, cancel = context.WithTimeout(ctx, s.crawlTimeout)
 		defer cancel()
 	}
-	prof, err := content.Crawl(crawlCtx, s.fetcher, s.host, s.base, s.crawl)
+	var prof *content.Profile
+	if s.site != nil {
+		// Profile takes no context: check it as Crawl's first step would.
+		if err = crawlCtx.Err(); err == nil {
+			prof = s.site.Profile(s.crawl)
+		}
+	} else {
+		prof, err = content.Crawl(crawlCtx, s.fetcher, s.host, s.base, s.crawl)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mfc: profiling target: %w", err)
 	}

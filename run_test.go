@@ -108,6 +108,21 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunCanceledBeforeProfiling pins what a context canceled before Run
+// starts does to a simulated target: the profiling stage fails, and Run
+// returns no Session.
+func TestRunCanceledBeforeProfiling(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run, err := Run(ctx, qtnpTarget(), DefaultConfig())
+	if run != nil {
+		t.Errorf("Session = %+v, want nil", run)
+	}
+	if !errors.Is(err, context.Canceled) || err.Error() != "mfc: profiling target: context canceled" {
+		t.Fatalf("err = %v, want mfc: profiling target: context canceled", err)
+	}
+}
+
 // TestRunSingleStageResultShape: WithStage produces a one-stage Result
 // labeled with the target host.
 func TestRunSingleStageResultShape(t *testing.T) {

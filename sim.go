@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mfc/internal/content"
 	"mfc/internal/core"
 	"mfc/internal/netsim"
 	"mfc/internal/scenario"
@@ -132,9 +131,8 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 
 	return &binding{
 		platform: plat,
-		fetcher:  content.SiteFetcher{Site: t.Site},
+		site:     t.Site,
 		host:     t.Site.Host,
-		base:     t.Site.Base,
 		execute: func(body func()) {
 			env.Go("coordinator", func(p *netsim.Proc) {
 				plat.Bind(p)
