@@ -71,24 +71,3 @@ func TestAttributionNoStopIsNone(t *testing.T) {
 		}
 	}
 }
-
-// TestExponentialStagger: the exponential inter-arrival variant still
-// spreads the load enough to be absorbed by a weak server.
-func TestExponentialStagger(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCrowd = 30
-	cfg.Stagger = 150 * time.Millisecond
-	cfg.StaggerDist = StaggerExponential
-	run, err := Run(context.Background(), SimTarget{
-		Server: PresetUniv1(), Site: PresetUniv1Site(5), Clients: 60, Seed: 3,
-	}, cfg, WithStage(StageBase))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr := run.Result.Stages[0]; sr.Verdict != VerdictNoStop {
-		t.Errorf("verdict = %v, want NoStop under Poisson arrivals", sr.Verdict)
-	}
-	if StaggerExponential.String() != "exponential" || StaggerUniform.String() != "uniform" {
-		t.Error("StaggerDist strings")
-	}
-}

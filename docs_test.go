@@ -20,11 +20,25 @@ import (
 // every `make X` must name a Makefile target, and every pkg.Ident (an
 // exported name) must be declared in pkg's non-test files, where pkg is
 // mfc or the name of a package directory under internal/ (other
-// qualifiers are skipped).
+// qualifiers are skipped). In pkg.Type.Member, Member must be a method or
+// field declared on Type in those files.
 func TestDocsNameRealTestsAndFiles(t *testing.T) {
 	declaredFn := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	declared, files := map[string]bool{}, map[string]bool{}
 	pkgDecls := map[string]map[string]bool{} // package name -> its top-level names
+	members := map[string]map[string]bool{}  // "pkg.Type" -> its methods and fields
+	member := func(pkg string, typ ast.Expr, name string) {
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			key := pkg + "." + id.Name
+			if members[key] == nil {
+				members[key] = map[string]bool{}
+			}
+			members[key][name] = true
+		}
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -73,12 +87,26 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 				case *ast.FuncDecl:
 					if d.Recv == nil {
 						pkgDecls[pkg][d.Name.Name] = true
+					} else {
+						member(pkg, d.Recv.List[0].Type, d.Name.Name)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch sp := spec.(type) {
 						case *ast.TypeSpec:
 							pkgDecls[pkg][sp.Name.Name] = true
+							var fields []*ast.Field
+							switch ty := sp.Type.(type) {
+							case *ast.StructType:
+								fields = ty.Fields.List
+							case *ast.InterfaceType:
+								fields = ty.Methods.List
+							}
+							for _, f := range fields {
+								for _, n := range f.Names {
+									member(pkg, sp.Name, n.Name)
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range sp.Names {
 								pkgDecls[pkg][n.Name] = true
@@ -105,7 +133,7 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	fileName := regexp.MustCompile(`[\w./-]*\w\.(?:go|golden)\b`)
 	makeTarget := regexp.MustCompile(`\bmake((?:[ \t]+[a-z][\w-]*)+)`)
-	qualified := regexp.MustCompile(`(?:^|[^\w./-])([a-z]\w*)\.([A-Z]\w*)`)
+	qualified := regexp.MustCompile(`(?:^|[^\w./-])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -130,8 +158,13 @@ func TestDocsNameRealTestsAndFiles(t *testing.T) {
 				}
 			}
 			for _, m := range qualified.FindAllStringSubmatch(span, -1) {
-				if decls := pkgDecls[m[1]]; decls != nil && !decls[m[2]] {
+				decls := pkgDecls[m[1]]
+				switch {
+				case decls == nil:
+				case !decls[m[2]]:
 					t.Errorf("%s names %s.%s, which package %s does not declare", doc, m[1], m[2], m[1])
+				case m[3] != "" && !members[m[1]+"."+m[2]][m[3]]:
+					t.Errorf("%s names %s.%s.%s, which %s.%s does not declare", doc, m[1], m[2], m[3], m[1], m[2])
 				}
 			}
 		}

@@ -168,7 +168,6 @@ func TestMeasurersThroughFacade(t *testing.T) {
 	cfg.Threshold = time.Hour
 	cfg.MaxCrowd = 30
 	cfg.Measurers = []core.Request{{Method: "HEAD", URL: "/index.html"}}
-	cfg.MeasurerReplicas = 2
 	run, err := Run(context.Background(), SimTarget{
 		Server: srvCfg, Site: site, Clients: 60, LAN: true, Seed: 9,
 	}, cfg, WithStage(StageLargeObject))

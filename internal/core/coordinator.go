@@ -15,8 +15,8 @@ type Coordinator struct {
 	cfg      Config
 	platform Platform
 	observe  Observer
-	// rng draws crowd membership and staggered arrival offsets; a fixed
-	// seed keeps every experiment reproducible.
+	// rng draws crowd membership; a fixed seed keeps every experiment
+	// reproducible.
 	rng *rand.Rand
 
 	clients   []Client
@@ -29,35 +29,14 @@ type Coordinator struct {
 	measurers map[string][]Client
 }
 
-// Option configures a Coordinator at construction.
-type Option func(*Coordinator)
-
-// WithObserver attaches an event observer. Multiple observers compose in
-// registration order.
-func WithObserver(o Observer) Option {
-	return func(c *Coordinator) {
-		if o == nil {
-			return
-		}
-		if prev := c.observe; prev != nil {
-			c.observe = func(ev Event) { prev(ev); o(ev) }
-		} else {
-			c.observe = o
-		}
-	}
-}
-
 // seed1 is the coordinator's source as seeded, copied by every New.
 var seed1 = rng.New(1)
 
-// New builds a coordinator over a platform.
-func New(p Platform, cfg Config, opts ...Option) *Coordinator {
+// New builds a coordinator over a platform. observe, if non-nil, receives
+// every event synchronously on the coordinator's goroutine.
+func New(p Platform, cfg Config, observe Observer) *Coordinator {
 	src := *seed1
-	c := &Coordinator{cfg: cfg.withDefaults(), platform: p, rng: rand.New(&src)}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
+	return &Coordinator{cfg: cfg.withDefaults(), platform: p, observe: observe, rng: rand.New(&src)}
 }
 
 // emit delivers one event to the observer, if any.
@@ -150,32 +129,19 @@ func (c *Coordinator) delayComputation(reqs map[string]Request) {
 	c.clients = live
 }
 
-// RunExperiment runs all three stages against the target (the
-// client-visible host name). The profile comes from the platform-specific
+// Run registers the clients, then runs stages in order against the target
+// (the client-visible host name): Stages for the paper's full experiment,
+// one stage for the single-category mode the §5 population studies and the
+// campaign engine use. The profile comes from the platform-specific
 // profiling crawl (content.Site.Profile for simulations, content.Crawl
 // over liveplat.HTTPFetcher for live sites) or from a cooperating operator.
 //
 // Cancellation is honored at epoch boundaries: when ctx is canceled the
 // in-progress stage returns with VerdictAborted, later stages do not run,
-// and RunExperiment returns the partial Result together with ctx's error.
-// The terminal ExperimentFinished event is emitted exactly once, whatever
-// the outcome.
-func (c *Coordinator) RunExperiment(ctx context.Context, target string, prof *content.Profile) (*Result, error) {
-	return c.run(ctx, target, Stages, prof)
-}
-
-// RunSingleStage runs exactly one stage as a complete experiment:
-// registration, the stage, and the terminal ExperimentFinished event. It
-// is the single-category entry point the §5 population studies and the
-// campaign engine use. Like RunExperiment, cancellation yields the partial
-// Result plus ctx's error.
-func (c *Coordinator) RunSingleStage(ctx context.Context, target string, stage Stage, prof *content.Profile) (*Result, error) {
-	return c.run(ctx, target, []Stage{stage}, prof)
-}
-
-// run is both entry points: register, run the stages in order until ctx
-// is canceled, and emit ExperimentFinished exactly once.
-func (c *Coordinator) run(ctx context.Context, target string, stages []Stage, prof *content.Profile) (res *Result, err error) {
+// and Run returns the partial Result together with ctx's error. The
+// terminal ExperimentFinished event is emitted exactly once, whatever the
+// outcome.
+func (c *Coordinator) Run(ctx context.Context, target string, stages []Stage, prof *content.Profile) (res *Result, err error) {
 	defer func() { c.emit(ExperimentFinished{Target: target, Result: res, Err: errString(err)}) }()
 	if prof == nil {
 		return nil, fmt.Errorf("core: nil profile for target %s", target)
@@ -185,7 +151,7 @@ func (c *Coordinator) run(ctx context.Context, target string, stages []Stage, pr
 	}
 	res = &Result{Target: target}
 	for _, stage := range stages {
-		res.Stages = append(res.Stages, c.RunStage(ctx, stage, prof))
+		res.Stages = append(res.Stages, c.runStage(ctx, stage, prof))
 		if canceled(ctx) {
 			return res, ctx.Err()
 		}
@@ -200,11 +166,10 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// RunStage executes one MFC stage to completion and returns its result.
-// The coordinator must have registered clients (RunExperiment and
-// RunSingleStage do this). A canceled ctx aborts at the next
-// epoch boundary with VerdictAborted.
-func (c *Coordinator) RunStage(ctx context.Context, stage Stage, prof *content.Profile) *StageResult {
+// runStage executes one MFC stage over the registered clients and returns
+// its result. A canceled ctx aborts at the next epoch boundary with
+// VerdictAborted.
+func (c *Coordinator) runStage(ctx context.Context, stage Stage, prof *content.Profile) *StageResult {
 	clock := c.platform.Clock()
 	sr := &StageResult{
 		Stage:     stage,
@@ -213,12 +178,6 @@ func (c *Coordinator) RunStage(ctx context.Context, stage Stage, prof *content.P
 		Started:   clock.Now(),
 	}
 	c.emit(StageStarted{Stage: stage, At: sr.Started})
-	if len(c.clients) == 0 {
-		if err := c.register(); err != nil {
-			sr.Verdict = VerdictAborted
-			return sr
-		}
-	}
 	reqs, err := c.stageRequests(stage, prof)
 	if err != nil {
 		sr.Verdict = VerdictUnavailable
@@ -307,22 +266,13 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 	}
 	arriveAt := now + maxLead + c.cfg.ScheduleGuard
 
-	// Fire commands. With staggering, arrivals are offset by the chosen
-	// inter-arrival distribution (§6: "the target sees 1 request every m
-	// milliseconds"; other distributions are supported).
+	// Fire commands. With staggering, arrivals are spaced Stagger apart
+	// (§6: "the target sees 1 request every m milliseconds").
 	scheduled := 0
 	staggerOffset := time.Duration(0)
 	for _, cl := range members {
-		at := arriveAt
-		if c.cfg.Stagger > 0 {
-			at += staggerOffset
-			switch c.cfg.StaggerDist {
-			case StaggerExponential:
-				staggerOffset += time.Duration(c.rng.ExpFloat64() * float64(c.cfg.Stagger))
-			default:
-				staggerOffset += c.cfg.Stagger
-			}
-		}
+		at := arriveAt + staggerOffset
+		staggerOffset += max(c.cfg.Stagger, 0)
 		rq := reqs[cl.ID()]
 		burst := make([]Request, c.cfg.MultiRequest)
 		for j := range burst {
@@ -396,7 +346,11 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 	return &sr.Epochs[len(sr.Epochs)-1]
 }
 
-// reserveMeasurers takes MeasurerReplicas clients per configured measurer
+// measurerReplicas is how many reserved clients issue each measurer request
+// per epoch; the median of their observations is recorded.
+const measurerReplicas = 3
+
+// reserveMeasurers takes measurerReplicas clients per configured measurer
 // request out of the crowd-eligible pool and baselines them against their
 // own request (§6). Clients that fail the baseline are returned to the
 // pool. Idempotent across stages: reserved clients stay reserved.
@@ -410,7 +364,7 @@ func (c *Coordinator) reserveMeasurers() {
 	c.measurers = make(map[string][]Client, len(c.cfg.Measurers))
 	for _, mreq := range c.cfg.Measurers {
 		var picked []Client
-		for len(picked) < c.cfg.MeasurerReplicas && len(c.clients) > c.cfg.MinClients {
+		for len(picked) < measurerReplicas && len(c.clients) > c.cfg.MinClients {
 			// Take from the tail so the crowd keeps its head ordering.
 			cl := c.clients[len(c.clients)-1]
 			c.clients = c.clients[:len(c.clients)-1]

@@ -117,17 +117,28 @@ func testCfg() Config {
 	return cfg
 }
 
+// stageOf runs one stage the way Run does, registering the clients first
+// when none are registered yet.
+func stageOf(ctx context.Context, c *Coordinator, stage Stage, prof *content.Profile) *StageResult {
+	if len(c.clients) == 0 {
+		if err := c.register(); err != nil {
+			return &StageResult{Stage: stage, Verdict: VerdictAborted}
+		}
+	}
+	return c.runStage(ctx, stage, prof)
+}
+
 func TestStageStopsAtThresholdCrossing(t *testing.T) {
 	// 4ms per crowd member: crosses 100ms at crowd 26 -> first eligible
 	// ramp epoch over θ is 30.
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict != VerdictStopped {
 		t.Fatalf("verdict = %v, want Stopped", sr.Verdict)
 	}
@@ -148,11 +159,11 @@ func TestStageStopsAtThresholdCrossing(t *testing.T) {
 
 func TestStageNoStopWhenFlat(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 2 * time.Millisecond })
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict != VerdictNoStop {
 		t.Fatalf("verdict = %v, want NoStop", sr.Verdict)
 	}
@@ -169,11 +180,11 @@ func TestMinSignificantSuppressesEarlyStops(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return 500 * time.Millisecond
 	})
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict != VerdictStopped {
 		t.Fatalf("verdict = %v, want Stopped", sr.Verdict)
 	}
@@ -197,11 +208,11 @@ func TestCheckPhaseRejectsTransient(t *testing.T) {
 		}
 		return time.Millisecond
 	})
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict != VerdictNoStop {
 		t.Fatalf("verdict = %v, want NoStop (transient rejected)", sr.Verdict)
 	}
@@ -221,11 +232,11 @@ func TestCheckPhaseDisabledAcceptsTransient(t *testing.T) {
 	})
 	cfg := testCfg()
 	cfg.CheckPhase = false
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict != VerdictStopped || sr.StoppingCrowd != 20 {
 		t.Fatalf("verdict = %v at %d, want Stopped at 20", sr.Verdict, sr.StoppingCrowd)
 	}
@@ -235,29 +246,29 @@ func TestTooFewClientsAborts(t *testing.T) {
 	plat := newFakePlatform(10, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
 	cfg.MinClients = 50
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err == nil {
 		t.Fatal("Register accepted 10 clients with MinClients=50")
 	}
-	if _, err := coord.RunExperiment(context.Background(), "fake", testProfile()); err == nil {
-		t.Error("RunExperiment did not propagate the abort")
+	if _, err := coord.Run(context.Background(), "fake", Stages, testProfile()); err == nil {
+		t.Error("Run did not propagate the abort")
 	}
 }
 
 func TestStageUnavailableWithoutContent(t *testing.T) {
 	plat := newFakePlatform(60, func(_, _ int) time.Duration { return 0 })
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
 	prof := &content.Profile{Host: "x", BaseURL: "/", ByKind: map[content.Kind]int{}}
-	if sr := coord.RunStage(context.Background(), StageLargeObject, prof); sr.Verdict != VerdictUnavailable {
+	if sr := stageOf(context.Background(), coord, StageLargeObject, prof); sr.Verdict != VerdictUnavailable {
 		t.Errorf("LargeObject verdict = %v, want Unavailable", sr.Verdict)
 	}
-	if sr := coord.RunStage(context.Background(), StageSmallQuery, prof); sr.Verdict != VerdictUnavailable {
+	if sr := stageOf(context.Background(), coord, StageSmallQuery, prof); sr.Verdict != VerdictUnavailable {
 		t.Errorf("SmallQuery verdict = %v, want Unavailable", sr.Verdict)
 	}
-	if sr := coord.RunStage(context.Background(), StageBase, prof); sr.Verdict == VerdictUnavailable {
+	if sr := stageOf(context.Background(), coord, StageBase, prof); sr.Verdict == VerdictUnavailable {
 		t.Error("Base stage requires no special content; must not be Unavailable")
 	}
 }
@@ -265,7 +276,7 @@ func TestStageUnavailableWithoutContent(t *testing.T) {
 func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +296,7 @@ func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 
 func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +313,7 @@ func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 
 func TestBaseStageUsesHEAD(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
-	coord := New(plat, testCfg())
+	coord := New(plat, testCfg(), nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +333,11 @@ func TestMultiRequestSchedulesMRequestsPerClient(t *testing.T) {
 	cfg := testCfg()
 	cfg.MultiRequest = 3
 	cfg.MaxCrowd = 10
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	for _, e := range sr.Epochs {
 		if e.Scheduled != e.Crowd*3 {
 			t.Errorf("epoch crowd %d scheduled %d, want %d", e.Crowd, e.Scheduled, e.Crowd*3)
@@ -349,11 +360,11 @@ func TestStoppingCrowdBracketsCrossingProperty(t *testing.T) {
 		})
 		cfg := testCfg()
 		cfg.MaxCrowd = 70
-		coord := New(plat, cfg)
+		coord := New(plat, cfg, nil)
 		if err := coord.register(); err != nil {
 			t.Fatal(err)
 		}
-		sr := coord.RunStage(context.Background(), StageBase, testProfile())
+		sr := stageOf(context.Background(), coord, StageBase, testProfile())
 		trueCross := int(cfg.Threshold/slope) + 1
 		wantLo := trueCross
 		if wantLo < minSignificant {
@@ -383,11 +394,11 @@ func TestStaggerUniformSpacesArrivals(t *testing.T) {
 	cfg := testCfg()
 	cfg.Stagger = 50 * time.Millisecond
 	cfg.MaxCrowd = 10
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	// The epoch wait must cover the staggered tail: with 10 clients at
 	// 50ms spacing the epoch spans at least 450ms extra.
 	if len(sr.Epochs) != 2 {
@@ -402,20 +413,19 @@ func TestStaggerUniformSpacesArrivals(t *testing.T) {
 func TestMeasurerReservationPreservesMinClients(t *testing.T) {
 	plat := newFakePlatform(24, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()
-	cfg.MinClients = 20
+	cfg.MinClients = 22 // 3 replicas would eat past the minimum if unchecked
 	cfg.MaxCrowd = 20
 	cfg.Measurers = []Request{{Method: "HEAD", URL: "/index.html"}}
-	cfg.MeasurerReplicas = 10 // would eat past the minimum if unchecked
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	if sr.Verdict == VerdictAborted {
 		t.Fatal("measurer reservation starved the crowd below MinClients")
 	}
-	if got := len(coord.measurers["/index.html"]); got != 4 {
-		t.Errorf("reserved %d measurers, want the 4 spare clients", got)
+	if got := len(coord.measurers["/index.html"]); got != 2 {
+		t.Errorf("reserved %d measurers, want the 2 spare clients", got)
 	}
 }
 
@@ -426,12 +436,11 @@ func TestMeasurerMediansRecorded(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxCrowd = 15
 	cfg.Measurers = []Request{{Method: "GET", URL: "/q?a"}}
-	cfg.MeasurerReplicas = 3
-	coord := New(plat, cfg)
+	coord := New(plat, cfg, nil)
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	sr := coord.RunStage(context.Background(), StageBase, testProfile())
+	sr := stageOf(context.Background(), coord, StageBase, testProfile())
 	for _, e := range sr.Epochs {
 		if _, ok := e.MeasurerMedians["/q?a"]; !ok {
 			t.Errorf("epoch crowd %d: no measurer median", e.Crowd)
@@ -443,8 +452,8 @@ func TestResultStringMentionsVerdicts(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 10 * time.Millisecond
 	})
-	coord := New(plat, testCfg())
-	res, err := coord.RunExperiment(context.Background(), "fake-host", testProfile())
+	coord := New(plat, testCfg(), nil)
+	res, err := coord.Run(context.Background(), "fake-host", Stages, testProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

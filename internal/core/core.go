@@ -105,10 +105,6 @@ type Config struct {
 	// Stagger is the staggered-MFC extension (§6): when > 0, client
 	// arrivals are spaced by this interval instead of synchronized.
 	Stagger time.Duration
-	// StaggerDist selects the inter-arrival distribution for staggered
-	// runs (§6: "other non-uniform distributions of inter-arrival times
-	// are also easy to implement"). Ignored when Stagger is zero.
-	StaggerDist StaggerDist
 
 	// Measurers is the §6 measurer extension: requests that designated
 	// non-crowd clients issue alongside every epoch, probing how the
@@ -116,10 +112,6 @@ type Config struct {
 	// bandwidth-intensive crowd impacts a database-intensive query).
 	// Measurer clients are reserved out of the crowd-eligible pool.
 	Measurers []Request
-	// MeasurerReplicas is how many reserved clients issue each measurer
-	// request per epoch (default 3; the median of their observations is
-	// recorded).
-	MeasurerReplicas int
 
 	// KeepSamples retains every per-request sample in the epoch results
 	// (memory-heavy; used by the synchronization analyses).
@@ -173,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.MultiRequest <= 0 {
 		c.MultiRequest = 1
 	}
-	if c.MeasurerReplicas <= 0 {
-		c.MeasurerReplicas = 3
-	}
 	return c
 }
 
@@ -187,25 +176,6 @@ func (c Config) Quantile(s Stage) float64 {
 		return 1 - c.LargeObserveFrac
 	}
 	return 1 - baseObserveFrac
-}
-
-// StaggerDist enumerates staggered-arrival inter-arrival distributions.
-type StaggerDist int
-
-const (
-	// StaggerUniform spaces arrivals exactly Stagger apart (the paper's "1
-	// request every m milliseconds").
-	StaggerUniform StaggerDist = iota
-	// StaggerExponential draws exponential inter-arrivals with mean
-	// Stagger — a Poisson arrival process, the shape of organic traffic.
-	StaggerExponential
-)
-
-func (d StaggerDist) String() string {
-	if d == StaggerExponential {
-		return "exponential"
-	}
-	return "uniform"
 }
 
 // Request is one HTTP request an MFC client issues.

@@ -100,7 +100,7 @@ type FaultInjected struct {
 }
 
 // ExperimentFinished is the terminal event, emitted exactly once per
-// experiment (RunExperiment or RunSingleStage), whatever the outcome.
+// Coordinator.Run, whatever the outcome.
 type ExperimentFinished struct {
 	Target string
 	// Result is the experiment outcome; nil when the experiment failed

@@ -22,11 +22,11 @@ func collectEvents(t *testing.T, cfg Config, mutate func(*Coordinator)) ([]Event
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
 	var events []Event
-	coord := New(plat, cfg, WithObserver(func(ev Event) { events = append(events, ev) }))
+	coord := New(plat, cfg, func(ev Event) { events = append(events, ev) })
 	if mutate != nil {
 		mutate(coord)
 	}
-	res, err := coord.RunExperiment(context.Background(), "fake", testProfile())
+	res, err := coord.Run(context.Background(), "fake", Stages, testProfile())
 	return events, res, err
 }
 
@@ -126,7 +126,7 @@ func TestCancelAbortsAtEpochBoundary(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration { return 0 })
 	ctx, cancel := context.WithCancel(context.Background())
 	var epochs, finished int
-	coord := New(plat, testCfg(), WithObserver(func(ev Event) {
+	coord := New(plat, testCfg(), func(ev Event) {
 		switch ev.(type) {
 		case EpochCompleted:
 			epochs++
@@ -136,8 +136,8 @@ func TestCancelAbortsAtEpochBoundary(t *testing.T) {
 		case ExperimentFinished:
 			finished++
 		}
-	}))
-	res, err := coord.RunExperiment(ctx, "fake", testProfile())
+	})
+	res, err := coord.Run(ctx, "fake", Stages, testProfile())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -163,8 +163,8 @@ func TestCancelSingleStage(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration { return 0 })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the run even starts
-	coord := New(plat, testCfg())
-	res, err := coord.RunSingleStage(ctx, "fake", StageBase, testProfile())
+	coord := New(plat, testCfg(), nil)
+	res, err := coord.Run(ctx, "fake", []Stage{StageBase}, testProfile())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -205,18 +205,18 @@ func TestCancelSimulatedNoLeaks(t *testing.T) {
 	epochs := 0
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
-		coord := New(plat, cfg, WithObserver(func(ev Event) {
+		coord := New(plat, cfg, func(ev Event) {
 			if _, ok := ev.(EpochCompleted); ok {
 				epochs++
 				if epochs == 3 {
 					cancel()
 				}
 			}
-		}))
+		})
 		if err := coord.register(); err != nil {
 			panic(err)
 		}
-		sr = coord.RunStage(ctx, StageBase, prof)
+		sr = stageOf(ctx, coord, StageBase, prof)
 	})
 	env.Run(0)
 
@@ -247,8 +247,8 @@ func TestLogObserverRendersLegacyLines(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 4 * time.Millisecond
 	})
-	coord := New(plat, testCfg(), WithObserver(LogObserver(logf)))
-	if _, err := coord.RunExperiment(context.Background(), "fake", testProfile()); err != nil {
+	coord := New(plat, testCfg(), LogObserver(logf))
+	if _, err := coord.Run(context.Background(), "fake", Stages, testProfile()); err != nil {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")

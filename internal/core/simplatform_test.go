@@ -36,11 +36,11 @@ func simStage(t *testing.T, mutate func(*SimPlatform, []SimClientSpec), cfg Conf
 	var sr *StageResult
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
-		coord := New(plat, cfg)
+		coord := New(plat, cfg, nil)
 		if err := coord.register(); err != nil {
 			panic(err)
 		}
-		sr = coord.RunStage(context.Background(), stage, prof)
+		sr = stageOf(context.Background(), coord, stage, prof)
 	})
 	env.Run(0)
 	return sr
@@ -140,11 +140,11 @@ func TestSimBaselineFailureDropsClient(t *testing.T) {
 	var nClients int
 	env.Go("coordinator", func(p *netsim.Proc) {
 		plat.Bind(p)
-		coord := New(plat, cfg)
+		coord := New(plat, cfg, nil)
 		if err := coord.register(); err != nil {
 			panic(err)
 		}
-		sr = coord.RunStage(context.Background(), StageLargeObject, prof)
+		sr = stageOf(context.Background(), coord, StageLargeObject, prof)
 		nClients = len(coord.clients)
 	})
 	env.Run(0)

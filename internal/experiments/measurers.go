@@ -73,7 +73,6 @@ func measurerRun(name string, srvCfg websim.Config, site *content.Site, crowdSta
 		{Method: "GET", URL: "/query.cgi?stats=1"},
 		{Method: "HEAD", URL: "/index.html"},
 	}
-	cfg.MeasurerReplicas = 3
 
 	run, err := mfc.Run(context.Background(), mfc.SimTarget{
 		Server: srvCfg, Site: site, Clients: 70, LAN: true, Seed: seed,

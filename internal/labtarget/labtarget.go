@@ -126,8 +126,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.model != nil {
 		// Small gathering window so a synchronized crowd is assembled
-		// before the pending count is sampled (see websim.Config.
-		// SyntheticSettle for the same rationale in simulation).
+		// before the pending count is sampled (see websim's
+		// syntheticSettle for the same rationale in simulation).
 		time.Sleep(20 * time.Millisecond)
 		pend = atomic.LoadInt64(&s.pending)
 		if d := s.model.Delay(int(pend)); d > 0 {

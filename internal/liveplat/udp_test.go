@@ -122,10 +122,10 @@ func TestUDPCoordinatorRunsStage(t *testing.T) {
 	cfg.ScheduleGuard = 200 * time.Millisecond
 	cfg.Threshold = time.Hour // no stop: we only exercise the machinery
 
-	coord := core.New(plat, cfg)
+	coord := core.New(plat, cfg, nil)
 	prof := &content.Profile{Host: ts.URL, BaseURL: "/index.html",
 		ByKind: map[content.Kind]int{}}
-	res, err := coord.RunSingleStage(context.Background(), ts.URL, core.StageBase, prof)
+	res, err := coord.Run(context.Background(), ts.URL, []core.Stage{core.StageBase}, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

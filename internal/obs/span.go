@@ -15,13 +15,14 @@ import (
 // records spans in *virtual* time inside a simulation, SpanRecorder records
 // what the fleet actually did — which worker held which shard when, how
 // long each job really took, how long a poller idled. It is built for
-// week-long campaigns: spans live in a bounded ring (appending past the
-// capacity overwrites the oldest and counts it dropped, so the recorder
-// can never OOM however long the campaign runs), the record hot path is
-// one short mutex hold with zero steady-state allocations (ring slots and
-// their attribute storage are reused in place), and a flusher drains the
-// ring to a sink — a spans.jsonl next to the shards, or the control
-// plane's POST /api/spans — well before it wraps.
+// week-long campaigns: spans live in a bounded ring (its storage grows as
+// spans arrive; appending past the capacity overwrites the oldest and
+// counts it dropped, so the recorder can never OOM however long the
+// campaign runs), the record hot path is one short mutex hold with zero
+// steady-state allocations (ring slots and their attribute storage are
+// reused in place), and a flusher drains the ring to a sink — a
+// spans.jsonl next to the shards, or the control plane's POST /api/spans —
+// well before it wraps.
 //
 // Spans form a tree per trace: every Start takes an optional parent span
 // id, and the campaign-wide trace id (deterministic from the plan) ties
@@ -36,7 +37,8 @@ type SpanRecorder struct {
 	trace   string
 	nextID  uint64
 	clk     clock.Clock // spans are stamped in its unix microseconds
-	ring    []Span      // preallocated slot storage, reused in place
+	ring    []Span      // slot storage, grown on demand and reused in place
+	ringCap int         // the capacity: bound on cap(ring)
 	head    int         // index of the oldest live slot
 	count   int         // live slots
 	dropped uint64
@@ -113,11 +115,7 @@ func NewSpanRecorder(worker string, capacity int) *SpanRecorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanRecorder{
-		worker: worker,
-		clk:    clock.Real,
-		ring:   make([]Span, capacity),
-	}
+	return &SpanRecorder{worker: worker, clk: clock.Real, ringCap: capacity}
 }
 
 // Worker returns the recorder's worker name ("" on a nil recorder).
@@ -237,13 +235,23 @@ func (r *SpanRecorder) Event(name, cat string, shard int, parent uint64, attrs .
 }
 
 // appendLocked copies *sp into the next ring slot, reusing the slot's
-// attribute storage; a full ring overwrites the oldest span.
+// attribute storage. A full ring below capacity grows; one at capacity
+// overwrites the oldest span.
 func (r *SpanRecorder) appendLocked(sp *Span) {
 	var pos int
-	if r.count < len(r.ring) {
+	switch {
+	case r.count < len(r.ring):
 		pos = (r.head + r.count) % len(r.ring)
 		r.count++
-	} else {
+	case len(r.ring) < r.ringCap:
+		// Grow. head is 0 here: it only moves once the ring is at capacity.
+		if len(r.ring) == cap(r.ring) {
+			r.ring = append(make([]Span, 0, min(max(2*len(r.ring), 64), r.ringCap)), r.ring...)
+		}
+		pos = len(r.ring)
+		r.ring = r.ring[:pos+1]
+		r.count++
+	default:
 		pos = r.head
 		r.head = (r.head + 1) % len(r.ring)
 		r.dropped++

@@ -98,6 +98,37 @@ func TestSpanRecorderRingOverflow(t *testing.T) {
 	}
 }
 
+// TestSpanRecorderGrowsToCapacity: a fresh recorder holds no slot
+// storage, the storage grows as spans arrive but never past the
+// capacity, and recording past it without a Drain drops and counts
+// exactly the overflow.
+func TestSpanRecorderGrowsToCapacity(t *testing.T) {
+	const capacity, extra = 100, 7
+	r := NewSpanRecorder("w", capacity)
+	if cap(r.ring) != 0 {
+		t.Fatalf("fresh recorder holds %d slots, want 0", cap(r.ring))
+	}
+	fakeClock(r, 0, 1)
+	for i := 0; i < capacity+extra; i++ {
+		r.Event("e", "c", i, 0)
+		if cap(r.ring) > capacity {
+			t.Fatalf("after %d spans the ring holds %d slots, capacity %d", i+1, cap(r.ring), capacity)
+		}
+	}
+	if got := r.Dropped(); got != extra {
+		t.Fatalf("Dropped() = %d, want %d", got, extra)
+	}
+	spans := r.Drain(nil)
+	if len(spans) != capacity {
+		t.Fatalf("drained %d, want %d", len(spans), capacity)
+	}
+	for i, sp := range spans {
+		if sp.Shard != i+extra {
+			t.Fatalf("span %d has shard %d, want %d (oldest overwritten first)", i, sp.Shard, i+extra)
+		}
+	}
+}
+
 func TestSpanRecorderCloseOpenPartial(t *testing.T) {
 	r := NewSpanRecorder("w", 8)
 	fakeClock(r, 0, 5)

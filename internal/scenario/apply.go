@@ -59,10 +59,14 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 		weights[i] = w
 		total += w
 	}
+	// One source, reseeded per client: a Rand keeps no Float64 state of
+	// its own, so this draws what a fresh source per client would.
+	var src rng.Source
+	r := rand.New(&src)
 	specs := make([]core.SimClientSpec, n)
 	for i := range specs {
-		rng := rand.New(rng.New(population.MixSeed(seed, int64(i))))
-		x := rng.Float64() * total
+		src.Seed(population.MixSeed(seed, int64(i)))
+		x := r.Float64() * total
 		k := 0
 		for k < len(weights)-1 && x >= weights[k] {
 			x -= weights[k]
@@ -78,7 +82,7 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 			bw = 4e6
 		}
 		// Spread the individual client ±jitter around the band center.
-		spread := 1 + jitter*(2*rng.Float64()-1)
+		spread := 1 + jitter*(2*r.Float64()-1)
 		rtt := time.Duration(float64(b.RTT) * spread)
 		name := b.Name
 		if name == "" {
@@ -89,7 +93,7 @@ func (c *Config) Specs(seed int64, n int) []core.SimClientSpec {
 			TargetRTT: rtt,
 			CtrlRTT:   time.Duration(float64(rtt) * 0.8),
 			Bandwidth: bw,
-			Jitter:    0.02 + 0.06*rng.Float64(),
+			Jitter:    0.02 + 0.06*r.Float64(),
 		}
 	}
 	return specs

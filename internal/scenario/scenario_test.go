@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +13,8 @@ import (
 	"mfc/internal/content"
 	"mfc/internal/core"
 	"mfc/internal/netsim"
+	"mfc/internal/population"
+	"mfc/internal/rng"
 	"mfc/internal/websim"
 )
 
@@ -204,6 +209,77 @@ func TestSpecsWeightingAndJitter(t *testing.T) {
 	// 9:1 weighting over 2000 clients: expect ~1800 near, generous slack.
 	if near < 1700 || near > 1900 {
 		t.Errorf("near band got %d of 2000 clients, want ~1800", near)
+	}
+}
+
+// TestSpecsMatchFreshSourcePerClient: Specs reseeds one source per client
+// in place; every spec must equal what a fresh source seeded with the
+// client's mixed seed draws.
+func TestSpecsMatchFreshSourcePerClient(t *testing.T) {
+	c, err := Parse("global-clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 65
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		got := c.Specs(seed, n)
+		for i, sp := range got {
+			r := rand.New(rng.New(population.MixSeed(seed, int64(i))))
+			x := r.Float64() * 10 // the bands' weights are 5, 4 and 1
+			k := 0
+			for k < len(c.RTTBands)-1 && x >= c.RTTBands[k].Weight {
+				x -= c.RTTBands[k].Weight
+				k++
+			}
+			b := c.RTTBands[k]
+			jitter := b.Jitter
+			if jitter == 0 {
+				jitter = 0.2
+			}
+			rtt := time.Duration(float64(b.RTT) * (1 + jitter*(2*r.Float64()-1)))
+			want := core.SimClientSpec{
+				ID:        fmt.Sprintf("%s-%03d", b.Name, i),
+				TargetRTT: rtt,
+				CtrlRTT:   time.Duration(float64(rtt) * 0.8),
+				Bandwidth: b.Bandwidth,
+				Jitter:    0.02 + 0.06*r.Float64(),
+			}
+			if sp != want {
+				t.Fatalf("seed %d client %d: got %+v, want %+v", seed, i, sp, want)
+			}
+		}
+	}
+}
+
+// raceEnabled is set under the race detector, which drops sync.Pool puts
+// at random and so inflates fmt's allocations past any budget.
+var raceEnabled bool
+
+// TestAllocBudgetSpecs: a 65-client global-clients population reseeds one
+// source per call instead of allocating one per client (355 KB and 197
+// allocations before; 11 KB and 133 after).
+func TestAllocBudgetSpecs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, err := Parse("global-clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 65
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		c.Specs(seed, n)
+		seed++
+	})
+	runtime.ReadMemStats(&after)
+	if allocs > 140 {
+		t.Errorf("Specs(seed, %d) makes %.0f allocations per call, budget 140", n, allocs)
+	}
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / uint64(seed); perCall > 16<<10 {
+		t.Errorf("Specs(seed, %d) allocates %d B per call, budget 16 KB", n, perCall)
 	}
 }
 

@@ -79,10 +79,7 @@ func TestQueryCacheHitSkipsBackend(t *testing.T) {
 
 func TestSyntheticServerAppliesModel(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{
-		Synthetic:       StepModel{Knee: 3, High: 300 * time.Millisecond},
-		SyntheticSettle: 10 * time.Millisecond,
-	}
+	cfg := Config{Synthetic: StepModel{Knee: 3, High: 300 * time.Millisecond}}
 	srv := NewServer(env, cfg, smallSite(t))
 	var times []time.Duration
 	for i := 0; i < 5; i++ {
@@ -103,10 +100,7 @@ func TestSyntheticServerAppliesModel(t *testing.T) {
 
 func TestSyntheticTimeoutRespected(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{
-		Synthetic:       StepModel{Knee: 0, High: 5 * time.Second},
-		SyntheticSettle: time.Millisecond,
-	}
+	cfg := Config{Synthetic: StepModel{Knee: 0, High: 5 * time.Second}}
 	srv := NewServer(env, cfg, smallSite(t))
 	var resp Response
 	env.Go("c", func(p *netsim.Proc) {

@@ -179,14 +179,15 @@ type Config struct {
 	// Synthetic, when non-nil, replaces the entire resource pipeline with a
 	// synthetic response-time model (used by the §3.1 validation server).
 	Synthetic SyntheticModel
-	// SyntheticSettle is the gathering window of the synthetic server
-	// (default 50ms): a request waits this long before sampling the pending
-	// count, so a synchronized crowd is fully assembled and every member
-	// observes pending ≈ crowd size, matching the §3.1 validation server's
-	// behaviour. Baselines include the same constant, so normalized
-	// response times are unaffected.
-	SyntheticSettle time.Duration
 }
+
+// syntheticSettle is the gathering window of the synthetic server: a
+// request waits this long before sampling the pending count, so a
+// synchronized crowd is fully assembled and every member observes
+// pending ≈ crowd size, matching the §3.1 validation server's behaviour.
+// Baselines include the same constant, so normalized response times are
+// unaffected.
+const syntheticSettle = 50 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
@@ -242,9 +243,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.SyntheticSettle <= 0 {
-		c.SyntheticSettle = 50 * time.Millisecond
 	}
 	if c.LimitRate > 0 && c.LimitBurst <= 0 {
 		c.LimitBurst = int(c.LimitRate)
@@ -655,9 +653,9 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			s.pending++
 			if s.cfg.Synthetic != nil {
 				// Gathering window: let the synchronized crowd assemble before
-				// sampling the pending count (see Config.SyntheticSettle).
+				// sampling the pending count (see syntheticSettle).
 				c.state = callSettled
-				return p.BeginSleep(s.cfg.SyntheticSettle)
+				return p.BeginSleep(syntheticSettle)
 			}
 			// Parse (plus the base page's heavier handling when applicable).
 			parse := s.cfg.ParseCPU

@@ -30,19 +30,6 @@ type (
 	Assessment = core.Assessment
 	// Finding is one sub-system conclusion.
 	Finding = core.Finding
-	// Coordinator orchestrates experiments over a Platform.
-	Coordinator = core.Coordinator
-	// Platform abstracts where clients run (simulation, in-process live,
-	// remote UDP agents).
-	Platform = core.Platform
-	// Client is one MFC participant.
-	Client = core.Client
-	// Baseline is a client's delay-computation outcome.
-	Baseline = core.Baseline
-	// Clock abstracts virtual vs. wall time.
-	Clock = core.Clock
-	// StaggerDist selects the staggered-arrival inter-arrival distribution.
-	StaggerDist = core.StaggerDist
 	// EpochKind distinguishes regular ramp epochs from check-phase epochs.
 	EpochKind = core.EpochKind
 )
@@ -83,12 +70,6 @@ const (
 // LogObserver renders events as human-readable progress lines through
 // logf (e.g. log.Printf) — the migration path for -v style CLI flags.
 func LogObserver(logf func(string, ...any)) Observer { return core.LogObserver(logf) }
-
-// Stagger distribution constants.
-const (
-	StaggerUniform     = core.StaggerUniform
-	StaggerExponential = core.StaggerExponential
-)
 
 // Stage constants.
 const (

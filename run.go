@@ -163,14 +163,14 @@ func Run(ctx context.Context, t Target, cfg Config, opts ...RunOption) (*Session
 	}
 
 	run := &Session{Profile: prof}
-	coord := core.New(s.platform, cfg, core.WithObserver(ro.observer))
+	coord := core.New(s.platform, cfg, ro.observer)
 	var expErr error
 	s.execute(func() {
+		stages := core.Stages
 		if ro.stage != nil {
-			run.Result, expErr = coord.RunSingleStage(ctx, s.host, *ro.stage, prof)
-		} else {
-			run.Result, expErr = coord.RunExperiment(ctx, s.host, prof)
+			stages = []Stage{*ro.stage}
 		}
+		run.Result, expErr = coord.Run(ctx, s.host, stages, prof)
 	})
 	if s.finish != nil {
 		s.finish(run)
