@@ -33,8 +33,9 @@ api:
 	$(GO) doc -all . > api.txt
 
 apicheck:
-	@$(GO) doc -all . > /tmp/api-current.txt; \
-	if ! diff -u api.txt /tmp/api-current.txt; then \
+	@cur=$$(mktemp); trap 'rm -f "$$cur"' EXIT; \
+	$(GO) doc -all . > "$$cur" || exit 1; \
+	if ! diff -u api.txt "$$cur"; then \
 		echo "public API surface drifted: run 'make api' and review the diff"; exit 1; fi
 
 vet:

@@ -92,7 +92,6 @@ import (
 	"mfc/internal/core"
 	"mfc/internal/obs"
 	"mfc/internal/population"
-	"mfc/internal/scenario"
 )
 
 func main() {
@@ -221,10 +220,7 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	scl, err := parseScenarios(*scenarios)
-	if err != nil {
-		return err
-	}
+	scl := parseScenarios(*scenarios)
 	if *name == "" {
 		*name = fmt.Sprintf("%dband-%dstage-%dsites", len(bl), len(sl), *sites)
 	}
@@ -258,24 +254,18 @@ func parseBands(s string) ([]population.Band, error) {
 	return out, nil
 }
 
-// parseScenarios resolves the -scenarios sweep list against the scenario
-// registry at plan time (satellite of the plan-validation fix: a typo'd
-// name fails here, with the known names, never mid-campaign).
-func parseScenarios(s string) ([]string, error) {
+// parseScenarios splits the -scenarios sweep list. campaign.NewPlan
+// resolves each name against the scenario registry, so a typo'd name fails
+// at plan time, with the known names, never mid-campaign.
+func parseScenarios(s string) []string {
 	if strings.TrimSpace(s) == "" {
-		return nil, nil
+		return nil
 	}
 	var out []string
 	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name != "" {
-			if _, err := scenario.Parse(name); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, name)
+		out = append(out, strings.TrimSpace(name))
 	}
-	return out, nil
+	return out
 }
 
 func parseStages(s string) ([]core.Stage, error) {

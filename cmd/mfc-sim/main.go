@@ -104,7 +104,7 @@ func main() {
 		for _, name := range mfc.ScenarioNames() {
 			sc, _ := mfc.ParseScenario(name)
 			effects := strings.Join(sc.Effects(), " ")
-			if sc.Diurnal != nil {
+			if sc.DiurnalActive() {
 				effects += " (needs -bg)"
 			}
 			fmt.Printf("%-15s %s\n", name, effects)
@@ -119,7 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mfc-sim: %v\n", err)
 			os.Exit(2)
 		}
-		if scenario.Diurnal != nil && *bgRate <= 0 {
+		if scenario.DiurnalActive() && *bgRate <= 0 {
 			fmt.Fprintf(os.Stderr, "mfc-sim: -scenario %s modulates background traffic: set -bg above 0\n", *scen)
 			os.Exit(2)
 		}

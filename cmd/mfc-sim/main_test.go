@@ -76,8 +76,8 @@ func TestScenarioNeedsBackground(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if marked := strings.HasSuffix(line, " (needs -bg)"); marked != (sc.Diurnal != nil) {
-			t.Errorf("-list-scenarios line %q: marked %t, scenario modulates background %t", line, marked, sc.Diurnal != nil)
+		if marked := strings.HasSuffix(line, " (needs -bg)"); marked != sc.DiurnalActive() {
+			t.Errorf("-list-scenarios line %q: marked %t, scenario modulates background %t", line, marked, sc.DiurnalActive())
 		}
 	}
 	if !strings.Contains(list, "(needs -bg)") {

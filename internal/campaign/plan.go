@@ -151,10 +151,10 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// checkScenario resolves a cell's scenario and refuses a diurnal one: it
-// modulates background traffic, which campaign jobs do not run.
+// checkScenario resolves a cell's scenario and refuses an active diurnal
+// one: it modulates background traffic, which campaign jobs do not run.
 func checkScenario(name string) error {
-	if sc, err := scenario.Parse(name); err != nil || sc.Diurnal == nil {
+	if sc, err := scenario.Parse(name); err != nil || !sc.DiurnalActive() {
 		return err
 	}
 	return fmt.Errorf("campaign: scenario %q modulates background traffic, which campaign jobs do not run", name)

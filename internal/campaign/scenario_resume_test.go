@@ -138,6 +138,12 @@ func TestPlanRejectsDiurnalScenario(t *testing.T) {
 			t.Errorf("NewPlan(%s) = %v, want a background-traffic error", sc, err)
 		}
 	}
+	// An inert diurnal modulates nothing and passes like any inert effect.
+	still := `{"name":"still","diurnal":{}}`
+	if _, err := NewPlan("still", []population.Band{population.Rank1M},
+		[]core.Stage{core.StageBase}, []string{"", still}, 1, 1); err != nil {
+		t.Errorf("NewPlan(%s) = %v, want an inert diurnal accepted", still, err)
+	}
 	for _, name := range Scenarios() {
 		if name == "diurnal" {
 			t.Error("Scenarios lists diurnal, which a plan refuses")

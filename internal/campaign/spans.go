@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,11 +72,7 @@ func (w *SpanWriter) Write(spans []obs.Span) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	bw := bufio.NewWriter(w.f)
-	if err := obs.WriteSpansJSONL(bw, spans); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return obs.WriteSpansJSONL(w.f, spans)
 }
 
 // Close closes the underlying file.

@@ -22,14 +22,10 @@ func (c *Config) WrapServer(cfg websim.Config) websim.Config {
 		return cfg
 	}
 	if rl := c.RateLimit; rl != nil && rl.Rate > 0 {
-		cfg.LimitRate = rl.Rate
-		cfg.LimitBurst = rl.Burst
-		cfg.LimitReject = rl.Reject
-		cfg.LimitJunk = rl.Junk
+		cfg.RateLimit = *rl
 	}
 	if fc := c.FrontCache; fc != nil && fc.HitRatio > 0 {
-		cfg.EdgeHitRatio = fc.HitRatio
-		cfg.EdgeBandwidth = fc.Bandwidth
+		cfg.FrontCache = *fc
 	}
 	if c.Loss > 0 {
 		cfg.PathLoss = c.Loss
@@ -144,12 +140,11 @@ func (c *Config) Start(h Hooks) *Controller {
 		// by WrapServer.
 		access.SetLoss(c.Loss)
 	}
-	if d := c.Diurnal; d != nil && d.Period > 0 && d.High > 0 &&
-		h.Background != nil && h.Background.Rate() > 0 {
-		ctl.startDiurnal(h.Env, h.Background, d)
+	if c.DiurnalActive() && h.Background != nil && h.Background.Rate() > 0 {
+		ctl.startDiurnal(h.Env, h.Background, c.Diurnal)
 	}
 	if ct := c.CrossTraffic; ct != nil && ct.PeakRate > 0 {
-		ctl.startCrossTraffic(h.Env, h.Server, ct)
+		ctl.startCrossTraffic(h.Env, h.Server, *ct)
 	}
 	for _, f := range c.Faults {
 		if !faultInert(f) {
@@ -218,16 +213,11 @@ func (d *diurnal) Step(p *netsim.Proc) bool {
 // process, with the flash crowd's defaults (60 s ramp, 30 s hold, 60 ms
 // and 1 MB/s visitors, 10 s budget), aimed at one URL (the site's largest
 // static object unless configured; a site with none gets no visitors).
-func (ctl *Controller) startCrossTraffic(env *netsim.Env, srv *websim.Server, ct *CrossTraffic) {
-	url := ct.URL
-	if url == "" {
-		url = largestStatic(srv.Site())
+func (ctl *Controller) startCrossTraffic(env *netsim.Env, srv *websim.Server, ct websim.FlashCrowdConfig) {
+	if ct.URL == "" {
+		ct.URL = largestStatic(srv.Site())
 	}
-	ctl.surge = websim.NewRampArrivals(srv, "xt", websim.FlashCrowdConfig{
-		URL: url, PeakRate: ct.PeakRate, RampUp: ct.RampUp, Hold: ct.Hold,
-		ClientRTT: ct.ClientRTT, ClientBW: ct.ClientBW,
-	})
-	ctl.surge.StartAt = ct.StartAt
+	ctl.surge = websim.NewRampArrivals(srv, "xt", ct)
 	env.Spawn("scenario/cross-traffic", ctl.surge)
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"mfc/internal/websim"
 )
 
 // The named scenarios. Each entry builds a fresh Config so callers can
@@ -41,14 +43,14 @@ var presets = map[string]func() *Config{
 	// defaults to the rate, 400, so a crowd of 50 or fewer never drains it
 	// and the measurement equals the clean one.
 	"throttled": func() *Config {
-		return &Config{Name: "throttled", RateLimit: &RateLimit{Rate: 400}}
+		return &Config{Name: "throttled", RateLimit: &websim.RateLimit{Rate: 400}}
 	},
 	// waf-reject: the same budget enforced by a fail-fast WAF — over-limit
 	// requests get an immediate 429, hidden from latency-based detection
 	// but caught by the error-class floor. Like throttled, a crowd of 50
 	// or fewer never reaches the limit (see EXPERIMENTS.md).
 	"waf-reject": func() *Config {
-		return &Config{Name: "waf-reject", RateLimit: &RateLimit{Rate: 400, Reject: true}}
+		return &Config{Name: "waf-reject", RateLimit: &websim.RateLimit{Rate: 400, Reject: true}}
 	},
 	// fast-junk-200: an aggressive origin-protecting tier (20 req/s,
 	// burst 5 — deep enough into MFC's synchronized bursts to fire, like
@@ -58,11 +60,11 @@ var presets = map[string]func() *Config{
 	// open evasion from EXPERIMENTS.md — MFC's verdict flips to NoStop
 	// even though real service stopped degrading honestly.
 	"fast-junk-200": func() *Config {
-		return &Config{Name: "fast-junk-200", RateLimit: &RateLimit{Rate: 20, Burst: 5, Junk: true}}
+		return &Config{Name: "fast-junk-200", RateLimit: &websim.RateLimit{Rate: 20, Burst: 5, Junk: true}}
 	},
 	// cdn: 80% of cacheable requests served at the edge.
 	"cdn": func() *Config {
-		return &Config{Name: "cdn", FrontCache: &FrontCache{HitRatio: 0.8}}
+		return &Config{Name: "cdn", FrontCache: &websim.FrontCache{HitRatio: 0.8}}
 	},
 	// global-clients: a three-band worldwide population instead of the
 	// PlanetLab-ish default — nearby broadband, transcontinental, and a
@@ -85,7 +87,7 @@ var presets = map[string]func() *Config{
 	// flash-crowd: an organic surge ramping to 30 req/s against the
 	// site's biggest object, starting 30s into the experiment.
 	"flash-crowd": func() *Config {
-		return &Config{Name: "flash-crowd", CrossTraffic: &CrossTraffic{
+		return &Config{Name: "flash-crowd", CrossTraffic: &websim.FlashCrowdConfig{
 			PeakRate: 30, StartAt: 30 * time.Second,
 			RampUp: 60 * time.Second, Hold: 60 * time.Second,
 		}}

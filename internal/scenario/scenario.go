@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"mfc/internal/websim"
 )
 
 // Config declares one scenario. The zero Config is the clean environment:
@@ -48,16 +50,17 @@ type Config struct {
 	// from (seed, client index).
 	RTTBands []RTTBand `json:"rtt_bands,omitempty"`
 
-	// RateLimit puts a token-bucket throttling tier (WAF / reverse proxy)
-	// in front of the server's worker pool.
-	RateLimit *RateLimit `json:"rate_limit,omitempty"`
-	// FrontCache puts a CDN/cache tier in front of the origin.
-	FrontCache *FrontCache `json:"front_cache,omitempty"`
+	// RateLimit puts websim's token-bucket throttling tier (WAF / reverse
+	// proxy) in front of the server's worker pool.
+	RateLimit *websim.RateLimit `json:"rate_limit,omitempty"`
+	// FrontCache puts websim's CDN/cache tier in front of the origin.
+	FrontCache *websim.FrontCache `json:"front_cache,omitempty"`
 	// Diurnal modulates the run's background-traffic rate sinusoidally.
 	Diurnal *Diurnal `json:"diurnal,omitempty"`
-	// CrossTraffic aims an organic flash crowd at the server while the
-	// experiment runs.
-	CrossTraffic *CrossTraffic `json:"cross_traffic,omitempty"`
+	// CrossTraffic aims an organic flash crowd (websim's ramp arrivals) at
+	// the server while the experiment runs. Its URL defaults to the site's
+	// largest static object.
+	CrossTraffic *websim.FlashCrowdConfig `json:"cross_traffic,omitempty"`
 
 	// Faults are the chaos controller's scheduled mid-experiment triggers.
 	Faults []Fault `json:"faults,omitempty"`
@@ -78,32 +81,6 @@ type RTTBand struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// RateLimit configures the websim token-bucket tier (see websim.Config
-// LimitRate/LimitBurst/LimitReject for the semantics of each mode).
-type RateLimit struct {
-	// Rate is admitted requests/sec; 0 disables the tier.
-	Rate float64 `json:"rate"`
-	// Burst is the bucket depth (default: Rate, min 1).
-	Burst int `json:"burst,omitempty"`
-	// Reject refuses over-limit requests with 429 instead of delaying
-	// them.
-	Reject bool `json:"reject,omitempty"`
-	// Junk answers over-limit requests with instant tiny bogus 200s
-	// instead of delaying or refusing them — the evasive tier that hides
-	// overload from both latency-quantile and error-class detection.
-	// Mutually exclusive with Reject.
-	Junk bool `json:"junk,omitempty"`
-}
-
-// FrontCache configures the websim CDN/cache front tier.
-type FrontCache struct {
-	// HitRatio is the fraction of cacheable requests served at the edge,
-	// in [0, 1]; 0 disables the tier.
-	HitRatio float64 `json:"hit_ratio"`
-	// Bandwidth is the edge transfer rate in bytes/sec (default 125 MB/s).
-	Bandwidth float64 `json:"bandwidth,omitempty"`
-}
-
 // Diurnal modulates background load as base × (mid − amp·cos(2πt/Period)),
 // sweeping the rate between Low× and High× the configured base rate over
 // each Period. Period 0 or High 0 disables.
@@ -112,26 +89,6 @@ type Diurnal struct {
 	// Low and High are the trough and peak rate multipliers (High ≥ Low).
 	Low  float64 `json:"low"`
 	High float64 `json:"high"`
-}
-
-// CrossTraffic is a flash crowd hitting the server during the experiment:
-// arrivals ramp linearly from zero to PeakRate over RampUp, hold for Hold,
-// then stop — concentrated on one URL like websim's organic flash crowds.
-type CrossTraffic struct {
-	// URL every cross-traffic visitor requests (default: the site's
-	// largest static object).
-	URL string `json:"url,omitempty"`
-	// PeakRate is requests/sec at the top of the ramp; 0 disables.
-	PeakRate float64 `json:"peak_rate"`
-	// StartAt delays the ramp's start into the experiment.
-	StartAt time.Duration `json:"start_at,omitempty"`
-	// RampUp and Hold shape the surge (defaults 60s and 30s).
-	RampUp time.Duration `json:"ramp_up,omitempty"`
-	Hold   time.Duration `json:"hold,omitempty"`
-	// ClientRTT/ClientBW describe the surge's visitors (defaults 60ms,
-	// 1 MB/s).
-	ClientRTT time.Duration `json:"client_rtt,omitempty"`
-	ClientBW  float64       `json:"client_bw,omitempty"`
 }
 
 // Fault kinds understood by the chaos controller.
@@ -171,6 +128,13 @@ func (c *Config) Label() string {
 		return "custom"
 	}
 	return c.Name
+}
+
+// DiurnalActive reports whether the scenario modulates background traffic:
+// it has a diurnal effect with a positive Period and High. An inert diurnal
+// is a pass-through like every other inert effect.
+func (c *Config) DiurnalActive() bool {
+	return c != nil && c.Diurnal != nil && c.Diurnal.Period > 0 && c.Diurnal.High > 0
 }
 
 // Validate checks the configuration's static invariants. A valid scenario
@@ -300,8 +264,8 @@ func (c *Config) Effects() []string {
 		}
 		out = append(out, fmt.Sprintf("rate-limit=%g/s,%s", rl.Rate, mode))
 	}
-	if d := c.Diurnal; d != nil && d.Period > 0 && d.High > 0 {
-		out = append(out, fmt.Sprintf("diurnal=%v", d.Period))
+	if c.DiurnalActive() {
+		out = append(out, fmt.Sprintf("diurnal=%v", c.Diurnal.Period))
 	}
 	if ct := c.CrossTraffic; ct != nil && ct.PeakRate > 0 {
 		out = append(out, fmt.Sprintf("cross-traffic=%g/s@%v", ct.PeakRate, ct.StartAt))

@@ -94,6 +94,7 @@ func TestDecodeStrict(t *testing.T) {
 		`{"front_cache":{"hit_ratio":1.5}}`,
 		`{"diurnal":{"period":60000000000,"low":2,"high":1}}`,
 		`{"cross_traffic":{"peak_rate":-5}}`,
+		`{"cross_traffic":{"method":"HEAD"}}`, // the surge's method is not configurable
 		`{"faults":[{"kind":"meteor","at":0}]}`,
 		`{"faults":[{"kind":"flap","at":-1}]}`,
 		`not json`,
@@ -124,10 +125,10 @@ func TestEffectsCanonicalAndInertOmitted(t *testing.T) {
 	c := &Config{
 		Loss:         0.01,
 		RTTBands:     []RTTBand{{RTT: 50 * time.Millisecond}},
-		FrontCache:   &FrontCache{HitRatio: 0.8},
-		RateLimit:    &RateLimit{Rate: 400, Reject: true},
+		FrontCache:   &websim.FrontCache{HitRatio: 0.8},
+		RateLimit:    &websim.RateLimit{Rate: 400, Reject: true},
 		Diurnal:      &Diurnal{Period: 4 * time.Minute, Low: 0.2, High: 2},
-		CrossTraffic: &CrossTraffic{PeakRate: 30, StartAt: 30 * time.Second},
+		CrossTraffic: &websim.FlashCrowdConfig{PeakRate: 30, StartAt: 30 * time.Second},
 		Faults: []Fault{
 			{Kind: FaultFlap, At: time.Minute, Duration: 5 * time.Second},
 			{Kind: FaultFlap, At: 2 * time.Minute},                // inert: no duration
@@ -144,10 +145,10 @@ func TestEffectsCanonicalAndInertOmitted(t *testing.T) {
 
 	// Configured-but-zero-intensity effects are valid and invisible.
 	inert := &Config{
-		RateLimit:    &RateLimit{},
-		FrontCache:   &FrontCache{},
+		RateLimit:    &websim.RateLimit{},
+		FrontCache:   &websim.FrontCache{},
 		Diurnal:      &Diurnal{},
-		CrossTraffic: &CrossTraffic{},
+		CrossTraffic: &websim.FlashCrowdConfig{},
 		Faults:       []Fault{{Kind: FaultLossBurst, At: time.Minute}},
 	}
 	if err := inert.Validate(); err != nil {
@@ -298,13 +299,13 @@ func TestWrapServerCopiesOnlyActiveEffects(t *testing.T) {
 	wrapped := (&Config{
 		Loss:       0.01,
 		LossRTO:    200 * time.Millisecond,
-		RateLimit:  &RateLimit{Rate: 100, Burst: 10, Reject: true},
-		FrontCache: &FrontCache{HitRatio: 0.5, Bandwidth: 1e6},
+		RateLimit:  &websim.RateLimit{Rate: 100, Burst: 10, Reject: true},
+		FrontCache: &websim.FrontCache{HitRatio: 0.5, Bandwidth: 1e6},
 	}).WrapServer(base)
-	if wrapped.LimitRate != 100 || wrapped.LimitBurst != 10 || !wrapped.LimitReject {
+	if wrapped.RateLimit != (websim.RateLimit{Rate: 100, Burst: 10, Reject: true}) {
 		t.Errorf("rate limit not applied: %+v", wrapped)
 	}
-	if wrapped.EdgeHitRatio != 0.5 || wrapped.EdgeBandwidth != 1e6 {
+	if wrapped.FrontCache != (websim.FrontCache{HitRatio: 0.5, Bandwidth: 1e6}) {
 		t.Errorf("front cache not applied: %+v", wrapped)
 	}
 	if wrapped.PathLoss != 0.01 || wrapped.LossRTO != 200*time.Millisecond {
@@ -315,7 +316,7 @@ func TestWrapServerCopiesOnlyActiveEffects(t *testing.T) {
 	}
 
 	// Zero-intensity tiers leave the config bit-for-bit alone.
-	inert := (&Config{RateLimit: &RateLimit{}, FrontCache: &FrontCache{}}).WrapServer(base)
+	inert := (&Config{RateLimit: &websim.RateLimit{}, FrontCache: &websim.FrontCache{}}).WrapServer(base)
 	if !reflect.DeepEqual(inert, base) {
 		t.Errorf("inert WrapServer changed the config:\n%+v\n%+v", inert, base)
 	}
@@ -410,7 +411,7 @@ func crossTrafficArrivals(srv *websim.Server) (n int, last time.Duration) {
 
 var generatorsOnly = Config{
 	Diurnal:      &Diurnal{Period: 16 * time.Second, Low: 0.5, High: 4},
-	CrossTraffic: &CrossTraffic{PeakRate: 40, RampUp: 5 * time.Second, Hold: 5 * time.Second, StartAt: 2 * time.Second},
+	CrossTraffic: &websim.FlashCrowdConfig{PeakRate: 40, RampUp: 5 * time.Second, Hold: 5 * time.Second, StartAt: 2 * time.Second},
 }
 
 func TestGeneratorsStopBeforeFirstWakeup(t *testing.T) {
@@ -492,7 +493,7 @@ func TestCrossTrafficWithoutStaticObjectSpawnsNobody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Config{CrossTraffic: &CrossTraffic{PeakRate: 40}}
+	c := &Config{CrossTraffic: &websim.FlashCrowdConfig{PeakRate: 40}}
 	env := netsim.NewEnv(4)
 	srv := websim.NewServer(env, websim.Config{}, site)
 	c.Start(Hooks{Env: env, Server: srv})

@@ -46,14 +46,6 @@ type BackgroundTraffic struct {
 	cfg     BackgroundConfig
 	srv     *Server
 	stopped bool
-
-	sent      uint64
-	completed uint64
-	errored   uint64
-
-	// visitor hooks, bound once
-	countSent func()
-	countDone func(*Visit, Response)
 }
 
 // StartBackground launches the generator's arrival processes: stackless
@@ -61,14 +53,6 @@ type BackgroundTraffic struct {
 // bursts) it is inert: nothing is scheduled.
 func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *BackgroundTraffic {
 	bt := &BackgroundTraffic{cfg: cfg.withDefaults(), srv: srv}
-	bt.countSent = func() { bt.sent++ }
-	bt.countDone = func(_ *Visit, resp Response) {
-		if resp.Err != nil {
-			bt.errored++
-		} else {
-			bt.completed++
-		}
-	}
 	arrivals, bursts := cfg.Rate > 0, cfg.BurstSize > 0 && cfg.BurstEvery > 0
 	if !arrivals && !bursts {
 		return bt
@@ -116,7 +100,7 @@ func (g *bgBursts) Step(p *netsim.Proc) bool {
 				ClientBW:  backgroundBW,
 				Deadline:  env.Now() + offset + visitorTimeout,
 			}
-			env.SpawnAfter("bg-burst-req", offset, bt.srv.NewVisit("bg", req, bt.countSent, bt.countDone))
+			env.SpawnAfter("bg-burst-req", offset, bt.srv.NewVisit("bg", req, nil))
 		}
 	}
 	g.started = true
@@ -169,7 +153,6 @@ func (g *bgArrivals) Step(p *netsim.Proc) bool {
 		} else {
 			url = static[env.Rand().Intn(len(static))]
 		}
-		bt.sent++
 		// Jitter visitor RTT ±40% around the typical value.
 		rtt := time.Duration(float64(backgroundRTT) * (0.6 + 0.8*env.Rand().Float64()))
 		req := Request{
@@ -179,7 +162,7 @@ func (g *bgArrivals) Step(p *netsim.Proc) bool {
 			ClientBW:  backgroundBW * (0.5 + env.Rand().Float64()),
 			Deadline:  env.Now() + visitorTimeout,
 		}
-		env.Spawn("bg-req", bt.srv.NewVisit("bg", req, nil, bt.countDone))
+		env.Spawn("bg-req", bt.srv.NewVisit("bg", req, nil))
 	}
 	g.started = true
 	if bt.stopped || len(static)+len(dynamic) == 0 {

@@ -13,45 +13,65 @@ func bgSite(t *testing.T) *content.Site {
 	return content.Generate("bg", 3, content.GenConfig{Pages: 10, Queries: 5})
 }
 
+// loggedServer is a server over site whose access log counts the
+// generators' arrivals.
+func loggedServer(env *netsim.Env, site *content.Site) *Server {
+	srv := NewServer(env, Config{}, site)
+	srv.EnableAccessLog()
+	return srv
+}
+
+// bgArrived counts the background visitors that reached srv.
+func bgArrived(srv *Server) int {
+	n := 0
+	for _, a := range srv.AccessLog() {
+		if a.Tag == "bg" {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBackgroundGeneratesLoad(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, bgSite(t))
+	srv := loggedServer(env, bgSite(t))
 	bt := StartBackground(env, srv, BackgroundConfig{Rate: 20})
 	env.After(30*time.Second, bt.Stop)
 	env.Run(2 * time.Minute)
 	// 20 req/s for ~30s: expect on the order of 600 arrivals.
-	if bt.sent < 400 || bt.sent > 900 {
-		t.Errorf("Sent = %d, want ~600", bt.sent)
+	if sent := bgArrived(srv); sent < 400 || sent > 900 {
+		t.Errorf("Sent = %d, want ~600", sent)
 	}
-	if bt.completed == 0 {
+	if srv.Served() == 0 {
 		t.Error("no background requests completed")
 	}
 }
 
 func TestBackgroundZeroRateInert(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, bgSite(t))
-	bt := StartBackground(env, srv, BackgroundConfig{})
+	srv := loggedServer(env, bgSite(t))
+	StartBackground(env, srv, BackgroundConfig{})
 	env.Run(0) // must terminate immediately: no processes scheduled
-	if bt.sent != 0 {
-		t.Errorf("Sent = %d, want 0", bt.sent)
+	if sent := bgArrived(srv); sent != 0 {
+		t.Errorf("Sent = %d, want 0", sent)
 	}
 }
 
 func TestBackgroundBursts(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, bgSite(t))
+	srv := loggedServer(env, bgSite(t))
 	bt := StartBackground(env, srv, BackgroundConfig{
 		BurstSize: 50, BurstEvery: 5 * time.Second,
 	})
 	env.After(20*time.Second, bt.Stop)
 	env.Run(3 * time.Minute)
 	// ~4 bursts of 50 expected over 20s.
-	if bt.sent < 50 {
-		t.Errorf("Sent = %d, want at least one burst", bt.sent)
+	sent := bgArrived(srv)
+	if sent < 50 {
+		t.Errorf("Sent = %d, want at least one burst", sent)
 	}
-	if bt.sent%50 != 0 {
-		t.Errorf("Sent = %d, want a multiple of the burst size", bt.sent)
+	if sent%50 != 0 {
+		t.Errorf("Sent = %d, want a multiple of the burst size", sent)
 	}
 }
 

@@ -26,7 +26,7 @@ func runCrowd(t *testing.T, cfg Config, req Request, n int, stackless bool) ([]c
 	for i := 0; i < n; i++ {
 		i := i
 		if stackless {
-			env.Spawn("client", srv.NewVisit("test", req, nil, func(_ *Visit, resp Response) {
+			env.Spawn("client", srv.NewVisit("test", req, func(_ *Visit, resp Response) {
 				out[i] = crowdOutcome{resp, env.Now()}
 			}))
 		} else {
@@ -58,12 +58,12 @@ func TestServeAdapterMatchesStacklessCall(t *testing.T) {
 		{name: "query-pool", cfg: QTNPConfig(), req: Request{Method: "GET", URL: "/q?x=1"}, n: 20},
 		{name: "fastcgi-deadline", cfg: fastcgi, req: Request{Method: "GET", URL: "/q?x=1", Deadline: 3 * time.Second}, n: 150},
 		{name: "backlog-hold", cfg: Config{Workers: 2, Backlog: 3, WorkerHold: 50 * time.Millisecond}, req: Request{Method: "GET", URL: "/index.html", Deadline: 120 * time.Millisecond}, n: 12},
-		{name: "shaped", cfg: Config{LimitRate: 100, LimitBurst: 2}, req: Request{Method: "HEAD", URL: "/index.html", Deadline: 60 * time.Millisecond}, n: 10},
-		{name: "lossy-edge", cfg: Config{EdgeHitRatio: 0.5, PathLoss: 0.05}, req: Request{Method: "GET", URL: "/big.bin", ClientRTT: 30 * time.Millisecond}, n: 16},
+		{name: "shaped", cfg: Config{RateLimit: RateLimit{Rate: 100, Burst: 2}}, req: Request{Method: "HEAD", URL: "/index.html", Deadline: 60 * time.Millisecond}, n: 10},
+		{name: "lossy-edge", cfg: Config{FrontCache: FrontCache{HitRatio: 0.5}, PathLoss: 0.05}, req: Request{Method: "GET", URL: "/big.bin", ClientRTT: 30 * time.Millisecond}, n: 16},
 		{name: "synthetic", cfg: ValidationConfig(LinearModel{Slope: time.Millisecond}), req: Request{Method: "GET", URL: "/index.html"}, n: 10},
 		{name: "404", cfg: Config{}, req: Request{Method: "GET", URL: "/nope"}, n: 3, neverPark: true},
-		{name: "429", cfg: Config{LimitRate: 1, LimitBurst: 1, LimitReject: true}, req: Request{Method: "GET", URL: "/index.html"}, n: 4},
-		{name: "junk-200", cfg: Config{LimitRate: 1, LimitBurst: 1, LimitJunk: true}, req: Request{Method: "GET", URL: "/index.html"}, n: 4},
+		{name: "429", cfg: Config{RateLimit: RateLimit{Rate: 1, Burst: 1, Reject: true}}, req: Request{Method: "GET", URL: "/index.html"}, n: 4},
+		{name: "junk-200", cfg: Config{RateLimit: RateLimit{Rate: 1, Burst: 1, Junk: true}}, req: Request{Method: "GET", URL: "/index.html"}, n: 4},
 		{name: "503", cfg: Config{Workers: 1, Backlog: 1}, req: Request{Method: "HEAD", URL: "/index.html"}, n: 6},
 	}
 	for _, c := range cases {

@@ -8,20 +8,23 @@ import (
 	"mfc/internal/stats"
 )
 
-// FlashCrowdConfig describes an organic flash crowd: request arrivals ramp
-// linearly from zero to PeakRate over RampUp, hold for Hold, then stop —
-// the kind of surge §1 motivates (a news-site link, an annual sale).
+// FlashCrowdConfig describes an organic flash crowd: after StartAt of idle
+// time, request arrivals ramp linearly from zero to PeakRate over RampUp,
+// hold for Hold, then stop — the kind of surge §1 motivates (a news-site
+// link, an annual sale). The scenario layer's cross-traffic decodes into
+// it from JSON.
 type FlashCrowdConfig struct {
 	// URL every visitor requests (flash crowds concentrate on one page).
-	URL    string
-	Method string // default GET
+	URL    string `json:"url,omitempty"`
+	Method string `json:"-"` // default GET
 
-	PeakRate float64       // requests/sec at the top of the ramp
-	RampUp   time.Duration // default 60s
-	Hold     time.Duration // default 30s
+	PeakRate float64       `json:"peak_rate"`          // requests/sec at the top of the ramp; 0 disables
+	StartAt  time.Duration `json:"start_at,omitempty"` // idle time before the ramp begins
+	RampUp   time.Duration `json:"ramp_up,omitempty"`  // default 60s
+	Hold     time.Duration `json:"hold,omitempty"`     // default 30s
 
-	ClientRTT time.Duration // default 60ms
-	ClientBW  float64       // default 1 MB/s
+	ClientRTT time.Duration `json:"client_rtt,omitempty"` // default 60ms
+	ClientBW  float64       `json:"client_bw,omitempty"`  // default 1 MB/s
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -105,14 +108,12 @@ func (fc *flashCrowd) Step(p *netsim.Proc) bool {
 }
 
 // RampArrivals is the arrival process of an organic surge, as a netsim.Task
-// (start it with Env.Spawn): after StartAt of idle time, visitors arrive
-// with exponential gaps at a rate that climbs linearly from zero to
-// PeakRate over RampUp, holds for Hold, then the process ends. Each arrival
-// is a Visit. RunFlashCrowd and the scenario layer's cross-traffic are both
-// this task.
+// (start it with Env.Spawn): after the config's StartAt of idle time,
+// visitors arrive with exponential gaps at a rate that climbs linearly from
+// zero to PeakRate over RampUp, holds for Hold, then the process ends.
+// Each arrival is a Visit. RunFlashCrowd and the scenario layer's
+// cross-traffic are both this task.
 type RampArrivals struct {
-	// StartAt is idle time before the ramp begins.
-	StartAt time.Duration
 	// OnDone (may be nil) receives every visitor's response.
 	OnDone func(*Visit, Response)
 
@@ -157,8 +158,8 @@ func (r *RampArrivals) Step(p *netsim.Proc) bool {
 	switch r.state {
 	case rampIdle:
 		r.state = rampBegin
-		if r.StartAt > 0 {
-			return p.BeginSleep(r.StartAt)
+		if cfg.StartAt > 0 {
+			return p.BeginSleep(cfg.StartAt)
 		}
 		fallthrough
 	case rampBegin:
@@ -171,7 +172,7 @@ func (r *RampArrivals) Step(p *netsim.Proc) bool {
 		if r.stopped {
 			return false
 		}
-		env.Spawn(r.visitor, r.srv.NewVisit(r.tag, r.request(p.Now()), nil, r.OnDone))
+		env.Spawn(r.visitor, r.srv.NewVisit(r.tag, r.request(p.Now()), r.OnDone))
 	}
 	el := p.Now() - r.begun
 	if el >= cfg.RampUp+cfg.Hold {

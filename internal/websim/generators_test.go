@@ -39,26 +39,26 @@ func assertStackless(t *testing.T, env *netsim.Env) {
 
 func TestBackgroundStopBeforeFirstArrival(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, bgSite(t))
+	srv := loggedServer(env, bgSite(t))
 	bt := StartBackground(env, srv, BackgroundConfig{Rate: 20, BurstSize: 10, BurstEvery: time.Second})
 	bt.Stop()
 	if end := env.Run(0); end != 0 {
 		t.Errorf("stopped generators kept the simulation alive until %v", end)
 	}
-	if bt.sent != 0 || srv.Served() != 0 {
-		t.Errorf("Sent = %d, Served = %d after Stop before the first arrival", bt.sent, srv.Served())
+	if sent := bgArrived(srv); sent != 0 || srv.Served() != 0 {
+		t.Errorf("Sent = %d, Served = %d after Stop before the first arrival", sent, srv.Served())
 	}
 	assertStackless(t, env)
 }
 
 func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, bgSite(t))
+	srv := loggedServer(env, bgSite(t))
 	bt := StartBackground(env, srv, BackgroundConfig{Rate: 20, BurstSize: 10, BurstEvery: 2 * time.Second})
-	var atStop uint64
+	var atStop int
 	env.After(30*time.Second, func() {
 		bt.Stop()
-		atStop = bt.sent
+		atStop = bgArrived(srv)
 	})
 	end := env.Run(0)
 	if atStop < 400 {
@@ -66,7 +66,8 @@ func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	}
 	// Burst visitors already scheduled (within 200 ms) still arrive; no
 	// generator draws another gap.
-	if extra := bt.sent - atStop; extra > 10 {
+	sent := bgArrived(srv)
+	if extra := sent - atStop; extra > 10 {
 		t.Errorf("%d arrivals after Stop, want at most the burst in flight", extra)
 	}
 	// Each loop notices the flag at its next wakeup: at most one Poisson
@@ -75,8 +76,11 @@ func TestBackgroundStopMidRunEndsArrivals(t *testing.T) {
 	if end > 30*time.Second+time.Minute+10*time.Second {
 		t.Errorf("simulation ran until %v after a Stop at 30s", end)
 	}
-	if bt.completed+bt.errored != bt.sent {
-		t.Errorf("Sent %d != Completed %d + Errored %d at exhaustion", bt.sent, bt.completed, bt.errored)
+	// Every visitor requests an object the site holds, through no tier: it
+	// is served, refused at the backlog or timed out.
+	if done := srv.Served() + srv.Refused() + srv.TimedOut(); done != uint64(sent) {
+		t.Errorf("Sent %d != Served %d + Refused %d + TimedOut %d at exhaustion",
+			sent, srv.Served(), srv.Refused(), srv.TimedOut())
 	}
 	assertStackless(t, env)
 }
@@ -115,13 +119,13 @@ func TestBackgroundSetRateAppliesAtNextDraw(t *testing.T) {
 
 func TestBackgroundNoEligibleURLEndsWithoutSpawning(t *testing.T) {
 	env := netsim.NewEnv(1)
-	srv := NewServer(env, Config{}, blobSite(t))
-	bt := StartBackground(env, srv, BackgroundConfig{Rate: 50, BurstSize: 10, BurstEvery: time.Second})
+	srv := loggedServer(env, blobSite(t))
+	StartBackground(env, srv, BackgroundConfig{Rate: 50, BurstSize: 10, BurstEvery: time.Second})
 	if end := env.Run(0); end != 0 {
 		t.Errorf("generators with nothing to request ran until %v", end)
 	}
-	if bt.sent != 0 || srv.Served() != 0 {
-		t.Errorf("Sent = %d, Served = %d on a site with no eligible URL", bt.sent, srv.Served())
+	if sent := bgArrived(srv); sent != 0 || srv.Served() != 0 {
+		t.Errorf("Sent = %d, Served = %d on a site with no eligible URL", sent, srv.Served())
 	}
 	// Two start entries — one per generator — and nothing else.
 	if st := env.Stats(); st.Dispatched != 2 || st.Handoffs != 0 {
@@ -129,10 +133,10 @@ func TestBackgroundNoEligibleURLEndsWithoutSpawning(t *testing.T) {
 	}
 }
 
-func rampOn(srv *Server) *RampArrivals {
+func rampOn(srv *Server, startAt time.Duration) *RampArrivals {
 	return NewRampArrivals(srv, "ramp", FlashCrowdConfig{
 		Method: "HEAD", URL: srv.Site().Base, ClientRTT: 40 * time.Millisecond,
-		PeakRate: 50, RampUp: 10 * time.Second, Hold: 10 * time.Second,
+		PeakRate: 50, StartAt: startAt, RampUp: 10 * time.Second, Hold: 10 * time.Second,
 	})
 }
 
@@ -140,8 +144,7 @@ func TestRampArrivalsStopBeforeFirstArrival(t *testing.T) {
 	for _, startAt := range []time.Duration{0, 5 * time.Second} {
 		env := netsim.NewEnv(2)
 		srv := NewServer(env, Config{}, bgSite(t))
-		r := rampOn(srv)
-		r.StartAt = startAt
+		r := rampOn(srv, startAt)
 		env.Spawn("ramp", r)
 		r.Stop()
 		// The flag is seen when the task first looks: at its start, or when
@@ -159,7 +162,7 @@ func TestRampArrivalsStopBeforeFirstArrival(t *testing.T) {
 func TestRampArrivalsStopMidRun(t *testing.T) {
 	env := netsim.NewEnv(2)
 	srv := NewServer(env, Config{}, bgSite(t))
-	r := rampOn(srv)
+	r := rampOn(srv, 0)
 	arrivals := 0
 	r.OnDone = func(*Visit, Response) { arrivals++ }
 	env.Spawn("ramp", r)
@@ -180,8 +183,7 @@ func TestRampArrivalsStopMidRun(t *testing.T) {
 func TestRampArrivalsRunsItsCourse(t *testing.T) {
 	env := netsim.NewEnv(2)
 	srv := NewServer(env, Config{}, bgSite(t))
-	r := rampOn(srv)
-	r.StartAt = 3 * time.Second
+	r := rampOn(srv, 3*time.Second)
 	var firstAt, lastAt time.Duration
 	arrivals := 0
 	r.OnDone = func(v *Visit, _ Response) {

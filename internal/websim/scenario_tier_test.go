@@ -14,7 +14,7 @@ import (
 
 func TestRateLimiterDelaySpacesAdmissions(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{LimitRate: 10, LimitBurst: 1} // gap = 100ms, delay mode
+	cfg := Config{RateLimit: RateLimit{Rate: 10, Burst: 1}} // gap = 100ms, delay mode
 	srv := NewServer(env, cfg, smallSite(t))
 	var done [3]time.Duration
 	for i := 0; i < 3; i++ {
@@ -42,7 +42,7 @@ func TestRateLimiterDelaySpacesAdmissions(t *testing.T) {
 
 func TestRateLimiterRejectReturns429(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{LimitRate: 10, LimitBurst: 1, LimitReject: true}
+	cfg := Config{RateLimit: RateLimit{Rate: 10, Burst: 1, Reject: true}}
 	srv := NewServer(env, cfg, smallSite(t))
 	admitted, rejected := 0, 0
 	for i := 0; i < 4; i++ {
@@ -69,10 +69,10 @@ func TestRateLimiterRejectReturns429(t *testing.T) {
 
 func TestRateLimiterBurstAdmitsInstantlyAfterIdle(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{LimitRate: 10, LimitBurst: 3, LimitReject: true}
+	cfg := Config{RateLimit: RateLimit{Rate: 10, Burst: 3, Reject: true}}
 	srv := NewServer(env, cfg, smallSite(t))
 	admitted := 0
-	// A long-idle bucket refills to exactly LimitBurst tokens: of 6
+	// A long-idle bucket refills to exactly RateLimit.Burst tokens: of 6
 	// simultaneous arrivals, 3 admit instantly and 3 bounce.
 	for i := 0; i < 6; i++ {
 		env.GoAfter("c", 10*time.Second, func(p *netsim.Proc) {
@@ -90,7 +90,7 @@ func TestRateLimiterBurstAdmitsInstantlyAfterIdle(t *testing.T) {
 
 func TestRateLimiterDelayRespectsDeadline(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{LimitRate: 1, LimitBurst: 1} // gap = 1s
+	cfg := Config{RateLimit: RateLimit{Rate: 1, Burst: 1}} // gap = 1s
 	srv := NewServer(env, cfg, smallSite(t))
 	var second Response
 	env.Go("a", func(p *netsim.Proc) {
@@ -113,7 +113,7 @@ func TestRateLimiterDelayRespectsDeadline(t *testing.T) {
 
 func TestEdgeCacheServesStaticNotBaseNotDynamic(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{EdgeHitRatio: 1.0, ParseCPU: time.Millisecond}
+	cfg := Config{FrontCache: FrontCache{HitRatio: 1.0}, ParseCPU: time.Millisecond}
 	srv := NewServer(env, cfg, smallSite(t))
 	var base, static, dynamic Response
 	env.Go("c", func(p *netsim.Proc) {
@@ -141,7 +141,7 @@ func TestEdgeCacheHitSkipsOriginQueues(t *testing.T) {
 	// With one worker wedged on a slow request, an edge hit must complete
 	// immediately — it never touches the origin's worker pool.
 	env := netsim.NewEnv(1)
-	cfg := Config{EdgeHitRatio: 1.0, Workers: 1, Backlog: 0, ParseCPU: 5 * time.Second}
+	cfg := Config{FrontCache: FrontCache{HitRatio: 1.0}, Workers: 1, Backlog: 0, ParseCPU: 5 * time.Second}
 	srv := NewServer(env, cfg, smallSite(t))
 	var hitDone time.Duration
 	env.Go("wedge", func(p *netsim.Proc) {
@@ -214,6 +214,7 @@ func TestBackgroundAndFlashCrowdSuperpose(t *testing.T) {
 	env := netsim.NewEnv(7)
 	site := content.Generate("super", 7, content.GenConfig{Pages: 12, Queries: 4})
 	srv := NewServer(env, Config{ParseCPU: 8 * time.Millisecond, Cores: 1}, site)
+	srv.EnableAccessLog()
 	mon := NewMonitor(env, srv, 500*time.Millisecond)
 
 	bg := StartBackground(env, srv, BackgroundConfig{Rate: 10})
@@ -226,8 +227,8 @@ func TestBackgroundAndFlashCrowdSuperpose(t *testing.T) {
 	})
 	env.Run(2 * time.Minute)
 
-	if bg.sent == 0 || len(fc.Samples) == 0 {
-		t.Fatalf("no superposition: background sent %d, crowd sampled %d", bg.sent, len(fc.Samples))
+	if sent := bgArrived(srv); sent == 0 || len(fc.Samples) == 0 {
+		t.Fatalf("no superposition: background sent %d, crowd sampled %d", sent, len(fc.Samples))
 	}
 	// Background alone occupies the first seconds (the ramp starts near
 	// zero); the crowd's hold is 20s-40s.

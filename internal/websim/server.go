@@ -133,37 +133,12 @@ type Config struct {
 	// IP (QTP has 16). Capacities above are per replica.
 	Replicas int
 
-	// LimitRate enables a server-side token-bucket rate limiter (WAF /
-	// reverse-proxy throttling tier) admitting this many requests per
-	// second across the whole installation; 0 disables it. LimitBurst is
-	// the bucket depth (default: LimitRate, min 1). LimitReject selects
-	// the over-limit behavior: false (default) delays the request until a
-	// token frees (tarpit-style shaping — the degradation is visible in
-	// response times), true refuses it immediately with 429 (fail-fast
-	// WAFs — the request returns quickly, which hides the throttling from
-	// purely latency-based detection; see EXPERIMENTS.md).
-	LimitRate   float64
-	LimitBurst  int
-	LimitReject bool
-
-	// LimitJunk selects the evasive over-limit behavior: instead of
-	// shaping or refusing, the tier instantly serves a tiny bogus 200 (a
-	// cached "everything is fine" splash page) without touching workers,
-	// CPU, disk or the access link. The fast 200 is invisible both to
-	// latency-quantile detection (it is quick) and to the error-class
-	// floor (status 200 is not an error class) — the evasion the ROADMAP
-	// predicts. Takes precedence over LimitReject; the scenario layer
-	// forbids setting both.
-	LimitJunk bool
-
-	// EdgeHitRatio enables a CDN/cache front tier: this fraction of
-	// cacheable (static, non-base) GET requests is served entirely at the
-	// edge, never reaching the origin's workers, CPU, disk or access
-	// link. EdgeBandwidth is the per-response edge transfer rate (default
-	// 125 MB/s). The draw uses the simulation's deterministic RNG; 0
-	// disables the tier (and draws nothing).
-	EdgeHitRatio  float64
-	EdgeBandwidth float64
+	// RateLimit puts a token-bucket throttling tier (WAF / reverse proxy)
+	// in front of the worker pool; the zero value is off.
+	RateLimit RateLimit
+	// FrontCache puts a CDN/cache tier in front of the origin; the zero
+	// value is off.
+	FrontCache FrontCache
 
 	// PathLoss is the sustained packet-loss fraction on the server's
 	// network path. Beyond the fluid goodput scaling (applied to the
@@ -180,6 +155,47 @@ type Config struct {
 	// synthetic response-time model (used by the §3.1 validation server).
 	Synthetic SyntheticModel
 }
+
+// RateLimit is a server-side token-bucket rate limiter (WAF /
+// reverse-proxy throttling tier) admitting Rate requests per second across
+// the whole installation. Over-limit requests are delayed until a token
+// frees by default (tarpit-style shaping — the degradation is visible in
+// response times).
+type RateLimit struct {
+	// Rate is admitted requests/sec; 0 disables the tier.
+	Rate float64 `json:"rate"`
+	// Burst is the bucket depth (default: Rate, min 1).
+	Burst int `json:"burst,omitempty"`
+	// Reject refuses over-limit requests immediately with 429 (fail-fast
+	// WAFs — the request returns quickly, which hides the throttling from
+	// purely latency-based detection; see EXPERIMENTS.md).
+	Reject bool `json:"reject,omitempty"`
+	// Junk selects the evasive over-limit behavior: instead of shaping or
+	// refusing, the tier instantly serves a tiny bogus 200 (a cached
+	// "everything is fine" splash page) without touching workers, CPU,
+	// disk or the access link. The fast 200 is invisible both to
+	// latency-quantile detection (it is quick) and to the error-class
+	// floor (status 200 is not an error class). Takes precedence over
+	// Reject; the scenario layer forbids setting both.
+	Junk bool `json:"junk,omitempty"`
+}
+
+// FrontCache is a CDN/cache front tier: a HitRatio fraction of cacheable
+// (static, non-base) GET requests is served entirely at the edge, never
+// reaching the origin's workers, CPU, disk or access link. The draw uses
+// the simulation's deterministic RNG.
+type FrontCache struct {
+	// HitRatio is the edge-served fraction, in [0, 1]; 0 disables the
+	// tier (and draws nothing).
+	HitRatio float64 `json:"hit_ratio"`
+	// Bandwidth is the per-response edge transfer rate in bytes/sec
+	// (default 125 MB/s).
+	Bandwidth float64 `json:"bandwidth,omitempty"`
+}
+
+// defaultLossRTO is LossRTO's default, for a path lossy from the start or
+// made lossy mid-run by SetPathLoss.
+const defaultLossRTO = 300 * time.Millisecond
 
 // syntheticSettle is the gathering window of the synthetic server: a
 // request waits this long before sampling the pending count, so a
@@ -244,17 +260,14 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 1
 	}
-	if c.LimitRate > 0 && c.LimitBurst <= 0 {
-		c.LimitBurst = int(c.LimitRate)
-		if c.LimitBurst < 1 {
-			c.LimitBurst = 1
-		}
+	if rl := &c.RateLimit; rl.Rate > 0 && rl.Burst <= 0 {
+		rl.Burst = max(int(rl.Rate), 1)
 	}
-	if c.EdgeHitRatio > 0 && c.EdgeBandwidth <= 0 {
-		c.EdgeBandwidth = 125e6
+	if fc := &c.FrontCache; fc.HitRatio > 0 && fc.Bandwidth <= 0 {
+		fc.Bandwidth = 125e6
 	}
 	if c.PathLoss > 0 && c.LossRTO <= 0 {
-		c.LossRTO = 300 * time.Millisecond
+		c.LossRTO = defaultLossRTO
 	}
 	return c
 }
@@ -314,7 +327,7 @@ type Server struct {
 	// limVT is the rate limiter's virtual admission clock: the instant at
 	// which the next token is spoken for. Arrivals admit at
 	// max(now, limVT - burst/rate) and push limVT forward by 1/rate — a
-	// deterministic leaky-bucket with burst depth LimitBurst, no RNG.
+	// deterministic leaky-bucket with burst depth RateLimit.Burst, no RNG.
 	limVT time.Duration
 
 	// pathLoss/lossRTO mirror cfg.PathLoss/cfg.LossRTO but are mutable
@@ -387,14 +400,14 @@ func (s *Server) Refused() uint64  { return s.refused }
 func (s *Server) TimedOut() uint64 { return s.timedOut }
 
 // RateLimited returns the count of requests the token-bucket tier
-// rejected (LimitReject mode only; delayed requests are not counted).
+// rejected (RateLimit.Reject mode only; delayed requests are not counted).
 func (s *Server) RateLimited() uint64 { return s.rateLimited }
 
 // JunkServed returns the count of over-limit requests the token-bucket
-// tier answered with an instant bogus 200 (LimitJunk mode only).
+// tier answered with an instant bogus 200 (RateLimit.Junk mode only).
 func (s *Server) JunkServed() uint64 { return s.junkServed }
 
-// junkBytes is the body size of a LimitJunk bogus 200: a tiny cached
+// junkBytes is the body size of a RateLimit.Junk bogus 200: a tiny cached
 // splash page, small enough to transfer in negligible time.
 const junkBytes = 512
 
@@ -414,7 +427,7 @@ func (s *Server) SetPathLoss(p float64) {
 	}
 	s.pathLoss = p
 	if p > 0 && s.lossRTO <= 0 {
-		s.lossRTO = 300 * time.Millisecond
+		s.lossRTO = defaultLossRTO
 	}
 }
 
@@ -572,13 +585,13 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			// request. The base page stays origin-served (personalized HTML), so a
 			// fronted site's Base stage still measures the origin while its Large
 			// Object stage is masked by the cache.
-			if s.cfg.EdgeHitRatio > 0 && !obj.Dynamic && req.URL != s.site.Base &&
-				s.env.Rand().Float64() < s.cfg.EdgeHitRatio {
+			if fc := &s.cfg.FrontCache; fc.HitRatio > 0 && !obj.Dynamic && req.URL != s.site.Base &&
+				s.env.Rand().Float64() < fc.HitRatio {
 				s.edgeHits++
 				if req.Method != "HEAD" {
 					c.body = obj.Size
 				}
-				bw := s.cfg.EdgeBandwidth
+				bw := fc.Bandwidth
 				if req.ClientBW > 0 && req.ClientBW < bw {
 					bw = req.ClientBW
 				}
@@ -590,21 +603,21 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			// front of the worker pool. Over-limit requests are either shaped
 			// (held until their token instant) or refused with 429.
 			c.state = callAdmit
-			if s.cfg.LimitRate > 0 {
-				gap := time.Duration(float64(time.Second) / s.cfg.LimitRate)
+			if rl := &s.cfg.RateLimit; rl.Rate > 0 {
+				gap := time.Duration(float64(time.Second) / rl.Rate)
 				now := s.env.Now()
-				if floor := now - time.Duration(s.cfg.LimitBurst-1)*gap; s.limVT < floor {
+				if floor := now - time.Duration(rl.Burst-1)*gap; s.limVT < floor {
 					s.limVT = floor
 				}
 				admitAt := s.limVT
 				s.limVT += gap
 				if admitAt > now {
-					if s.cfg.LimitJunk {
+					if rl.Junk {
 						s.limVT = admitAt // the junked request's token goes back
 						s.junkServed++
 						return c.done(Response{Status: 200, Bytes: junkBytes})
 					}
-					if s.cfg.LimitReject {
+					if rl.Reject {
 						s.limVT = admitAt // the refused request's token goes back
 						s.rateLimited++
 						return c.done(Response{Status: 429, Err: ErrRateLimited})

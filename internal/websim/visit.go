@@ -16,16 +16,13 @@ type Visit struct {
 	// flight at the server when the visitor arrived.
 	At         time.Duration
 	Concurrent int
-	onArrive   func()
 	onDone     func(*Visit, Response)
 }
 
-// NewVisit prepares a visitor for req. onArrive (may be nil) runs when the
-// visitor's process starts, just before the request reaches the server;
-// onDone (may be nil) runs with the response, in the dispatch that
-// completes it.
-func (s *Server) NewVisit(tag string, req Request, onArrive func(), onDone func(*Visit, Response)) *Visit {
-	return &Visit{call: s.Start(tag, req), onArrive: onArrive, onDone: onDone}
+// NewVisit prepares a visitor for req. onDone (may be nil) runs with the
+// response, in the dispatch that completes it.
+func (s *Server) NewVisit(tag string, req Request, onDone func(*Visit, Response)) *Visit {
+	return &Visit{call: s.Start(tag, req), onDone: onDone}
 }
 
 // Step implements netsim.Task.
@@ -34,9 +31,6 @@ func (v *Visit) Step(p *netsim.Proc) bool {
 		v.arrived = true
 		v.At = p.Now()
 		v.Concurrent = v.call.s.pending
-		if v.onArrive != nil {
-			v.onArrive()
-		}
 	}
 	if v.call.Step(p) {
 		return true

@@ -125,13 +125,13 @@ type (
 	// ScenarioRTTBand is one weighted client RTT band.
 	ScenarioRTTBand = scenario.RTTBand
 	// ScenarioRateLimit is the WAF-style token-bucket tier.
-	ScenarioRateLimit = scenario.RateLimit
+	ScenarioRateLimit = websim.RateLimit
 	// ScenarioFrontCache is the CDN/cache front tier.
-	ScenarioFrontCache = scenario.FrontCache
+	ScenarioFrontCache = websim.FrontCache
 	// ScenarioDiurnal modulates background load sinusoidally.
 	ScenarioDiurnal = scenario.Diurnal
 	// ScenarioCrossTraffic is a flash-crowd surge during the experiment.
-	ScenarioCrossTraffic = scenario.CrossTraffic
+	ScenarioCrossTraffic = websim.FlashCrowdConfig
 	// ScenarioFault is one scheduled chaos trigger.
 	ScenarioFault = scenario.Fault
 )

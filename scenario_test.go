@@ -48,29 +48,33 @@ func zeroIntensityScenario() *Scenario {
 // TestZeroIntensityScenarioByteIdentical is the determinism guard: wrapping
 // a run in a scenario whose every effect is configured at zero intensity
 // must reproduce the bare preset's run byte for byte — Result encoding,
-// access-log hash, and virtual time — across seeds.
+// access-log hash, and virtual time — across seeds, with and without
+// background traffic (an inert diurnal needs none to modulate).
 func TestZeroIntensityScenarioByteIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCrowd = 40
 	cfg.KeepSamples = true
 	for seed := int64(1); seed <= 4; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			base := SimTarget{Server: PresetQTNP(), Site: PresetQTSite(7), Clients: 65, Seed: seed,
-				Background: BackgroundConfig{Rate: 5}}
-			clean := fingerprintScenario(t, base, cfg)
-			wrapped := base
-			wrapped.Scenario = zeroIntensityScenario()
-			zero := fingerprintScenario(t, wrapped, cfg)
-			if clean.resultJSON != zero.resultJSON {
-				t.Errorf("Result diverges under zero-intensity scenario\nclean: %.400s\nzero:  %.400s",
-					clean.resultJSON, zero.resultJSON)
-			}
-			if clean.traceHash != zero.traceHash {
-				t.Errorf("access-log hash diverges: clean %s, zero %s", clean.traceHash, zero.traceHash)
-			}
-			if clean.elapsed != zero.elapsed {
-				t.Errorf("virtual elapsed diverges: clean %s, zero %s", clean.elapsed, zero.elapsed)
+			for _, rate := range []float64{0, 5} {
+				t.Run(fmt.Sprintf("bg%g", rate), func(t *testing.T) {
+					base := SimTarget{Server: PresetQTNP(), Site: PresetQTSite(7), Clients: 65, Seed: seed,
+						Background: BackgroundConfig{Rate: rate}}
+					clean := fingerprintScenario(t, base, cfg)
+					wrapped := base
+					wrapped.Scenario = zeroIntensityScenario()
+					zero := fingerprintScenario(t, wrapped, cfg)
+					if clean.resultJSON != zero.resultJSON {
+						t.Errorf("Result diverges under zero-intensity scenario\nclean: %.400s\nzero:  %.400s",
+							clean.resultJSON, zero.resultJSON)
+					}
+					if clean.traceHash != zero.traceHash {
+						t.Errorf("access-log hash diverges: clean %s, zero %s", clean.traceHash, zero.traceHash)
+					}
+					if clean.elapsed != zero.elapsed {
+						t.Errorf("virtual elapsed diverges: clean %s, zero %s", clean.elapsed, zero.elapsed)
+					}
+				})
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func (t SimTarget) open(_ context.Context, cfg Config, ro *runOptions) (*binding
 	if err := scen.Validate(); err != nil {
 		return nil, fmt.Errorf("mfc: SimTarget.Scenario: %w", err)
 	}
-	if scen != nil && scen.Diurnal != nil && t.Background.Rate <= 0 {
+	if scen.DiurnalActive() && t.Background.Rate <= 0 {
 		return nil, fmt.Errorf("mfc: SimTarget.Scenario %q modulates background traffic, but Background.Rate is 0", scen.Label())
 	}
 	serverCfg := scen.WrapServer(t.Server)
