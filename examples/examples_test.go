@@ -40,6 +40,7 @@ func TestExamplesRun(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.dir, func(t *testing.T) {
+			t.Parallel() // each example is its own process on 127.0.0.1:0
 			bin := filepath.Join(bindir, c.dir)
 			build := exec.Command("go", "build", "-o", bin, "./examples/"+c.dir)
 			build.Dir = ".." // repo root, where go.mod lives

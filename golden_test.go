@@ -217,6 +217,13 @@ func goldenLine(t *testing.T, c goldenCase) string {
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
+	// A stage carries a stopping crowd exactly when it stopped: callers
+	// read StoppingCrowd without looking at the verdict.
+	for _, sr := range run.Result.Stages {
+		if (sr.StoppingCrowd != 0) != (sr.Verdict == core.VerdictStopped) {
+			t.Errorf("%s: %v stage has verdict %v with StoppingCrowd %d", c.name, sr.Stage, sr.Verdict, sr.StoppingCrowd)
+		}
+	}
 	fp := fingerprintOf(t, run)
 	sum := sha256.Sum256([]byte(fp.resultJSON))
 	srv := run.Server

@@ -273,6 +273,77 @@ func TestStageUnavailableWithoutContent(t *testing.T) {
 	}
 }
 
+// unreachableClient is a fakeClient whose baseline measurement fails, so
+// delayComputation drops it from the stage.
+type unreachableClient struct{ Client }
+
+func (unreachableClient) MeasureTarget([]Request) (Baseline, error) {
+	return Baseline{}, fmt.Errorf("target unreachable")
+}
+
+// TestNonStopVerdictsCarryNoStoppingCrowd covers the verdicts the
+// request-path golden never reaches: StoppingCrowd is set exactly when the
+// verdict is Stopped, so a stage that ends any other way reports 0 even
+// after a crossing.
+func TestNonStopVerdictsCarryNoStoppingCrowd(t *testing.T) {
+	rising := func(_, crowd int) time.Duration { return time.Duration(crowd) * 4 * time.Millisecond }
+	cases := []struct {
+		name  string
+		stage Stage
+		prof  *content.Profile
+		plat  func() *fakePlatform
+		// cancelAtCheck cancels the run as the check phase begins.
+		cancelAtCheck bool
+		want          StageVerdict
+	}{
+		{
+			name: "unavailable", stage: StageLargeObject,
+			prof: &content.Profile{Host: "x", BaseURL: "/", ByKind: map[content.Kind]int{}},
+			plat: func() *fakePlatform { return newFakePlatform(60, rising) },
+			want: VerdictUnavailable,
+		},
+		{
+			name: "too few reachable clients", stage: StageBase, prof: testProfile(),
+			plat: func() *fakePlatform {
+				p := newFakePlatform(60, rising)
+				for i := 15; i < len(p.clients); i++ {
+					p.clients[i] = unreachableClient{p.clients[i]}
+				}
+				return p
+			},
+			want: VerdictAborted,
+		},
+		{
+			name: "canceled in the check phase", stage: StageBase, prof: testProfile(),
+			plat:          func() *fakePlatform { return newFakePlatform(60, rising) },
+			cancelAtCheck: true,
+			want:          VerdictAborted,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			observe := func(ev Event) {
+				if _, ok := ev.(CheckPhaseEntered); ok && tc.cancelAtCheck {
+					cancel()
+				}
+			}
+			res, err := New(tc.plat(), testCfg(), observe).Run(ctx, "fake", []Stage{tc.stage}, tc.prof)
+			if tc.cancelAtCheck != (err != nil) {
+				t.Fatalf("err = %v", err)
+			}
+			sr := res.Stages[0]
+			if sr.Verdict != tc.want || sr.StoppingCrowd != 0 {
+				t.Errorf("verdict %v with StoppingCrowd %d, want %v with 0", sr.Verdict, sr.StoppingCrowd, tc.want)
+			}
+			if tc.cancelAtCheck && sr.FirstExceed == 0 {
+				t.Error("canceled stage never crossed θ; the case no longer tests an abort after a crossing")
+			}
+		})
+	}
+}
+
 func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 	plat := newFakePlatform(30, func(_, _ int) time.Duration { return 0 })
 	cfg := testCfg()

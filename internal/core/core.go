@@ -114,7 +114,8 @@ type Config struct {
 	Measurers []Request
 
 	// KeepSamples retains every per-request sample in the epoch results
-	// (memory-heavy; used by the synchronization analyses).
+	// (memory-heavy). The epoch's quantiles, Spread90 and counts are
+	// computed from the samples whether or not they are kept.
 	KeepSamples bool
 }
 

@@ -109,7 +109,10 @@ type StageResult struct {
 	Threshold time.Duration
 	Quantile  float64
 
-	// StoppingCrowd is the confirmed stopping crowd size (0 if NoStop).
+	// StoppingCrowd is the confirmed stopping crowd size. It is nonzero
+	// exactly when Verdict is VerdictStopped, so callers read it without
+	// checking the verdict; under MFC-mr the stop in requests is
+	// StoppingCrowd × MultiRequest.
 	StoppingCrowd int
 	// FirstExceed is the earliest crowd size whose quantile exceeded θ,
 	// even below the 15-client significance floor — the post-analysis the

@@ -38,12 +38,7 @@ func AblationCheckPhase() (*CheckPhaseResult, error) {
 	// independent simulation, counted in index order after the pool drains.
 	stops, err := parMap(seeds*2, func(i int) (int, error) {
 		cfg := core.DefaultConfig()
-		cfg.Threshold = 100 * time.Millisecond
-		cfg.Step = 5
-		cfg.MaxCrowd = 50
-		cfg.MinClients = 50
 		cfg.CheckPhase = i%2 == 0
-
 		return noisyBaseRun(cfg, int64(1000+i/2))
 	})
 	if err != nil {
@@ -82,10 +77,7 @@ func noisyBaseRun(cfg core.Config, seed int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if sr := run.Result.Stages[0]; sr.Verdict == core.VerdictStopped {
-		return sr.StoppingCrowd, nil
-	}
-	return 0, nil
+	return run.Result.Stages[0].StoppingCrowd, nil
 }
 
 // Render prints the comparison.
@@ -127,9 +119,6 @@ func AblationQuantile(seed int64) (*QuantileAblationResult, error) {
 	stops, err := parMap(len(quantiles), func(qi int) (int, error) {
 		q := quantiles[qi]
 		cfg := core.DefaultConfig()
-		cfg.Step = 5
-		cfg.MaxCrowd = 50
-		cfg.MinClients = 50
 		cfg.LargeObserveFrac = q
 
 		// Target with an over-provisioned pipe: it is never the bottleneck;
@@ -152,10 +141,7 @@ func AblationQuantile(seed int64) (*QuantileAblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		if sr := run.Result.Stages[0]; sr.Verdict == core.VerdictStopped {
-			return sr.StoppingCrowd, nil
-		}
-		return 0, nil
+		return run.Result.Stages[0].StoppingCrowd, nil
 	})
 	if err != nil {
 		return nil, err
@@ -202,7 +188,6 @@ func AblationStep(seed int64) (*StepAblationResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.Step = steps[i]
 		cfg.MaxCrowd = 60
-		cfg.MinClients = 50
 
 		out, _, err := runSite(fmt.Sprintf("ablation-step step=%d", steps[i]), websim.QTNPConfig(), websim.QTSite(7),
 			websim.BackgroundConfig{}, cfg, 70, seed)
@@ -265,9 +250,6 @@ func ExtensionStaggered(seed int64) (*StaggerResult, error) {
 	staggers := []time.Duration{0, 20 * time.Millisecond, 100 * time.Millisecond, 400 * time.Millisecond}
 	points, err := parMap(len(staggers), func(i int) (StaggerPoint, error) {
 		cfg := core.DefaultConfig()
-		cfg.Step = 5
-		cfg.MaxCrowd = 50
-		cfg.MinClients = 50
 		cfg.Stagger = staggers[i]
 
 		out, _, err := runSite(fmt.Sprintf("stagger %v", staggers[i]), websim.Univ1Config(), websim.Univ1Site(5),
@@ -282,11 +264,7 @@ func ExtensionStaggered(seed int64) (*StaggerResult, error) {
 				maxMed = e.NormMedian
 			}
 		}
-		stop := 0
-		if sr.Verdict == core.VerdictStopped {
-			stop = sr.StoppingCrowd
-		}
-		return StaggerPoint{Stagger: staggers[i], StoppingCrowd: stop, MaxMedian: maxMed}, nil
+		return StaggerPoint{Stagger: staggers[i], StoppingCrowd: sr.StoppingCrowd, MaxMedian: maxMed}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -343,7 +321,6 @@ func ExtensionMultiRequest(seed int64) (*MRResult, error) {
 		cfg := core.DefaultConfig()
 		cfg.Step = 2
 		cfg.MaxCrowd = 60
-		cfg.MinClients = 50
 		cfg.MultiRequest = m
 
 		out, _, err := runSite(fmt.Sprintf("multi-request m=%d", m), websim.QTNPConfig(), websim.QTSite(7),
@@ -352,12 +329,7 @@ func ExtensionMultiRequest(seed int64) (*MRResult, error) {
 			return MRPoint{}, err
 		}
 		sr := out.Stage(core.StageBase)
-		p := MRPoint{Multiplier: m}
-		if sr.Verdict == core.VerdictStopped {
-			p.StopClients = sr.StoppingCrowd
-			p.StopRequests = sr.StoppingCrowd * m
-		}
-		return p, nil
+		return MRPoint{Multiplier: m, StopClients: sr.StoppingCrowd, StopRequests: sr.StoppingCrowd * cfg.MultiRequest}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -392,10 +364,6 @@ func (r *MRResult) Headline() []Metric {
 // each grade as its core.DDoSGrade number (1 resilient, 2 moderate, 3
 // highly vulnerable).
 func ExtensionDDoS(seed int64) (Report, error) {
-	cfg := core.DefaultConfig()
-	cfg.Step = 5
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
 	var j joined
 	for _, t := range []struct {
 		name, label string
@@ -405,7 +373,7 @@ func ExtensionDDoS(seed int64) (Report, error) {
 		{"weak", "weak target (univ3)", websim.Univ3Config(), websim.Univ3Site(5)},
 		{"strong", "strong target (qtp)", websim.QTPConfig(), websim.QTSite(7)},
 	} {
-		out, _, err := runSite("ddos "+t.name, t.cfg, t.site, websim.BackgroundConfig{}, cfg, 65, seed)
+		out, _, err := runSite("ddos "+t.name, t.cfg, t.site, websim.BackgroundConfig{}, core.DefaultConfig(), 65, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mfc/internal/content"
 	"mfc/internal/core"
 	"mfc/internal/websim"
 )
@@ -16,54 +15,25 @@ import (
 // by side.
 // ---------------------------------------------------------------------------
 
-// Deployment is one candidate configuration.
-type Deployment struct {
-	Label  string
-	Config websim.Config
-}
-
-// DefaultCompareConfig is the standard MFC tuned for comparisons: θ=100ms,
-// ramp to 55 so the QTNP-class presets resolve all three stages.
-func DefaultCompareConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.MaxCrowd = 55
-	cfg.MinClients = 50
-	return cfg
-}
-
 // ExtensionCompare runs the §1 use case on QTNP as deployed, QTNP with a
-// doubled database pool, and the QTP farm.
+// doubled database pool, and the QTP farm: the same content and client
+// population under the standard MFC, ramped to 55 so the QTNP-class
+// presets resolve all three stages.
 func ExtensionCompare(seed int64) (*CompareResult, error) {
 	bigger := websim.QTNPConfig()
 	bigger.DBConns = 8
-	return CompareDeployments(websim.QTSite(7), DefaultCompareConfig(), []Deployment{
-		{Label: "qtnp-as-is", Config: websim.QTNPConfig()},
-		{Label: "qtnp+8conns", Config: bigger},
-		{Label: "qtp-farm", Config: websim.QTPConfig()},
-	}, seed)
-}
-
-// CompareRow is one stage's side-by-side outcome.
-type CompareRow struct {
-	Stage core.Stage
-	Stops []int // one per deployment; 0 = NoStop
-}
-
-// CompareResult is the deployment comparison.
-type CompareResult struct {
-	Labels []string
-	Rows   []CompareRow
-	// Winner is the label with the most NoStops, ties broken by larger
-	// stopping sizes (simple operator-facing heuristic).
-	Winner string
-}
-
-// CompareDeployments profiles the same content on each candidate
-// deployment with the identical MFC configuration and client population.
-func CompareDeployments(site *content.Site, cfg core.Config, deployments []Deployment, seed int64) (*CompareResult, error) {
-	if len(deployments) < 2 {
-		return nil, fmt.Errorf("experiments: need at least two deployments to compare")
+	deployments := []struct {
+		label string
+		cfg   websim.Config
+	}{
+		{"qtnp-as-is", websim.QTNPConfig()},
+		{"qtnp+8conns", bigger},
+		{"qtp-farm", websim.QTPConfig()},
 	}
+	cfg := core.DefaultConfig()
+	cfg.MaxCrowd = 55
+	site := websim.QTSite(7)
+
 	res := &CompareResult{}
 	byStage := map[core.Stage][]int{}
 	scores := make([]int, len(deployments))
@@ -72,9 +42,10 @@ func CompareDeployments(site *content.Site, cfg core.Config, deployments []Deplo
 	// results indexed by deployment, and the scoring folds them in the
 	// original deployment order.
 	outs, err := parMap(len(deployments), func(di int) (*core.Result, error) {
-		out, _, err := runSite("compare "+deployments[di].Label, deployments[di].Config, site, websim.BackgroundConfig{}, cfg, 65, seed)
+		d := deployments[di]
+		out, _, err := runSite("compare "+d.label, d.cfg, site, websim.BackgroundConfig{}, cfg, 65, seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: comparing %s: %w", deployments[di].Label, err)
+			return nil, fmt.Errorf("experiments: comparing %s: %w", d.label, err)
 		}
 		return out, nil
 	})
@@ -82,12 +53,9 @@ func CompareDeployments(site *content.Site, cfg core.Config, deployments []Deplo
 		return nil, err
 	}
 	for di, out := range outs {
-		res.Labels = append(res.Labels, deployments[di].Label)
+		res.Labels = append(res.Labels, deployments[di].label)
 		for _, sr := range out.Stages {
-			stop := 0
-			if sr.Verdict == core.VerdictStopped {
-				stop = sr.StoppingCrowd
-			}
+			stop := sr.StoppingCrowd
 			byStage[sr.Stage] = append(byStage[sr.Stage], stop)
 			switch {
 			case stop == 0:
@@ -110,6 +78,21 @@ func CompareDeployments(site *content.Site, cfg core.Config, deployments []Deplo
 	}
 	res.Winner = res.Labels[best]
 	return res, nil
+}
+
+// CompareRow is one stage's side-by-side outcome.
+type CompareRow struct {
+	Stage core.Stage
+	Stops []int // one per deployment; 0 = NoStop
+}
+
+// CompareResult is the deployment comparison.
+type CompareResult struct {
+	Labels []string
+	Rows   []CompareRow
+	// Winner is the label with the most NoStops, ties broken by larger
+	// stopping sizes (simple operator-facing heuristic).
+	Winner string
 }
 
 // Render prints the comparison table.

@@ -55,16 +55,11 @@ func Table1() (*Table1Result, error) {
 	res := &Table1Result{}
 
 	std := core.DefaultConfig()
-	std.Threshold = 100 * time.Millisecond
-	std.Step = 5
 	std.MaxCrowd = 55
-	std.MinClients = 50
 
 	mr := core.DefaultConfig()
 	mr.Threshold = 250 * time.Millisecond
-	mr.Step = 5
 	mr.MaxCrowd = 75
-	mr.MinClients = 50
 	mr.MultiRequest = 2
 
 	runs := []struct {
@@ -85,14 +80,8 @@ func Table1() (*Table1Result, error) {
 		}
 		row := Table1Row{Label: r.label, Threshold: r.cfg.Threshold, TotalReqs: out.TotalRequests()}
 		m := r.cfg.MultiRequest
-		if m == 0 {
-			m = 1
-		}
 		for _, sr := range out.Stages {
-			stop := 0
-			if sr.Verdict == core.VerdictStopped {
-				stop = sr.StoppingCrowd * m
-			}
+			stop := sr.StoppingCrowd * m
 			maxReq := 0
 			if e := sr.LastRamp(); e != nil {
 				maxReq = e.Crowd * m
@@ -169,9 +158,7 @@ func Table2() (*Table2Result, error) {
 	cfg.Threshold = 250 * time.Millisecond
 	cfg.Step = 7
 	cfg.MaxCrowd = 75
-	cfg.MinClients = 50
 	cfg.MultiRequest = 5
-	cfg.KeepSamples = true
 
 	out, _, err := runSite("table2", websim.QTPConfig(), websim.QTSite(7),
 		websim.BackgroundConfig{Rate: 35, QueryFraction: 0.5}, cfg, 85, 103)
@@ -280,9 +267,7 @@ func table3(site string, srvCfg websim.Config, siteModel *content.Site, runs []s
 		r := runs[i]
 		cfg := core.DefaultConfig()
 		cfg.Threshold = 250 * time.Millisecond
-		cfg.Step = 5
 		cfg.MaxCrowd = 75
-		cfg.MinClients = 50
 		cfg.MultiRequest = 2
 
 		out, server, err := runSite("table3 "+r.label, srvCfg, siteModel,
@@ -291,13 +276,11 @@ func table3(site string, srvCfg websim.Config, siteModel *content.Site, runs []s
 			return Table3Row{}, fmt.Errorf("experiments: table3 %s %s: %w", site, r.label, err)
 		}
 		row := Table3Row{Label: r.label, BGRate: r.rate, MFCReqs: out.TotalRequests()}
+		m := cfg.MultiRequest
 		for _, sr := range out.Stages {
-			stop := 0
-			if sr.Verdict == core.VerdictStopped {
-				stop = sr.StoppingCrowd * 2
-			}
-			if e := sr.LastRamp(); e != nil && e.Crowd*2 > row.MaxReqs {
-				row.MaxReqs = e.Crowd * 2
+			stop := sr.StoppingCrowd * m
+			if e := sr.LastRamp(); e != nil && e.Crowd*m > row.MaxReqs {
+				row.MaxReqs = e.Crowd * m
 			}
 			switch sr.Stage {
 			case core.StageBase:
@@ -367,14 +350,8 @@ type Univ1Result struct {
 // paper's "stopping size 5" is FirstExceed post-analysis (footnote 2): the
 // ramp cannot stop below the 15-client significance floor.
 func Univ1() (*Univ1Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.Threshold = 100 * time.Millisecond
-	cfg.Step = 5
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
-
 	out, _, err := runSite("univ1", websim.Univ1Config(), websim.Univ1Site(5),
-		websim.BackgroundConfig{Rate: 0.15}, cfg, 65, 811)
+		websim.BackgroundConfig{Rate: 0.15}, core.DefaultConfig(), 65, 811)
 	if err != nil {
 		return nil, err
 	}

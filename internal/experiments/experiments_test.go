@@ -455,15 +455,7 @@ func TestEpochAccounting(t *testing.T) {
 }
 
 func TestCompareDeployments(t *testing.T) {
-	cfg := DefaultCompareConfig()
-	r, err := CompareDeployments(websim.QTSite(7), cfg, []Deployment{
-		{Label: "as-is", Config: websim.QTNPConfig()},
-		{Label: "bigger-pool", Config: func() websim.Config {
-			c := websim.QTNPConfig()
-			c.DBConns = 8
-			return c
-		}()},
-	}, 11)
+	r, err := ExtensionCompare(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,10 +476,7 @@ func TestCompareDeployments(t *testing.T) {
 			t.Errorf("bigger pool stops earlier (%d) than as-is (%d)", bigger, asIs)
 		}
 	}
-	if r.Winner != "bigger-pool" {
-		t.Errorf("winner = %s, want bigger-pool", r.Winner)
-	}
-	if _, err := CompareDeployments(websim.QTSite(7), cfg, []Deployment{{Label: "only-one"}}, 1); err == nil {
-		t.Error("single deployment accepted")
+	if r.Winner != "qtp-farm" {
+		t.Errorf("winner = %s, want qtp-farm", r.Winner)
 	}
 }

@@ -57,7 +57,6 @@ func ExtensionMeasurersShared(seed int64) (*MeasurerResult, error) {
 		Cores:           1,
 		ParseCPU:        6 * time.Millisecond, // every request burns the shared core
 		QueryCPU:        6 * time.Millisecond,
-		QueryCacheBytes: -1,
 		DBConns:         64,
 	}
 	return measurerRun("shared", cfg, websim.LabSite(), core.StageBase, seed)
@@ -65,9 +64,6 @@ func ExtensionMeasurersShared(seed int64) (*MeasurerResult, error) {
 
 func measurerRun(name string, srvCfg websim.Config, site *content.Site, crowdStage core.Stage, seed int64) (*MeasurerResult, error) {
 	cfg := core.DefaultConfig()
-	cfg.Step = 5
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
 	cfg.Threshold = time.Hour // full curve
 	cfg.Measurers = []core.Request{
 		{Method: "GET", URL: "/query.cgi?stats=1"},

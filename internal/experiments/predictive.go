@@ -96,9 +96,7 @@ func PredictiveValidation(seed int64) (*PredictiveResult, error) {
 func baseStageStop(srvCfg websim.Config, site *content.Site, theta time.Duration, seed int64) (int, error) {
 	cfg := core.DefaultConfig()
 	cfg.Threshold = theta
-	cfg.Step = 5
 	cfg.MaxCrowd = 85
-	cfg.MinClients = 50
 	run, err := mfc.Run(context.Background(), mfc.SimTarget{
 		Server: srvCfg, Site: site, Clients: 90, Seed: seed,
 		NoAccessLog: true, MonitorPeriod: -1,
@@ -107,10 +105,7 @@ func baseStageStop(srvCfg websim.Config, site *content.Site, theta time.Duration
 	if err != nil {
 		return 0, err
 	}
-	if sr := run.Result.Stages[0]; sr.Verdict == core.VerdictStopped {
-		return sr.StoppingCrowd, nil
-	}
-	return 0, nil
+	return run.Result.Stages[0].StoppingCrowd, nil
 }
 
 // Render prints prediction vs reality.

@@ -129,9 +129,7 @@ func Figure4Exponential(seed int64) (*Figure4Result, error) {
 // response-time model as the crowd grows 5..60 (§3.1, Figure 4).
 func Figure4(model websim.SyntheticModel, seed int64) (*Figure4Result, error) {
 	cfg := core.DefaultConfig()
-	cfg.Step = 5
 	cfg.MaxCrowd = 60
-	cfg.MinClients = 50
 	cfg.Threshold = time.Hour // trace the whole curve
 	run, err := mfc.Run(context.Background(), mfc.SimTarget{
 		Server: websim.ValidationConfig(model), Site: websim.ValidationSite(),
@@ -280,9 +278,6 @@ func (r *Figure6Result) Headline() []Metric {
 // correlates each epoch with the atop-style monitor window.
 func labRun(stage core.Stage, backend websim.Backend, seed int64) ([]ResourcePoint, error) {
 	cfg := core.DefaultConfig()
-	cfg.Step = 5
-	cfg.MaxCrowd = 50
-	cfg.MinClients = 50
 	cfg.Threshold = time.Hour
 	run, err := mfc.Run(context.Background(), mfc.SimTarget{
 		Server: websim.LabConfig(backend), Site: websim.LabSite(),

@@ -119,10 +119,10 @@ type Controller struct {
 	surge   *websim.RampArrivals // the cross-traffic arrivals, if started
 }
 
-// Start wires the scenario's runtime effects into a simulation: sustained
-// link loss, diurnal background modulation, cross-traffic, and the
-// scheduled chaos faults. Static server-side effects must already be in
-// place via WrapServer. Call before the environment runs; faults are
+// Start wires the scenario's runtime effects into a simulation: diurnal
+// background modulation, cross-traffic, and the scheduled chaos faults.
+// Static server-side effects, sustained path loss among them, must already
+// be in place via WrapServer. Call before the environment runs; faults are
 // scheduled at their absolute simulated times.
 func (c *Config) Start(h Hooks) *Controller {
 	ctl := &Controller{cfg: c}
@@ -135,11 +135,6 @@ func (c *Config) Start(h Hooks) *Controller {
 	}
 	access := h.Server.AccessLink()
 
-	if c.Loss > 0 {
-		// Fluid goodput scaling; the per-request stall half was installed
-		// by WrapServer.
-		access.SetLoss(c.Loss)
-	}
 	if c.DiurnalActive() && h.Background != nil && h.Background.Rate() > 0 {
 		ctl.startDiurnal(h.Env, h.Background, c.Diurnal)
 	}
@@ -241,14 +236,8 @@ func (ctl *Controller) scheduleFault(env *netsim.Env, srv *websim.Server, access
 		restore = func() { access.SetCapacityFactor(1) }
 	case FaultLossBurst:
 		sustained := ctl.cfg.Loss
-		apply = func() {
-			access.SetLoss(f.Loss)
-			srv.SetPathLoss(f.Loss)
-		}
-		restore = func() {
-			access.SetLoss(sustained)
-			srv.SetPathLoss(sustained)
-		}
+		apply = func() { srv.SetPathLoss(f.Loss) }
+		restore = func() { srv.SetPathLoss(sustained) }
 	default:
 		return
 	}

@@ -17,7 +17,6 @@ func TestQueryBackendTimeHoldsPoolNotCPU(t *testing.T) {
 		DBConns:          2,
 		QueryBackendTime: 40 * time.Millisecond,
 		QueryCPU:         time.Microsecond, // isolate the backend path (0 would default to 20ms)
-		QueryCacheBytes:  -1,
 		Cores:            4,
 	}
 	srv := NewServer(env, cfg, smallSite(t))

@@ -164,10 +164,9 @@ func TestEdgeCacheHitSkipsOriginQueues(t *testing.T) {
 }
 
 func TestPathLossStallsLargeResponses(t *testing.T) {
-	serveBig := func(loss float64) time.Duration {
+	serveBig := func(loss float64) (time.Duration, Config) {
 		env := netsim.NewEnv(1)
-		cfg := Config{PathLoss: loss}
-		srv := NewServer(env, cfg, smallSite(t))
+		srv := NewServer(env, Config{PathLoss: loss}, smallSite(t))
 		var d time.Duration
 		env.Go("c", func(p *netsim.Proc) {
 			t0 := p.Now()
@@ -178,15 +177,20 @@ func TestPathLossStallsLargeResponses(t *testing.T) {
 			d = p.Now() - t0
 		})
 		env.Run(0)
-		return d
+		return d, srv.Config()
 	}
-	clean := serveBig(0)
+	const loss = 0.9
+	clean, _ := serveBig(0)
+	lossy, cfg := serveBig(loss)
 	// 1MB is ~685 packets (capped at 64 for the stall draw): at 90% loss
 	// the stall probability is 1-0.1^64 ~ 1, so the response carries one
-	// full 300ms RTO over the clean run.
-	lossy := serveBig(0.9)
-	if diff := lossy - clean; diff < 250*time.Millisecond || diff > 350*time.Millisecond {
-		t.Errorf("loss stall added %v, want ~300ms RTO", diff)
+	// full LossRTO over the clean run, and its transfer crosses the access
+	// link at (1-loss) of the clean goodput.
+	bytes := float64(1_000_000 + headerBytes)
+	slower := bytes/(cfg.AccessBandwidth*(1-loss)) - bytes/cfg.AccessBandwidth
+	want := cfg.LossRTO + time.Duration(slower*float64(time.Second))
+	if diff := lossy - clean; diff < want-time.Microsecond || diff > want+time.Microsecond {
+		t.Errorf("loss added %v, want %v (the %v RTO plus the transfer at %g goodput)", diff, want, cfg.LossRTO, 1-loss)
 	}
 }
 
@@ -197,12 +201,12 @@ func TestSetPathLossMidRun(t *testing.T) {
 		t.Fatalf("PathLoss = %v at start", srv.PathLoss())
 	}
 	srv.SetPathLoss(0.05)
-	if srv.PathLoss() != 0.05 {
-		t.Errorf("PathLoss = %v after set, want 0.05", srv.PathLoss())
+	if srv.PathLoss() != 0.05 || srv.AccessLink().Loss() != 0.05 {
+		t.Errorf("PathLoss = %v, access loss = %v after set, want 0.05 on both", srv.PathLoss(), srv.AccessLink().Loss())
 	}
 	srv.SetPathLoss(-1)
-	if srv.PathLoss() != 0 {
-		t.Errorf("PathLoss = %v after negative set, want clamp to 0", srv.PathLoss())
+	if srv.PathLoss() != 0 || srv.AccessLink().Loss() != 0 {
+		t.Errorf("PathLoss = %v, access loss = %v after negative set, want clamp to 0 on both", srv.PathLoss(), srv.AccessLink().Loss())
 	}
 }
 

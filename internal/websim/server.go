@@ -98,8 +98,9 @@ type Config struct {
 	// runs locally on QueryCPU only). Production sites where "the Small
 	// Query involves processing on multiple servers" (QTNP) use this.
 	QueryBackendTime time.Duration
-	// QueryCacheBytes is the MySQL-style query cache size (default 16 MB);
-	// 0 disables query caching.
+	// QueryCacheBytes is the MySQL-style query cache size. There is no
+	// default: the zero value disables query caching, and each preset
+	// that caches sets its own size.
 	QueryCacheBytes int64
 
 	// Backend selects Mongrel vs FastCGI dynamic handling.
@@ -141,13 +142,13 @@ type Config struct {
 	FrontCache FrontCache
 
 	// PathLoss is the sustained packet-loss fraction on the server's
-	// network path. Beyond the fluid goodput scaling (applied to the
-	// access link by the scenario layer), loss shows up per request as
-	// retransmission stalls: each response of n packets suffers one
-	// LossRTO stall with probability 1-(1-PathLoss)^min(n,64) (at least
-	// one loss event within the first window-limited rounds). LossRTO
-	// defaults to 300ms, a conservative RTO with timer slack. 0 disables
-	// (and draws nothing from the RNG).
+	// network path, clamped to [0, 0.99]. It has two halves, both applied
+	// by NewServer: the access link's fluid goodput scales by
+	// (1-PathLoss), and each response of n packets suffers one LossRTO
+	// retransmission stall with probability 1-(1-PathLoss)^min(n,64) (at
+	// least one loss event within the first window-limited rounds).
+	// LossRTO defaults to 300ms, a conservative RTO with timer slack. 0
+	// disables (and draws nothing from the RNG).
 	PathLoss float64
 	LossRTO  time.Duration
 
@@ -239,9 +240,6 @@ func (c Config) withDefaults() Config {
 	if c.QueryCPU <= 0 {
 		c.QueryCPU = 20 * time.Millisecond
 	}
-	if c.QueryCacheBytes < 0 {
-		c.QueryCacheBytes = 0
-	}
 	if c.RAMBytes <= 0 {
 		c.RAMBytes = 1 << 30
 	}
@@ -330,8 +328,8 @@ type Server struct {
 	// deterministic leaky-bucket with burst depth RateLimit.Burst, no RNG.
 	limVT time.Duration
 
-	// pathLoss/lossRTO mirror cfg.PathLoss/cfg.LossRTO but are mutable
-	// mid-run (chaos loss bursts).
+	// pathLoss/lossRTO start from cfg.PathLoss/cfg.LossRTO and change
+	// mid-run through SetPathLoss (chaos loss bursts).
 	pathLoss float64
 	lossRTO  time.Duration
 
@@ -374,11 +372,13 @@ func NewServer(env *netsim.Env, cfg Config, site *content.Site) *Server {
 		fileCache:  newLRU(fileCacheBytes * int64(cfg.Replicas)),
 		queryCache: newLRU(cfg.QueryCacheBytes * int64(cfg.Replicas)),
 		resident:   cfg.BaseMemBytes,
-		pathLoss:   cfg.PathLoss,
 		lossRTO:    cfg.LossRTO,
 	}
 	s.peakResident = s.resident
 	s.releaseWorker = s.workers.Release
+	if cfg.PathLoss > 0 {
+		s.SetPathLoss(cfg.PathLoss)
+	}
 	return s
 }
 
@@ -415,9 +415,9 @@ const junkBytes = 512
 // front tier.
 func (s *Server) EdgeHits() uint64 { return s.edgeHits }
 
-// SetPathLoss changes the per-request retransmission-stall loss fraction
-// mid-run (chaos loss bursts). It does not touch the access link's fluid
-// goodput — the scenario layer pairs the two.
+// SetPathLoss changes the path's loss fraction mid-run (chaos loss
+// bursts), both halves of Config.PathLoss at once: the access link's
+// goodput scaling and the per-request retransmission stalls.
 func (s *Server) SetPathLoss(p float64) {
 	if p < 0 {
 		p = 0
@@ -425,6 +425,7 @@ func (s *Server) SetPathLoss(p float64) {
 	if p > 0.99 {
 		p = 0.99
 	}
+	s.access.SetLoss(p)
 	s.pathLoss = p
 	if p > 0 && s.lossRTO <= 0 {
 		s.lossRTO = defaultLossRTO

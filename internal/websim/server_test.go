@@ -113,7 +113,7 @@ func TestWorkerPoolRefusesBeyondBacklog(t *testing.T) {
 
 func TestDeadlineTimesOutSlowRequest(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{QueryBackendTime: 5 * time.Second, DBConns: 1, QueryCacheBytes: -1}
+	cfg := Config{QueryBackendTime: 5 * time.Second, DBConns: 1}
 	srv := NewServer(env, cfg, smallSite(t))
 	var resp Response
 	env.Go("c", func(p *netsim.Proc) {
@@ -138,7 +138,6 @@ func TestFastCGIMemoryGrowsWithConcurrency(t *testing.T) {
 		BaseMemBytes:     100 << 20,
 		QueryBackendTime: 50 * time.Millisecond,
 		DBConns:          64,
-		QueryCacheBytes:  -1,
 	}
 	srv := NewServer(env, cfg, smallSite(t))
 	for i := 0; i < 10; i++ {
@@ -159,7 +158,7 @@ func TestFastCGIMemoryGrowsWithConcurrency(t *testing.T) {
 
 func TestMongrelMemoryFlat(t *testing.T) {
 	env := netsim.NewEnv(1)
-	cfg := Config{Backend: BackendMongrel, BaseMemBytes: 100 << 20, QueryCacheBytes: -1}
+	cfg := Config{Backend: BackendMongrel, BaseMemBytes: 100 << 20}
 	srv := NewServer(env, cfg, smallSite(t))
 	for i := 0; i < 10; i++ {
 		env.Go("c", func(p *netsim.Proc) {
