@@ -74,9 +74,10 @@ experiments:
 	$(GO) run ./cmd/mfc-experiments
 
 # Short coverage-guided fuzz runs over the hostile-input parsers, the
-# site generator against its oracle and the random source against
-# math/rand (the checked-in seed corpora also run as plain unit tests
-# under `make test`).
+# site generator against its oracle, the random source against
+# math/rand and the link's insert-time waterfill order against the
+# sort-then-waterfill oracle (the checked-in seed corpora also run as
+# plain unit tests under `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardTail$$' -fuzztime 10s ./internal/campaign
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanIngest$$' -fuzztime 10s ./internal/campaign/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s ./internal/content
 	$(GO) test -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 10s ./internal/rng
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkOps$$' -fuzztime 10s ./internal/netsim
 
 # The multi-process scenarios — three workers over a shared dir or joined
 # to a `serve` control plane, one killed -9 mid-shard; report and analytics

@@ -19,6 +19,24 @@ func thinPlan(tb testing.TB) *Plan {
 	return plan
 }
 
+// runChaosPlan is the run-chaos workload's plan shape: the Large Object stage
+// on Rank10K under four chaos presets, 200 sites per cell.
+func runChaosPlan(tb testing.TB) *Plan {
+	plan, err := NewPlan("bench-chaos", []population.Band{population.Rank10K},
+		[]core.Stage{core.StageLargeObject}, []string{"lossy", "flaky-link", "flash-crowd", "waf-reject"}, 200, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// chaosJob is the i-th job of a chaos run: consecutive jobs take the cells
+// in turn, so any b.N prices every preset.
+func chaosJob(plan *Plan, i int) int {
+	cells := len(plan.Cells)
+	return i%cells*plan.Sites + i/cells%plan.Sites
+}
+
 // TestAllocBudgetMeasureThin is the hardware-independent half of
 // BenchmarkMeasureThin: a thin job made 265 allocations and 105.5 KB when
 // the crawl walked object positions and seeding lost its division chain
@@ -43,6 +61,31 @@ func TestAllocBudgetMeasureThin(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetMeasureChaos is the hardware-independent half of
+// BenchmarkMeasureChaos: the first 41 chaos jobs made 2 451 allocations
+// and 396.2 KB each on average when the test was added; the budgets are
+// those + 10 %.
+func TestAllocBudgetMeasureChaos(t *testing.T) {
+	plan := runChaosPlan(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	i := 0
+	allocs := testing.AllocsPerRun(40, func() {
+		if rec := Measure(plan, chaosJob(plan, i), nil); rec.Err != "" {
+			t.Fatalf("job %d: %s", rec.Job, rec.Err)
+		}
+		i++
+	})
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / float64(i) / 1000
+	if allocs > 2700 {
+		t.Errorf("%.0f allocs per chaos job, budget 2700", allocs)
+	}
+	if kb > 436 {
+		t.Errorf("%.1f KB allocated per chaos job, budget 436", kb)
+	}
+}
+
 // BenchmarkMeasureThin is one job of the fleet workloads' thin plan
 // (Rank10K x Base, crowd 5 of 8 clients, one epoch): site sampling and the
 // profiling crawl are a large share of it, so it prices both next to the
@@ -52,6 +95,19 @@ func BenchmarkMeasureThin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if rec := Measure(plan, i%plan.Jobs(), nil); rec.Err != "" {
+			b.Fatalf("job %d: %s", rec.Job, rec.Err)
+		}
+	}
+}
+
+// BenchmarkMeasureChaos is one job of the run-chaos plan shape: bandwidth-
+// bound transfers under loss, link flaps and crowds, so link reallocation
+// and the calendar carry most of it. Jobs cycle over every cell.
+func BenchmarkMeasureChaos(b *testing.B) {
+	plan := runChaosPlan(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if rec := Measure(plan, chaosJob(plan, i), nil); rec.Err != "" {
 			b.Fatalf("job %d: %s", rec.Job, rec.Err)
 		}
 	}

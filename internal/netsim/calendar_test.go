@@ -15,6 +15,8 @@ import (
 type calendar interface {
 	After(d time.Duration, fn func()) (handle int)
 	Cancel(handle int)
+	// Reset cancels handle h and arms fn after d as a new handle.
+	Reset(h int, d time.Duration, fn func()) (handle int)
 	Run(until time.Duration)
 	Now() time.Duration
 	Len() int
@@ -53,6 +55,11 @@ func (r *refCalendar) Cancel(h int) {
 	}
 }
 
+func (r *refCalendar) Reset(h int, d time.Duration, fn func()) int {
+	r.Cancel(h)
+	return r.After(d, fn)
+}
+
 func (r *refCalendar) Run(until time.Duration) {
 	for len(r.pending) > 0 {
 		tm := r.pending[0]
@@ -70,10 +77,13 @@ func (r *refCalendar) Now() time.Duration { return r.now }
 func (r *refCalendar) Len() int           { return len(r.pending) }
 
 // envCalendar drives the kernel and checks the heap after every operation.
+// Reset re-keys the live entry in place (Env.reset) unless cancelAfter asks
+// for the Cancel + After it must equal.
 type envCalendar struct {
-	t      *testing.T
-	env    *Env
-	timers []Timer // every handle ever issued, kept across fire, cancel and entry reuse
+	t           *testing.T
+	env         *Env
+	timers      []Timer // every handle ever issued, kept across fire, cancel and entry reuse
+	cancelAfter bool
 }
 
 func (c *envCalendar) After(d time.Duration, fn func()) int {
@@ -85,6 +95,17 @@ func (c *envCalendar) After(d time.Duration, fn func()) int {
 func (c *envCalendar) Cancel(h int) {
 	c.timers[h].Cancel()
 	c.check()
+}
+
+func (c *envCalendar) Reset(h int, d time.Duration, fn func()) int {
+	if c.cancelAfter {
+		c.timers[h].Cancel()
+		c.timers = append(c.timers, c.env.After(d, fn))
+	} else {
+		c.timers = append(c.timers, c.env.reset(c.timers[h], d, fn))
+	}
+	c.check()
+	return len(c.timers) - 1
 }
 
 func (c *envCalendar) Run(until time.Duration) {
@@ -112,12 +133,13 @@ func (c *envCalendar) check() {
 	}
 }
 
-// calendarProgram is one seeded sequence of After / Cancel / Run(until)
-// calls, issued from the top level and from inside firing callbacks. It
-// returns a log of every firing and of the calendar length after each
-// top-level step. Cancels pick among all handles ever issued, so they hit
-// pending timers, fired ones, ones already canceled, the timer being
-// dispatched, and stale handles whose entry has since been reused.
+// calendarProgram is one seeded sequence of After / Cancel / Reset /
+// Run(until) calls, issued from the top level and from inside firing
+// callbacks. It returns a log of every firing and of the calendar length
+// after each top-level step. Cancels and resets pick among all handles ever
+// issued, so they hit pending timers, fired ones, ones already canceled, the
+// timer being dispatched, and stale handles whose entry has since been
+// reused.
 func calendarProgram(seed int64, cal calendar) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var log []string
@@ -137,7 +159,7 @@ func calendarProgram(seed int64, cal calendar) []string {
 		if rng.Intn(8) == 0 {
 			d = 10 * time.Second
 		}
-		got := cal.After(d, func() {
+		fn := func() {
 			log = append(log, fmt.Sprintf("fire %d at %v", h, cal.Now()))
 			switch rng.Intn(8) {
 			case 0:
@@ -151,7 +173,13 @@ func calendarProgram(seed int64, cal calendar) []string {
 				cancelAny()
 				cancelAny()
 			}
-		})
+		}
+		var got int
+		if armed > 1 && rng.Intn(4) == 0 {
+			got = cal.Reset(rng.Intn(armed-1), d, fn)
+		} else {
+			got = cal.After(d, fn)
+		}
 		if got != h {
 			panic("handles are not issued in arming order")
 		}
@@ -205,6 +233,25 @@ func TestCalendarMatchesSortedSliceModel(t *testing.T) {
 		}
 		if st.CalendarPeak > len(kern.timers) || st.CalendarPeak == 0 {
 			t.Errorf("seed %d: CalendarPeak = %d with %d timers armed", seed, st.CalendarPeak, len(kern.timers))
+		}
+	}
+}
+
+// TestTimerResetMatchesCancelAfter runs the same seeded programs on two
+// kernels, one re-keying a live timer in place and one canceling it and
+// arming a fresh one: the same firings at the same instants in the same
+// order, and the same kernel counters.
+func TestTimerResetMatchesCancelAfter(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		viaCancel := &envCalendar{t: t, env: NewEnv(seed), cancelAfter: true}
+		want := calendarProgram(seed, viaCancel)
+		inPlace := &envCalendar{t: t, env: NewEnv(seed)}
+		got := calendarProgram(seed, inPlace)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: in-place reset fires differently from Cancel + After", seed)
+		}
+		if g, w := inPlace.env.Stats(), viaCancel.env.Stats(); g != w {
+			t.Errorf("seed %d: Stats %+v after in-place resets, %+v after Cancel + After", seed, g, w)
 		}
 	}
 }

@@ -82,10 +82,12 @@
 // wake/yield token exchange of goroutine processes uses 1-buffered channels
 // so each handoff costs a single blocking rendezvous rather than two. The
 // calendar holds only live entries: each entry records its heap index, so
-// Timer.Cancel removes and recycles it on the spot. Nearly every timed wait
-// beats its deadline, and a deadline entry left in place until its time
-// came would ride the heap for seconds of virtual time — a thousand dead
-// entries under a flash crowd, deepening every sift. Env.Stats counts
+// Timer.Cancel removes and recycles it on the spot, and a link re-arming its
+// completion moves its one entry to the new key instead of removing and
+// pushing it. Nearly every timed wait beats its deadline, and a deadline
+// entry left in place until its time came would ride the heap for seconds
+// of virtual time — a thousand dead entries under a flash crowd, deepening
+// every sift. Env.Stats counts
 // entries dispatched, timers canceled, goroutine handoffs, inline task
 // steps, link waterfills and the calendar's high-water mark.
 //
@@ -99,8 +101,13 @@
 //     instead of N. Flush order is registration order, never map iteration,
 //     so runs stay byte-deterministic. No virtual time passes between a
 //     flow change and its flush, so rates, byte accounting, and completion
-//     instants are exactly those of eager recomputation. The completion
-//     callback's calendar entry is pushed at the flush rather than
+//     instants are exactly those of eager recomputation. A flush is one
+//     pass with no sort: the link keeps its flows in waterfill order
+//     (ascending cap, arrival order among equal caps) from the moment each
+//     arrives, beside the arrival order its byte accounting and wakeups
+//     use. It re-keys the link's live completion entry in place (Env.reset)
+//     with the (at, seq) a cancel and a fresh push would give. The
+//     completion callback's calendar key is set at the flush rather than
 //     mid-instant, so against an entry independently scheduled for the very
 //     same future nanosecond it may tie-break differently than eager
 //     recomputation; no pinned run does. The pins — the scenario traces in
@@ -365,6 +372,26 @@ func (t Timer) Cancel() {
 	e.calRemove(t.en.pos)
 	e.recycle(t.en)
 	e.stats.Canceled++
+}
+
+// reset re-arms t to run fn at Now()+d and returns its handle, with the
+// (at, seq) key t.Cancel() then After(d, fn) would give: the live entry takes
+// the next seq and sifts to its new place, so dispatch order cannot move,
+// and it counts as a cancel. If t is not pending, reset is After.
+func (e *Env) reset(t Timer, d time.Duration, fn func()) Timer {
+	en := t.en
+	if en == nil || en.seq != t.seq {
+		return e.After(d, fn)
+	}
+	e.stats.Canceled++
+	e.seq++
+	en.at, en.seq, en.fn = e.now+max(d, 0), e.seq, fn
+	if i := en.pos; i > 0 && entryLess(en, e.cal[(i-1)/2]) {
+		e.siftUp(en, i)
+	} else {
+		e.siftDown(en, i)
+	}
+	return e.timerFor(en)
 }
 
 // After schedules fn to run in driver context at Now()+d. The callback must

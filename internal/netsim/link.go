@@ -18,7 +18,9 @@ import (
 // deferred rates, byte accounting, and completion instants equal eager
 // recomputation's (see env.go's package comment for the pinned traces and
 // the one narrow difference: same-nanosecond tie-break order of the
-// completion callback).
+// completion callback). The flows are held in two orders: arrival order,
+// which byte accounting and the wakeups of finished flows follow, and
+// (cap, arrival) order, kept at each arrival, which the waterfill walks.
 //
 // This is the standard flow-level abstraction of TCP bandwidth sharing: with
 // N long-lived flows on a C-bit/s link, each receives ≈ C/N. It captures the
@@ -29,7 +31,7 @@ type Link struct {
 	name       string
 	capacity   float64 // bytes per second (configured; see effectiveCapacity)
 	flows      []*Flow // insertion order; iteration must stay deterministic
-	scratch    []*Flow // reusable sort buffer for reallocate
+	byCap      []*Flow // the same flows by (cap, arrival): the waterfill order
 	dirty      bool    // registered on env.dirty for the end-of-instant flush
 	lastUpd    time.Duration
 	next       Timer
@@ -223,6 +225,17 @@ func (l *Link) start(p *Proc, bytes, cap float64) *Flow {
 	fl.cap = cap
 	fl.proc, fl.target = p, p.blocks+1
 	l.flows = append(l.flows, fl)
+	// After every flow with a cap <= this one's: the order a stable sort of
+	// the insertion-ordered flows by cap gives.
+	lo, hi := 0, len(l.byCap)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); l.byCap[m].cap > cap {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	l.byCap = slices.Insert(l.byCap, lo, fl)
 	if len(l.flows) > l.maxActive {
 		l.maxActive = len(l.flows)
 	}
@@ -237,6 +250,8 @@ func (l *Link) abort(fl *Flow) {
 	}
 	l.advance()
 	l.flows = slices.Delete(l.flows, i, i+1)
+	i = slices.Index(l.byCap, fl)
+	l.byCap = slices.Delete(l.byCap, i, i+1)
 	l.changed()
 }
 
@@ -274,58 +289,35 @@ func (l *Link) advance() {
 }
 
 // reallocate recomputes max-min fair rates with per-flow caps
-// (water-filling) and schedules the next completion callback.
+// (water-filling) and re-arms the completion callback for the earliest
+// finishing flow. byCap is already ascending by cap, with arrival order
+// among equal caps, so the waterfill is one pass whose float accumulation
+// runs in the same order as a stable sort of the flows by cap.
 func (l *Link) reallocate() {
-	l.next.Cancel()
-	l.next = Timer{}
-	if len(l.flows) == 0 {
-		return
-	}
-
-	// Water-filling: ascending by cap; each flow gets min(cap, fair share of
-	// what remains among flows not yet fixed). The sort runs on a reusable
-	// scratch buffer; stable order over the insertion-ordered flow list keeps
-	// every float accumulation below deterministic.
-	flows := append(l.scratch[:0], l.flows...)
-	l.scratch = flows
-	slices.SortStableFunc(flows, func(a, b *Flow) int {
-		switch {
-		case a.cap < b.cap:
-			return -1
-		case a.cap > b.cap:
-			return 1
-		default:
-			return 0
-		}
-	})
 	remainingCap := l.effectiveCapacity()
-	n := len(flows)
-	for i, fl := range flows {
-		share := remainingCap / float64(n-i)
-		fl.rate = math.Min(fl.cap, share)
-		remainingCap -= fl.rate
-	}
-
-	// Earliest completion. Round UP to the nanosecond tick: rounding down
-	// would leave a sliver of bytes at the callback and respawn
-	// zero-duration callbacks forever.
+	n := len(l.byCap)
 	first := time.Duration(math.MaxInt64)
-	for _, fl := range flows {
+	for i, fl := range l.byCap {
+		// Each flow gets min(cap, fair share of what remains among the
+		// flows not yet fixed); the builtin min is math.Min on non-NaN input.
+		fl.rate = min(fl.cap, remainingCap/float64(n-i))
+		remainingCap -= fl.rate
 		if fl.rate <= 0 {
 			continue
 		}
+		// Round UP to the nanosecond tick: rounding down would leave a
+		// sliver of bytes at the callback and respawn zero-duration
+		// callbacks forever.
 		t := time.Duration(math.Ceil(fl.remaining / fl.rate * 1e9))
-		if t < time.Nanosecond {
-			t = time.Nanosecond
-		}
-		if t < first {
-			first = t
-		}
+		first = min(first, max(t, time.Nanosecond))
 	}
 	if first == time.Duration(math.MaxInt64) {
-		return // all rates zero: stalled until something changes
+		// No flows, or all rates zero: stalled until something changes.
+		l.next.Cancel()
+		l.next = Timer{}
+		return
 	}
-	l.next = l.env.After(first, l.completeFn)
+	l.next = l.env.reset(l.next, first, l.completeFn)
 }
 
 // complete retires every flow that has (within tolerance) finished, wakes
@@ -333,7 +325,6 @@ func (l *Link) reallocate() {
 func (l *Link) complete() {
 	l.advance()
 	const eps = 1e-6 // bytes; absorbs float drift
-	keep := l.flows[:0]
 	for _, fl := range l.flows {
 		if fl.remaining <= eps {
 			l.bytesSent += fl.remaining
@@ -341,13 +332,25 @@ func (l *Link) complete() {
 			l.flowsDone++
 			fl.done = true
 			l.env.pushWake(l.env.now, fl.proc, fl.target)
-		} else {
+		}
+	}
+	l.flows = dropDone(l.flows)
+	l.byCap = dropDone(l.byCap)
+	l.changed()
+}
+
+// dropDone removes the flows complete retired, keeping the others' order.
+// It is a plain loop: for the one or two flows a completion retires,
+// slices.DeleteFunc's predicate calls and clear cost more than the copy.
+func dropDone(flows []*Flow) []*Flow {
+	keep := flows[:0]
+	for _, fl := range flows {
+		if !fl.done {
 			keep = append(keep, fl)
 		}
 	}
-	for i := len(keep); i < len(l.flows); i++ {
-		l.flows[i] = nil
+	for i := len(keep); i < len(flows); i++ {
+		flows[i] = nil
 	}
-	l.flows = keep
-	l.changed()
+	return keep
 }

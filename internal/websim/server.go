@@ -328,10 +328,9 @@ type Server struct {
 	// deterministic leaky-bucket with burst depth RateLimit.Burst, no RNG.
 	limVT time.Duration
 
-	// pathLoss/lossRTO start from cfg.PathLoss/cfg.LossRTO and change
-	// mid-run through SetPathLoss (chaos loss bursts).
-	pathLoss float64
-	lossRTO  time.Duration
+	// lossRTO starts from cfg.LossRTO and gets a default once SetPathLoss
+	// makes the path lossy; the loss fraction itself is the access link's.
+	lossRTO time.Duration
 
 	// counters
 	served      uint64
@@ -417,23 +416,17 @@ func (s *Server) EdgeHits() uint64 { return s.edgeHits }
 
 // SetPathLoss changes the path's loss fraction mid-run (chaos loss
 // bursts), both halves of Config.PathLoss at once: the access link's
-// goodput scaling and the per-request retransmission stalls.
+// goodput scaling and the per-request retransmission stalls. The access
+// link clamps p to [0, 0.99] and is the one place the fraction lives.
 func (s *Server) SetPathLoss(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 0.99 {
-		p = 0.99
-	}
 	s.access.SetLoss(p)
-	s.pathLoss = p
-	if p > 0 && s.lossRTO <= 0 {
+	if s.access.Loss() > 0 && s.lossRTO <= 0 {
 		s.lossRTO = defaultLossRTO
 	}
 }
 
 // PathLoss returns the current per-request loss fraction.
-func (s *Server) PathLoss() float64 { return s.pathLoss }
+func (s *Server) PathLoss() float64 { return s.access.Loss() }
 
 // PeakResident returns the peak resident memory observed (bytes).
 func (s *Server) PeakResident() int64 { return s.peakResident }
@@ -838,17 +831,17 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 
 		case callSlowStart:
 			c.state = callStalled
-			if s.pathLoss > 0 {
+			if loss := s.access.Loss(); loss > 0 {
 				// Retransmission stall: a response of n packets suffers one RTO
 				// with probability 1-(1-p)^min(n,64) — at least one drop within the
 				// window-limited early rounds. Larger responses are likelier to
 				// stall, which is why sustained loss hurts the Large Object stage
-				// first. No draw happens when pathLoss is 0 (determinism guard).
+				// first. No draw happens on a lossless path (determinism guard).
 				pkts := float64((c.body + headerBytes + 1459) / 1460)
 				if pkts > 64 {
 					pkts = 64
 				}
-				if s.env.Rand().Float64() < 1-math.Pow(1-s.pathLoss, pkts) {
+				if s.env.Rand().Float64() < 1-math.Pow(1-loss, pkts) {
 					return p.BeginSleep(s.lossRTO)
 				}
 			}

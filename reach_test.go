@@ -51,7 +51,6 @@ var unreachedAllowed = []struct {
 		"mfc/internal/netsim.Link.MaxActive",
 		"mfc/internal/netsim.Link.FlowsCompleted",
 		"mfc/internal/netsim.Link.CapacityFactor",
-		"mfc/internal/netsim.Link.Loss",
 		"mfc/internal/netsim.Link.Down",
 		"mfc/internal/netsim.Resource.Utilization",
 		"mfc/internal/netsim.Resource.InUse",
