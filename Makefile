@@ -45,12 +45,14 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Non-test code is code a binary reaches (DESIGN.md "Layering"): build
-# every main package and the benchmark module, and fail on any declared
-# function in no binary's symbol table that the test's allowlist does not
-# name (~30s cold, a few seconds warm).
+# Non-test code is code a binary reaches and a setting is one a caller
+# sets (DESIGN.md "Layering"): build every main package and the benchmark
+# module, and fail on any declared function in no binary's symbol table;
+# type-check both modules from source, and fail on any exported struct
+# field no non-test code writes; either unless the test's allowlist names
+# it (~60s cold, ~10s warm).
 reach:
-	$(GO) test -count=1 -run '^TestEveryFuncIsReached$$' -reach .
+	$(GO) test -count=1 -run '^(TestEveryFuncIsReached|TestEveryFieldIsWritten)$$' -reach .
 
 # One iteration of the whole-experiment and flash-crowd-job benchmarks at
 # both GOMAXPROCS, the timer arm+cancel cycle, one site sample per band and

@@ -29,12 +29,9 @@ type StartInfo struct {
 // SiteEvent is one coordinator event tagged with the campaign job that
 // produced it.
 type SiteEvent struct {
-	Job      int
-	Band     string
-	Stage    string
-	Scenario string // "" for clean cells
-	Site     string
-	Event    core.Event
+	Job   int
+	Band  string
+	Event core.Event
 }
 
 // Terminal reports whether this is the job's terminal ExperimentFinished
@@ -100,7 +97,7 @@ func Measure(plan *Plan, j int, onEvent func(SiteEvent)) *Record {
 			if _, ok := ev.(core.ExperimentFinished); ok {
 				finished = true
 			}
-			onEvent(SiteEvent{Job: j, Band: cell.Band, Stage: cell.Stage, Scenario: cell.Scenario, Site: sample.Name, Event: ev})
+			onEvent(SiteEvent{Job: j, Band: cell.Band, Event: ev})
 		}
 	}
 	sr, err := measureSample(plan, stage, cell.Scenario, sample, obs)
@@ -110,8 +107,7 @@ func Measure(plan *Plan, j int, onEvent func(SiteEvent)) *Record {
 		if onEvent != nil && !finished {
 			// The run died before its terminal event (crawl error, panic):
 			// synthesize it so every job delivers exactly one.
-			onEvent(SiteEvent{Job: j, Band: cell.Band, Stage: cell.Stage, Scenario: cell.Scenario, Site: sample.Name,
-				Event: core.ExperimentFinished{Target: sample.Name, Err: err.Error()}})
+			onEvent(SiteEvent{Job: j, Band: cell.Band, Event: core.ExperimentFinished{Target: sample.Name, Err: err.Error()}})
 		}
 		return rec
 	}

@@ -443,10 +443,7 @@ func (s *Server) ingest(req IngestRequest) error {
 			g.newly++
 			// Replay the record to the tracker as the worker's engine saw
 			// it: one EpochCompleted per measured epoch, then the finish.
-			ev := campaign.SiteEvent{
-				Job: rec.Job, Band: rec.Band, Stage: rec.Stage,
-				Scenario: rec.Scenario, Site: rec.Site,
-			}
+			ev := campaign.SiteEvent{Job: rec.Job, Band: rec.Band}
 			if rec.Result != nil {
 				for _, sr := range rec.Result.Stages {
 					if sr == nil {

@@ -24,23 +24,22 @@ type Chart struct {
 	YLabel string
 	X      []float64
 	Series []Series
-	Height int // rows of plot area (default 12)
-	Width  int // columns of plot area (default 60)
 }
+
+// A chart's plot area is chartHeight rows by chartWidth columns; a Bars
+// row is barWidth cells wide.
+const (
+	chartHeight = 12
+	chartWidth  = 60
+	barWidth    = 50
+)
 
 var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
 
 // Render draws the chart. Series are overlaid with distinct markers; axis
 // ticks show the data range.
 func (c *Chart) Render() string {
-	h := c.Height
-	if h <= 0 {
-		h = 12
-	}
-	w := c.Width
-	if w <= 0 {
-		w = 60
-	}
+	h, w := chartHeight, chartWidth
 	if len(c.X) == 0 || len(c.Series) == 0 {
 		return c.Title + " (no data)\n"
 	}
@@ -142,17 +141,13 @@ type Bars struct {
 	Labels []string    // row labels
 	Parts  [][]float64 // per row: fractions summing to <= 1
 	Legend []string    // names of the parts
-	Width  int         // bar width in cells (default 50)
 }
 
 var fills = []byte{'#', '=', '+', '-', '.', ' '}
 
 // Render draws the stacked bars.
 func (bb *Bars) Render() string {
-	w := bb.Width
-	if w <= 0 {
-		w = 50
-	}
+	w := barWidth
 	var b strings.Builder
 	if bb.Title != "" {
 		b.WriteString(bb.Title + "\n")

@@ -55,7 +55,6 @@ func TestBarsRender(t *testing.T) {
 			{0.3, 0.2, 0.5},
 		},
 		Legend: []string{"10-20", "20-50", "NoStop"},
-		Width:  40,
 	}
 	out := b.Render()
 	for _, want := range []string{"Figure 7", "rank-1-1K", "#", "="} {
@@ -63,12 +62,12 @@ func TestBarsRender(t *testing.T) {
 			t.Errorf("bars missing %q:\n%s", want, out)
 		}
 	}
-	// Bars are bounded by the pipe delimiters at the configured width.
+	// Bars are bounded by the pipe delimiters at barWidth.
 	for _, line := range strings.Split(out, "\n") {
 		if strings.Count(line, "|") == 2 {
 			inner := line[strings.Index(line, "|")+1 : strings.LastIndex(line, "|")]
-			if len(inner) != 40 {
-				t.Errorf("bar width = %d, want 40: %q", len(inner), line)
+			if len(inner) != barWidth {
+				t.Errorf("bar width = %d, want %d: %q", len(inner), barWidth, line)
 			}
 		}
 	}
@@ -78,7 +77,6 @@ func TestBarsOverflowClamped(t *testing.T) {
 	b := &Bars{
 		Labels: []string{"x"},
 		Parts:  [][]float64{{0.7, 0.7}}, // sums past 1: must clamp
-		Width:  20,
 	}
 	out := b.Render() // must not panic
 	if !strings.Contains(out, "|") {

@@ -29,9 +29,6 @@ func (c *Config) WrapServer(cfg websim.Config) websim.Config {
 	}
 	if c.Loss > 0 {
 		cfg.PathLoss = c.Loss
-		if c.LossRTO > 0 {
-			cfg.LossRTO = c.LossRTO
-		}
 	}
 	return cfg
 }

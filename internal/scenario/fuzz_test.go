@@ -26,7 +26,7 @@ func testSite(t testing.TB) *content.Site {
 // round-trips through JSON to an equal configuration.
 func FuzzScenarioConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"loss":0.5,"loss_rto":100000000}`))
+	f.Add([]byte(`{"loss":0.5}`))
 	f.Add([]byte(`{"rtt_bands":[{"name":"sat","rtt":600000000,"jitter":0.1,"bandwidth":1e6,"weight":2}]}`))
 	f.Add([]byte(`{"rate_limit":{"rate":400,"burst":40,"reject":true},"front_cache":{"hit_ratio":0.8}}`))
 	f.Add([]byte(`{"diurnal":{"period":240000000000,"low":0.2,"high":2},"cross_traffic":{"peak_rate":30,"start_at":30000000000}}`))

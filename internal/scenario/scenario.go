@@ -41,8 +41,6 @@ type Config struct {
 	// and each response risks a retransmission stall (websim
 	// Config.PathLoss). 0 disables.
 	Loss float64 `json:"loss,omitempty"`
-	// LossRTO overrides the retransmission-stall duration (default 300ms).
-	LossRTO time.Duration `json:"loss_rto,omitempty"`
 
 	// RTTBands, when non-empty, replaces the default client population
 	// with one drawn from weighted RTT/bandwidth bands (regional CDN-less
@@ -147,9 +145,6 @@ func (c *Config) Validate() error {
 	if c.Loss < 0 || c.Loss > 0.99 {
 		return fmt.Errorf("scenario: loss %g outside [0, 0.99]", c.Loss)
 	}
-	if c.LossRTO < 0 {
-		return fmt.Errorf("scenario: negative loss_rto %v", c.LossRTO)
-	}
 	totalWeight := 0.0
 	for i, b := range c.RTTBands {
 		if b.RTT <= 0 {
@@ -188,9 +183,6 @@ func (c *Config) Validate() error {
 		if fc.HitRatio < 0 || fc.HitRatio > 1 {
 			return fmt.Errorf("scenario: front_cache.hit_ratio %g outside [0, 1]", fc.HitRatio)
 		}
-		if fc.Bandwidth < 0 {
-			return errors.New("scenario: front_cache.bandwidth is negative")
-		}
 	}
 	if d := c.Diurnal; d != nil {
 		if d.Period < 0 {
@@ -209,9 +201,6 @@ func (c *Config) Validate() error {
 		}
 		if ct.StartAt < 0 || ct.RampUp < 0 || ct.Hold < 0 {
 			return errors.New("scenario: cross_traffic durations must be non-negative")
-		}
-		if ct.ClientRTT < 0 || ct.ClientBW < 0 {
-			return errors.New("scenario: cross_traffic client parameters must be non-negative")
 		}
 	}
 	for i, f := range c.Faults {

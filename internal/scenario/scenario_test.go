@@ -94,7 +94,11 @@ func TestDecodeStrict(t *testing.T) {
 		`{"front_cache":{"hit_ratio":1.5}}`,
 		`{"diurnal":{"period":60000000000,"low":2,"high":1}}`,
 		`{"cross_traffic":{"peak_rate":-5}}`,
-		`{"cross_traffic":{"method":"HEAD"}}`, // the surge's method is not configurable
+		`{"cross_traffic":{"method":"HEAD"}}`,                     // the surge's method is not configurable
+		`{"loss":0.01,"loss_rto":100000000}`,                      // the stall is lossRTO
+		`{"front_cache":{"hit_ratio":0.5,"bandwidth":1e6}}`,       // the edge rate is fixed
+		`{"cross_traffic":{"peak_rate":5,"client_rtt":40000000}}`, // so is a visitor's path
+		`{"cross_traffic":{"peak_rate":5,"client_bw":1e6}}`,
 		`{"faults":[{"kind":"meteor","at":0}]}`,
 		`{"faults":[{"kind":"flap","at":-1}]}`,
 		`not json`,
@@ -298,17 +302,16 @@ func TestWrapServerCopiesOnlyActiveEffects(t *testing.T) {
 	base := websim.Config{Name: "srv", Cores: 2}
 	wrapped := (&Config{
 		Loss:       0.01,
-		LossRTO:    200 * time.Millisecond,
 		RateLimit:  &websim.RateLimit{Rate: 100, Burst: 10, Reject: true},
-		FrontCache: &websim.FrontCache{HitRatio: 0.5, Bandwidth: 1e6},
+		FrontCache: &websim.FrontCache{HitRatio: 0.5},
 	}).WrapServer(base)
 	if wrapped.RateLimit != (websim.RateLimit{Rate: 100, Burst: 10, Reject: true}) {
 		t.Errorf("rate limit not applied: %+v", wrapped)
 	}
-	if wrapped.FrontCache != (websim.FrontCache{HitRatio: 0.5, Bandwidth: 1e6}) {
+	if wrapped.FrontCache != (websim.FrontCache{HitRatio: 0.5}) {
 		t.Errorf("front cache not applied: %+v", wrapped)
 	}
-	if wrapped.PathLoss != 0.01 || wrapped.LossRTO != 200*time.Millisecond {
+	if wrapped.PathLoss != 0.01 {
 		t.Errorf("loss not applied: %+v", wrapped)
 	}
 	if wrapped.Name != "srv" || wrapped.Cores != 2 {

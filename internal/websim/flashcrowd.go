@@ -22,10 +22,13 @@ type FlashCrowdConfig struct {
 	StartAt  time.Duration `json:"start_at,omitempty"` // idle time before the ramp begins
 	RampUp   time.Duration `json:"ramp_up,omitempty"`  // default 60s
 	Hold     time.Duration `json:"hold,omitempty"`     // default 30s
-
-	ClientRTT time.Duration `json:"client_rtt,omitempty"` // default 60ms
-	ClientBW  float64       `json:"client_bw,omitempty"`  // default 1 MB/s
 }
+
+// A surge visitor's path: its RTT and its transfer rate in bytes/sec.
+const (
+	visitorRTT = 60 * time.Millisecond
+	visitorBW  = 1e6
+)
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 	if c.Method == "" {
@@ -36,12 +39,6 @@ func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 	}
 	if c.Hold <= 0 {
 		c.Hold = 30 * time.Second
-	}
-	if c.ClientRTT <= 0 {
-		c.ClientRTT = 60 * time.Millisecond
-	}
-	if c.ClientBW <= 0 {
-		c.ClientBW = 1e6
 	}
 	return c
 }
@@ -147,7 +144,7 @@ func (r *RampArrivals) Stop() { r.stopped = true }
 func (r *RampArrivals) request(at time.Duration) Request {
 	return Request{
 		Method: r.cfg.Method, URL: r.cfg.URL,
-		ClientRTT: r.cfg.ClientRTT, ClientBW: r.cfg.ClientBW,
+		ClientRTT: visitorRTT, ClientBW: visitorBW,
 		Deadline: at + visitorTimeout,
 	}
 }

@@ -135,7 +135,7 @@ func TestBackgroundNoEligibleURLEndsWithoutSpawning(t *testing.T) {
 
 func rampOn(srv *Server, startAt time.Duration) *RampArrivals {
 	return NewRampArrivals(srv, "ramp", FlashCrowdConfig{
-		Method: "HEAD", URL: srv.Site().Base, ClientRTT: 40 * time.Millisecond,
+		Method: "HEAD", URL: srv.Site().Base,
 		PeakRate: 50, StartAt: startAt, RampUp: 10 * time.Second, Hold: 10 * time.Second,
 	})
 }

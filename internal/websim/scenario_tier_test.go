@@ -184,13 +184,13 @@ func TestPathLossStallsLargeResponses(t *testing.T) {
 	lossy, cfg := serveBig(loss)
 	// 1MB is ~685 packets (capped at 64 for the stall draw): at 90% loss
 	// the stall probability is 1-0.1^64 ~ 1, so the response carries one
-	// full LossRTO over the clean run, and its transfer crosses the access
+	// full lossRTO over the clean run, and its transfer crosses the access
 	// link at (1-loss) of the clean goodput.
 	bytes := float64(1_000_000 + headerBytes)
 	slower := bytes/(cfg.AccessBandwidth*(1-loss)) - bytes/cfg.AccessBandwidth
-	want := cfg.LossRTO + time.Duration(slower*float64(time.Second))
+	want := lossRTO + time.Duration(slower*float64(time.Second))
 	if diff := lossy - clean; diff < want-time.Microsecond || diff > want+time.Microsecond {
-		t.Errorf("loss added %v, want %v (the %v RTO plus the transfer at %g goodput)", diff, want, cfg.LossRTO, 1-loss)
+		t.Errorf("loss added %v, want %v (the %v RTO plus the transfer at %g goodput)", diff, want, lossRTO, 1-loss)
 	}
 }
 

@@ -144,13 +144,11 @@ type Config struct {
 	// PathLoss is the sustained packet-loss fraction on the server's
 	// network path, clamped to [0, 0.99]. It has two halves, both applied
 	// by NewServer: the access link's fluid goodput scales by
-	// (1-PathLoss), and each response of n packets suffers one LossRTO
+	// (1-PathLoss), and each response of n packets suffers one lossRTO
 	// retransmission stall with probability 1-(1-PathLoss)^min(n,64) (at
-	// least one loss event within the first window-limited rounds).
-	// LossRTO defaults to 300ms, a conservative RTO with timer slack. 0
+	// least one loss event within the first window-limited rounds). 0
 	// disables (and draws nothing from the RNG).
 	PathLoss float64
-	LossRTO  time.Duration
 
 	// Synthetic, when non-nil, replaces the entire resource pipeline with a
 	// synthetic response-time model (used by the §3.1 validation server).
@@ -189,14 +187,15 @@ type FrontCache struct {
 	// HitRatio is the edge-served fraction, in [0, 1]; 0 disables the
 	// tier (and draws nothing).
 	HitRatio float64 `json:"hit_ratio"`
-	// Bandwidth is the per-response edge transfer rate in bytes/sec
-	// (default 125 MB/s).
-	Bandwidth float64 `json:"bandwidth,omitempty"`
 }
 
-// defaultLossRTO is LossRTO's default, for a path lossy from the start or
-// made lossy mid-run by SetPathLoss.
-const defaultLossRTO = 300 * time.Millisecond
+// edgeBandwidth is the front tier's per-response transfer rate in
+// bytes/sec.
+const edgeBandwidth = 125e6
+
+// lossRTO is the retransmission stall of a lossy path: a conservative
+// RTO with timer slack.
+const lossRTO = 300 * time.Millisecond
 
 // syntheticSettle is the gathering window of the synthetic server: a
 // request waits this long before sampling the pending count, so a
@@ -261,12 +260,6 @@ func (c Config) withDefaults() Config {
 	if rl := &c.RateLimit; rl.Rate > 0 && rl.Burst <= 0 {
 		rl.Burst = max(int(rl.Rate), 1)
 	}
-	if fc := &c.FrontCache; fc.HitRatio > 0 && fc.Bandwidth <= 0 {
-		fc.Bandwidth = 125e6
-	}
-	if c.PathLoss > 0 && c.LossRTO <= 0 {
-		c.LossRTO = defaultLossRTO
-	}
 	return c
 }
 
@@ -328,10 +321,6 @@ type Server struct {
 	// deterministic leaky-bucket with burst depth RateLimit.Burst, no RNG.
 	limVT time.Duration
 
-	// lossRTO starts from cfg.LossRTO and gets a default once SetPathLoss
-	// makes the path lossy; the loss fraction itself is the access link's.
-	lossRTO time.Duration
-
 	// counters
 	served      uint64
 	refused     uint64
@@ -371,7 +360,6 @@ func NewServer(env *netsim.Env, cfg Config, site *content.Site) *Server {
 		fileCache:  newLRU(fileCacheBytes * int64(cfg.Replicas)),
 		queryCache: newLRU(cfg.QueryCacheBytes * int64(cfg.Replicas)),
 		resident:   cfg.BaseMemBytes,
-		lossRTO:    cfg.LossRTO,
 	}
 	s.peakResident = s.resident
 	s.releaseWorker = s.workers.Release
@@ -420,9 +408,6 @@ func (s *Server) EdgeHits() uint64 { return s.edgeHits }
 // link clamps p to [0, 0.99] and is the one place the fraction lives.
 func (s *Server) SetPathLoss(p float64) {
 	s.access.SetLoss(p)
-	if s.access.Loss() > 0 && s.lossRTO <= 0 {
-		s.lossRTO = defaultLossRTO
-	}
 }
 
 // PathLoss returns the current per-request loss fraction.
@@ -579,13 +564,13 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			// request. The base page stays origin-served (personalized HTML), so a
 			// fronted site's Base stage still measures the origin while its Large
 			// Object stage is masked by the cache.
-			if fc := &s.cfg.FrontCache; fc.HitRatio > 0 && !obj.Dynamic && req.URL != s.site.Base &&
-				s.env.Rand().Float64() < fc.HitRatio {
+			if hit := s.cfg.FrontCache.HitRatio; hit > 0 && !obj.Dynamic && req.URL != s.site.Base &&
+				s.env.Rand().Float64() < hit {
 				s.edgeHits++
 				if req.Method != "HEAD" {
 					c.body = obj.Size
 				}
-				bw := fc.Bandwidth
+				bw := edgeBandwidth
 				if req.ClientBW > 0 && req.ClientBW < bw {
 					bw = req.ClientBW
 				}
@@ -842,7 +827,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 					pkts = 64
 				}
 				if s.env.Rand().Float64() < 1-math.Pow(1-loss, pkts) {
-					return p.BeginSleep(s.lossRTO)
+					return p.BeginSleep(lossRTO)
 				}
 			}
 

@@ -21,8 +21,6 @@ type LabTarget struct {
 	// Model is an optional synthetic response-time model driven by the
 	// live pending-request count (§3.1's validation functions).
 	Model SyntheticModel
-	// Listen is the TCP address to bind (default "127.0.0.1:0").
-	Listen string
 	// Clients is the in-process goroutine crowd size (default 40).
 	Clients int
 }
@@ -32,13 +30,9 @@ func (t LabTarget) open(_ context.Context, cfg Config, _ *runOptions) (*binding,
 	if t.Site == nil {
 		return nil, fmt.Errorf("mfc: LabTarget.Site is required")
 	}
-	listen := t.Listen
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
 	srv := labtarget.New(t.Site, t.Model)
 	srv.EnableAccessLog()
-	ln, err := net.Listen("tcp", listen)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("mfc: starting lab target: %w", err)
 	}
