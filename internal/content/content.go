@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"path"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -123,36 +124,66 @@ func Classify(url string) Kind {
 	}
 }
 
-// Site is an immutable collection of objects indexed by URL, with a base
-// page. It is the unit a Profile is computed from and the content model a
-// simulated server hosts.
+// Site is an immutable collection of objects with a base page, kept as
+// columns over object positions: the unit a Profile is computed from and
+// the content model a simulated server hosts. A generated site keeps no
+// URL: its positions are four segments (queries, binaries, images,
+// pages), and a URL is rendered from, or parsed back to, a segment and an
+// index in it. A NewSite site keeps its objects and a URL→position map.
 type Site struct {
-	Host    string
-	Base    string           // URL of the base page (e.g. "/index.html")
-	objects []Object         // in the order they were given
-	index   map[string]int32 // URL -> position in objects
-	// Kind(kinds[i]) is Classify(objects[i].URL). links[first[i]:first[i+1]]
-	// are the positions of the objects object i links to, when the crawl
-	// reads its links (it classifies as text or query); a link to no
-	// object is dropped, as the crawl skips an unreachable object.
-	kinds []byte
-	first []int32
-	links []int32
+	Host string
+	Base string // URL of the base page (e.g. "/index.html")
+	// kinds[i] is Classify of object i's URL, the kind the crawl reads.
+	// links[first[i]:first[i+1]] are the positions object i links to when
+	// the crawl reads its links (it classifies as text or query); a link to
+	// no object is dropped, as the crawl skips an unreachable object.
+	sizes        []int64
+	kinds        []byte
+	first, links []int32
+	base         int32
+	ends         [len(segments)]int32 // one past each generated segment's last position
+	objects      []Object             // NewSite's objects, nil on a generated site
+	index        map[string]int32
 }
+
+// segments says how a generated site renders each segment's URLs: prefix,
+// the index zero-padded to width digits, suffix. Page 0 is generatedBase.
+var segments = [...]struct {
+	prefix string
+	width  int
+	suffix string
+}{{queryPrefix, 3, ""}, {binaryPrefix, 2, binarySuffix}, {imagePrefix, 3, imageSuffix}, {pagePrefix, 3, pageSuffix}}
+
+// The query prefix is two constants as Find compares at most 16 bytes inline.
+const (
+	queryPath, queryKey                                = "/search.cgi", "?q=item"
+	queryPrefix, binaryPrefix, imagePrefix, pagePrefix = queryPath + queryKey, "/files/dist", "/img/pic", "/pages/p"
+	binarySuffix, imageSuffix, pageSuffix              = ".tar.gz", ".jpg", ".html"
+	pageSegment, generatedBase                         = len(segments) - 1, "/index.html"
+)
 
 // NewSite builds a Site from objects. The base URL must be present among
 // the objects.
 func NewSite(host, base string, objects []Object) (*Site, error) {
-	s, err := newSite(host, base, slices.Clone(objects))
-	if err != nil {
-		return nil, err
-	}
-	s.first = make([]int32, len(s.objects)+1)
+	n := len(objects)
+	s := &Site{Host: host, Base: base, objects: slices.Clone(objects), index: make(map[string]int32, n),
+		sizes: make([]int64, n), kinds: make([]byte, n), first: make([]int32, n+1)}
 	for i, o := range s.objects {
-		k := Classify(o.URL)
-		s.kinds[i] = byte(k)
+		if o.URL == "" {
+			return nil, fmt.Errorf("content: object with empty URL on host %q", host)
+		}
+		if s.index[o.URL] = int32(i); len(s.index) != i+1 {
+			return nil, fmt.Errorf("content: duplicate URL %q on host %q", o.URL, host)
+		}
+		s.sizes[i], s.kinds[i] = o.Size, byte(Classify(o.URL))
+	}
+	var ok bool
+	if s.base, ok = s.index[base]; !ok {
+		return nil, fmt.Errorf("content: base page %q not among objects of host %q", base, host)
+	}
+	for i, o := range s.objects {
 		for _, l := range o.Links {
-			if j, ok := s.index[l]; ok && (k == KindText || k == KindQuery) {
+			if j, ok := s.index[l]; ok && (Kind(s.kinds[i]) == KindText || Kind(s.kinds[i]) == KindQuery) {
 				s.links = append(s.links, j)
 			}
 		}
@@ -161,50 +192,125 @@ func NewSite(host, base string, objects []Object) (*Site, error) {
 	return s, nil
 }
 
-// newSite is NewSite keeping objects itself and taking each crawl kind
-// from Object.Kind, for Generate, which built the slice for this site,
-// never touches it again, sets every Kind to Classify's, and builds the
-// link slab itself.
-func newSite(host, base string, objects []Object) (*Site, error) {
-	index := make(map[string]int32, len(objects))
-	kinds := make([]byte, len(objects))
-	for i, o := range objects {
-		kinds[i] = byte(o.Kind)
-		if o.URL == "" {
-			return nil, fmt.Errorf("content: object with empty URL on host %q", host)
-		}
-		if index[o.URL] = int32(i); len(index) != i+1 {
-			return nil, fmt.Errorf("content: duplicate URL %q on host %q", o.URL, host)
+// Len returns the number of objects.
+func (s *Site) Len() int { return len(s.sizes) }
+
+// Size returns the size of the object at position i.
+func (s *Site) Size(i int) int64 { return s.sizes[i] }
+
+// Dynamic reports whether the object at position i is dynamic.
+func (s *Site) Dynamic(i int) bool {
+	if s.objects != nil {
+		return s.objects[i].Dynamic
+	}
+	return Kind(s.kinds[i]) == KindQuery
+}
+
+// URL returns the URL of the object at position i.
+func (s *Site) URL(i int) string {
+	var buf [32]byte
+	return string(s.appendURL(buf[:0], i))
+}
+
+// appendURL appends the URL of the object at position i to dst.
+func (s *Site) appendURL(dst []byte, i int) []byte {
+	if s.objects != nil {
+		return append(dst, s.objects[i].URL...)
+	}
+	k := 0
+	for int32(i) >= s.ends[k] {
+		k++
+	}
+	if k > 0 {
+		i -= int(s.ends[k-1])
+	}
+	if k == pageSegment && i == 0 {
+		return append(dst, generatedBase...)
+	}
+	dst = append(dst, segments[k].prefix...)
+	for w, p := 1, 10; w < segments[k].width; w, p = w+1, p*10 {
+		if i < p {
+			dst = append(dst, '0')
 		}
 	}
-	if _, ok := index[base]; !ok {
-		return nil, fmt.Errorf("content: base page %q not among objects of host %q", base, host)
+	return append(strconv.AppendInt(dst, int64(i), 10), segments[k].suffix...)
+}
+
+// Find returns the position of the object at url. A generated site parses
+// url: a segment's prefix and suffix around the index of one of its
+// objects, spelled as URL renders it, so no other spelling is found.
+func (s *Site) Find(url string) (int, bool) {
+	if s.objects != nil {
+		i, ok := s.index[url]
+		return int(i), ok
 	}
-	return &Site{Host: host, Base: base, objects: objects, index: index, kinds: kinds}, nil
+	// Each case compares constants, which compile to a few word loads.
+	var k int
+	var digits string
+	switch n := len(url); {
+	case url == generatedBase:
+		return int(s.base), true
+	case n > len(queryPrefix) && url[:len(queryPath)] == queryPath && url[len(queryPath):len(queryPrefix)] == queryKey:
+		k, digits = 0, url[len(queryPrefix):]
+	case n > len(binaryPrefix+binarySuffix) && url[:len(binaryPrefix)] == binaryPrefix && url[n-len(binarySuffix):] == binarySuffix:
+		k, digits = 1, url[len(binaryPrefix):n-len(binarySuffix)]
+	case n > len(imagePrefix+imageSuffix) && url[:len(imagePrefix)] == imagePrefix && url[n-len(imageSuffix):] == imageSuffix:
+		k, digits = 2, url[len(imagePrefix):n-len(imageSuffix)]
+	case n > len(pagePrefix+pageSuffix) && url[:len(pagePrefix)] == pagePrefix && url[n-len(pageSuffix):] == pageSuffix:
+		k, digits = pageSegment, url[len(pagePrefix):n-len(pageSuffix)]
+	default:
+		return 0, false
+	}
+	j := 0
+	for _, c := range []byte(digits) {
+		if c -= '0'; c > 9 || len(digits) > 9 {
+			return 0, false
+		}
+		j = j*10 + int(c)
+	}
+	// URL pads j to the segment's width and renders page 0 as
+	// generatedBase: it gives digits back exactly when they are width
+	// long, or longer with no leading zero.
+	if k > 0 {
+		j += int(s.ends[k-1])
+	}
+	w := segments[k].width
+	if j >= int(s.ends[k]) || int32(j) == s.base || len(digits) < w || len(digits) > w && digits[0] == '0' {
+		return 0, false
+	}
+	return j, true
 }
 
 // Lookup returns the object at url.
 func (s *Site) Lookup(url string) (Object, bool) {
-	i, ok := s.index[url]
+	i, ok := s.Find(url)
 	if !ok {
 		return Object{}, false
 	}
-	return s.objects[i], true
+	return s.object(i), true
 }
 
-// BasePage returns the site's base page object.
-func (s *Site) BasePage() Object {
-	o, _ := s.Lookup(s.Base)
+// object returns the object at position i, rendering a generated one.
+func (s *Site) object(i int) Object {
+	if s.objects != nil {
+		return s.objects[i]
+	}
+	o := Object{URL: s.URL(i), Kind: Kind(s.kinds[i]), Size: s.sizes[i], Dynamic: s.Dynamic(i)}
+	for _, l := range s.links[s.first[i]:s.first[i+1]] {
+		o.Links = append(o.Links, s.URL(int(l)))
+	}
 	return o
 }
 
-// Len returns the number of objects.
-func (s *Site) Len() int { return len(s.objects) }
+// BasePage returns the site's base page object.
+func (s *Site) BasePage() Object { return s.object(int(s.base)) }
 
 // Objects returns all objects in deterministic (URL-sorted) order.
 func (s *Site) Objects() []Object {
-	out := make([]Object, len(s.objects))
-	copy(out, s.objects)
+	out := make([]Object, s.Len())
+	for i := range out {
+		out[i] = s.object(i)
+	}
 	slices.SortFunc(out, func(a, b Object) int { return strings.Compare(a.URL, b.URL) })
 	return out
 }

@@ -3,8 +3,6 @@ package content
 import (
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"mfc/internal/rng"
 )
@@ -70,58 +68,43 @@ func Generate(host string, seed int64, cfg GenConfig) *Site {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rng.New(seed))
 	nImages := min(cfg.Pages*cfg.ImagesPerPage, 200)
-	// One slice in draw order (queries, binaries, images, pages); each
-	// URL is a substring of one per-site string.
-	objects := make([]Object, cfg.Queries+cfg.Binaries+nImages+cfg.Pages)
-	queries := objects[:cfg.Queries]
-	bins := objects[cfg.Queries : cfg.Queries+cfg.Binaries]
-	imgs := objects[cfg.Queries+cfg.Binaries : len(objects)-cfg.Pages]
-	pages := objects[len(objects)-cfg.Pages:]
-	var w urlWriter // exact while every index fits its zero padding
-	w.Grow(21*cfg.Queries + 20*cfg.Binaries + 15*nImages + 16*cfg.Pages)
+	// Columns in draw order (queries, binaries, images, pages).
+	nObjects := cfg.Queries + cfg.Binaries + nImages + cfg.Pages
+	binAt, imgAt, pageAt := cfg.Queries, cfg.Queries+cfg.Binaries, nObjects-cfg.Pages
+	s := &Site{Host: host, Base: generatedBase, sizes: make([]int64, nObjects), kinds: make([]byte, nObjects),
+		first: make([]int32, nObjects+1), base: int32(pageAt),
+		ends: [len(segments)]int32{int32(binAt), int32(imgAt), int32(pageAt), int32(nObjects)}}
 
-	for i := range queries {
-		size := clamp64(jitter64(rng, cfg.MeanQuerySize), 64, SmallQueryMax-1)
-		queries[i] = Object{URL: w.url("/search.cgi?q=item", i, 3, ""), Kind: KindQuery, Size: size, Dynamic: true}
+	for i := range cfg.Queries {
+		s.sizes[i] = clamp64(jitter64(rng, cfg.MeanQuerySize), 64, SmallQueryMax-1)
+		s.kinds[i] = byte(KindQuery)
 	}
 
 	// Binaries; the first cfg.LargeObjects are sized into the LO band.
-	for i := range bins {
-		var size int64
+	for i := range cfg.Binaries {
 		if i < cfg.LargeObjects {
-			size = LargeObjectMin + rng.Int63n(cfg.MaxLargeObjectSize-LargeObjectMin)
+			s.sizes[binAt+i] = LargeObjectMin + rng.Int63n(cfg.MaxLargeObjectSize-LargeObjectMin)
 		} else {
-			size = clamp64(jitter64(rng, 40*1024), 1024, LargeObjectMin-1)
+			s.sizes[binAt+i] = clamp64(jitter64(rng, 40*1024), 1024, LargeObjectMin-1)
 		}
-		bins[i] = Object{URL: w.url("/files/dist", i, 2, ".tar.gz"), Kind: KindBinary, Size: size}
+		s.kinds[binAt+i] = byte(KindBinary)
 	}
 
 	// Images (shared pool; pages link into it).
-	for i := range imgs {
-		size := clamp64(jitter64(rng, 24*1024), 512, LargeObjectMin-1)
-		imgs[i] = Object{URL: w.url("/img/pic", i, 3, ".jpg"), Kind: KindImage, Size: size}
+	for i := range nImages {
+		s.sizes[imgAt+i] = clamp64(jitter64(rng, 24*1024), 512, LargeObjectMin-1)
+		s.kinds[imgAt+i] = byte(KindImage)
 	}
 
 	// Pages. Page i links to a few later pages (tree-ish), some images,
-	// an occasional binary and an occasional query. All links share one
-	// backing array, and their object positions one slab beside it;
-	// linkedBy[k] is 1 + the last page that linked image k.
-	pages[0].URL = "/index.html"
-	for i := 1; i < len(pages); i++ {
-		pages[i].URL = w.url("/pages/p", i, 3, ".html")
-	}
-	nLinks := len(pages) - 1 + len(pages)*(min(cfg.ImagesPerPage, nImages)+2) + len(bins) + 1
-	links, linkIdx := make([]string, 0, nLinks), make([]int32, 0, nLinks)
-	link := func(o int) {
-		links = append(links, objects[o].URL)
-		linkIdx = append(linkIdx, int32(o))
-	}
-	pageAt, imgAt, binAt := len(objects)-len(pages), len(queries)+len(bins), len(queries)
-	first := make([]int32, len(objects)+1)
+	// an occasional binary and an occasional query. All links' object
+	// positions share one slab; linkedBy[k] is 1 + the last page that
+	// linked image k.
+	s.links = make([]int32, 0, cfg.Pages-1+cfg.Pages*(min(cfg.ImagesPerPage, nImages)+2)+cfg.Binaries+1)
+	link := func(o int) { s.links = append(s.links, int32(o)) }
 	linkedBy := make([]int32, nImages)
-	for i := range pages {
-		start := len(links)
-		for j := i*2 + 1; j <= i*2+2 && j < len(pages); j++ {
+	for i := range cfg.Pages {
+		for j := i*2 + 1; j <= i*2+2 && j < cfg.Pages; j++ {
 			link(pageAt + j)
 		}
 		for k := 0; k < cfg.ImagesPerPage && nImages > 0; k++ {
@@ -131,58 +114,31 @@ func Generate(host string, seed int64, cfg GenConfig) *Site {
 			}
 		}
 		bin, query := -1, -1
-		if len(bins) > 0 && rng.Intn(3) == 0 {
-			bin = rng.Intn(len(bins))
+		if cfg.Binaries > 0 && rng.Intn(3) == 0 {
+			bin = rng.Intn(cfg.Binaries)
 			link(binAt + bin)
 		}
-		if len(queries) > 0 && rng.Intn(2) == 0 {
-			query = rng.Intn(len(queries))
+		if cfg.Queries > 0 && rng.Intn(2) == 0 {
+			query = rng.Intn(cfg.Queries)
 			link(query)
 		}
 		if i == 0 {
 			// The index must reach everything for the crawler: give it
 			// direct links to every binary and the first query too.
-			for k := range bins {
+			for k := range cfg.Binaries {
 				if k != bin {
 					link(binAt + k)
 				}
 			}
-			if len(queries) > 0 && query != 0 {
+			if cfg.Queries > 0 && query != 0 {
 				link(0)
 			}
 		}
-		pages[i].Kind = KindText
-		pages[i].Size = clamp64(jitter64(rng, cfg.MeanPageSize), 256, 64*1024)
-		if len(links) > start {
-			pages[i].Links = links[start:len(links):len(links)]
-		}
-		first[pageAt+i+1] = int32(len(links))
+		s.sizes[pageAt+i] = clamp64(jitter64(rng, cfg.MeanPageSize), 256, 64*1024)
+		s.kinds[pageAt+i] = byte(KindText)
+		s.first[pageAt+i+1] = int32(len(s.links))
 	}
-
-	site, err := newSite(host, "/index.html", objects)
-	if err != nil {
-		panic("content: generator produced invalid site: " + err.Error())
-	}
-	site.first, site.links = first, linkIdx
-	return site
-}
-
-// urlWriter appends a site's URLs to one string: each URL it returns is a
-// substring of it.
-type urlWriter struct{ strings.Builder }
-
-// url writes prefix, i zero-padded to width digits (%0*d), and suffix.
-func (w *urlWriter) url(prefix string, i, width int, suffix string) string {
-	start := w.Len()
-	var buf [20]byte
-	digits := strconv.AppendInt(buf[:0], int64(i), 10)
-	w.WriteString(prefix)
-	for n := len(digits); n < width; n++ {
-		w.WriteByte('0')
-	}
-	w.Write(digits)
-	w.WriteString(suffix)
-	return w.String()[start:]
+	return s
 }
 
 // jitterMult[3+n] is jitter64's multiplier n half steps from zero: 1.0

@@ -173,3 +173,71 @@ func FuzzGenerate(f *testing.F) {
 		RequireProfileMatchesCrawl(t, site)
 	})
 }
+
+// FuzzSiteLookup holds a generated site's Find and Lookup to a map from
+// each Objects() URL to its object: on every object's URL and on a fuzzed
+// string, which is found exactly when the map holds it. Its configs are
+// FuzzGenerate's seeds, folded the same way; its strings are canonical
+// URLs on both sides of every zero-pad width, and spellings no object
+// has: zero-padded too much or too little, page 0 under /pages/, an index
+// at or past its segment's count, a query string on the base page, and
+// the empty string.
+func FuzzSiteLookup(f *testing.F) {
+	configs := []struct {
+		seed                           int64
+		pages, imgs, bins, queries, lo int
+		pageSize, querySize, maxLarge  int64
+	}{
+		{1, 0, 0, 0, 0, 0, 0, 0, 0},
+		{7, 60, 3, 8, 120, 4, 0, 0, 400 * 1024},
+		{2, 5, 0, 1, 4, 1, 0, 0, 0},
+		{3, 1, -1, 1, -1, 0, 0, 0, 0},
+		{4, 3, 39, 2, 2, 0, 0, 0, LargeObjectMin},
+		{99, 1200, 7, 120, 1100, 3, 0, 0, 0},
+		{-5, 2, -1, -3, -1, 9, -1, -1, LargeObjectMin},
+	}
+	urls := []string{
+		"/index.html", "/pages/p001.html", "/search.cgi?q=item000", "/files/dist00.tar.gz", "/img/pic000.jpg",
+		"/pages/p999.html", "/pages/p1000.html", "/search.cgi?q=item999", "/search.cgi?q=item1000",
+		"/files/dist99.tar.gz", "/files/dist100.tar.gz", "/img/pic199.jpg", "/img/pic200.jpg",
+		"/pages/p000.html", "/pages/p0001.html", "/pages/p01000.html", "/img/pic7.jpg", "/img/pic0007.jpg",
+		"/search.cgi?q=item01000", "/files/dist0100.tar.gz", "/files/dist5.tar.gz", "/search.cgi?q=item",
+		"/pages/p040.html", "/search.cgi?q=item020", "/files/dist06.tar.gz", "/img/pic120.jpg",
+		"/index.html?x", "/pages/p+01.html", "/img/pic-01.jpg", "/search.cgi?q=item9999999999", "",
+	}
+	for _, c := range configs {
+		for _, u := range urls {
+			f.Add(c.seed, c.pages, c.imgs, c.bins, c.queries, c.lo, c.pageSize, c.querySize, c.maxLarge, u)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, pages, imgs, bins, queries, large int, pageSize, querySize, maxLarge int64, url string) {
+		cfg := GenConfig{
+			Pages: pages % 1500, ImagesPerPage: imgs % 40, Binaries: bins % 150,
+			Queries: queries % 1500, LargeObjects: large % 150,
+			MeanPageSize: pageSize, MeanQuerySize: querySize, MaxLargeObjectSize: maxLarge,
+		}
+		site := Generate("fuzz.example", seed, cfg)
+		objs := site.Objects()
+		oracle := make(map[string]Object, len(objs))
+		for _, o := range objs {
+			oracle[o.URL] = o
+		}
+		check := func(u string) {
+			want, wantOK := oracle[u]
+			i, ok := site.Find(u)
+			if ok != wantOK {
+				t.Fatalf("%+v: Find(%q) found %v, the map %v", cfg, u, ok, wantOK)
+			}
+			if ok && site.URL(i) != u {
+				t.Fatalf("%+v: Find(%q) = %d, which renders %q", cfg, u, i, site.URL(i))
+			}
+			if got, ok := site.Lookup(u); ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: Lookup(%q) = %+v, %v; the map holds %+v, %v", cfg, u, got, ok, want, wantOK)
+			}
+		}
+		for _, o := range objs {
+			check(o.URL)
+		}
+		check(url)
+	})
+}

@@ -123,19 +123,23 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 
 // Profile is Crawl over the site itself, walking object positions instead
 // of URLs: the same Profile Crawl returns from a fetcher that serves the
-// site, for the simulated profiling stage.
+// site, for the simulated profiling stage. It renders only the URLs of the
+// objects it groups.
 func (s *Site) Profile(cfg CrawlConfig) *Profile {
 	cfg = cfg.withDefaults()
 	type item struct{ obj, depth int32 }
-	seen := make([]bool, len(s.objects))
-	base := s.index[s.Base]
-	seen[base] = true
-	queue := append(make([]item, 0, len(s.objects)), item{base, 0})
+	seen := make([]bool, s.Len())
+	seen[s.base] = true
+	queue := append(make([]item, 0, s.Len()), item{s.base, 0})
 	prof := &Profile{Host: s.Host, BaseURL: s.Base, ByKind: make(map[Kind]int)}
+	grouped := make([]int32, 0, 64) // positions of the grouped objects
 	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
 		it := queue[head]
-		o, kind := &s.objects[it.obj], Kind(s.kinds[it.obj])
-		prof.add(Object{URL: o.URL, Kind: kind, Size: o.Size, Dynamic: kind == KindQuery})
+		kind := Kind(s.kinds[it.obj])
+		o := Object{Kind: kind, Size: s.sizes[it.obj], Dynamic: kind == KindQuery}
+		if prof.add(o); o.IsLargeObject() || o.IsSmallQuery() {
+			grouped = append(grouped, it.obj)
+		}
 		if int(it.depth) < cfg.MaxDepth {
 			for _, l := range s.links[s.first[it.obj]:s.first[it.obj+1]] {
 				if !seen[l] {
@@ -143,6 +147,21 @@ func (s *Site) Profile(cfg CrawlConfig) *Profile {
 					queue = append(queue, item{l, it.depth + 1})
 				}
 			}
+		}
+	}
+	// One string holds the grouped objects' URLs, in the groups' order: a
+	// small query is a query and a large object is not.
+	var b strings.Builder
+	b.Grow(24 * len(grouped))
+	large, small := prof.LargeObjects, prof.SmallQueries
+	for _, i := range grouped {
+		var buf [32]byte
+		start := b.Len()
+		b.Write(s.appendURL(buf[:0], int(i)))
+		if url := b.String()[start:]; Kind(s.kinds[i]) == KindQuery {
+			small[0].URL, small = url, small[1:]
+		} else {
+			large[0].URL, large = url, large[1:]
 		}
 	}
 	prof.sortGroups()

@@ -257,14 +257,17 @@ func (ctl *Controller) at(env *netsim.Env, at time.Duration, fn func()) {
 
 // largestStatic picks the flash crowd's default target: the biggest
 // non-dynamic object the site serves (what organic crowds pile onto, and
-// what stresses the access link most).
+// what stresses the access link most), the first in URL order of those
+// that size. It renders URLs only to break a size tie and for the pick.
 func largestStatic(site *content.Site) string {
-	url := ""
-	var size int64 = -1
-	for _, o := range site.Objects() {
-		if !o.Dynamic && o.Size > size {
-			url, size = o.URL, o.Size
+	best, size := -1, int64(-1)
+	for i := range site.Len() {
+		if n := site.Size(i); !site.Dynamic(i) && (n > size || n == size && site.URL(i) < site.URL(best)) {
+			best, size = i, n
 		}
 	}
-	return url
+	if best < 0 {
+		return ""
+	}
+	return site.URL(best)
 }

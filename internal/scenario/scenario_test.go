@@ -507,3 +507,40 @@ func TestCrossTrafficWithoutStaticObjectSpawnsNobody(t *testing.T) {
 		t.Errorf("stats = %+v, served = %d; want the task's start entry alone", st, srv.Served())
 	}
 }
+
+// TestLargestStaticMatchesObjects holds largestStatic, a scan of the
+// site's columns, to the pick it replaced: the first object in URL order
+// among the largest static ones in Objects(), over the first 64 sites of
+// every band and a site whose largest static objects tie.
+func TestLargestStaticMatchesObjects(t *testing.T) {
+	fromObjects := func(site *content.Site) string {
+		url, size := "", int64(-1)
+		for _, o := range site.Objects() {
+			if !o.Dynamic && o.Size > size {
+				url, size = o.URL, o.Size
+			}
+		}
+		return url
+	}
+	tie, err := content.NewSite("tie", "/index.html", []content.Object{
+		{URL: "/index.html", Size: 10}, {URL: "/z.bin", Size: 500}, {URL: "/q?x", Size: 900, Dynamic: true},
+		{URL: "/b.bin", Size: 500}, {URL: "/a.bin", Size: 400},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []*content.Site{tie}
+	for _, b := range population.Bands {
+		for i := 0; i < 64; i++ {
+			sites = append(sites, population.SampleAt(b, i, 1).Site)
+		}
+	}
+	for _, site := range sites {
+		if got, want := largestStatic(site), fromObjects(site); got != want {
+			t.Errorf("%s: largestStatic = %q, the Objects() pick %q", site.Host, got, want)
+		}
+	}
+	if got := largestStatic(tie); got != "/b.bin" {
+		t.Errorf("tie: largestStatic = %q, want /b.bin", got)
+	}
+}

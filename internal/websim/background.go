@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"slices"
 	"time"
 
 	"mfc/internal/netsim"
@@ -57,15 +58,18 @@ func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *Backgr
 	if !arrivals && !bursts {
 		return bt
 	}
-	// Partition the site once.
+	// Partition the site once, each part in URL order.
 	var static, dynamic []string
-	for _, o := range srv.site.Objects() {
-		if o.Dynamic {
-			dynamic = append(dynamic, o.URL)
-		} else if o.Size < 256*1024 { // background visitors rarely pull blobs
-			static = append(static, o.URL)
+	site := srv.site
+	for i := range site.Len() {
+		if site.Dynamic(i) {
+			dynamic = append(dynamic, site.URL(i))
+		} else if site.Size(i) < 256*1024 { // background visitors rarely pull blobs
+			static = append(static, site.URL(i))
 		}
 	}
+	slices.Sort(static)
+	slices.Sort(dynamic)
 	if arrivals {
 		env.Spawn("bg/"+srv.cfg.Name, &bgArrivals{bt: bt, static: static, dynamic: dynamic})
 	}

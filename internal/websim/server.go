@@ -464,7 +464,8 @@ type Call struct {
 	s     *Server
 	tag   string
 	req   Request
-	obj   content.Object
+	size  int64 // the requested object's size and whether it is dynamic
+	dyn   bool
 	state callState
 	start time.Duration // arrival instant
 	body  int64         // response body bytes once known
@@ -552,23 +553,23 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			if s.logging {
 				s.arrivals = append(s.arrivals, Arrival{At: c.start, URL: req.URL, Method: req.Method, Tag: c.tag})
 			}
-			obj, found := s.site.Lookup(req.URL)
+			obj, found := s.site.Find(req.URL)
 			if !found {
 				// 404s still cost parse CPU, but we keep them cheap and exact.
 				return c.done(Response{Status: 404, Err: ErrNotFound})
 			}
-			c.obj = obj
+			c.size, c.dyn = s.site.Size(obj), s.site.Dynamic(obj)
 
 			// CDN/cache front tier: a hit is served entirely at the edge — the
 			// origin's workers, CPU, disk, limiter and access link never see the
 			// request. The base page stays origin-served (personalized HTML), so a
 			// fronted site's Base stage still measures the origin while its Large
 			// Object stage is masked by the cache.
-			if hit := s.cfg.FrontCache.HitRatio; hit > 0 && !obj.Dynamic && req.URL != s.site.Base &&
+			if hit := s.cfg.FrontCache.HitRatio; hit > 0 && !c.dyn && req.URL != s.site.Base &&
 				s.env.Rand().Float64() < hit {
 				s.edgeHits++
 				if req.Method != "HEAD" {
-					c.body = obj.Size
+					c.body = c.size
 				}
 				bw := edgeBandwidth
 				if req.ClientBW > 0 && req.ClientBW < bw {
@@ -668,7 +669,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				return c.timeout()
 			}
 			if req.Method != "HEAD" {
-				c.body = c.obj.Size
+				c.body = c.size
 			}
 			c.state = callTransmit
 			return p.BeginSleep(d)
@@ -680,8 +681,8 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 			switch {
 			case req.Method == "HEAD":
 				c.state = callRender
-			case c.obj.Dynamic:
-				c.body = c.obj.Size
+			case c.dyn:
+				c.body = c.size
 				c.state = callPool
 				// FastCGI: fork — the request holds a parent-image copy for its
 				// entire dynamic phase (including pool queueing) and pays the
@@ -702,9 +703,9 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				}
 			default:
 				// Static: read the object from cache or disk.
-				c.body = c.obj.Size
+				c.body = c.size
 				c.state = callRender
-				if !s.fileCache.get(c.obj.URL) {
+				if !s.fileCache.get(req.URL) {
 					rem, live := s.remaining(req.Deadline)
 					if !live {
 						return c.timeout()
@@ -722,13 +723,13 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				return c.timeout()
 			}
 			seek := time.Duration(float64(s.cfg.DiskSeek) * s.thrash())
-			xfer := time.Duration(float64(c.obj.Size) / s.cfg.DiskBandwidth * s.thrash() * float64(time.Second))
+			xfer := time.Duration(float64(c.size) / s.cfg.DiskBandwidth * s.thrash() * float64(time.Second))
 			c.state = callDiskRead
 			return p.BeginSleep(seek + xfer)
 
 		case callDiskRead:
 			s.disk.Release()
-			s.fileCache.put(c.obj.URL, c.obj.Size)
+			s.fileCache.put(req.URL, c.size)
 			c.state = callRender
 
 		case callForked:
@@ -789,7 +790,7 @@ func (c *Call) Step(p *netsim.Proc) (suspended bool) {
 				return c.timeout()
 			}
 			if s.queryCache.enabled() {
-				s.queryCache.put(req.URL, c.obj.Size)
+				s.queryCache.put(req.URL, c.size)
 			}
 			c.endDynamic()
 			c.state = callRender
