@@ -12,7 +12,6 @@
 //	mfc-sim -preset custom -cores 2 -parse 5ms -dbconns 4 -bandwidth 12.5e6
 //	mfc-sim -list
 //	mfc-sim -list-scenarios
-//	mfc-sim -preset univ1 -list-objects      # the URLs a scenario's crowd can aim at
 package main
 
 import (
@@ -89,7 +88,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "log coordinator progress")
 		list      = flag.Bool("list", false, "list presets and exit")
 		listScen  = flag.Bool("list-scenarios", false, "list scenario presets and exit")
-		listObjs  = flag.Bool("list-objects", false, "list the preset site's objects (URL, kind, bytes) and exit")
 	)
 	flag.Float64Var(&custom.Cores, "cores", 2, "custom: CPU cores")
 	flag.DurationVar(&custom.ParseCPU, "parse", 2*time.Millisecond, "custom: per-request parse CPU")
@@ -137,12 +135,6 @@ func main() {
 	if site == nil {
 		fmt.Fprintf(os.Stderr, "mfc-sim: unknown preset %q (try -list)\n", *preset)
 		os.Exit(2)
-	}
-	if *listObjs {
-		for _, o := range site.Objects() {
-			fmt.Printf("%-28s %-6s %d\n", o.URL, o.Kind, o.Size)
-		}
-		return
 	}
 
 	cfg := mfc.DefaultConfig()

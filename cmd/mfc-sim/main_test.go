@@ -99,23 +99,3 @@ func TestScenarioNeedsBackground(t *testing.T) {
 		}
 	}
 }
-
-// -list-objects prints the preset site's objects in URL order, one line
-// each, URL first, and runs nothing.
-func TestListObjects(t *testing.T) {
-	stdout, _, err := mfcSim("-preset", "univ1", "-seed", "3", "-list-objects")
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := mfc.PresetUniv1Site(3)
-	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
-	if len(lines) != site.Len() {
-		t.Fatalf("-list-objects printed %d lines for %d objects", len(lines), site.Len())
-	}
-	for i, line := range lines {
-		url := strings.Fields(line)[0]
-		if _, ok := site.Lookup(url); !ok || i > 0 && url <= strings.Fields(lines[i-1])[0] {
-			t.Fatalf("line %d %q: not a site URL in URL order", i, line)
-		}
-	}
-}

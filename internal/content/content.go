@@ -154,7 +154,11 @@ var segments = [...]struct {
 	suffix string
 }{{queryPrefix, 3, ""}, {binaryPrefix, 2, binarySuffix}, {imagePrefix, 3, imageSuffix}, {pagePrefix, 3, pageSuffix}}
 
-// The query prefix is two constants as Find compares at most 16 bytes inline.
+// Find pairs these constants again in a switch, as a loop over segments
+// took 20-27 ns a query or image URL on BenchmarkSiteFind (-cpu 1, 2
+// vCPUs), a map hit 13-15 ns and the switch 10-11 ns; the query prefix is
+// split because Go compares at most 16 constant bytes inline (15 ns
+// unsplit). FuzzSiteLookup holds the switch to this table.
 const (
 	queryPath, queryKey                                = "/search.cgi", "?q=item"
 	queryPrefix, binaryPrefix, imagePrefix, pagePrefix = queryPath + queryKey, "/files/dist", "/img/pic", "/pages/p"

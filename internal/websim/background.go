@@ -1,7 +1,6 @@
 package websim
 
 import (
-	"slices"
 	"time"
 
 	"mfc/internal/netsim"
@@ -58,18 +57,15 @@ func StartBackground(env *netsim.Env, srv *Server, cfg BackgroundConfig) *Backgr
 	if !arrivals && !bursts {
 		return bt
 	}
-	// Partition the site once, each part in URL order.
+	// Partition the site once.
 	var static, dynamic []string
-	site := srv.site
-	for i := range site.Len() {
-		if site.Dynamic(i) {
-			dynamic = append(dynamic, site.URL(i))
-		} else if site.Size(i) < 256*1024 { // background visitors rarely pull blobs
-			static = append(static, site.URL(i))
+	for _, o := range srv.site.Objects() {
+		if o.Dynamic {
+			dynamic = append(dynamic, o.URL)
+		} else if o.Size < 256*1024 { // background visitors rarely pull blobs
+			static = append(static, o.URL)
 		}
 	}
-	slices.Sort(static)
-	slices.Sort(dynamic)
 	if arrivals {
 		env.Spawn("bg/"+srv.cfg.Name, &bgArrivals{bt: bt, static: static, dynamic: dynamic})
 	}
