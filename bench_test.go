@@ -81,8 +81,10 @@ func simulatedExperiment(seed int64, opts ...mfc.RunOption) error {
 
 // TestAllocBudgetSimulatedExperiment is the hardware-independent half of
 // BenchmarkSimulatedExperiment: allocations per experiment, the QT site's
-// generation included (4 042 over these seeds when the budget was set),
-// must not creep past 4 400.
+// generation included. Over these seeds it made 4 042 when the budget was
+// first set, 3 856 before and 3 048 after the coordinator dropped its
+// client- and URL-keyed maps and each client kept its own base time; the
+// budget is the last + 10 %.
 func TestAllocBudgetSimulatedExperiment(t *testing.T) {
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -91,8 +93,8 @@ func TestAllocBudgetSimulatedExperiment(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4400 {
-		t.Errorf("%.0f allocs per simulated experiment, budget 4400", allocs)
+	if allocs > 3352 {
+		t.Errorf("%.0f allocs per simulated experiment, budget 3352", allocs)
 	}
 }
 

@@ -2,6 +2,8 @@ package mfc
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -183,6 +185,73 @@ func TestMeasurersThroughFacade(t *testing.T) {
 	}
 	if withMeasurers != len(sr.Epochs) {
 		t.Errorf("measurer medians on %d of %d epochs", withMeasurers, len(sr.Epochs))
+	}
+}
+
+// TestFailedMeasurerKeepsCrowd: a measurer whose baseline fails on every
+// candidate reserves no client, and the candidates it tried stay in the
+// crowd pool, so the ramp still reaches every registered client.
+func TestFailedMeasurerKeepsCrowd(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Threshold = time.Hour
+	cfg.MaxCrowd = 65
+	cfg.Measurers = []core.Request{{Method: "HEAD", URL: "/no-such-object"}}
+	reserved := -1
+	observe := func(ev Event) {
+		if r, ok := ev.(MeasurersReserved); ok {
+			reserved = r.Clients
+		}
+	}
+	run, err := Run(context.Background(), SimTarget{
+		Server: PresetQTNP(), Site: PresetQTSite(7), Clients: 65, Seed: 3,
+	}, cfg, WithStage(StageBase), WithObserver(observe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reserved != 0 {
+		t.Errorf("reserved %d clients for a measurer no client can baseline", reserved)
+	}
+	largest := 0
+	for _, e := range run.Result.Stages[0].Epochs {
+		if e.Kind == EpochRamp {
+			largest = max(largest, e.Crowd)
+		}
+	}
+	if largest != 65 {
+		t.Errorf("largest ramp crowd = %d, want all 65 clients", largest)
+	}
+}
+
+// TestMeasurersDeterministicUnderLoss: with lossy control messages every
+// measurer's fire and poll draw from the run's random source, so the
+// measurers must be served in one fixed order for the same SimTarget and
+// Config to give the same Result.
+func TestMeasurersDeterministicUnderLoss(t *testing.T) {
+	srvCfg, site := PresetLab(BackendMongrel)
+	cfg := DefaultConfig()
+	cfg.Threshold = time.Hour
+	cfg.Measurers = []core.Request{
+		{Method: "GET", URL: "/query.cgi?stats=1"},
+		{Method: "HEAD", URL: "/index.html"},
+	}
+	target := SimTarget{
+		Server: srvCfg, Site: site, Clients: 70, LAN: true, Seed: 2,
+		CommandLoss: 0.3, PollLoss: 0.1, NoAccessLog: true, MonitorPeriod: -1,
+	}
+	digests := map[[sha256.Size]byte]int{}
+	for range 12 {
+		run, err := Run(context.Background(), target, cfg, WithStage(StageLargeObject))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(run.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[sha256.Sum256(b)]++
+	}
+	if len(digests) != 1 {
+		t.Errorf("12 runs of one SimTarget and Config gave %d distinct Results", len(digests))
 	}
 }
 

@@ -25,9 +25,9 @@ type Profile struct {
 	Host         string
 	BaseURL      string
 	Discovered   int
-	ByKind       map[Kind]int
-	LargeObjects []Object // static, 100KB..2MB, sorted by size descending
-	SmallQueries []Object // dynamic, < 15KB, sorted by size ascending
+	ByKind       [KindQuery + 1]int // discovered objects per Kind
+	LargeObjects []Object           // static, 100KB..2MB, sorted by size descending
+	SmallQueries []Object           // dynamic, < 15KB, sorted by size ascending
 }
 
 // HasLargeObject reports whether the Large Object stage can run.
@@ -40,10 +40,9 @@ func (p *Profile) HasSmallQuery() bool { return len(p.SmallQueries) > 0 }
 func (p *Profile) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "profile(%s): %d objects", p.Host, p.Discovered)
-	kinds := []Kind{KindText, KindBinary, KindImage, KindQuery}
-	for _, k := range kinds {
-		if n := p.ByKind[k]; n > 0 {
-			fmt.Fprintf(&b, " %s:%d", k, n)
+	for k, n := range p.ByKind {
+		if n > 0 {
+			fmt.Fprintf(&b, " %s:%d", Kind(k), n)
 		}
 	}
 	fmt.Fprintf(&b, " large:%d smallq:%d", len(p.LargeObjects), len(p.SmallQueries))
@@ -80,7 +79,7 @@ func Crawl(ctx context.Context, f Fetcher, host, base string, cfg CrawlConfig) (
 	}
 	seen := map[string]struct{}{base: {}}
 	queue := []item{{base, 0}}
-	prof := &Profile{Host: host, BaseURL: base, ByKind: make(map[Kind]int)}
+	prof := &Profile{Host: host, BaseURL: base}
 
 	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
 		if err := ctx.Err(); err != nil {
@@ -131,7 +130,7 @@ func (s *Site) Profile(cfg CrawlConfig) *Profile {
 	seen := make([]bool, s.Len())
 	seen[s.base] = true
 	queue := append(make([]item, 0, s.Len()), item{s.base, 0})
-	prof := &Profile{Host: s.Host, BaseURL: s.Base, ByKind: make(map[Kind]int)}
+	prof := &Profile{Host: s.Host, BaseURL: s.Base}
 	grouped := make([]int32, 0, 64) // positions of the grouped objects
 	for head := 0; head < len(queue) && prof.Discovered < cfg.MaxObjects; head++ {
 		it := queue[head]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mfc/internal/content"
@@ -19,14 +20,22 @@ type Coordinator struct {
 	// reproducible.
 	rng *rand.Rand
 
-	clients   []Client
-	ctrlRTT   map[string]time.Duration
-	baselines map[string]Baseline // per client, per current stage
-	epochSeq  int
+	// pool holds the crowd-eligible clients in registration order.
+	pool     []member
+	epochSeq int
 
-	// measurers maps a measurer request URL to the reserved clients that
-	// issue it each epoch (§6 extension).
-	measurers map[string][]Client
+	// measurers[i] holds the clients reserved for Config.Measurers[i]
+	// (§6 extension).
+	measurers [][]Client
+}
+
+// member is one crowd-eligible client and what the coordinator schedules
+// it by.
+type member struct {
+	cl   Client
+	ctrl time.Duration // T_coord, measured at registration
+	rtt  time.Duration // T_target, measured in this stage's delay computation
+	req  Request       // this stage's request (O_i)
 }
 
 // seed1 is the coordinator's source as seeded, copied by every New.
@@ -60,73 +69,65 @@ func (c *Coordinator) register() error {
 	if err != nil {
 		return fmt.Errorf("core: listing active clients: %w", err)
 	}
-	c.clients = c.clients[:0]
-	c.ctrlRTT = make(map[string]time.Duration, len(clients))
+	c.pool = make([]member, 0, len(clients))
 	for _, cl := range clients {
 		rtt, err := cl.ControlRTT()
 		if err != nil {
 			continue // unresponsive client: drop
 		}
-		c.ctrlRTT[cl.ID()] = rtt
-		c.clients = append(c.clients, cl)
+		c.pool = append(c.pool, member{cl: cl, ctrl: rtt})
 	}
-	if len(c.clients) < c.cfg.MinClients {
-		return fmt.Errorf("%w: %d < %d", ErrTooFewClients, len(c.clients), c.cfg.MinClients)
+	if len(c.pool) < c.cfg.MinClients {
+		return fmt.Errorf("%w: %d < %d", ErrTooFewClients, len(c.pool), c.cfg.MinClients)
 	}
 	return nil
 }
 
-// stageRequests assigns each client its per-stage request (O_i), following
-// §2.2.2: Base = HEAD of the base page; Large Object = the same large
-// object for everyone; Small Query = a unique dynamic object per client
-// when available, else the same one.
-func (c *Coordinator) stageRequests(stage Stage, prof *content.Profile) (map[string]Request, error) {
-	reqs := make(map[string]Request, len(c.clients))
+// stageRequests assigns each pool member its per-stage request (O_i),
+// following §2.2.2: Base = HEAD of the base page; Large Object = the same
+// large object for everyone; Small Query = a unique dynamic object per
+// client when available, else the same one.
+func (c *Coordinator) stageRequests(stage Stage, prof *content.Profile) error {
 	switch stage {
 	case StageBase:
-		for _, cl := range c.clients {
-			reqs[cl.ID()] = Request{Method: "HEAD", URL: prof.BaseURL}
+		for i := range c.pool {
+			c.pool[i].req = Request{Method: "HEAD", URL: prof.BaseURL}
 		}
 	case StageLargeObject:
 		if !prof.HasLargeObject() {
-			return nil, ErrStageUnavailable
+			return ErrStageUnavailable
 		}
-		obj := prof.LargeObjects[0]
-		for _, cl := range c.clients {
-			reqs[cl.ID()] = Request{Method: "GET", URL: obj.URL}
+		for i := range c.pool {
+			c.pool[i].req = Request{Method: "GET", URL: prof.LargeObjects[0].URL}
 		}
 	case StageSmallQuery:
 		if !prof.HasSmallQuery() {
-			return nil, ErrStageUnavailable
+			return ErrStageUnavailable
 		}
-		for i, cl := range c.clients {
-			obj := prof.SmallQueries[i%len(prof.SmallQueries)]
-			reqs[cl.ID()] = Request{Method: "GET", URL: obj.URL}
+		for i := range c.pool {
+			c.pool[i].req = Request{Method: "GET", URL: prof.SmallQueries[i%len(prof.SmallQueries)].URL}
 		}
 	default:
-		return nil, fmt.Errorf("core: unknown stage %v", stage)
+		return fmt.Errorf("core: unknown stage %v", stage)
 	}
-	return reqs, nil
+	return nil
 }
 
-// delayComputation has every client measure its target RTT and base
-// response time, sequentially so measurements do not interfere (§2.2.3).
-// Existing entries (e.g. measurer baselines) are preserved; crowd clients'
-// entries are refreshed for the new stage.
-func (c *Coordinator) delayComputation(reqs map[string]Request) {
-	if c.baselines == nil {
-		c.baselines = make(map[string]Baseline, len(c.clients))
-	}
-	live := c.clients[:0]
-	for _, cl := range c.clients {
-		bl, err := cl.MeasureTarget([]Request{reqs[cl.ID()]})
+// delayComputation has every pool member measure its target RTT and the
+// base response time of its stage request, sequentially so measurements
+// do not interfere (§2.2.3). A member that cannot reach the target leaves
+// the pool.
+func (c *Coordinator) delayComputation() {
+	live := c.pool[:0]
+	for _, m := range c.pool {
+		rtt, err := m.cl.MeasureTarget(m.req)
 		if err != nil {
-			continue // client cannot reach the target: drop for this stage
+			continue
 		}
-		c.baselines[cl.ID()] = bl
-		live = append(live, cl)
+		m.rtt = rtt
+		live = append(live, m)
 	}
-	c.clients = live
+	c.pool = live
 }
 
 // Run registers the clients, then runs stages in order against the target
@@ -178,14 +179,13 @@ func (c *Coordinator) runStage(ctx context.Context, stage Stage, prof *content.P
 		Started:   clock.Now(),
 	}
 	c.emit(StageStarted{Stage: stage, At: sr.Started})
-	reqs, err := c.stageRequests(stage, prof)
-	if err != nil {
+	if err := c.stageRequests(stage, prof); err != nil {
 		sr.Verdict = VerdictUnavailable
 		return sr
 	}
 	c.reserveMeasurers()
-	c.delayComputation(reqs)
-	if len(c.clients) < c.cfg.MinClients {
+	c.delayComputation()
+	if len(c.pool) < c.cfg.MinClients {
 		sr.Verdict = VerdictAborted
 		return sr
 	}
@@ -197,10 +197,10 @@ func (c *Coordinator) runStage(ctx context.Context, stage Stage, prof *content.P
 			sr.Verdict = VerdictAborted
 			return sr
 		}
-		if crowd > len(c.clients) {
+		if crowd > len(c.pool) {
 			break // fewer clients available than the configured maximum
 		}
-		er := c.runEpoch(stage, sr, reqs, crowd, EpochRamp)
+		er := c.runEpoch(stage, sr, crowd, EpochRamp)
 		if !er.Exceeded {
 			continue
 		}
@@ -228,10 +228,10 @@ func (c *Coordinator) runStage(ctx context.Context, stage Stage, prof *content.P
 				sr.Verdict = VerdictAborted
 				return sr
 			}
-			if ch.crowd < 1 || ch.crowd > len(c.clients) {
+			if ch.crowd < 1 || ch.crowd > len(c.pool) {
 				continue
 			}
-			cer := c.runEpoch(stage, sr, reqs, ch.crowd, ch.kind)
+			cer := c.runEpoch(stage, sr, ch.crowd, ch.kind)
 			if cer.Exceeded {
 				sr.Verdict = VerdictStopped
 				sr.StoppingCrowd = crowd
@@ -245,12 +245,12 @@ func (c *Coordinator) runStage(ctx context.Context, stage Stage, prof *content.P
 
 // runEpoch schedules one synchronized crowd, waits, collects, and appends
 // the epoch result.
-func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Request, crowd int, kind EpochKind) *EpochResult {
+func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, crowd int, kind EpochKind) *EpochResult {
 	clock := c.platform.Clock()
 	c.epochSeq++
 	epoch := c.epochSeq
 
-	crowd = min(crowd, len(c.clients))
+	crowd = min(crowd, len(c.pool))
 	members := c.pickCrowd(crowd)
 
 	// Compute the common arrival instant T: past the largest lead time
@@ -258,11 +258,8 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 	// the guard keeps simulations fast while preserving ordering).
 	now := clock.Now()
 	maxLead := time.Duration(0)
-	for _, cl := range members {
-		lead := c.leadTime(cl)
-		if lead > maxLead {
-			maxLead = lead
-		}
+	for _, m := range members {
+		maxLead = max(maxLead, m.leadTime())
 	}
 	arriveAt := now + maxLead + c.cfg.ScheduleGuard
 
@@ -270,27 +267,25 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 	// (§6: "the target sees 1 request every m milliseconds").
 	scheduled := 0
 	staggerOffset := time.Duration(0)
-	for _, cl := range members {
+	for _, m := range members {
 		at := arriveAt + staggerOffset
 		staggerOffset += max(c.cfg.Stagger, 0)
-		rq := reqs[cl.ID()]
 		burst := make([]Request, c.cfg.MultiRequest)
 		for j := range burst {
-			burst[j] = rq
+			burst[j] = m.req
 		}
-		cl.Fire(epoch, at, burst, c.cfg.RequestTimeout)
+		m.cl.Fire(epoch, at, burst, c.cfg.RequestTimeout)
 		scheduled += len(burst)
 	}
-
-	collectMeasurers := c.fireMeasurers(epoch, arriveAt)
+	c.fireMeasurers(epoch, arriveAt)
 
 	// Wait for the latest arrival plus the full timeout budget, then poll.
 	wait := arriveAt - now + c.cfg.RequestTimeout + staggerOffset
 	clock.Sleep(wait)
 
 	var samples []Sample
-	for _, cl := range members {
-		ss, ok := cl.Collect(epoch)
+	for _, m := range members {
+		ss, ok := m.cl.Collect(epoch)
 		if !ok {
 			continue // poll lost (UDP semantics)
 		}
@@ -308,7 +303,7 @@ func (c *Coordinator) runEpoch(stage Stage, sr *StageResult, reqs map[string]Req
 		Spread90:        spread90(samples),
 		ArriveAt:        arriveAt,
 		Done:            clock.Now(),
-		MeasurerMedians: collectMeasurers(),
+		MeasurerMedians: c.measurerMedians(epoch),
 	}
 	for _, s := range samples {
 		if s.Err != "" {
@@ -352,82 +347,75 @@ const measurerReplicas = 3
 
 // reserveMeasurers takes measurerReplicas clients per configured measurer
 // request out of the crowd-eligible pool and baselines them against their
-// own request (§6). Clients that fail the baseline are returned to the
-// pool. Idempotent across stages: reserved clients stay reserved.
+// own request (§6). Candidates come from the tail, so the crowd keeps its
+// head ordering, and none below MinClients is examined; a candidate that
+// fails the baseline stays in the pool where it was. Idempotent across
+// stages: reserved clients stay reserved.
 func (c *Coordinator) reserveMeasurers() {
 	if len(c.cfg.Measurers) == 0 || c.measurers != nil {
 		return
 	}
-	if c.baselines == nil {
-		c.baselines = make(map[string]Baseline)
-	}
-	c.measurers = make(map[string][]Client, len(c.cfg.Measurers))
-	for _, mreq := range c.cfg.Measurers {
-		var picked []Client
-		for len(picked) < measurerReplicas && len(c.clients) > c.cfg.MinClients {
-			// Take from the tail so the crowd keeps its head ordering.
-			cl := c.clients[len(c.clients)-1]
-			c.clients = c.clients[:len(c.clients)-1]
-			if bl, err := cl.MeasureTarget([]Request{mreq}); err == nil {
-				c.baselines[cl.ID()] = bl
-				picked = append(picked, cl)
+	c.measurers = make([][]Client, len(c.cfg.Measurers))
+	next := len(c.pool) - 1
+	for g, mreq := range c.cfg.Measurers {
+		for ; len(c.measurers[g]) < measurerReplicas && next >= c.cfg.MinClients; next-- {
+			cl := c.pool[next].cl
+			if _, err := cl.MeasureTarget(mreq); err == nil {
+				c.measurers[g] = append(c.measurers[g], cl)
+				c.pool = slices.Delete(c.pool, next, next+1)
 			}
 		}
-		c.measurers[mreq.URL] = picked
-		c.emit(MeasurersReserved{URL: mreq.URL, Clients: len(picked)})
+		c.emit(MeasurersReserved{URL: mreq.URL, Clients: len(c.measurers[g])})
 	}
 }
 
 // fireMeasurers schedules every measurer client's request to arrive with
-// the epoch's crowd, and returns a collector closure that computes the
-// per-URL median normalized response time once the epoch is polled.
-func (c *Coordinator) fireMeasurers(epoch int, arriveAt time.Duration) func() map[string]time.Duration {
-	if len(c.measurers) == 0 {
-		return func() map[string]time.Duration { return nil }
-	}
-	reqOf := make(map[string]Request, len(c.cfg.Measurers))
-	for _, mreq := range c.cfg.Measurers {
-		reqOf[mreq.URL] = mreq
-	}
-	for url, clients := range c.measurers {
+// the epoch's crowd.
+func (c *Coordinator) fireMeasurers(epoch int, arriveAt time.Duration) {
+	for g, clients := range c.measurers {
 		for _, cl := range clients {
-			cl.Fire(epoch, arriveAt, []Request{reqOf[url]}, c.cfg.RequestTimeout)
+			cl.Fire(epoch, arriveAt, []Request{c.cfg.Measurers[g]}, c.cfg.RequestTimeout)
 		}
 	}
-	return func() map[string]time.Duration {
-		out := make(map[string]time.Duration, len(c.measurers))
-		for url, clients := range c.measurers {
-			var samples []Sample
-			for _, cl := range clients {
-				if ss, ok := cl.Collect(epoch); ok {
-					samples = append(samples, ss...)
-				}
-			}
-			if len(samples) > 0 {
-				out[url] = quantileOf(samples, 0.5)
+}
+
+// measurerMedians polls the measurer clients for epoch and returns the
+// median normalized response time per measurer URL; nil without
+// measurers.
+func (c *Coordinator) measurerMedians(epoch int) map[string]time.Duration {
+	if len(c.measurers) == 0 {
+		return nil
+	}
+	out := make(map[string]time.Duration, len(c.measurers))
+	for g, clients := range c.measurers {
+		var samples []Sample
+		for _, cl := range clients {
+			if ss, ok := cl.Collect(epoch); ok {
+				samples = append(samples, ss...)
 			}
 		}
-		return out
+		if len(samples) > 0 {
+			out[c.cfg.Measurers[g].URL] = quantileOf(samples, 0.5)
+		}
 	}
+	return out
 }
 
 // leadTime is how far ahead of the arrival instant the command to this
 // client must be sent: 0.5·T_coord (command propagation) + 1.5·T_target
 // (TCP handshake up to the first request byte), per §2.2.4.
-func (c *Coordinator) leadTime(cl Client) time.Duration {
-	ctrl := c.ctrlRTT[cl.ID()]
-	bl := c.baselines[cl.ID()]
-	return ctrl/2 + bl.TargetRTT*3/2
+func (m *member) leadTime() time.Duration {
+	return m.ctrl/2 + m.rtt*3/2
 }
 
-// pickCrowd selects n distinct clients uniformly at random (§2.3: random
-// participation isolates the effect of crowd size from client-local
-// conditions).
-func (c *Coordinator) pickCrowd(n int) []Client {
-	idx := c.rng.Perm(len(c.clients))
-	members := make([]Client, n)
-	for i := 0; i < n; i++ {
-		members[i] = c.clients[idx[i]]
+// pickCrowd selects n distinct pool members uniformly at random (§2.3:
+// random participation isolates the effect of crowd size from
+// client-local conditions).
+func (c *Coordinator) pickCrowd(n int) []member {
+	idx := c.rng.Perm(len(c.pool))
+	members := make([]member, n)
+	for i := range members {
+		members[i] = c.pool[idx[i]]
 	}
 	return members
 }

@@ -56,18 +56,12 @@ func newFakePlatform(n int, delayFn func(epoch, crowd int) time.Duration) *fakeP
 	return p
 }
 
-func (c *fakeClient) ID() string { return c.id }
-
 func (c *fakeClient) ControlRTT() (time.Duration, error) {
 	return 20 * time.Millisecond, nil
 }
 
-func (c *fakeClient) MeasureTarget(reqs []Request) (Baseline, error) {
-	bl := Baseline{TargetRTT: 40 * time.Millisecond, BaseTimes: map[string]time.Duration{}}
-	for _, rq := range reqs {
-		bl.BaseTimes[rq.URL] = 30 * time.Millisecond
-	}
-	return bl, nil
+func (c *fakeClient) MeasureTarget(Request) (time.Duration, error) {
+	return 40 * time.Millisecond, nil
 }
 
 func (c *fakeClient) Fire(epoch int, arriveAt time.Duration, reqs []Request, timeout time.Duration) {
@@ -97,7 +91,6 @@ func testProfile() *content.Profile {
 	return &content.Profile{
 		Host:    "fake",
 		BaseURL: "/index.html",
-		ByKind:  map[content.Kind]int{},
 		LargeObjects: []content.Object{
 			{URL: "/big.bin", Size: 500 * 1024},
 		},
@@ -120,7 +113,7 @@ func testCfg() Config {
 // stageOf runs one stage the way Run does, registering the clients first
 // when none are registered yet.
 func stageOf(ctx context.Context, c *Coordinator, stage Stage, prof *content.Profile) *StageResult {
-	if len(c.clients) == 0 {
+	if len(c.pool) == 0 {
 		if err := c.register(); err != nil {
 			return &StageResult{Stage: stage, Verdict: VerdictAborted}
 		}
@@ -261,7 +254,7 @@ func TestStageUnavailableWithoutContent(t *testing.T) {
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	prof := &content.Profile{Host: "x", BaseURL: "/", ByKind: map[content.Kind]int{}}
+	prof := &content.Profile{Host: "x", BaseURL: "/"}
 	if sr := stageOf(context.Background(), coord, StageLargeObject, prof); sr.Verdict != VerdictUnavailable {
 		t.Errorf("LargeObject verdict = %v, want Unavailable", sr.Verdict)
 	}
@@ -277,8 +270,8 @@ func TestStageUnavailableWithoutContent(t *testing.T) {
 // delayComputation drops it from the stage.
 type unreachableClient struct{ Client }
 
-func (unreachableClient) MeasureTarget([]Request) (Baseline, error) {
-	return Baseline{}, fmt.Errorf("target unreachable")
+func (unreachableClient) MeasureTarget(Request) (time.Duration, error) {
+	return 0, fmt.Errorf("target unreachable")
 }
 
 // TestNonStopVerdictsCarryNoStoppingCrowd covers the verdicts the
@@ -298,7 +291,7 @@ func TestNonStopVerdictsCarryNoStoppingCrowd(t *testing.T) {
 	}{
 		{
 			name: "unavailable", stage: StageLargeObject,
-			prof: &content.Profile{Host: "x", BaseURL: "/", ByKind: map[content.Kind]int{}},
+			prof: &content.Profile{Host: "x", BaseURL: "/"},
 			plat: func() *fakePlatform { return newFakePlatform(60, rising) },
 			want: VerdictUnavailable,
 		},
@@ -351,12 +344,12 @@ func TestSmallQueryAssignsUniqueObjects(t *testing.T) {
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := coord.stageRequests(StageSmallQuery, testProfile())
-	if err != nil {
+	if err := coord.stageRequests(StageSmallQuery, testProfile()); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
-	for _, rq := range reqs {
+	for _, m := range coord.pool {
+		rq := m.req
 		seen[rq.URL]++
 	}
 	// Two distinct queries across 30 clients: both must be used.
@@ -371,11 +364,11 @@ func TestLargeObjectUsesSameObjectForAll(t *testing.T) {
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := coord.stageRequests(StageLargeObject, testProfile())
-	if err != nil {
+	if err := coord.stageRequests(StageLargeObject, testProfile()); err != nil {
 		t.Fatal(err)
 	}
-	for _, rq := range reqs {
+	for _, m := range coord.pool {
+		rq := m.req
 		if rq.URL != "/big.bin" || rq.Method != "GET" {
 			t.Fatalf("request = %+v, want GET /big.bin for everyone", rq)
 		}
@@ -388,11 +381,11 @@ func TestBaseStageUsesHEAD(t *testing.T) {
 	if err := coord.register(); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err := coord.stageRequests(StageBase, testProfile())
-	if err != nil {
+	if err := coord.stageRequests(StageBase, testProfile()); err != nil {
 		t.Fatal(err)
 	}
-	for _, rq := range reqs {
+	for _, m := range coord.pool {
+		rq := m.req
 		if rq.Method != "HEAD" || rq.URL != "/index.html" {
 			t.Fatalf("request = %+v, want HEAD /index.html", rq)
 		}
@@ -495,7 +488,7 @@ func TestMeasurerReservationPreservesMinClients(t *testing.T) {
 	if sr.Verdict == VerdictAborted {
 		t.Fatal("measurer reservation starved the crowd below MinClients")
 	}
-	if got := len(coord.measurers["/index.html"]); got != 2 {
+	if got := len(coord.measurers[0]); got != 2 {
 		t.Errorf("reserved %d measurers, want the 2 spare clients", got)
 	}
 }

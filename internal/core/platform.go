@@ -12,15 +12,6 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
-// Baseline is what a client learns about the target during delay
-// computation (§2.2.3 / Figure 2): its RTT to the target and its unloaded
-// response time for each object it will request.
-type Baseline struct {
-	TargetRTT time.Duration
-	// BaseTimes maps URL to the sequentially-measured base response time.
-	BaseTimes map[string]time.Duration
-}
-
 // Client is one MFC participant as the coordinator sees it.
 //
 // Fire is intentionally fire-and-forget with UDP-like semantics: the paper
@@ -28,18 +19,16 @@ type Baseline struct {
 // drop a command (the coordinator simply sees fewer samples than scheduled,
 // exactly as Table 2 reports).
 type Client interface {
-	// ID returns a stable identifier.
-	ID() string
-
 	// ControlRTT returns the coordinator<->client round-trip time
 	// (T_coord_i), measured by the platform.
 	ControlRTT() (time.Duration, error)
 
-	// MeasureTarget measures the client's RTT to the target and the base
-	// response time for each request, sequentially, so clients do not
-	// disturb one another (the coordinator invokes it one client at a
-	// time).
-	MeasureTarget(reqs []Request) (Baseline, error)
+	// MeasureTarget measures the client's RTT to the target and its
+	// unloaded response time for req (§2.2.3). The client keeps that base
+	// time for the samples of the requests it fires next. The coordinator
+	// invokes it one client at a time, so clients do not disturb one
+	// another.
+	MeasureTarget(req Request) (targetRTT time.Duration, err error)
 
 	// Fire instructs the client to issue reqs so that the first byte of
 	// each HTTP request arrives at the target at the absolute platform

@@ -128,12 +128,16 @@ type SimClient struct {
 	spec     SimClientSpec
 	platform *SimPlatform
 
-	base    Baseline // most recent MeasureTarget outcome
-	results map[int][]Sample
+	// baseRTT and baseTime are the most recent MeasureTarget outcome: the
+	// target RTT estimate a burst schedules by, and the base response time
+	// its samples carry.
+	baseRTT, baseTime time.Duration
+	results           map[int][]Sample
 
 	// process labels, built once
 	burstName, mrName string
 	// recycled task state
+	measure    baseline
 	freeReqs   []*simRequest
 	freeBursts []*burst
 }
@@ -144,9 +148,6 @@ func newSimClient(env *netsim.Env, server *websim.Server, spec SimClientSpec) *S
 		burstName: spec.ID + "/epoch", mrName: spec.ID + "/mr",
 	}
 }
-
-// ID implements Client.
-func (c *SimClient) ID() string { return c.spec.ID }
 
 // rtt draws one RTT observation around the base value.
 func (c *SimClient) rtt(base time.Duration) time.Duration {
@@ -165,56 +166,25 @@ func (c *SimClient) ControlRTT() (time.Duration, error) {
 }
 
 // MeasureTarget implements Client: the client pings the target and fetches
-// each request once, sequentially, while the coordinator waits.
-func (c *SimClient) MeasureTarget(reqs []Request) (Baseline, error) {
-	bl := Baseline{BaseTimes: make(map[string]time.Duration, len(reqs))}
-	bl.TargetRTT = c.rtt(c.spec.TargetRTT)
-
-	// The coordinator's own process runs the sequential fetches.
-	b := &baseline{c: c, reqs: reqs, times: bl.BaseTimes}
-	c.platform.proc.Do(b)
-	if b.failed != nil {
-		return Baseline{}, b.failed
+// req once while the coordinator waits.
+func (c *SimClient) MeasureTarget(req Request) (time.Duration, error) {
+	rtt := c.rtt(c.spec.TargetRTT)
+	// The coordinator's own process runs the fetch.
+	c.measure = baseline{req: simRequest{c: c, rq: req, timeout: 10 * time.Second}}
+	c.platform.proc.Do(&c.measure)
+	s := c.measure.req.sample
+	if s.Err != "" {
+		return 0, fmt.Errorf("core: baseline for %s failed: %s", s.URL, s.Err)
 	}
-	c.base = bl
-	return bl, nil
+	c.baseRTT, c.baseTime = rtt, s.Resp
+	return rtt, nil
 }
 
-// baseline is MeasureTarget's task: the requests one after another.
-type baseline struct {
-	c        *SimClient
-	reqs     []Request
-	next     int
-	req      simRequest
-	inFlight bool // req is mid-request
-	times    map[string]time.Duration
-	failed   error
-}
+// baseline is MeasureTarget's task: one request, stepped to its sample.
+type baseline struct{ req simRequest }
 
 // Step implements netsim.Task.
-func (b *baseline) Step(p *netsim.Proc) bool {
-	for {
-		if !b.inFlight {
-			if b.next == len(b.reqs) {
-				break
-			}
-			b.req = simRequest{c: b.c, rq: b.reqs[b.next], timeout: 10 * time.Second}
-			b.next++
-			b.inFlight = true
-		}
-		if b.req.step(p) {
-			return true
-		}
-		b.inFlight = false
-		s := b.req.sample
-		if s.Err != "" {
-			b.failed = fmt.Errorf("core: baseline for %s failed: %s", s.URL, s.Err)
-			break
-		}
-		b.times[s.URL] = s.Resp
-	}
-	return false
-}
+func (b *baseline) Step(p *netsim.Proc) bool { return b.req.step(p) }
 
 // Fire implements Client. The command travels half a control RTT (with
 // jitter and optional loss); the client then sleeps until its locally
@@ -232,7 +202,7 @@ func (c *SimClient) Fire(epoch int, arriveAt time.Duration, reqs []Request, time
 		b = &burst{c: c}
 	}
 	b.epoch, b.arriveAt, b.reqs, b.timeout = epoch, arriveAt, reqs, timeout
-	b.estRTT = c.base.TargetRTT
+	b.estRTT = c.baseRTT
 	c.env.SpawnAfter(c.burstName, cmdDelay, b)
 }
 
@@ -405,7 +375,7 @@ func (r *simRequest) step(p *netsim.Proc) (suspended bool) {
 			s.URL = r.rq.URL
 			s.Status = resp.Status
 			s.Bytes = resp.Bytes
-			s.Base = c.base.BaseTimes[r.rq.URL]
+			s.Base = c.baseTime
 			r.state = reqAnswered
 			// Shared middle bottleneck: the response also crosses it (serialized
 			// after the access link — a conservative approximation that preserves

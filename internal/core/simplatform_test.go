@@ -145,7 +145,7 @@ func TestSimBaselineFailureDropsClient(t *testing.T) {
 			panic(err)
 		}
 		sr = stageOf(context.Background(), coord, StageLargeObject, prof)
-		nClients = len(coord.clients)
+		nClients = len(coord.pool)
 	})
 	env.Run(0)
 	if nClients != 54 {

@@ -99,22 +99,18 @@ func (a *Agent) handle(m *wire.Message, from *net.UDPAddr) {
 			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, Err: "bad target"})
 			return
 		}
+		if len(m.Requests) != 1 {
+			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq,
+				Err: fmt.Sprintf("measure carries %d requests, want 1", len(m.Requests))})
+			return
+		}
 		a.client = newGoClient(a.ID, base, NewWallClock())
-		bl, err := a.client.MeasureTarget(coreRequests(m.Requests))
+		rtt, err := a.client.MeasureTarget(core.Request{Method: m.Requests[0].Method, URL: m.Requests[0].URL})
 		if err != nil {
 			a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, Err: err.Error()})
 			return
 		}
-		ack := &wire.Message{
-			Type:        wire.TypeMeasureAck,
-			Seq:         m.Seq,
-			TargetRTTNs: int64(bl.TargetRTT),
-			BaseTimesNs: make(map[string]int64, len(bl.BaseTimes)),
-		}
-		for u, d := range bl.BaseTimes {
-			ack.BaseTimesNs[u] = int64(d)
-		}
-		a.reply(from, ack)
+		a.reply(from, &wire.Message{Type: wire.TypeMeasureAck, Seq: m.Seq, TargetRTTNs: int64(rtt)})
 
 	case wire.TypeFire:
 		// Fire immediately: the coordinator timed this datagram's departure

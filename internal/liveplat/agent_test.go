@@ -3,6 +3,7 @@ package liveplat
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +100,23 @@ func TestAgentMeasureUnreachableTargetReportsError(t *testing.T) {
 	ack := h.recv(t)
 	if ack.Err == "" {
 		t.Errorf("ack = %+v, want an error for an unreachable target", ack)
+	}
+}
+
+// A measure command must carry exactly one request: the agent keeps one
+// base time. Anything else from the network is answered with an error.
+func TestAgentMeasureWantsOneRequest(t *testing.T) {
+	h := newAgentHarness(t)
+	for seq, rqs := range [][]wire.Request{
+		nil,
+		{{Method: "HEAD", URL: "/"}, {Method: "GET", URL: "/a"}},
+	} {
+		h.send(t, &wire.Message{Type: wire.TypeMeasure, Seq: uint64(seq + 1),
+			Target: "http://127.0.0.1:1/", Requests: rqs})
+		ack := h.recv(t)
+		if ack.Type != wire.TypeMeasureAck || !strings.Contains(ack.Err, "want 1") {
+			t.Errorf("%d requests: ack = %+v, want an error report", len(rqs), ack)
+		}
 	}
 }
 

@@ -23,8 +23,10 @@ type goClient struct {
 
 	mu      sync.Mutex
 	results map[int][]core.Sample
-	baseRTT time.Duration
-	bases   map[string]time.Duration
+	// baseRTT and baseTime are the most recent MeasureTarget outcome: the
+	// target RTT a fire is timed by, and the base response time its
+	// samples carry.
+	baseRTT, baseTime time.Duration
 }
 
 func newGoClient(id string, base *url.URL, clock *WallClock) *goClient {
@@ -41,12 +43,8 @@ func newGoClient(id string, base *url.URL, clock *WallClock) *goClient {
 		clock:   clock,
 		httpc:   &http.Client{Transport: tr},
 		results: make(map[int][]core.Sample),
-		bases:   make(map[string]time.Duration),
 	}
 }
-
-// ID implements core.Client.
-func (c *goClient) ID() string { return c.id }
 
 // ControlRTT implements core.Client: in-process control costs microseconds.
 func (c *goClient) ControlRTT() (time.Duration, error) {
@@ -75,26 +73,19 @@ func (c *goClient) estimateRTT() (time.Duration, error) {
 }
 
 // MeasureTarget implements core.Client.
-func (c *goClient) MeasureTarget(reqs []core.Request) (core.Baseline, error) {
+func (c *goClient) MeasureTarget(req core.Request) (time.Duration, error) {
 	rtt, err := c.estimateRTT()
 	if err != nil {
-		return core.Baseline{}, err
+		return 0, err
 	}
-	bl := core.Baseline{TargetRTT: rtt, BaseTimes: make(map[string]time.Duration, len(reqs))}
-	for _, rq := range reqs {
-		s := c.doRequest(rq, 10*time.Second)
-		if s.Err != "" {
-			return core.Baseline{}, &requestError{url: rq.URL, msg: s.Err}
-		}
-		bl.BaseTimes[rq.URL] = s.Resp
+	s := c.doRequest(req, 10*time.Second)
+	if s.Err != "" {
+		return 0, &requestError{url: req.URL, msg: s.Err}
 	}
 	c.mu.Lock()
-	c.baseRTT = rtt
-	for u, d := range bl.BaseTimes {
-		c.bases[u] = d
-	}
+	c.baseRTT, c.baseTime = rtt, s.Resp
 	c.mu.Unlock()
-	return bl, nil
+	return rtt, nil
 }
 
 type requestError struct {
@@ -138,7 +129,7 @@ func (c *goClient) fire(epoch int, reqs []core.Request, timeout time.Duration) {
 // response time is recorded as the timeout value.
 func (c *goClient) doRequest(rq core.Request, timeout time.Duration) core.Sample {
 	c.mu.Lock()
-	base := c.bases[rq.URL]
+	base := c.baseTime
 	c.mu.Unlock()
 
 	u := *c.base

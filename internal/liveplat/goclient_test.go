@@ -49,21 +49,23 @@ func TestGoClientRecordsStatusAndBytes(t *testing.T) {
 	}
 }
 
+// The client keeps the base time it measured, and its samples carry it.
 func TestGoClientMeasureTargetBaselines(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
 	}))
 	defer srv.Close()
 	c := newTestGoClient(t, srv.URL)
-	bl, err := c.MeasureTarget([]core.Request{{Method: "GET", URL: "/a"}, {Method: "HEAD", URL: "/b"}})
+	rq := core.Request{Method: "GET", URL: "/a"}
+	rtt, err := c.MeasureTarget(rq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bl.TargetRTT <= 0 {
+	if rtt <= 0 {
 		t.Error("no RTT estimate")
 	}
-	if bl.BaseTimes["/a"] <= 0 || bl.BaseTimes["/b"] <= 0 {
-		t.Errorf("baselines = %+v", bl.BaseTimes)
+	if s := c.doRequest(rq, 5*time.Second); s.Base <= 0 {
+		t.Errorf("sample = %+v, want the measured base time", s)
 	}
 }
 
@@ -73,7 +75,7 @@ func TestGoClientFireAndCollect(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := newTestGoClient(t, srv.URL)
-	if _, err := c.MeasureTarget([]core.Request{{Method: "GET", URL: "/"}}); err != nil {
+	if _, err := c.MeasureTarget(core.Request{Method: "GET", URL: "/"}); err != nil {
 		t.Fatal(err)
 	}
 	now := c.clock.Now()
@@ -113,10 +115,11 @@ func TestInProcessPlatformValidation(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for _, c := range clients {
-		if ids[c.ID()] {
+		id := c.(*goClient).id
+		if ids[id] {
 			t.Fatal("duplicate client ID")
 		}
-		ids[c.ID()] = true
+		ids[id] = true
 	}
 }
 

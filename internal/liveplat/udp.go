@@ -215,9 +215,6 @@ type udpClient struct {
 	baseRTT time.Duration
 }
 
-// ID implements core.Client.
-func (c *udpClient) ID() string { return c.id }
-
 func (c *udpClient) probe() (time.Duration, error) {
 	t0 := time.Now()
 	_, err := c.platform.rpc(c.addr, c.id, &wire.Message{Type: wire.TypeProbe}, time.Second)
@@ -234,28 +231,21 @@ func (c *udpClient) probe() (time.Duration, error) {
 // ControlRTT implements core.Client.
 func (c *udpClient) ControlRTT() (time.Duration, error) { return c.probe() }
 
-// MeasureTarget implements core.Client.
-func (c *udpClient) MeasureTarget(reqs []core.Request) (core.Baseline, error) {
-	m := &wire.Message{Type: wire.TypeMeasure, Target: c.platform.target}
-	for _, r := range reqs {
-		m.Requests = append(m.Requests, wire.Request{Method: r.Method, URL: r.URL})
-	}
-	// Measurement issues real requests; allow a generous window.
+// MeasureTarget implements core.Client. The agent keeps the base time for
+// the samples it reports.
+func (c *udpClient) MeasureTarget(req core.Request) (time.Duration, error) {
+	m := &wire.Message{Type: wire.TypeMeasure, Target: c.platform.target,
+		Requests: []wire.Request{{Method: req.Method, URL: req.URL}}}
+	// Measurement issues a real request; allow a generous window.
 	reply, err := c.platform.rpc(c.addr, c.id, m, 90*time.Second)
 	if err != nil {
-		return core.Baseline{}, err
+		return 0, err
 	}
-	bl := core.Baseline{
-		TargetRTT: time.Duration(reply.TargetRTTNs),
-		BaseTimes: make(map[string]time.Duration, len(reply.BaseTimesNs)),
-	}
-	for u, ns := range reply.BaseTimesNs {
-		bl.BaseTimes[u] = time.Duration(ns)
-	}
+	rtt := time.Duration(reply.TargetRTTNs)
 	c.mu.Lock()
-	c.baseRTT = bl.TargetRTT
+	c.baseRTT = rtt
 	c.mu.Unlock()
-	return bl, nil
+	return rtt, nil
 }
 
 // Fire implements core.Client: transmit the fire datagram at

@@ -69,12 +69,12 @@ func TestUDPEndToEnd(t *testing.T) {
 		t.Fatalf("ControlRTT = %v, %v", rtt, err)
 	}
 	reqs := []core.Request{{Method: "HEAD", URL: "/index.html"}}
-	bl, err := cl.MeasureTarget(reqs)
+	targetRTT, err := cl.MeasureTarget(reqs[0])
 	if err != nil {
 		t.Fatalf("MeasureTarget: %v", err)
 	}
-	if bl.TargetRTT <= 0 || bl.BaseTimes["/index.html"] <= 0 {
-		t.Fatalf("baseline = %+v", bl)
+	if targetRTT <= 0 {
+		t.Fatalf("target RTT = %v", targetRTT)
 	}
 
 	clock := plat.Clock()
@@ -89,6 +89,9 @@ func TestUDPEndToEnd(t *testing.T) {
 	}
 	if samples[0].Err != "" {
 		t.Errorf("sample error: %s", samples[0].Err)
+	}
+	if samples[0].Base <= 0 {
+		t.Errorf("sample = %+v, want the base time the agent measured", samples[0])
 	}
 }
 
@@ -123,8 +126,7 @@ func TestUDPCoordinatorRunsStage(t *testing.T) {
 	cfg.Threshold = time.Hour // no stop: we only exercise the machinery
 
 	coord := core.New(plat, cfg, nil)
-	prof := &content.Profile{Host: ts.URL, BaseURL: "/index.html",
-		ByKind: map[content.Kind]int{}}
+	prof := &content.Profile{Host: ts.URL, BaseURL: "/index.html"}
 	res, err := coord.Run(context.Background(), ts.URL, []core.Stage{core.StageBase}, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -224,7 +224,7 @@ func (e *Env) step(p *Proc) (suspended bool) {
 // that finishes it. The cost is one goroutine handoff per Do instead of one
 // per block, and none when t never blocks. websim.Server.Serve is built on
 // it, and so is core's baseline: the coordinator runs each client's
-// sequential fetches on its own process.
+// baseline fetch on its own process.
 func (p *Proc) Do(t Task) {
 	if p.task != nil {
 		panic("netsim: Do called from inside a task step")

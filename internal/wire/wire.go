@@ -24,8 +24,9 @@ const (
 	// TypeProbe / TypeProbeAck: coordinator liveness+RTT probe.
 	TypeProbe    MsgType = "probe"
 	TypeProbeAck MsgType = "probe_ack"
-	// TypeMeasure / TypeMeasureAck: delay computation (target RTT + base
-	// response times, measured by the agent).
+	// TypeMeasure / TypeMeasureAck: delay computation. The agent measures
+	// its target RTT, which the ack carries, and the base response time of
+	// the one request, which it keeps for the samples it reports.
 	TypeMeasure    MsgType = "measure"
 	TypeMeasureAck MsgType = "measure_ack"
 	// TypeFire: issue the epoch's requests immediately on receipt (the
@@ -68,8 +69,7 @@ type Message struct {
 	TimeoutNs int64 `json:"to,omitempty"`
 
 	// MeasureAck fields.
-	TargetRTTNs int64            `json:"rt,omitempty"`
-	BaseTimesNs map[string]int64 `json:"bt,omitempty"`
+	TargetRTTNs int64 `json:"rt,omitempty"`
 
 	// Results fields.
 	Samples []Sample `json:"sm,omitempty"`

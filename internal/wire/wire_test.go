@@ -14,8 +14,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: TypeProbe, ClientID: "b", Seq: 7},
 		{Type: TypeProbeAck, ClientID: "b", Seq: 7},
 		{Type: TypeMeasure, ClientID: "c", Target: "http://x/", Requests: []Request{{Method: "HEAD", URL: "/"}}},
-		{Type: TypeMeasureAck, ClientID: "c", TargetRTTNs: 12345,
-			BaseTimesNs: map[string]int64{"/": 99}},
+		{Type: TypeMeasureAck, ClientID: "c", TargetRTTNs: 12345},
 		{Type: TypeFire, ClientID: "d", Epoch: 3, TimeoutNs: int64(10 * time.Second),
 			Requests: []Request{{Method: "GET", URL: "/big"}}},
 		{Type: TypePoll, ClientID: "d", Epoch: 3},
