@@ -207,13 +207,13 @@ func TestWorkerClosesSealedShardFiles(t *testing.T) {
 		defer src.store.mu.Unlock()
 		return int64(len(src.store.files))
 	}
-	st, err := Work(context.Background(), plan, src, nil, WorkOptions{
+	probe := probedSource{LeaseSource: src, afterPersist: func() {
+		if n := open(); n > peak.Load() {
+			peak.Store(n)
+		}
+	}}
+	st, err := Work(context.Background(), plan, probe, nil, WorkOptions{
 		Owner: "w", Workers: width,
-		OnEvent: func(ev SiteEvent) {
-			if n := open(); n > peak.Load() {
-				peak.Store(n)
-			}
-		},
 		OnShardDone: func(shard, _ int) {
 			if n := open(); n != 0 {
 				t.Errorf("%d shard files open after shard %d was sealed", n, shard)
@@ -226,14 +226,39 @@ func TestWorkerClosesSealedShardFiles(t *testing.T) {
 	if st.ShardsFinished != plan.Shards() {
 		t.Fatalf("sealed %d shards, want %d", st.ShardsFinished, plan.Shards())
 	}
-	// Each shard's second job runs beside the first one's open appender.
+	// A persisted batch leaves its shard's appender open until the seal.
 	if p := peak.Load(); p < 1 || p > width {
 		t.Errorf("peak open shard files = %d, want 1..%d (the pool width)", p, width)
 	}
 }
 
+// probedSource is a LeaseSource whose holds call afterPersist once each
+// Persist has returned.
+type probedSource struct {
+	*LeaseSource
+	afterPersist func()
+}
+
+func (s probedSource) Claim(ctx context.Context) (*Claim, error) {
+	c, err := s.LeaseSource.Claim(ctx)
+	if err == nil {
+		c.Hold = probedHold{Hold: c.Hold, after: s.afterPersist}
+	}
+	return c, err
+}
+
+type probedHold struct {
+	Hold
+	after func()
+}
+
+func (h probedHold) Persist(ctx context.Context, recs ...*Record) error {
+	defer h.after()
+	return h.Hold.Persist(ctx, recs...)
+}
+
 // A claim lost mid-shard closes its appender when it returns: a second
-// owner takes the lease over after the first record is stored, the next
+// owner takes the lease over after the first batch is stored, the next
 // heartbeat fences the worker, and nothing of the shard stays open — while
 // the successor's lease is left in place.
 func TestFencedClaimClosesItsAppender(t *testing.T) {
@@ -283,7 +308,7 @@ func TestFencedClaimClosesItsAppender(t *testing.T) {
 	}
 }
 
-// takeoverHold stores a record, then — once — lets a second owner take the
+// takeoverHold stores a batch, then — once — lets a second owner take the
 // shard's lease over on a clock past the TTL and moves the worker's clock
 // to its next heartbeat, which finds the claim lost. Each Persist then
 // waits for the fence to cancel the shard.
@@ -296,8 +321,8 @@ type takeoverHold struct {
 	once sync.Once
 }
 
-func (h *takeoverHold) Persist(ctx context.Context, rec *Record) error {
-	if err := h.Hold.Persist(ctx, rec); err != nil {
+func (h *takeoverHold) Persist(ctx context.Context, recs ...*Record) error {
+	if err := h.Hold.Persist(ctx, recs...); err != nil {
 		return err
 	}
 	h.once.Do(func() {

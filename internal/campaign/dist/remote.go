@@ -189,11 +189,14 @@ func (h *grantHold) Seal(ctx context.Context) error {
 // grant that stops heartbeating after its TTL.
 func (h *grantHold) Release() error { return nil }
 
-// Persist posts one record, retrying transient failures briefly; a 410 is
-// terminal (fenced), as is persistent transport failure.
-func (h *grantHold) Persist(ctx context.Context, rec *campaign.Record) error {
+// Persist posts the batch as one upload, retrying transient failures
+// briefly; a 410 is terminal (fenced), as is persistent transport failure.
+func (h *grantHold) Persist(ctx context.Context, recs ...*campaign.Record) error {
 	req := serve.IngestRequest{Owner: h.ref.Owner, Shard: h.ref.Shard, Gen: h.ref.Gen,
-		Records: []campaign.Record{*rec}}
+		Records: make([]campaign.Record, len(recs))}
+	for i, rec := range recs {
+		req.Records[i] = *rec
+	}
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -210,5 +213,5 @@ func (h *grantHold) Persist(ctx context.Context, rec *campaign.Record) error {
 			return err
 		}
 	}
-	return fmt.Errorf("dist: uploading job %d: %w", rec.Job, err)
+	return fmt.Errorf("dist: uploading %d records of shard %d: %w", len(recs), h.ref.Shard, err)
 }

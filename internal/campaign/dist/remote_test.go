@@ -3,11 +3,13 @@ package dist
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +18,8 @@ import (
 	"mfc/internal/campaign"
 	"mfc/internal/campaign/serve"
 	"mfc/internal/clock/clocktest"
+	"mfc/internal/core"
+	"mfc/internal/population"
 )
 
 // startControlPlane opens dir as a control plane on an ephemeral
@@ -304,6 +308,109 @@ func TestRemoteDuplicateGrantByteIdentical(t *testing.T) {
 	if got := reportOf(t, dir); got != want {
 		t.Errorf("report with duplicated grant differs:\n--- want\n%s\n--- got\n%s", want, got)
 	}
+}
+
+// A networked worker stopped by HaltAfter stores every job it finished:
+// the job that trips the halt included, whose upload goes out after the
+// halt has canceled the jobs.
+func TestRemoteHaltAfterStoresEveryFinishedJob(t *testing.T) {
+	for _, halt := range []int{1, 3, 5} {
+		dir := t.TempDir()
+		distPlan(t, dir)
+		srv, addr, _ := startControlPlane(t, dir, serve.Options{})
+		st, err := WorkRemote(context.Background(), addr, WorkOptions{Owner: "halter", Workers: 1, HaltAfter: halt})
+		if err != nil {
+			t.Fatalf("HaltAfter %d: %v", halt, err)
+		}
+		if !st.Halted || st.NewlyDone != halt {
+			t.Errorf("HaltAfter %d: status %+v, want halted after %d jobs", halt, *st, halt)
+		}
+		if done := srv.Status().Done; done != st.NewlyDone {
+			t.Errorf("HaltAfter %d: the server stored %d jobs, the worker finished %d", halt, done, st.NewlyDone)
+		}
+	}
+}
+
+// batchPlan is one band in shards of 40, 40 and 10 jobs: larger than the
+// engine's batch of 16, so a shard's records need several uploads.
+func batchPlan(t *testing.T, dir string) *campaign.Plan {
+	t.Helper()
+	plan, err := campaign.NewPlan("dist-batch",
+		[]population.Band{population.Rank1M},
+		[]core.Stage{core.StageBase}, nil, 90, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.ShardJobs = 40
+	if err := plan.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// A networked worker uploads records in batches: at most one upload per
+// batch of each shard's pending jobs, every one counted by
+// mfc_serve_record_uploads_total, and the report is still the
+// single-process bytes. The engine's batch is 16 records, or half a claim
+// smaller than 32: the 40-job shards take 3 uploads, the 10-job one 2.
+func TestRemoteBatchesUploads(t *testing.T) {
+	batch := func(jobs int) int { return min(16, (jobs+1)/2) }
+	want := singleProcessReport(t, batchPlan)
+
+	dir := t.TempDir()
+	plan := batchPlan(t, dir)
+	srv, err := serve.New(dir, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var posts atomic.Int64
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/records" {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	if _, err := WorkRemote(context.Background(), ts.URL, WorkOptions{Owner: "batcher", Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(0)
+	for k := 0; k < plan.Shards(); k++ {
+		lo, hi := plan.ShardRange(k)
+		bound += int64((hi - lo + batch(hi-lo) - 1) / batch(hi-lo))
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scrape, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uploads int64
+	if _, err := fmt.Sscan(metricLine(string(scrape), "mfc_serve_record_uploads_total"), &uploads); err != nil {
+		t.Fatalf("mfc_serve_record_uploads_total: %v", err)
+	}
+	if n := posts.Load(); n != uploads || n > bound || n == 0 {
+		t.Errorf("%d record uploads, the counter says %d; want them equal and in 1..%d", n, uploads, bound)
+	}
+	if got := reportOf(t, dir); got != want {
+		t.Errorf("batched-upload report differs from single-process run:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+}
+
+// metricLine returns the value of the unlabeled series name in a scrape.
+func metricLine(scrape, name string) string {
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	return ""
 }
 
 // TestHelperRemoteWorkProcess is not a test: it is the subprocess body

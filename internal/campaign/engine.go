@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +17,15 @@ import (
 // The shard-worker engine. Every way of executing a plan — `run`, `work
 // -dir`, `work -join` — is this one loop: claim a shard, measure its
 // pending jobs on the shared pool while heartbeating the claim, persist
-// each record, seal the shard. What differs is only where claims come
-// from and where records go, which is the ShardSource: file leases over a
-// shared directory (LeaseSource, in this package) or HTTP grants from a
-// control plane (dist.WorkRemote's source).
+// the records in batches of up to persistBatch, seal the shard. What
+// differs is only where claims come from and where records go, which is
+// the ShardSource: file leases over a shared directory (LeaseSource, in
+// this package) or HTTP grants from a control plane (dist.WorkRemote's
+// source). A batch is one shard-file write or one upload, so a kill -9
+// loses, besides the jobs in flight, the records of the batch being filled
+// and of any batch still being persisted, at most persistBatch each; every
+// record is a pure function of (plan, job), so a lost batch costs
+// re-measurement, never a wrong byte.
 
 // The three outcomes a source reports besides success and plain failure.
 var (
@@ -65,7 +71,9 @@ type Claim struct {
 // is fatal to the worker — nothing can be recorded.
 type Hold interface {
 	Heartbeat(ctx context.Context) error
-	Persist(ctx context.Context, rec *Record) error
+	// Persist stores a batch of records, all of this claim's shard: every
+	// one is durable when it returns nil.
+	Persist(ctx context.Context, recs ...*Record) error
 	// Seal gives the shard up with every job persisted.
 	Seal(ctx context.Context) error
 	// Release gives the shard up part-done (halt, cancellation, failure)
@@ -102,7 +110,8 @@ type WorkOptions struct {
 	// per-site ExperimentFinished events; in-flight jobs finish and are
 	// stored, and the in-flight shard is released part-done. This is how
 	// tests and CI simulate a killed worker deterministically; a real
-	// kill -9 is also safe, it just loses the in-flight jobs.
+	// kill -9 is also safe, it just loses the in-flight jobs and the
+	// finished records not yet persisted (see persistBatch).
 	HaltAfter int
 
 	// OnClaim, OnShardDone observe shard lifecycle (claimed; given up
@@ -357,24 +366,90 @@ func startKeepAlive(ctx context.Context, clk clock.Clock, ttl time.Duration, bea
 	}
 }
 
-// measure runs the claim's jobs on the shared pool, persisting each
-// record as it completes — the loss window on a kill -9 is one in-flight
-// job per pool worker. Jobs always run to completion: a canceled worker
-// stops claiming jobs rather than storing aborted partials, which would
-// poison resume determinism. parent is the shard span job spans hang off.
+// persistBatch is how many finished records the engine hands to one
+// Persist call at most: one shard-file write or one upload per batch, not
+// per record. A kill -9 loses the batch being filled and any batch being
+// persisted, besides the jobs in flight.
+const persistBatch = 16
+
+// claimBatch is the batch size for a claim of n jobs: persistBatch, or
+// half the claim if that is smaller, so a claim's records go out in at
+// least two batches and the first lands while the shard is still running.
+// A small shard's progress then shows in the store mid-flight, not only
+// once the shard is done.
+func claimBatch(n int) int { return min(persistBatch, (n+1)/2) }
+
+// persistGrace bounds how long the records finished before a halt or a
+// cancellation may still take to persist.
+const persistGrace = 5 * time.Second
+
+// measure runs the claim's jobs on the shared pool and persists their
+// records in batches of claimBatch, then the remainder once the jobs ran
+// out or were stopped; the remainder is persisted before runClaim releases
+// a part-done shard. Jobs always run to completion: a canceled worker stops
+// claiming jobs rather than storing aborted partials, which would poison
+// resume determinism. parent is the shard span job spans hang off.
 func (w *shardWorker) measure(ctx context.Context, c *Claim, parent uint64) error {
-	return runner.ForEach(ctx, len(c.Jobs), func(jctx context.Context, i int) error {
+	pctx, stop := w.persistContext(ctx)
+	defer stop()
+	size := claimBatch(len(c.Jobs))
+	var (
+		mu  sync.Mutex // guards buf, shared by the pool's workers
+		buf = make([]*Record, 0, size)
+	)
+	err := runner.ForEach(ctx, len(c.Jobs), func(_ context.Context, i int) error {
 		jobSpan := w.opts.Spans.Start(fmt.Sprintf("job %d", c.Jobs[i]), "job", c.Shard, parent)
 		rec := Measure(w.plan, c.Jobs[i], w.onSite)
 		jobSpan.End(obs.A("site", rec.Site), obs.A("verdict", rec.Verdict))
-		if err := c.Persist(jctx, rec); err != nil {
-			return err
-		}
 		if rec.Err != "" {
 			w.errored.Add(1)
 		}
-		return nil
+		mu.Lock()
+		buf = append(buf, rec)
+		var batch []*Record
+		if len(buf) == size {
+			batch, buf = buf, make([]*Record, 0, size)
+		}
+		mu.Unlock()
+		if batch == nil {
+			return nil
+		}
+		return c.Persist(pctx, batch...)
 	}, runner.Workers(w.opts.Workers), runner.Shared())
+	// Jobs that ran out or were stopped (halt, cancellation, fence) store
+	// the remainder; a failed Persist ends the worker and leaves it unstored.
+	if len(buf) == 0 || (err != nil && err != ctx.Err()) {
+		return err
+	}
+	if perr := c.Persist(pctx, buf...); perr != nil {
+		return perr
+	}
+	return err
+}
+
+// persistContext returns the context the claim's batches are persisted
+// under. It outlives ctx, the shard's context, so the records of jobs that
+// finished before a halt or a cancellation are still stored, but by
+// persistGrace at most; a lost claim cancels it at once. stop releases it.
+func (w *shardWorker) persistContext(ctx context.Context) (pctx context.Context, stop func()) {
+	pctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stopAfter := context.AfterFunc(ctx, func() {
+		if errors.Is(context.Cause(ctx), ErrFenced) {
+			cancel()
+			return
+		}
+		t := w.opts.Clock.NewTimer(persistGrace)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			cancel()
+		case <-pctx.Done():
+		}
+	})
+	return pctx, func() {
+		stopAfter()
+		cancel()
+	}
 }
 
 // onSite fans a job's events out to the observers and counts terminal

@@ -20,7 +20,9 @@ var _ ShardSource = (*fakeSource)(nil)
 // fakeSource is a deterministic in-memory ShardSource: Claim replays a
 // script, and the one shard it hands out is held by the fakeSource itself,
 // whose Heartbeat/Persist/Seal behaviors each test overrides. Calls are
-// counted so tests can assert what the engine did to the claim.
+// counted — Persist by the records it was handed, each passed to the
+// persist hook in turn — so tests can assert what the engine did to the
+// claim.
 type fakeSource struct {
 	claims []func() (*Claim, error) // one entry per Claim call, in order
 
@@ -30,6 +32,7 @@ type fakeSource struct {
 
 	mu                               sync.Mutex
 	beats, persisted, seals, release int
+	batches                          []int         // records per Persist call, in call order
 	beat                             chan struct{} // receives once per Heartbeat call
 }
 
@@ -70,10 +73,18 @@ func (f *fakeSource) Heartbeat(ctx context.Context) error {
 	return nil
 }
 
-func (f *fakeSource) Persist(ctx context.Context, rec *Record) error {
-	f.count(&f.persisted)
-	if f.persist != nil {
-		return f.persist(ctx, rec)
+func (f *fakeSource) Persist(ctx context.Context, recs ...*Record) error {
+	f.mu.Lock()
+	f.batches = append(f.batches, len(recs))
+	f.mu.Unlock()
+	for _, rec := range recs {
+		f.count(&f.persisted)
+		if f.persist == nil {
+			continue
+		}
+		if err := f.persist(ctx, rec); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -168,15 +179,23 @@ func TestEngineSealsACleanShard(t *testing.T) {
 // claim still holds: the successor owns the shard.
 func TestEngineFencedMidShard(t *testing.T) {
 	f := newFakeSource(0, 1, 2)
-	f.heartbeat = func(context.Context) error { return ErrFenced }
-	// The first job's persist outlasts the fence: it returns only once the
-	// shard context is canceled, which here only the fence can cause.
-	f.persist = func(ctx context.Context, _ *Record) error {
-		<-ctx.Done()
-		return nil
+	// The heartbeat's context is the shard's, so it ends when the fence
+	// cancels the shard.
+	beatCtx := make(chan context.Context, 1)
+	f.heartbeat = func(ctx context.Context) error {
+		beatCtx <- ctx
+		return ErrFenced
 	}
+	// The first job's measurement outlasts the fence: its terminal event
+	// returns only once the shard context is canceled, which here only the
+	// fence can cause.
 	rec := obs.NewSpanRecorder("fenced", 0)
-	st, err := Work(context.Background(), enginePlan(t), f, nil, WorkOptions{Workers: 1, Spans: rec})
+	st, err := Work(context.Background(), enginePlan(t), f, nil, WorkOptions{Workers: 1, Spans: rec,
+		OnEvent: func(ev SiteEvent) {
+			if ev.Job == 0 && ev.Terminal() {
+				<-(<-beatCtx).Done()
+			}
+		}})
 	if err != nil {
 		t.Fatalf("a fenced shard must not end the worker: %v", err)
 	}
@@ -252,6 +271,41 @@ func TestEnginePersistFailureIsFatal(t *testing.T) {
 	}
 	if f.seals != 0 || f.release != 1 {
 		t.Errorf("sealed/released = %d/%d, want 0/1", f.seals, f.release)
+	}
+}
+
+// A 40-job shard is persisted in batches of persistBatch, the remainder
+// last; a 10-job shard in two halves, so its first batch lands mid-shard.
+// Every batch lands before the seal.
+func TestEngineBatchesPersist(t *testing.T) {
+	plan, err := NewPlan("engine-batches", []population.Band{population.Rank1M},
+		[]core.Stage{core.StageBase}, nil, 40, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.MaxCrowd, plan.MinClients, plan.Clients, plan.ShardJobs = 5, 5, 8, 40
+	for n, want := range map[int]string{40: "[16 16 8]", 10: "[5 5]"} {
+		jobs := make([]int, n)
+		for j := range jobs {
+			jobs[j] = j
+		}
+		f := newFakeSource(jobs...)
+		f.seal = func(context.Context) error {
+			if f.persisted != n {
+				t.Errorf("%d jobs: sealed with %d records persisted", n, f.persisted)
+			}
+			return nil
+		}
+		st, err := Work(context.Background(), plan, f, nil, WorkOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.NewlyDone != n || st.ShardsFinished != 1 || f.seals != 1 {
+			t.Errorf("%d jobs: status = %+v with %d seals, want one sealed shard", n, *st, f.seals)
+		}
+		if got := fmt.Sprint(f.batches); got != want {
+			t.Errorf("%d jobs: Persist batches = %s, want %s", n, got, want)
+		}
 	}
 }
 

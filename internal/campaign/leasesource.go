@@ -194,7 +194,9 @@ type leaseHold struct {
 
 func (h *leaseHold) Heartbeat(context.Context) error { return h.lk.Heartbeat() }
 
-func (h *leaseHold) Persist(_ context.Context, rec *Record) error { return h.store.Append(rec) }
+func (h *leaseHold) Persist(_ context.Context, recs ...*Record) error {
+	return h.store.Append(recs...)
+}
 
 func (h *leaseHold) Seal(context.Context) error {
 	cerr := h.store.CloseShard(h.shard)

@@ -54,9 +54,10 @@ import (
 //	POST /api/done       ShardRef      -> 204 | 410
 //	POST /api/spans      SpanBatch     -> 204
 //
-// 410 Gone means the fence token is stale: the shard was re-granted and
-// the bearer must abandon it. Everything else non-2xx is a caller bug
-// (400) or a server that cannot serve (503).
+// A worker uploads its shard's records in batches, one /api/records
+// request per batch. 410 Gone means the fence token is stale: the shard
+// was re-granted and the bearer must abandon it. Everything else non-2xx
+// is a caller bug (400) or a server that cannot serve (503).
 
 // GrantRequest asks for a work grant. Owner identifies the worker; two
 // workers must never share an owner string (a duplicate owner is treated
@@ -93,7 +94,9 @@ type ShardRef struct {
 	Gen   int64  `json:"gen"`
 }
 
-// IngestRequest uploads completed records under a grant's fence token.
+// IngestRequest uploads completed records under a grant's fence token: a
+// worker sends one per batch of up to 16 of its shard's records, not one
+// per record.
 type IngestRequest struct {
 	Owner   string            `json:"owner"`
 	Shard   int               `json:"shard"`
@@ -175,6 +178,7 @@ type Server struct {
 	regrantsTotal obs.Counter
 	fencedTotal   obs.Counter
 	recordsTotal  obs.Counter
+	uploadsTotal  obs.Counter
 	reapedTotal   obs.Counter
 	hbAge         obs.GaugeVec
 
@@ -237,6 +241,8 @@ func New(dir string, opts Options) (*Server, error) {
 		"Requests refused with 410 Gone for carrying a stale fence token.")
 	s.recordsTotal = s.reg.Counter("mfc_serve_records_ingested_total",
 		"Result records ingested over HTTP (duplicates included; the report fold dedupes).")
+	s.uploadsTotal = s.reg.Counter("mfc_serve_record_uploads_total",
+		"Record uploads accepted over HTTP; records ingested per upload is the batch size.")
 	s.reapedTotal = s.reg.Counter("mfc_serve_reaped_grants_total",
 		"Grants forgotten because their worker went silent past the TTL.")
 	s.hbAge = s.reg.GaugeVec("mfc_serve_worker_heartbeat_age_seconds",
@@ -411,7 +417,8 @@ func (s *Server) heartbeat(ref ShardRef) error {
 	return err
 }
 
-// ingest validates the fence token and appends the records to the store.
+// ingest validates the fence token and appends the upload's records to
+// the store in one Append.
 // Records for already-done jobs are appended anyway — the report fold
 // dedupes by job, and proving that is cheaper than a server-side filter
 // whose failure would be silent.
@@ -426,16 +433,18 @@ func (s *Server) ingest(req IngestRequest) error {
 		return err
 	}
 	lo, hi := s.plan.ShardRange(req.Shard)
+	recs := make([]*campaign.Record, len(req.Records))
 	for i := range req.Records {
 		if j := req.Records[i].Job; j < lo || j >= hi {
 			return fmt.Errorf("serve: record for job %d is outside granted shard %d [%d,%d)", j, req.Shard, lo, hi)
 		}
+		recs[i] = &req.Records[i]
 	}
-	for i := range req.Records {
-		rec := &req.Records[i]
-		if err := s.store.Append(rec); err != nil {
-			return fmt.Errorf("%w: %v", errStore, err)
-		}
+	if err := s.store.Append(recs...); err != nil {
+		return fmt.Errorf("%w: %v", errStore, err)
+	}
+	s.uploadsTotal.Inc()
+	for _, rec := range recs {
 		s.recordsTotal.Inc()
 		if !s.done[rec.Job] {
 			s.done[rec.Job] = true

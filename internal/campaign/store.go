@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -116,28 +117,41 @@ func shardPath(dir string, k int) string {
 	return filepath.Join(dir, "shards", fmt.Sprintf("shard-%04d.jsonl", k))
 }
 
-// Append streams one completed job's record to its shard file. Safe for
-// concurrent use by pool workers; each record is written as a single
-// buffered line so the only partial-line risk is an actual kill.
-func (s *Store) Append(rec *Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding record for job %d: %w", rec.Job, err)
+// Append streams completed jobs' records to their shard files, one Write
+// per run of consecutive records of one shard, so a batch of one shard is
+// one Write. Safe for concurrent use; each Write holds whole lines, so the
+// only partial-line risk is an actual kill.
+func (s *Store) Append(recs ...*Record) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // Marshal's bytes plus the newline
+	for i := 0; i < len(recs); {
+		shard := recs[i].Job / s.shardJobs
+		buf.Reset()
+		for ; i < len(recs) && recs[i].Job/s.shardJobs == shard; i++ {
+			if err := enc.Encode(recs[i]); err != nil {
+				return fmt.Errorf("campaign: encoding record for job %d: %w", recs[i].Job, err)
+			}
+		}
+		if err := s.write(shard, buf.Bytes()); err != nil {
+			return err
+		}
 	}
-	line = append(line, '\n')
-	shard := rec.Job / s.shardJobs
+	return nil
+}
 
+// write appends whole lines to shard's file, opening its appender first.
+func (s *Store) write(shard int, lines []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.files[shard]
 	if !ok {
-		f, err = openAppend(shardPath(s.dir, shard))
-		if err != nil {
+		var err error
+		if f, err = openAppend(shardPath(s.dir, shard)); err != nil {
 			return err
 		}
 		s.files[shard] = f
 	}
-	_, err = f.Write(line)
+	_, err := f.Write(lines)
 	return err
 }
 

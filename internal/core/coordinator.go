@@ -147,6 +147,15 @@ func (c *Coordinator) Run(ctx context.Context, target string, stages []Stage, pr
 	if prof == nil {
 		return nil, fmt.Errorf("core: nil profile for target %s", target)
 	}
+	// An epoch's measurer medians are keyed by URL: two measurers of one
+	// URL would reserve two groups of clients but report one median.
+	for i, m := range c.cfg.Measurers {
+		for j := 0; j < i; j++ {
+			if c.cfg.Measurers[j].URL == m.URL {
+				return nil, fmt.Errorf("core: measurers %d and %d share URL %s", j, i, m.URL)
+			}
+		}
+	}
 	if err := c.register(); err != nil {
 		return nil, err
 	}

@@ -512,6 +512,22 @@ func TestMeasurerMediansRecorded(t *testing.T) {
 	}
 }
 
+// Two measurers of one URL would share one median: Run refuses them,
+// naming both, before it registers a client.
+func TestMeasurersSharingAURLRejected(t *testing.T) {
+	plat := newFakePlatform(40, func(_, _ int) time.Duration { return 0 })
+	cfg := testCfg()
+	cfg.Measurers = []Request{{Method: "GET", URL: "/q?a"}, {Method: "GET", URL: "/index.html"}, {Method: "HEAD", URL: "/index.html"}}
+	coord := New(plat, cfg, nil)
+	res, err := coord.Run(context.Background(), "fake-host", Stages, testProfile())
+	if err == nil || !strings.Contains(err.Error(), "measurers 1 and 2") || !strings.Contains(err.Error(), "/index.html") {
+		t.Fatalf("Run = %v, %v; want an error naming measurers 1 and 2 and their URL", res, err)
+	}
+	if coord.pool != nil {
+		t.Errorf("%d clients registered before the measurers were checked", len(coord.pool))
+	}
+}
+
 func TestResultStringMentionsVerdicts(t *testing.T) {
 	plat := newFakePlatform(60, func(_, crowd int) time.Duration {
 		return time.Duration(crowd) * 10 * time.Millisecond

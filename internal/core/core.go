@@ -110,7 +110,9 @@ type Config struct {
 	// non-crowd clients issue alongside every epoch, probing how the
 	// crowd's workload affects *other* request types (e.g. how a
 	// bandwidth-intensive crowd impacts a database-intensive query).
-	// Measurer clients are reserved out of the crowd-eligible pool.
+	// Measurer clients are reserved out of the crowd-eligible pool. Each
+	// measurer needs its own URL: an epoch's medians are keyed by it, and
+	// Run refuses two that share one.
 	Measurers []Request
 
 	// KeepSamples retains every per-request sample in the epoch results

@@ -132,10 +132,8 @@ type SimClient struct {
 	// target RTT estimate a burst schedules by, and the base response time
 	// its samples carry.
 	baseRTT, baseTime time.Duration
-	results           map[int][]Sample
+	results           map[int][]Sample // made by the first record
 
-	// process labels, built once
-	burstName, mrName string
 	// recycled task state
 	measure    baseline
 	freeReqs   []*simRequest
@@ -143,10 +141,15 @@ type SimClient struct {
 }
 
 func newSimClient(env *netsim.Env, server *websim.Server, spec SimClientSpec) *SimClient {
-	return &SimClient{
-		env: env, server: server, spec: spec, results: make(map[int][]Sample),
-		burstName: spec.ID + "/epoch", mrName: spec.ID + "/mr",
+	return &SimClient{env: env, server: server, spec: spec}
+}
+
+// record files one sample under its epoch for Collect.
+func (c *SimClient) record(epoch int, s Sample) {
+	if c.results == nil {
+		c.results = make(map[int][]Sample)
 	}
+	c.results[epoch] = append(c.results[epoch], s)
 }
 
 // rtt draws one RTT observation around the base value.
@@ -203,7 +206,7 @@ func (c *SimClient) Fire(epoch int, arriveAt time.Duration, reqs []Request, time
 	}
 	b.epoch, b.arriveAt, b.reqs, b.timeout = epoch, arriveAt, reqs, timeout
 	b.estRTT = c.baseRTT
-	c.env.SpawnAfter(c.burstName, cmdDelay, b)
+	c.env.SpawnAfter(c.spec.ID, cmdDelay, b) // a panic names the task's type too
 }
 
 // burst is one client's share of an epoch: wait for the fire instant, then
@@ -262,7 +265,7 @@ func (b *burst) Step(p *netsim.Proc) bool {
 						setup = 2 * time.Second
 					}
 				}
-				c.env.SpawnAfter(c.mrName, setup, c.newConnection(b, rq))
+				c.env.SpawnAfter(c.spec.ID, setup, c.newConnection(b, rq))
 			}
 			return b.finish()
 
@@ -270,7 +273,7 @@ func (b *burst) Step(p *netsim.Proc) bool {
 			if b.single.step(p) {
 				return true
 			}
-			c.results[b.epoch] = append(c.results[b.epoch], b.single.sample)
+			c.record(b.epoch, b.single.sample)
 			return b.finish()
 		}
 	}
@@ -332,7 +335,7 @@ func (r *simRequest) Step(p *netsim.Proc) bool {
 		return true
 	}
 	c := r.c
-	c.results[r.epoch] = append(c.results[r.epoch], r.sample)
+	c.record(r.epoch, r.sample)
 	c.freeReqs = append(c.freeReqs, r)
 	return false
 }

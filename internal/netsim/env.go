@@ -57,9 +57,9 @@
 //  2. Every Env.Rand draw happens at the same point of the same dispatch.
 //  3. Release order is what the blocking code's defers produced (a release
 //     pushes wake entries, so it is observable): see websim.Call.
-//  4. A panic in a step surfaces from Run as `netsim: process %q panicked`
-//     after every unfinished goroutine process has been ended, like a panic
-//     in a goroutine body.
+//  4. A panic in a step surfaces from Run as `netsim: process %q panicked
+//     in %T` (the task's type) after every unfinished goroutine process has
+//     been ended, like a panic in a goroutine body.
 //
 // One waiter per block. A process blocks only on a sleep, a transfer or an
 // acquire, is in at most one block, and each block has exactly that one

@@ -163,10 +163,15 @@ func (e *Env) runBody(p *Proc, fn func(p *Proc)) {
 }
 
 // recoverProc is deferred around every piece of process code, goroutine
-// body or task step alike.
+// body or task step alike. A task's type is named beside the process, so
+// processes that share a name still say which role panicked.
 func (e *Env) recoverProc(p *Proc) {
 	if r := recover(); r != nil {
-		e.err = fmt.Sprintf("netsim: process %q panicked: %v", p.name, r)
+		if p.task != nil {
+			e.err = fmt.Sprintf("netsim: process %q panicked in %T: %v", p.name, p.task, r)
+		} else {
+			e.err = fmt.Sprintf("netsim: process %q panicked: %v", p.name, r)
+		}
 	}
 }
 

@@ -245,7 +245,7 @@ func TestTaskPanicPropagatesAndLeaksNothing(t *testing.T) {
 			defer func() {
 				r := recover()
 				s, ok := r.(string)
-				if !ok || !strings.Contains(s, `netsim: process "bomb" panicked`) || !strings.Contains(s, "boom") {
+				if !ok || !strings.Contains(s, `netsim: process "bomb" panicked in *netsim.script`) || !strings.Contains(s, "boom") {
 					t.Errorf("viaDo=%v: Run raised %v, want the process panic", viaDo, r)
 				}
 			}()
